@@ -35,8 +35,8 @@ bench-cache:
 	$(GO) test ./internal/cache -run '^$$' -bench 'LookupHit|MissEvict|MissReplace' -benchmem -count 5
 
 # The DES engine microbenchmarks, repeated for benchstat: the lookahead
-# fast path vs the parked slow path, the forced-handoff interleave, and
-# the event-heap push/pop cycle.
+# fast path vs the parked slow path (a coroutine switch to the engine and
+# back), the forced-handoff interleave, and the event-heap push/pop cycle.
 bench-sim:
 	$(GO) test ./internal/sim -run '^$$' -bench 'Sleep|TwoProcInterleave|EventHeap' -benchmem -count 5
 

@@ -22,7 +22,7 @@
 // -json replaces the tables on stdout with a machine-readable report:
 // per-experiment wall-clock timings, totals, run-cache hit/miss/bypass
 // counters, and the aggregated DES engine counters (events scheduled,
-// goroutine handoffs, lookahead fast advances, heap high-water), grouped
+// engine<->process handoffs, lookahead fast advances, heap high-water), grouped
 // per parallelism level under "runs". Without an explicit -parallel, the
 // suite is timed twice — serial and at GOMAXPROCS — so the report
 // captures the scheduler speedup (on a single-CPU machine only the
@@ -88,8 +88,8 @@ type jsonRun struct {
 	// engine — over every simulation the sweep executed, in the same
 	// stats.Snapshot schema the acfcd daemon's /metrics endpoint
 	// exposes. In the sim block, fast_advances vs handoffs shows how
-	// much of the virtual-time advancement skipped the goroutine
-	// scheduler.
+	// much of the virtual-time advancement needed no switch to the
+	// engine and back.
 	Kernel stats.Snapshot `json:"kernel"`
 }
 

@@ -24,7 +24,9 @@
 package acm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -418,7 +420,13 @@ func (m *Manager) PolicyOf(prio int) Policy {
 // SetTempPri gives the cached blocks of file in [startBlk, endBlk] a
 // temporary priority. Only blocks presently in the cache are affected; the
 // change lasts until each block is next referenced or replaced.
-func (m *Manager) SetTempPri(file fs.FileID, startBlk, endBlk int32, prio int) error {
+//
+// The blocks are found through bc, the cache this manager's blocks live
+// in: one index probe per block of the range, or — when the range is wider
+// than the manager's whole pool, as a wire client's [0, MaxInt32] is — one
+// walk of the pool. Either way the blocks that change pools are relinked
+// in ascending block number, each at the later-replaced end.
+func (m *Manager) SetTempPri(bc *cache.Cache, file fs.FileID, startBlk, endBlk int32, prio int) error {
 	if startBlk > endBlk {
 		return fmt.Errorf("acm: bad block range [%d, %d]", startBlk, endBlk)
 	}
@@ -426,15 +434,36 @@ func (m *Manager) SetTempPri(file fs.FileID, startBlk, endBlk int32, prio int) e
 	if err != nil {
 		return err
 	}
-	for _, nd := range m.blocksOf(file) {
-		if nd.Buf.ID.Num < startBlk || nd.Buf.ID.Num > endBlk {
-			continue
-		}
+	temp := prio != m.Priority(file)
+	move := func(nd *cache.ACMNode) {
 		if nd.Level != dst {
 			nd.Level.Unlink(nd)
 			linkLater(dst, nd)
 		}
-		nd.Temp = prio != m.Priority(file)
+		nd.Temp = temp
+	}
+	pool := 0
+	for _, l := range m.levels {
+		pool += l.N
+	}
+	if span := int64(endBlk) - int64(startBlk) + 1; span <= int64(pool) {
+		for i := int64(0); i < span; i++ {
+			b := bc.Peek(cache.BlockID{File: file, Num: startBlk + int32(i)})
+			// Another process's block, or one this manager ran out of
+			// level records for, is not this manager's to move.
+			if b != nil && b.Owner == m.owner && b.ACM().Level != nil {
+				move(b.ACM())
+			}
+		}
+		return nil
+	}
+	nodes := m.blocksOf(file)
+	nodes = slices.DeleteFunc(nodes, func(nd *cache.ACMNode) bool {
+		return nd.Buf.ID.Num < startBlk || nd.Buf.ID.Num > endBlk
+	})
+	slices.SortFunc(nodes, func(a, b *cache.ACMNode) int { return cmp.Compare(a.Buf.ID.Num, b.Buf.ID.Num) })
+	for _, nd := range nodes {
+		move(nd)
 	}
 	return nil
 }

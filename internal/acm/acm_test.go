@@ -1,6 +1,10 @@
 package acm_test
 
 import (
+	"cmp"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -251,7 +255,7 @@ func TestSetTempPriFlushes(t *testing.T) {
 		h.read(1, f, b)
 	}
 	// Mark block 3 (the most recently used!) done-with.
-	if err := m.SetTempPri(f, 3, 3, -1); err != nil {
+	if err := m.SetTempPri(h.c, f, 3, 3, -1); err != nil {
 		t.Fatal(err)
 	}
 	h.read(1, f, 10) // miss: must evict block 3, not block 0
@@ -272,7 +276,7 @@ func TestTempPriRevertsOnAccess(t *testing.T) {
 	for b := int32(0); b < 3; b++ {
 		h.read(1, f, b)
 	}
-	m.SetTempPri(f, 1, 1, -1)
+	m.SetTempPri(h.c, f, 1, 1, -1)
 	sizes := levelSizes(m)
 	if sizes[-1] != 1 || sizes[0] != 2 {
 		t.Fatalf("LevelSizes = %v, want {-1:1, 0:2}", sizes)
@@ -289,7 +293,7 @@ func TestTempPriRevertsOnAccess(t *testing.T) {
 func TestTempPriRangeValidation(t *testing.T) {
 	h := newHarness(t, 4, cache.LRUSP)
 	m, _ := h.a.CreateManager(1)
-	if err := m.SetTempPri(1, 5, 2, -1); err == nil {
+	if err := m.SetTempPri(h.c, 1, 5, 2, -1); err == nil {
 		t.Error("inverted range accepted")
 	}
 }
@@ -327,7 +331,7 @@ func TestTempPriSurvivesSetPriority(t *testing.T) {
 	for b := int32(0); b < 3; b++ {
 		h.read(1, f, b)
 	}
-	m.SetTempPri(f, 0, 0, 5)
+	m.SetTempPri(h.c, f, 0, 0, 5)
 	m.SetPriority(f, 1)
 	sizes := levelSizes(m)
 	if sizes[5] != 1 || sizes[1] != 2 {
@@ -441,11 +445,11 @@ func TestQuickACMInvariants(t *testing.T) {
 				m.SetPolicy(rng.Intn(3)-1, acm.Policy(rng.Intn(2)))
 			case 2:
 				lo := int32(rng.Intn(30))
-				m.SetTempPri(fs.FileID(1+rng.Intn(3)), lo, lo+int32(rng.Intn(5)), rng.Intn(3)-1)
+				m.SetTempPri(h.c, fs.FileID(1+rng.Intn(3)), lo, lo+int32(rng.Intn(5)), rng.Intn(3)-1)
 			case 3:
 				// Revocation must leave evictions and transfers of the
 				// owner's still-linked blocks structurally clean.
-				h.c.Owner(1+rng.Intn(2)).Revoked = rng.Intn(2) == 0
+				h.c.Owner(1 + rng.Intn(2)).Revoked = rng.Intn(2) == 0
 			default:
 				owner := 1 + rng.Intn(2)
 				id := cache.BlockID{File: fs.FileID(1 + rng.Intn(3)), Num: int32(rng.Intn(30))}
@@ -463,6 +467,148 @@ func TestQuickACMInvariants(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Error(err)
+	}
+}
+
+// poolEntry is one block of a pool snapshot: its id and Temp flag.
+type poolEntry struct {
+	id   cache.BlockID
+	temp bool
+}
+
+// snapshotPools records every non-empty pool of m, LRU end first.
+func snapshotPools(h *harness, m *acm.Manager) map[int][]poolEntry {
+	pools := make(map[int][]poolEntry)
+	for _, ls := range m.LevelSizes(nil) {
+		for _, id := range m.PoolOrder(ls.Prio) {
+			pools[ls.Prio] = append(pools[ls.Prio], poolEntry{id, h.c.Peek(id).ACM().Temp})
+		}
+	}
+	return pools
+}
+
+// walkSetTempPri is SetTempPri as it was before it went through the cache
+// index, applied to a snapshot: collect the file's blocks by walking every
+// pool in ascending priority, LRU end first, then move each one in range
+// to the later-replaced end of the destination pool, in the order found.
+func walkSetTempPri(pools map[int][]poolEntry, prios []int, file fs.FileID, start, end int32, prio int, dstPol acm.Policy, temp bool) {
+	type found struct {
+		prio int
+		id   cache.BlockID
+	}
+	var nodes []found
+	for _, p := range prios {
+		for _, e := range pools[p] {
+			if e.id.File == file {
+				nodes = append(nodes, found{p, e.id})
+			}
+		}
+	}
+	for _, nd := range nodes {
+		if nd.id.Num < start || nd.id.Num > end {
+			continue
+		}
+		src := pools[nd.prio]
+		i := slices.IndexFunc(src, func(e poolEntry) bool { return e.id == nd.id })
+		if nd.prio == prio {
+			src[i].temp = temp
+			continue
+		}
+		pools[nd.prio] = slices.Delete(src, i, i+1)
+		if dstPol == acm.LRU {
+			pools[prio] = append(pools[prio], poolEntry{nd.id, temp})
+		} else {
+			pools[prio] = slices.Insert(pools[prio], 0, poolEntry{nd.id, temp})
+		}
+	}
+	for p, l := range pools {
+		if len(l) == 0 {
+			delete(pools, p)
+		}
+	}
+}
+
+// TestQuickSetTempPriMatchesWalk drives random traffic — two managed
+// owners over shared files, ownership transfer, policy and priority
+// changes, a level limit that leaves some blocks unmanaged — and checks
+// every SetTempPri against the pool walk it replaced: same pool
+// membership and Temp flags always, and the same list order whenever the
+// range is one block, which is every call the workloads make. (A range of
+// several blocks relinks in ascending block number, which the walk did
+// not promise.) Ranges come narrow (index probes) and wider than the pool
+// (the pool-walk branch).
+func TestQuickSetTempPriMatchesWalk(t *testing.T) {
+	byID := func(a, b poolEntry) int {
+		if c := cmp.Compare(a.id.File, b.id.File); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id.Num, b.id.Num)
+	}
+	f := func(seed uint64) bool {
+		rng := sim.NewRand(seed)
+		h := &harness{}
+		limits := acm.DefaultLimits
+		if seed%2 == 0 {
+			limits.MaxLevels = 2
+		}
+		h.a = acm.New(func() sim.Time { return h.now }, limits)
+		h.c = cache.New(cache.Config{Capacity: 24, Alloc: cache.LRUSP, SharedTransfer: true}, h.a)
+		m, _ := h.a.CreateManager(1)
+		if _, err := h.a.CreateManager(2); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3000; i++ {
+			switch rng.Intn(10) {
+			case 0:
+				m.SetPriority(fs.FileID(1+rng.Intn(3)), rng.Intn(3)-1)
+			case 1:
+				m.SetPolicy(rng.Intn(3)-1, acm.Policy(rng.Intn(2)))
+			case 2, 3, 4:
+				file, prio := fs.FileID(1+rng.Intn(3)), rng.Intn(3)-1
+				start := int32(rng.Intn(30))
+				end := start
+				switch rng.Intn(4) {
+				case 0:
+					end = start + int32(rng.Intn(6))
+				case 1:
+					start, end = 0, math.MaxInt32
+				}
+				want := snapshotPools(h, m)
+				var prios []int
+				for p := range want {
+					prios = append(prios, p)
+				}
+				slices.Sort(prios)
+				if err := m.SetTempPri(h.c, file, start, end, prio); err != nil {
+					continue // level limit: neither version moves anything
+				}
+				walkSetTempPri(want, prios, file, start, end, prio, m.PolicyOf(prio), prio != m.Priority(file))
+				got := snapshotPools(h, m)
+				if start != end {
+					for _, pools := range []map[int][]poolEntry{want, got} {
+						for _, l := range pools {
+							slices.SortFunc(l, byID)
+						}
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d op %d: SetTempPri(file %d, [%d, %d], prio %d):\n got %v\nwant %v", seed, i, file, start, end, prio, got, want)
+					return false
+				}
+			default:
+				owner := 1 + rng.Intn(2)
+				id := cache.BlockID{File: fs.FileID(1 + rng.Intn(3)), Num: int32(rng.Intn(30))}
+				if h.c.LookupBy(id, owner, 0, 8192) == nil {
+					h.c.Insert(id, owner, h.now)
+				}
+			}
+		}
+		h.a.CheckInvariants()
+		h.c.CheckInvariants()
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
 }
@@ -526,7 +672,7 @@ func TestSetTempPriSamePriorityClearsTemp(t *testing.T) {
 	m, _ := h.a.CreateManager(1)
 	h.read(1, 3, 0)
 	h.read(1, 3, 1)
-	if err := m.SetTempPri(3, 0, 0, acm.DefaultPriority); err != nil {
+	if err := m.SetTempPri(h.c, 3, 0, 0, acm.DefaultPriority); err != nil {
 		t.Fatal(err)
 	}
 	sizes := levelSizes(m)

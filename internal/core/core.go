@@ -125,10 +125,10 @@ type Config struct {
 	TraceCtl func(CtlEvent)
 
 	// NoSimFastPath forces every virtual-time sleep through the DES
-	// event heap and scheduler, disabling the engine's lookahead fast
-	// path. Results are identical either way (differential tests prove
-	// it); the flag exists for those tests and for isolating the fast
-	// path's contribution in benchmarks.
+	// event heap and a switch to the engine, disabling the engine's
+	// lookahead fast path. Results are identical either way
+	// (differential tests prove it); the flag exists for those tests and
+	// for isolating the fast path's contribution in benchmarks.
 	NoSimFastPath bool
 }
 
@@ -801,7 +801,7 @@ func (p *Proc) GetPolicy(prio int) acm.Policy {
 func (p *Proc) SetTempPri(f *fs.File, startBlk, endBlk int32, prio int) error {
 	m := p.requireMgr("set_temppri")
 	p.fbCharge()
-	err := m.SetTempPri(f.ID(), startBlk, endBlk, prio)
+	err := m.SetTempPri(p.sys.bc, f.ID(), startBlk, endBlk, prio)
 	if err == nil {
 		p.ctlTrace(CtlEvent{Op: CtlSetTempPri, File: f.ID(), FileName: f.Name(), Start: startBlk, End: endBlk, Prio: prio})
 	}

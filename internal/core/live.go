@@ -1176,7 +1176,7 @@ func (l *Live) SetTempPri(owner int, fid fs.FileID, startBlk, endBlk int32, prio
 	if err != nil {
 		return err
 	}
-	return m.SetTempPri(fid, startBlk, endBlk, prio)
+	return m.SetTempPri(l.bc, fid, startBlk, endBlk, prio)
 }
 
 // --- invariants ---

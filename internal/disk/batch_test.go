@@ -317,6 +317,68 @@ func TestBatchConcurrentRace(t *testing.T) {
 	}
 }
 
+// TestFileStoreReadPastEOF pins what a read finds when it resolves a slot
+// whose write has not landed yet, which is the state a concurrent writer
+// leaves between publishing the slot and extending the file: the file is
+// cut back to two and a half of four allocated slots, and every read path
+// must return the bytes that are there and zeros for the rest, with no
+// error.
+func TestFileStoreReadPastEOF(t *testing.T) {
+	const n = 4
+	specs := make([]BlockSpan, n)
+	srcs := make([][]byte, n)
+	for i := range specs {
+		specs[i] = BlockSpan{File: 1, Blk: int32(i)}
+		srcs[i] = bytes.Repeat([]byte{0xab}, BlockSize)
+	}
+	want := func(i int) []byte {
+		b := make([]byte, BlockSize)
+		switch i {
+		case 0, 1:
+			copy(b, srcs[i])
+		case 2:
+			copy(b, srcs[i][:BlockSize/2])
+		}
+		return b
+	}
+	for _, path := range []string{"scalar", "batch-scalar", "batch-vectored"} {
+		t.Run(path, func(t *testing.T) {
+			fs := newTestFileStore(t)
+			fs.SetVectored(path == "batch-vectored")
+			for i, err := range fs.WriteBlocks(specs, srcs) {
+				if err != nil {
+					t.Fatalf("WriteBlocks[%d]: %v", i, err)
+				}
+			}
+			if err := fs.f.Truncate(2*BlockSize + BlockSize/2); err != nil {
+				t.Fatal(err)
+			}
+			dsts := make([][]byte, n)
+			for i := range dsts {
+				dsts[i] = bytes.Repeat([]byte{0xff}, BlockSize)
+			}
+			if path == "scalar" {
+				for i, sp := range specs {
+					if err := fs.ReadBlock(sp.File, sp.Blk, dsts[i]); err != nil {
+						t.Errorf("ReadBlock(%d): %v", sp.Blk, err)
+					}
+				}
+			} else {
+				for i, err := range fs.ReadBlocks(specs, dsts) {
+					if err != nil {
+						t.Errorf("ReadBlocks[%d]: %v", i, err)
+					}
+				}
+			}
+			for i := range dsts {
+				if !bytes.Equal(dsts[i], want(i)) {
+					t.Errorf("block %d: wrong bytes (first %x, middle %x, last %x)", i, dsts[i][0], dsts[i][BlockSize/2], dsts[i][BlockSize-1])
+				}
+			}
+		})
+	}
+}
+
 // TestFileStoreScalarCounters sanity-checks IOCounts on the scalar
 // path so the profiling tell in DESIGN.md stays honest.
 func TestFileStoreScalarCounters(t *testing.T) {

@@ -11,6 +11,7 @@ package disk
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -262,8 +263,21 @@ func (s *FileStore) ReadBlock(file, blk int32, dst []byte) error {
 		clear(dst)
 		return nil
 	}
+	return s.readSlot(dst, off)
+}
+
+// readSlot reads one allocated slot with one ReadAt. A writer publishes
+// a new slot's offset before the pwrite that extends the file to it
+// lands (see WriteBlock), so a concurrent reader can resolve a slot that
+// lies partly or wholly past the end of the file. What is missing has
+// not been written yet, and unwritten blocks read as zeros.
+func (s *FileStore) readSlot(dst []byte, off int64) error {
 	s.scalarReads.Add(1)
-	_, err := s.f.ReadAt(dst, off)
+	n, err := s.f.ReadAt(dst, off)
+	if err == io.EOF {
+		clear(dst[n:])
+		return nil
+	}
 	return err
 }
 
@@ -355,8 +369,7 @@ func (s *FileStore) readRun(bufs [][]byte, off int64) error {
 		return err
 	}
 	for _, b := range bufs {
-		s.scalarReads.Add(1)
-		if _, err := s.f.ReadAt(b, off); err != nil {
+		if err := s.readSlot(b, off); err != nil {
 			return err
 		}
 		off += BlockSize

@@ -85,8 +85,12 @@ func vecFull(trap uintptr, f *os.File, bufs [][]byte, off int64) (calls int, err
 			if n == 0 {
 				if trap == syscall.SYS_PWRITEV {
 					inner = io.ErrShortWrite
-				} else {
-					inner = io.ErrUnexpectedEOF
+					return
+				}
+				// End of file inside an allocated run: the rest is not
+				// written yet and reads as zeros (FileStore.readSlot).
+				for _, b := range bufs {
+					clear(b)
 				}
 				return
 			}
@@ -109,7 +113,8 @@ func vecFull(trap uintptr, f *os.File, bufs [][]byte, off int64) (calls int, err
 }
 
 // preadvFull reads len(bufs) buffers from contiguous file offsets
-// starting at off in as few preadv calls as short reads allow.
+// starting at off in as few preadv calls as short reads allow; whatever
+// lies past the end of the file reads as zeros.
 func preadvFull(f *os.File, bufs [][]byte, off int64) (calls int, err error) {
 	return vecFull(syscall.SYS_PREADV, f, bufs, off)
 }

@@ -40,7 +40,7 @@ type Options struct {
 	ReadAheadOff   bool
 	ReadAheadDepth int
 	// NoFastPath disables the DES engine's lookahead fast path, forcing
-	// every sleep through the scheduler (for differential tests).
+	// every sleep through the event heap (for differential tests).
 	NoFastPath bool
 }
 

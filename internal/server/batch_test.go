@@ -120,6 +120,10 @@ func runDiffWorkload(t *testing.T, fillWorkers, wbDepth int) diffOutcome {
 // counter. The only licensed difference is *who* performs the store
 // reads: write-behind forwarding replaces store reads one-for-one, so
 // StoreReads(sync) = StoreReads(batched) + WritebackHits(batched).
+// CoalescedMisses is not among the counters: whether a demand read finds
+// its block's read-ahead fill still in flight (and joins it) or already
+// complete (and hits) is a race between the client and the fill worker
+// in either executor, not a property of one.
 func TestBatchedFillsDifferential(t *testing.T) {
 	sync := runDiffWorkload(t, -1, 0) // legacy executor, synchronous write-backs
 	batched := runDiffWorkload(t, 4, 16)
@@ -142,7 +146,6 @@ func TestBatchedFillsDifferential(t *testing.T) {
 		name       string
 		sync, batc int64
 	}{
-		{"CoalescedMisses", sync.fill.CoalescedMisses, batched.fill.CoalescedMisses},
 		{"PrefetchIssued", sync.fill.PrefetchIssued, batched.fill.PrefetchIssued},
 		{"PrefetchHits", sync.fill.PrefetchHits, batched.fill.PrefetchHits},
 	} {

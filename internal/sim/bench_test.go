@@ -18,8 +18,8 @@ func BenchmarkSleepFastPath(b *testing.B) {
 
 // BenchmarkSleepParked measures the slow path the fast path avoids: the
 // same lone sleeper forced through a heap push plus a park/resume round
-// trip through the scheduler (the engine's pre-lookahead fundamental
-// cost, formerly BenchmarkHandoff).
+// trip — a coroutine switch to the engine and one back (the engine's
+// pre-lookahead fundamental cost, formerly BenchmarkHandoff).
 func BenchmarkSleepParked(b *testing.B) {
 	e := New(DisableFastPath)
 	e.Spawn("p", func(p *Proc) {

@@ -1,17 +1,21 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine advances a virtual clock and runs simulated processes, each of
-// which is an ordinary Go function executing on its own goroutine. At any
-// instant exactly one process goroutine is runnable; a process runs until it
-// blocks on the virtual clock (Sleep, SleepUntil) or on a condition
-// (Cond.Wait), at which point control hands back to the engine. Events that
-// fire at the same virtual time run in the order they were scheduled. Given
-// the same inputs, a simulation therefore produces exactly the same
+// which is an ordinary Go function executing as a coroutine of the goroutine
+// that called Run (iter.Pull). Exactly one of them — or the engine — runs at
+// any instant; a process runs until it blocks on the virtual clock (Sleep,
+// SleepUntil) or on a condition (Cond.Wait), at which point it switches
+// straight back to the engine, which switches to whichever process the
+// event heap says is next. A switch is a direct transfer of control: no
+// channel, no trip through the Go scheduler, no second thread woken. Events
+// that fire at the same virtual time run in the order they were scheduled.
+// Given the same inputs, a simulation therefore produces exactly the same
 // interleaving and the same results on every run.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -119,27 +123,21 @@ type Engine struct {
 	procs   []*Proc
 	current *Proc // the process executing right now (nil between steps)
 	started bool
-	killing bool
-	noFast  bool // DisableFastPath: every sleep goes through the scheduler
+	noFast  bool // DisableFastPath: every sleep parks, through the event heap
 	nLive   int  // live non-daemon processes
 	stats   Stats
 }
 
-type yieldMsg struct {
-	done bool
-	pani interface{} // non-nil if the proc body panicked
-}
-
 // Stats counts engine activity over a run. The interesting ratio is
 // FastAdvances to Handoffs: every fast advance is a wake-up that moved
-// virtual time inline instead of paying a heap push plus two goroutine
-// context switches.
+// virtual time inline instead of paying a heap push plus two coroutine
+// switches.
 type Stats struct {
 	// EventsScheduled is the number of heap pushes (spawns, parked
 	// sleeps, condition signals).
 	EventsScheduled int64 `json:"events_scheduled"`
-	// Handoffs is the number of engine<->process goroutine round trips
-	// (one resume plus one yield each).
+	// Handoffs is the number of engine<->process round trips (one resume
+	// plus one yield each).
 	Handoffs int64 `json:"handoffs"`
 	// FastAdvances is the number of SleepUntil/Sleep/Yield calls that
 	// advanced the clock inline via the lookahead fast path.
@@ -162,8 +160,8 @@ func (s *Stats) Accumulate(o Stats) {
 // Option configures an Engine at construction.
 type Option func(*Engine)
 
-// DisableFastPath forces every sleep through the event heap and the
-// goroutine scheduler, disabling the lookahead fast path. The two modes
+// DisableFastPath forces every sleep through the event heap and a switch
+// to the engine and back, disabling the lookahead fast path. The two modes
 // are observationally equivalent (the fast path fires only when it is
 // provably so); this option exists so differential tests can prove it.
 var DisableFastPath Option = func(e *Engine) { e.noFast = true }
@@ -195,21 +193,22 @@ const (
 	Done
 )
 
-// Proc is a simulated process. Its body function runs on a dedicated
-// goroutine; all blocking is via the methods on Proc, which cooperate with
-// the engine.
+// Proc is a simulated process. Its body function runs as a coroutine the
+// engine creates on the first resume; all blocking is via the methods on
+// Proc, which cooperate with the engine.
 type Proc struct {
 	eng  *Engine
 	id   int
 	name string
 	body func(*Proc)
-	// rendez is the single handoff channel between the engine and this
-	// process's goroutine. Control strictly alternates (engine resumes,
-	// process yields), so one unbuffered channel serves both directions:
-	// the engine sends the resume token and then blocks receiving the
-	// yield; the process sends the yield and then blocks receiving the
-	// next resume.
-	rendez  chan yieldMsg
+	// The three ends of the coroutine (iter.Pull), nil until the first
+	// resume. The engine calls next to run the body up to its next park
+	// (false once the body has returned; a body panic or Goexit comes out
+	// of next itself) and stop to unwind a parked body; the body calls
+	// yield to park, and a false return means it is being stopped.
+	next    func() (struct{}, bool)
+	stop    func()
+	yield   func(struct{}) bool
 	state   ProcState
 	daemon  bool
 	start   Time // virtual time the body begins
@@ -274,7 +273,6 @@ func (e *Engine) spawn(name string, at Time, body func(*Proc), daemon bool) *Pro
 		id:     len(e.procs),
 		name:   name,
 		body:   body,
-		rendez: make(chan yieldMsg),
 		start:  at,
 		daemon: daemon,
 	}
@@ -295,23 +293,27 @@ func (e *Engine) schedule(at Time, p *Proc) {
 	}
 }
 
-// errKilled is the sentinel panic value used to unwind abandoned daemon
-// goroutines when the simulation ends.
+// killedError is the sentinel panic value that unwinds a parked process
+// body when the engine stops it.
 type killedError struct{}
 
-func (killedError) Error() string { return "sim: daemon killed at shutdown" }
+func (killedError) Error() string { return "sim: process stopped at shutdown" }
 
 // Run executes the simulation until every non-daemon process has finished
 // (or no scheduled events remain). It panics if a process body panicked,
 // propagating the original panic value, or if the simulation deadlocks
 // (live processes remain but none is scheduled — e.g. a process parked on a
-// condition nobody will signal). Daemon processes still parked when Run
-// finishes are unwound cleanly so their goroutines do not leak.
+// condition nobody will signal); a runtime.Goexit in a body (t.FailNow)
+// likewise ends Run's caller. On every one of those paths each process
+// still parked — daemons on the clean path, everything unfinished on the
+// others — is unwound first, so its deferred functions run and no goroutine
+// outlives Run.
 func (e *Engine) Run() {
 	if e.started {
 		panic("sim: Engine.Run called twice")
 	}
 	e.started = true
+	defer e.unwind()
 	for e.nLive > 0 && len(e.events) > 0 {
 		ev := e.events.pop()
 		p := ev.proc
@@ -328,28 +330,32 @@ func (e *Engine) Run() {
 		names := e.liveNames()
 		panic(fmt.Sprintf("sim: deadlock — %d live process(es) but no pending events: %v", e.nLive, names))
 	}
-	e.shutdownDaemons()
 }
 
-// shutdownDaemons unwinds every still-running daemon by resuming it with
-// the kill flag set; its park call panics with killedError, which the
-// process wrapper reports back here.
-func (e *Engine) shutdownDaemons() {
-	e.killing = true
-	for _, p := range e.procs {
-		if !p.daemon || p.state != Running {
-			continue
+// unwind stops every started, unfinished process, in spawn order. The
+// stops are deferred so that each runs even if an earlier body's deferred
+// function panics; the last such panic is the one Run's caller sees.
+func (e *Engine) unwind() {
+	e.current = nil // a dying body that sleeps must park, and so keep dying
+	for i := len(e.procs) - 1; i >= 0; i-- {
+		if p := e.procs[i]; p.state == Running {
+			p.state = Done
+			p.end = e.now
+			defer p.kill()
 		}
-		p.rendez <- yieldMsg{}
-		msg := <-p.rendez
-		if msg.pani != nil {
-			if _, ok := msg.pani.(killedError); !ok {
-				panic(msg.pani)
-			}
-		}
-		p.state = Done
-		p.end = e.now
 	}
+}
+
+// kill unwinds p's parked body: stop makes the pending yield return false,
+// park panics with killedError, the body's deferred functions run, and the
+// sentinel comes back out of stop. Any other panic value is the body's own.
+func (p *Proc) kill() {
+	defer func() {
+		if r := recover(); r != nil && r != any(killedError{}) {
+			panic(r)
+		}
+	}()
+	p.stop()
 }
 
 func (e *Engine) liveNames() []string {
@@ -363,37 +369,23 @@ func (e *Engine) liveNames() []string {
 	return names
 }
 
-// step resumes process p and waits for it to yield back. While p runs it
-// is e.current, which is what entitles it to the SleepUntil fast path.
+// step switches to process p — creating its coroutine the first time — and
+// returns when p parks or its body returns. While p runs it is e.current,
+// which is what entitles it to the SleepUntil fast path.
 func (e *Engine) step(p *Proc) {
-	e.current = p
-	switch p.state {
-	case Created:
+	if p.state == Created {
 		p.state = Running
 		p.begun = e.now
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					p.rendez <- yieldMsg{done: true, pani: r}
-					return
-				}
-			}()
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			p.body(p)
-			p.rendez <- yieldMsg{done: true}
-		}()
-	case Running:
-		p.rendez <- yieldMsg{}
-	case Done:
-		e.current = nil
-		return
+		})
 	}
+	e.current = p
 	e.stats.Handoffs++
-	msg := <-p.rendez
+	_, parked := p.next()
 	e.current = nil
-	if msg.pani != nil {
-		panic(msg.pani)
-	}
-	if msg.done {
+	if !parked {
 		p.state = Done
 		p.end = e.now
 		if !p.daemon {
@@ -402,27 +394,26 @@ func (e *Engine) step(p *Proc) {
 	}
 }
 
-// park blocks the calling process goroutine until the engine resumes it.
-// Must be called from within the process's own body.
+// park switches from the calling process body back to the engine and
+// returns when the engine next resumes it. Must be called from within the
+// process's own body.
 func (p *Proc) park() {
-	p.rendez <- yieldMsg{}
-	<-p.rendez
-	if p.eng.killing {
+	if !p.yield(struct{}{}) {
 		panic(killedError{})
 	}
 }
 
 // SleepUntil blocks the process until virtual time t. Sleeping until a time
 // in the past (or the present) returns immediately but still yields to the
-// scheduler, preserving event ordering.
+// engine, preserving event ordering.
 //
 // Lookahead fast path: when the caller is the currently-executing process
 // and the event heap is empty or its earliest event fires strictly after
 // t, no other process can possibly run before the caller's wake-up at t —
 // the slow path would push an event, hand off to the engine, and have the
 // engine pop that same event right back. In that provably-equivalent case
-// the clock advances inline: no heap traffic, no channel operations, no
-// goroutine context switches. A top event at exactly t must still park:
+// the clock advances inline: no heap traffic and no switch. A top event at
+// exactly t must still park:
 // it was scheduled earlier, so sequence numbers order it before the
 // caller at that instant.
 func (p *Proc) SleepUntil(t Time) {
@@ -430,7 +421,7 @@ func (p *Proc) SleepUntil(t Time) {
 	if t < e.now {
 		t = e.now
 	}
-	if e.current == p && !e.noFast && !e.killing &&
+	if e.current == p && !e.noFast &&
 		(len(e.events) == 0 || t < e.events[0].at) {
 		e.now = t
 		e.stats.FastAdvances++

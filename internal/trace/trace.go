@@ -211,6 +211,35 @@ func Compare(refs []Ref, capacity int) []Result {
 type lru2Node struct {
 	ref        Ref
 	last, prev int // stream indices; prev = -1 until the second access
+	pos        int // index in the lru2Heap
+}
+
+// lru2Heap is a min-heap of the cached blocks in eviction order: blocks
+// referenced once first, by last reference, then the rest by second-to-
+// last reference. Every node knows its position, so a hit reorders its
+// block in place (heap.Fix). The compared values are stream indices of a
+// reference to the block itself, so no two blocks tie and the minimum is
+// the one victim.
+type lru2Heap []*lru2Node
+
+func (h lru2Heap) Len() int { return len(h) }
+func (h lru2Heap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if aOnce := a.prev < 0; aOnce != (b.prev < 0) {
+		return aOnce
+	} else if aOnce {
+		return a.last < b.last
+	}
+	return a.prev < b.prev
+}
+func (h lru2Heap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].pos, h[j].pos = i, j }
+func (h *lru2Heap) Push(x interface{}) { n := x.(*lru2Node); n.pos = len(*h); *h = append(*h, n) }
+func (h *lru2Heap) Pop() interface{} {
+	old := *h
+	n := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return n
 }
 
 // SimLRU2 replays the stream through the LRU-2 policy of O'Neil, O'Neil
@@ -228,47 +257,28 @@ func SimLRU2(refs []Ref, capacity int) Result {
 	}
 	res := Result{Policy: "LRU-2", Capacity: capacity}
 	cached := make(map[Ref]*lru2Node, capacity)
+	order := make(lru2Heap, 0, capacity)
 	history := make(map[Ref]int) // last reference of evicted blocks
 	for i, r := range refs {
 		if n, ok := cached[r]; ok {
 			res.Hits++
-			n.prev = n.last
-			n.last = i
+			n.prev, n.last = n.last, i
+			heap.Fix(&order, n.pos)
 			continue
 		}
 		res.Misses++
 		if len(cached) >= capacity {
-			var victim *lru2Node
-			for _, n := range cached {
-				if victim == nil {
-					victim = n
-					continue
-				}
-				vOnce, nOnce := victim.prev < 0, n.prev < 0
-				switch {
-				case nOnce && !vOnce:
-					victim = n
-				case nOnce == vOnce:
-					// Same class: compare 2-distance (or plain
-					// recency for the once-referenced class).
-					vKey, nKey := victim.prev, n.prev
-					if vOnce {
-						vKey, nKey = victim.last, n.last
-					}
-					if nKey < vKey {
-						victim = n
-					}
-				}
-			}
+			victim := heap.Pop(&order).(*lru2Node)
 			history[victim.ref] = victim.last
 			delete(cached, victim.ref)
 		}
-		prev := -1
+		n := &lru2Node{ref: r, last: i, prev: -1}
 		if h, ok := history[r]; ok {
-			prev = h
+			n.prev = h
 			delete(history, r)
 		}
-		cached[r] = &lru2Node{ref: r, last: i, prev: prev}
+		cached[r] = n
+		heap.Push(&order, n)
 	}
 	return res
 }

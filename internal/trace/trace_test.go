@@ -265,3 +265,69 @@ func TestLRU2NeverBelowOPT(t *testing.T) {
 		t.Error("LRU-2 beat OPT, which is impossible")
 	}
 }
+
+// scanLRU2 is LRU-2 with the victim found the plain way, by ranging over
+// every cached block on every miss: the reference for SimLRU2's heap.
+func scanLRU2(refs []Ref, capacity int) Result {
+	res := Result{Policy: "LRU-2", Capacity: capacity}
+	cached := make(map[Ref]*lru2Node, capacity)
+	history := make(map[Ref]int)
+	for i, r := range refs {
+		if n, ok := cached[r]; ok {
+			res.Hits++
+			n.prev, n.last = n.last, i
+			continue
+		}
+		res.Misses++
+		if len(cached) >= capacity {
+			var victim *lru2Node
+			for _, n := range cached {
+				vOnce, nOnce := victim != nil && victim.prev < 0, n.prev < 0
+				switch {
+				case victim == nil, nOnce && !vOnce:
+					victim = n
+				case nOnce && vOnce && n.last < victim.last, !nOnce && !vOnce && n.prev < victim.prev:
+					victim = n
+				}
+			}
+			history[victim.ref] = victim.last
+			delete(cached, victim.ref)
+		}
+		prev := -1
+		if h, ok := history[r]; ok {
+			prev = h
+			delete(history, r)
+		}
+		cached[r] = &lru2Node{ref: r, last: i, prev: prev}
+	}
+	return res
+}
+
+// TestLRU2HeapMatchesScan replays random streams — a hot set, a wider warm
+// set and one-shot scan blocks, so both victim classes and the history
+// are in play — through the heap and the scan. One differing victim
+// changes what is cached from then on, so equal counts at every capacity
+// pin the selection.
+func TestLRU2HeapMatchesScan(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := sim.NewRand(seed)
+		refs := make([]Ref, 4000)
+		scan := int32(0)
+		for i := range refs {
+			switch rng.Intn(4) {
+			case 0:
+				refs[i] = Ref{File: 1, Block: int32(rng.Intn(8))}
+			case 1, 2:
+				refs[i] = Ref{File: 2, Block: int32(rng.Intn(120))}
+			default:
+				refs[i] = Ref{File: 3, Block: scan}
+				scan++
+			}
+		}
+		for _, capacity := range []int{1, 2, 7, 16, 64, 200} {
+			if got, want := SimLRU2(refs, capacity), scanLRU2(refs, capacity); got != want {
+				t.Errorf("seed %d capacity %d: heap %+v, scan %+v", seed, capacity, got, want)
+			}
+		}
+	}
+}
