@@ -127,8 +127,8 @@ func main() {
 		if ds.IOs() == 0 {
 			continue
 		}
-		fmt.Fprintf(out, "disk %s: %d reads, %d writes, %d sequential, %d positioned, max queue %d\n",
-			d.Geometry().Name, ds.Reads, ds.Writes, ds.Sequential, ds.RandomAcc, ds.MaxQueue)
+		fmt.Fprintf(out, "disk %s: %d reads, %d writes, %d sequential, %d positioned, max queue %d, queue wait %.3fs\n",
+			d.Geometry().Name, ds.Reads, ds.Writes, ds.Sequential, ds.RandomAcc, ds.MaxQueue, ds.WaitTotal.Seconds())
 	}
 }
 

@@ -46,7 +46,7 @@ func (p *awrpPolicy) Touched(b *Buf) {
 	b.pol.lastUse = p.clock
 }
 
-func (p *awrpPolicy) Removed(b *Buf)             {}
+func (p *awrpPolicy) Removed(b *Buf)                   {}
 func (p *awrpPolicy) Overruled(candidate, chosen *Buf) {}
 
 func (p *awrpPolicy) Victim(missing BlockID, now sim.Time) *Buf {

@@ -162,9 +162,9 @@ type Stats struct {
 	Hits            int64 `json:"hits"`
 	Misses          int64 `json:"misses"`
 	Evictions       int64 `json:"evictions"`
-	UnrefEvictions  int64 `json:"unref_evictions"` // evictions of never-referenced (prefetched) blocks
-	Consults        int64 `json:"consults"`        // replace_block consultations of managers
-	Overrules       int64 `json:"overrules"`       // manager picked a block other than the candidate
+	UnrefEvictions  int64 `json:"unref_evictions"`  // evictions of never-referenced (prefetched) blocks
+	Consults        int64 `json:"consults"`         // replace_block consultations of managers
+	Overrules       int64 `json:"overrules"`        // manager picked a block other than the candidate
 	PlaceholderHits int64 `json:"placeholder_hits"` // misses resolved through a placeholder
 	Vindicated      int64 `json:"vindicated"`       // placeholders dropped because the kept block was used
 	Transfers       int64 `json:"transfers"`        // shared-block ownership transfers

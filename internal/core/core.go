@@ -230,7 +230,7 @@ func NewSystem(cfg Config) *System {
 		s.inode = meta.New(cfg.MetaCacheEntries)
 	}
 	if cfg.SyncInterval > 0 {
-		s.eng.SpawnDaemon("update", s.updateDaemon)
+		s.startUpdateDaemon()
 	}
 	return s
 }
@@ -271,11 +271,13 @@ func (s *System) CreateFile(name string, diskIdx, sizeBlocks int) *fs.File {
 	return f
 }
 
-// updateDaemon is the Ultrix update(8) analogue: it periodically writes
-// back aged dirty blocks. With SpreadSync it wakes many times per interval
-// and flushes only what has aged, trading Ultrix's write bursts for a
-// steady trickle (Mogul's better update policy).
-func (s *System) updateDaemon(dp *sim.Proc) {
+// startUpdateDaemon arms the Ultrix update(8) analogue: a callback that
+// periodically writes back aged dirty blocks and re-arms itself. With
+// SpreadSync it fires many times per interval and flushes only what has
+// aged, trading Ultrix's write bursts for a steady trickle (Mogul's better
+// update policy). The first interval is counted from the first instant of
+// the run, after everything the machine's construction scheduled.
+func (s *System) startUpdateDaemon() {
 	interval := s.cfg.SyncInterval
 	if s.cfg.SpreadSync {
 		slices := s.cfg.SyncSlices
@@ -287,13 +289,16 @@ func (s *System) updateDaemon(dp *sim.Proc) {
 			interval = sim.Millisecond
 		}
 	}
-	for {
-		dp.Sleep(interval)
-		cutoff := dp.Now() - s.cfg.DirtyAge
+	var tick func()
+	arm := func() { s.eng.At(s.eng.Now()+interval, tick) }
+	tick = func() {
+		cutoff := s.eng.Now() - s.cfg.DirtyAge
 		for _, b := range s.bc.DirtyOlderThan(cutoff) {
 			s.writeBack(b)
 		}
+		arm()
 	}
+	s.eng.At(s.eng.Now(), arm)
 }
 
 // writeBack issues the asynchronous disk write for a dirty block and

@@ -6,9 +6,10 @@
 // elevator), bus contention between drives, and the large discount for
 // sequential access (track-buffer streaming).
 //
-// Each disk runs a server process that drains a request queue in elevator
-// order, so asynchronous writes naturally batch into sorted sweeps during
-// gaps in the read stream, exactly as the real driver behaved.
+// Each disk drains a request queue in elevator order, so asynchronous writes
+// naturally batch into sorted sweeps during gaps in the read stream, exactly
+// as the real driver behaved. A disk is not a simulated process: it is a
+// state machine of engine callbacks (sim.Engine.At), one step per wait.
 //
 // All timing is in virtual time; the actual block contents are never
 // stored — the simulation traffics in block addresses only.
@@ -17,6 +18,7 @@ package disk
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -147,29 +149,38 @@ func (b *Bus) Stats() sim.ResourceStats { return b.res.Stats() }
 
 // request is one queued block operation.
 type request struct {
-	op     Op
-	addr   int
-	seq    uint64
-	onDone func(sim.Time)
+	op      Op
+	addr    int
+	seq     uint64
+	arrived sim.Time
+	onDone  func(sim.Time)
 }
 
-// Disk is one simulated drive: a request queue drained by a server process
-// in C-LOOK order.
+// Disk is one simulated drive: a request queue drained in C-LOOK order by
+// three callbacks that schedule one another — begin, positioned, complete.
 type Disk struct {
-	eng      *sim.Engine
-	geom     Geometry
-	bus      *Bus
-	rng      *sim.Rand
-	transfer sim.Time
-	minSeek  sim.Time
-	maxSeek  sim.Time
-	fullRev  sim.Time
+	eng          *sim.Engine
+	geom         Geometry
+	bus          *Bus
+	rng          *sim.Rand
+	transfer     sim.Time
+	minSeek      sim.Time
+	maxSeek      sim.Time
+	fullRev      sim.Time
+	blocksPerCyl int
 
-	queue  []*request
-	seq    uint64
-	sched  Sched
-	idle   *sim.Cond // server parks here when the queue is empty
-	server *sim.Proc
+	queue []request
+	seq   uint64
+	sched Sched
+
+	// The request in service. busy holds from the enqueue that finds the
+	// drive idle until complete finds the queue empty.
+	busy    bool
+	cur     request
+	started sim.Time // when begin picked cur
+	// The steps as func values, made once so scheduling one allocates
+	// nothing.
+	beginFn, positionedFn, completeFn func()
 
 	lastAddr int // address of the last block accessed, -1 initially
 	headCyl  int
@@ -184,7 +195,7 @@ type Stats struct {
 	Sequential int64 // accesses that streamed without a seek
 	RandomAcc  int64 // accesses that paid seek + rotation
 	BusyTotal  sim.Time
-	WaitTotal  sim.Time // request queueing delay
+	WaitTotal  sim.Time // request queueing delay: arrival until service begins
 	MaxQueue   int
 }
 
@@ -206,10 +217,10 @@ func New(eng *sim.Engine, geom Geometry, bus *Bus, seed uint64) *Disk {
 		minSeek:  sim.FromMillis(geom.MinSeekMS),
 		maxSeek:  sim.FromMillis(geom.maxSeekMS()),
 		fullRev:  sim.FromMillis(2 * geom.AvgRotMS),
-		idle:     eng.NewCond(),
 		lastAddr: -1,
 	}
-	d.server = eng.SpawnDaemon(geom.Name+"-server", d.serve)
+	d.blocksPerCyl = max(1, geom.Blocks()/geom.Cylinders)
+	d.beginFn, d.positionedFn, d.completeFn = d.begin, d.positioned, d.complete
 	return d
 }
 
@@ -232,11 +243,7 @@ func (d *Disk) QueueLen() int { return len(d.queue) }
 
 // cylOf maps a block address to its cylinder.
 func (d *Disk) cylOf(addr int) int {
-	blocksPerCyl := d.geom.Blocks() / d.geom.Cylinders
-	if blocksPerCyl == 0 {
-		blocksPerCyl = 1
-	}
-	c := addr / blocksPerCyl
+	c := addr / d.blocksPerCyl
 	if c >= d.geom.Cylinders {
 		c = d.geom.Cylinders - 1
 	}
@@ -281,17 +288,24 @@ func (d *Disk) serviceTime(addr int) sim.Time {
 	return t
 }
 
-// enqueue validates and queues a request, waking the server.
+// enqueue validates and queues a request, starting the drive if it is idle.
 func (d *Disk) enqueue(op Op, addr int, onDone func(sim.Time)) {
 	if addr < 0 || addr >= d.geom.Blocks() {
 		panic(fmt.Sprintf("disk %s: %v of block %d out of range [0,%d)", d.geom.Name, op, addr, d.geom.Blocks()))
 	}
 	d.seq++
-	d.queue = append(d.queue, &request{op: op, addr: addr, seq: d.seq, onDone: onDone})
+	now := d.eng.Now()
+	d.queue = append(d.queue, request{op: op, addr: addr, seq: d.seq, arrived: now, onDone: onDone})
 	if len(d.queue) > d.stats.MaxQueue {
 		d.stats.MaxQueue = len(d.queue)
 	}
-	d.idle.Signal()
+	if !d.busy {
+		// Service begins at this instant but after whatever is already
+		// scheduled for it, so requests queued by the same caller in the
+		// same instant are all in the queue when the elevator picks.
+		d.busy = true
+		d.eng.At(now, d.beginFn)
+	}
 }
 
 // Start queues an asynchronous operation; onDone (optional) runs at
@@ -325,8 +339,8 @@ func (d *Disk) Access(p *sim.Proc, op Op, addr int) sim.Time {
 func (d *Disk) pickNext() int {
 	if d.sched == FIFO {
 		oldest := 0
-		for i, r := range d.queue {
-			if r.seq < d.queue[oldest].seq {
+		for i := range d.queue {
+			if d.queue[i].seq < d.queue[oldest].seq {
 				oldest = i
 			}
 		}
@@ -334,12 +348,13 @@ func (d *Disk) pickNext() int {
 	}
 	head := d.lastAddr + 1
 	best, bestWrap := -1, -1
-	for i, r := range d.queue {
+	for i := range d.queue {
+		r := &d.queue[i]
 		if r.addr >= head {
-			if best == -1 || less(r, d.queue[best]) {
+			if best == -1 || less(r, &d.queue[best]) {
 				best = i
 			}
-		} else if bestWrap == -1 || less(r, d.queue[bestWrap]) {
+		} else if bestWrap == -1 || less(r, &d.queue[bestWrap]) {
 			bestWrap = i
 		}
 	}
@@ -357,35 +372,48 @@ func less(a, b *request) bool {
 	return a.seq < b.seq
 }
 
-// serve is the drive's server loop: pick by elevator, position the arm,
-// transfer over the shared bus, complete.
-func (d *Disk) serve(p *sim.Proc) {
-	for {
-		for len(d.queue) == 0 {
-			d.idle.Wait(p)
-		}
-		i := d.pickNext()
-		req := d.queue[i]
-		d.queue = append(d.queue[:i], d.queue[i+1:]...)
+// begin starts service of the next request: pick by elevator and position
+// the arm.
+func (d *Disk) begin() {
+	i := d.pickNext()
+	d.cur = d.queue[i]
+	d.queue = slices.Delete(d.queue, i, i+1)
 
-		start := p.Now()
-		svc := d.serviceTime(req.addr)
-		position := svc - d.transfer
-		if position > 0 {
-			p.Sleep(position)
-		}
-		// The final block transfer serializes over the shared bus.
-		_, busEnd := d.bus.res.Reserve(d.transfer)
-		p.SleepUntil(busEnd)
+	now := d.eng.Now()
+	d.started = now
+	d.stats.WaitTotal += now - d.cur.arrived
+	if position := d.serviceTime(d.cur.addr) - d.transfer; position > 0 {
+		d.eng.At(now+position, d.positionedFn)
+	} else {
+		d.positioned()
+	}
+}
 
-		if req.op == Read {
-			d.stats.Reads++
-		} else {
-			d.stats.Writes++
-		}
-		d.stats.BusyTotal += p.Now() - start
-		if req.onDone != nil {
-			req.onDone(p.Now())
-		}
+// positioned runs with the head over the block: the final block transfer
+// serializes over the shared bus.
+func (d *Disk) positioned() {
+	_, busEnd := d.bus.res.Reserve(d.transfer)
+	d.eng.At(busEnd, d.completeFn)
+}
+
+// complete finishes the request in service and begins the next, or leaves
+// the drive idle. A request onDone queues is in the queue by then.
+func (d *Disk) complete() {
+	req := d.cur
+	d.cur = request{} // do not hold the callback past its call
+	now := d.eng.Now()
+	if req.op == Read {
+		d.stats.Reads++
+	} else {
+		d.stats.Writes++
+	}
+	d.stats.BusyTotal += now - d.started
+	if req.onDone != nil {
+		req.onDone(now)
+	}
+	if len(d.queue) > 0 {
+		d.begin()
+	} else {
+		d.busy = false
 	}
 }

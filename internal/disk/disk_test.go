@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -451,4 +452,65 @@ func TestFIFOSlowerThanElevatorUnderScatter(t *testing.T) {
 	if clook >= fifo {
 		t.Errorf("elevator busy time %v not below FIFO's %v on scattered writes", clook, fifo)
 	}
+}
+
+// TestWaitTotalThreeRequestQueue checks the queueing-delay counter against
+// a queue worked out by hand. Blocks 0, 1 and 2 queued at t=0 stream from
+// the track buffer: 8192 bytes at 1.875 MB/s is 4369 µs, over the 0.55
+// sequential efficiency 7943 µs a block, plus a 1500 µs track switch for
+// block 0. So they complete at 9443, 17386 and 25329 µs, having waited 0,
+// 9443 and 17386 µs for service to begin. A request that finds the drive
+// idle waits for nothing.
+func TestWaitTotalThreeRequestQueue(t *testing.T) {
+	eng, d := newTestDisk(t, RZ56)
+	var done []sim.Time
+	eng.Spawn("a", func(p *sim.Proc) {
+		for addr := 0; addr < 3; addr++ {
+			d.Start(Write, addr, func(t sim.Time) { done = append(done, t) })
+		}
+		p.Sleep(sim.Second)
+		if got, want := d.Stats().WaitTotal, sim.Time(9443+17386); got != want {
+			t.Errorf("WaitTotal = %d µs after three queued writes, want %d", got, want)
+		}
+		d.Access(p, Read, 3)
+	})
+	eng.Run()
+	if want := []sim.Time{9443, 17386, 25329}; !slices.Equal(done, want) {
+		t.Errorf("completions at %v, want %v", done, want)
+	}
+	if got, want := d.Stats().WaitTotal, sim.Time(9443+17386); got != want {
+		t.Errorf("WaitTotal = %d µs after a request to the idle drive, want it still %d", got, want)
+	}
+}
+
+// BenchmarkDiskStream measures the drive under the simulator's commonest
+// pattern: one process scanning a file, a block of read-ahead in flight
+// while it consumes the one before. Every block is an enqueue, the drive's
+// three steps, a completion callback and a wait; ns/op is the cost of all
+// of it per block and handoffs/block how many coroutine switches it took
+// (the scanner dispatches the drive's steps itself, so none).
+func BenchmarkDiskStream(b *testing.B) {
+	eng := sim.New()
+	d := New(eng, RZ56, NewBus(eng), 1)
+	blocks := d.Geometry().Blocks()
+	eng.Spawn("scan", func(p *sim.Proc) {
+		ready := eng.NewCond()
+		arrived := 0
+		onDone := func(sim.Time) {
+			arrived++
+			ready.Signal()
+		}
+		d.Start(Read, 0, onDone)
+		for i := 0; i < b.N; i++ {
+			d.Start(Read, (i+1)%blocks, onDone)
+			for arrived <= i {
+				ready.Wait(p)
+			}
+			p.Sleep(500 * sim.Microsecond) // consume block i
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+	b.ReportMetric(float64(eng.Stats().Handoffs)/float64(b.N), "handoffs/block")
 }

@@ -91,3 +91,21 @@ func TestFastPathFingerprintDistinct(t *testing.T) {
 		t.Error("fast-path-on and -off specs share a fingerprint")
 	}
 }
+
+// TestSingleAppRunsDoNotSwitch pins what events without a process buy a
+// Figure 4 run: with one application on the machine everything else that
+// happens — both drives, the update daemon — is a callback the application
+// dispatches while it waits, so the engine resumes it a handful of times in
+// a run of tens of thousands of block accesses.
+func TestSingleAppRunsDoNotSwitch(t *testing.T) {
+	for _, app := range singleApps {
+		for _, mode := range []workload.Mode{workload.Oblivious, workload.Smart} {
+			res := Run(RunSpec{Apps: mixSpec([]string{app}, mode), CacheMB: 6.4, Alloc: cache.LRUSP})
+			accesses := res.CacheStats.Hits + res.CacheStats.Misses
+			if res.Sim.Handoffs*1000 >= accesses {
+				t.Errorf("%s %v: %d handoffs for %d accesses, want fewer than one per thousand",
+					app, mode, res.Sim.Handoffs, accesses)
+			}
+		}
+	}
+}

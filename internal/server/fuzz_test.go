@@ -25,11 +25,11 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frame(1, OpPing, nil))
 	f.Add(frame(7, OpRead, make([]byte, 13)))
 	f.Add(frame(0xffffffff, OpWrite, make([]byte, MaxFrame-FrameOverhead))) // max legal
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})                               // length 0 < FrameOverhead
-	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 1, 2})                               // length 4 < FrameOverhead
-	f.Add([]byte{0, 0, 64, 1, 0, 0, 0, 1, 2})                              // length MaxFrame+1
-	f.Add(frame(3, OpOpen, []byte("a/name"))[:10])                         // truncated body
-	f.Add(frame(3, OpOpen, []byte("a/name"))[:4])                          // truncated header
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})                                // length 0 < FrameOverhead
+	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 1, 2})                                // length 4 < FrameOverhead
+	f.Add([]byte{0, 0, 64, 1, 0, 0, 0, 1, 2})                               // length MaxFrame+1
+	f.Add(frame(3, OpOpen, []byte("a/name"))[:10])                          // truncated body
+	f.Add(frame(3, OpOpen, []byte("a/name"))[:4])                           // truncated header
 	f.Fuzz(func(t *testing.T, data []byte) {
 		id1, tag1, body1, err1 := ReadFrame(bytes.NewReader(data))
 

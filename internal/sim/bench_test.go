@@ -31,6 +31,28 @@ func BenchmarkSleepParked(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkCallbackEvent measures an event without a process: one At plus
+// its dispatch by the process sleeping across it — a heap push, a pop and
+// an indirect call, no switch. Compare with BenchmarkSleepParked, which is
+// what the same event cost when it had to be a process's wake-up.
+func BenchmarkCallbackEvent(b *testing.B) {
+	e := New()
+	fired := 0
+	fn := func() { fired++ }
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			e.At(p.Now()+1, fn)
+			p.Sleep(2)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	if fired != b.N || e.Stats().Handoffs != 1 {
+		b.Fatalf("%d callbacks fired of %d, %d handoffs", fired, b.N, e.Stats().Handoffs)
+	}
+}
+
 // BenchmarkTwoProcInterleave measures alternating wake-ups of two
 // processes — the common multi-application pattern. Each sleep lands
 // exactly on the other process's pending wake-up, so the fast path never

@@ -174,19 +174,23 @@ func TestSleepFastPathZeroAllocs(t *testing.T) {
 
 // scenarioOp is one step of a random process in the equivalence test.
 type scenarioOp struct {
-	kind int // 0 sleep, 1 yield, 2 cond wait, 3 cond signal, 4 spawn child
+	// 0 sleep, 1 yield, 2 cond wait, 3 cond signal, 4 spawn child,
+	// 5 callback that signals, 6 re-arming callback, 7 sleep across a
+	// callback that schedules another at the sleeper's own wake time
+	kind int
 	arg  Time
 }
 
 // buildScenario derives a deterministic random mix of sleepers, yielders,
-// cond-waiters, signallers, mid-run spawns and a daemon from the seed.
+// cond-waiters, signallers, mid-run spawns and callback events from the
+// seed.
 func buildScenario(seed uint64) [][]scenarioOp {
 	r := NewRand(seed)
 	procs := make([][]scenarioOp, 2+r.Intn(4))
 	for i := range procs {
 		ops := make([]scenarioOp, 3+r.Intn(8))
 		for j := range ops {
-			ops[j] = scenarioOp{kind: r.Intn(5), arg: Time(r.Intn(40))}
+			ops[j] = scenarioOp{kind: r.Intn(8), arg: Time(r.Intn(40))}
 		}
 		procs[i] = ops
 	}
@@ -194,21 +198,20 @@ func buildScenario(seed uint64) [][]scenarioOp {
 }
 
 // runScenario executes the scenario and returns the full observable
-// ordering: every step of every process tagged with its virtual time,
-// plus each process's end time and the final clock.
-func runScenario(procs [][]scenarioOp, opts ...Option) []string {
+// ordering: every step of every process and every callback tagged with
+// its virtual time, plus the final clock; and the engine's counters.
+func runScenario(procs [][]scenarioOp, opts ...Option) ([]string, Stats) {
 	var log []string
 	e := New(opts...)
 	c := e.NewCond()
-	// A daemon signaller guarantees cond-waiters always wake, so no
-	// random mix can deadlock; daemons also exercise shutdown unwinding.
-	e.SpawnDaemon("sig", func(p *Proc) {
-		for {
-			p.Sleep(7)
-			c.Broadcast()
-		}
+	// A periodic broadcast guarantees cond-waiters always wake, so no
+	// random mix can deadlock; it is also what is still scheduled when
+	// the last process returns.
+	every(e, 7, func() {
+		log = append(log, fmt.Sprintf("tick@%d", e.Now()))
+		c.Broadcast()
 	})
-	children := 0
+	children, callbacks := 0, 0
 	for i, ops := range procs {
 		name := fmt.Sprintf("p%d", i)
 		ops := ops
@@ -230,6 +233,40 @@ func runScenario(procs [][]scenarioOp, opts ...Option) []string {
 						cp.Sleep(o.arg)
 						log = append(log, fmt.Sprintf("%s@%d", cn, cp.Now()))
 					})
+				case 5:
+					callbacks++
+					cb := fmt.Sprintf("%s.cb%d", name, callbacks)
+					e.At(p.Now()+o.arg, func() {
+						log = append(log, fmt.Sprintf("%s@%d", cb, e.Now()))
+						c.Signal()
+					})
+				case 6:
+					callbacks++
+					cb := fmt.Sprintf("%s.cb%d", name, callbacks)
+					left := 3
+					var fire func()
+					fire = func() {
+						log = append(log, fmt.Sprintf("%s.%d@%d", cb, left, e.Now()))
+						if left--; left > 0 {
+							e.At(e.Now()+o.arg/3, fire)
+						}
+					}
+					e.At(p.Now()+o.arg/3, fire)
+				case 7:
+					// The inner callback lands on the instant p wakes
+					// but was scheduled after p went to sleep, so p goes
+					// first whether its wake-up sat in the heap or was
+					// only a reserved number.
+					callbacks++
+					cb := fmt.Sprintf("%s.cb%d", name, callbacks)
+					wake := p.Now() + o.arg
+					e.At(p.Now()+o.arg/2, func() {
+						log = append(log, fmt.Sprintf("%s@%d", cb, e.Now()))
+						e.At(wake, func() {
+							log = append(log, fmt.Sprintf("%s.inner@%d", cb, e.Now()))
+						})
+					})
+					p.SleepUntil(wake)
 				}
 				log = append(log, fmt.Sprintf("%s.%d@%d", name, j, p.Now()))
 			}
@@ -237,20 +274,34 @@ func runScenario(procs [][]scenarioOp, opts ...Option) []string {
 	}
 	e.Run()
 	log = append(log, fmt.Sprintf("end@%d", e.Now()))
-	return log
+	return log, e.Stats()
 }
 
 // TestQuickFastParkedEquivalence is the differential property test: for
 // random mixes of sleepers, yielders, cond-waiters, signallers, mid-run
-// spawns and daemons, the fast-path engine must produce exactly the same
-// event ordering as the all-parked engine.
+// spawns and callbacks (signalling, re-arming, landing on a sleeper's own
+// wake time), the engine in which waiting processes dispatch for
+// themselves must produce exactly the same event ordering as the
+// all-parked engine, and must actually have dispatched inline.
 func TestQuickFastParkedEquivalence(t *testing.T) {
+	var inline, switches, parkedSwitches int64
 	for seed := uint64(1); seed <= 200; seed++ {
 		procs := buildScenario(seed)
-		fast := runScenario(procs)
-		parked := runScenario(procs, DisableFastPath)
+		fast, fastStats := runScenario(procs)
+		parked, parkedStats := runScenario(procs, DisableFastPath)
 		if !reflect.DeepEqual(fast, parked) {
 			t.Fatalf("seed %d: orderings diverge\nfast:   %v\nparked: %v", seed, fast, parked)
 		}
+		if parkedStats.FastAdvances != 0 {
+			t.Fatalf("seed %d: %d fast advances with DisableFastPath", seed, parkedStats.FastAdvances)
+		}
+		inline += fastStats.FastAdvances
+		switches += fastStats.Handoffs
+		parkedSwitches += parkedStats.Handoffs
 	}
+	if inline == 0 || switches >= parkedSwitches {
+		t.Errorf("%d waits returned inline and %d switched, against %d switches all-parked: the inline path was not exercised",
+			inline, switches, parkedSwitches)
+	}
+	t.Logf("%d inline, %d handoffs; all-parked %d handoffs", inline, switches, parkedSwitches)
 }

@@ -61,7 +61,7 @@ func TestEventHeapZeroAllocs(t *testing.T) {
 
 // BenchmarkEventHeap measures one push+pop cycle against a heap
 // pre-loaded to a typical simulation depth (tens of pending wake-ups:
-// processes, disks, the update daemon).
+// processes, disk steps, the update daemon).
 func BenchmarkEventHeap(b *testing.B) {
 	var h eventHeap
 	for i := 0; i < 32; i++ {

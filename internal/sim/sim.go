@@ -1,16 +1,24 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
-// The engine advances a virtual clock and runs simulated processes, each of
-// which is an ordinary Go function executing as a coroutine of the goroutine
-// that called Run (iter.Pull). Exactly one of them — or the engine — runs at
-// any instant; a process runs until it blocks on the virtual clock (Sleep,
-// SleepUntil) or on a condition (Cond.Wait), at which point it switches
-// straight back to the engine, which switches to whichever process the
-// event heap says is next. A switch is a direct transfer of control: no
-// channel, no trip through the Go scheduler, no second thread woken. Events
-// that fire at the same virtual time run in the order they were scheduled.
-// Given the same inputs, a simulation therefore produces exactly the same
-// interleaving and the same results on every run.
+// The engine advances a virtual clock through a heap of events of two kinds.
+// A process wake-up resumes a simulated process: an ordinary Go function
+// executing as a coroutine of the goroutine that called Run (iter.Pull),
+// which runs until it blocks on the virtual clock (Sleep, SleepUntil) or on
+// a condition (Cond.Wait). A callback (At) is an event without a process: a
+// function that does not block, run inline by whoever is dispatching. That
+// is how passive machinery — a disk working through its queue, a periodic
+// flush — takes part in the simulation without a process of its own.
+//
+// Exactly one process — or the engine — runs at any instant. A process that
+// blocks does not hand control to the engine unless it has to: it runs the
+// callbacks that are due before its own wake-up on its own stack, and
+// returns without a switch if it is then the next thing due. Only when
+// another process is due first does it switch to the engine, which switches
+// to that process. A switch is a direct transfer of control: no channel, no
+// trip through the Go scheduler, no second thread woken. Events that fire at
+// the same virtual time run in the order they were scheduled, whoever
+// dispatches them. Given the same inputs, a simulation therefore produces
+// exactly the same interleaving and the same results on every run.
 package sim
 
 import (
@@ -47,11 +55,12 @@ func FromSeconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
 // FromMillis converts floating-point milliseconds to Time.
 func FromMillis(ms float64) Time { return Time(ms*float64(Millisecond) + 0.5) }
 
-// event is a scheduled wake-up for a process.
+// event is a scheduled wake-up for a process or, when fn is set, a callback.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break: schedule order
 	proc *Proc
+	fn   func()
 }
 
 // before reports whether a fires strictly before b: earlier virtual time,
@@ -66,9 +75,9 @@ func (a event) before(b event) bool {
 // eventHeap is a binary min-heap of events ordered by event.before. It is
 // typed end to end — unlike container/heap there is no interface boxing,
 // so push/pop allocate nothing in steady state (pushes reuse the slice's
-// capacity once it has grown to the simulation's high-water mark). The
-// engine's event loop runs one push and one pop per process wake-up,
-// which makes this the hottest data structure in the simulator.
+// capacity once it has grown to the simulation's high-water mark). Every
+// callback and every wake-up that is not a fast advance costs one push and
+// one pop, which makes this the hottest data structure in the simulator.
 type eventHeap []event
 
 // push adds ev, sifting it up to its heap position.
@@ -92,7 +101,7 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{} // release the *Proc so the slice does not retain it
+	s[n] = event{} // release the *Proc or closure so the slice does not retain it
 	s = s[:n]
 	i := 0
 	for {
@@ -123,24 +132,25 @@ type Engine struct {
 	procs   []*Proc
 	current *Proc // the process executing right now (nil between steps)
 	started bool
-	noFast  bool // DisableFastPath: every sleep parks, through the event heap
-	nLive   int  // live non-daemon processes
+	noFast  bool // DisableFastPath: every wait parks; only Run dispatches
+	nLive   int  // processes whose body has not returned
 	stats   Stats
 }
 
 // Stats counts engine activity over a run. The interesting ratio is
 // FastAdvances to Handoffs: every fast advance is a wake-up that moved
-// virtual time inline instead of paying a heap push plus two coroutine
-// switches.
+// virtual time inline instead of paying two coroutine switches.
 type Stats struct {
 	// EventsScheduled is the number of heap pushes (spawns, parked
-	// sleeps, condition signals).
+	// sleeps, condition signals, callbacks).
 	EventsScheduled int64 `json:"events_scheduled"`
 	// Handoffs is the number of engine<->process round trips (one resume
-	// plus one yield each).
+	// plus one yield each). Callbacks never cost one: they run on the
+	// stack of whoever is dispatching.
 	Handoffs int64 `json:"handoffs"`
-	// FastAdvances is the number of SleepUntil/Sleep/Yield calls that
-	// advanced the clock inline via the lookahead fast path.
+	// FastAdvances is the number of SleepUntil/Sleep/Yield/Cond.Wait
+	// calls that returned without a switch: the caller was the next
+	// thing due once the callbacks ahead of it had run.
 	FastAdvances int64 `json:"fast_advances"`
 	// HeapHighWater is the deepest the event heap ever got.
 	HeapHighWater int `json:"heap_high_water"`
@@ -160,10 +170,12 @@ func (s *Stats) Accumulate(o Stats) {
 // Option configures an Engine at construction.
 type Option func(*Engine)
 
-// DisableFastPath forces every sleep through the event heap and a switch
-// to the engine and back, disabling the lookahead fast path. The two modes
-// are observationally equivalent (the fast path fires only when it is
-// provably so); this option exists so differential tests can prove it.
+// DisableFastPath forces every sleep and every Cond.Wait through the event
+// heap and a switch to the engine and back, and leaves every callback to
+// Run's loop: no lookahead, no dispatch by a waiting process. The two modes
+// are observationally equivalent (a waiting process dispatches exactly what
+// the engine would have, in the same order); this option exists so
+// differential tests can prove it.
 var DisableFastPath Option = func(e *Engine) { e.noFast = true }
 
 // New returns a fresh simulation engine with the clock at zero.
@@ -195,7 +207,10 @@ const (
 
 // Proc is a simulated process. Its body function runs as a coroutine the
 // engine creates on the first resume; all blocking is via the methods on
-// Proc, which cooperate with the engine.
+// Proc (and Cond.Wait, Resource.Use), which cooperate with the engine. A
+// blocked process is not necessarily a parked one: while it is the process
+// the engine last resumed it dispatches the callbacks due ahead of it
+// itself, and switches to the engine only to let another process run.
 type Proc struct {
 	eng  *Engine
 	id   int
@@ -206,15 +221,12 @@ type Proc struct {
 	// (false once the body has returned; a body panic or Goexit comes out
 	// of next itself) and stop to unwind a parked body; the body calls
 	// yield to park, and a false return means it is being stopped.
-	next    func() (struct{}, bool)
-	stop    func()
-	yield   func(struct{}) bool
-	state   ProcState
-	daemon  bool
-	start   Time // virtual time the body begins
-	begun   Time // virtual time the body actually began
-	end     Time // virtual time the body returned
-	waiting bool // parked on an external condition, not the clock
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	state ProcState
+	begun Time // virtual time the body actually began
+	end   Time // virtual time the body returned
 }
 
 // ID returns the process identifier, assigned in spawn order starting at 0.
@@ -252,45 +264,67 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 // SpawnAt registers a new process whose body starts at virtual time at.
 // Spawning in the past is an error and panics.
 func (e *Engine) SpawnAt(name string, at Time, body func(*Proc)) *Proc {
-	p := e.spawn(name, at, body, false)
-	return p
-}
-
-// SpawnDaemon registers a background process that does not keep the
-// simulation alive: Run returns once every non-daemon process has finished,
-// abandoning daemons wherever they are parked. Daemons are for periodic
-// housekeeping such as a sync/update daemon.
-func (e *Engine) SpawnDaemon(name string, body func(*Proc)) *Proc {
-	return e.spawn(name, e.now, body, true)
-}
-
-func (e *Engine) spawn(name string, at Time, body func(*Proc), daemon bool) *Proc {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: SpawnAt(%v) in the past (now %v)", at, e.now))
 	}
 	p := &Proc{
-		eng:    e,
-		id:     len(e.procs),
-		name:   name,
-		body:   body,
-		start:  at,
-		daemon: daemon,
+		eng:  e,
+		id:   len(e.procs),
+		name: name,
+		body: body,
 	}
 	e.procs = append(e.procs, p)
-	if !daemon {
-		e.nLive++
-	}
-	e.schedule(at, p)
+	e.nLive++
+	e.push(event{at: at, seq: e.nextSeq(), proc: p})
 	return p
 }
 
-func (e *Engine) schedule(at Time, p *Proc) {
+// At schedules fn to run at virtual time t (now, if t is in the past). fn is
+// an event without a process: it runs inline on the stack of whoever is
+// dispatching — Run's loop, or a process waiting in SleepUntil or Cond.Wait
+// — ordered against process wake-ups by (time, schedule order) like any
+// other event. It must not block (no Sleep, no Cond.Wait, no Resource.Use);
+// it may do everything else: signal conditions, reserve resources, spawn
+// processes, schedule further callbacks, itself included. Pending callbacks
+// do not keep the simulation alive: Run returns when the last process has,
+// and whatever is still scheduled never runs. That makes a self-rearming
+// callback the way to write periodic background work such as a sync daemon.
+//
+// At itself allocates nothing; pass a func value built once rather than a
+// fresh closure to keep a hot path allocation-free.
+func (e *Engine) At(t Time, fn func()) {
+	if t < e.now {
+		t = e.now
+	}
+	e.push(event{at: t, seq: e.nextSeq(), fn: fn})
+}
+
+// nextSeq hands out schedule-order tie-breaks. A number can be taken before
+// it is known whether its event will ever be pushed (SleepUntil): what
+// orders events is the relative order in which numbers were taken.
+func (e *Engine) nextSeq() uint64 {
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, proc: p})
+	return e.seq
+}
+
+func (e *Engine) push(ev event) {
+	e.events.push(ev)
 	e.stats.EventsScheduled++
 	if n := len(e.events); n > e.stats.HeapHighWater {
 		e.stats.HeapHighWater = n
 	}
+}
+
+// wake schedules p's wake-up for the current instant.
+func (e *Engine) wake(p *Proc) {
+	e.push(event{at: e.now, seq: e.nextSeq(), proc: p})
+}
+
+// runTop pops the heap's top event, a callback, and runs it at its time.
+func (e *Engine) runTop() {
+	ev := e.events.pop()
+	e.now = ev.at
+	ev.fn()
 }
 
 // killedError is the sentinel panic value that unwinds a parked process
@@ -299,15 +333,14 @@ type killedError struct{}
 
 func (killedError) Error() string { return "sim: process stopped at shutdown" }
 
-// Run executes the simulation until every non-daemon process has finished
-// (or no scheduled events remain). It panics if a process body panicked,
-// propagating the original panic value, or if the simulation deadlocks
-// (live processes remain but none is scheduled — e.g. a process parked on a
-// condition nobody will signal); a runtime.Goexit in a body (t.FailNow)
-// likewise ends Run's caller. On every one of those paths each process
-// still parked — daemons on the clean path, everything unfinished on the
-// others — is unwound first, so its deferred functions run and no goroutine
-// outlives Run.
+// Run executes the simulation until every process has finished; callbacks
+// still scheduled then are dropped. It panics if a process body or a
+// callback panicked, propagating the original panic value, or if the
+// simulation deadlocks (live processes remain but nothing is scheduled —
+// e.g. a process parked on a condition nobody will signal); a
+// runtime.Goexit in a body (t.FailNow) likewise ends Run's caller. On those
+// paths every process still parked is unwound first, so its deferred
+// functions run and no goroutine outlives Run.
 func (e *Engine) Run() {
 	if e.started {
 		panic("sim: Engine.Run called twice")
@@ -315,6 +348,10 @@ func (e *Engine) Run() {
 	e.started = true
 	defer e.unwind()
 	for e.nLive > 0 && len(e.events) > 0 {
+		if e.events[0].fn != nil {
+			e.runTop()
+			continue
+		}
 		ev := e.events.pop()
 		p := ev.proc
 		if p.state == Done {
@@ -336,7 +373,7 @@ func (e *Engine) Run() {
 // stops are deferred so that each runs even if an earlier body's deferred
 // function panics; the last such panic is the one Run's caller sees.
 func (e *Engine) unwind() {
-	e.current = nil // a dying body that sleeps must park, and so keep dying
+	e.current = nil // a dying body that waits must park, and so keep dying
 	for i := len(e.procs) - 1; i >= 0; i-- {
 		if p := e.procs[i]; p.state == Running {
 			p.state = Done
@@ -371,7 +408,8 @@ func (e *Engine) liveNames() []string {
 
 // step switches to process p — creating its coroutine the first time — and
 // returns when p parks or its body returns. While p runs it is e.current,
-// which is what entitles it to the SleepUntil fast path.
+// which is what entitles it to dispatch for itself in SleepUntil and
+// Cond.Wait.
 func (e *Engine) step(p *Proc) {
 	if p.state == Created {
 		p.state = Running
@@ -388,9 +426,7 @@ func (e *Engine) step(p *Proc) {
 	if !parked {
 		p.state = Done
 		p.end = e.now
-		if !p.daemon {
-			e.nLive--
-		}
+		e.nLive--
 	}
 }
 
@@ -404,30 +440,42 @@ func (p *Proc) park() {
 }
 
 // SleepUntil blocks the process until virtual time t. Sleeping until a time
-// in the past (or the present) returns immediately but still yields to the
-// engine, preserving event ordering.
+// in the past (or the present) returns immediately but still lets every
+// event already scheduled for that instant go first, preserving event
+// ordering.
 //
-// Lookahead fast path: when the caller is the currently-executing process
-// and the event heap is empty or its earliest event fires strictly after
-// t, no other process can possibly run before the caller's wake-up at t —
-// the slow path would push an event, hand off to the engine, and have the
-// engine pop that same event right back. In that provably-equivalent case
-// the clock advances inline: no heap traffic and no switch. A top event at
-// exactly t must still park:
-// it was scheduled earlier, so sequence numbers order it before the
-// caller at that instant.
+// The caller takes its wake-up's schedule-order number up front and then
+// dispatches for itself. While the heap's top is a callback ordered before
+// the caller's (t, number), the caller pops it and runs it on its own stack
+// — exactly what the engine would do next had the caller parked. When
+// nothing in the heap is ordered before (t, number) the caller is itself
+// the next event: the clock advances to t and the call returns, with no
+// heap traffic and no switch. A top event at exactly t was scheduled
+// earlier, so it still goes first; a callback that schedules something at
+// exactly t took a later number, so it goes after, as it would have with
+// the caller's event sitting in the heap. Only when another process's
+// wake-up is ordered first does the caller push its event and switch to
+// the engine.
 func (p *Proc) SleepUntil(t Time) {
 	e := p.eng
 	if t < e.now {
 		t = e.now
 	}
-	if e.current == p && !e.noFast &&
-		(len(e.events) == 0 || t < e.events[0].at) {
-		e.now = t
-		e.stats.FastAdvances++
-		return
+	me := event{at: t, seq: e.nextSeq(), proc: p}
+	if e.current == p && !e.noFast {
+		for {
+			if len(e.events) == 0 || me.before(e.events[0]) {
+				e.now = t
+				e.stats.FastAdvances++
+				return
+			}
+			if e.events[0].fn == nil {
+				break
+			}
+			e.runTop()
+		}
 	}
-	e.schedule(t, p)
+	e.push(me)
 	p.park()
 }
 
@@ -441,13 +489,13 @@ func (p *Proc) Sleep(d Time) {
 }
 
 // Yield gives other processes scheduled for the current instant a chance to
-// run, then continues. When no same-instant event exists the SleepUntil
-// fast path makes this free: no heap traffic and no handoff.
+// run, then continues. When none of them is a process SleepUntil makes this
+// free: no heap traffic and no handoff.
 func (p *Proc) Yield() { p.SleepUntil(p.eng.now) }
 
 // Cond is a waitable condition inside the simulation: processes block on it
 // with Wait and are released, in FIFO order, by Signal or Broadcast issued
-// from another process.
+// from another process or from a callback.
 type Cond struct {
 	eng     *Engine
 	waiters []*Proc
@@ -456,31 +504,59 @@ type Cond struct {
 // NewCond returns a condition tied to the engine.
 func (e *Engine) NewCond() *Cond { return &Cond{eng: e} }
 
-// Wait parks the calling process until another process signals the
-// condition.
+// Wait blocks the calling process until the condition is signalled. Like
+// SleepUntil it dispatches for itself first: it runs the callbacks at the
+// top of the heap on its own stack, and if one of them signals the
+// condition, so that the caller's wake-up becomes the top event, it takes
+// that event and returns without a switch. It parks when a process's
+// wake-up reaches the top (or nothing is scheduled at all, which the engine
+// will report as a deadlock).
 func (c *Cond) Wait(p *Proc) {
-	p.waiting = true
 	c.waiters = append(c.waiters, p)
+	e := c.eng
+	if e.current == p && !e.noFast {
+		for len(e.events) > 0 {
+			if e.events[0].fn != nil {
+				e.runTop()
+				continue
+			}
+			if e.events[0].proc == p {
+				// The running process has no wake-up pending but the
+				// one a Signal has just scheduled.
+				e.now = e.events.pop().at
+				e.stats.FastAdvances++
+				return
+			}
+			break
+		}
+	}
 	p.park()
 }
 
 // Signal wakes the longest-waiting process, scheduling it at the current
 // virtual time. It reports whether a process was woken.
 func (c *Cond) Signal() bool {
-	if len(c.waiters) == 0 {
+	n := len(c.waiters)
+	if n == 0 {
 		return false
 	}
 	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	w.waiting = false
-	c.eng.schedule(c.eng.now, w)
+	// Shift down rather than re-slice, so the next Wait appends into the
+	// same array.
+	copy(c.waiters, c.waiters[1:])
+	c.waiters[n-1] = nil
+	c.waiters = c.waiters[:n-1]
+	c.eng.wake(w)
 	return true
 }
 
 // Broadcast wakes every waiting process in FIFO order.
 func (c *Cond) Broadcast() {
-	for c.Signal() {
+	for _, w := range c.waiters {
+		c.eng.wake(w)
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 // Waiters reports how many processes are parked on the condition.

@@ -429,15 +429,21 @@ func TestRandUniformish(t *testing.T) {
 	}
 }
 
+// every re-arms tick at the given period from now on: the shape of a
+// background daemon written as a callback.
+func every(e *Engine, period Time, tick func()) {
+	var fire func()
+	fire = func() {
+		tick()
+		e.At(e.Now()+period, fire)
+	}
+	e.At(e.Now()+period, fire)
+}
+
 func TestDaemonDoesNotKeepRunAlive(t *testing.T) {
 	e := New()
 	ticks := 0
-	e.SpawnDaemon("ticker", func(p *Proc) {
-		for {
-			p.Sleep(Second)
-			ticks++
-		}
-	})
+	every(e, Second, func() { ticks++ })
 	e.Spawn("work", func(p *Proc) {
 		p.Sleep(3500 * Millisecond)
 	})
@@ -450,27 +456,15 @@ func TestDaemonDoesNotKeepRunAlive(t *testing.T) {
 	}
 }
 
-func TestDaemonDeferRunsAtShutdown(t *testing.T) {
-	e := New()
-	cleaned := false
-	e.SpawnDaemon("d", func(p *Proc) {
-		defer func() { cleaned = true }()
-		for {
-			p.Sleep(Second)
-		}
-	})
-	e.Spawn("w", func(p *Proc) { p.Sleep(10 * Second) })
-	e.Run()
-	if !cleaned {
-		t.Error("daemon deferred cleanup did not run at shutdown")
-	}
-}
-
 func TestDaemonFinishingNormally(t *testing.T) {
 	e := New()
-	e.SpawnDaemon("short", func(p *Proc) { p.Sleep(Second) })
+	fired := false
+	e.At(Second, func() { fired = true }) // does not re-arm
 	e.Spawn("w", func(p *Proc) { p.Sleep(5 * Second) })
 	e.Run()
+	if !fired {
+		t.Error("the one-shot callback never ran")
+	}
 	if e.Now() != 5*Second {
 		t.Errorf("ended at %v, want 5s", e.Now())
 	}
@@ -478,11 +472,7 @@ func TestDaemonFinishingNormally(t *testing.T) {
 
 func TestOnlyDaemonsRunEndsImmediately(t *testing.T) {
 	e := New()
-	e.SpawnDaemon("d", func(p *Proc) {
-		for {
-			p.Sleep(Second)
-		}
-	})
+	every(e, Second, func() { t.Error("a callback ran in an engine with no process") })
 	e.Run()
 	if e.Now() != 0 {
 		t.Errorf("engine with only daemons advanced to %v, want 0", e.Now())

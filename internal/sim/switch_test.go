@@ -70,12 +70,7 @@ func TestTwoEnginesConcurrently(t *testing.T) {
 	run := func() (Time, Stats) {
 		e := New()
 		c := e.NewCond()
-		e.SpawnDaemon("ticker", func(p *Proc) {
-			for {
-				p.Sleep(3)
-				c.Signal()
-			}
-		})
+		every(e, 3, func() { c.Signal() })
 		for pi := 0; pi < 3; pi++ {
 			e.Spawn("p", func(p *Proc) {
 				for i := 0; i < 500; i++ {
@@ -105,11 +100,11 @@ func TestTwoEnginesConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRunLeavesNoGoroutine: whichever way Run ends — cleanly with daemons
-// still parked, by the deadlock panic, by a body's panic — every process
-// still parked is unwound (its deferred functions run) and no goroutine
-// is left behind; and a body's panic value reaches Run's caller as it was
-// thrown.
+// TestRunLeavesNoGoroutine: whichever way Run ends — cleanly with
+// callbacks still scheduled, by the deadlock panic, by a body's panic —
+// every process still parked is unwound (its deferred functions run), no
+// callback still scheduled runs, and no goroutine is left behind; and a
+// body's panic value reaches Run's caller as it was thrown.
 func TestRunLeavesNoGoroutine(t *testing.T) {
 	boom := errors.New("boom")
 	cases := []struct {
@@ -119,22 +114,21 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		wantPanic func(r any) bool
 	}{
 		{
-			name: "daemons parked in Sleep and Cond.Wait",
+			name: "callbacks pending at a clean exit",
 			build: func(e *Engine, unwound *int) {
-				c := e.NewCond()
-				e.SpawnDaemon("sleeper", func(p *Proc) {
-					defer func() { *unwound++ }()
-					for {
-						p.Sleep(Second)
+				every(e, Second, func() {
+					if e.Now() > 5*Second {
+						t.Errorf("a callback ran at %v, after the last process returned", e.Now())
 					}
 				})
-				e.SpawnDaemon("waiter", func(p *Proc) {
-					defer func() { *unwound++ }()
-					c.Wait(p)
+				// Scheduled once work is asleep, for the instant it wakes:
+				// ordered behind the last wake-up, so never run.
+				e.At(Second, func() {
+					e.At(5*Second, func() { t.Error("a callback ordered behind the last wake-up ran") })
 				})
 				e.Spawn("work", func(p *Proc) { p.Sleep(5 * Second) })
 			},
-			parked:    2,
+			parked:    0,
 			wantPanic: func(r any) bool { return r == nil },
 		},
 		{
@@ -158,10 +152,15 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 			name: "body panic",
 			build: func(e *Engine, unwound *int) {
 				c := e.NewCond()
-				e.SpawnDaemon("daemon", func(p *Proc) {
+				e.Spawn("ticker", func(p *Proc) {
 					defer func() { *unwound++ }()
 					for {
 						p.Sleep(Second)
+					}
+				})
+				every(e, 2*Second, func() {
+					if e.Now() > 3*Second {
+						t.Errorf("a callback ran at %v, after the panic", e.Now())
 					}
 				})
 				e.Spawn("waiter", func(p *Proc) {
@@ -221,7 +220,7 @@ func TestGoexitInBodyEndsCaller(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := New()
 	unwound := false
-	e.SpawnDaemon("daemon", func(p *Proc) {
+	e.Spawn("ticker", func(p *Proc) {
 		defer func() { unwound = true }()
 		for {
 			p.Sleep(Second)
@@ -242,7 +241,7 @@ func TestGoexitInBodyEndsCaller(t *testing.T) {
 		t.Error("Run returned normally after a body called Goexit")
 	}
 	if !unwound {
-		t.Error("the parked daemon was not unwound")
+		t.Error("the parked process was not unwound")
 	}
 	// The caller's goroutine is past its last deferred function but may
 	// not have left the count yet.
@@ -255,25 +254,35 @@ func TestGoexitInBodyEndsCaller(t *testing.T) {
 }
 
 // TestDyingBodyCannotSleep: a deferred function that sleeps while its
-// body is being unwound does not advance the clock or park; it keeps
-// unwinding.
+// body is being unwound does not advance the clock, dispatch or park; it
+// keeps unwinding.
 func TestDyingBodyCannotSleep(t *testing.T) {
 	e := New()
 	reached := false
-	e.SpawnDaemon("d", func(p *Proc) {
+	never := e.NewCond()
+	e.Spawn("d", func(p *Proc) {
 		defer func() {
 			defer func() { reached = true }()
 			p.Sleep(Second)
 			t.Error("a sleep in a dying body returned")
 		}()
-		for {
-			p.Sleep(Second)
-		}
+		never.Wait(p)
 	})
-	e.Spawn("w", func(p *Proc) { p.Sleep(2500 * Millisecond) })
-	e.Run()
+	e.Spawn("w", func(p *Proc) {
+		p.Sleep(2500 * Millisecond)
+		panic("w")
+	})
+	e.At(3*Second, func() { t.Error("a dying body dispatched a callback") })
+	func() {
+		defer func() {
+			if r := recover(); r != "w" {
+				t.Errorf("Run panicked with %v, want w's panic", r)
+			}
+		}()
+		e.Run()
+	}()
 	if !reached {
-		t.Error("the daemon's deferred function did not run to its own defer")
+		t.Error("d's deferred function did not run to its own defer")
 	}
 	if e.Now() != 2500*Millisecond {
 		t.Errorf("ended at %v, want 2.5s", e.Now())
