@@ -49,11 +49,14 @@ bench-cache:
 # The DES engine microbenchmarks, repeated for benchstat: the lookahead
 # fast path vs the parked slow path (a coroutine switch to the engine and
 # back), a callback event dispatched by the process sleeping across it,
-# the forced-handoff interleave, the event-heap push/pop cycle; and, at the
-# seam the callbacks exist for, one process streaming blocks off a drive.
+# the forced-handoff interleave and the two-process ping-pong (ns and
+# coroutine switches per round), the event-heap push/pop cycle; and, at the
+# seams the callbacks exist for, one process streaming blocks off a drive
+# and one demand miss end to end through core.System.
 bench-sim:
-	$(GO) test ./internal/sim -run '^$$' -bench 'Sleep|CallbackEvent|TwoProcInterleave|EventHeap' -benchmem -count 5
+	$(GO) test ./internal/sim -run '^$$' -bench 'Sleep|CallbackEvent|TwoProcInterleave|PingPong|EventHeap' -benchmem -count 5
 	$(GO) test ./internal/disk -run '^$$' -bench 'DiskStream' -benchmem -count 5
+	$(GO) test ./internal/core -run '^$$' -bench 'SystemMissFill' -benchmem -count 5
 
 # Machine-readable experiment timings + run-cache stats (BENCH trajectory).
 bench-json:

@@ -193,9 +193,27 @@ type System struct {
 	inode *meta.Cache // nil when metadata modelling is off
 	procs []*Proc
 
-	// pendingIO maps buffers being filled to the condition their
-	// waiters sleep on.
-	pendingIO map[*cache.Buf]*sim.Cond
+	// pendingIO maps buffers being filled to the record of the read in
+	// flight; freeFills holds the records not in flight, last returned
+	// first taken.
+	pendingIO map[*cache.Buf]*fill
+	freeFills []*fill
+}
+
+// fill is one block read in flight: the buffer it fills, the condition its
+// waiters sleep on and the completion the disk calls. It is the simulator's
+// counterpart of Live's Fill, and it is recycled: startFill takes a record
+// from System.freeFills and complete puts it back, so once as many records
+// exist as reads are ever in flight together, a miss allocates nothing — no
+// condition, no closure, no waiter slice. The free list is a plain slice
+// owned by the System, not a sync.Pool: like everything else in a
+// simulation, which record a fill gets is a function of the run's inputs,
+// not of the garbage collector or of the other simulations in the process.
+type fill struct {
+	sys  *System
+	buf  *cache.Buf
+	cond *sim.Cond
+	done func(sim.Time) // complete, bound once
 }
 
 // NewSystem builds a machine from the config.
@@ -203,7 +221,7 @@ func NewSystem(cfg Config) *System {
 	if len(cfg.Disks) == 0 {
 		cfg.Disks = []disk.Geometry{disk.RZ56, disk.RZ26}
 	}
-	s := &System{cfg: cfg, pendingIO: make(map[*cache.Buf]*sim.Cond)}
+	s := &System{cfg: cfg, pendingIO: make(map[*cache.Buf]*fill)}
 	if cfg.NoSimFastPath {
 		s.eng = sim.New(sim.DisableFastPath)
 	} else {
@@ -332,20 +350,34 @@ func (s *System) flushVictim(v *cache.Victim) {
 	s.charge(v.Owner, func(st *ProcStats) { st.WriteBacks++ })
 }
 
-// startFill issues the disk read that fills buf with block blk of f and
-// returns the condition completion will broadcast. The buffer stays busy
-// until the elevator finishes the read.
-func (s *System) startFill(f *fs.File, buf *cache.Buf, blk int32) *sim.Cond {
+// startFill issues the disk read that fills buf with block blk of f. The
+// buffer stays busy until the elevator finishes the read.
+func (s *System) startFill(f *fs.File, buf *cache.Buf, blk int32) {
 	buf.ValidAt = ioPending
-	cond := s.eng.NewCond()
-	s.pendingIO[buf] = cond
-	d := s.disks[f.Disk()]
-	d.Start(disk.Read, f.BlockAddr(int(blk)), func(t sim.Time) {
-		buf.ValidAt = t
-		delete(s.pendingIO, buf)
-		cond.Broadcast()
-	})
-	return cond
+	var r *fill
+	if n := len(s.freeFills); n > 0 {
+		r = s.freeFills[n-1]
+		s.freeFills = s.freeFills[:n-1]
+	} else {
+		r = &fill{sys: s, cond: s.eng.NewCond()}
+		r.done = r.complete
+	}
+	r.buf = buf
+	s.pendingIO[buf] = r
+	s.disks[f.Disk()].Start(disk.Read, f.BlockAddr(int(blk)), r.done)
+}
+
+// complete is the disk's completion callback: the buffer turns valid at t,
+// its waiters wake, and the record is free again. A woken waiter does not
+// look at the record (waitValid re-reads the buffer), so the next fill may
+// take it before they run.
+func (r *fill) complete(t sim.Time) {
+	s := r.sys
+	r.buf.ValidAt = t
+	delete(s.pendingIO, r.buf)
+	r.buf = nil
+	r.cond.Broadcast()
+	s.freeFills = append(s.freeFills, r)
 }
 
 // insertBlock runs the replacement protocol for block id on p's behalf:
@@ -366,12 +398,12 @@ func (s *System) insertBlock(p *Proc, id cache.BlockID) *cache.Buf {
 // waitValid parks p until b's fill I/O has completed.
 func (s *System) waitValid(p *Proc, b *cache.Buf) {
 	for b.Busy(p.sp.Now()) {
-		cond := s.pendingIO[b]
-		if cond == nil {
+		r := s.pendingIO[b]
+		if r == nil {
 			p.sp.SleepUntil(b.ValidAt)
 			return
 		}
-		cond.Wait(p.sp)
+		r.cond.Wait(p.sp)
 	}
 }
 
@@ -445,18 +477,21 @@ type Proc struct {
 	id       int
 	name     string
 	mgr      *acm.Manager
-	lastRead map[fs.FileID]int32
+	lastRead []int32 // by FileID: the last block read of each file, or noRead
 	stats    ProcStats
 }
+
+// noRead marks a file the process has not read yet. noRead+1 is not a block
+// number, so no access is sequential to it.
+const noRead int32 = -2
 
 // Spawn registers a process whose body starts at time zero (or at the
 // current virtual time when spawned mid-run).
 func (s *System) Spawn(name string, body func(*Proc)) *Proc {
 	p := &Proc{
-		sys:      s,
-		id:       len(s.procs),
-		name:     name,
-		lastRead: make(map[fs.FileID]int32),
+		sys:  s,
+		id:   len(s.procs),
+		name: name,
 	}
 	s.procs = append(s.procs, p)
 	p.sp = s.eng.Spawn(name, func(*sim.Proc) { body(p) })
@@ -567,7 +602,9 @@ func (p *Proc) RemoveFile(f *fs.File) {
 		panic(err)
 	}
 	p.ctlTrace(CtlEvent{Op: CtlRemoveFile, File: f.ID(), FileName: f.Name()})
-	delete(p.lastRead, f.ID())
+	if id := int(f.ID()); id < len(p.lastRead) {
+		p.lastRead[id] = noRead
+	}
 	p.sys.useCPU(p.sp, p.sys.cfg.SyscallCPU)
 }
 
@@ -618,9 +655,14 @@ func (p *Proc) ReadSeq(f *fs.File, from, to int32) {
 // read-ahead once two consecutive blocks have been read, keeping up to
 // ReadAheadDepth blocks in flight.
 func (p *Proc) noteSequential(f *fs.File, blk int32) {
-	last, seen := p.lastRead[f.ID()]
-	p.lastRead[f.ID()] = blk
-	if !p.sys.cfg.ReadAhead || !seen || blk != last+1 {
+	// File ids are handed out densely from 1 and never reused.
+	id := int(f.ID())
+	for id >= len(p.lastRead) {
+		p.lastRead = append(p.lastRead, noRead)
+	}
+	last := p.lastRead[id]
+	p.lastRead[id] = blk
+	if !p.sys.cfg.ReadAhead || blk != last+1 {
 		return
 	}
 	depth := p.sys.cfg.ReadAheadDepth

@@ -185,7 +185,27 @@ type Disk struct {
 	lastAddr int // address of the last block accessed, -1 initially
 	headCyl  int
 
+	freeSync []*syncOp // Access's records not in use
+
 	stats Stats
+}
+
+// syncOp is one synchronous operation in flight: the condition the caller
+// sleeps on and where the completion leaves its time. Access recycles the
+// records through Disk.freeSync — a plain slice, so which record a call gets
+// is deterministic — and a synchronous read allocates nothing once one
+// exists per concurrent caller.
+type syncOp struct {
+	cond     *sim.Cond
+	when     sim.Time
+	finished bool
+	done     func(sim.Time) // complete, bound once
+}
+
+func (o *syncOp) complete(t sim.Time) {
+	o.when = t
+	o.finished = true
+	o.cond.Broadcast()
 }
 
 // Stats aggregates per-disk counters.
@@ -318,18 +338,21 @@ func (d *Disk) Start(op Op, addr int, onDone func(sim.Time)) {
 // until the block operation completes, and the completion time is
 // returned.
 func (d *Disk) Access(p *sim.Proc, op Op, addr int) sim.Time {
-	done := p.Engine().NewCond()
-	var when sim.Time
-	finished := false
-	d.enqueue(op, addr, func(t sim.Time) {
-		when = t
-		finished = true
-		done.Broadcast()
-	})
-	if !finished {
-		done.Wait(p)
+	var o *syncOp
+	if n := len(d.freeSync); n > 0 {
+		o = d.freeSync[n-1]
+		d.freeSync = d.freeSync[:n-1]
+	} else {
+		o = &syncOp{cond: d.eng.NewCond()}
+		o.done = o.complete
 	}
-	return when
+	o.finished = false
+	d.enqueue(op, addr, o.done)
+	if !o.finished {
+		o.cond.Wait(p)
+	}
+	d.freeSync = append(d.freeSync, o)
+	return o.when
 }
 
 // pickNext chooses the next request per the scheduling discipline: FIFO

@@ -483,6 +483,37 @@ func TestWaitTotalThreeRequestQueue(t *testing.T) {
 	}
 }
 
+// TestAccessZeroAllocs is the allocation gate for the synchronous read
+// Proc.Open uses: once a record exists, Access — enqueue, the drive's three
+// steps, the completion's Broadcast, the caller's wake-up — allocates
+// nothing, and the caller, alone, dispatches it all without a switch.
+func TestAccessZeroAllocs(t *testing.T) {
+	eng, d := newTestDisk(t, RZ56)
+	var allocs float64
+	var last sim.Time
+	eng.Spawn("reader", func(p *sim.Proc) {
+		d.Access(p, Read, 0) // the first call makes the record
+		addr := 1000
+		allocs = testing.AllocsPerRun(100, func() {
+			last = d.Access(p, Read, addr)
+			addr += 500
+		})
+		if last != p.Now() {
+			t.Errorf("Access returned %v at %v", last, p.Now())
+		}
+	})
+	eng.Run()
+	if allocs != 0 {
+		t.Errorf("Access allocated %.1f times per call, want 0", allocs)
+	}
+	if r := d.Stats().Reads; r != 102 {
+		t.Errorf("%d reads, want 102", r)
+	}
+	if h := eng.Stats().Handoffs; h != 1 {
+		t.Errorf("Handoffs = %d, want 1", h)
+	}
+}
+
 // BenchmarkDiskStream measures the drive under the simulator's commonest
 // pattern: one process scanning a file, a block of read-ahead in flight
 // while it consumes the one before. Every block is an enqueue, the drive's

@@ -70,6 +70,24 @@ func BenchmarkTwoProcInterleave(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkPingPong measures a hand-off between two processes: a token
+// passed over and back through two conditions, one round per iteration. Each
+// resume is two coroutine switches, one in and one out; switches/round says
+// how many a round took (two while the root resumes its peer from its own
+// wait, four when both ends went through Run).
+func BenchmarkPingPong(b *testing.B) {
+	e := New()
+	pingPong(e, b.N, func(round func()) {
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.ReportMetric(2*float64(e.Stats().Handoffs)/float64(b.N), "switches/round")
+}
+
 // BenchmarkResourceReserve measures the FCFS resource fast path.
 func BenchmarkResourceReserve(b *testing.B) {
 	e := New()

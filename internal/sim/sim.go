@@ -2,23 +2,32 @@
 //
 // The engine advances a virtual clock through a heap of events of two kinds.
 // A process wake-up resumes a simulated process: an ordinary Go function
-// executing as a coroutine of the goroutine that called Run (iter.Pull),
-// which runs until it blocks on the virtual clock (Sleep, SleepUntil) or on
-// a condition (Cond.Wait). A callback (At) is an event without a process: a
-// function that does not block, run inline by whoever is dispatching. That
-// is how passive machinery — a disk working through its queue, a periodic
-// flush — takes part in the simulation without a process of its own.
+// executing as a coroutine (iter.Pull), which runs until it blocks on the
+// virtual clock (Sleep, SleepUntil) or on a condition (Cond.Wait). A
+// callback (At) is an event without a process: a function that does not
+// block, run inline by whoever is dispatching. That is how passive machinery
+// — a disk working through its queue, a periodic flush — takes part in the
+// simulation without a process of its own.
 //
-// Exactly one process — or the engine — runs at any instant. A process that
-// blocks does not hand control to the engine unless it has to: it runs the
-// callbacks that are due before its own wake-up on its own stack, and
-// returns without a switch if it is then the next thing due. Only when
-// another process is due first does it switch to the engine, which switches
-// to that process. A switch is a direct transfer of control: no channel, no
-// trip through the Go scheduler, no second thread woken. Events that fire at
-// the same virtual time run in the order they were scheduled, whoever
-// dispatches them. Given the same inputs, a simulation therefore produces
-// exactly the same interleaving and the same results on every run.
+// Exactly one process — or the engine — runs at any instant, and whoever
+// runs dispatches. Run pops the first event and resumes its process; that
+// process is the root. A process that blocks does not hand control back
+// unless it has to. Any running process runs the callbacks that are due
+// before its own wake-up on its own stack, and returns without a switch if
+// it is then the next thing due. The root goes further: it also resumes the
+// processes due before it, from its own stack, each of which runs until it
+// has to park and then switches straight back to the root; when the root's
+// own wake-up reaches the top of the heap it simply returns. A process that
+// is not the root parks when another process is due first. So a hand-off
+// between two processes is one switch in and one switch out, the root's own
+// waits cost none, and Run's loop turns only when the root's body returns. A
+// switch is a direct transfer of control: no channel, no trip through the
+// Go scheduler, no second thread woken. All three dispatchers — Run, the
+// root, a waiting peer — take events off the one heap with the one routine
+// (Engine.dispatch), so events that fire at the same virtual time run in
+// the order they were scheduled, whoever dispatches them. Given the same
+// inputs, a simulation therefore produces exactly the same interleaving and
+// the same results on every run.
 package sim
 
 import (
@@ -130,27 +139,34 @@ type Engine struct {
 	events  eventHeap
 	seq     uint64
 	procs   []*Proc
-	current *Proc // the process executing right now (nil between steps)
+	current *Proc // the process executing right now (nil while Run dispatches)
+	root    *Proc // the process Run resumed itself; only meaningful while current != nil
+	dying   *Proc // the process whose body panicked or called Goexit, suspended until unwind
 	started bool
 	noFast  bool // DisableFastPath: every wait parks; only Run dispatches
 	nLive   int  // processes whose body has not returned
 	stats   Stats
 }
 
-// Stats counts engine activity over a run. The interesting ratio is
-// FastAdvances to Handoffs: every fast advance is a wake-up that moved
-// virtual time inline instead of paying two coroutine switches.
+// Stats counts engine activity over a run. A wait ends in one of three
+// ways: the waiter is resumed (a hand-off), it returns with nothing having
+// been switched at all (a fast advance), or — the root only — it returns
+// after resuming the processes due before it, which paid for their own
+// hand-offs. With DisableFastPath every wait ends the first way.
 type Stats struct {
-	// EventsScheduled is the number of heap pushes (spawns, parked
-	// sleeps, condition signals, callbacks).
+	// EventsScheduled is the number of heap pushes (spawns, sleeps that
+	// found a process due first, condition signals, callbacks).
 	EventsScheduled int64 `json:"events_scheduled"`
-	// Handoffs is the number of engine<->process round trips (one resume
-	// plus one yield each). Callbacks never cost one: they run on the
-	// stack of whoever is dispatching.
+	// Handoffs is the number of times a process was resumed — by Run or
+	// by the root — and so the number of round trips: one switch in, one
+	// back out when it parks or returns. The root's own waits cost none,
+	// and neither do callbacks: they run on the stack of whoever is
+	// dispatching.
 	Handoffs int64 `json:"handoffs"`
 	// FastAdvances is the number of SleepUntil/Sleep/Yield/Cond.Wait
-	// calls that returned without a switch: the caller was the next
-	// thing due once the callbacks ahead of it had run.
+	// calls that returned with no switch made on their behalf: the
+	// caller was the next thing due once the callbacks ahead of it had
+	// run. A wait in which the root resumed another process is not one.
 	FastAdvances int64 `json:"fast_advances"`
 	// HeapHighWater is the deepest the event heap ever got.
 	HeapHighWater int `json:"heap_high_water"`
@@ -171,11 +187,11 @@ func (s *Stats) Accumulate(o Stats) {
 type Option func(*Engine)
 
 // DisableFastPath forces every sleep and every Cond.Wait through the event
-// heap and a switch to the engine and back, and leaves every callback to
-// Run's loop: no lookahead, no dispatch by a waiting process. The two modes
-// are observationally equivalent (a waiting process dispatches exactly what
-// the engine would have, in the same order); this option exists so
-// differential tests can prove it.
+// heap and a switch to the engine and back, and leaves every callback and
+// every wake-up to Run's loop: no lookahead, no dispatch by a waiting
+// process, no root. The two modes are observationally equivalent (a waiting
+// process dispatches exactly what the engine would have, in the same
+// order); this option exists so differential tests can prove it.
 var DisableFastPath Option = func(e *Engine) { e.noFast = true }
 
 // New returns a fresh simulation engine with the clock at zero.
@@ -205,22 +221,25 @@ const (
 	Done
 )
 
-// Proc is a simulated process. Its body function runs as a coroutine the
-// engine creates on the first resume; all blocking is via the methods on
-// Proc (and Cond.Wait, Resource.Use), which cooperate with the engine. A
-// blocked process is not necessarily a parked one: while it is the process
-// the engine last resumed it dispatches the callbacks due ahead of it
-// itself, and switches to the engine only to let another process run.
+// Proc is a simulated process. Its body function runs as a coroutine
+// created on the first resume; all blocking is via the methods on Proc (and
+// Cond.Wait, Resource.Use), which cooperate with the engine. A blocked
+// process is not necessarily a parked one: while it is running it
+// dispatches the callbacks due ahead of it itself; the root — the process
+// Run resumed — also resumes the processes due ahead of it, and is switched
+// out only when its body returns; any other process switches back to
+// whoever resumed it (the root, or Run) to let another process run.
 type Proc struct {
 	eng  *Engine
 	id   int
 	name string
 	body func(*Proc)
 	// The three ends of the coroutine (iter.Pull), nil until the first
-	// resume. The engine calls next to run the body up to its next park
-	// (false once the body has returned; a body panic or Goexit comes out
-	// of next itself) and stop to unwind a parked body; the body calls
-	// yield to park, and a false return means it is being stopped.
+	// resume. Whoever dispatches calls next to run the body up to its next
+	// park (false once the body has returned) and unwind calls stop to
+	// unwind a parked body (a body's panic or Goexit comes out of that
+	// stop, see start); the body calls yield to park, and a false return
+	// means it is being stopped.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
@@ -320,11 +339,48 @@ func (e *Engine) wake(p *Proc) {
 	e.push(event{at: e.now, seq: e.nextSeq(), proc: p})
 }
 
-// runTop pops the heap's top event, a callback, and runs it at its time.
-func (e *Engine) runTop() {
+// dispatch pops the heap's top event and acts on it at its time: a callback
+// is called, a process is resumed until it parks or returns, a wake-up for a
+// process that has since finished is dropped. It is the one way an event
+// leaves the heap other than a waiter taking its own, and runs on the stack
+// of whoever is dispatching: Run, the root, or (callbacks only) any process
+// waiting.
+//
+// While a resumed process runs it is e.current, which is what entitles it
+// to dispatch callbacks for itself in SleepUntil and Cond.Wait; resumed by
+// Run it is also e.root, which entitles it to resume other processes. No
+// panic comes out of next (see start), so e.current is restored without a
+// defer.
+func (e *Engine) dispatch() {
 	ev := e.events.pop()
+	if ev.fn == nil && ev.proc.state == Done {
+		return // stale wake-up
+	}
+	if ev.at < e.now {
+		panic("sim: time went backwards")
+	}
 	e.now = ev.at
-	ev.fn()
+	if ev.fn != nil {
+		ev.fn()
+		return
+	}
+	p := ev.proc
+	if p.state == Created {
+		e.start(p)
+	}
+	by := e.current
+	if by == nil {
+		e.root = p
+	}
+	e.current = p
+	e.stats.Handoffs++
+	_, parked := p.next()
+	e.current = by
+	if !parked {
+		p.state = Done
+		p.end = e.now
+		e.nLive--
+	}
 }
 
 // killedError is the sentinel panic value that unwinds a parked process
@@ -347,39 +403,33 @@ func (e *Engine) Run() {
 	}
 	e.started = true
 	defer e.unwind()
-	for e.nLive > 0 && len(e.events) > 0 {
-		if e.events[0].fn != nil {
-			e.runTop()
-			continue
-		}
-		ev := e.events.pop()
-		p := ev.proc
-		if p.state == Done {
-			continue // stale wake-up
-		}
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		e.step(p)
+	for e.nLive > 0 && len(e.events) > 0 && e.dying == nil {
+		e.dispatch()
 	}
-	if e.nLive > 0 {
+	if e.nLive > 0 && e.dying == nil {
 		names := e.liveNames()
 		panic(fmt.Sprintf("sim: deadlock — %d live process(es) but no pending events: %v", e.nLive, names))
 	}
 }
 
-// unwind stops every started, unfinished process, in spawn order. The
-// stops are deferred so that each runs even if an earlier body's deferred
-// function panics; the last such panic is the one Run's caller sees.
+// unwind stops every started, unfinished process: first the one whose body
+// panicked or called Goexit, if any — its stop finishes that panic or Goexit
+// and delivers it here, on Run's stack — then the parked ones in spawn
+// order. The stops are deferred so that each runs even if an earlier one
+// panics; the last such panic is the one Run's caller sees.
 func (e *Engine) unwind() {
 	e.current = nil // a dying body that waits must park, and so keep dying
 	for i := len(e.procs) - 1; i >= 0; i-- {
-		if p := e.procs[i]; p.state == Running {
+		if p := e.procs[i]; p.state == Running && p != e.dying {
 			p.state = Done
 			p.end = e.now
 			defer p.kill()
 		}
+	}
+	if p := e.dying; p != nil {
+		p.state = Done
+		p.end = e.now
+		defer p.kill()
 	}
 }
 
@@ -406,33 +456,37 @@ func (e *Engine) liveNames() []string {
 	return names
 }
 
-// step switches to process p — creating its coroutine the first time — and
-// returns when p parks or its body returns. While p runs it is e.current,
-// which is what entitles it to dispatch for itself in SleepUntil and
-// Cond.Wait.
-func (e *Engine) step(p *Proc) {
-	if p.state == Created {
-		p.state = Running
-		p.begun = e.now
-		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-			p.yield = yield
-			p.body(p)
-		})
-	}
-	e.current = p
-	e.stats.Handoffs++
-	_, parked := p.next()
-	e.current = nil
-	if !parked {
-		p.state = Done
-		p.end = e.now
-		e.nLive--
-	}
+// start creates p's coroutine; the first next runs the body from the top.
+//
+// A body that panics or calls runtime.Goexit must end Run's caller, not
+// whoever happened to resume it: out of next, the panic would unwind the
+// root's frames as though the root had thrown it, for the root's deferred
+// functions to observe and recover. So the coroutine's outermost deferred
+// function, reached once the body's own have run, marks the process as
+// e.dying and parks it one last time, still panicking. That stops all
+// dispatching — the root parks, Run's loop ends — and unwind's stop lets the
+// panic or Goexit finish and come out on Run's stack with its value intact.
+func (e *Engine) start(p *Proc) {
+	p.state = Running
+	p.begun = e.now
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		returned := false
+		defer func() {
+			// state is Done already when unwind is stopping the body.
+			if !returned && p.state == Running {
+				e.dying = p
+				yield(struct{}{})
+			}
+		}()
+		p.body(p)
+		returned = true
+	})
 }
 
-// park switches from the calling process body back to the engine and
-// returns when the engine next resumes it. Must be called from within the
-// process's own body.
+// park switches from the calling process body back to whoever resumed it —
+// Run or the root — and returns when it is next resumed. Must be called from
+// within the process's own body.
 func (p *Proc) park() {
 	if !p.yield(struct{}{}) {
 		panic(killedError{})
@@ -454,29 +508,66 @@ func (p *Proc) park() {
 // earlier, so it still goes first; a callback that schedules something at
 // exactly t took a later number, so it goes after, as it would have with
 // the caller's event sitting in the heap. Only when another process's
-// wake-up is ordered first does the caller push its event and switch to
-// the engine.
+// wake-up is ordered first does the caller push its event — a process
+// resumed meanwhile must find it in the heap to order itself against — and
+// wait for it to come up: dispatching, if it is the root; parked, if not.
 func (p *Proc) SleepUntil(t Time) {
 	e := p.eng
 	if t < e.now {
 		t = e.now
 	}
 	me := event{at: t, seq: e.nextSeq(), proc: p}
-	if e.current == p && !e.noFast {
-		for {
-			if len(e.events) == 0 || me.before(e.events[0]) {
-				e.now = t
-				e.stats.FastAdvances++
-				return
-			}
-			if e.events[0].fn == nil {
-				break
-			}
-			e.runTop()
+	if e.current != p || e.noFast {
+		e.push(me)
+		p.park()
+		return
+	}
+	for {
+		if len(e.events) == 0 || me.before(e.events[0]) {
+			e.now = t
+			e.stats.FastAdvances++
+			return
 		}
+		if e.events[0].fn == nil {
+			break
+		}
+		e.dispatch()
 	}
 	e.push(me)
-	p.park()
+	if !p.dispatchUntilDue() {
+		p.park()
+	}
+}
+
+// dispatchUntilDue is how a running process waits for its wake-up — in the
+// heap already, or pushed by whoever signals the condition p has joined. It
+// dispatches for itself: callbacks at the top of the heap run on its stack,
+// and when its own wake-up reaches the top it takes it and returns true. The
+// root also resumes the processes whose wake-ups come first, one switch in
+// and one back out each, and so never gives up while anything is scheduled;
+// any other process stops as soon as a process's wake-up reaches the top.
+// False means p has to park: a process is due first and p is not the root,
+// nothing is scheduled (which Run will report as a deadlock), or a resumed
+// body is dying (which ends the run).
+func (p *Proc) dispatchUntilDue() bool {
+	e := p.eng
+	switched := e.stats.Handoffs
+	for len(e.events) > 0 && e.dying == nil {
+		top := &e.events[0]
+		if top.proc == p {
+			// A process has one wake-up pending at most.
+			e.now = e.events.pop().at
+			if e.stats.Handoffs == switched {
+				e.stats.FastAdvances++
+			}
+			return true
+		}
+		if top.fn == nil && p != e.root {
+			break
+		}
+		e.dispatch()
+	}
+	return false
 }
 
 // Sleep blocks the process for duration d of virtual time. Negative
@@ -505,32 +596,16 @@ type Cond struct {
 func (e *Engine) NewCond() *Cond { return &Cond{eng: e} }
 
 // Wait blocks the calling process until the condition is signalled. Like
-// SleepUntil it dispatches for itself first: it runs the callbacks at the
-// top of the heap on its own stack, and if one of them signals the
-// condition, so that the caller's wake-up becomes the top event, it takes
-// that event and returns without a switch. It parks when a process's
-// wake-up reaches the top (or nothing is scheduled at all, which the engine
-// will report as a deadlock).
+// SleepUntil it dispatches for itself first (Proc.dispatchUntilDue): it runs
+// the callbacks at the top of the heap on its own stack — the root resumes
+// the processes there too — and once one of them has signalled the condition
+// and the caller's wake-up has become the top event, it takes that event and
+// returns without having been switched out.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	e := c.eng
-	if e.current == p && !e.noFast {
-		for len(e.events) > 0 {
-			if e.events[0].fn != nil {
-				e.runTop()
-				continue
-			}
-			if e.events[0].proc == p {
-				// The running process has no wake-up pending but the
-				// one a Signal has just scheduled.
-				e.now = e.events.pop().at
-				e.stats.FastAdvances++
-				return
-			}
-			break
-		}
+	if e := c.eng; e.current != p || e.noFast || !p.dispatchUntilDue() {
+		p.park()
 	}
-	p.park()
 }
 
 // Signal wakes the longest-waiting process, scheduling it at the current

@@ -12,7 +12,9 @@ import (
 // BenchmarkTwoProcInterleave shape: two processes whose every sleep lands
 // on the other's pending wake-up. The counts were taken from the channel
 // hand-off engine before the coroutine switch replaced it; a changed
-// count means which process runs when has changed.
+// count means which process runs when has changed. Handoffs was 2002 while
+// every wait went through Run: now the first process is the root and resumes
+// the second from inside each of its own sleeps, which cost no hand-off.
 func TestStatsTwoProcInterleave(t *testing.T) {
 	e := New()
 	for pi := 0; pi < 2; pi++ {
@@ -23,7 +25,7 @@ func TestStatsTwoProcInterleave(t *testing.T) {
 		})
 	}
 	e.Run()
-	want := Stats{EventsScheduled: 2002, Handoffs: 2002, FastAdvances: 0, HeapHighWater: 2}
+	want := Stats{EventsScheduled: 2002, Handoffs: 1002, FastAdvances: 0, HeapHighWater: 2}
 	if got := e.Stats(); got != want {
 		t.Errorf("Stats = %+v, want %+v", got, want)
 	}
