@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check test vet race race-hot benchmark benchmark-des bench bench-cache bench-sim bench-json bench-policy-tournament bench-server bench-server-shards bench-server-hot bench-server-cold bench-server-cluster serve serve-cluster loadtest experiments charts fuzz fuzz-frames clean outputs
+.PHONY: all check test vet race race-hot race-lifecycle benchmark benchmark-des bench bench-cache bench-sim bench-json bench-policy-tournament bench-server bench-server-shards bench-server-hot bench-server-cold bench-server-cluster serve serve-cluster loadtest experiments charts fuzz fuzz-frames clean outputs
 
 all: check
 
@@ -17,6 +17,12 @@ check: vet test race-hot fuzz-frames
 
 race-hot:
 	$(GO) test -race ./internal/sim ./internal/expt ./internal/core ./internal/server ./internal/disk ./internal/cluster
+
+# The lifecycle suite by name, repeated: a stopped server costs nothing
+# (no goroutine, no arena, no store; late callers return). CI runs it as
+# its own step.
+race-lifecycle:
+	$(GO) test -race ./internal/server ./internal/cluster -run '^TestLifecycle' -count=5
 
 vet:
 	$(GO) vet ./...

@@ -25,6 +25,7 @@ package acm
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -53,6 +54,10 @@ func (p Policy) String() string {
 
 // DefaultPriority is the long-term priority files have unless changed.
 const DefaultPriority = 0
+
+// ErrLimit is wrapped by every call that fails because a Limits cap
+// would be exceeded.
+var ErrLimit = errors.New("limit exceeded")
 
 // Limits caps the kernel resources one manager may consume, as the paper's
 // implementation does ("fails the calls if the limit would be exceeded").
@@ -167,7 +172,7 @@ func (a *ACM) CreateManager(owner int) (*Manager, error) {
 		return nil, fmt.Errorf("acm: process %d already has a manager", owner)
 	}
 	if a.nmgr >= a.limits.MaxManagers {
-		return nil, fmt.Errorf("acm: manager limit (%d) exceeded", a.limits.MaxManagers)
+		return nil, fmt.Errorf("acm: manager limit (%d): %w", a.limits.MaxManagers, ErrLimit)
 	}
 	m := &Manager{
 		acm:      a,
@@ -220,7 +225,7 @@ func (m *Manager) getLevel(prio int) (*cache.ACMLevel, error) {
 		return m.levels[i], nil
 	}
 	if len(m.levels) >= m.acm.limits.MaxLevels {
-		return nil, fmt.Errorf("acm: level limit (%d) exceeded", m.acm.limits.MaxLevels)
+		return nil, fmt.Errorf("acm: level limit (%d): %w", m.acm.limits.MaxLevels, ErrLimit)
 	}
 	pol, ok := m.policies[prio]
 	if !ok {
@@ -366,7 +371,7 @@ func (m *Manager) SetPriority(file fs.FileID, prio int) error {
 		delete(m.filePrio, file)
 	} else {
 		if _, ok := m.filePrio[file]; !ok && len(m.filePrio) >= m.acm.limits.MaxFileRecords {
-			return fmt.Errorf("acm: file record limit (%d) exceeded", m.acm.limits.MaxFileRecords)
+			return fmt.Errorf("acm: file record limit (%d): %w", m.acm.limits.MaxFileRecords, ErrLimit)
 		}
 		m.filePrio[file] = prio
 	}

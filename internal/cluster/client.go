@@ -11,9 +11,10 @@
 // retiring server sends), the client marks it dead, re-routes the file
 // to the ring over the survivors, re-resolves it there (re-create with
 // the remembered shape when the survivor has never seen it), and
-// retries once. The survivor then pulls the blocks through cold from
-// the origin — no coordination, no recovery protocol, exactly the
-// redial-next-owner behavior the cluster design promises.
+// retries — again if that survivor is gone as well, until a node
+// answers or none is left. The survivor then pulls the blocks through
+// cold from the origin — no coordination, no recovery protocol, exactly
+// the redial-next-owner behavior the cluster design promises.
 
 package cluster
 
@@ -178,30 +179,45 @@ func openOrCreateShaped(c *client.Conn, e *centry) (fs.FileID, error) {
 }
 
 // do runs op against e's node, failing over to the next live ring owner
-// once when the node is gone.
+// for as long as the node it tried is gone and another is left.
 func (cl *Client) do(e *centry, op func(c *client.Conn, remote fs.FileID) error) error {
-	c, s, err := cl.conn(e.addr)
-	if err == nil {
-		err = op(c, e.remote)
-		if err == nil || !retriable(err) {
+	for {
+		c, s, err := cl.conn(e.addr)
+		if err == nil {
+			err = op(c, e.remote)
+			if err == nil || !retriable(err) {
+				return err
+			}
+			s.rd.Invalidate(c)
+		}
+		cl.markDead(e.addr)
+		if err := cl.failover(e, err); err != nil {
 			return err
 		}
-		s.rd.Invalidate(c)
 	}
-	cl.markDead(e.addr)
-	next := cl.alive()
-	if next.Len() == 0 {
-		return fmt.Errorf("cluster: no live nodes: %w", err)
+}
+
+// failover rebinds e to the first live ring owner that resolves it. An
+// owner that is gone too — the node a leaver handed the file to can die
+// before this client next touches it — is marked dead and the next one
+// tried; any other failure to resolve surfaces.
+func (cl *Client) failover(e *centry, cause error) error {
+	for {
+		next := cl.alive()
+		if next.Len() == 0 {
+			return fmt.Errorf("cluster: no live nodes: %w", cause)
+		}
+		owner := next.Owner(e.name)
+		err := cl.resolve(e, owner)
+		if err == nil {
+			return nil
+		}
+		if !retriable(err) {
+			return fmt.Errorf("cluster: failover of %s to %s: %w", e.name, owner, err)
+		}
+		cl.markDead(owner)
+		cause = err
 	}
-	owner := next.Owner(e.name)
-	if rerr := cl.resolve(e, owner); rerr != nil {
-		return fmt.Errorf("cluster: failover of %s to %s: %w", e.name, owner, rerr)
-	}
-	c, _, err = cl.conn(e.addr)
-	if err != nil {
-		return err
-	}
-	return op(c, e.remote)
 }
 
 // entry looks a synthetic id up.

@@ -23,7 +23,9 @@ import (
 
 // testCluster is n in-process nodes over one shared origin, each
 // listening on its own loopback TCP port. The member specs are the
-// real listen addresses, so ring routing and dialing agree.
+// real listen addresses, so ring routing and dialing agree; a port
+// stays reserved after its node departs (listenHeld), so a dead
+// member's address refuses dials until the test ends.
 type testCluster struct {
 	t       *testing.T
 	origin  *MemOrigin
@@ -42,10 +44,7 @@ func startTestCluster(t *testing.T, n int, origin *MemOrigin) *testCluster {
 	}
 	lns := make([]net.Listener, n)
 	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		ln := listenHeld(t)
 		lns[i] = ln
 		tc.members = append(tc.members, "tcp:"+ln.Addr().String())
 	}
@@ -81,10 +80,7 @@ func (tc *testCluster) addNode(self string, ln net.Listener) *Node {
 // itself — the static-membership join: existing nodes keep their rings.
 func (tc *testCluster) join() *Node {
 	tc.t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tc.t.Fatal(err)
-	}
+	ln := listenHeld(tc.t)
 	self := "tcp:" + ln.Addr().String()
 	tc.members = append(tc.members, self)
 	return tc.addNode(self, ln)
@@ -575,6 +571,57 @@ func TestClusterSoak(t *testing.T) {
 			}
 			if _, err := cl.ReadInto(f.ID, 0, 0, disk.BlockSize, dst); err != nil {
 				t.Fatalf("final read %s: %v", name, err)
+			}
+		}
+	}
+}
+
+// TestClusterFailoverPastDeadSurvivor: a file's owner leaves and the
+// survivor the ring names next dies before the client touches the file
+// again; the client's next operation walks past both to the last node.
+// (Regression: failover was tried once, so the dead second owner's
+// refused dial came back to the caller — the TestClusterSoak flake.)
+func TestClusterFailoverPastDeadSurvivor(t *testing.T) {
+	tc := startTestCluster(t, 3, NewMemOrigin())
+	cl := NewClient(tc.members, 0)
+	defer cl.Close()
+	const nfiles, blocks = 24, 2
+	names := writeFiles(t, cl, nfiles, blocks)
+	ids := make(map[string]client.File)
+	for _, name := range names {
+		f, err := cl.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[name] = f
+	}
+
+	first, second := tc.members[0], tc.members[1]
+	ring := NewRing(tc.members, 0)
+	twice := 0
+	for _, name := range names {
+		if ring.Owner(name) == first && ring.Without(first).Owner(name) == second {
+			twice++
+		}
+	}
+	if twice == 0 {
+		t.Fatalf("no file of %d moves from %s to %s; enlarge nfiles", nfiles, first, second)
+	}
+	if err := tc.leave(first, true); err != nil {
+		t.Fatalf("planned leave: %v", err)
+	}
+	tc.kill(second)
+
+	dst := make([]byte, disk.BlockSize)
+	for _, name := range names {
+		for b := int32(0); b < blocks; b++ {
+			if _, err := cl.ReadInto(ids[name].ID, b, 0, disk.BlockSize, dst); err != nil {
+				t.Fatalf("read %s/%d with two of three nodes gone: %v", name, b, err)
+			}
+			// The leaver flushed; the killed node's dirty blocks died
+			// with it, so only the leaver's files are held to their bytes.
+			if ring.Owner(name) == first && !bytes.Equal(dst, blockPattern(name, b)) {
+				t.Errorf("wrong bytes for %s/%d", name, b)
 			}
 		}
 	}

@@ -9,8 +9,19 @@
 package fs
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+)
+
+// Sentinels for the failures a caller treats differently from a plain
+// error; match them with errors.Is (the messages around them quote file
+// names, which are the caller's data).
+var (
+	// ErrExists: Create found the name taken.
+	ErrExists = errors.New("file exists")
+	// ErrNoSpace: Create or Grow found the disk full.
+	ErrNoSpace = errors.New("no space on disk")
 )
 
 // FileID identifies a file for the lifetime of the file system. IDs are
@@ -140,7 +151,7 @@ func (fsys *FileSystem) Create(name string, d int, sizeBlocks int) (*File, error
 		return nil, fmt.Errorf("fs: create %q: no disk %d", name, d)
 	}
 	if _, ok := fsys.byName[name]; ok {
-		return nil, fmt.Errorf("fs: create %q: file exists", name)
+		return nil, fmt.Errorf("fs: create %q: %w", name, ErrExists)
 	}
 	if sizeBlocks < 0 {
 		return nil, fmt.Errorf("fs: create %q: negative size", name)
@@ -217,7 +228,7 @@ func (fsys *FileSystem) grow(f *File, newSize int) error {
 		e, ok := ds.alloc(chunk)
 		if !ok {
 			rollback()
-			return fmt.Errorf("fs: disk %d full growing %q", f.disk, f.name)
+			return fmt.Errorf("fs: disk %d full growing %q: %w", f.disk, f.name, ErrNoSpace)
 		}
 		// Merge with the previous extent when contiguous.
 		if n := len(f.extents); n > 0 && f.extents[n-1].start+f.extents[n-1].n == e.start {

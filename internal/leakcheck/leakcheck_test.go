@@ -1,0 +1,33 @@
+package leakcheck
+
+import (
+	"strings"
+	"testing"
+	"time"
+)
+
+func park(release <-chan struct{}) { <-release }
+
+// TestFindSeesAParkedGoroutine: a goroutine of this package is found
+// while it is alive — by its own frame or, not yet started, by its
+// creator's — the caller is not, and Wait comes back empty once it has ended.
+func TestFindSeesAParkedGoroutine(t *testing.T) {
+	const self = "repro/internal/leakcheck."
+	if found := Find(self); len(found) != 0 {
+		t.Fatalf("before: found %d goroutines:\n%s", len(found), strings.Join(found, "\n\n"))
+	}
+	release := make(chan struct{})
+	go park(release)
+	found := Wait(time.Second, "no/such/package.")
+	if len(found) != 0 {
+		t.Errorf("a prefix nothing has matched %d goroutines", len(found))
+	}
+	found = Find(self)
+	if len(found) != 1 || !strings.Contains(found[0], self+"TestFindSeesAParkedGoroutine") {
+		t.Fatalf("parked goroutine: found %d:\n%s", len(found), strings.Join(found, "\n\n"))
+	}
+	close(release)
+	if found := Wait(time.Second, self); len(found) != 0 {
+		t.Errorf("after release: %d goroutines still found:\n%s", len(found), strings.Join(found, "\n\n"))
+	}
+}

@@ -98,6 +98,7 @@ func (q *fillQueue) close() {
 // fillWorker is one pool goroutine: drain a batch, retire it run by
 // run, repeat until the queue closes.
 func (sh *shard) fillWorker(store disk.Store, batchCapable bool) {
+	defer sh.srv.running.Done()
 	for {
 		batch := sh.fq.pop(maxFillBatch)
 		if batch == nil {
@@ -112,7 +113,9 @@ func (sh *shard) fillWorker(store disk.Store, batchCapable bool) {
 // coalescing rule: only blocks that can plausibly share a vectored call
 // are grouped; everything else stays a single-block read. Each run
 // re-enters the kernel loop as one completion message, preserving
-// per-fill CompleteFill semantics exactly.
+// per-fill CompleteFill semantics exactly. The send is plain: the loop
+// counts these fills in flight and cannot retire until it has received
+// their completion.
 //
 // A block can appear twice (an orphaned mid-fill-eviction read and its
 // successor fill); equal block numbers never extend a run, so both
@@ -157,6 +160,7 @@ func (sh *shard) runFills(store disk.Store, batchCapable bool, batch []*core.Fil
 // flushes first, so the older bytes are on the store before the newer
 // write is even issued.
 func (sh *shard) flusher(store disk.Store, batchCapable bool) {
+	defer sh.srv.running.Done()
 	var batch []*core.WriteBack
 	seen := make(map[cache.BlockID]bool)
 	flush := func() {

@@ -1,0 +1,17 @@
+package server_test
+
+import (
+	"testing"
+
+	"repro/internal/leakcheck"
+)
+
+// serverFrames matches every goroutine the server package runs or
+// started: shard loops, fill workers, flushers, session readers and
+// writers, and a test's own `go srv.Serve(ln)`.
+const serverFrames = "repro/internal/server."
+
+// TestMain fails the package if a server goroutine outlives the tests:
+// every test must stop the servers it starts, and a stopped server must
+// leave nothing running.
+func TestMain(m *testing.M) { leakcheck.Main(m, serverFrames) }

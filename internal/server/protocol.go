@@ -150,9 +150,13 @@ const MaxFrame = 16 * 1024
 // FrameOverhead is the id+tag part covered by the length prefix.
 const FrameOverhead = 5
 
+// frameHeaderLen is the length prefix plus the part it covers that is
+// not body: what ReadFrameHeader needs before it can return.
+const frameHeaderLen = 4 + FrameOverhead
+
 // WriteFrame writes one frame.
 func WriteFrame(w io.Writer, id uint32, tag uint8, body []byte) error {
-	var hdr [9]byte
+	var hdr [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[0:], uint32(FrameOverhead+len(body)))
 	binary.BigEndian.PutUint32(hdr[4:], id)
 	hdr[8] = tag
@@ -169,7 +173,7 @@ func WriteFrame(w io.Writer, id uint32, tag uint8, body []byte) error {
 
 // ReadFrame reads one frame, allocating a fresh body slice.
 func ReadFrame(r io.Reader) (id uint32, tag uint8, body []byte, err error) {
-	var hdr [9]byte
+	var hdr [frameHeaderLen]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
@@ -195,7 +199,7 @@ func ReadFrame(r io.Reader) (id uint32, tag uint8, body []byte, err error) {
 // storage (the server's frame-buffer pool, a client's caller-owned
 // slice).
 func ReadFrameHeader(br *bufio.Reader) (id uint32, tag uint8, bodyLen int, err error) {
-	hdr, err := br.Peek(9)
+	hdr, err := br.Peek(frameHeaderLen)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
@@ -208,7 +212,7 @@ func ReadFrameHeader(br *bufio.Reader) (id uint32, tag uint8, bodyLen int, err e
 	}
 	id = binary.BigEndian.Uint32(hdr[4:])
 	tag = hdr[8]
-	br.Discard(9)
+	br.Discard(frameHeaderLen)
 	return id, tag, int(n) - FrameOverhead, nil
 }
 

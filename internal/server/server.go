@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -343,15 +342,14 @@ type shard struct {
 	srv  *Server
 	kern *core.Live
 	kch  chan kmsg
-	// done closes when the shard has drained (shutdown); the loop keeps
-	// consuming kch afterwards — refusing requests, settling session
-	// closes — so sends to kch never block, but it no longer touches the
-	// kernel, which makes Server.Close safe.
+	// done closes when the shard retires (shutdown): its loop returns
+	// and nothing receives from kch again. Senders that hold a session,
+	// a fill or a write-back open are counted by the retire condition
+	// and send plainly; anyone else goes through post.
 	done chan struct{}
 
 	sessions      map[*session]bool
 	draining      bool
-	retired       bool // drained: done closed, kernel off-limits
 	fillsInflight int
 	requests      int64
 	refused       int64
@@ -421,14 +419,23 @@ func (r remapStore) WriteBlocks(specs []disk.BlockSpan, srcs [][]byte) []error {
 // requests over per-shard channels.
 type Server struct {
 	cfg    Config
-	shards []*shard
-	store  disk.Store // the shared base store behind the shard remaps
-	// kdone closes when every shard has drained (shutdown complete).
+	shards []*shard   // nil once closed
+	store  disk.Store // the shared base store behind the shard remaps; nil once closed
+	// kdone closes when Shutdown has completed: every shard has retired
+	// and every goroutine the server started has exited.
 	kdone chan struct{}
 
 	mu        sync.Mutex
 	listeners []net.Listener
 	down      bool
+	// admitting counts startSession calls between their admission (under
+	// mu, while !down) and their last open send: Shutdown waits for it
+	// before posting drain, so an admitted session's open precedes drain
+	// in every shard's FIFO.
+	admitting sync.WaitGroup
+	// running counts the server's goroutines: shard loops, fill workers,
+	// flushers, session readers and writers.
+	running sync.WaitGroup
 
 	sessionsTotal atomic.Int64
 	// Broadcast and aggregated ops (control, set_policy, stats) are
@@ -479,6 +486,7 @@ func New(cfg Config) *Server {
 				sh.fillsInflight += len(fls)
 				sh.kern.NoteFillQueueDepth(sh.fq.push(fls...))
 			}
+			srv.running.Add(cfg.FillWorkers)
 			for w := 0; w < cfg.FillWorkers; w++ {
 				go sh.fillWorker(store, batchCapable)
 			}
@@ -502,6 +510,7 @@ func New(cfg Config) *Server {
 			// kernel loop with the result — batching adjacent victims
 			// along the way (fillpool.go). It exits when retire closes
 			// wbch.
+			srv.running.Add(1)
 			go sh.flusher(store, batchCapable)
 		}
 		sh.kern = core.NewLive(kcfg)
@@ -512,58 +521,85 @@ func New(cfg Config) *Server {
 		srv.shards = append(srv.shards, sh)
 	}
 	core.CheckShardInvariants(kerns, cfg.Kernel)
+	srv.running.Add(n)
 	for _, sh := range srv.shards {
 		go sh.loop()
 	}
-	go func() {
-		for _, sh := range srv.shards {
-			<-sh.done
-		}
-		close(srv.kdone)
-	}()
 	return srv
 }
 
-// Kernel exposes shard 0's Live kernel for tests and single-shard
-// embeddings. Kernels are owned by their shard loops; callers must not
-// touch them while the server is running.
-func (s *Server) Kernel() *core.Live { return s.shards[0].kern }
-
 // Shards reports the shard count.
-func (s *Server) Shards() int { return len(s.shards) }
+func (s *Server) Shards() int { return s.cfg.Shards }
 
-// Close flushes every shard kernel's dirty blocks and closes the shared
-// block store. Call only after Shutdown has returned: the shard loops
-// stop touching their kernels once drained, and the drain barrier has
-// already waited out every asynchronous write-back — so these flush
-// writes can never be overtaken by a stale flusher write.
-func (s *Server) Close() error {
+// errRunning is what the stopped-server calls return on a server whose
+// Shutdown has not returned: its loops still own the kernels.
+var errRunning = errors.New("server: Shutdown has not returned")
+
+// stopped returns the shards of a server between the end of Shutdown
+// and Close — the span in which the kernels are quiescent and readable
+// from outside their (now ended) loops. ok is false while the server
+// runs; the slice is nil once closed.
+func (s *Server) stopped() (shards []*shard, ok bool) {
+	select {
+	case <-s.kdone:
+	default:
+		return nil, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.shards, true
+}
+
+func flushShards(shards []*shard) error {
 	var firstErr error
-	for _, sh := range s.shards {
+	for _, sh := range shards {
 		if _, err := sh.kern.FlushDirty(core.MaxTime); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	if err := s.store.Close(); firstErr == nil {
-		firstErr = err
-	}
 	return firstErr
+}
+
+// Close flushes every shard kernel's dirty blocks, closes the shared
+// block store, and lets go of both: the kernels (their cache arenas)
+// and every reference to the store, the copy in the configuration and
+// the hooks a cluster node hung on it included. A caller that keeps the
+// *Server afterwards keeps a husk. Call only after Shutdown has
+// returned: the shard loops have ended, and the drain barrier has
+// already waited out every asynchronous write-back — so these flush
+// writes can never be overtaken by a stale flusher write. A second
+// Close is a no-op.
+func (s *Server) Close() error {
+	shards, ok := s.stopped()
+	if !ok {
+		return errRunning
+	}
+	s.mu.Lock()
+	store := s.store
+	s.shards, s.store = nil, nil
+	s.cfg.Kernel.Store, s.cfg.FileAnnounce, s.cfg.ExtraFill = nil, nil, nil
+	s.mu.Unlock()
+	if store == nil {
+		return nil
+	}
+	err := flushShards(shards)
+	if cerr := store.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // FlushDirty writes every shard kernel's dirty blocks to the store
 // without closing it — the planned-leave handoff's first step, so no
 // dirty byte depends on the streaming that follows. Call only after
-// Shutdown has returned (same contract as Close): the retired shard
-// loops no longer touch their kernels and the drain barrier has waited
-// out every asynchronous write-back.
+// Shutdown has returned (same contract as Close); nothing is left to
+// flush once closed.
 func (s *Server) FlushDirty() error {
-	var firstErr error
-	for _, sh := range s.shards {
-		if _, err := sh.kern.FlushDirty(core.MaxTime); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	shards, ok := s.stopped()
+	if !ok {
+		return errRunning
 	}
-	return firstErr
+	return flushShards(shards)
 }
 
 // CachedBlock is one cached block in a CachedContents enumeration,
@@ -583,15 +619,11 @@ type CachedBlock struct {
 // tier's warm handoff streams to the new hash owners before the node
 // retires. Call only after Shutdown has returned: the kernels are
 // quiescent, so the slots cannot change under the copy. Returns nil on
-// a live server.
+// a live server and on a closed one.
 func (s *Server) CachedContents() []CachedBlock {
-	select {
-	case <-s.kdone:
-	default:
-		return nil
-	}
+	shards, _ := s.stopped()
 	var out []CachedBlock
-	for _, sh := range s.shards {
+	for _, sh := range shards {
 		order := sh.kern.Cache().GlobalOrder() // LRU to MRU
 		for i := len(order) - 1; i >= 0; i-- {
 			b := sh.kern.Cache().Peek(order[i])
@@ -630,7 +662,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if isClosed(err) {
+			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
@@ -639,15 +671,24 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-func isClosed(err error) bool {
-	return errors.Is(err, net.ErrClosed) || strings.Contains(err.Error(), "use of closed")
-}
-
 // startSession registers conn as a new owner session in every shard and
 // starts its reader and writer. The registration messages are enqueued
 // before the reader exists, so each shard sees the open before any of
-// that session's requests.
+// that session's requests. Admission is decided under mu: a connection
+// that arrives once Shutdown has begun is closed unserved, and one
+// admitted before has its opens queued ahead of every shard's drain
+// (Shutdown waits for admitting) — so a retiring shard has seen every
+// session it will ever be sent.
 func (s *Server) startSession(conn net.Conn) {
+	s.mu.Lock()
+	if s.down {
+		s.mu.Unlock()
+		conn.Close()
+		return
+	}
+	s.admitting.Add(1)
+	s.mu.Unlock()
+	defer s.admitting.Done()
 	se := &session{
 		srv:    s,
 		conn:   conn,
@@ -665,14 +706,22 @@ func (s *Server) startSession(conn net.Conn) {
 	for _, sh := range s.shards {
 		sh.kch <- kmsg{sess: se, open: true}
 	}
+	s.running.Add(2)
 	go se.readLoop()
 	go se.writeLoop()
 }
 
 func (se *session) readLoop() {
+	defer se.srv.running.Done()
 	br := bufio.NewReaderSize(se.conn, MaxFrame)
+	idle := se.srv.cfg.IdleTimeout
 	for {
-		se.conn.SetReadDeadline(time.Now().Add(se.srv.cfg.IdleTimeout))
+		// The idle deadline is armed per blocking read, not per frame:
+		// a header or body the buffer already holds costs no timer
+		// update, so a pipelined burst arms it once per read syscall.
+		if br.Buffered() < frameHeaderLen {
+			se.conn.SetReadDeadline(time.Now().Add(idle))
+		}
 		id, op, n, err := ReadFrameHeader(br)
 		if err != nil {
 			break
@@ -682,6 +731,9 @@ func (se *session) readLoop() {
 		if n > 0 {
 			r.fb = getFrameBuf(n)
 			r.body = r.fb.b[:n]
+			if br.Buffered() < n {
+				se.conn.SetReadDeadline(time.Now().Add(idle))
+			}
 			if _, err := io.ReadFull(br, r.body); err != nil {
 				releaseRequest(r)
 				break
@@ -914,6 +966,7 @@ func (s *Server) aggregateStats(se *session, r *request) {
 }
 
 func (se *session) writeLoop() {
+	defer se.srv.running.Done()
 	// Keep draining out even after a write error: the shards' sends and
 	// the reader's tokens both depend on this loop consuming (a dead
 	// connection just surrenders each frame's slot pin). Frames batch in
@@ -960,12 +1013,15 @@ func (se *session) writeLoop() {
 	}
 }
 
-// Shutdown drains the server: listeners close, every queued and
-// in-flight request completes or is refused (StatusRefused), and each
-// shard drains once its last session disconnects and its last fill
-// lands; kdone closes when all shards have. If ctx expires first,
-// remaining sessions are disconnected forcibly; Shutdown still waits
-// for the drain (fills are local I/O and always complete).
+// Shutdown drains the server: listeners close, connections that arrive
+// from here on are closed unserved, every queued and in-flight request
+// completes or is refused (StatusRefused), and each shard retires — its
+// loop, fill workers and flusher end — once its last session
+// disconnects and its last fill and write-back land. If ctx expires
+// first, remaining sessions are disconnected forcibly; Shutdown still
+// waits for the drain (fills are local I/O and always complete). When
+// it returns, every goroutine the server started has exited. A second
+// call waits for the first and returns nil.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.down
@@ -980,23 +1036,48 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, ln := range lns {
 		ln.Close()
 	}
+	// Every admitted session has queued its opens; none can follow. A
+	// shard cannot retire before it sees drain, so these sends are plain.
+	s.admitting.Wait()
 	for _, sh := range s.shards {
 		sh.kch <- kmsg{drain: true}
 	}
-	select {
-	case <-s.kdone:
-		return nil
-	case <-ctx.Done():
-		for _, sh := range s.shards {
-			sh.kch <- kmsg{force: true}
+	var err error
+	for _, sh := range s.shards {
+		select {
+		case <-sh.done:
+			continue
+		case <-ctx.Done():
 		}
-		<-s.kdone
-		return ctx.Err()
+		if err == nil {
+			err = ctx.Err()
+			for _, sh := range s.shards {
+				sh.post(kmsg{force: true})
+			}
+		}
+		<-sh.done
+	}
+	s.running.Wait()
+	close(s.kdone)
+	return err
+}
+
+// post is the late sender's send: for a message that holds nothing open
+// in the shard — no session, fill or write-back the retire condition
+// counts — and so may find the loop gone. It reports whether the
+// message was queued; a queued message can still go unread if the shard
+// retires first, so a caller awaiting a reply selects on done as well.
+func (sh *shard) post(m kmsg) bool {
+	select {
+	case sh.kch <- m:
+		return true
+	case <-sh.done:
+		return false
 	}
 }
 
-// Metrics snapshots the server counters; ok is false after shutdown has
-// drained any shard.
+// Metrics snapshots the server counters; ok is false once shutdown has
+// retired any shard.
 func (s *Server) Metrics() (Metrics, bool) {
 	type shardSess struct {
 		se    *session
@@ -1004,9 +1085,14 @@ func (s *Server) Metrics() (Metrics, bool) {
 		stats core.ProcStats
 	}
 	type shardRep struct {
-		ok       bool
 		m        ShardMetrics
 		sessions []shardSess
+	}
+	s.mu.Lock()
+	shards, extraFill := s.shards, s.cfg.ExtraFill
+	s.mu.Unlock()
+	if shards == nil {
+		return Metrics{}, false
 	}
 	m := Metrics{
 		SessionsTotal: s.sessionsTotal.Load(),
@@ -1016,14 +1102,10 @@ func (s *Server) Metrics() (Metrics, bool) {
 	var kernels []stats.Snapshot
 	merged := make(map[*session]*SessionInfo)
 	var order []*session
-	for _, sh := range s.shards {
+	for _, sh := range shards {
 		reply := make(chan shardRep, 1)
-		sh.kch <- kmsg{call: func(sh *shard) {
-			if sh.retired {
-				reply <- shardRep{}
-				return
-			}
-			rp := shardRep{ok: true, m: ShardMetrics{
+		queued := sh.post(kmsg{call: func(sh *shard) {
+			rp := shardRep{m: ShardMetrics{
 				Kernel:             sh.kern.Snapshot(),
 				Requests:           sh.requests,
 				Refused:            sh.refused,
@@ -1038,9 +1120,14 @@ func (s *Server) Metrics() (Metrics, bool) {
 				rp.sessions = append(rp.sessions, shardSess{se: se, owner: se.owners[sh.idx], stats: st})
 			}
 			reply <- rp
-		}}
-		rp := <-reply
-		if !rp.ok {
+		}})
+		if !queued {
+			return Metrics{}, false
+		}
+		var rp shardRep
+		select {
+		case rp = <-reply:
+		case <-sh.done:
 			return Metrics{}, false
 		}
 		m.Shards = append(m.Shards, rp.m)
@@ -1061,8 +1148,8 @@ func (s *Server) Metrics() (Metrics, bool) {
 		}
 	}
 	m.Kernel = stats.Aggregate(kernels)
-	if s.cfg.ExtraFill != nil {
-		m.Kernel.Fill.Accumulate(s.cfg.ExtraFill())
+	if extraFill != nil {
+		m.Kernel.Fill.Accumulate(extraFill())
 	}
 	m.SessionsActive = len(order)
 	for _, se := range order {
@@ -1078,17 +1165,20 @@ func (s *Server) Metrics() (Metrics, bool) {
 // serialization rule that lets the DES-era cache and ACM structures run
 // a concurrent server unchanged, now applied per replacement domain.
 //
-// The loop never returns: once drained (retired) it keeps consuming the
-// channel — refusing requests, killing late opens, settling close
-// counts — without touching the kernel again. That standing consumer is
-// what lets every other goroutine send to kch unconditionally.
+// The loop returns when the shard retires. Until then it receives
+// everything sent: a session's messages (open first, close last) are
+// sent while the session is registered or about to be, a completion
+// while its fill or write-back is counted in flight, and the retire
+// condition is that none of those is left — so request dispatch and
+// completions send to kch unconditionally. Only senders that hold
+// nothing open in the shard can find it gone; they use post.
 func (sh *shard) loop() {
+	defer sh.srv.running.Done()
 	for m := range sh.kch {
 		switch {
 		case m.fill != nil:
 			sh.fillsInflight--
 			sh.kern.CompleteFill(m.fill)
-			sh.maybeRetire()
 		case m.fills != nil:
 			sh.fillsInflight -= len(m.fills)
 			if m.batched {
@@ -1097,7 +1187,6 @@ func (sh *shard) loop() {
 			for _, fl := range m.fills {
 				sh.kern.CompleteFill(fl)
 			}
-			sh.maybeRetire()
 		case m.wbs != nil:
 			sh.wbInflight -= len(m.wbs)
 			if m.batched {
@@ -1107,17 +1196,14 @@ func (sh *shard) loop() {
 				sh.kern.CompleteWriteBack(wb)
 			}
 			sh.drainOverflow()
-			sh.maybeRetire()
 		case m.wb != nil:
 			sh.wbInflight--
 			sh.kern.CompleteWriteBack(m.wb)
 			sh.drainOverflow()
-			sh.maybeRetire()
 		case m.call != nil:
 			m.call(sh)
 		case m.drain:
 			sh.draining = true
-			sh.maybeRetire()
 		case m.force:
 			for se := range sh.sessions {
 				se.kill()
@@ -1126,30 +1212,31 @@ func (sh *shard) loop() {
 			sh.openSession(m.sess)
 		case m.sess != nil && m.close:
 			sh.closeSession(m.sess)
-			sh.maybeRetire()
 		case m.sess != nil && m.req != nil:
 			if !sh.handle(m.sess, m.req) {
 				releaseRequest(m.req)
 			}
 		}
+		if sh.draining && len(sh.sessions) == 0 && sh.fillsInflight == 0 && sh.wbInflight == 0 {
+			sh.retire()
+			return
+		}
 	}
 }
 
-// maybeRetire marks the shard drained when no session can enqueue more
-// work, no fill is in flight, and the write-behind queue is empty — the
-// drain barrier that makes Server.Close's direct store access safe.
-// Retiring closes wbch, ending the flusher goroutine.
-func (sh *shard) maybeRetire() {
-	if sh.draining && !sh.retired && len(sh.sessions) == 0 && sh.fillsInflight == 0 && sh.wbInflight == 0 {
-		sh.retired = true
-		if sh.wbch != nil {
-			close(sh.wbch)
-		}
-		if sh.fq != nil {
-			sh.fq.close()
-		}
-		close(sh.done)
+// retire ends the shard once it is draining, no session can enqueue
+// more work, no fill is in flight and the write-behind queue is empty —
+// the drain barrier that makes the stopped server's direct kernel and
+// store access (FlushDirty, CachedContents, Close) safe. Closing wbch
+// and the fill queue ends the flusher and the fill workers.
+func (sh *shard) retire() {
+	if sh.wbch != nil {
+		close(sh.wbch)
 	}
+	if sh.fq != nil {
+		sh.fq.close()
+	}
+	close(sh.done)
 }
 
 // startWriteBack is the shard's LiveConfig.StartWriteBack hook; it runs
@@ -1201,17 +1288,8 @@ func (sh *shard) drainOverflow() {
 }
 
 func (sh *shard) openSession(se *session) {
-	if sh.retired {
-		// Too late to register (the kernel may be closing); the session
-		// dies, and its close message settles the closeLeft count.
-		se.kill()
-		return
-	}
 	se.owners[sh.idx] = sh.kern.AddOwner(se.name)
 	sh.sessions[se] = true
-	if sh.draining {
-		se.kill()
-	}
 }
 
 // closeSession releases a disconnected session's owner in this shard:
@@ -1219,12 +1297,10 @@ func (sh *shard) openSession(se *session) {
 // cache's revoked owner path, run on every client disconnect, once per
 // shard.
 func (sh *shard) closeSession(se *session) {
-	if sh.sessions[se] {
-		delete(sh.sessions, se)
-		sh.kern.ReleaseOwner(se.owners[sh.idx])
-		if sh.srv.cfg.CheckInvariants {
-			sh.kern.CheckInvariants()
-		}
+	delete(sh.sessions, se)
+	sh.kern.ReleaseOwner(se.owners[sh.idx])
+	if sh.srv.cfg.CheckInvariants {
+		sh.kern.CheckInvariants()
 	}
 	se.shardClosed()
 }
@@ -1243,9 +1319,9 @@ func statusOf(err error) uint8 {
 		return StatusNoControl
 	case errors.Is(err, cache.ErrUnknownAlloc):
 		return StatusUnknownPolicy
-	case err != nil && strings.Contains(err.Error(), "exists"):
+	case errors.Is(err, fs.ErrExists):
 		return StatusExists
-	case err != nil && (strings.Contains(err.Error(), "limit") || strings.Contains(err.Error(), "space")):
+	case errors.Is(err, acm.ErrLimit), errors.Is(err, fs.ErrNoSpace):
 		return StatusLimit
 	}
 	return StatusIO
@@ -1373,6 +1449,9 @@ var readCtxPool = sync.Pool{New: func() any { return new(readCtx) }}
 func (rc *readCtx) ReadDone(data []byte, hit bool, err error) {
 	sh, se, id := rc.sh, rc.se, rc.id
 	off, size, flags, bid := rc.off, rc.size, rc.flags, rc.bid
+	// The pool outlives every server: a parked readCtx must not pin the
+	// shard (its kernel, its arena) or the session it last served.
+	rc.sh, rc.se = nil, nil
 	readCtxPool.Put(rc)
 	if err != nil {
 		se.sendErr(id, err)
