@@ -12,10 +12,8 @@
 //	      [-cache-mb 6.4] [-alloc lru-sp] [-adapt-alloc global-lru,arc]
 //	      [-store mem|/path/to/file]
 //	      [-shards 1] [-idle 2m] [-inflight 32] [-evict-on-close]
-//	      [-check-invariants] [-writeback-depth 0] [-readahead 0]
-//	      [-fill-workers 4] [-store-latency 0] [-store-jitter 0]
+//	      [-writeback-depth 0] [-readahead 0] [-grace 10s]
 //	      [-cluster tcp:h1:p1,tcp:h2:p2,...] [-origin mem|dir:/path]
-//	      [-ring-replicas 128]
 //
 // -alloc names any policy in the kernel's registry (cache.AllocNames:
 // global-lru, lru-sp, lru-s, alloc-lru, arc, awrp); clients can re-point
@@ -59,40 +57,56 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
-	listenFlag := flag.String("listen", "unix:/tmp/acfcd.sock", "listen address: unix:/path or tcp:host:port")
-	metricsFlag := flag.String("metrics", "", "HTTP /metrics listen address (empty: disabled)")
-	pprofFlag := flag.String("pprof", "", "HTTP net/http/pprof listen address (empty: disabled)")
-	cacheFlag := flag.Float64("cache-mb", 6.4, "cache size in MB")
-	allocFlag := flag.String("alloc", "lru-sp", fmt.Sprintf("allocation policy: %v", cache.AllocNames()))
-	adaptFlag := flag.String("adapt-alloc", "", "comma-separated candidate policies for the per-shard online adapter (empty: off)")
-	adaptEveryFlag := flag.Int64("adapt-every", 0, "adapter epoch length in completed hit windows (0: default 4)")
-	adaptHystFlag := flag.Int64("adapt-hysteresis-bp", 0, "adapter switch threshold in basis points of hit ratio (0: default 200)")
-	storeFlag := flag.String("store", "mem", "block store: mem, or a backing file path")
-	idleFlag := flag.Duration("idle", 2*time.Minute, "session idle timeout")
-	inflightFlag := flag.Int("inflight", 32, "max pipelined requests per session")
-	evictFlag := flag.Bool("evict-on-close", false, "evict (write back) a closing session's blocks instead of disowning them")
-	invFlag := flag.Bool("check-invariants", false, "run kernel invariant checks after every session close")
-	shardsFlag := flag.Int("shards", 1, "independent kernel shards (files hash to shards at open)")
-	graceFlag := flag.Duration("grace", 10*time.Second, "shutdown drain grace before forcing disconnects")
-	wbDepthFlag := flag.Int("writeback-depth", 0, "async write-behind queue depth per shard (0: synchronous write-backs)")
-	raFlag := flag.Int("readahead", 0, "server-side sequential read-ahead depth (0: disabled)")
-	fillWorkersFlag := flag.Int("fill-workers", 0, "fill worker pool size per shard (0: default 4; negative: goroutine per fill)")
-	storeLatFlag := flag.Duration("store-latency", 0, "per-op latency injected into the mem store (benchmarking)")
-	storeJitFlag := flag.Duration("store-jitter", 0, "max extra random latency per mem-store op")
-	clusterFlag := flag.String("cluster", "", "comma-separated member list (incl. this node's -listen spec); empty: single-node mode")
-	originFlag := flag.String("origin", "mem", "cluster origin: mem (per-process; testing only) or dir:/shared/path")
-	replicasFlag := flag.Int("ring-replicas", 0, "virtual nodes per member on the hash ring (0: default 128)")
-	flag.Parse()
+// options holds the parsed flag values.
+type options struct {
+	listen, metrics, pprof string
+	cacheMB                float64
+	alloc, adaptAlloc      string
+	store                  string
+	idle, grace            time.Duration
+	inflight, shards       int
+	evictOnClose           bool
+	writebackDepth         int
+	readahead              int
+	cluster, origin        string
+}
 
-	alloc, err := cache.ParseAlloc(*allocFlag)
+// newFlags registers every acfcd flag; the flag/documentation test walks
+// the returned set.
+func newFlags() (*flag.FlagSet, *options) {
+	o := new(options)
+	fl := flag.NewFlagSet("acfcd", flag.ExitOnError)
+	fl.StringVar(&o.listen, "listen", "unix:/tmp/acfcd.sock", "listen address: unix:/path or tcp:host:port")
+	fl.StringVar(&o.metrics, "metrics", "", "HTTP /metrics listen address (empty: disabled)")
+	fl.StringVar(&o.pprof, "pprof", "", "HTTP net/http/pprof listen address (empty: disabled)")
+	fl.Float64Var(&o.cacheMB, "cache-mb", 6.4, "cache size in MB")
+	fl.StringVar(&o.alloc, "alloc", "lru-sp", fmt.Sprintf("allocation policy: %v", cache.AllocNames()))
+	fl.StringVar(&o.adaptAlloc, "adapt-alloc", "", "comma-separated candidate policies for the per-shard online adapter (empty: off)")
+	fl.StringVar(&o.store, "store", "mem", "block store: mem, or a backing file path")
+	fl.DurationVar(&o.idle, "idle", 2*time.Minute, "session idle timeout")
+	fl.IntVar(&o.inflight, "inflight", 32, "max pipelined requests per session")
+	fl.BoolVar(&o.evictOnClose, "evict-on-close", false, "evict (write back) a closing session's blocks instead of disowning them")
+	fl.IntVar(&o.shards, "shards", 1, "independent kernel shards (files hash to shards at open)")
+	fl.DurationVar(&o.grace, "grace", 10*time.Second, "shutdown drain grace before forcing disconnects")
+	fl.IntVar(&o.writebackDepth, "writeback-depth", 0, "async write-behind queue depth per shard (0: synchronous write-backs)")
+	fl.IntVar(&o.readahead, "readahead", 0, "server-side sequential read-ahead depth (0: disabled)")
+	fl.StringVar(&o.cluster, "cluster", "", "comma-separated member list (incl. this node's -listen spec); empty: single-node mode")
+	fl.StringVar(&o.origin, "origin", "mem", "cluster origin: mem (per-process; testing only) or dir:/shared/path")
+	return fl, o
+}
+
+func run() int {
+	fl, o := newFlags()
+	fl.Parse(os.Args[1:])
+
+	alloc, err := cache.ParseAlloc(o.alloc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acfcd: %v\n", err)
 		return 2
 	}
 	var adaptAlloc []string
-	if *adaptFlag != "" {
-		adaptAlloc = strings.Split(*adaptFlag, ",")
+	if o.adaptAlloc != "" {
+		adaptAlloc = strings.Split(o.adaptAlloc, ",")
 		for _, name := range adaptAlloc {
 			if _, err := cache.ParseAlloc(name); err != nil {
 				fmt.Fprintf(os.Stderr, "acfcd: -adapt-alloc: %v\n", err)
@@ -101,75 +115,62 @@ func run() int {
 		}
 	}
 	var store disk.Store
-	if *storeFlag != "mem" {
-		if *storeLatFlag > 0 || *storeJitFlag > 0 {
-			fmt.Fprintln(os.Stderr, "acfcd: -store-latency/-store-jitter only apply to -store mem")
-			return 2
-		}
-		fst, err := disk.NewFileStore(*storeFlag)
+	if o.store != "mem" {
+		fst, err := disk.NewFileStore(o.store)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "acfcd: store: %v\n", err)
 			return 1
 		}
 		store = fst
-	} else if *storeLatFlag > 0 || *storeJitFlag > 0 {
-		ms := disk.NewMemStore()
-		ms.SetLatency(*storeLatFlag, *storeJitFlag)
-		store = ms
 	}
 
 	scfg := server.Config{
 		Kernel: core.LiveConfig{
-			CacheBytes:     core.MB(*cacheFlag),
+			CacheBytes:     core.MB(o.cacheMB),
 			Alloc:          alloc,
 			Store:          store,
-			EvictOnRelease: *evictFlag,
-			ReadAhead:      *raFlag > 0,
-			ReadAheadDepth: *raFlag,
+			EvictOnRelease: o.evictOnClose,
+			ReadAhead:      o.readahead > 0,
+			ReadAheadDepth: o.readahead,
 			WallClock:      true,
 		},
-		Shards:            *shardsFlag,
-		WritebackDepth:    *wbDepthFlag,
-		FillWorkers:       *fillWorkersFlag,
-		MaxInflight:       *inflightFlag,
-		IdleTimeout:       *idleFlag,
-		CheckInvariants:   *invFlag,
-		AdaptAlloc:        adaptAlloc,
-		AdaptEvery:        *adaptEveryFlag,
-		AdaptHysteresisBP: *adaptHystFlag,
+		Shards:         o.shards,
+		WritebackDepth: o.writebackDepth,
+		MaxInflight:    o.inflight,
+		IdleTimeout:    o.idle,
+		AdaptAlloc:     adaptAlloc,
 	}
 
 	// Cluster mode swaps the base store for the cluster tier's NodeStore;
 	// the single-node path below is byte-for-byte the non-cluster daemon.
 	var node *cluster.Node
 	srv := (*server.Server)(nil)
-	if *clusterFlag != "" {
+	if o.cluster != "" {
 		if store != nil {
-			fmt.Fprintln(os.Stderr, "acfcd: -store/-store-latency do not combine with -cluster (the shared -origin is the backing tier)")
+			fmt.Fprintln(os.Stderr, "acfcd: -store does not combine with -cluster (the shared -origin is the backing tier)")
 			return 2
 		}
 		var origin cluster.Origin
 		switch {
-		case *originFlag == "mem":
+		case o.origin == "mem":
 			origin = cluster.NewMemOrigin()
-		case strings.HasPrefix(*originFlag, "dir:"):
+		case strings.HasPrefix(o.origin, "dir:"):
 			var err error
-			origin, err = cluster.NewDirOrigin(strings.TrimPrefix(*originFlag, "dir:"))
+			origin, err = cluster.NewDirOrigin(strings.TrimPrefix(o.origin, "dir:"))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "acfcd: %v\n", err)
 				return 1
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "acfcd: bad -origin %q (want mem or dir:/path)\n", *originFlag)
+			fmt.Fprintf(os.Stderr, "acfcd: bad -origin %q (want mem or dir:/path)\n", o.origin)
 			return 2
 		}
-		members := strings.Split(*clusterFlag, ",")
+		members := strings.Split(o.cluster, ",")
 		n, err := cluster.NewNode(cluster.NodeConfig{
-			Self:     *listenFlag,
-			Members:  members,
-			Origin:   origin,
-			Replicas: *replicasFlag,
-			Server:   scfg,
+			Self:    o.listen,
+			Members: members,
+			Origin:  origin,
+			Server:  scfg,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "acfcd: %v\n", err)
@@ -181,21 +182,20 @@ func run() int {
 		srv = server.New(scfg)
 	}
 
-	ln, err := listen(*listenFlag)
+	ln, err := listen(o.listen)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acfcd: %v\n", err)
 		return 1
 	}
+	backing := "store " + o.store
 	if node != nil {
-		fmt.Fprintf(os.Stderr, "acfcd: serving on %s (%s, %.1f MB cache, %d shard(s), cluster of %d, origin %s)\n",
-			ln.Addr(), *allocFlag, *cacheFlag, srv.Shards(), node.Ring().Len(), *originFlag)
-	} else {
-		fmt.Fprintf(os.Stderr, "acfcd: serving on %s (%s, %.1f MB cache, %d shard(s), store %s)\n",
-			ln.Addr(), *allocFlag, *cacheFlag, srv.Shards(), *storeFlag)
+		backing = fmt.Sprintf("cluster of %d, origin %s", node.Ring().Len(), o.origin)
 	}
+	fmt.Fprintf(os.Stderr, "acfcd: serving on %s (%s, %.1f MB cache, %d shard(s), write-behind depth %d, read-ahead depth %d, %s)\n",
+		ln.Addr(), o.alloc, o.cacheMB, srv.Shards(), o.writebackDepth, o.readahead, backing)
 
-	if *metricsFlag != "" {
-		mln, err := net.Listen("tcp", *metricsFlag)
+	if o.metrics != "" {
+		mln, err := net.Listen("tcp", o.metrics)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "acfcd: metrics: %v\n", err)
 			return 1
@@ -206,8 +206,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "acfcd: metrics on http://%s/metrics\n", mln.Addr())
 	}
 
-	if *pprofFlag != "" {
-		pln, err := net.Listen("tcp", *pprofFlag)
+	if o.pprof != "" {
+		pln, err := net.Listen("tcp", o.pprof)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "acfcd: pprof: %v\n", err)
 			return 1
@@ -226,14 +226,14 @@ func run() int {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "acfcd: %v: draining (%v grace)\n", sig, *graceFlag)
+		fmt.Fprintf(os.Stderr, "acfcd: %v: draining (%v grace)\n", sig, o.grace)
 	case err := <-errc:
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "acfcd: serve: %v\n", err)
 			return 1
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *graceFlag)
+	ctx, cancel := context.WithTimeout(context.Background(), o.grace)
 	defer cancel()
 	if node != nil {
 		// Planned leave: drain, flush dirty to the origin, stream hot
@@ -245,12 +245,17 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "acfcd: left the cluster, bye")
 		return 0
 	}
-	srv.Shutdown(ctx)
+	farewell := "drained, bye"
+	if err := srv.Shutdown(ctx); err != nil {
+		// Shutdown's only error is ctx's: it stopped waiting and killed
+		// whoever was still connected.
+		farewell = "grace expired: remaining sessions disconnected"
+	}
 	if err := srv.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "acfcd: close: %v\n", err)
 		return 1
 	}
-	fmt.Fprintln(os.Stderr, "acfcd: drained, bye")
+	fmt.Fprintln(os.Stderr, "acfcd:", farewell)
 	return 0
 }
 

@@ -18,38 +18,30 @@
 //
 // Usage:
 //
-//	acload -addr unix:/tmp/acfcd.sock -app cs1 -mode smart -clients 4
-//	acload -selfserve -app cs1 -clients 16          # in-process server
-//	acload -selfserve -json > BENCH_server.json     # shards x clients sweep
+//	acload [-addr unix:/tmp/acfcd.sock] [-app cs1] [-mode smart]
+//	       [-clients 4] [-cache-mb 6.4] [-alloc lru-sp] [-nodata]
 //
-// With -selfserve, -shards gives the kernel shard counts to measure; in
-// -json mode it is a comma-separated sweep (default 1,4) and each shard
-// count gets a fresh in-process server swept over 1/4/16 clients.
+// acload measures one replay against whatever server is at -addr; the
+// repository's performance numbers come from `go run ./benchmark`, which
+// pins the server profile and records the environment.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/expt"
 	"repro/internal/fs"
-	"repro/internal/server"
 	"repro/internal/server/client"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -57,763 +49,95 @@ func main() {
 	os.Exit(run())
 }
 
-// sweepResult is one (clients, replay) measurement, also the -json row.
+// sweepResult is one replay's measurement.
 type sweepResult struct {
-	Clients    int     `json:"clients"`
-	Requests   int64   `json:"requests"`
-	Refused    int64   `json:"refused"`
-	Errors     int64   `json:"errors"`
-	Seconds    float64 `json:"seconds"`
-	Throughput float64 `json:"requests_per_sec"`
+	Clients    int
+	Requests   int64
+	Refused    int64
+	Errors     int64
+	Accesses   int64 // block reads and writes answered: hits + misses
+	Seconds    float64
+	Throughput float64 // requests per second
 	// BytesPerSec is payload bandwidth: block bytes actually moved over
 	// the wire (read responses unless -nodata, write request payloads),
 	// headers excluded.
-	BytesPerSec float64 `json:"bytes_per_sec"`
-	// AllocsPerOp is process-wide heap allocations per request over the
-	// sweep (runtime Mallocs delta / requests). With -selfserve it
-	// covers both sides of the wire, which is the number the zero-copy
-	// serve path is meant to hold down; against an external server it
-	// measures only this client process.
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	HitRatio    float64 `json:"hit_ratio"`
-	P50us       float64 `json:"p50_us"`
-	P90us       float64 `json:"p90_us"`
-	P99us       float64 `json:"p99_us"`
+	BytesPerSec float64
+	// AllocsPerOp is this client process's heap allocations per request
+	// over the replay (runtime Mallocs delta / requests).
+	AllocsPerOp float64
+	HitRatio    float64
+	P50us       float64
+	P90us       float64
+	P99us       float64
 }
 
-// shardSweep is the client sweep at one kernel shard count, with that
-// server's end-of-sweep kernel counters (aggregated, plus the per-shard
-// breakdown when shards > 1).
-type shardSweep struct {
-	Shards   int              `json:"shards"`
-	Sweeps   []sweepResult    `json:"sweeps"`
-	Kernel   stats.Snapshot   `json:"kernel"`
-	PerShard []stats.Snapshot `json:"per_shard,omitempty"`
+// options holds the parsed flag values.
+type options struct {
+	addr, app, mode, alloc string
+	clients                int
+	cacheMB                float64
+	nodata                 bool
 }
 
-// jsonReport is the -json output document (BENCH_server.json).
-type jsonReport struct {
-	App         string       `json:"app"`
-	Mode        string       `json:"mode"`
-	Alloc       string       `json:"alloc"`
-	CacheMB     float64      `json:"cache_mb"`
-	Events      int          `json:"events_per_client"`
-	ShardSweeps []shardSweep `json:"shard_sweeps"`
-	HotBlock    *hotReport   `json:"hot_block,omitempty"`
-	ColdFill    *coldReport  `json:"cold_fill,omitempty"`
-	// ClusterSweeps is the -cluster section: the multi-node tier at
-	// 1/2/4 nodes, cold and hot scans through the routing client.
-	ClusterSweeps []clusterSweep `json:"cluster_sweeps,omitempty"`
-}
-
-// hotReport is the -hot section: the shared-hot-file contention scenario
-// run under the synchronous (PR 5 baseline) kernel configuration and
-// again with the fill pipeline (write-behind + read-ahead) on, against
-// the same latency-injected store. The FillStats in each run's kernel
-// snapshot are the evidence the pipeline works: coalesced_misses > 0 and
-// store_reads < cache misses.
-type hotReport struct {
-	Clients        int      `json:"clients"`
-	FileBlocks     int      `json:"file_blocks"`
-	Rounds         int      `json:"rounds"`
-	WritePct       int      `json:"write_pct"`
-	StoreLatencyUs float64  `json:"store_latency_us"`
-	StoreJitterUs  float64  `json:"store_jitter_us"`
-	Runs           []hotRun `json:"runs"`
-}
-
-// hotRun is one kernel configuration's measurement in the hot scenario.
-type hotRun struct {
-	Config         string         `json:"config"`
-	WritebackDepth int            `json:"writeback_depth"`
-	ReadAheadDepth int            `json:"readahead_depth"`
-	Result         sweepResult    `json:"result"`
-	Kernel         stats.Snapshot `json:"kernel"`
-}
-
-// coldReport is the -cold section: the cold-fill scenario. Every run gets
-// a brand-new store, pre-populated out of band so the cache starts empty
-// and every block of the scan is a demand or read-ahead fill — the pure
-// fill-path workload batching is meant to speed up. Each backend is
-// measured unbatched (goroutine-per-fill, FillWorkers < 0) and batched
-// (the worker pool + run coalescing); the req/s ratio and the batched
-// run's batched_fills counter are the evidence.
-type coldReport struct {
-	Clients    int `json:"clients"`
-	Files      int `json:"files"`
-	FileBlocks int `json:"file_blocks"`
-	// StoreLatencyUs is the per-batch latency injected into the mem-store
-	// runs (the file-store runs pay real I/O instead).
-	StoreLatencyUs float64   `json:"store_latency_us"`
-	ReadAheadDepth int       `json:"readahead_depth"`
-	Runs           []coldRun `json:"runs"`
-}
-
-// coldRun is one (store backend, fill configuration) cold measurement.
-type coldRun struct {
-	Store       string         `json:"store"` // "mem+lat" or "file"
-	Config      string         `json:"config"`
-	FillWorkers int            `json:"fill_workers"`
-	Result      sweepResult    `json:"result"`
-	Kernel      stats.Snapshot `json:"kernel"`
-	// ScalarReads/VectorReads are the FileStore's read call counters over
-	// the sweep (file backend only): the syscall-count view of batching.
-	ScalarReads int64 `json:"scalar_reads,omitempty"`
-	VectorReads int64 `json:"vector_reads,omitempty"`
+// newFlags registers every acload flag; the flag/documentation test
+// walks the returned set.
+func newFlags() (*flag.FlagSet, *options) {
+	o := new(options)
+	fl := flag.NewFlagSet("acload", flag.ExitOnError)
+	fl.StringVar(&o.addr, "addr", "unix:/tmp/acfcd.sock", "server address: unix:/path or tcp:host:port")
+	fl.StringVar(&o.app, "app", "cs1", "workload to replay (an expt.Registry name)")
+	fl.StringVar(&o.mode, "mode", "smart", "oblivious, smart or foolish")
+	fl.IntVar(&o.clients, "clients", 4, "concurrent client sessions")
+	fl.Float64Var(&o.cacheMB, "cache-mb", 6.4, "cache size of the simulation that records the transcript")
+	fl.StringVar(&o.alloc, "alloc", "lru-sp", "allocation policy of the simulation that records the transcript")
+	fl.BoolVar(&o.nodata, "nodata", false, "suppress block bytes in read responses")
+	return fl, o
 }
 
 func run() int {
-	addrFlag := flag.String("addr", "unix:/tmp/acfcd.sock", "server address: unix:/path or tcp:host:port")
-	appFlag := flag.String("app", "cs1", "workload to replay (an expt.Registry name)")
-	modeFlag := flag.String("mode", "smart", "oblivious, smart or foolish")
-	clientsFlag := flag.Int("clients", 4, "concurrent client sessions")
-	cacheFlag := flag.Float64("cache-mb", 6.4, "cache size (capture spec; and the self-served server)")
-	allocFlag := flag.String("alloc", "lru-sp", "allocation policy (capture spec; and the self-served server)")
-	shardsFlag := flag.String("shards", "", "kernel shard counts for -selfserve (comma-separated; default 1, or 1,4 with -json)")
-	nodataFlag := flag.Bool("nodata", false, "suppress block bytes in read responses")
-	selfFlag := flag.Bool("selfserve", false, "start an in-process server instead of dialing -addr")
-	jsonFlag := flag.Bool("json", false, "sweep 1/4/16 clients per shard count and emit JSON (implies quiet tables)")
-	hotFlag := flag.Bool("hot", false, "also run the shared-hot-file contention scenario (requires -selfserve): synchronous vs pipelined kernel over a slow store")
-	coldFlag := flag.Bool("cold", false, "also run the cold-fill scenario (requires -selfserve): batched vs unbatched fill path against a fresh store per run")
-	clusterFlag := flag.Bool("cluster", false, "also run the multi-node cluster sweep (requires -selfserve): 1/2/4 in-process nodes over a shared origin, cold + hot scans through the routing client")
-	flag.Parse()
+	fl, o := newFlags()
+	fl.Parse(os.Args[1:])
 
-	mk, ok := expt.Registry[*appFlag]
+	mk, ok := expt.Registry[o.app]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "acload: unknown app %q\n", *appFlag)
+		fmt.Fprintf(os.Stderr, "acload: unknown app %q\n", o.app)
 		return 2
 	}
-	mode, err := workload.ParseMode(*modeFlag)
+	mode, err := workload.ParseMode(o.mode)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acload: %v\n", err)
 		return 2
 	}
-	alloc, err := cache.ParseAlloc(*allocFlag)
+	alloc, err := cache.ParseAlloc(o.alloc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acload: %v\n", err)
 		return 2
 	}
-	if *shardsFlag != "" && !*selfFlag {
-		fmt.Fprintln(os.Stderr, "acload: -shards requires -selfserve (an external server owns its shard count)")
+	network, addr, ok := strings.Cut(o.addr, ":")
+	if !ok || (network != "unix" && network != "tcp") {
+		fmt.Fprintf(os.Stderr, "acload: bad -addr %q\n", o.addr)
 		return 2
-	}
-	if *hotFlag && !*selfFlag {
-		fmt.Fprintln(os.Stderr, "acload: -hot requires -selfserve (the scenario controls the kernel configuration)")
-		return 2
-	}
-	if *coldFlag && !*selfFlag {
-		fmt.Fprintln(os.Stderr, "acload: -cold requires -selfserve (every run needs a fresh store)")
-		return 2
-	}
-	if *clusterFlag && !*selfFlag {
-		fmt.Fprintln(os.Stderr, "acload: -cluster requires -selfserve (the sweep owns the node processes)")
-		return 2
-	}
-	shardCounts := []int{1}
-	if *jsonFlag && *selfFlag {
-		shardCounts = []int{1, 4}
-	}
-	if *shardsFlag != "" {
-		shardCounts, err = parseShards(*shardsFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acload: %v\n", err)
-			return 2
-		}
 	}
 
-	fmt.Fprintf(os.Stderr, "acload: recording %s (%s) in simulation...\n", *appFlag, mode)
+	fmt.Fprintf(os.Stderr, "acload: recording %s (%s) in simulation...\n", o.app, mode)
 	rec := expt.Record(expt.RunSpec{
-		Apps:    []expt.AppSpec{{Name: *appFlag, Make: mk, Mode: mode}},
-		CacheMB: *cacheFlag,
+		Apps:    []expt.AppSpec{{Name: o.app, Make: mk, Mode: mode}},
+		CacheMB: o.cacheMB,
 		Alloc:   alloc,
 		// Read-ahead I/O is untraced, so the transcript must not depend on it.
 		Opts: expt.Options{ReadAheadOff: true},
 	})
 	fmt.Fprintf(os.Stderr, "acload: %d events per client\n", len(rec.Events))
 
-	clientSweeps := []int{*clientsFlag}
-	if *jsonFlag {
-		clientSweeps = []int{1, 4, 16}
+	res, err := runSweep(network, addr, "", o.clients, rec.Events, o.nodata)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "acload: %v\n", err)
+		return 1
 	}
-	report := jsonReport{App: *appFlag, Mode: mode.String(), Alloc: alloc.String(), CacheMB: *cacheFlag, Events: len(rec.Events)}
-
-	for hi, nsh := range shardCounts {
-		network, addr := "", ""
-		var srv *server.Server
-		if *selfFlag {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "acload: %v\n", err)
-				return 1
-			}
-			srv = server.New(server.Config{
-				Kernel: core.LiveConfig{
-					CacheBytes: core.MB(*cacheFlag),
-					Alloc:      rec.Spec.Alloc,
-					WallClock:  true,
-				},
-				Shards: nsh,
-			})
-			go srv.Serve(ln)
-			network, addr = "tcp", ln.Addr().String()
-			fmt.Fprintf(os.Stderr, "acload: self-serving on %s (%d shard(s))\n", addr, nsh)
-		} else {
-			var ok bool
-			network, addr, ok = strings.Cut(*addrFlag, ":")
-			if !ok || (network != "unix" && network != "tcp") {
-				fmt.Fprintf(os.Stderr, "acload: bad -addr %q\n", *addrFlag)
-				return 2
-			}
-		}
-
-		label := fmt.Sprintf("%d shard(s)", nsh)
-		if srv == nil {
-			label = "server" // an external daemon owns its shard count
-		}
-		ss := shardSweep{Shards: nsh}
-		for si, n := range clientSweeps {
-			res, err := runSweep(network, addr, fmt.Sprintf("h%ds%d", hi, si), n, rec.Events, *nodataFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "acload: %v\n", err)
-				return 1
-			}
-			ss.Sweeps = append(ss.Sweeps, res)
-			fmt.Fprintf(os.Stderr,
-				"acload: %s %2d clients: %7d reqs in %6.2fs = %8.0f req/s, %6.1f MB/s, %5.1f allocs/op, hit %5.1f%%, p50 %5.0fµs p90 %5.0fµs p99 %6.0fµs, refused %d, errors %d\n",
-				label, n, res.Requests, res.Seconds, res.Throughput, res.BytesPerSec/1e6, res.AllocsPerOp, 100*res.HitRatio, res.P50us, res.P90us, res.P99us, res.Refused, res.Errors)
-		}
-
-		if srv != nil {
-			if m, ok := srv.Metrics(); ok {
-				ss.Kernel = m.Kernel
-				if len(m.Shards) > 1 {
-					for _, sm := range m.Shards {
-						ss.PerShard = append(ss.PerShard, sm.Kernel)
-					}
-				}
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			srv.Shutdown(ctx)
-			cancel()
-			srv.Close()
-		} else if c, err := client.Dial(network, addr); err == nil {
-			if sr, err := c.Stats(); err == nil {
-				ss.Kernel = sr.Kernel
-				ss.PerShard = sr.PerShard
-				if len(sr.PerShard) > 0 {
-					ss.Shards = len(sr.PerShard)
-				}
-			}
-			c.Close()
-		}
-		report.ShardSweeps = append(report.ShardSweeps, ss)
-	}
-
-	if *hotFlag {
-		hr, err := runHot(hotParams{
-			clients:  16,
-			blocks:   2048,
-			rounds:   2,
-			writePct: 10,
-			latency:  300 * time.Microsecond,
-			jitter:   100 * time.Microsecond,
-			cacheMB:  *cacheFlag,
-			alloc:    alloc,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acload: hot: %v\n", err)
-			return 1
-		}
-		report.HotBlock = hr
-	}
-
-	if *coldFlag {
-		cr, err := runCold(coldParams{
-			clients: 16,
-			files:   16,
-			blocks:  256,
-			raDepth: 8,
-			latency: 300 * time.Microsecond,
-			cacheMB: *cacheFlag,
-			alloc:   alloc,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acload: cold: %v\n", err)
-			return 1
-		}
-		report.ColdFill = cr
-	}
-
-	if *clusterFlag {
-		sweeps, err := runClusterBench(clusterParams{
-			clients: 16,
-			files:   12,
-			blocks:  64,
-			nodes:   []int{1, 2, 4},
-			cacheMB: *cacheFlag,
-			alloc:   alloc,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acload: cluster: %v\n", err)
-			return 1
-		}
-		report.ClusterSweeps = sweeps
-	}
-
-	if *jsonFlag {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintf(os.Stderr, "acload: %v\n", err)
-			return 1
-		}
-	}
+	fmt.Fprintf(os.Stderr,
+		"acload: server %2d clients: %7d reqs in %6.2fs = %8.0f req/s, %6.1f MB/s, %5.1f allocs/op, hit %5.1f%%, p50 %5.0fµs p90 %5.0fµs p99 %6.0fµs, refused %d, errors %d\n",
+		res.Clients, res.Requests, res.Seconds, res.Throughput, res.BytesPerSec/1e6, res.AllocsPerOp, 100*res.HitRatio, res.P50us, res.P90us, res.P99us, res.Refused, res.Errors)
 	return 0
-}
-
-// hotParams parameterizes the shared-hot-file contention scenario.
-type hotParams struct {
-	clients  int
-	blocks   int // shared file size; larger than the cache, so scans evict
-	rounds   int
-	writePct int // partial writes mixed into the scan (dirty victims)
-	latency  time.Duration
-	jitter   time.Duration
-	cacheMB  float64
-	alloc    cache.Alloc
-}
-
-// runHot measures the hot-block contention scenario: every client scans
-// the same file (all of which lives in one shard, by file-affinity
-// routing), so concurrent demand misses pile onto the same blocks and
-// the mixed-in writes evict dirty victims under load. The store sleeps
-// per operation, so the configurations differ where it matters: the
-// synchronous baseline pays every write-back inside the kernel loop and
-// every miss at full store latency; the pipelined kernel queues
-// write-backs to the flusher and hides read latency behind read-ahead.
-func runHot(p hotParams) (*hotReport, error) {
-	hr := &hotReport{
-		Clients:        p.clients,
-		FileBlocks:     p.blocks,
-		Rounds:         p.rounds,
-		WritePct:       p.writePct,
-		StoreLatencyUs: float64(p.latency) / float64(time.Microsecond),
-		StoreJitterUs:  float64(p.jitter) / float64(time.Microsecond),
-	}
-	configs := []struct {
-		name    string
-		wbDepth int
-		raDepth int
-	}{
-		{"synchronous", 0, 0}, // the PR 5 kernel: inline write-backs, no read-ahead
-		{"pipelined", 64, 4},
-	}
-	for _, cfg := range configs {
-		ms := disk.NewMemStore()
-		ms.SetLatency(p.latency, p.jitter)
-		srv := server.New(server.Config{
-			Kernel: core.LiveConfig{
-				CacheBytes:     core.MB(p.cacheMB),
-				Alloc:          p.alloc,
-				Store:          ms,
-				ReadAhead:      cfg.raDepth > 0,
-				ReadAheadDepth: cfg.raDepth,
-				WallClock:      true,
-			},
-			Shards:         1,
-			WritebackDepth: cfg.wbDepth,
-		})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		go srv.Serve(ln)
-		res, err := hotSweep(ln.Addr().String(), p)
-		run := hotRun{Config: cfg.name, WritebackDepth: cfg.wbDepth, ReadAheadDepth: cfg.raDepth, Result: res}
-		if m, ok := srv.Metrics(); ok {
-			run.Kernel = m.Kernel
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		srv.Shutdown(ctx)
-		cancel()
-		srv.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cfg.name, err)
-		}
-		fmt.Fprintf(os.Stderr,
-			"acload: hot %-11s %2d clients: %7d reqs in %6.2fs = %8.0f req/s, %6.1f MB/s, %5.1f allocs/op, hit %5.1f%%, p50 %5.0fµs p90 %5.0fµs p99 %6.0fµs (coalesced %d, store reads %d, wb queued %d, prefetch hits %d)\n",
-			cfg.name, p.clients, res.Requests, res.Seconds, res.Throughput, res.BytesPerSec/1e6, res.AllocsPerOp, 100*res.HitRatio,
-			res.P50us, res.P90us, res.P99us,
-			run.Kernel.Fill.CoalescedMisses, run.Kernel.Fill.StoreReads,
-			run.Kernel.Fill.WritebacksQueued, run.Kernel.Fill.PrefetchHits)
-		hr.Runs = append(hr.Runs, run)
-	}
-	return hr, nil
-}
-
-// hotSweep drives p.clients concurrent sessions through the shared scan
-// and aggregates the wire measurements, sweepResult-shaped.
-func hotSweep(addr string, p hotParams) (sweepResult, error) {
-	setup, err := client.Dial("tcp", addr)
-	if err != nil {
-		return sweepResult{}, err
-	}
-	f, err := setup.Create("hot/shared", 0, p.blocks)
-	if err != nil {
-		setup.Close()
-		return sweepResult{}, err
-	}
-	setup.Close()
-	_ = f
-
-	type out struct {
-		st  replayStats
-		err error
-	}
-	outs := make([]out, p.clients)
-	var wg sync.WaitGroup
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	for i := 0; i < p.clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i].st, outs[i].err = hotClient(addr, i, p)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-
-	res := sweepResult{Clients: p.clients, Seconds: elapsed.Seconds()}
-	var hits, accesses, bytes int64
-	var all []time.Duration
-	for i := range outs {
-		if outs[i].err != nil {
-			return res, fmt.Errorf("client %d: %w", i, outs[i].err)
-		}
-		st := &outs[i].st
-		res.Requests += st.requests
-		hits += st.hits
-		accesses += st.hits + st.misses
-		bytes += st.bytes
-		all = append(all, st.latencies...)
-	}
-	if res.Seconds > 0 {
-		res.Throughput = float64(res.Requests) / res.Seconds
-		res.BytesPerSec = float64(bytes) / res.Seconds
-	}
-	if res.Requests > 0 {
-		res.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(res.Requests)
-	}
-	if accesses > 0 {
-		res.HitRatio = float64(hits) / float64(accesses)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	res.P50us = percentileUs(all, 0.50)
-	res.P90us = percentileUs(all, 0.90)
-	res.P99us = percentileUs(all, 0.99)
-	return res, nil
-}
-
-// hotClient is one session's share of the hot scan: sequential rounds
-// over the shared file with partial writes mixed in by a deterministic
-// per-client stream, so every run issues the same request mix.
-func hotClient(addr string, idx int, p hotParams) (replayStats, error) {
-	var st replayStats
-	c, err := client.Dial("tcp", addr)
-	if err != nil {
-		return st, err
-	}
-	defer c.Close()
-	f, err := c.Open("hot/shared")
-	if err != nil {
-		return st, err
-	}
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte(idx + i)
-	}
-	readBuf := make([]byte, core.BlockSize)
-	rng := uint64(idx)*0x9e3779b97f4a7c15 + 1
-	st.latencies = make([]time.Duration, 0, p.rounds*p.blocks)
-	for r := 0; r < p.rounds; r++ {
-		for blk := int32(0); int(blk) < p.blocks; blk++ {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			st.requests++
-			t0 := time.Now()
-			var hit bool
-			if int(rng%100) < p.writePct {
-				hit, err = c.Write(f.ID, blk, 0, payload)
-				st.bytes += int64(len(payload))
-			} else {
-				hit, err = c.ReadInto(f.ID, blk, 0, core.BlockSize, readBuf)
-				st.bytes += core.BlockSize
-			}
-			st.latencies = append(st.latencies, time.Since(t0))
-			if err != nil {
-				return st, err
-			}
-			if hit {
-				st.hits++
-			} else {
-				st.misses++
-			}
-		}
-	}
-	return st, nil
-}
-
-// coldParams parameterizes the cold-fill scenario.
-type coldParams struct {
-	clients int // one private file per client
-	files   int
-	blocks  int // blocks per file
-	raDepth int
-	latency time.Duration // mem-store per-batch latency
-	cacheMB float64
-	alloc   cache.Alloc
-}
-
-// runCold measures the fill path with nothing cached: every (backend,
-// config) pair gets a fresh server over a fresh store whose blocks were
-// written out of band, so the clients' sequential scans miss on every
-// block and the whole request stream funnels through the fill pipeline.
-// The unbatched config is the goroutine-per-fill baseline (one store
-// call per block); the batched config is the worker pool, which retires
-// each read-ahead run as one vectored store read. The mem backend makes
-// the win visible as latency (one sleep per batch instead of per block),
-// the file backend as syscalls (ScalarReads/VectorReads).
-func runCold(p coldParams) (*coldReport, error) {
-	cr := &coldReport{
-		Clients:        p.clients,
-		Files:          p.files,
-		FileBlocks:     p.blocks,
-		StoreLatencyUs: float64(p.latency) / float64(time.Microsecond),
-		ReadAheadDepth: p.raDepth,
-	}
-	tmp, err := os.MkdirTemp("", "acload-cold")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp)
-
-	backends := []string{"mem+lat", "file"}
-	configs := []struct {
-		name        string
-		fillWorkers int
-	}{
-		{"unbatched", -1}, // goroutine per fill: one store call per block
-		{"batched", 0},    // default worker pool: one call per run
-	}
-	for _, backend := range backends {
-		for _, cfg := range configs {
-			run, err := coldRunOne(tmp, backend, cfg.name, cfg.fillWorkers, p)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", backend, cfg.name, err)
-			}
-			fmt.Fprintf(os.Stderr,
-				"acload: cold %-7s %-9s %2d clients: %7d reqs in %6.2fs = %8.0f req/s, hit %5.1f%%, p50 %5.0fµs p99 %6.0fµs (store reads %d, batched fills %d, batch blocks %d, scalar/vector reads %d/%d)\n",
-				backend, cfg.name, p.clients, run.Result.Requests, run.Result.Seconds, run.Result.Throughput, 100*run.Result.HitRatio,
-				run.Result.P50us, run.Result.P99us,
-				run.Kernel.Fill.StoreReads, run.Kernel.Fill.BatchedFills, run.Kernel.Fill.FillBatchBlocks,
-				run.ScalarReads, run.VectorReads)
-			cr.Runs = append(cr.Runs, run)
-		}
-	}
-	return cr, nil
-}
-
-// coldRunOne builds one fresh store + server, creates the per-client
-// files, writes their blocks straight to the store (bypassing the cache,
-// which therefore stays empty), scans, and tears everything down.
-func coldRunOne(tmpdir, backend, config string, fillWorkers int, p coldParams) (coldRun, error) {
-	run := coldRun{Store: backend, Config: config, FillWorkers: fillWorkers}
-
-	var store disk.Store
-	var ms *disk.MemStore
-	var fst *disk.FileStore
-	switch backend {
-	case "mem+lat":
-		ms = disk.NewMemStore()
-		store = ms
-	case "file":
-		var err error
-		fst, err = disk.NewFileStore(fmt.Sprintf("%s/%s-%s.dat", tmpdir, backend, config))
-		if err != nil {
-			return run, err
-		}
-		store = fst
-	}
-	srv := server.New(server.Config{
-		Kernel: core.LiveConfig{
-			CacheBytes:     core.MB(p.cacheMB),
-			Alloc:          p.alloc,
-			Store:          store,
-			ReadAhead:      p.raDepth > 0,
-			ReadAheadDepth: p.raDepth,
-			WallClock:      true,
-		},
-		Shards:         1, // wire file ids == store file ids, for the out-of-band populate
-		WritebackDepth: 64,
-		FillWorkers:    fillWorkers,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return run, err
-	}
-	go srv.Serve(ln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		srv.Shutdown(ctx)
-		cancel()
-		srv.Close()
-	}()
-	addr := ln.Addr().String()
-
-	// Create the files over the wire, then write every block directly to
-	// the store: the cache never sees the bytes, so the scan is cold.
-	setup, err := client.Dial("tcp", addr)
-	if err != nil {
-		return run, err
-	}
-	fids := make([]fs.FileID, p.files)
-	for i := range fids {
-		f, err := setup.Create(fmt.Sprintf("cold/f%d", i), 0, p.blocks)
-		if err != nil {
-			setup.Close()
-			return run, err
-		}
-		fids[i] = f.ID
-	}
-	setup.Close()
-	specs := make([]disk.BlockSpan, p.blocks)
-	srcs := make([][]byte, p.blocks)
-	blockBytes := make([]byte, p.blocks*core.BlockSize)
-	for i, fid := range fids {
-		for b := 0; b < p.blocks; b++ {
-			buf := blockBytes[b*core.BlockSize : (b+1)*core.BlockSize]
-			for j := range buf {
-				buf[j] = byte(i + b + j)
-			}
-			specs[b] = disk.BlockSpan{File: int32(fid), Blk: int32(b)}
-			srcs[b] = buf
-		}
-		for b, err := range disk.WriteBatch(store, specs, srcs) {
-			if err != nil {
-				return run, fmt.Errorf("populate file %d block %d: %w", i, b, err)
-			}
-		}
-	}
-	if ms != nil {
-		ms.SetLatency(p.latency, 0) // after populate: setup writes are free
-	}
-	var r0, v0 int64
-	if fst != nil {
-		r0, v0, _, _ = fst.IOCounts()
-	}
-
-	type out struct {
-		st  replayStats
-		err error
-	}
-	outs := make([]out, p.clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < p.clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i].st, outs[i].err = coldClient(addr, i%p.files, p)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := sweepResult{Clients: p.clients, Seconds: elapsed.Seconds()}
-	var hits, accesses, bytes int64
-	var all []time.Duration
-	for i := range outs {
-		if outs[i].err != nil {
-			return run, fmt.Errorf("client %d: %w", i, outs[i].err)
-		}
-		st := &outs[i].st
-		res.Requests += st.requests
-		hits += st.hits
-		accesses += st.hits + st.misses
-		bytes += st.bytes
-		all = append(all, st.latencies...)
-	}
-	if res.Seconds > 0 {
-		res.Throughput = float64(res.Requests) / res.Seconds
-		res.BytesPerSec = float64(bytes) / res.Seconds
-	}
-	if accesses > 0 {
-		res.HitRatio = float64(hits) / float64(accesses)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	res.P50us = percentileUs(all, 0.50)
-	res.P90us = percentileUs(all, 0.90)
-	res.P99us = percentileUs(all, 0.99)
-	run.Result = res
-
-	if m, ok := srv.Metrics(); ok {
-		run.Kernel = m.Kernel
-	}
-	if fst != nil {
-		sr, vr, _, _ := fst.IOCounts()
-		run.ScalarReads, run.VectorReads = sr-r0, vr-v0
-	}
-	return run, nil
-}
-
-// coldClient is one session's cold scan: a single sequential pass over
-// its file, full-block reads, every one a miss.
-func coldClient(addr string, fileIdx int, p coldParams) (replayStats, error) {
-	var st replayStats
-	c, err := client.Dial("tcp", addr)
-	if err != nil {
-		return st, err
-	}
-	defer c.Close()
-	f, err := c.Open(fmt.Sprintf("cold/f%d", fileIdx))
-	if err != nil {
-		return st, err
-	}
-	buf := make([]byte, core.BlockSize)
-	st.latencies = make([]time.Duration, 0, p.blocks)
-	for blk := int32(0); int(blk) < p.blocks; blk++ {
-		st.requests++
-		t0 := time.Now()
-		hit, err := c.ReadInto(f.ID, blk, 0, core.BlockSize, buf)
-		st.latencies = append(st.latencies, time.Since(t0))
-		st.bytes += core.BlockSize
-		if err != nil {
-			return st, err
-		}
-		if hit {
-			st.hits++
-		} else {
-			st.misses++
-		}
-	}
-	return st, nil
-}
-
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad shard count %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // runSweep replays the transcript through n concurrent sessions, each
@@ -872,6 +196,7 @@ func runSweep(network, addr, tag string, n int, events []expt.ReplayEvent, nodat
 	if res.Requests > 0 {
 		res.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(res.Requests)
 	}
+	res.Accesses = accesses
 	if accesses > 0 {
 		res.HitRatio = float64(hits) / float64(accesses)
 	}

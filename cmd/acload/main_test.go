@@ -1,15 +1,22 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net"
+	"path/filepath"
 	"testing"
+	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/expt"
+	"repro/internal/flagdoc"
 	"repro/internal/fs"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/workload"
 )
 
 // stubSrv is the shared server state behind every stubConn a replayer
@@ -218,4 +225,81 @@ func indexOf(log []string, s string) int {
 		}
 	}
 	return -1
+}
+
+// TestReplayAgainstServer drives runSweep at a real server — sharded,
+// write-behind and read-ahead on, over a unix socket — with a recorded
+// cs1 transcript: every event of both clients is answered, none refused
+// or failed, and the server counted at least what the clients sent.
+func TestReplayAgainstServer(t *testing.T) {
+	srv := server.New(server.Config{
+		Kernel: core.LiveConfig{
+			CacheBytes:     core.MB(6.4),
+			Alloc:          cache.LRUSP,
+			ReadAhead:      true,
+			ReadAheadDepth: 4,
+			WallClock:      true,
+		},
+		Shards:         2,
+		WritebackDepth: 8,
+	})
+	sock := filepath.Join(t.TempDir(), "acfcd.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+
+	rec := expt.Record(expt.RunSpec{
+		Apps:    []expt.AppSpec{{Name: "cs1", Make: expt.Registry["cs1"], Mode: workload.Smart}},
+		CacheMB: 6.4,
+		Alloc:   cache.LRUSP,
+		Opts:    expt.Options{ReadAheadOff: true},
+	})
+	var accesses int64
+	for _, ev := range rec.Events {
+		if !ev.IsCtl {
+			accesses++
+		}
+	}
+
+	const clients = 2
+	res, err := runSweep("unix", sock, "t", clients, rec.Events, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 || res.Refused != 0 {
+		t.Errorf("errors %d, refused %d; want 0, 0", res.Errors, res.Refused)
+	}
+	if want := int64(clients * len(rec.Events)); res.Requests != want {
+		t.Errorf("Requests = %d, want %d (every event of every client)", res.Requests, want)
+	}
+	if want := clients * accesses; res.Accesses != want {
+		t.Errorf("hits + misses = %d, want %d (every access answered)", res.Accesses, want)
+	}
+	m, ok := srv.Metrics()
+	if !ok {
+		t.Fatal("Metrics not ok on a running server")
+	}
+	if m.Refused != 0 || m.Requests < res.Requests {
+		t.Errorf("server counted %d requests (%d refused); the clients sent %d", m.Requests, m.Refused, res.Requests)
+	}
+}
+
+// TestFlagsDocumented: the package comment's Usage block and README's
+// acload flag list each name exactly the flags newFlags registers.
+func TestFlagsDocumented(t *testing.T) {
+	fl, _ := newFlags()
+	flagdoc.Check(t, fl, "main.go", "// Usage:\n//\n", "\n//\n")
+	flagdoc.Check(t, fl, "../../README.md", "`acload` flags:\n\n", "\n\n")
 }

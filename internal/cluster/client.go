@@ -66,11 +66,10 @@ type policySet struct {
 	pol  acm.Policy
 }
 
-// NewClient builds a client over members. Replicas must match the
-// nodes' ring configuration or routing will disagree with placement.
-func NewClient(members []string, replicas int) *Client {
+// NewClient builds a client over members.
+func NewClient(members []string) *Client {
 	return &Client{
-		ring:   NewRing(members, replicas),
+		ring:   NewRing(members),
 		nodes:  make(map[string]*clusterSess),
 		dead:   make(map[string]bool),
 		files:  make(map[fs.FileID]*centry),

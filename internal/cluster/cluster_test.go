@@ -153,7 +153,7 @@ func writeFiles(t *testing.T, cl *Client, nfiles, blocks int) []string {
 // exactly one node's namespace.
 func TestClusterExclusiveOwnership(t *testing.T) {
 	tc := startTestCluster(t, 3, NewMemOrigin())
-	cl := NewClient(tc.members, 0)
+	cl := NewClient(tc.members)
 	defer cl.Close()
 
 	const nfiles = 24
@@ -177,7 +177,7 @@ func TestClusterExclusiveOwnership(t *testing.T) {
 	}
 
 	// Exactly one node knows each name.
-	ring := NewRing(tc.members, 0)
+	ring := NewRing(tc.members)
 	for _, name := range names {
 		holders := []string{}
 		for _, m := range tc.members {
@@ -255,13 +255,13 @@ func TestClusterPeerFillThreeSurfaces(t *testing.T) {
 	tc := startTestCluster(t, 2, NewMemOrigin())
 
 	const nfiles, blocks = 30, 2
-	cl := NewClient(tc.members, 0)
+	cl := NewClient(tc.members)
 	names := writeFiles(t, cl, nfiles, blocks)
 	cl.Close()
 
 	joiner := tc.join()
-	oldRing := NewRing(tc.members[:2], 0)
-	newRing := NewRing(tc.members, 0)
+	oldRing := NewRing(tc.members[:2])
+	newRing := NewRing(tc.members)
 	movedToJoiner := 0
 	for _, name := range names {
 		if newRing.Owner(name) == joiner.Self {
@@ -275,7 +275,7 @@ func TestClusterPeerFillThreeSurfaces(t *testing.T) {
 		t.Fatal("no file remapped to the joiner; enlarge nfiles")
 	}
 
-	cl2 := NewClient(tc.members, 0)
+	cl2 := NewClient(tc.members)
 	defer cl2.Close()
 	dst := make([]byte, disk.BlockSize)
 	for _, name := range names {
@@ -404,7 +404,7 @@ func TestClusterLeaveDifferential(t *testing.T) {
 	// Reference: one node, same traffic, clean shutdown.
 	single := NewMemOrigin()
 	tcs := startTestCluster(t, 1, single)
-	cls := NewClient(tcs.members, 0)
+	cls := NewClient(tcs.members)
 	writeFiles(t, cls, nfiles, blocks)
 	cls.Close()
 	tcs.shutdownAll()
@@ -413,7 +413,7 @@ func TestClusterLeaveDifferential(t *testing.T) {
 	// transfer, then a clean shutdown of the survivors.
 	clustered := NewMemOrigin()
 	tc := startTestCluster(t, 3, clustered)
-	cl := NewClient(tc.members, 0)
+	cl := NewClient(tc.members)
 	writeFiles(t, cl, nfiles, blocks)
 
 	leaver := tc.members[1]
@@ -449,12 +449,12 @@ func TestClusterLeaveDifferential(t *testing.T) {
 // failing over; only the established-connection path re-routed.)
 func TestClusterFreshClientFailover(t *testing.T) {
 	tc := startTestCluster(t, 3, NewMemOrigin())
-	cl := NewClient(tc.members, 0)
+	cl := NewClient(tc.members)
 	names := writeFiles(t, cl, 12, 2)
 	cl.Close()
 
 	victim := tc.members[0]
-	ring := NewRing(tc.members, 0)
+	ring := NewRing(tc.members)
 	var name string
 	for _, n := range names {
 		if ring.Owner(n) == victim {
@@ -469,7 +469,7 @@ func TestClusterFreshClientFailover(t *testing.T) {
 		t.Fatalf("planned leave: %v", err)
 	}
 
-	fresh := NewClient(tc.members, 0)
+	fresh := NewClient(tc.members)
 	defer fresh.Close()
 	f, err := fresh.Open(name)
 	if err != nil {
@@ -502,7 +502,7 @@ func TestClusterSoak(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cl := NewClient(tc.members, 0)
+			cl := NewClient(tc.members)
 			defer cl.Close()
 			names := make([]string, nfiles)
 			ids := make(map[string]client.File)
@@ -556,7 +556,7 @@ func TestClusterSoak(t *testing.T) {
 	}
 
 	// The last node answers a full sweep.
-	cl := NewClient(tc.members[2:], 0)
+	cl := NewClient(tc.members[2:])
 	defer cl.Close()
 	dst := make([]byte, disk.BlockSize)
 	for w := 0; w < clients; w++ {
@@ -583,7 +583,7 @@ func TestClusterSoak(t *testing.T) {
 // refused dial came back to the caller — the TestClusterSoak flake.)
 func TestClusterFailoverPastDeadSurvivor(t *testing.T) {
 	tc := startTestCluster(t, 3, NewMemOrigin())
-	cl := NewClient(tc.members, 0)
+	cl := NewClient(tc.members)
 	defer cl.Close()
 	const nfiles, blocks = 24, 2
 	names := writeFiles(t, cl, nfiles, blocks)
@@ -597,7 +597,7 @@ func TestClusterFailoverPastDeadSurvivor(t *testing.T) {
 	}
 
 	first, second := tc.members[0], tc.members[1]
-	ring := NewRing(tc.members, 0)
+	ring := NewRing(tc.members)
 	twice := 0
 	for _, name := range names {
 		if ring.Owner(name) == first && ring.Without(first).Owner(name) == second {

@@ -16,12 +16,12 @@ func TestLifecycleNodeLeave(t *testing.T) {
 	origin := NewMemOrigin()
 	tc := startTestCluster(t, 2, origin)
 	const nfiles, blocks = 16, 2
-	cl := NewClient(tc.members, 0)
+	cl := NewClient(tc.members)
 	names := writeFiles(t, cl, nfiles, blocks)
 	cl.Close()
 
 	leaver, stayer := tc.members[0], tc.members[1]
-	ring := NewRing(tc.members, 0)
+	ring := NewRing(tc.members)
 	var moved []string
 	for _, name := range names {
 		if ring.Owner(name) == leaver {

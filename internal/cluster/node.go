@@ -32,9 +32,6 @@ type NodeConfig struct {
 	Members []string
 	// Origin is the shared backing store. Required.
 	Origin Origin
-	// Replicas is the virtual-node count per member (<= 0:
-	// DefaultReplicas).
-	Replicas int
 	// Server configures the embedded server. Kernel.Store, FileAnnounce
 	// and ExtraFill are overwritten — the cluster tier owns them.
 	Server server.Config
@@ -67,7 +64,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if !found {
 		members = append(append([]string(nil), members...), cfg.Self)
 	}
-	ring := NewRing(members, cfg.Replicas)
+	ring := NewRing(members)
 	ns := NewNodeStore(cfg.Self, ring, cfg.Origin)
 	scfg := cfg.Server
 	scfg.Kernel.Store = ns

@@ -14,14 +14,15 @@ import (
 	"strconv"
 )
 
-// DefaultReplicas is the virtual-node count per member when a Ring is
-// built with replicas <= 0: enough vnodes that the max/min file-count
-// skew across nodes stays within ~2x without making Owner's binary
-// search noticeable.
-const DefaultReplicas = 128
+// ringReplicas is the virtual-node count per member: enough vnodes that
+// the max/min file-count skew across nodes stays within ~2x without
+// making Owner's binary search noticeable. A constant, so every ring
+// built over one member list — each node's and each client's — places
+// files identically.
+const ringReplicas = 128
 
 // Ring is an immutable consistent-hash ring over a membership list.
-// Each member contributes `replicas` virtual points, hashed FNV-1a 64;
+// Each member contributes ringReplicas virtual points, hashed FNV-1a 64;
 // a name's owner is the member whose first point is clockwise of the
 // name's hash. Immutability is what makes membership changes cheap to
 // reason about: With/Without build a new ring, and the minimal-movement
@@ -29,9 +30,8 @@ const DefaultReplicas = 128
 // remap, ~1/N of the keyspace — follows from every other member's
 // points staying exactly where they were.
 type Ring struct {
-	members  []string
-	replicas int
-	points   []ringPoint // sorted by hash
+	members []string
+	points  []ringPoint // sorted by hash
 }
 
 type ringPoint struct {
@@ -40,20 +40,13 @@ type ringPoint struct {
 }
 
 // NewRing builds a ring over members (order is irrelevant; the hash
-// decides placement) with the given virtual-node count per member
-// (<= 0: DefaultReplicas).
-func NewRing(members []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	r := &Ring{
-		members:  append([]string(nil), members...),
-		replicas: replicas,
-	}
+// decides placement).
+func NewRing(members []string) *Ring {
+	r := &Ring{members: append([]string(nil), members...)}
 	sort.Strings(r.members)
-	r.points = make([]ringPoint, 0, len(r.members)*replicas)
+	r.points = make([]ringPoint, 0, len(r.members)*ringReplicas)
 	for i, m := range r.members {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:  hash64(m + "#" + strconv.Itoa(v)),
 				owner: i,
@@ -112,7 +105,7 @@ func (r *Ring) Without(member string) *Ring {
 			out = append(out, m)
 		}
 	}
-	return NewRing(out, r.replicas)
+	return NewRing(out)
 }
 
 // With returns a ring with member added (a join); adding a present
@@ -120,10 +113,10 @@ func (r *Ring) Without(member string) *Ring {
 func (r *Ring) With(member string) *Ring {
 	for _, m := range r.members {
 		if m == member {
-			return NewRing(r.members, r.replicas)
+			return NewRing(r.members)
 		}
 	}
-	return NewRing(append(append([]string(nil), r.members...), member), r.replicas)
+	return NewRing(append(append([]string(nil), r.members...), member))
 }
 
 // Has reports membership.

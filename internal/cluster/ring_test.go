@@ -21,14 +21,14 @@ func members(n int) []string {
 	return ms
 }
 
-// TestRingBalance: with DefaultReplicas vnodes, the per-node share of a
+// TestRingBalance: with ringReplicas vnodes, the per-node share of a
 // 10k-key population stays within a 2x band of the fair share for every
 // cluster size the bench sweep uses (and then some).
 func TestRingBalance(t *testing.T) {
 	keys := ringKeys(10000)
 	for _, n := range []int{2, 3, 5, 8} {
 		ms := members(n)
-		r := NewRing(ms, 0)
+		r := NewRing(ms)
 		counts := make(map[string]int)
 		for _, k := range keys {
 			counts[r.Owner(k)]++
@@ -54,7 +54,7 @@ func TestRingMinimalMovementLeave(t *testing.T) {
 	keys := ringKeys(10000)
 	for _, n := range []int{2, 3, 5, 8} {
 		ms := members(n)
-		r := NewRing(ms, 0)
+		r := NewRing(ms)
 		gone := ms[n/2]
 		after := r.Without(gone)
 		moved := 0
@@ -85,7 +85,7 @@ func TestRingMinimalMovementJoin(t *testing.T) {
 	keys := ringKeys(10000)
 	for _, n := range []int{2, 3, 5, 8} {
 		ms := members(n)
-		r := NewRing(ms, 0)
+		r := NewRing(ms)
 		joiner := "tcp:127.0.0.1:9999"
 		after := r.With(joiner)
 		moved := 0
@@ -111,8 +111,8 @@ func TestRingMinimalMovementJoin(t *testing.T) {
 // route identically — nodes and clients must agree without talking.
 func TestRingDeterminism(t *testing.T) {
 	ms := members(5)
-	r1 := NewRing(ms, 0)
-	r2 := NewRing([]string{ms[3], ms[0], ms[4], ms[2], ms[1]}, 0)
+	r1 := NewRing(ms)
+	r2 := NewRing([]string{ms[3], ms[0], ms[4], ms[2], ms[1]})
 	for _, k := range ringKeys(1000) {
 		if r1.Owner(k) != r2.Owner(k) {
 			t.Fatalf("member order changed routing for %q: %s vs %s", k, r1.Owner(k), r2.Owner(k))
@@ -122,10 +122,10 @@ func TestRingDeterminism(t *testing.T) {
 
 // TestRingEdgeCases: empty and single-member rings.
 func TestRingEdgeCases(t *testing.T) {
-	if got := NewRing(nil, 0).Owner("x"); got != "" {
+	if got := NewRing(nil).Owner("x"); got != "" {
 		t.Errorf("empty ring owner = %q, want \"\"", got)
 	}
-	one := NewRing([]string{"tcp:a"}, 0)
+	one := NewRing([]string{"tcp:a"})
 	for _, k := range ringKeys(100) {
 		if one.Owner(k) != "tcp:a" {
 			t.Fatalf("single-member ring routed %q to %q", k, one.Owner(k))

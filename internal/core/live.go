@@ -433,6 +433,7 @@ func (l *Live) ReleaseOwner(id int) (ProcStats, error) {
 		l.bc.DisownOwner(id)
 	}
 	o.live = false
+	o.lastRead, o.raUntil = nil, nil // ids are never reused: a dead session's run state is garbage
 	return o.stats, err
 }
 
@@ -549,12 +550,12 @@ func (l *Live) ReadTo(owner int, fid fs.FileID, blk int32, off, size int, reply 
 			if fl := l.mshr[id]; fl != nil && fl.buf == b {
 				l.fill.CoalescedMisses++
 				l.addWaiter(fl, func(data []byte, err error) { reply.ReadDone(data, true, err) })
-				l.noteSequential(o, f, blk, now)
+				l.noteSequential(owner, f, blk, now)
 				return false
 			}
 		}
 		reply.ReadDone(b.Slot.Data(), true, nil)
-		l.noteSequential(o, f, blk, now)
+		l.noteSequential(owner, f, blk, now)
 		return true
 	}
 	o.stats.Misses++
@@ -571,7 +572,7 @@ func (l *Live) ReadTo(owner int, fid fs.FileID, blk int32, off, size int, reply 
 		reply.ReadDone(data, false, err)
 	})
 	l.dispatchFill(fl)
-	l.noteSequential(o, f, blk, now)
+	l.noteSequential(owner, f, blk, now)
 	return fl.done
 }
 
@@ -921,10 +922,11 @@ func (l *Live) notePrefetchHit(id cache.BlockID) {
 // exactly the old one-block top-up; at depth K the steady state issues
 // a K/2-block run every K/2 reads, which dispatchFillRun hands to the
 // batch executor as one vectored store read.
-func (l *Live) noteSequential(o *liveOwner, f *fs.File, blk int32, now sim.Time) {
+func (l *Live) noteSequential(owner int, f *fs.File, blk int32, now sim.Time) {
 	if !l.cfg.ReadAhead {
 		return
 	}
+	o := l.owners[owner]
 	if o.lastRead == nil {
 		o.lastRead = make(map[fs.FileID]int32)
 		o.raUntil = make(map[fs.FileID]int32)
@@ -954,13 +956,6 @@ func (l *Live) noteSequential(o *liveOwner, f *fs.File, blk int32, now sim.Time)
 	}
 	if target <= until {
 		return
-	}
-	owner := -1
-	for i := range l.owners {
-		if l.owners[i] == o {
-			owner = i
-			break
-		}
 	}
 	run := make([]*Fill, 0, target-until)
 	for next := until + 1; next <= target; next++ {

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // fillPattern stamps a recognizable per-block pattern.
@@ -205,38 +204,6 @@ func TestBatchHelperFallback(t *testing.T) {
 	errs := ReadBatch(s, specs, dsts)
 	if errs[0] != nil || errs[1] == nil {
 		t.Errorf("short-buffer errors = %v, want [nil, non-nil]", errs)
-	}
-}
-
-// TestMemStoreBatchLatency pins the batch-aware latency model: an
-// n-block batch pays the base latency once plus the per-extra-block
-// transfer cost, not n full seeks, so a batch is firmly cheaper than n
-// scalar ops but not free.
-func TestMemStoreBatchLatency(t *testing.T) {
-	m := NewMemStore()
-	const base = 10 * time.Millisecond
-	m.SetLatency(base, 0)
-
-	const n = 8
-	specs := make([]BlockSpan, n)
-	dsts := make([][]byte, n)
-	for i := range specs {
-		specs[i] = BlockSpan{File: 1, Blk: int32(i)}
-		dsts[i] = make([]byte, BlockSize)
-	}
-	t0 := time.Now()
-	for i, err := range m.ReadBlocks(specs, dsts) {
-		if err != nil {
-			t.Fatalf("ReadBlocks[%d]: %v", i, err)
-		}
-	}
-	d := time.Since(t0)
-	want := base + (n-1)*base/memTransferDiv
-	if d < want {
-		t.Errorf("8-block batch took %v, want >= %v (seek + transfer)", d, want)
-	}
-	if lim := time.Duration(n) * base; d >= lim {
-		t.Errorf("8-block batch took %v, want < %v (n full seeks means batching bought nothing)", d, lim)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Store is a live block backend: it durably (or at least authoritatively)
@@ -43,74 +42,15 @@ func storeKey(file, blk int32) uint64 {
 
 // MemStore is an in-memory Store: the zero-dependency backend for tests
 // and benchmarks, and the default for an acfcd daemon started without a
-// backing file. SetLatency makes it model a slow backing store, so
-// benchmarks can measure what miss coalescing, write-behind and
-// read-ahead actually buy against a store where I/O costs something.
+// backing file.
 type MemStore struct {
 	mu     sync.RWMutex
 	blocks map[uint64][]byte
-
-	latency atomic.Int64 // per-op sleep, ns (0 = none)
-	jitter  atomic.Int64 // max extra sleep, ns
-	rng     atomic.Uint64
-	arm     sync.Mutex // serializes latency waits: one disk arm
 }
-
-// memTransferDiv scales the marginal cost of a batched op: each block
-// after the first adds lat/memTransferDiv, so an n-block batch costs
-// lat + (n-1)*lat/10 — the seek dominates, transfer is cheap, and
-// coalescing is visible under -store-latency without being free.
-const memTransferDiv = 10
 
 // NewMemStore builds an empty in-memory store.
 func NewMemStore() *MemStore {
 	return &MemStore{blocks: make(map[uint64][]byte)}
-}
-
-// SetLatency makes every ReadBlock and WriteBlock sleep for lat plus a
-// uniform random extra in [0, jitter), modelling a slow backing store.
-// The jitter stream is a cheap deterministic xorshift, seeded once, so
-// runs are reproducible modulo goroutine interleaving. Zero disables.
-func (m *MemStore) SetLatency(lat, jitter time.Duration) {
-	m.latency.Store(int64(lat))
-	m.jitter.Store(int64(jitter))
-	if m.rng.Load() == 0 {
-		m.rng.Store(0x9e3779b97f4a7c15)
-	}
-}
-
-// sleepBatch charges the latency model for one store operation moving
-// n blocks: the full lat (the "seek") once, jitter once, plus a small
-// per-extra-block transfer cost. Waits serialize on the arm mutex so
-// concurrent callers queue behind one another like requests at a single
-// disk arm — without that, parallel sleeps would model an infinitely
-// parallel disk and batching would buy nothing measurable.
-func (m *MemStore) sleepBatch(n int) {
-	lat := m.latency.Load()
-	j := m.jitter.Load()
-	if lat == 0 && j == 0 {
-		return
-	}
-	d := lat
-	if j > 0 {
-		// xorshift64, racing CAS-free on purpose: overlapping updates just
-		// perturb the stream, and the stream only feeds a sleep duration.
-		x := m.rng.Load()
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		m.rng.Store(x)
-		d += int64(x % uint64(j))
-	}
-	if n > 1 {
-		d += int64(n-1) * lat / memTransferDiv
-	}
-	if d <= 0 {
-		return
-	}
-	m.arm.Lock()
-	time.Sleep(time.Duration(d))
-	m.arm.Unlock()
 }
 
 // ReadBlock implements Store.
@@ -118,7 +58,6 @@ func (m *MemStore) ReadBlock(file, blk int32, dst []byte) error {
 	if len(dst) != BlockSize {
 		return fmt.Errorf("disk: read buffer is %d bytes, want %d", len(dst), BlockSize)
 	}
-	m.sleepBatch(1)
 	m.mu.RLock()
 	m.readLocked(file, blk, dst)
 	m.mu.RUnlock()
@@ -141,7 +80,6 @@ func (m *MemStore) WriteBlock(file, blk int32, src []byte) error {
 	if len(src) != BlockSize {
 		return fmt.Errorf("disk: write buffer is %d bytes, want %d", len(src), BlockSize)
 	}
-	m.sleepBatch(1)
 	m.mu.Lock()
 	m.writeLocked(file, blk, src)
 	m.mu.Unlock()
@@ -159,11 +97,10 @@ func (m *MemStore) writeLocked(file, blk int32, src []byte) {
 	m.blocks[k] = owned
 }
 
-// ReadBlocks implements BatchStore: one latency charge for the whole
-// batch, one lock acquisition for all the copies.
+// ReadBlocks implements BatchStore: one lock acquisition for all the
+// copies.
 func (m *MemStore) ReadBlocks(specs []BlockSpan, dsts [][]byte) []error {
 	errs := make([]error, len(specs))
-	m.sleepBatch(len(specs))
 	m.mu.RLock()
 	for i, sp := range specs {
 		if len(dsts[i]) != BlockSize {
@@ -179,7 +116,6 @@ func (m *MemStore) ReadBlocks(specs []BlockSpan, dsts [][]byte) []error {
 // WriteBlocks implements BatchStore.
 func (m *MemStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
 	errs := make([]error, len(specs))
-	m.sleepBatch(len(specs))
 	m.mu.Lock()
 	for i, sp := range specs {
 		if len(srcs[i]) != BlockSize {

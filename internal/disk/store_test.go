@@ -3,7 +3,6 @@ package disk
 import (
 	"bytes"
 	"testing"
-	"time"
 )
 
 func TestMemStoreRoundTrip(t *testing.T) {
@@ -28,45 +27,5 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	}
 	if m.Blocks() != 1 {
 		t.Errorf("Blocks() = %d, want 1", m.Blocks())
-	}
-}
-
-// TestMemStoreLatency pins the injection knob: with latency set, every
-// operation takes at least the base delay; with jitter, no more than
-// base+jitter (plus scheduling slop, so only the lower bound is firm).
-func TestMemStoreLatency(t *testing.T) {
-	m := NewMemStore()
-	buf := make([]byte, BlockSize)
-
-	t0 := time.Now()
-	if err := m.ReadBlock(0, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if fast := time.Since(t0); fast > 50*time.Millisecond {
-		t.Fatalf("zero-latency read took %v", fast)
-	}
-
-	const base = 5 * time.Millisecond
-	m.SetLatency(base, 2*time.Millisecond)
-	for i, op := range []func() error{
-		func() error { return m.ReadBlock(0, 0, buf) },
-		func() error { return m.WriteBlock(0, 0, buf) },
-	} {
-		t0 = time.Now()
-		if err := op(); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(t0); d < base {
-			t.Errorf("op %d took %v, want >= %v", i, d, base)
-		}
-	}
-
-	m.SetLatency(0, 0)
-	t0 = time.Now()
-	if err := m.ReadBlock(0, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(t0); d >= base {
-		t.Errorf("latency did not reset: read took %v", d)
 	}
 }

@@ -578,8 +578,7 @@ var Experiments = map[string]func(*Runner) []Table{
 	"policies": func(r *Runner) []Table { return Policies(r, nil) },
 	"vm":       VM,
 	// Not in Order: the tournament compares post-paper policies, so it
-	// runs on request (acbench -tournament, make bench-policy-tournament)
-	// rather than inside "all".
+	// runs on request (acbench -tournament) rather than inside "all".
 	"tournament": Tournament,
 }
 

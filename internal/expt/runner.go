@@ -29,9 +29,8 @@ import (
 // A nil *Runner is valid everywhere a Runner is accepted: it runs every
 // spec inline, serially, with no cache — the legacy behavior.
 type Runner struct {
-	parallelism int
-	base        Options // merged into every submitted spec
-	sem         chan struct{}
+	base Options // merged into every submitted spec
+	sem  chan struct{}
 
 	mu     sync.Mutex
 	cache  map[string]*Future
@@ -45,10 +44,10 @@ type Runner struct {
 // Bypasses counts uncacheable submissions (traced runs, unnamed apps).
 // Executed == Misses + Bypasses.
 type RunnerStats struct {
-	Executed int64 `json:"executed"`
-	Hits     int64 `json:"cache_hits"`
-	Misses   int64 `json:"cache_misses"`
-	Bypasses int64 `json:"cache_bypasses"`
+	Executed int64
+	Hits     int64
+	Misses   int64
+	Bypasses int64
 }
 
 // NewRunner returns a scheduler running up to parallelism simulations
@@ -61,10 +60,7 @@ func NewRunner(parallelism int, opts ...Options) *Runner {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	r := &Runner{
-		parallelism: parallelism,
-		cache:       make(map[string]*Future),
-	}
+	r := &Runner{cache: make(map[string]*Future)}
 	for _, o := range opts {
 		r.base = r.base.merge(o)
 	}
@@ -81,15 +77,6 @@ func (r *Runner) Options() Options {
 		return Options{}
 	}
 	return r.base
-}
-
-// Parallelism reports the worker-pool width (1 for the serial path and
-// for a nil Runner).
-func (r *Runner) Parallelism() int {
-	if r == nil {
-		return 1
-	}
-	return r.parallelism
 }
 
 // Stats returns a snapshot of the scheduler counters.
@@ -112,8 +99,8 @@ func (r *Runner) SimStats() sim.Stats {
 // KernelSnapshot returns the full kernel counters — buffer cache plus
 // DES engine — aggregated over every simulation this Runner executed.
 // It is the same stats.Snapshot schema the acfcd daemon's /metrics
-// endpoint exposes, so acbench -json and the server report identically
-// named counters.
+// endpoint exposes, so the benchmark's des_paper workload and the server
+// report identically named counters.
 func (r *Runner) KernelSnapshot() stats.Snapshot {
 	if r == nil {
 		return stats.Snapshot{}

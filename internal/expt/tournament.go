@@ -32,14 +32,13 @@ var TournamentMixes = [][]string{
 }
 
 // TournamentResult is one (policy, mix) cell, kept structured so tests
-// and the acbench JSON section can assert on it without re-parsing the
-// rendered table.
+// can assert on it without re-parsing the rendered table.
 type TournamentResult struct {
-	Policy     cache.Alloc `json:"policy"`
-	Mix        string      `json:"mix"`
-	HitRatio   float64     `json:"hit_ratio"`
-	ElapsedSec float64     `json:"elapsed_sec"`
-	BlockIOs   int64       `json:"block_ios"`
+	Policy     cache.Alloc
+	Mix        string
+	HitRatio   float64
+	ElapsedSec float64
+	BlockIOs   int64
 }
 
 // RunTournament executes the full policy × mix matrix at the given

@@ -15,7 +15,7 @@
 // that the best candidate is the incumbent, and every adapterProbeEvery
 // steady epochs one non-incumbent candidate gets a single probe epoch.
 // The probe (or a freshly sampled rival) takes over only when its score
-// beats the incumbent's by more than Config.AdaptHysteresisBP — the
+// beats the incumbent's by more than adaptHysteresisBP — the
 // hysteresis that keeps measurement noise from thrashing the policy,
 // since every flip pays a full-cache migration and drops the ARC ghost
 // history the next policy would have to rebuild.
@@ -28,14 +28,18 @@ import (
 	"repro/internal/core"
 )
 
-// adapterProbeEvery is the number of steady epochs between probes of a
-// non-incumbent candidate.
-const adapterProbeEvery = 8
+const (
+	// adapterProbeEvery is the number of steady epochs between probes of
+	// a non-incumbent candidate.
+	adapterProbeEvery = 8
+	// adaptHysteresisBP is the switching threshold in basis points of
+	// windowed hit ratio: two percentage points.
+	adaptHysteresisBP = 200
+)
 
 type allocAdapter struct {
-	kern         *core.Live
-	every        int64 // hit windows per epoch
-	hysteresisBP float64
+	kern  *core.Live
+	every int64 // hit windows per epoch
 
 	candidates []cache.Alloc
 	score      []float64 // EWMA of windowed hit ratio (bp); -1 = unsampled
@@ -53,13 +57,8 @@ type allocAdapter struct {
 // newAllocAdapter parses the candidate list and points the kernel at the
 // first candidate to start the sampling pass. Panics on an unknown or
 // duplicate name — adapter config is operator input, checked at startup.
-func newAllocAdapter(names []string, every, hysteresisBP int64, kern *core.Live) *allocAdapter {
-	ad := &allocAdapter{
-		kern:         kern,
-		every:        every,
-		hysteresisBP: float64(hysteresisBP),
-		sampling:     true,
-	}
+func newAllocAdapter(names []string, every int64, kern *core.Live) *allocAdapter {
+	ad := &allocAdapter{kern: kern, every: every, sampling: true}
 	seen := make(map[cache.Alloc]bool)
 	for _, name := range names {
 		a, err := cache.ParseAlloc(name)
@@ -114,7 +113,7 @@ func (ad *allocAdapter) tick() {
 		ad.switchTo(best)
 	case ad.probing:
 		ad.probing = false
-		if ad.score[ad.cur] > ad.score[ad.incumbent]+ad.hysteresisBP {
+		if ad.score[ad.cur] > ad.score[ad.incumbent]+adaptHysteresisBP {
 			ad.incumbent = ad.cur // the probe wins the shard
 		} else {
 			ad.switchTo(ad.incumbent)

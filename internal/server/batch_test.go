@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/fs"
 	"repro/internal/server"
 	"repro/internal/stats"
 )
@@ -18,52 +19,47 @@ type diffOutcome struct {
 	readHash   uint64           // FNV over every byte every read returned, in order
 	proc       core.ProcStats   // the session's counters
 	fill       stats.FillStats  // the kernel's fill pipeline counters
-	storeState map[int32][]byte // final store contents after Shutdown+Close
+	storeState map[int32][]byte // final store contents after the last flush
 }
 
-// runDiffWorkload drives one deterministic single-client workload —
-// sequential whole-block writes, a sequential scan under read-ahead,
-// strided re-reads, partial read-modify-writes — against a fresh server
-// and returns everything observable: the bytes every read produced, the
-// session and fill counters, and the final store contents.
-func runDiffWorkload(t *testing.T, fillWorkers, wbDepth int) diffOutcome {
-	t.Helper()
-	const blocks = 64
-	ms := disk.NewMemStore()
-	srv, _, dial := startServer(t, server.Config{
-		Kernel: core.LiveConfig{
-			CacheBytes:     16 * core.BlockSize,
-			Store:          ms,
-			ReadAhead:      true,
-			ReadAheadDepth: 4,
-		},
-		FillWorkers:    fillWorkers,
-		WritebackDepth: wbDepth,
-	})
-	c := dial()
-	defer c.Close()
+const diffBlocks = 64
 
-	f, err := c.Create("diff", 0, blocks)
-	if err != nil {
-		t.Fatal(err)
+// diffKernelConfig is the kernel both sides of the differential test
+// run: a 16-block cache under depth-4 read-ahead over ms.
+func diffKernelConfig(ms *disk.MemStore) core.LiveConfig {
+	return core.LiveConfig{
+		CacheBytes:     16 * core.BlockSize,
+		Store:          ms,
+		ReadAhead:      true,
+		ReadAheadDepth: 4,
 	}
+}
+
+// diffWorkload drives one deterministic single-client workload —
+// sequential whole-block writes, a sequential scan under read-ahead,
+// strided re-reads, partial read-modify-writes — through write and read,
+// and returns the FNV hash of every byte every read produced, in order.
+func diffWorkload(t *testing.T,
+	write func(blk int32, off int, payload []byte) error,
+	read func(blk int32, off, size int) ([]byte, error)) uint64 {
+	t.Helper()
 	h := fnv.New64a()
 	block := make([]byte, core.BlockSize)
 
 	// Phase 1: dirty every block; the 16-block cache forces a steady
 	// stream of dirty victims through the write-back path.
-	for b := int32(0); b < blocks; b++ {
+	for b := int32(0); b < diffBlocks; b++ {
 		for i := range block {
 			block[i] = byte(int32(i) + b*13)
 		}
-		if _, err := c.Write(f.ID, b, 0, block); err != nil {
+		if err := write(b, 0, block); err != nil {
 			t.Fatalf("write %d: %v", b, err)
 		}
 	}
 	// Phase 2: sequential scan; read-ahead issues runs, and early fills
 	// race the still-draining write-backs (the forwarding path).
-	for b := int32(0); b < blocks; b++ {
-		data, _, err := c.Read(f.ID, b, 0, core.BlockSize)
+	for b := int32(0); b < diffBlocks; b++ {
+		data, err := read(b, 0, core.BlockSize)
 		if err != nil {
 			t.Fatalf("read %d: %v", b, err)
 		}
@@ -71,62 +67,135 @@ func runDiffWorkload(t *testing.T, fillWorkers, wbDepth int) diffOutcome {
 	}
 	// Phase 3: strided re-reads (breaks the sequential detector) and
 	// partial rewrites of cold blocks (read-modify-write fills).
-	for b := int32(0); b < blocks; b += 3 {
-		data, _, err := c.Read(f.ID, b, 5, 100)
+	for b := int32(0); b < diffBlocks; b += 3 {
+		data, err := read(b, 5, 100)
 		if err != nil {
 			t.Fatalf("strided read %d: %v", b, err)
 		}
 		h.Write(data)
 	}
-	for b := int32(1); b < blocks; b += 7 {
-		if _, err := c.Write(f.ID, b, 9, []byte{byte(b), 0xee, byte(b)}); err != nil {
+	for b := int32(1); b < diffBlocks; b += 7 {
+		if err := write(b, 9, []byte{byte(b), 0xee, byte(b)}); err != nil {
 			t.Fatalf("partial write %d: %v", b, err)
 		}
 	}
 	// One more pass so the rewrites are observed through the cache too.
-	for b := int32(0); b < blocks; b++ {
-		data, _, err := c.Read(f.ID, b, 0, core.BlockSize)
+	for b := int32(0); b < diffBlocks; b++ {
+		data, err := read(b, 0, core.BlockSize)
 		if err != nil {
 			t.Fatalf("final read %d: %v", b, err)
 		}
 		h.Write(data)
 	}
+	return h.Sum64()
+}
 
+// diffStoreState reads the workload file's final blocks off the store.
+func diffStoreState(t *testing.T, ms *disk.MemStore, file fs.FileID) map[int32][]byte {
+	t.Helper()
+	state := make(map[int32][]byte)
+	dst := make([]byte, core.BlockSize)
+	for b := int32(0); b < diffBlocks; b++ {
+		if err := ms.ReadBlock(int32(file), b, dst); err != nil {
+			t.Fatal(err)
+		}
+		state[b] = append([]byte(nil), dst...)
+	}
+	return state
+}
+
+// runDiffServer runs the workload over the wire against a fresh server:
+// the fill worker pool, and the batching flusher at depth wbDepth.
+func runDiffServer(t *testing.T, wbDepth int) diffOutcome {
+	t.Helper()
+	ms := disk.NewMemStore()
+	srv, _, dial := startServer(t, server.Config{
+		Kernel:         diffKernelConfig(ms),
+		WritebackDepth: wbDepth,
+	})
+	c := dial()
+	defer c.Close()
+	f, err := c.Create("diff", 0, diffBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out diffOutcome
+	out.readHash = diffWorkload(t,
+		func(blk int32, off int, payload []byte) error {
+			_, err := c.Write(f.ID, blk, off, payload)
+			return err
+		},
+		func(blk int32, off, size int) ([]byte, error) {
+			data, _, err := c.Read(f.ID, blk, off, size)
+			return data, err
+		})
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := diffOutcome{readHash: h.Sum64(), proc: st.Session, fill: st.Kernel.Fill}
+	out.proc, out.fill = st.Session, st.Kernel.Fill
 
 	c.Close()
 	shutdownAndClose(t, srv)
-	out.storeState = make(map[int32][]byte)
-	dst := make([]byte, core.BlockSize)
-	for b := int32(0); b < blocks; b++ {
-		if err := ms.ReadBlock(int32(f.ID), b, dst); err != nil {
-			t.Fatal(err)
-		}
-		out.storeState[b] = append([]byte(nil), dst...)
+	out.storeState = diffStoreState(t, ms, f.ID)
+	return out
+}
+
+// runDiffKernel runs the workload on a bare core.Live with no fill or
+// write-back executor: every miss is one inline single-block store read
+// and every dirty victim one inline store write, in request order — the
+// kernel's synchronous mode, which the oracle test pins.
+func runDiffKernel(t *testing.T) diffOutcome {
+	t.Helper()
+	ms := disk.NewMemStore()
+	l := core.NewLive(diffKernelConfig(ms))
+	owner := l.AddOwner("diff")
+	f, err := l.Create(owner, "diff", 0, diffBlocks)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var out diffOutcome
+	out.readHash = diffWorkload(t,
+		func(blk int32, off int, payload []byte) (err error) {
+			l.Write(owner, f.ID(), blk, off, payload, func(_ bool, werr error) { err = werr })
+			return err
+		},
+		func(blk int32, off, size int) (got []byte, err error) {
+			l.Read(owner, f.ID(), blk, off, size, func(data []byte, _ bool, rerr error) {
+				if err = rerr; err == nil {
+					got = append(got, data[off:off+size]...)
+				}
+			})
+			return got, err
+		})
+	if out.proc, err = l.OwnerStats(owner); err != nil {
+		t.Fatal(err)
+	}
+	out.fill = l.Snapshot().Fill
+
+	if _, err := l.FlushDirty(core.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	out.storeState = diffStoreState(t, ms, f.ID())
 	return out
 }
 
 // TestBatchedFillsDifferential pins the batched fill/write-back path
-// byte-identical to the single-block path: the same workload through
-// the legacy goroutine-per-fill executor with synchronous write-backs
-// (the pre-batching server, bit for bit) and through the worker pool
-// with the batching flusher must return the same bytes on every read,
-// leave the same bytes on the store, and agree on every deterministic
-// counter. The only licensed difference is *who* performs the store
-// reads: write-behind forwarding replaces store reads one-for-one, so
+// byte-identical to the single-block path: the same workload through a
+// bare kernel with synchronous single-block fills and write-backs and
+// through the server's worker pool with the batching flusher must return
+// the same bytes on every read, leave the same bytes on the store, and
+// agree on every deterministic counter. The only licensed difference is
+// *who* performs the store reads: write-behind forwarding replaces store
+// reads one-for-one, so
 // StoreReads(sync) = StoreReads(batched) + WritebackHits(batched).
 // CoalescedMisses is not among the counters: whether a demand read finds
 // its block's read-ahead fill still in flight (and joins it) or already
-// complete (and hits) is a race between the client and the fill worker
-// in either executor, not a property of one.
+// complete (and hits) is a race between the client and the fill worker,
+// and the synchronous kernel never has a fill in flight to join.
 func TestBatchedFillsDifferential(t *testing.T) {
-	sync := runDiffWorkload(t, -1, 0) // legacy executor, synchronous write-backs
-	batched := runDiffWorkload(t, 4, 16)
+	sync := runDiffKernel(t)
+	batched := runDiffServer(t, 16)
 
 	if sync.readHash != batched.readHash {
 		t.Error("read streams differ between single-block and batched fill paths")

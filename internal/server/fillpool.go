@@ -23,10 +23,9 @@ import (
 )
 
 const (
-	// defaultFillWorkers is the per-shard pool size when Config leaves
-	// FillWorkers zero: enough concurrency to overlap a few independent
-	// misses without unbounded goroutine spawn.
-	defaultFillWorkers = 4
+	// fillWorkers is the per-shard pool size: enough concurrency to
+	// overlap a few independent misses without unbounded goroutine spawn.
+	fillWorkers = 4
 	// maxFillBatch bounds how many queued fills one worker drains at a
 	// time; maxWritebackBatch bounds one flusher drain of wbch.
 	maxFillBatch      = 128

@@ -36,14 +36,6 @@ type Config struct {
 	// same-block ordering constraint degrades to a synchronous inline
 	// write (backpressure) rather than blocking the loop.
 	WritebackDepth int
-	// FillWorkers sizes the bounded per-shard fill worker pool (default
-	// 4). Misses and read-ahead runs queue on the shard's fill queue;
-	// the workers drain it, group same-file adjacent blocks, and retire
-	// each run with one vectored store read. A negative value restores
-	// the legacy one-goroutine-per-fill executor (one single-block store
-	// read per miss) — the unbatched baseline the cold-fill benchmark
-	// compares against.
-	FillWorkers int
 	// Shards is the number of independent kernel shards (default 1).
 	// Each shard owns its own Live — its own cache arena, ACM, and fill
 	// accounting — and its own message loop; files hash to a shard at
@@ -82,7 +74,7 @@ type Config struct {
 	// cache.ParseAlloc). Each shard samples every candidate for one epoch
 	// (AdaptEvery completed hit windows), scores it by EWMA windowed hit
 	// ratio, then settles on the best — switching later only when a
-	// fresh probe beats the incumbent by more than AdaptHysteresisBP
+	// fresh probe beats the incumbent by more than adaptHysteresisBP
 	// basis points. Adapter swaps run on the shard goroutine through the
 	// same SetAllocPolicy migration as the set_alloc wire op, and count
 	// in the alloc_swaps stat. New panics at construction on an unknown
@@ -91,17 +83,11 @@ type Config struct {
 	// AdaptEvery is the adapter epoch length in completed hit windows
 	// (default 4; the window itself is Kernel.HitWindow accesses).
 	AdaptEvery int64
-	// AdaptHysteresisBP is the switching threshold in basis points of
-	// windowed hit ratio (default 200 = two percentage points).
-	AdaptHysteresisBP int64
 }
 
 func (c *Config) fillDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.FillWorkers == 0 {
-		c.FillWorkers = defaultFillWorkers
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 32
@@ -114,9 +100,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.AdaptEvery <= 0 {
 		c.AdaptEvery = 4
-	}
-	if c.AdaptHysteresisBP <= 0 {
-		c.AdaptHysteresisBP = 200
 	}
 }
 
@@ -322,11 +305,10 @@ func (s *session) shardClosed() {
 // run on the shard goroutine, or a shutdown phase.
 type kmsg struct {
 	sess    *session
-	req     *request // with sess: one request frame
-	open    bool     // with sess: session arrived
-	close   bool     // with sess: session is gone
-	fill    *core.Fill
-	fills   []*core.Fill      // a completed fill run (one store call, batched path)
+	req     *request          // with sess: one request frame
+	open    bool              // with sess: session arrived
+	close   bool              // with sess: session is gone
+	fills   []*core.Fill      // a completed fill run (one store call)
 	wb      *core.WriteBack   // a completed asynchronous write-back
 	wbs     []*core.WriteBack // a completed write-back batch (batched flusher)
 	batched bool              // with fills/wbs: the store retired it as one vectored call
@@ -365,8 +347,8 @@ type shard struct {
 	wbOverflow []*core.WriteBack
 	wbInflight int
 
-	// fq is the shard's fill queue (nil in legacy goroutine-per-fill
-	// mode); the worker pool drains it. Closed at retire.
+	// fq is the shard's fill queue; the worker pool drains it. Closed at
+	// retire.
 	fq *fillQueue
 
 	// adapter is the shard's online allocation-policy adapter (nil
@@ -462,6 +444,7 @@ func New(cfg Config) *Server {
 			kch:      make(chan kmsg, 256),
 			done:     make(chan struct{}),
 			sessions: make(map[*session]bool),
+			fq:       newFillQueue(),
 		}
 		kcfg := cfg.Kernel.ShardConfig(i, n)
 		store := remapStore{base: base, shard: int32(i), n: int32(n)}
@@ -470,36 +453,22 @@ func New(cfg Config) *Server {
 		// run. The batch counters only tick when it can, so BatchedFills
 		// on a plain (or counting test) store honestly reads zero.
 		_, batchCapable := base.(disk.BatchStore)
-		if cfg.FillWorkers > 0 {
-			// Batched mode: fills queue on the shard's fill queue (the
-			// hooks run on the kernel goroutine, which also tracks the
-			// queue's high-water mark); a bounded worker pool drains it,
-			// groups same-file adjacent blocks, and re-enters the loop
-			// one run at a time. The loop counts fills in flight so
-			// shutdown can wait for the last.
-			sh.fq = newFillQueue()
-			kcfg.StartFill = func(fl *core.Fill) {
-				sh.fillsInflight++
-				sh.kern.NoteFillQueueDepth(sh.fq.push(fl))
-			}
-			kcfg.StartFillBatch = func(fls []*core.Fill) {
-				sh.fillsInflight += len(fls)
-				sh.kern.NoteFillQueueDepth(sh.fq.push(fls...))
-			}
-			srv.running.Add(cfg.FillWorkers)
-			for w := 0; w < cfg.FillWorkers; w++ {
-				go sh.fillWorker(store, batchCapable)
-			}
-		} else {
-			// Legacy mode (FillWorkers < 0): one goroutine and one
-			// single-block store read per fill — the unbatched baseline.
-			kcfg.StartFill = func(fl *core.Fill) {
-				sh.fillsInflight++
-				go func() {
-					fl.Err = store.ReadBlock(int32(fl.ID.File), fl.ID.Num, fl.Data)
-					sh.kch <- kmsg{fill: fl}
-				}()
-			}
+		// Fills queue on the shard's fill queue (the hooks run on the
+		// kernel goroutine, which also tracks the queue's high-water
+		// mark); a bounded worker pool drains it, groups same-file
+		// adjacent blocks, and re-enters the loop one run at a time. The
+		// loop counts fills in flight so shutdown can wait for the last.
+		kcfg.StartFill = func(fl *core.Fill) {
+			sh.fillsInflight++
+			sh.kern.NoteFillQueueDepth(sh.fq.push(fl))
+		}
+		kcfg.StartFillBatch = func(fls []*core.Fill) {
+			sh.fillsInflight += len(fls)
+			sh.kern.NoteFillQueueDepth(sh.fq.push(fls...))
+		}
+		srv.running.Add(fillWorkers)
+		for w := 0; w < fillWorkers; w++ {
+			go sh.fillWorker(store, batchCapable)
 		}
 		if cfg.WritebackDepth > 0 {
 			sh.wbch = make(chan *core.WriteBack, cfg.WritebackDepth)
@@ -515,7 +484,7 @@ func New(cfg Config) *Server {
 		}
 		sh.kern = core.NewLive(kcfg)
 		if len(cfg.AdaptAlloc) > 0 {
-			sh.adapter = newAllocAdapter(cfg.AdaptAlloc, cfg.AdaptEvery, cfg.AdaptHysteresisBP, sh.kern)
+			sh.adapter = newAllocAdapter(cfg.AdaptAlloc, cfg.AdaptEvery, sh.kern)
 		}
 		kerns = append(kerns, sh.kern)
 		srv.shards = append(srv.shards, sh)
@@ -1176,9 +1145,6 @@ func (sh *shard) loop() {
 	defer sh.srv.running.Done()
 	for m := range sh.kch {
 		switch {
-		case m.fill != nil:
-			sh.fillsInflight--
-			sh.kern.CompleteFill(m.fill)
 		case m.fills != nil:
 			sh.fillsInflight -= len(m.fills)
 			if m.batched {
@@ -1233,9 +1199,7 @@ func (sh *shard) retire() {
 	if sh.wbch != nil {
 		close(sh.wbch)
 	}
-	if sh.fq != nil {
-		sh.fq.close()
-	}
+	sh.fq.close()
 	close(sh.done)
 }
 
