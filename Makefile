@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check test vet race race-hot race-lifecycle loc benchmark benchmark-des bench bench-cache bench-sim serve serve-cluster loadtest experiments charts fuzz fuzz-frames
+.PHONY: all check test vet race race-hot race-lifecycle race-discard loc benchmark benchmark-des bench bench-cache bench-sim serve serve-cluster loadtest experiments charts fuzz fuzz-frames
 
 all: check
 
@@ -23,6 +23,17 @@ race-hot:
 # its own step.
 race-lifecycle:
 	$(GO) test -race ./internal/server ./internal/cluster -run '^TestLifecycle' -count=5
+
+# The discard gates by name, repeated: what a store holds follows the
+# files that exist (create / write twice the cache / remove in rounds,
+# with and without write-behind), a discard never overtakes an older
+# write of its block nor runs inline on a full queue, a write that lands
+# after its file's remove persists nothing, a re-created name reads
+# zeros on both cluster origins, and acload's sort replay leaves no block
+# of a removed temporary. CI runs it as its own step.
+race-discard:
+	$(GO) test -race ./internal/disk ./internal/core ./internal/server ./internal/cluster ./cmd/acload \
+		-run 'Discard|TestStoreFollowsLiveSet|TestLiveRemove|TestLiveWriteAfterRemove|TestLiveRecreatedName|TestClusterRecreatedName|TestReplaySortLeavesNoRemovedBlocks' -count=5
 
 vet:
 	$(GO) vet ./...

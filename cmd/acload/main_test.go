@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/expt"
 	"repro/internal/flagdoc"
 	"repro/internal/fs"
@@ -293,6 +294,122 @@ func TestReplayAgainstServer(t *testing.T) {
 	}
 	if m.Refused != 0 || m.Requests < res.Requests {
 		t.Errorf("server counted %d requests (%d refused); the clients sent %d", m.Requests, m.Refused, res.Requests)
+	}
+}
+
+// TestReplaySortLeavesNoRemovedBlocks replays the paper's sort — the
+// application that lives on temporary files it deletes after every merge
+// pass — at a real server over a MemStore the test can look into. Its
+// 6.5 k temporary-block writes are several times the cache, so most reach
+// the store; when the replay is over and the server has flushed and
+// closed, every block the store holds belongs to a file that still
+// exists.
+func TestReplaySortLeavesNoRemovedBlocks(t *testing.T) {
+	mem := disk.NewMemStore()
+	srv := server.New(server.Config{
+		Kernel: core.LiveConfig{
+			CacheBytes:     core.MB(6.4),
+			Alloc:          cache.LRUSP,
+			ReadAhead:      true,
+			ReadAheadDepth: 4,
+			WallClock:      true,
+			Store:          mem,
+		},
+		Shards:         2,
+		WritebackDepth: 8,
+	})
+	sock := filepath.Join(t.TempDir(), "acfcd.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	stopped := false
+	stop := func() {
+		if stopped {
+			return
+		}
+		stopped = true
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}
+	defer stop()
+
+	rec := expt.Record(expt.RunSpec{
+		Apps:    []expt.AppSpec{{Name: "sort", Make: expt.Registry["sort"], Mode: workload.Smart}},
+		CacheMB: 6.4,
+		Alloc:   cache.LRUSP,
+		Opts:    expt.Options{ReadAheadOff: true},
+	})
+	var created []string
+	removed := 0
+	for _, ev := range rec.Events {
+		if ev.IsCtl && ev.Ctl.Op == core.CtlCreateFile {
+			created = append(created, ev.Ctl.FileName)
+		}
+		if ev.IsCtl && ev.Ctl.Op == core.CtlRemoveFile {
+			removed++
+		}
+	}
+	if removed < 10 {
+		t.Fatalf("the sort transcript removes %d files; this test wants its temporaries", removed)
+	}
+
+	const clients = 2
+	res, err := runSweep("unix", sock, "t", clients, rec.Events, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 || res.Refused != 0 {
+		t.Fatalf("errors %d, refused %d; want 0, 0", res.Errors, res.Refused)
+	}
+
+	// The files that still exist are the ones that open.
+	c, err := client.Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exist []fs.FileID
+	for i := 0; i < clients; i++ {
+		for _, name := range created {
+			f, err := c.Open(fmt.Sprintf("tc%d/%s", i, name))
+			if se := (*client.StatusError)(nil); errors.As(err, &se) && se.Status == server.StatusNotFound {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			exist = append(exist, f.ID)
+		}
+	}
+	c.Close()
+	if want := clients * (len(created) - removed); len(exist) != want {
+		t.Fatalf("%d files exist after the replay, want %d", len(exist), want)
+	}
+	m, ok := srv.Metrics()
+	if !ok {
+		t.Fatal("Metrics not ok on a running server")
+	}
+	if m.Kernel.Fill.DiscardedBlocks == 0 {
+		t.Error("no block was discarded: the temporaries never reached the store, or were never given back")
+	}
+
+	stop() // drains the write-behind queue, flushes what is still dirty
+	held := 0
+	for _, id := range exist {
+		held += mem.BlocksOf(int32(id))
+	}
+	if held == 0 {
+		t.Error("the store holds nothing of the files that exist: the check below checks nothing")
+	}
+	if total := mem.Blocks(); total != held {
+		t.Errorf("the store holds %d blocks, %d of them of files that exist: %d belong to removed files", total, held, total-held)
 	}
 }
 

@@ -122,6 +122,7 @@ func victim(l *cache.ACMLevel, now sim.Time) (v, fallback *cache.ACMNode) {
 type Manager struct {
 	acm      *ACM
 	owner    int
+	slot     int               // index in acm.live
 	levels   []*cache.ACMLevel // sorted by Prio ascending
 	filePrio map[fs.FileID]int
 	policies map[int]Policy
@@ -142,7 +143,10 @@ type ACM struct {
 	// managers is indexed by owner id (process ids are small and dense);
 	// nil entries are unmanaged. Hot-path lookups must not pay for a map.
 	managers []*Manager
-	nmgr     int
+	// live lists the managers that exist, in no particular order: what
+	// FileGone walks — at most MaxManagers, however many owner ids have
+	// come and gone.
+	live []*Manager
 }
 
 // New builds an ACM. The now function supplies virtual time for busy-block
@@ -171,12 +175,13 @@ func (a *ACM) CreateManager(owner int) (*Manager, error) {
 	if a.managerOf(owner) != nil {
 		return nil, fmt.Errorf("acm: process %d already has a manager", owner)
 	}
-	if a.nmgr >= a.limits.MaxManagers {
+	if len(a.live) >= a.limits.MaxManagers {
 		return nil, fmt.Errorf("acm: manager limit (%d): %w", a.limits.MaxManagers, ErrLimit)
 	}
 	m := &Manager{
 		acm:      a,
 		owner:    owner,
+		slot:     len(a.live),
 		filePrio: make(map[fs.FileID]int),
 		policies: make(map[int]Policy),
 	}
@@ -184,7 +189,7 @@ func (a *ACM) CreateManager(owner int) (*Manager, error) {
 		a.managers = append(a.managers, nil)
 	}
 	a.managers[owner] = m
-	a.nmgr++
+	a.live = append(a.live, m)
 	return m, nil
 }
 
@@ -204,7 +209,24 @@ func (a *ACM) DestroyManager(owner int) {
 		}
 	}
 	a.managers[owner] = nil
-	a.nmgr--
+	last := len(a.live) - 1
+	a.live[m.slot] = a.live[last]
+	a.live[m.slot].slot = m.slot
+	a.live[last] = nil
+	a.live = a.live[:last]
+}
+
+// FileGone tells the ACM a file has been removed: every manager drops
+// its priority record for it. File ids are never reused, so the record
+// could steer nothing any more, but it would count against
+// MaxFileRecords for as long as its manager lives — and an application
+// that keeps control while it churns temporary files (sort, after every
+// merge pass) would run out of records with a handful of files in
+// existence.
+func (a *ACM) FileGone(file fs.FileID) {
+	for _, m := range a.live {
+		delete(m.filePrio, file)
+	}
 }
 
 // ManagerOf returns the manager for owner, if any.
@@ -523,9 +545,19 @@ func (m *Manager) PoolOrder(prio int) []cache.BlockID {
 
 // CheckInvariants panics on structural inconsistency; tests call it.
 func (a *ACM) CheckInvariants() {
-	for owner, m := range a.managers {
-		if m == nil {
-			continue
+	registered := 0
+	for _, m := range a.managers {
+		if m != nil {
+			registered++
+		}
+	}
+	if registered != len(a.live) {
+		panic(fmt.Sprintf("acm: %d managers registered, %d live", registered, len(a.live)))
+	}
+	for slot, m := range a.live {
+		owner := m.owner
+		if m.slot != slot || a.managerOf(owner) != m {
+			panic(fmt.Sprintf("acm: live manager %d (slot %d) is not the one registered for owner %d", slot, m.slot, owner))
 		}
 		for _, l := range m.levels {
 			n := 0

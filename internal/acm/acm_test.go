@@ -2,6 +2,7 @@ package acm_test
 
 import (
 	"cmp"
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -96,6 +97,61 @@ func TestManagerLimit(t *testing.T) {
 	if _, err := a.CreateManager(3); err == nil {
 		t.Error("manager limit not enforced")
 	}
+}
+
+// TestFileGoneFreesRecords: a removed file's priority record goes from
+// every manager that exists — found through the live list, which stays
+// right as managers with ids on either side come and go — and frees its
+// place under MaxFileRecords.
+func TestFileGoneFreesRecords(t *testing.T) {
+	a := acm.New(func() sim.Time { return 0 }, acm.Limits{MaxManagers: 3, MaxLevels: 4, MaxFileRecords: 2})
+	mgr := make(map[int]*acm.Manager)
+	create := func(owner int) {
+		t.Helper()
+		m, err := a.CreateManager(owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr[owner] = m
+		for _, file := range []fs.FileID{100, 101} {
+			if err := m.SetPriority(file, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	create(7)
+	create(2)
+	create(900)
+	a.DestroyManager(7) // the first of the live list: the last takes its slot
+	a.CheckInvariants()
+	create(5)
+	a.DestroyManager(5) // the last of the live list
+	a.CheckInvariants()
+
+	a.FileGone(100)
+	for _, owner := range []int{2, 900} {
+		m := mgr[owner]
+		if got := m.Priority(100); got != acm.DefaultPriority {
+			t.Errorf("manager %d still records priority %d for the removed file", owner, got)
+		}
+		if got := m.Priority(101); got != 1 {
+			t.Errorf("manager %d lost the record of a file that exists (priority %d)", owner, got)
+		}
+		if err := m.SetPriority(102, 1); err != nil {
+			t.Errorf("manager %d: the removed file's record still counts against the limit: %v", owner, err)
+		}
+		if err := m.SetPriority(103, 1); !errors.Is(err, acm.ErrLimit) {
+			t.Errorf("manager %d: file record limit not enforced: %v", owner, err)
+		}
+	}
+	a.FileGone(555) // a file nobody prioritised
+	if _, err := a.CreateManager(11); err != nil {
+		t.Errorf("a destroyed manager still counts against MaxManagers: %v", err)
+	}
+	if _, err := a.CreateManager(12); !errors.Is(err, acm.ErrLimit) {
+		t.Errorf("manager limit not enforced: %v", err)
+	}
+	a.CheckInvariants()
 }
 
 func TestLevelAndFileLimits(t *testing.T) {

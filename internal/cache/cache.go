@@ -172,22 +172,6 @@ type Stats struct {
 	AllocSwaps      int64 `json:"alloc_swaps"` // live allocation-policy hot-swaps (SetAlloc)
 }
 
-// Accumulate folds o into s. Used to aggregate the caches of many
-// independent runs (the experiment Runner's kernel-counter snapshot).
-func (s *Stats) Accumulate(o Stats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.UnrefEvictions += o.UnrefEvictions
-	s.Consults += o.Consults
-	s.Overrules += o.Overrules
-	s.PlaceholderHits += o.PlaceholderHits
-	s.Vindicated += o.Vindicated
-	s.Transfers += o.Transfers
-	s.Revocations += o.Revocations
-	s.AllocSwaps += o.AllocSwaps
-}
-
 // OwnerStats tracks one manager's decision quality for the revocation
 // extension (the paper's footnote 7).
 type OwnerStats struct {

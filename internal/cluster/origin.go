@@ -20,19 +20,23 @@ import (
 )
 
 // Origin is the cluster's authoritative block backend: it holds every
-// block ever written back by any node, keyed by file name. Blocks never
-// written read as zeros, matching disk.Store semantics. Implementations
-// must be safe for concurrent use — every node's write-behind flusher
-// and fill workers reach it at once.
+// block written back by any node and not since discarded, keyed by file
+// name. Blocks never written read as zeros, matching disk.Store
+// semantics — discards included: a nil source returns the block to the
+// never-written state, which is what keeps a re-created name from
+// reading its previous life. Implementations must be safe for concurrent
+// use — every node's write-behind flusher and fill workers reach it at
+// once.
 type Origin interface {
 	// ReadBlock fills dst (len BlockSize) with the named file's block.
 	ReadBlock(name string, blk int32, dst []byte) error
-	// WriteBlock persists src as the named file's block.
+	// WriteBlock persists src as the named file's block, or discards the
+	// block when src is nil.
 	WriteBlock(name string, blk int32, src []byte) error
 	// ReadRun / WriteRun move a run of consecutive blocks starting at
 	// start in one call — the batch shape the fill workers and the
 	// write-behind flusher hand down (PR 8's run coalescing, kept alive
-	// through the cluster tier).
+	// through the cluster tier). A nil entry of srcs discards its block.
 	ReadRun(name string, start int32, dsts [][]byte) error
 	WriteRun(name string, start int32, srcs [][]byte) error
 	Close() error
@@ -66,12 +70,7 @@ func (m *MemOrigin) ReadBlock(name string, blk int32, dst []byte) error {
 }
 
 func (m *MemOrigin) WriteBlock(name string, blk int32, src []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b := make([]byte, len(src))
-	copy(b, src)
-	m.blocks[originKey(name, blk)] = b
-	return nil
+	return m.WriteRun(name, blk, [][]byte{src})
 }
 
 func (m *MemOrigin) ReadRun(name string, start int32, dsts [][]byte) error {
@@ -91,6 +90,10 @@ func (m *MemOrigin) WriteRun(name string, start int32, srcs [][]byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, src := range srcs {
+		if src == nil {
+			delete(m.blocks, originKey(name, start+int32(i)))
+			continue
+		}
 		b := make([]byte, len(src))
 		copy(b, src)
 		m.blocks[originKey(name, start+int32(i))] = b
@@ -102,7 +105,7 @@ func (m *MemOrigin) WriteRun(name string, start int32, srcs [][]byte) error {
 // in-process cluster, so no one node owns its lifetime.
 func (m *MemOrigin) Close() error { return nil }
 
-// Blocks reports how many blocks have been written.
+// Blocks reports how many blocks the origin holds.
 func (m *MemOrigin) Blocks() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -142,7 +145,9 @@ func (m *MemOrigin) Keys() []string {
 // percent-escaped into a filename), blocks at offset blk*BlockSize.
 // Files are opened per call — the origin is the slow tier by
 // construction, and handle caching would buy little under the cluster's
-// cache-first access pattern.
+// cache-first access pattern. A discarded block is written over with
+// zeros, which reads as never-written; the file keeps its length (no
+// hole is punched, nothing is truncated).
 type DirOrigin struct {
 	dir string
 }
@@ -201,6 +206,9 @@ func (d *DirOrigin) WriteRun(name string, start int32, srcs [][]byte) error {
 	defer f.Close()
 	off := int64(start) * disk.BlockSize
 	for _, src := range srcs {
+		if src == nil {
+			src = zeroBlock[:]
+		}
 		if _, err := f.WriteAt(src, off); err != nil {
 			return err
 		}
@@ -208,5 +216,8 @@ func (d *DirOrigin) WriteRun(name string, start int32, srcs [][]byte) error {
 	}
 	return nil
 }
+
+// zeroBlock is what DirOrigin writes over a discarded block.
+var zeroBlock [disk.BlockSize]byte
 
 func (d *DirOrigin) Close() error { return nil }

@@ -287,7 +287,10 @@ func (ns *NodeStore) ReadBlock(file, blk int32, dst []byte) error {
 }
 
 // WriteBlock implements disk.Store: write-backs and flushes persist to
-// the origin under the file's name.
+// the origin under the file's name, and a removed file's discards (nil
+// src) go there the same way — the name stays announced after the remove,
+// so the blocks its previous holder left are gone before the name can be
+// read again.
 func (ns *NodeStore) WriteBlock(file, blk int32, src []byte) error {
 	name, err := ns.name(file)
 	if err != nil {
@@ -344,7 +347,7 @@ func (ns *NodeStore) ReadBlocks(specs []disk.BlockSpan, dsts [][]byte) []error {
 }
 
 // WriteBlocks implements disk.BatchStore: runs go to the origin as one
-// vectored write each.
+// vectored write each, discards (nil entries) in place among them.
 func (ns *NodeStore) WriteBlocks(specs []disk.BlockSpan, srcs [][]byte) []error {
 	errs := make([]error, len(specs))
 	eachRun(specs, func(lo, hi int) {

@@ -598,6 +598,7 @@ func (p *Proc) RemoveFile(f *fs.File) {
 		p.sys.inode.Invalidate(f.ID())
 	}
 	p.sys.bc.InvalidateFile(f.ID())
+	p.sys.ctl.FileGone(f.ID())
 	if err := p.sys.fsys.Remove(f.Name()); err != nil {
 		panic(err)
 	}

@@ -169,6 +169,31 @@ func TestRemoveFileDiscardsDirty(t *testing.T) {
 	}
 }
 
+// TestRemoveFileFreesPriorityRecord: the simulated sort keeps control
+// while it creates, prioritises and removes temporaries; past
+// acm.DefaultLimits.MaxFileRecords of them its set_priority must still
+// succeed, because a removed file's record is gone with it.
+func TestRemoveFileFreesPriorityRecord(t *testing.T) {
+	sys := core.NewSystem(smallConfig())
+	sys.Spawn("sort", func(p *core.Proc) {
+		if err := p.EnableControl(); err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 600; i++ {
+			f := p.CreateFile(fmt.Sprintf("tmp%d", i), 0, 0)
+			if err := p.SetPriority(f, 1); err != nil {
+				t.Errorf("set_priority on file %d of the process: %v", i+1, err)
+				return
+			}
+			p.WriteSeq(f, 0, 2)
+			p.RemoveFile(f)
+		}
+	})
+	sys.Run()
+	sys.ACM().CheckInvariants()
+}
+
 func TestDirtyEvictionWritesBack(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SyncInterval = 0 // no daemon; eviction must flush

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/acm"
@@ -80,17 +81,34 @@ type Fill struct {
 // from then on), the executor (LiveConfig.StartWriteBack) arranges for
 // the store write and for CompleteWriteBack(wb) to re-enter the kernel
 // goroutine with Err set on failure.
+//
+// The same record carries a removed file's discards down the same queue
+// (Discard non-nil, Data nil): what the store holds of a file goes back
+// behind the last write the file queued, through the one path that
+// orders writes.
 type WriteBack struct {
 	ID    cache.BlockID
 	Data  []byte
 	Owner int   // owner to charge the WriteBacks counter to
 	Err   error // set by the executor on store write failure
 
+	// Discard, when non-nil, makes this a discard: every block of the
+	// removed file ID.File that was ever handed to the store, ascending
+	// (ID.Num is the first), for the executor to pass to disk.Discard in
+	// place of the write. Older write-backs of these very blocks may
+	// still be queued anywhere ahead of it, so a discard is always
+	// Conflict.
+	Discard []disk.BlockSpan
+
 	// Conflict reports that an older write-back for the same block was
-	// still pending when this one was enqueued. The executor must not
-	// let this write reach the store before the older one (a reordering
-	// would persist stale bytes); the kernel's pending table always
-	// forwards the newest data, so queue-order execution is sufficient.
+	// still pending when this one was enqueued — or that the file was
+	// created over the name of one whose discard is still queued, which
+	// on a store keyed by name is the same block — or that this is a
+	// discard. The executor must not let it reach the store before
+	// anything queued earlier (a reordering would persist stale bytes, or
+	// discard fresh ones), however full its queue is; the kernel's
+	// pending table always forwards the newest data, so queue-order
+	// execution is sufficient.
 	Conflict bool
 	// Stalled marks a write-back the executor degraded to a synchronous
 	// inline write because its queue was full (the backpressure rule).
@@ -101,6 +119,7 @@ type WriteBack struct {
 	// bytes ride a leaked mid-fill slot instead (applyWrite's detached
 	// path).
 	slot *cache.Slot
+	name string // of a discard: the removed file's name
 }
 
 // LiveConfig configures a Live kernel.
@@ -145,6 +164,8 @@ type LiveConfig struct {
 	// Nil means write-backs run synchronously inline at eviction — with
 	// a nil hook the kernel's request/IO ordering is byte-identical to
 	// the pre-write-behind kernel, which is what the oracle test pins.
+	// A removed file's discards (WriteBack.Discard) take the same hook,
+	// and likewise run inline when it is nil.
 	StartWriteBack func(wb *WriteBack)
 
 	// ReadAhead enables server-side sequential read-ahead: a demand read
@@ -177,6 +198,10 @@ type LiveConfig struct {
 
 // DefaultHitWindow is the HitWindow applied when the config leaves it 0.
 const DefaultHitWindow = 1024
+
+// minReadAheadSweep is the smallest sequential-detector size worth
+// sweeping for removed files (liveOwner.raSweepAt).
+const minReadAheadSweep = 64
 
 func (c LiveConfig) cacheBlocks() int {
 	bytes := c.CacheBytes
@@ -259,6 +284,10 @@ type liveOwner struct {
 	// multi-block runs the batch executor can vector, instead of the
 	// one-block top-ups a per-read scheme degenerates to.
 	raUntil map[fs.FileID]int32
+	// raSweepAt is the size at which lastRead is next swept of removed
+	// files (noteSequential), twice what the last sweep left: the detector
+	// holds the files that exist, not every file the session ever read.
+	raSweepAt int
 }
 
 // Live is the real-clock kernel: one buffer cache plus ACM, a file
@@ -298,6 +327,20 @@ type Live struct {
 	// prefetched marks blocks brought in by read-ahead and not yet
 	// touched by a demand access, for the PrefetchHits counter.
 	prefetched map[cache.BlockID]bool
+	// persisted is, per file, the set of blocks handed to the store on
+	// any path (write-behind, the inline write-back, FlushDirty, a
+	// detached write-through): what Remove has to take back. One bit a
+	// block, dropped with the file.
+	persisted map[fs.FileID]blockSet
+	// discarding is the newest discard still in the executor's hands per
+	// file name, and shadowed the files created over such a name, each
+	// with the discard it waits for. File ids are never reused but names
+	// are, and a store may be keyed by name (the cluster's origin): until
+	// the discard lands, the new file's write-backs queue behind it
+	// (WriteBack.Conflict) and a fill of a block it has not written is
+	// zeros without asking the store, which still has the dead file's.
+	discarding map[string]*WriteBack
+	shadowed   map[fs.FileID]*WriteBack
 
 	fill          stats.FillStats
 	wbOutstanding int64 // write-backs enqueued, not yet completed
@@ -330,6 +373,9 @@ func NewLive(cfg LiveConfig) *Live {
 		mshr:       make(map[cache.BlockID]*Fill),
 		pendingWB:  make(map[cache.BlockID]*WriteBack),
 		prefetched: make(map[cache.BlockID]bool),
+		persisted:  make(map[fs.FileID]blockSet),
+		discarding: make(map[string]*WriteBack),
+		shadowed:   make(map[fs.FileID]*WriteBack),
 	}
 	l.ctl = acm.New(l.Now, cfg.ACMLimits)
 	l.bc = cache.New(cache.Config{
@@ -453,7 +499,14 @@ func (l *Live) Create(owner int, name string, d, sizeBlocks int) (*fs.File, erro
 	if d < 0 || d >= l.fsys.Disks() {
 		return nil, fmt.Errorf("core: no disk %d", d)
 	}
-	return l.fsys.Create(name, d, sizeBlocks)
+	f, err := l.fsys.Create(name, d, sizeBlocks)
+	if err != nil {
+		return nil, err
+	}
+	if wb := l.discarding[name]; wb != nil {
+		l.shadowed[f.ID()] = wb
+	}
+	return f, nil
 }
 
 // Open resolves a file by name and counts the open.
@@ -471,7 +524,11 @@ func (l *Live) Open(owner int, name string) (*fs.File, error) {
 }
 
 // Remove unlinks a file; its cached blocks (dirty or not) are discarded
-// without I/O, as for an unlinked temporary file.
+// without I/O, as for an unlinked temporary file, and the blocks it has
+// on the store are given back: every one it ever handed over becomes a
+// discard, queued behind the file's last write-back (or run inline when
+// there is no write-behind executor). A file that persisted nothing
+// costs no store call.
 func (l *Live) Remove(owner int, name string) error {
 	if _, err := l.owner(owner); err != nil {
 		return err
@@ -480,13 +537,62 @@ func (l *Live) Remove(owner int, name string) error {
 	if !ok {
 		return ErrNotFound
 	}
-	l.bc.InvalidateFile(f.ID())
+	fid := f.ID()
+	l.bc.InvalidateFile(fid)
 	for id := range l.prefetched {
-		if id.File == f.ID() {
+		if id.File == fid {
 			delete(l.prefetched, id)
 		}
 	}
-	return l.fsys.Remove(name)
+	l.ctl.FileGone(fid)
+	if err := l.fsys.Remove(name); err != nil {
+		return err
+	}
+	specs := l.persisted[fid].spans(fid)
+	delete(l.persisted, fid)
+	delete(l.shadowed, fid)
+	if len(specs) == 0 {
+		return nil
+	}
+	wb := &WriteBack{
+		ID:       cache.BlockID{File: fid, Num: specs[0].Blk},
+		Owner:    cache.NoOwner,
+		Discard:  specs,
+		Conflict: true,
+		name:     name,
+	}
+	if swb := l.cfg.StartWriteBack; swb != nil {
+		l.discarding[name] = wb
+		swb(wb)
+		return nil
+	}
+	wb.Err = disk.Discard(l.store, specs)
+	l.CompleteWriteBack(wb)
+	return nil
+}
+
+// blockSet is a set of block numbers of one file, a bit each.
+type blockSet []uint64
+
+// spans lists the set's blocks, ascending, as blocks of file.
+func (s blockSet) spans(file fs.FileID) []disk.BlockSpan {
+	var out []disk.BlockSpan
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, disk.BlockSpan{File: int32(file), Blk: int32(w<<6 + bits.TrailingZeros64(word))})
+		}
+	}
+	return out
+}
+
+// notePersisted records that id is about to be handed to the store.
+func (l *Live) notePersisted(id cache.BlockID) {
+	s, w := l.persisted[id.File], int(id.Num>>6)
+	if w >= len(s) {
+		s = append(s, make(blockSet, w+1-len(s))...)
+		l.persisted[id.File] = s
+	}
+	s[w] |= 1 << (id.Num & 63)
 }
 
 // --- the read/write surface ---
@@ -704,7 +810,10 @@ func (l *Live) NoteFillQueueDepth(depth int) {
 // fl.Data, whose slot could be the frozen pre-write copy); if the buffer
 // was evicted mid-fill the bytes write through via the write-back path —
 // never the store directly, so a queued write-behind of the same block
-// cannot land after (and clobber) this fresher data.
+// cannot land after (and clobber) this fresher data. If the buffer went
+// because the file did, the write goes where the file's dirty blocks
+// went: Remove has queued the file's discards, and a block written
+// behind them would stay on the store for ever.
 func (l *Live) applyWrite(b *cache.Buf, fl *Fill, off int, payload []byte, err error) error {
 	if err != nil {
 		return err
@@ -712,6 +821,9 @@ func (l *Live) applyWrite(b *cache.Buf, fl *Fill, off int, payload []byte, err e
 	if l.bc.Peek(fl.ID) == b {
 		copy(l.exclusiveData(b)[off:], payload)
 		l.bc.MarkDirty(b, l.Now())
+		return nil
+	}
+	if _, ok := l.fsys.ByID(fl.ID.File); !ok {
 		return nil
 	}
 	copy(fl.Data[off:], payload)
@@ -749,13 +861,21 @@ func (l *Live) fillData(fl *Fill) []byte {
 // stageFill resolves a fill that needs no store I/O. A block whose
 // newest bytes are still sitting in the write-behind queue is served
 // straight from that buffer — the store's copy is stale until the
-// flusher lands it, and the copy costs no I/O at all. Returns false
-// when the fill was completed in place, true when it still needs a
-// store read.
+// flusher lands it, and the copy costs no I/O at all. A block with
+// nothing queued, of a file whose name still has a discard queued
+// (Live.shadowed), has never been written by this file — its write-backs
+// are all behind that discard — so it is zeros, and the store is not
+// asked. Returns false when the fill was completed in place, true when it
+// still needs a store read.
 func (l *Live) stageFill(fl *Fill) bool {
 	if wb := l.pendingWB[fl.ID]; wb != nil {
 		copy(fl.Data, wb.Data)
 		l.fill.WritebackHits++
+		l.CompleteFill(fl)
+		return false
+	}
+	if l.shadowed[fl.ID.File] != nil {
+		clear(fl.Data)
 		l.CompleteFill(fl)
 		return false
 	}
@@ -852,9 +972,13 @@ func (l *Live) flushVictim(v *cache.Victim) error {
 // runs inline, and a failure is surfaced — counted, wrapped in
 // ErrWriteBack, never a panic — to the request that forced the eviction.
 func (l *Live) writeBack(id cache.BlockID, sl *cache.Slot, data []byte, owner int) error {
+	l.notePersisted(id)
 	if swb := l.cfg.StartWriteBack; swb != nil {
 		wb := &WriteBack{ID: id, Data: data, Owner: owner, slot: sl}
 		_, wb.Conflict = l.pendingWB[id]
+		if l.shadowed[id.File] != nil {
+			wb.Conflict = true
+		}
 		l.pendingWB[id] = wb
 		l.wbOutstanding++
 		l.fill.WritebacksQueued++
@@ -881,7 +1005,25 @@ func (l *Live) writeBack(id cache.BlockID, sl *cache.Slot, data []byte, owner in
 // it is still this write-back's: a newer eviction of the same block owns
 // the forwarding slot (and the executor's queue order guarantees its
 // bytes reach the store last).
+//
+// A finished discard moves none of the write-back counters: it lets the
+// file that took the name (if one did) out of the discard's shadow and
+// counts the blocks given back.
 func (l *Live) CompleteWriteBack(wb *WriteBack) {
+	if wb.Discard != nil {
+		if l.discarding[wb.name] == wb {
+			delete(l.discarding, wb.name)
+			if f, ok := l.fsys.Lookup(wb.name); ok && l.shadowed[f.ID()] == wb {
+				delete(l.shadowed, f.ID())
+			}
+		}
+		if wb.Err != nil {
+			l.fill.WritebackErrors++
+			return
+		}
+		l.fill.DiscardedBlocks += int64(len(wb.Discard))
+		return
+	}
 	if l.pendingWB[wb.ID] == wb {
 		delete(l.pendingWB, wb.ID)
 	}
@@ -930,6 +1072,17 @@ func (l *Live) noteSequential(owner int, f *fs.File, blk int32, now sim.Time) {
 	if o.lastRead == nil {
 		o.lastRead = make(map[fs.FileID]int32)
 		o.raUntil = make(map[fs.FileID]int32)
+	}
+	if len(o.lastRead) >= o.raSweepAt {
+		// Forget the files that have been removed since the detector was
+		// last this big; it may then grow to twice what is left.
+		for fid := range o.lastRead {
+			if _, ok := l.fsys.ByID(fid); !ok {
+				delete(o.lastRead, fid)
+				delete(o.raUntil, fid)
+			}
+		}
+		o.raSweepAt = max(2*len(o.lastRead), minReadAheadSweep)
 	}
 	last, seen := o.lastRead[f.ID()]
 	o.lastRead[f.ID()] = blk
@@ -1000,6 +1153,7 @@ func (l *Live) FlushDirty(cutoff sim.Time) (int, error) {
 		// Reading the slot for the store write is safe against pinned
 		// in-flight frames (reads both); the kernel goroutine is the only
 		// writer.
+		l.notePersisted(b.ID)
 		if err := l.store.WriteBlock(int32(b.ID.File), b.ID.Num, b.Slot.Data()); err != nil {
 			l.fill.WritebackErrors++
 			if firstErr == nil {
@@ -1221,6 +1375,22 @@ func (l *Live) CheckInvariants() {
 		}
 		if wb.Data == nil {
 			panic(fmt.Sprintf("core: pending write-back for %v has no data", id))
+		}
+	}
+	for fid := range l.persisted {
+		if _, ok := l.fsys.ByID(fid); !ok {
+			panic(fmt.Sprintf("core: removed file %d still has persisted-block bits", fid))
+		}
+	}
+	for name, wb := range l.discarding {
+		if wb.Discard == nil || wb.name != name {
+			panic(fmt.Sprintf("core: discard in flight for %q holds %+v", name, wb))
+		}
+	}
+	for fid, wb := range l.shadowed {
+		f, ok := l.fsys.ByID(fid)
+		if !ok || l.discarding[f.Name()] != wb {
+			panic(fmt.Sprintf("core: file %d is shadowed by a discard that is not its name's newest in flight", fid))
 		}
 	}
 }

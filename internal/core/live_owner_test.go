@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/fs"
+)
 
 // TestReleasedOwnersHoldNoReadAheadState runs a long-lived kernel through
 // many short sessions — add an owner, scan a file sequentially under
@@ -51,6 +56,67 @@ func TestReleasedOwnersHoldNoReadAheadState(t *testing.T) {
 			t.Fatalf("released owner %d still holds its read-ahead maps (%d, %d entries)",
 				id, len(o.lastRead), len(o.raUntil))
 		}
+	}
+	l.CheckInvariants()
+}
+
+// TestReadAheadDetectorForgetsRemovedFiles: one long-lived session reads
+// its way through files that are created and removed in turn — sort's
+// temporaries, app_mix's laps. The sequential detector keeps an entry per
+// file that exists, within the factor of two its amortised sweep allows,
+// not per file the session ever read; and the sweep takes nothing from a
+// file that is still there, whose run goes on prefetching across it.
+func TestReadAheadDetectorForgetsRemovedFiles(t *testing.T) {
+	const (
+		files  = 2000
+		blocks = 4
+	)
+	l := NewLive(LiveConfig{
+		CacheBytes:     64 * BlockSize,
+		ReadAhead:      true,
+		ReadAheadDepth: 4,
+	})
+	ow := l.AddOwner("long-lived")
+	read := func(fid fs.FileID, blk int32) {
+		l.Read(ow, fid, blk, 0, 8, func(_ []byte, _ bool, err error) {
+			if err != nil {
+				t.Fatalf("read %d of file %d: %v", blk, fid, err)
+			}
+		})
+	}
+	kept, err := l.Create(ow, "kept", 0, files+8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read(kept.ID(), 0)
+	o := l.owners[ow]
+	for i := 0; i < files; i++ {
+		name := fmt.Sprintf("tmp%d", i)
+		f, err := l.Create(ow, name, 0, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for blk := int32(0); blk < blocks; blk++ {
+			read(f.ID(), blk)
+		}
+		if err := l.Remove(ow, name); err != nil {
+			t.Fatal(err)
+		}
+		// Two files exist when the detector is at its largest: the bound is
+		// the sweep's floor.
+		if len(o.lastRead) > minReadAheadSweep || len(o.raUntil) > minReadAheadSweep {
+			t.Fatalf("after %d files the detector holds %d and %d entries, want at most %d",
+				i+1, len(o.lastRead), len(o.raUntil), minReadAheadSweep)
+		}
+		// One more block of the file that stays, per temporary: its run
+		// must survive every sweep in between.
+		read(kept.ID(), int32(i+1))
+	}
+	st, _ := l.OwnerStats(ow)
+	// Each temporary: blocks 0 and 1 miss, the rest are prefetched. The
+	// kept file: blocks 0 and 1 miss, then its window stays ahead.
+	if want := int64(files*2 + 2); st.Misses != want {
+		t.Errorf("%d misses, want %d: a sweep cut the kept file's run, or a temporary's", st.Misses, want)
 	}
 	l.CheckInvariants()
 }

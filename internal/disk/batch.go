@@ -27,8 +27,9 @@ type BatchStore interface {
 	// specs[i]. Unwritten blocks read as zeros, like ReadBlock.
 	ReadBlocks(specs []BlockSpan, dsts [][]byte) []error
 	// WriteBlocks persists srcs[i] (len BlockSize) as specs[i]'s
-	// contents. When one batch names the same block twice, the later
-	// span wins, matching sequential WriteBlock calls.
+	// contents; a nil srcs[i] discards specs[i], like WriteBlock. When
+	// one batch names the same block twice, the later span wins, matching
+	// sequential WriteBlock calls.
 	WriteBlocks(specs []BlockSpan, srcs [][]byte) []error
 }
 
@@ -58,4 +59,18 @@ func WriteBatch(s Store, specs []BlockSpan, srcs [][]byte) []error {
 		errs[i] = s.WriteBlock(sp.File, sp.Blk, srcs[i])
 	}
 	return errs
+}
+
+// Discard returns specs to the never-written state through s's write
+// path, as one batch: the blocks read as zeros again and the backend may
+// release their space. It reports the first span that failed. This is
+// the one place that writes the encoding down (a nil source, see Store);
+// everything between here and the backend only passes it on.
+func Discard(s Store, specs []BlockSpan) error {
+	for _, err := range WriteBatch(s, specs, make([][]byte, len(specs))) {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -226,8 +226,8 @@ func TestMemStoreWriteReuse(t *testing.T) {
 	}
 }
 
-// TestBatchConcurrentRace hammers batched and scalar reads and writes
-// from concurrent goroutines over both backends; it asserts nothing
+// TestBatchConcurrentRace hammers batched and scalar reads, writes and
+// discards from concurrent goroutines over both backends; it asserts nothing
 // beyond error-freedom — its job is to give the race detector traffic
 // over the slot map, the IO counters and the block map.
 func TestBatchConcurrentRace(t *testing.T) {
@@ -253,10 +253,20 @@ func TestBatchConcurrentRace(t *testing.T) {
 						bufs[i] = make([]byte, BlockSize)
 					}
 					one := make([]byte, BlockSize)
+					// Every other write batch discards a third of its
+					// blocks, and every third scalar write is a discard.
+					holed := append([][]byte(nil), bufs...)
+					for i := 0; i < span; i += 3 {
+						holed[i] = nil
+					}
 					for r := 0; r < rounds; r++ {
 						switch w % 4 {
 						case 0:
-							for i, err := range WriteBatch(store.s, specs, bufs) {
+							srcs := bufs
+							if r%2 == 1 {
+								srcs = holed
+							}
+							for i, err := range WriteBatch(store.s, specs, srcs) {
 								if err != nil {
 									t.Errorf("WriteBatch[%d]: %v", i, err)
 								}
@@ -268,7 +278,11 @@ func TestBatchConcurrentRace(t *testing.T) {
 								}
 							}
 						case 2:
-							if err := store.s.WriteBlock(int32(w%3), int32(r%span), one); err != nil {
+							src := one
+							if r%3 == 0 {
+								src = nil
+							}
+							if err := store.s.WriteBlock(int32(w%3), int32(r%span), src); err != nil {
 								t.Errorf("WriteBlock: %v", err)
 							}
 						default:

@@ -1,0 +1,168 @@
+package disk
+
+import (
+	"bytes"
+	"testing"
+)
+
+// discardBackends are the four ways a discard can reach a backend: the
+// in-memory store, the file store on its vectored and its scalar path,
+// and a store without the batch methods, which WriteBatch drives a block
+// at a time.
+func discardBackends(t *testing.T) []struct {
+	name string
+	s    Store
+} {
+	vec, scalar := newTestFileStore(t), newTestFileStore(t)
+	scalar.SetVectored(false)
+	return []struct {
+		name string
+		s    Store
+	}{
+		{"mem", NewMemStore()},
+		{"file-vectored", vec},
+		{"file-scalar", scalar},
+		{"plain", plainStore{NewMemStore()}},
+	}
+}
+
+// ioCalls is the number of file reads and writes s has made so far (a
+// store in memory makes none): the figure a discard and a read of a
+// discarded block must not move.
+func ioCalls(s Store) int64 {
+	switch s := s.(type) {
+	case *FileStore:
+		sr, vr, sw, vw := s.IOCounts()
+		return sr + vr + sw + vw
+	case plainStore:
+		return ioCalls(s.s)
+	}
+	return 0
+}
+
+func mustRead(t *testing.T, s Store, file, blk int32) []byte {
+	t.Helper()
+	dst := bytes.Repeat([]byte{0xff}, BlockSize)
+	if err := s.ReadBlock(file, blk, dst); err != nil {
+		t.Fatalf("ReadBlock(%d, %d): %v", file, blk, err)
+	}
+	return dst
+}
+
+func mustBatch(t *testing.T, s Store, specs []BlockSpan, srcs [][]byte) {
+	t.Helper()
+	for i, err := range WriteBatch(s, specs, srcs) {
+		if err != nil {
+			t.Fatalf("WriteBatch[%d] %v: %v", i, specs[i], err)
+		}
+	}
+}
+
+// TestDiscard is the storage contract's discard clause on every backend:
+// a nil source returns the block to the never-written state.
+func TestDiscard(t *testing.T) {
+	zeros := make([]byte, BlockSize)
+	a := bytes.Repeat([]byte{0xa1}, BlockSize)
+	b := bytes.Repeat([]byte{0xb2}, BlockSize)
+	for _, be := range discardBackends(t) {
+		t.Run(be.name, func(t *testing.T) {
+			s := be.s
+			// A discard of a block never written is a no-op.
+			if err := Discard(s, []BlockSpan{{9, 9}}); err != nil {
+				t.Fatalf("discard of a never-written block: %v", err)
+			}
+			if err := s.WriteBlock(9, 8, nil); err != nil {
+				t.Fatalf("scalar discard of a never-written block: %v", err)
+			}
+			if !bytes.Equal(mustRead(t, s, 9, 9), zeros) {
+				t.Error("never-written block does not read as zeros after a discard")
+			}
+
+			// Discard, then read: zeros, and neither touches the medium.
+			specs := []BlockSpan{{1, 0}, {1, 1}, {1, 2}, {2, 0}}
+			mustBatch(t, s, specs, [][]byte{a, a, a, a})
+			before := ioCalls(s)
+			if err := Discard(s, specs[:2]); err != nil {
+				t.Fatalf("Discard: %v", err)
+			}
+			if err := s.WriteBlock(2, 0, nil); err != nil {
+				t.Fatalf("scalar discard: %v", err)
+			}
+			for _, sp := range []BlockSpan{{1, 0}, {1, 1}, {2, 0}} {
+				if !bytes.Equal(mustRead(t, s, sp.File, sp.Blk), zeros) {
+					t.Errorf("%v does not read as zeros after its discard", sp)
+				}
+			}
+			dsts := [][]byte{bytes.Repeat([]byte{0xff}, BlockSize), bytes.Repeat([]byte{0xff}, BlockSize)}
+			for i, err := range ReadBatch(s, specs[:2], dsts) {
+				if err != nil || !bytes.Equal(dsts[i], zeros) {
+					t.Errorf("batched read of discarded %v: err %v, zeros %v", specs[i], err, bytes.Equal(dsts[i], zeros))
+				}
+			}
+			if after := ioCalls(s); after != before {
+				t.Errorf("discarding and reading the discarded blocks made %d I/O calls, want 0", after-before)
+			}
+			if !bytes.Equal(mustRead(t, s, 1, 2), a) {
+				t.Error("a discard took a neighbouring block with it")
+			}
+
+			// A write after a discard works.
+			if err := s.WriteBlock(1, 0, b); err != nil {
+				t.Fatal(err)
+			}
+			mustBatch(t, s, []BlockSpan{{1, 1}}, [][]byte{b})
+			if !bytes.Equal(mustRead(t, s, 1, 0), b) || !bytes.Equal(mustRead(t, s, 1, 1), b) {
+				t.Error("a block written after its discard does not read back")
+			}
+
+			// One batch, data and discards mixed, blocks named twice: the
+			// later span wins, as with sequential WriteBlock calls.
+			mustBatch(t, s,
+				[]BlockSpan{{3, 0}, {3, 1}, {3, 2}, {3, 0}, {3, 1}, {3, 3}, {3, 2}, {3, 2}},
+				[][]byte{a, nil, a, nil, b, a, nil, b})
+			for blk, want := range [][]byte{zeros, b, b, a} {
+				if !bytes.Equal(mustRead(t, s, 3, int32(blk)), want) {
+					t.Errorf("mixed batch: block %d reads %x.., want %x..", blk, mustRead(t, s, 3, int32(blk))[0], want[0])
+				}
+			}
+
+			// A source that is neither a block nor nil is still an error,
+			// and fails its own span only.
+			if err := s.WriteBlock(4, 0, []byte{}); err == nil {
+				t.Error("WriteBlock of an empty non-nil source succeeded")
+			}
+			if err := s.WriteBlock(4, 0, a[:BlockSize-1]); err == nil {
+				t.Error("WriteBlock of a short source succeeded")
+			}
+			errs := WriteBatch(s, []BlockSpan{{4, 0}, {4, 1}, {3, 3}}, [][]byte{a, a[:7], nil})
+			if errs[0] != nil || errs[1] == nil || errs[2] != nil {
+				t.Errorf("batch with one short source: errors %v, want [nil, non-nil, nil]", errs)
+			}
+			if !bytes.Equal(mustRead(t, s, 4, 1), zeros) || !bytes.Equal(mustRead(t, s, 3, 3), zeros) {
+				t.Error("the failed span wrote, or the discard beside it did not land")
+			}
+		})
+	}
+}
+
+// TestMemStoreDiscardReleases: what a discard is for. The entry leaves
+// the map, so the block count follows the blocks that exist.
+func TestMemStoreDiscardReleases(t *testing.T) {
+	m := NewMemStore()
+	src := make([]byte, BlockSize)
+	var specs []BlockSpan
+	for f := int32(1); f <= 2; f++ {
+		for b := int32(0); b < 8; b++ {
+			specs = append(specs, BlockSpan{f, b})
+			if err := m.WriteBlock(f, b, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := Discard(m, specs[:8]); err != nil {
+		t.Fatal(err)
+	}
+	if m.Blocks() != 8 || m.BlocksOf(1) != 0 || m.BlocksOf(2) != 8 {
+		t.Errorf("after discarding file 1: %d blocks, %d of file 1, %d of file 2; want 8, 0, 8", m.Blocks(), m.BlocksOf(1), m.BlocksOf(2))
+	}
+}

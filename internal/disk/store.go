@@ -19,20 +19,43 @@ import (
 )
 
 // Store is a live block backend: it durably (or at least authoritatively)
-// holds the contents of every block ever written back, and serves fills
-// for blocks entering the cache. Blocks never written read as zeros, like
-// a freshly allocated file. Implementations must be safe for concurrent
-// use.
+// holds the contents of every block written back and not since discarded,
+// and serves fills for blocks entering the cache. Blocks never written
+// read as zeros, like a freshly allocated file. Implementations must be
+// safe for concurrent use.
+//
+// There is no delete method: a write whose source is nil is a discard
+// (see WriteBlock; Discard issues them). It rides the write path for two
+// reasons. A discard must not overtake an older queued write of its
+// block, and the write path — the kernel's pending table, the flusher's
+// FIFO, its overflow list — is the machinery that already orders writes.
+// And a Store is wrapped (shard remaps, the cluster's name translation,
+// counting and gating test stores, the benchmark's timer): an optional
+// interface stops at the first wrapper that has not heard of it, a nil
+// source passes through all of them untouched.
 type Store interface {
 	// ReadBlock fills dst (len BlockSize) with the block's contents.
 	// dst is typically an arena-backed cache slot (the fill path reads
 	// straight into the buffer the cache will serve from); implementations
 	// must not retain it past the call.
 	ReadBlock(file int32, blk int32, dst []byte) error
-	// WriteBlock persists src (len BlockSize) as the block's contents.
+	// WriteBlock persists src (len BlockSize) as the block's contents. A
+	// nil src discards the block instead: it returns to the never-written
+	// state — reads as zeros again — and the backend may release its
+	// space; discarding a block never written is a no-op. Any other
+	// length is an error.
 	WriteBlock(file int32, blk int32, src []byte) error
 	// Close releases the backend.
 	Close() error
+}
+
+// checkSrc rejects a write source that is neither a whole block nor the
+// nil of a discard.
+func checkSrc(src []byte) error {
+	if src != nil && len(src) != BlockSize {
+		return fmt.Errorf("disk: write buffer is %d bytes, want %d", len(src), BlockSize)
+	}
+	return nil
 }
 
 // storeKey packs a (file, block) pair into one map key.
@@ -75,10 +98,11 @@ func (m *MemStore) readLocked(file, blk int32, dst []byte) {
 // WriteBlock implements Store. A block written before is updated in
 // place under the lock — no reader holds a reference to the stored
 // buffer (ReadBlock copies out under the same lock), so reuse is safe
-// and the steady-state write-back path stops allocating.
+// and the steady-state write-back path stops allocating. A discard
+// deletes the entry, so the block's memory goes back to the collector.
 func (m *MemStore) WriteBlock(file, blk int32, src []byte) error {
-	if len(src) != BlockSize {
-		return fmt.Errorf("disk: write buffer is %d bytes, want %d", len(src), BlockSize)
+	if err := checkSrc(src); err != nil {
+		return err
 	}
 	m.mu.Lock()
 	m.writeLocked(file, blk, src)
@@ -88,6 +112,10 @@ func (m *MemStore) WriteBlock(file, blk int32, src []byte) error {
 
 func (m *MemStore) writeLocked(file, blk int32, src []byte) {
 	k := storeKey(file, blk)
+	if src == nil {
+		delete(m.blocks, k)
+		return
+	}
 	if dst := m.blocks[k]; dst != nil {
 		copy(dst, src)
 		return
@@ -118,8 +146,7 @@ func (m *MemStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
 	errs := make([]error, len(specs))
 	m.mu.Lock()
 	for i, sp := range specs {
-		if len(srcs[i]) != BlockSize {
-			errs[i] = fmt.Errorf("disk: write buffer is %d bytes, want %d", len(srcs[i]), BlockSize)
+		if errs[i] = checkSrc(srcs[i]); errs[i] != nil {
 			continue
 		}
 		m.writeLocked(sp.File, sp.Blk, srcs[i])
@@ -131,11 +158,25 @@ func (m *MemStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
 // Close implements Store.
 func (m *MemStore) Close() error { return nil }
 
-// Blocks reports the number of distinct blocks ever written (tests).
+// Blocks reports the number of blocks the store holds: written and not
+// since discarded (tests).
 func (m *MemStore) Blocks() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.blocks)
+}
+
+// BlocksOf reports how many of them belong to file (tests).
+func (m *MemStore) BlocksOf(file int32) int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	n := 0
+	for k := range m.blocks {
+		if int32(k>>32) == file {
+			n++
+		}
+	}
+	return n
 }
 
 // FileStore is a Store backed by one flat file: blocks are appended to
@@ -144,6 +185,13 @@ func (m *MemStore) Blocks() int {
 // without touching the file. Concurrent reads use pread on disjoint
 // offsets; writes serialize on the slot map's mutex (the kernel loop is
 // the only writer, so this costs nothing in practice).
+//
+// A discard forgets the block's slot and touches nothing else: the slot
+// is not handed to another block and the file does not shrink. A fill
+// resolves a slot's offset under the mutex and reads it after letting go,
+// so a slot reused in between would hand it another file's bytes; an
+// unmapped slot can only ever show the removed block's own. Reuse waits
+// for a fixed file×block layout, where a slot has one owner for ever.
 type FileStore struct {
 	mu    sync.Mutex
 	f     *os.File
@@ -222,21 +270,35 @@ func (s *FileStore) readSlot(dst []byte, off int64) error {
 // pwrite itself runs unlocked — concurrent write-behind flushes and
 // fill preads overlap instead of serializing on the map lock.
 func (s *FileStore) WriteBlock(file, blk int32, src []byte) error {
-	if len(src) != BlockSize {
-		return fmt.Errorf("disk: write buffer is %d bytes, want %d", len(src), BlockSize)
+	if err := checkSrc(src); err != nil {
+		return err
 	}
 	s.mu.Lock()
-	k := storeKey(file, blk)
+	off, write := s.slotLocked(storeKey(file, blk), src == nil)
+	s.mu.Unlock()
+	if !write {
+		return nil
+	}
+	s.scalarWrites.Add(1)
+	_, err := s.f.WriteAt(src, off)
+	return err
+}
+
+// slotLocked resolves the slot a write of block k lands in, allocating
+// the next one for a block that has none; for a discard it forgets the
+// block's slot instead and reports that there is nothing to write.
+func (s *FileStore) slotLocked(k uint64, discard bool) (off int64, write bool) {
+	if discard {
+		delete(s.slots, k)
+		return 0, false
+	}
 	off, ok := s.slots[k]
 	if !ok {
 		off = s.next
 		s.next += BlockSize
 		s.slots[k] = off
 	}
-	s.mu.Unlock()
-	s.scalarWrites.Add(1)
-	_, err := s.f.WriteAt(src, off)
-	return err
+	return off, true
 }
 
 // runEnt pins one batch entry to its resolved slot offset.
@@ -318,13 +380,15 @@ func (s *FileStore) readRun(bufs [][]byte, off int64) error {
 // under one lock hold, so a batch of sequential file blocks hitting an
 // empty store lands in sequential slots — which is exactly what lets
 // the next cold read of that range collapse into one preadv. The sort
-// is stable so a block named twice keeps batch order (last write wins).
+// is stable so a block named twice keeps batch order (last write wins),
+// a discard included: it unmaps the slot an earlier span of the batch
+// resolved — that span then writes to a slot nobody reads — and a later
+// span of the same block takes a fresh one.
 func (s *FileStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
 	errs := make([]error, len(specs))
 	idx := make([]int, 0, len(specs))
 	for i := range specs {
-		if len(srcs[i]) != BlockSize {
-			errs[i] = fmt.Errorf("disk: write buffer is %d bytes, want %d", len(srcs[i]), BlockSize)
+		if errs[i] = checkSrc(srcs[i]); errs[i] != nil {
 			continue
 		}
 		idx = append(idx, i)
@@ -339,14 +403,9 @@ func (s *FileStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
 	ents := make([]runEnt, 0, len(idx))
 	s.mu.Lock()
 	for _, i := range idx {
-		k := storeKey(specs[i].File, specs[i].Blk)
-		off, ok := s.slots[k]
-		if !ok {
-			off = s.next
-			s.next += BlockSize
-			s.slots[k] = off
+		if off, write := s.slotLocked(storeKey(specs[i].File, specs[i].Blk), srcs[i] == nil); write {
+			ents = append(ents, runEnt{off, i})
 		}
-		ents = append(ents, runEnt{off, i})
 	}
 	s.mu.Unlock()
 	sort.SliceStable(ents, func(a, b int) bool { return ents[a].off < ents[b].off })

@@ -157,7 +157,10 @@ func (sh *shard) runFills(store disk.Store, batchCapable bool, batch []*core.Fil
 // is what keeps every same-block Conflict constraint honored; a batch
 // never holds the same block twice — on a duplicate the gathered batch
 // flushes first, so the older bytes are on the store before the newer
-// write is even issued.
+// write is even issued. A removed file's discard takes its turn the same
+// way: whatever was gathered ahead of it (any of it may be the file's)
+// goes to the store first, then its blocks go back in one batch of their
+// own.
 func (sh *shard) flusher(store disk.Store, batchCapable bool) {
 	defer sh.srv.running.Done()
 	var batch []*core.WriteBack
@@ -170,9 +173,21 @@ func (sh *shard) flusher(store disk.Store, batchCapable bool) {
 		batch = nil // the slice rode the completion message; start fresh
 		clear(seen)
 	}
-	for wb := range sh.wbch {
+	add := func(wb *core.WriteBack) {
+		if wb.Discard != nil {
+			flush()
+			wb.Err = disk.Discard(store, wb.Discard)
+			sh.kch <- kmsg{wb: wb}
+			return
+		}
+		if seen[wb.ID] {
+			flush()
+		}
 		batch = append(batch, wb)
 		seen[wb.ID] = true
+	}
+	for wb := range sh.wbch {
+		add(wb)
 	gather:
 		for len(batch) < maxWritebackBatch {
 			select {
@@ -180,11 +195,7 @@ func (sh *shard) flusher(store disk.Store, batchCapable bool) {
 				if !ok {
 					break gather // closed; outer range will exit after the flush
 				}
-				if seen[wb2.ID] {
-					flush()
-				}
-				batch = append(batch, wb2)
-				seen[wb2.ID] = true
+				add(wb2)
 			default:
 				break gather
 			}

@@ -1208,8 +1208,10 @@ func (sh *shard) retire() {
 // the flusher queue when there is room (behind any overflow, preserving
 // FIFO); a Conflict write-back — one that must not overtake an older
 // pending write of the same block — waits in the overflow list when the
-// queue is full; anything else degrades to a synchronous inline write,
-// which is the backpressure rule: a full queue slows the evicting
+// queue is full (a removed file's discard is always one: one entry per
+// remove, however many blocks it names, any of whose older writes may
+// be in the queue); anything else degrades to a synchronous inline
+// write, which is the backpressure rule: a full queue slows the evicting
 // request down to today's synchronous cost instead of growing the queue
 // without bound or stalling the whole shard behind one block.
 func (sh *shard) startWriteBack(wb *core.WriteBack) {

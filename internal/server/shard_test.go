@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/acm"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/stats"
@@ -227,6 +228,27 @@ func TestMetricsDrift(t *testing.T) {
 		}
 	}
 
+	// And files that reach the store and are removed, so that the newest
+	// counter of the schema, fill.discarded_blocks, is non-zero in both
+	// shards on all three surfaces (write-behind is off here: the discards
+	// have run when the removes are answered).
+	block := make([]byte, core.BlockSize)
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("gone%d", i)
+		f, err := c.Create(name, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := int32(0); b < 96; b++ { // a shard caches 64
+			if _, err := c.Write(f.ID, b, 0, block); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	// Quiesce: all three snapshots taken back to back with no traffic in
 	// between must agree exactly.
 	sr, err := c.Stats()
@@ -261,6 +283,14 @@ func TestMetricsDrift(t *testing.T) {
 	// the value the struct holds — totals and each shard's section.
 	lines := parseMetrics(t, body)
 	checkSnapshotLines(t, lines, "acfcd", "", m.Kernel)
+	for i, sm := range m.Shards {
+		if sm.Kernel.Fill.DiscardedBlocks == 0 {
+			t.Errorf("shard %d discarded no block: the new counter is not exercised", i)
+		}
+	}
+	if got := lines["acfcd_fill_discarded_blocks"]; got == 0 || got != sr.Kernel.Fill.DiscardedBlocks {
+		t.Errorf("discarded_blocks: plaintext %d, wire %d, want equal and non-zero", got, sr.Kernel.Fill.DiscardedBlocks)
+	}
 	for i, sm := range m.Shards {
 		checkSnapshotLines(t, lines, "acfcd_shard", fmt.Sprintf(`{shard="%d"}`, i), sm.Kernel)
 	}

@@ -144,17 +144,6 @@ func TestFastPathHeapHighWater(t *testing.T) {
 	}
 }
 
-// TestStatsAccumulate checks the aggregation used by the experiment
-// harness: counters add, the high-water mark takes the max.
-func TestStatsAccumulate(t *testing.T) {
-	a := Stats{EventsScheduled: 1, Handoffs: 2, FastAdvances: 3, HeapHighWater: 9}
-	a.Accumulate(Stats{EventsScheduled: 10, Handoffs: 20, FastAdvances: 30, HeapHighWater: 4})
-	want := Stats{EventsScheduled: 11, Handoffs: 22, FastAdvances: 33, HeapHighWater: 9}
-	if a != want {
-		t.Errorf("Accumulate = %+v, want %+v", a, want)
-	}
-}
-
 // TestSleepFastPathZeroAllocs is the allocation gate for the tentpole:
 // a fast-path sleep is an inline clock bump and must not allocate.
 func TestSleepFastPathZeroAllocs(t *testing.T) {

@@ -172,17 +172,6 @@ type Stats struct {
 	HeapHighWater int `json:"heap_high_water"`
 }
 
-// Accumulate folds o into s: counters add, high-water marks take the max.
-// Used to aggregate the engines of many independent runs.
-func (s *Stats) Accumulate(o Stats) {
-	s.EventsScheduled += o.EventsScheduled
-	s.Handoffs += o.Handoffs
-	s.FastAdvances += o.FastAdvances
-	if o.HeapHighWater > s.HeapHighWater {
-		s.HeapHighWater = o.HeapHighWater
-	}
-}
-
 // Option configures an Engine at construction.
 type Option func(*Engine)
 

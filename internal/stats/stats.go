@@ -79,6 +79,11 @@ type FillStats struct {
 	// FillQueueHighWater is the deepest the shard's fill queue has ever
 	// been: how far the bounded worker pool fell behind the miss stream.
 	FillQueueHighWater int64 `json:"fill_queue_high_water"`
+	// DiscardedBlocks counts blocks of removed files given back to the
+	// store: every block a file ever had written back becomes one discard
+	// when the file is removed. A discard is not a write-back and moves
+	// none of the Writeback* counters above.
+	DiscardedBlocks int64 `json:"discarded_blocks"`
 	// PeerFills counts blocks a cluster node filled from a peer node's
 	// cache instead of the backing origin (the pull-through path);
 	// PeerFillMisses counts fills where the warm peer did not have the
@@ -93,34 +98,33 @@ type FillStats struct {
 
 // Accumulate folds o into s: counters add, high-water marks take the max.
 func (s *FillStats) Accumulate(o FillStats) {
-	s.StoreReads += o.StoreReads
-	s.CoalescedMisses += o.CoalescedMisses
-	s.WritebackHits += o.WritebackHits
-	s.PrefetchIssued += o.PrefetchIssued
-	s.PrefetchHits += o.PrefetchHits
-	s.WritebacksQueued += o.WritebacksQueued
-	if o.WritebackQueueHighWater > s.WritebackQueueHighWater {
-		s.WritebackQueueHighWater = o.WritebackQueueHighWater
-	}
-	s.WritebackStalls += o.WritebackStalls
-	s.WritebackErrors += o.WritebackErrors
-	s.WireCopyFallbacks += o.WireCopyFallbacks
-	s.BatchedFills += o.BatchedFills
-	s.FillBatchBlocks += o.FillBatchBlocks
-	s.WritebackBatches += o.WritebackBatches
-	if o.FillQueueHighWater > s.FillQueueHighWater {
-		s.FillQueueHighWater = o.FillQueueHighWater
-	}
-	s.PeerFills += o.PeerFills
-	s.PeerFillMisses += o.PeerFillMisses
-	s.PeerFillErrors += o.PeerFillErrors
+	accumulate(reflect.ValueOf(s).Elem(), reflect.ValueOf(o))
 }
 
-// Accumulate folds o into s: counters add, high-water marks take the max.
+// Accumulate folds o into s, group by group, with the same rule.
 func (s *Snapshot) Accumulate(o Snapshot) {
-	s.Cache.Accumulate(o.Cache)
-	s.Sim.Accumulate(o.Sim)
-	s.Fill.Accumulate(o.Fill)
+	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for g := 0; g < dst.NumField(); g++ {
+		accumulate(dst.Field(g), src.Field(g))
+	}
+}
+
+// accumulate folds src into dst, two values of one flat all-integer
+// struct type: a field whose name ends in HighWater takes the larger
+// value, every other field the sum. Like writeGroup it reads the rule
+// off the struct, so a counter added to the schema is one field and
+// nothing else.
+func accumulate(dst, src reflect.Value) {
+	t := dst.Type()
+	for i := 0; i < t.NumField(); i++ {
+		d, v := dst.Field(i), src.Field(i).Int()
+		if strings.HasSuffix(t.Field(i).Name, "HighWater") {
+			v = max(v, d.Int())
+		} else {
+			v += d.Int()
+		}
+		d.SetInt(v)
+	}
 }
 
 // Aggregate folds a set of per-shard snapshots into one total, with the

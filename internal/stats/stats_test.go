@@ -87,3 +87,31 @@ func TestWriteMetricsOneLinePerField(t *testing.T) {
 		names[name], values[value] = true, true
 	}
 }
+
+// TestAccumulateReadsTheStruct: the folding rule is read off the struct
+// it is given — sum, or max for a field named …HighWater — not off a list
+// of the fields that existed when it was written. A struct the package
+// has never seen folds correctly, so a counter added to the schema
+// (FillStats.DiscardedBlocks was the first) is one field on every surface.
+func TestAccumulateReadsTheStruct(t *testing.T) {
+	type later struct {
+		Old            int64
+		BrandNew       int64
+		DepthHighWater int
+	}
+	a, b := later{1, 2, 4}, later{10, 20, 9}
+	accumulate(reflect.ValueOf(&a).Elem(), reflect.ValueOf(b))
+	if want := (later{11, 22, 9}); a != want {
+		t.Errorf("accumulate = %+v, want %+v", a, want)
+	}
+	accumulate(reflect.ValueOf(&a).Elem(), reflect.ValueOf(later{DepthHighWater: 3}))
+	if want := (later{11, 22, 9}); a != want {
+		t.Errorf("a lower high-water mark moved the fold: %+v, want %+v", a, want)
+	}
+
+	f := FillStats{DiscardedBlocks: 5, WritebackQueueHighWater: 7}
+	f.Accumulate(FillStats{DiscardedBlocks: 6, WritebackQueueHighWater: 3})
+	if f.DiscardedBlocks != 11 || f.WritebackQueueHighWater != 7 {
+		t.Errorf("FillStats.Accumulate = %+v, want 11 discarded, high water 7", f)
+	}
+}
