@@ -42,7 +42,6 @@ import (
 	"repro/internal/expt"
 	"repro/internal/fs"
 	"repro/internal/server/client"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -98,17 +97,11 @@ func run() int {
 	fl, o := newFlags()
 	fl.Parse(os.Args[1:])
 
-	mk, ok := expt.Registry[o.app]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "acload: unknown app %q\n", o.app)
-		return 2
-	}
-	mode, err := workload.ParseMode(o.mode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acload: %v\n", err)
-		return 2
-	}
 	alloc, err := cache.ParseAlloc(o.alloc)
+	var app expt.AppSpec
+	if err == nil {
+		app, err = expt.ParseApp(o.app + ":" + o.mode)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acload: %v\n", err)
 		return 2
@@ -119,9 +112,9 @@ func run() int {
 		return 2
 	}
 
-	fmt.Fprintf(os.Stderr, "acload: recording %s (%s) in simulation...\n", o.app, mode)
+	fmt.Fprintf(os.Stderr, "acload: recording %s (%s) in simulation...\n", o.app, app.Mode)
 	rec := expt.Record(expt.RunSpec{
-		Apps:    []expt.AppSpec{{Name: o.app, Make: mk, Mode: mode}},
+		Apps:    []expt.AppSpec{app},
 		CacheMB: o.cacheMB,
 		Alloc:   alloc,
 		// Read-ahead I/O is untraced, so the transcript must not depend on it.

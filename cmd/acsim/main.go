@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/cache"
@@ -25,12 +24,6 @@ import (
 	"repro/internal/expt"
 	"repro/internal/workload"
 )
-
-var modeNames = map[string]workload.Mode{
-	"oblivious": workload.Oblivious,
-	"smart":     workload.Smart,
-	"foolish":   workload.Foolish,
-}
 
 func main() {
 	appsFlag := flag.String("apps", "", "comma-separated name[:mode] specs (required)")
@@ -67,22 +60,15 @@ func main() {
 	}
 	var runs []launched
 	for _, spec := range strings.Split(*appsFlag, ",") {
-		name, modeName := spec, "smart"
-		if i := strings.IndexByte(spec, ':'); i >= 0 {
-			name, modeName = spec[:i], spec[i+1:]
-		}
-		mode, ok := modeNames[modeName]
-		if !ok {
-			fail("unknown mode %q in %q", modeName, spec)
-		}
-		app, err := buildApp(strings.TrimSpace(name))
+		as, err := expt.ParseApp(spec)
 		if err != nil {
-			fail("%v", err)
+			fail("%v in %q", err, spec)
 		}
-		if alloc == cache.GlobalLRU && mode != workload.Oblivious {
+		if alloc == cache.GlobalLRU && as.Mode != workload.Oblivious {
 			fail("the original kernel (global-lru) supports only oblivious mode")
 		}
-		runs = append(runs, launched{app, mode, workload.Launch(sys, app, mode)})
+		app := as.Make()
+		runs = append(runs, launched{app, as.Mode, workload.Launch(sys, app, as.Mode)})
 	}
 
 	sys.Run()
@@ -104,23 +90,6 @@ func main() {
 	cs := sys.Cache().Stats()
 	fmt.Printf("cache: %d evictions, %d overrules, %d placeholder hits, %d revocations\n",
 		cs.Evictions, cs.Overrules, cs.PlaceholderHits, cs.Revocations)
-}
-
-// buildApp resolves an app name, including the readN family.
-func buildApp(name string) (workload.App, error) {
-	if mk, ok := expt.Registry[name]; ok {
-		return mk(), nil
-	}
-	if strings.HasPrefix(name, "read") {
-		n, err := strconv.Atoi(name[4:])
-		if err == nil && n > 0 {
-			if n == 300 {
-				return workload.Read300(0), nil
-			}
-			return workload.Probe(int32(n), 0), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown app %q", name)
 }
 
 func fail(format string, args ...interface{}) {

@@ -17,10 +17,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/cache"
@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	appFlag := flag.String("app", "", "workload: "+strings.Join(appNames(), ", "))
+	appFlag := flag.String("app", "", "workload: "+strings.Join(expt.AppNames(), ", "))
 	modeFlag := flag.String("mode", "smart", "oblivious, smart or foolish")
 	cacheFlag := flag.Float64("cache", 6.4, "cache size in MB")
 	allocFlag := flag.String("alloc", "lru-sp", fmt.Sprintf("allocation policy: %v", cache.AllocNames()))
@@ -39,23 +39,16 @@ func main() {
 	compareFlag := flag.Bool("compare", false, "replay the reference stream through standalone LRU, MRU and Belady-OPT caches")
 	flag.Parse()
 
-	mk, ok := expt.Registry[*appFlag]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "actrace: unknown app %q (want %s)\n", *appFlag, strings.Join(appNames(), ", "))
-		os.Exit(2)
-	}
-	mode, err := workload.ParseMode(*modeFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "actrace: %v\n", err)
-		os.Exit(2)
-	}
 	alloc, err := cache.ParseAlloc(*allocFlag)
+	var spec expt.AppSpec
+	if err == nil {
+		spec, err = expt.ParseApp(*appFlag + ":" + *modeFlag)
+	}
+	if err == nil && alloc == cache.GlobalLRU && spec.Mode != workload.Oblivious {
+		err = errors.New("the original kernel (global-lru) supports only oblivious mode")
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "actrace: %v\n", err)
-		os.Exit(2)
-	}
-	if mode != workload.Oblivious && alloc == cache.GlobalLRU {
-		fmt.Fprintln(os.Stderr, "actrace: the original kernel (global-lru) supports only oblivious mode")
 		os.Exit(2)
 	}
 
@@ -81,8 +74,8 @@ func main() {
 	}
 
 	sys := core.NewSystem(cfg)
-	app := mk()
-	p := workload.Launch(sys, app, mode)
+	app := spec.Make()
+	p := workload.Launch(sys, app, spec.Mode)
 	sys.Run()
 
 	if *compareFlag {
@@ -98,7 +91,7 @@ func main() {
 		return
 	}
 	st := p.Stats()
-	fmt.Fprintf(out, "%s (%s) on %s, %.1f MB cache\n", app.Name(), mode, alloc, *cacheFlag)
+	fmt.Fprintf(out, "%s (%s) on %s, %.1f MB cache\n", app.Name(), spec.Mode, alloc, *cacheFlag)
 	fmt.Fprintf(out, "  elapsed        %v\n", p.Elapsed())
 	fmt.Fprintf(out, "  block I/Os     %d (demand %d, read-ahead %d, write-back %d)\n",
 		st.BlockIOs(), st.DemandReads, st.Prefetches, st.WriteBacks)
@@ -130,13 +123,4 @@ func main() {
 		fmt.Fprintf(out, "disk %s: %d reads, %d writes, %d sequential, %d positioned, max queue %d, queue wait %.3fs\n",
 			d.Geometry().Name, ds.Reads, ds.Writes, ds.Sequential, ds.RandomAcc, ds.MaxQueue, ds.WaitTotal.Seconds())
 	}
-}
-
-func appNames() []string {
-	var names []string
-	for n := range expt.Registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

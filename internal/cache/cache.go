@@ -157,7 +157,7 @@ type Victim struct {
 
 // Stats aggregates cache-wide counters. The json tags are the one
 // canonical naming for these counters everywhere they escape the process
-// (acbench -json, the acfcd metrics endpoint) — see internal/stats.
+// (acfcd's stats reply and /metrics, benchmark/) — see internal/stats.
 type Stats struct {
 	Hits            int64 `json:"hits"`
 	Misses          int64 `json:"misses"`

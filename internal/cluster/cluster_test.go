@@ -585,7 +585,10 @@ func TestClusterFailoverPastDeadSurvivor(t *testing.T) {
 	tc := startTestCluster(t, 3, NewMemOrigin())
 	cl := NewClient(tc.members)
 	defer cl.Close()
-	const nfiles, blocks = 24, 2
+	// Enough files that some move first -> second on any ring: the ring
+	// follows the test's random ports, and with 24 files one run in fifty
+	// found none and failed below.
+	const nfiles, blocks = 96, 2
 	names := writeFiles(t, cl, nfiles, blocks)
 	ids := make(map[string]client.File)
 	for _, name := range names {

@@ -79,9 +79,6 @@ func (n *Node) Store() *NodeStore { return n.store }
 // Ring returns the node's view of the membership ring.
 func (n *Node) Ring() *Ring { return n.store.Ring() }
 
-// Owns reports whether this node is name's hash owner.
-func (n *Node) Owns(name string) bool { return n.Ring().Owner(name) == n.Self }
-
 // Leave retires the node. Ordering, each step a barrier for the next:
 //
 //  1. Shutdown drains sessions and shard loops past the drain barrier,

@@ -1,0 +1,273 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/acm"
+	"repro/internal/cache"
+	"repro/internal/disk"
+	"repro/internal/fs"
+)
+
+// liveOwner is one registered owner (a client session, in the daemon).
+type liveOwner struct {
+	name  string
+	live  bool
+	mgr   *acm.Manager
+	stats ProcStats
+	// lastRead is the per-file sequential-run detector for read-ahead,
+	// per owner exactly as the DES keeps it per process.
+	lastRead map[fs.FileID]int32
+	// raUntil is the highest block already scheduled for read-ahead on
+	// each sequential run: the leading edge of the prefetch window. The
+	// window refills half-a-depth at a time so prefetches arrive as
+	// multi-block runs the batch executor can vector, instead of the
+	// one-block top-ups a per-read scheme degenerates to.
+	raUntil map[fs.FileID]int32
+	// raSweepAt is the size at which lastRead is next swept of removed
+	// files (noteSequential), twice what the last sweep left: the detector
+	// holds the files that exist, not every file the session ever read.
+	raSweepAt int
+}
+
+// --- owner lifecycle ---
+
+// AddOwner registers a new owner (one per client session) and returns
+// its id. Ids are never reused: per-owner revocation history must not
+// leak from a dead session to a new one.
+func (l *Live) AddOwner(name string) int {
+	id := len(l.owners)
+	l.owners = append(l.owners, &liveOwner{name: name, live: true})
+	return id
+}
+
+func (l *Live) owner(id int) (*liveOwner, error) {
+	if id < 0 || id >= len(l.owners) || !l.owners[id].live {
+		return nil, ErrUnknownOwner
+	}
+	return l.owners[id], nil
+}
+
+// OwnerStats snapshots an owner's counters (also valid after release).
+func (l *Live) OwnerStats(id int) (ProcStats, error) {
+	if id < 0 || id >= len(l.owners) {
+		return ProcStats{}, ErrUnknownOwner
+	}
+	return l.owners[id].stats, nil
+}
+
+// ReleaseOwner ends an owner's session: its manager (if any) is
+// destroyed, and its blocks are either evicted (dirty ones written back)
+// or disowned in place, per LiveConfig.EvictOnRelease. This is the
+// revoked-owner path of the cache exercised as a production operation —
+// every client disconnect runs it. Returns the owner's final counters.
+func (l *Live) ReleaseOwner(id int) (ProcStats, error) {
+	o, err := l.owner(id)
+	if err != nil {
+		return ProcStats{}, err
+	}
+	if o.mgr != nil {
+		l.ctl.DestroyManager(id)
+		o.mgr = nil
+	}
+	if l.cfg.EvictOnRelease {
+		var firstErr error
+		l.bc.EvictOwner(id, func(v cache.Victim) {
+			if werr := l.flushVictim(&v); werr != nil && firstErr == nil {
+				firstErr = werr
+			}
+		})
+		err = firstErr
+	} else {
+		l.bc.DisownOwner(id)
+	}
+	o.live = false
+	o.lastRead, o.raUntil = nil, nil // ids are never reused: a dead session's run state is garbage
+	return o.stats, err
+}
+
+func (l *Live) charge(owner int, f func(*ProcStats)) {
+	if owner >= 0 && owner < len(l.owners) {
+		f(&l.owners[owner].stats)
+	}
+}
+
+// --- file management ---
+
+// Create creates a file on disk d, initially sizeBlocks long.
+func (l *Live) Create(owner int, name string, d, sizeBlocks int) (*fs.File, error) {
+	if _, err := l.owner(owner); err != nil {
+		return nil, err
+	}
+	if d < 0 || d >= l.fsys.Disks() {
+		return nil, fmt.Errorf("core: no disk %d", d)
+	}
+	f, err := l.fsys.Create(name, d, sizeBlocks)
+	if err != nil {
+		return nil, err
+	}
+	if wb := l.discarding[name]; wb != nil {
+		l.shadowed[f.ID()] = wb
+	}
+	return f, nil
+}
+
+// Open resolves a file by name and counts the open.
+func (l *Live) Open(owner int, name string) (*fs.File, error) {
+	o, err := l.owner(owner)
+	if err != nil {
+		return nil, err
+	}
+	f, ok := l.fsys.Lookup(name)
+	if !ok {
+		return nil, ErrNotFound
+	}
+	o.stats.Opens++
+	return f, nil
+}
+
+// Remove unlinks a file; its cached blocks (dirty or not) are discarded
+// without I/O, as for an unlinked temporary file, and the blocks it has
+// on the store are given back: every one it ever handed over becomes a
+// discard, queued behind the file's last write-back (or run inline when
+// there is no write-behind executor). A file that persisted nothing
+// costs no store call.
+func (l *Live) Remove(owner int, name string) error {
+	if _, err := l.owner(owner); err != nil {
+		return err
+	}
+	f, ok := l.fsys.Lookup(name)
+	if !ok {
+		return ErrNotFound
+	}
+	fid := f.ID()
+	l.bc.InvalidateFile(fid)
+	for id := range l.prefetched {
+		if id.File == fid {
+			delete(l.prefetched, id)
+		}
+	}
+	l.ctl.FileGone(fid)
+	if err := l.fsys.Remove(name); err != nil {
+		return err
+	}
+	specs := l.persisted[fid].spans(fid)
+	delete(l.persisted, fid)
+	delete(l.shadowed, fid)
+	if len(specs) == 0 {
+		return nil
+	}
+	wb := &WriteBack{
+		ID:       cache.BlockID{File: fid, Num: specs[0].Blk},
+		Owner:    cache.NoOwner,
+		Discard:  specs,
+		Conflict: true,
+		name:     name,
+	}
+	if swb := l.cfg.StartWriteBack; swb != nil {
+		l.discarding[name] = wb
+		swb(wb)
+		return nil
+	}
+	wb.Err = disk.Discard(l.store, specs)
+	l.CompleteWriteBack(wb)
+	return nil
+}
+
+// --- the fbehavior surface ---
+
+// EnableControl registers owner as a cache manager.
+func (l *Live) EnableControl(owner int) error {
+	o, err := l.owner(owner)
+	if err != nil {
+		return err
+	}
+	if o.mgr != nil {
+		return ErrControlled
+	}
+	m, err := l.ctl.CreateManager(owner)
+	if err != nil {
+		return err
+	}
+	o.mgr = m
+	o.stats.FbehaviorCalls++
+	return nil
+}
+
+// DisableControl withdraws cache control. No-op when not controlling.
+func (l *Live) DisableControl(owner int) error {
+	o, err := l.owner(owner)
+	if err != nil {
+		return err
+	}
+	if o.mgr == nil {
+		return nil
+	}
+	l.ctl.DestroyManager(owner)
+	o.mgr = nil
+	o.stats.FbehaviorCalls++
+	return nil
+}
+
+// Controlled reports whether owner manages its cache.
+func (l *Live) Controlled(owner int) bool {
+	o, err := l.owner(owner)
+	return err == nil && o.mgr != nil
+}
+
+func (l *Live) mgr(owner int) (*liveOwner, *acm.Manager, error) {
+	o, err := l.owner(owner)
+	if err != nil {
+		return nil, nil, err
+	}
+	if o.mgr == nil {
+		return nil, nil, ErrNoControl
+	}
+	o.stats.FbehaviorCalls++
+	return o, o.mgr, nil
+}
+
+// SetPriority sets the long-term cache priority of a file.
+func (l *Live) SetPriority(owner int, fid fs.FileID, prio int) error {
+	_, m, err := l.mgr(owner)
+	if err != nil {
+		return err
+	}
+	return m.SetPriority(fid, prio)
+}
+
+// GetPriority reads the long-term cache priority of a file.
+func (l *Live) GetPriority(owner int, fid fs.FileID) (int, error) {
+	_, m, err := l.mgr(owner)
+	if err != nil {
+		return 0, err
+	}
+	return m.Priority(fid), nil
+}
+
+// SetPolicy sets the replacement policy of a priority level.
+func (l *Live) SetPolicy(owner int, prio int, pol acm.Policy) error {
+	_, m, err := l.mgr(owner)
+	if err != nil {
+		return err
+	}
+	return m.SetPolicy(prio, pol)
+}
+
+// GetPolicy reads the replacement policy of a priority level.
+func (l *Live) GetPolicy(owner int, prio int) (acm.Policy, error) {
+	_, m, err := l.mgr(owner)
+	if err != nil {
+		return 0, err
+	}
+	return m.PolicyOf(prio), nil
+}
+
+// SetTempPri assigns a temporary priority to cached blocks of a file.
+func (l *Live) SetTempPri(owner int, fid fs.FileID, startBlk, endBlk int32, prio int) error {
+	_, m, err := l.mgr(owner)
+	if err != nil {
+		return err
+	}
+	return m.SetTempPri(l.bc, fid, startBlk, endBlk, prio)
+}

@@ -6,6 +6,10 @@ package expt
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -236,6 +240,37 @@ var Registry = map[string]func() workload.App{
 	"ldk":  workload.LinkEditor,
 	"pjn":  workload.PostgresJoin,
 	"sort": workload.Sort,
+}
+
+// AppNames lists the Registry's names, sorted.
+func AppNames() []string { return slices.Sorted(maps.Keys(Registry)) }
+
+// ParseApp turns a command-line app spec, name[:mode], into an AppSpec.
+// name is a Registry name or readN, the Section 6 synthetic probe
+// (read300 is the paper's Read300); mode defaults to smart.
+func ParseApp(spec string) (AppSpec, error) {
+	name, modeName, ok := strings.Cut(spec, ":")
+	if !ok {
+		modeName = "smart"
+	}
+	name = strings.TrimSpace(name)
+	mode, err := workload.ParseMode(modeName)
+	if err != nil {
+		return AppSpec{}, err
+	}
+	mk := Registry[name]
+	if rest, ok := strings.CutPrefix(name, "read"); ok && mk == nil {
+		if n, err := strconv.Atoi(rest); err == nil && n > 0 {
+			mk = func() workload.App { return workload.Probe(int32(n), 0) }
+			if n == 300 {
+				mk = func() workload.App { return workload.Read300(0) }
+			}
+		}
+	}
+	if mk == nil {
+		return AppSpec{}, fmt.Errorf("unknown app %q (want %s or readN)", name, strings.Join(AppNames(), ", "))
+	}
+	return AppSpec{Name: name, Make: mk, Mode: mode}, nil
 }
 
 // mixSpec builds the AppSpecs for a named mix like "cs2+gli", every app in

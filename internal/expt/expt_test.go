@@ -477,3 +477,23 @@ func TestChartsShape(t *testing.T) {
 		}
 	}
 }
+
+// TestParseApp covers the app-spec syntax acsim, actrace and acload share: a
+// Registry name or the readN family, an optional mode (smart when
+// absent).
+func TestParseApp(t *testing.T) {
+	for _, name := range []string{"din", "cs2", "sort", "read300", "read490", " read444"} {
+		as, err := ParseApp(name)
+		if err != nil || as.Mode != workload.Smart || as.Make().Name() != strings.TrimSpace(name) {
+			t.Errorf("ParseApp(%q) = %+v, %v", name, as, err)
+		}
+	}
+	if as, err := ParseApp("gli:foolish"); err != nil || as.Mode != workload.Foolish || as.Name != "gli" {
+		t.Errorf("ParseApp(gli:foolish) = %+v, %v", as, err)
+	}
+	for _, bad := range []string{"nope", "read", "readx", "read0", "din:sly", ""} {
+		if _, err := ParseApp(bad); err == nil {
+			t.Errorf("ParseApp(%q) accepted", bad)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -87,13 +86,6 @@ func (r *Runner) Stats() RunnerStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
-}
-
-// SimStats returns the DES engine counters aggregated over every
-// simulation this Runner executed (cache hits contribute once, when they
-// actually ran). Counter fields sum; HeapHighWater is the max over runs.
-func (r *Runner) SimStats() sim.Stats {
-	return r.KernelSnapshot().Sim
 }
 
 // KernelSnapshot returns the full kernel counters — buffer cache plus

@@ -170,14 +170,6 @@ func (c *Conn) Remove(name string) error {
 	return err
 }
 
-// CloseFile closes an open file (advisory; blocks stay cached).
-func (c *Conn) CloseFile(f fs.FileID) error {
-	body := make([]byte, 4)
-	put32(body, uint32(f))
-	_, err := c.roundTrip(server.OpClose, body)
-	return err
-}
-
 func readBody(f fs.FileID, blk int32, off, size int, flags uint8) []byte {
 	body := make([]byte, 13)
 	put32(body[0:], uint32(f))

@@ -1,0 +1,156 @@
+package server
+
+import (
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/stats"
+)
+
+// Config configures a Server.
+type Config struct {
+	// Kernel configures the Live kernels. Config overwrites
+	// Kernel.StartFill, Kernel.StartWriteBack and Kernel.Store (each
+	// shard gets a keyspace slice of the shared store): the server owns
+	// fill and write-back execution.
+	Kernel core.LiveConfig
+	// WritebackDepth bounds the asynchronous write-behind queue per
+	// shard. 0 (the default) disables write-behind: dirty victims write
+	// back synchronously inside the kernel loop, reproducing the
+	// pre-write-behind request/IO ordering exactly — the mode the oracle
+	// test pins. With depth N, up to N dirty victims per shard ride a
+	// flusher goroutine; when the queue is full, a victim with no
+	// same-block ordering constraint degrades to a synchronous inline
+	// write (backpressure) rather than blocking the loop.
+	WritebackDepth int
+	// Shards is the number of independent kernel shards (default 1).
+	// Each shard owns its own Live — its own cache arena, ACM, and fill
+	// accounting — and its own message loop; files hash to a shard at
+	// open time, so every block of a file lives in exactly one
+	// replacement domain. Shards=1 is the unsharded server, bit for bit.
+	Shards int
+	// MaxInflight bounds pipelined requests per session (default 32).
+	// The bound is what lets the kernel loops respond without ever
+	// blocking on a slow client: a session holds one token per
+	// unanswered request, so the response channel never fills.
+	MaxInflight int
+	// IdleTimeout disconnects a session with no traffic for this long
+	// (default 2 minutes); disconnect releases the session's owners.
+	IdleTimeout time.Duration
+	// WriteTimeout bounds one response write (default 30s).
+	WriteTimeout time.Duration
+	// CheckInvariants runs each shard kernel's cross-structure invariant
+	// checks after every session close (tests; too slow for production).
+	CheckInvariants bool
+	// FileAnnounce, if set, is called on every successful open and
+	// create with the file's wire id and name — the mapping a
+	// name-addressed base store (the cluster tier's NodeStore) needs to
+	// resolve the wire ids it is handed on fills and write-backs. Runs
+	// on a shard goroutine; must be cheap and must not call back into
+	// the server.
+	FileAnnounce func(wire int32, name string)
+	// ExtraFill, if set, contributes additional fill counters (the
+	// cluster tier's peer-fill accounting, which lives below the shard
+	// kernels in the base store) to the aggregated kernel snapshot on
+	// every stats surface: the wire stats reply, Metrics, and /metrics.
+	// Per-shard sections are unchanged — the counters are not per-shard.
+	ExtraFill func() stats.FillStats
+
+	// AdaptAlloc, when non-empty, turns on the per-shard online
+	// allocation-policy adapter over the named candidate policies (see
+	// cache.ParseAlloc). Each shard samples every candidate for one epoch
+	// (AdaptEvery completed hit windows), scores it by EWMA windowed hit
+	// ratio, then settles on the best — switching later only when a
+	// fresh probe beats the incumbent by more than adaptHysteresisBP
+	// basis points. Adapter swaps run on the shard goroutine through the
+	// same SetAllocPolicy migration as the set_alloc wire op, and count
+	// in the alloc_swaps stat. New panics at construction on an unknown
+	// candidate name.
+	AdaptAlloc []string
+	// AdaptEvery is the adapter epoch length in completed hit windows
+	// (default 4; the window itself is Kernel.HitWindow accesses).
+	AdaptEvery int64
+}
+
+func (c *Config) fillDefaults() {
+	if c.Shards <= 0 {
+		c.Shards = 1
+	}
+	if c.MaxInflight <= 0 {
+		c.MaxInflight = 32
+	}
+	if c.IdleTimeout <= 0 {
+		c.IdleTimeout = 2 * time.Minute
+	}
+	if c.WriteTimeout <= 0 {
+		c.WriteTimeout = 30 * time.Second
+	}
+	if c.AdaptEvery <= 0 {
+		c.AdaptEvery = 4
+	}
+}
+
+// StatsReply is the JSON body of an OpStats response. With more than one
+// shard, Session and Kernel aggregate over the shards and PerShard
+// carries the breakdown; a 1-shard server omits PerShard so its wire
+// responses are identical to the unsharded server's. Alloc always has
+// one entry per shard: policy names are strings, so they ride beside
+// the numeric snapshots rather than inside them.
+type StatsReply struct {
+	Session  core.ProcStats   `json:"session"`
+	Kernel   stats.Snapshot   `json:"kernel"`
+	PerShard []stats.Snapshot `json:"per_shard,omitempty"`
+	Alloc    []AllocStatus    `json:"alloc,omitempty"`
+}
+
+// AllocStatus is one shard's allocation-policy line in a StatsReply:
+// the active policy plus the windowed hit-ratio gauge behind the
+// adapter (basis points over the last completed HitWindow accesses).
+type AllocStatus struct {
+	Policy      string `json:"policy"`
+	HitWindowBP int64  `json:"hit_window_bp"`
+	WindowsDone int64  `json:"windows_done"`
+}
+
+// SessionInfo describes one live session in a Metrics snapshot. Owner is
+// the session's owner id in shard 0 (owner ids are per-shard), or
+// cache.NoOwner while shard 0 does not list the session — its open is
+// still queued there, or its close has already run; Stats aggregates the
+// session's counters across all shards.
+type SessionInfo struct {
+	Owner int
+	Name  string
+	Stats core.ProcStats
+}
+
+// ShardMetrics is one shard's slice of a Metrics snapshot.
+type ShardMetrics struct {
+	Kernel             stats.Snapshot
+	Requests           int64
+	Refused            int64
+	FillsInflight      int
+	WritebacksInflight int
+	CachedBlocks       int
+	// AllocPolicy is the shard's active allocation policy,
+	// AllocHitRatioBP the windowed hit-ratio gauge (basis points over
+	// the last completed window) that the online adapter steers by, and
+	// AllocWindowsDone how many windows have completed.
+	AllocPolicy      string
+	AllocHitRatioBP  int64
+	AllocWindowsDone int64
+}
+
+// Metrics is a point-in-time server snapshot. The top-level fields
+// aggregate over the shards; Shards carries the per-shard breakdown.
+type Metrics struct {
+	Kernel             stats.Snapshot
+	SessionsActive     int
+	SessionsTotal      int64
+	Requests           int64
+	Refused            int64
+	FillsInflight      int
+	WritebacksInflight int
+	CachedBlocks       int
+	Shards             []ShardMetrics
+	Sessions           []SessionInfo
+}

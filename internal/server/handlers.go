@@ -1,0 +1,348 @@
+package server
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+
+	"repro/internal/acm"
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/fs"
+)
+
+func statusOf(err error) uint8 {
+	switch {
+	case errors.Is(err, core.ErrNotFound):
+		return StatusNotFound
+	case errors.Is(err, core.ErrOutOfRange):
+		return StatusRange
+	case errors.Is(err, core.ErrUnknownOwner):
+		return StatusRevoked
+	case errors.Is(err, core.ErrNoControl), errors.Is(err, core.ErrControlled):
+		return StatusNoControl
+	case errors.Is(err, cache.ErrUnknownAlloc):
+		return StatusUnknownPolicy
+	case errors.Is(err, fs.ErrExists):
+		return StatusExists
+	case errors.Is(err, acm.ErrLimit), errors.Is(err, fs.ErrNoSpace):
+		return StatusLimit
+	}
+	return StatusIO
+}
+
+// wire translates a shard-local file id to its wire encoding and local
+// inverts it: wire = local*N + shard. With one shard both are the
+// identity, keeping the unsharded server's ids bit-for-bit.
+func (sh *shard) wire(local fs.FileID) fs.FileID {
+	return local*fs.FileID(len(sh.srv.shards)) + fs.FileID(sh.idx)
+}
+
+func (sh *shard) local(wire fs.FileID) fs.FileID {
+	return wire / fs.FileID(len(sh.srv.shards))
+}
+
+// handle runs one request on the shard goroutine. It reports whether
+// the handler retained r past its return (handleWrite, whose payload
+// aliases r.body until the kernel's completion callback); when false,
+// the shard loop recycles r immediately — so handlers that complete
+// asynchronously (handleRead) must copy what they need out of r first.
+func (sh *shard) handle(se *session, r *request) (retained bool) {
+	sh.requests++
+	if sh.adapter != nil {
+		sh.adapter.tick()
+	}
+	if sh.draining {
+		sh.refused++
+		se.send(r.id, StatusRefused, []byte("server shutting down"))
+		return false
+	}
+	switch r.op {
+	case OpPing:
+		se.send(r.id, StatusOK, nil)
+	case OpOpen:
+		sh.handleOpen(se, r)
+	case OpCreate:
+		sh.handleCreate(se, r)
+	case OpRead:
+		sh.handleRead(se, r)
+	case OpWrite:
+		return sh.handleWrite(se, r)
+	case OpClose:
+		if len(r.body) != 4 {
+			se.send(r.id, StatusBadRequest, []byte("close: want 4-byte body"))
+			return false
+		}
+		// Close is advisory in this kernel (blocks stay cached, as in
+		// the paper, until evicted or the owner disconnects).
+		se.send(r.id, StatusOK, nil)
+	case OpRemove:
+		if err := sh.kern.Remove(se.owners[sh.idx], string(r.body)); err != nil {
+			se.sendErr(r.id, err)
+			return false
+		}
+		se.send(r.id, StatusOK, nil)
+	case OpGetAlloc:
+		se.send(r.id, StatusOK, []byte(sh.kern.AllocPolicy().String()))
+	case OpSetPriority, OpGetPriority, OpGetPolicy, OpSetTempPri:
+		sh.handleFbehavior(se, r)
+	default:
+		se.send(r.id, StatusBadRequest, []byte(fmt.Sprintf("unknown op %d", r.op)))
+	}
+	return false
+}
+
+func (sh *shard) handleOpen(se *session, r *request) {
+	f, err := sh.kern.Open(se.owners[sh.idx], string(r.body))
+	if err != nil {
+		se.sendErr(r.id, err)
+		return
+	}
+	sh.replyFile(se, r.id, f)
+}
+
+func (sh *shard) handleCreate(se *session, r *request) {
+	if len(r.body) < 6 {
+		se.send(r.id, StatusBadRequest, []byte("create: short body"))
+		return
+	}
+	d := int(r.body[0])
+	size := int(be32(r.body[1:]))
+	name := string(r.body[5:])
+	if name == "" {
+		se.send(r.id, StatusBadRequest, []byte("create: empty name"))
+		return
+	}
+	f, err := sh.kern.Create(se.owners[sh.idx], name, d, size)
+	if err != nil {
+		se.sendErr(r.id, err)
+		return
+	}
+	sh.replyFile(se, r.id, f)
+}
+
+// replyFile answers a successful open or create: the file is announced
+// (Config.FileAnnounce) and the reply carries its wire id and size.
+func (sh *shard) replyFile(se *session, id uint32, f *fs.File) {
+	if fa := sh.srv.cfg.FileAnnounce; fa != nil {
+		fa(int32(sh.wire(f.ID())), f.Name())
+	}
+	resp := make([]byte, 8)
+	put32(resp[0:], uint32(sh.wire(f.ID())))
+	put32(resp[4:], uint32(f.Size()))
+	se.send(id, StatusOK, resp)
+}
+
+// readCtx is one in-flight read's reply state, pooled so the hot path
+// allocates nothing. It copies every field it needs out of the request
+// (which recycles when the handler returns) and implements
+// core.ReadReply; the kernel invokes ReadDone on the shard goroutine,
+// either inline (hit) or when the fill completes.
+type readCtx struct {
+	sh    *shard
+	se    *session
+	id    uint32
+	off   int
+	size  int
+	flags uint8
+	bid   cache.BlockID
+}
+
+var readCtxPool = sync.Pool{New: func() any { return new(readCtx) }}
+
+func (rc *readCtx) ReadDone(data []byte, hit bool, err error) {
+	sh, se, id := rc.sh, rc.se, rc.id
+	off, size, flags, bid := rc.off, rc.size, rc.flags, rc.bid
+	// The pool outlives every server: a parked readCtx must not pin the
+	// shard (its kernel, its arena) or the session it last served.
+	rc.sh, rc.se = nil, nil
+	readCtxPool.Put(rc)
+	if err != nil {
+		se.sendErr(id, err)
+		return
+	}
+	if flags&ReadNoData != 0 {
+		se.send(id, StatusOK, flagBody(hit))
+		return
+	}
+	var fl uint8
+	if hit {
+		fl = FlagHit
+	}
+	// Zero-copy when the bytes still live in the cached buffer's slot:
+	// running on the kernel goroutine, nothing can evict or mutate the
+	// block between this check and the pin inside sendZC. A fill whose
+	// buffer was stolen mid-flight hands us a detached copy instead
+	// (data no longer backs the cached slot) — serve that by value.
+	if b := sh.kern.Cache().Peek(bid); b != nil && b.Slot != nil && b.Slot.Backs(data) {
+		se.sendZC(id, fl, b.Slot, data[off:off+size])
+		return
+	}
+	sh.kern.CountWireFallback()
+	resp := make([]byte, 1+size)
+	resp[0] = fl
+	copy(resp[1:], data[off:off+size])
+	se.send(id, StatusOK, resp)
+}
+
+func (sh *shard) handleRead(se *session, r *request) {
+	if len(r.body) != 13 {
+		se.send(r.id, StatusBadRequest, []byte("read: want 13-byte body"))
+		return
+	}
+	fid := sh.local(fs.FileID(be32(r.body[0:])))
+	blk := int32(be32(r.body[4:]))
+	rc := readCtxPool.Get().(*readCtx)
+	*rc = readCtx{
+		sh:    sh,
+		se:    se,
+		id:    r.id,
+		off:   int(be16(r.body[8:])),
+		size:  int(be16(r.body[10:])),
+		flags: r.body[12],
+		bid:   cache.BlockID{File: fid, Num: blk},
+	}
+	sh.kern.ReadTo(se.owners[sh.idx], fid, blk, rc.off, rc.size, rc)
+}
+
+func (sh *shard) handleWrite(se *session, r *request) bool {
+	if len(r.body) < 12 {
+		se.send(r.id, StatusBadRequest, []byte("write: short body"))
+		return false
+	}
+	fid := sh.local(fs.FileID(be32(r.body[0:])))
+	blk := int32(be32(r.body[4:]))
+	off := int(be16(r.body[8:]))
+	dlen := int(be16(r.body[10:]))
+	if len(r.body) != 12+dlen {
+		se.send(r.id, StatusBadRequest, []byte("write: length mismatch"))
+		return false
+	}
+	payload := r.body[12:]
+	id := r.id
+	// The request is retained until the kernel has consumed payload
+	// (which aliases r.body): on every completion path — hit, filled
+	// miss, error — the copy into the cache happens before this
+	// callback runs, so releasing here is safe.
+	sh.kern.Write(se.owners[sh.idx], fid, blk, off, payload, func(hit bool, err error) {
+		releaseRequest(r)
+		if err != nil {
+			se.sendErr(id, err)
+			return
+		}
+		se.send(id, StatusOK, flagBody(hit))
+	})
+	return true
+}
+
+// handleFbehavior serves the shard-local fbehavior ops: each has a
+// fixed-length body and replies nothing, or the value it read.
+func (sh *shard) handleFbehavior(se *session, r *request) {
+	owner, b := se.owners[sh.idx], r.body
+	name, want := "set_priority", 8
+	switch r.op {
+	case OpGetPriority:
+		name, want = "get_priority", 4
+	case OpGetPolicy:
+		name, want = "get_policy", 4
+	case OpSetTempPri:
+		name, want = "set_temppri", 16
+	}
+	if len(b) != want {
+		se.send(r.id, StatusBadRequest, []byte(fmt.Sprintf("%s: want %d-byte body", name, want)))
+		return
+	}
+	var resp []byte
+	var err error
+	switch r.op {
+	case OpSetPriority:
+		err = sh.kern.SetPriority(owner, sh.local(fs.FileID(be32(b))), int(int32(be32(b[4:]))))
+	case OpGetPriority:
+		var prio int
+		prio, err = sh.kern.GetPriority(owner, sh.local(fs.FileID(be32(b))))
+		resp = make([]byte, 4)
+		put32(resp, uint32(int32(prio)))
+	case OpGetPolicy:
+		var pol acm.Policy
+		pol, err = sh.kern.GetPolicy(owner, int(int32(be32(b))))
+		resp = []byte{uint8(pol)}
+	case OpSetTempPri:
+		err = sh.kern.SetTempPri(owner, sh.local(fs.FileID(be32(b))),
+			int32(be32(b[4:])), int32(be32(b[8:])), int(int32(be32(b[12:]))))
+	}
+	if err != nil {
+		se.sendErr(r.id, err)
+		return
+	}
+	se.send(r.id, StatusOK, resp)
+}
+
+// broadcastCtl runs a control-plane op (control, set_policy, set_alloc)
+// in every shard, in shard order, and replies once: these ops target the
+// session's manager state, which exists per shard. First error wins; a
+// refusal from any shard refuses the whole op. Runs on the session's
+// reader goroutine; each shard's closure is complete before the next is
+// posted, and a live registered session keeps its shard loops
+// consuming, so the round-trips cannot deadlock.
+func (s *Server) broadcastCtl(se *session, r *request) {
+	s.xRequests.Add(1)
+	// Validate and decode before touching any shard, so a bad body — an
+	// unknown allocation policy above all — can never leave the shards
+	// split.
+	var apply func(k *core.Live, owner int) error
+	var okBody []byte
+	switch r.op {
+	case OpControl:
+		if len(r.body) != 1 {
+			se.send(r.id, StatusBadRequest, []byte("control: want 1-byte body"))
+			return
+		}
+		apply = (*core.Live).DisableControl
+		if r.body[0] != 0 {
+			apply = (*core.Live).EnableControl
+		}
+	case OpSetPolicy:
+		if len(r.body) != 5 {
+			se.send(r.id, StatusBadRequest, []byte("set_policy: want 5-byte body"))
+			return
+		}
+		prio, pol := int(int32(be32(r.body))), acm.Policy(r.body[4])
+		apply = func(k *core.Live, owner int) error { return k.SetPolicy(owner, prio, pol) }
+		okBody = []byte{r.body[4]}
+	case OpSetAlloc:
+		alloc, err := cache.ParseAlloc(string(r.body))
+		if err != nil {
+			se.send(r.id, StatusUnknownPolicy, []byte(err.Error()))
+			return
+		}
+		apply = func(k *core.Live, _ int) error { return k.SetAllocPolicy(alloc) }
+		okBody = []byte(alloc.String())
+	}
+	var firstErr error
+	refused := false
+	for _, sh := range s.shards {
+		var err error
+		asked := sh.ask(func(sh *shard) {
+			if sh.draining {
+				refused = true
+				return
+			}
+			err = apply(sh.kern, se.owners[sh.idx])
+		})
+		if !asked {
+			refused = true
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	switch {
+	case refused:
+		s.xRefused.Add(1)
+		se.send(r.id, StatusRefused, []byte("server shutting down"))
+	case firstErr != nil:
+		se.sendErr(r.id, firstErr)
+	default:
+		se.send(r.id, StatusOK, okBody)
+	}
+}

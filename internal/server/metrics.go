@@ -9,9 +9,10 @@ import (
 // MetricsHandler returns an http.Handler exposing the server's counters
 // as Prometheus-style plaintext. The kernel block (aggregated over the
 // shards) is rendered by stats.Snapshot.WriteMetrics, so the counter
-// names are exactly the acbench -json names with an acfcd prefix;
-// server-level gauges, per-shard sections (the same schema, labeled
-// {shard="k"}), and per-session gauges follow.
+// names are exactly the wire stats reply's json names (the ones
+// benchmark/ reports) with an acfcd prefix; server-level gauges,
+// per-shard sections (the same schema, labeled {shard="k"}), and
+// per-session gauges follow.
 func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m, ok := s.Metrics()

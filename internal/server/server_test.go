@@ -226,10 +226,18 @@ func TestStatsAndMetrics(t *testing.T) {
 		t.Errorf("kernel misses %d, want 4", sr.Kernel.Cache.Misses)
 	}
 
+	// The session list is the same snapshot: one entry, under the owner
+	// id shard 0 gave the session, with the counters the wire reported.
+	m, ok := srv.Metrics()
+	if !ok || len(m.Sessions) != 1 || m.Sessions[0].Owner != 0 || m.Sessions[0].Stats != sr.Session {
+		t.Errorf("Metrics sessions = %+v (ok %v), want owner 0 with %+v", m.Sessions, ok, sr.Session)
+	}
+
 	rr := httptest.NewRecorder()
 	srv.MetricsHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	body := rr.Body.String()
 	for _, want := range []string{
+		"acfcd_session_reads{owner=\"0\",",
 		"acfcd_cache_hits 4\n",
 		"acfcd_cache_misses 4\n",
 		"acfcd_sessions_active 1\n",

@@ -200,8 +200,8 @@ func TestClientTypedErrors(t *testing.T) {
 }
 
 // TestMetricsDrift is the three-surface consistency gate: the /metrics
-// plaintext, the Metrics struct, and the stats wire reply (the same
-// schema acbench -json emits as its "kernel" block) must all derive from
+// plaintext, the Metrics struct, and the stats wire reply (the schema
+// benchmark/ reads out of Metrics().Kernel) must all derive from
 // the one stats.Snapshot, field for field, per-shard sections included.
 // The expected metric names are rebuilt here by independent reflection
 // over the json tags, so a renamed field or a hand-maintained exposition

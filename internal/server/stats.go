@@ -1,0 +1,123 @@
+package server
+
+import (
+	"encoding/json"
+
+	"repro/internal/cache"
+)
+
+// Metrics snapshots the server counters; ok is false once shutdown has
+// retired any shard.
+func (s *Server) Metrics() (Metrics, bool) { return s.metrics(nil) }
+
+// metrics is the one stats snapshot behind every surface: Metrics and
+// /metrics with only nil, a session's wire stats reply with only set —
+// then that session alone is listed, and a draining shard refuses (ok
+// false) as it refuses the session's other requests.
+func (s *Server) metrics(only *session) (Metrics, bool) {
+	s.mu.Lock()
+	shards, extraFill := s.shards, s.cfg.ExtraFill
+	s.mu.Unlock()
+	if shards == nil {
+		return Metrics{}, false
+	}
+	m := Metrics{
+		SessionsTotal: s.sessionsTotal.Load(),
+		Requests:      s.xRequests.Load(),
+		Refused:       s.xRefused.Load(),
+	}
+	at := make(map[*session]int) // a session's index in m.Sessions
+	for _, sh := range shards {
+		answered := false
+		sh.ask(func(sh *shard) {
+			if only != nil && sh.draining {
+				return
+			}
+			sh.snapshot(&m, at, only)
+			answered = true
+		})
+		if !answered {
+			return Metrics{}, false // retired, or refusing the session
+		}
+	}
+	if extraFill != nil {
+		m.Kernel.Fill.Accumulate(extraFill())
+	}
+	m.SessionsActive = len(m.Sessions)
+	return m, true
+}
+
+// snapshot adds the shard's counters to m, and those of its registered
+// sessions — of only alone when that is non-nil: a stats request pays for
+// its own session, not for every other. A counter added here shows on
+// all three surfaces. It runs on the shard goroutine while the asker
+// waits in ask, which is what makes writing to the asker's m safe.
+func (sh *shard) snapshot(m *Metrics, at map[*session]int, only *session) {
+	sm := ShardMetrics{
+		Kernel:             sh.kern.Snapshot(),
+		Requests:           sh.requests,
+		Refused:            sh.refused,
+		FillsInflight:      sh.fillsInflight,
+		WritebacksInflight: sh.wbInflight,
+		CachedBlocks:       sh.kern.Cache().Len(),
+		AllocPolicy:        sh.kern.AllocPolicy().String(),
+		AllocHitRatioBP:    sh.kern.HitRatioWindowBP(),
+		AllocWindowsDone:   sh.kern.HitWindowsDone(),
+	}
+	m.Shards = append(m.Shards, sm)
+	m.Kernel.Accumulate(sm.Kernel)
+	m.Requests += sm.Requests
+	m.Refused += sm.Refused
+	m.FillsInflight += sm.FillsInflight
+	m.WritebacksInflight += sm.WritebacksInflight
+	m.CachedBlocks += sm.CachedBlocks
+	add := func(se *session) {
+		j, seen := at[se]
+		if !seen {
+			j, at[se] = len(m.Sessions), len(m.Sessions)
+			m.Sessions = append(m.Sessions, SessionInfo{Owner: cache.NoOwner, Name: se.name})
+		}
+		if sh.idx == 0 {
+			m.Sessions[j].Owner = se.owners[0]
+		}
+		// OwnerStats fails only on an id AddOwner never returned.
+		st, _ := sh.kern.OwnerStats(se.owners[sh.idx])
+		m.Sessions[j].Stats.Add(st)
+	}
+	if only != nil {
+		add(only)
+		return
+	}
+	for se := range sh.sessions {
+		add(se)
+	}
+}
+
+// serveStats serves OpStats: the wire view of the session's own Metrics.
+// Reader-orchestrated like broadcastCtl.
+func (s *Server) serveStats(se *session, r *request) {
+	s.xRequests.Add(1)
+	m, ok := s.metrics(se)
+	if !ok {
+		s.xRefused.Add(1)
+		se.send(r.id, StatusRefused, []byte("server shutting down"))
+		return
+	}
+	sr := StatsReply{Session: m.Sessions[0].Stats, Kernel: m.Kernel}
+	for _, sm := range m.Shards {
+		if len(m.Shards) > 1 {
+			sr.PerShard = append(sr.PerShard, sm.Kernel)
+		}
+		sr.Alloc = append(sr.Alloc, AllocStatus{
+			Policy:      sm.AllocPolicy,
+			HitWindowBP: sm.AllocHitRatioBP,
+			WindowsDone: sm.AllocWindowsDone,
+		})
+	}
+	body, err := json.Marshal(sr)
+	if err != nil {
+		se.sendErr(r.id, err)
+		return
+	}
+	se.send(r.id, StatusOK, body)
+}

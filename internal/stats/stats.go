@@ -1,10 +1,11 @@
 // Package stats defines the one shared snapshot schema for the kernel's
 // observable counters: the buffer-cache counters (cache.Stats) and the
-// DES engine counters (sim.Stats). Both acbench -json (the offline
-// experiment pipeline) and the acfcd daemon's /metrics endpoint consume
-// the same Snapshot type, and the plaintext metrics exposition is derived
-// mechanically from the structs' json tags — so the two outputs name the
-// same counter the same way and cannot drift apart.
+// DES engine counters (sim.Stats). The acfcd daemon's wire stats reply,
+// server.Metrics and /metrics endpoint and the repository's benchmark
+// (benchmark/, for simulations and servers alike) all consume the same
+// Snapshot type, and the plaintext metrics exposition is derived
+// mechanically from the structs' json tags — so every output names the
+// same counter the same way and they cannot drift apart.
 package stats
 
 import (
@@ -32,8 +33,8 @@ type Snapshot struct {
 
 // FillStats counts the live kernel's fill/write-back pipeline: how misses
 // execute, not which block was evicted. The json tags are the canonical
-// counter names everywhere they escape the process (acbench -json, the
-// acfcd /metrics endpoint) — see WriteMetricsLabeled.
+// counter names everywhere they escape the process (the acfcd stats
+// reply and /metrics endpoint, benchmark/) — see WriteMetricsLabeled.
 type FillStats struct {
 	// StoreReads is the number of block reads actually issued to the
 	// store. Coalescing, read-ahead joins and write-behind forwarding
