@@ -17,15 +17,22 @@ type ReplayEvent struct {
 // run's result — the ground truth the acfcd oracle test compares the
 // wire replay against.
 type Recording struct {
-	Spec   RunSpec
+	Spec RunSpec
+	// Events is in issue order, allocated once: len == cap, ~160 B an event.
 	Events []ReplayEvent
 	Result RunResult
 }
 
+// chunkEvents sizes the chunks (~640 KB) Record gathers events in; a
+// chunk is filled in place, never copied or regrown.
+const chunkEvents = 4096
+
 // Record executes spec with both trace hooks installed and returns the
-// transcript. The spec's own Trace/TraceCtl callbacks, if any, are
-// chained after capture. Traced runs are uncacheable, so Record always
-// executes (it calls Run directly, no Runner involved).
+// transcript: events in issue order, len == cap. The spec's own
+// Trace/TraceCtl callbacks, if any, are chained after capture. Traced
+// runs are uncacheable, so Record always executes (it calls Run
+// directly, no Runner involved). Events are gathered in chunks and
+// joined once after the run: memory written is ~2x the transcript.
 //
 // For the transcript to be exactly replayable the spec should have
 // ReadAheadOff set (read-ahead issues I/O the trace does not record)
@@ -33,19 +40,32 @@ type Recording struct {
 // simulated interleaving).
 func Record(spec RunSpec) *Recording {
 	rec := &Recording{Spec: spec}
+	var chunks [][]ReplayEvent
+	n := 0
+	next := func() *ReplayEvent {
+		if n%chunkEvents == 0 {
+			chunks = append(chunks, make([]ReplayEvent, chunkEvents))
+		}
+		n++
+		return &chunks[len(chunks)-1][(n-1)%chunkEvents]
+	}
 	prevT, prevC := spec.Trace, spec.TraceCtl
 	spec.Trace = func(ev core.TraceEvent) {
-		rec.Events = append(rec.Events, ReplayEvent{Access: ev})
+		next().Access = ev
 		if prevT != nil {
 			prevT(ev)
 		}
 	}
 	spec.TraceCtl = func(ev core.CtlEvent) {
-		rec.Events = append(rec.Events, ReplayEvent{IsCtl: true, Ctl: ev})
+		*next() = ReplayEvent{IsCtl: true, Ctl: ev}
 		if prevC != nil {
 			prevC(ev)
 		}
 	}
 	rec.Result = Run(spec)
+	rec.Events = make([]ReplayEvent, 0, n)
+	for _, c := range chunks {
+		rec.Events = append(rec.Events, c[:min(chunkEvents, n-len(rec.Events))]...)
+	}
 	return rec
 }

@@ -68,6 +68,16 @@ func Wait(d time.Duration, prefixes ...string) []string {
 	}
 }
 
+// Settle polls runtime.NumGoroutine until it is at most want or d has
+// passed and returns the last count: a goroutine that has sent its last
+// value or run its last deferred function still counts until it exits.
+func Settle(want int, d time.Duration) int {
+	for deadline := time.Now().Add(d); runtime.NumGoroutine() > want && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
 // Main is a TestMain body: it runs the tests and then fails the package
 // if a goroutine with a frame under one of prefixes is still alive.
 func Main(m *testing.M, prefixes ...string) {

@@ -1,6 +1,7 @@
 package leakcheck
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -29,5 +30,20 @@ func TestFindSeesAParkedGoroutine(t *testing.T) {
 	close(release)
 	if found := Wait(time.Second, self); len(found) != 0 {
 		t.Errorf("after release: %d goroutines still found:\n%s", len(found), strings.Join(found, "\n\n"))
+	}
+}
+
+// TestSettle: a live goroutine keeps the count up for the whole wait; an
+// ended one leaves it within the wait.
+func TestSettle(t *testing.T) {
+	before := runtime.NumGoroutine()
+	release := make(chan struct{})
+	go park(release)
+	if n := Settle(before, 20*time.Millisecond); n != before+1 {
+		t.Errorf("with one goroutine parked: settled at %d, want %d", n, before+1)
+	}
+	close(release)
+	if n := Settle(before, time.Second); n > before {
+		t.Errorf("after release: settled at %d, want %d", n, before)
 	}
 }

@@ -7,6 +7,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/leakcheck"
 )
 
 // The tests below are about the root — the process Run resumed, which
@@ -318,10 +321,9 @@ func TestPeerDiesWhileRootWaits(t *testing.T) {
 					if e.Now() != 5 {
 						t.Errorf("ended at %v, want 5", e.Now())
 					}
-					for i := 0; i < 1000 && runtime.NumGoroutine() != before; i++ {
-						runtime.Gosched()
-					}
-					if after := runtime.NumGoroutine(); after != before {
+					// Run's goroutine has sent its outcome but may not
+					// have left the count yet.
+					if after := leakcheck.Settle(before, 5*time.Second); after > before {
 						t.Errorf("%d goroutines before Run, %d after", before, after)
 					}
 				})

@@ -6,6 +6,9 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/leakcheck"
 )
 
 // TestStatsTwoProcInterleave pins the engine's counters on the
@@ -247,10 +250,7 @@ func TestGoexitInBodyEndsCaller(t *testing.T) {
 	}
 	// The caller's goroutine is past its last deferred function but may
 	// not have left the count yet.
-	for i := 0; i < 1000 && runtime.NumGoroutine() != before; i++ {
-		runtime.Gosched()
-	}
-	if after := runtime.NumGoroutine(); after != before {
+	if after := leakcheck.Settle(before, 5*time.Second); after > before {
 		t.Errorf("%d goroutines before Run, %d after", before, after)
 	}
 }
