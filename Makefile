@@ -9,14 +9,15 @@ all: check
 # over the packages with real cross-goroutine traffic (the parallel
 # scheduler, the simulations it drives, the cache server — including
 # the multi-shard soak: 16 sessions plus hangup saboteurs across 4
-# kernel shards, invariant-checked per shard on every close — and the
-# cluster tier, whose soak drives a 3-node cluster through a mid-run
-# planned leave and an abrupt kill), then a short coverage-guided fuzz
-# of the wire-frame codec, and the size ceiling (loc).
+# kernel shards, invariant-checked per shard on every close — its typed
+# client and redialer, acload's replayers over them, and the cluster
+# tier, whose soak drives a 3-node cluster through a mid-run planned
+# leave and an abrupt kill), then a short coverage-guided fuzz of the
+# wire codec, frames and message bodies, and the size ceiling (loc).
 check: vet test race-hot fuzz-frames loc
 
 race-hot:
-	$(GO) test -race ./internal/sim ./internal/expt ./internal/core ./internal/server ./internal/disk ./internal/cluster
+	$(GO) test -race ./internal/sim ./internal/expt ./internal/core ./internal/server ./internal/server/client ./internal/disk ./internal/cluster ./cmd/acload
 
 # The lifecycle suite by name, repeated: a stopped server costs nothing
 # (no goroutine, no arena, no store; late callers return). CI runs it as
@@ -53,7 +54,7 @@ race:
 # raises the ceiling in its own diff, where a reviewer sees it. longest
 # prints the ten longest of the same files, so the next 1 500-line file
 # shows on the push that creates it.
-LOC_MAX = 17247
+LOC_MAX = 17198
 LOC_FILES = find . \( -name '.?*' -o -name benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -type f -print0
 loc:
 	@n=$$($(LOC_FILES) | xargs -0 cat | wc -l); echo $$n; \
@@ -126,9 +127,11 @@ charts:
 fuzz:
 	$(GO) test ./internal/cache/ -fuzz FuzzCacheOps -fuzztime 30s
 
-# Short fuzz of the frame decoders (one -fuzz pattern per invocation is
-# a go test restriction): arbitrary bytes through both decode paths,
-# then encode/decode round-trips.
+# Short fuzz of the wire codec (one -fuzz pattern per invocation is a go
+# test restriction): arbitrary bytes through both frame decode paths,
+# frame encode/decode round-trips, then every message body's one
+# canonical form.
 fuzz-frames:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 5s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzBodyRoundTrip$$' -fuzztime 5s

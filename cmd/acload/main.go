@@ -38,9 +38,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/expt"
-	"repro/internal/fs"
 	"repro/internal/server/client"
 )
 
@@ -218,35 +216,19 @@ type replayStats struct {
 	latencies []time.Duration
 }
 
-// replayConn is the slice of the client API a replayer drives; a stub
-// implementation backs the refused-accounting tests.
-type replayConn interface {
-	Open(name string) (client.File, error)
-	Create(name string, d, sizeBlocks int) (client.File, error)
-	Remove(name string) error
-	Control(enable bool) error
-	Fbehavior(op client.FbOp, a client.FbArgs) (client.FbResult, error)
-	ReadInto(f fs.FileID, blk int32, off, size int, dst []byte) (bool, error)
-	ReadNoData(f fs.FileID, blk int32, off, size int) (bool, error)
-	Write(f fs.FileID, blk int32, off int, payload []byte) (bool, error)
-	Close() error
-}
+// replayConn is what a replayer drives: the client's Session surface. A
+// stub implementation backs the refused-accounting tests.
+type replayConn = client.Session
 
-// replayer replays one transcript through one session, reconnecting and
-// retrying once when the server refuses an event mid-pipeline. The
-// reconnect policy (backoff, session-state restore) is the shared
-// client.Redialer; restore is its OnConnect hook.
+// replayer replays one transcript through one session — client.Replay
+// does the translation — counting and timing each event, and
+// reconnecting and retrying once when the server refuses an event
+// mid-pipeline. The reconnect policy (backoff, session-state restore) is
+// the shared client.Redialer; Replay.Restore is its OnConnect hook.
 type replayer struct {
-	rd     *client.Redialer[replayConn]
-	prefix string
-	nodata bool
-
-	c          replayConn
-	files      map[fs.FileID]fs.FileID // recorded id -> server id
-	names      map[fs.FileID]string    // recorded id -> server name, for re-open
-	controlled bool
-	buf        []byte // reused read destination (client-side zero-alloc)
-	st         replayStats
+	rd *client.Redialer[replayConn]
+	rp client.Replay
+	st replayStats
 }
 
 // errReplayDrained marks a replayer that stopped cleanly because the
@@ -258,29 +240,16 @@ var errReplayDrained = errors.New("acload: server draining; replay stopped")
 // Recorded file ids map to server files created under prefix; fbehavior
 // and access events reproduce the workload call for call.
 func replayOne(dial func() (replayConn, error), prefix string, events []expt.ReplayEvent, nodata bool) (replayStats, error) {
-	r := &replayer{
-		prefix: prefix,
-		nodata: nodata,
-		files:  make(map[fs.FileID]fs.FileID),
-		names:  make(map[fs.FileID]string),
-		buf:    make([]byte, core.BlockSize),
-	}
-	r.rd = &client.Redialer[replayConn]{Dial: dial, OnConnect: r.restore}
-	c, err := r.rd.Get()
-	if err != nil {
+	r := &replayer{rp: client.Replay{Prefix: prefix, NoData: nodata}}
+	r.rd = &client.Redialer[replayConn]{Dial: dial, OnConnect: r.rp.Restore}
+	if _, err := r.rd.Get(); err != nil {
 		return r.st, err
 	}
-	r.c = c
 	defer func() { r.rd.Close() }()
-
-	payload := make([]byte, core.BlockSize)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
 	r.st.latencies = make([]time.Duration, 0, len(events))
 
 	for _, ev := range events {
-		if err := r.step(ev, payload); err != nil {
+		if err := r.step(ev); err != nil {
 			if errors.Is(err, errReplayDrained) {
 				return r.st, nil
 			}
@@ -291,133 +260,48 @@ func replayOne(dial func() (replayConn, error), prefix string, events []expt.Rep
 }
 
 // step issues one event, counting it as exactly one request. A refusal
-// counts refused once, reconnects and retries the same event once; the
-// retry never recounts the event, whatever its outcome.
-func (r *replayer) step(ev expt.ReplayEvent, payload []byte) error {
+// counts refused once, reconnects — the redialer's OnConnect hook
+// rebuilds the replay's server state on the fresh session — and retries
+// the same event once; the retry never recounts the event, whatever its
+// outcome. A second refusal, or nothing to reconnect to, means the server
+// is draining for real: the replay ends cleanly.
+func (r *replayer) step(ev expt.ReplayEvent) error {
 	r.st.requests++
-	hit, isAccess, err := r.apply(ev, payload)
-	if err == nil {
-		if isAccess {
+	for retry := false; ; retry = true {
+		hit, err := r.apply(ev)
+		switch {
+		case err == nil:
 			if hit {
 				r.st.hits++
-			} else {
+			} else if !ev.IsCtl {
 				r.st.misses++
 			}
-		}
-		return nil
-	}
-	if !errors.Is(err, client.ErrRefused) && !errors.Is(err, client.ErrRevoked) {
-		r.st.errors++
-		return err
-	}
-	r.st.refused++
-	if rerr := r.reconnect(); rerr != nil {
-		// Nothing to reconnect to: the server is gone. The refusal stays
-		// counted once and the replay ends cleanly.
-		return errReplayDrained
-	}
-	hit, isAccess, err = r.apply(ev, payload)
-	if err != nil {
-		if errors.Is(err, client.ErrRefused) || errors.Is(err, client.ErrRevoked) {
+			return nil
+		case !errors.Is(err, client.ErrRefused) && !errors.Is(err, client.ErrRevoked):
+			r.st.errors++
+			return err
+		case retry:
 			return errReplayDrained
 		}
-		r.st.errors++
-		return err
-	}
-	if isAccess {
-		if hit {
-			r.st.hits++
-		} else {
-			r.st.misses++
+		r.st.refused++
+		r.rd.Invalidate(r.rp.S)
+		if _, err := r.rd.Get(); err != nil {
+			return errReplayDrained
 		}
 	}
-	return nil
 }
 
-// reconnect discards the dead session and dials a fresh one through the
-// redialer, whose OnConnect hook (restore) rebuilds the replayer's
-// server state before the connection is handed back.
-func (r *replayer) reconnect() error {
-	r.rd.Invalidate(r.c)
-	c, err := r.rd.Get()
-	if err != nil {
-		return err
-	}
-	r.c = c
-	return nil
-}
-
-// restore rebuilds session state on a fresh connection: control
-// re-enabled if it was on, every live file re-opened so the recorded
-// ids resolve again. (Priorities are per-owner manager state; the
-// replay reissues them only as the transcript reaches them, like the
-// restarted real application would.)
-func (r *replayer) restore(c replayConn) error {
-	if r.controlled {
-		if err := c.Control(true); err != nil {
-			return err
-		}
-	}
-	for rid, name := range r.names {
-		f, err := c.Open(name)
-		if err != nil {
-			return err
-		}
-		r.files[rid] = f.ID
-	}
-	return nil
-}
-
-// apply issues one event on the current session and updates the file
-// maps on success. For access events it also records the wire latency.
-func (r *replayer) apply(ev expt.ReplayEvent, payload []byte) (hit, isAccess bool, err error) {
+// apply issues one event on the current session. For access events it
+// also records the wire latency and the payload bytes moved.
+func (r *replayer) apply(ev expt.ReplayEvent) (hit bool, err error) {
 	if ev.IsCtl {
-		ct := ev.Ctl
-		switch ct.Op {
-		case core.CtlCreateFile:
-			name := r.prefix + ct.FileName
-			var f client.File
-			f, err = r.c.Create(name, ct.Disk, ct.Size)
-			if err == nil {
-				r.files[ct.File] = f.ID
-				r.names[ct.File] = name
-			}
-		case core.CtlRemoveFile:
-			err = r.c.Remove(r.prefix + ct.FileName)
-			if err == nil {
-				delete(r.files, ct.File)
-				delete(r.names, ct.File)
-			}
-		case core.CtlControl:
-			err = r.c.Control(ct.Enable)
-			if err == nil {
-				r.controlled = ct.Enable
-			}
-		case core.CtlSetPriority:
-			_, err = r.c.Fbehavior(client.FbSetPriority, client.FbArgs{File: r.files[ct.File], Prio: ct.Prio})
-		case core.CtlSetPolicy:
-			_, err = r.c.Fbehavior(client.FbSetPolicy, client.FbArgs{Prio: ct.Prio, Policy: ct.Policy})
-		case core.CtlSetTempPri:
-			_, err = r.c.Fbehavior(client.FbSetTempPri, client.FbArgs{File: r.files[ct.File], Start: ct.Start, End: ct.End, Prio: ct.Prio})
-		}
-		return false, false, err
-	}
-
-	a := ev.Access
-	fid, ok := r.files[a.File]
-	if !ok {
-		return false, false, fmt.Errorf("access to file %d before its create event", a.File)
+		return false, r.rp.Ctl(ev.Ctl)
 	}
 	t0 := time.Now()
-	if a.Write {
-		hit, err = r.c.Write(fid, a.Block, a.Off, payload[:a.Size])
-		r.st.bytes += int64(a.Size)
-	} else if r.nodata {
-		hit, err = r.c.ReadNoData(fid, a.Block, a.Off, a.Size)
-	} else {
-		hit, err = r.c.ReadInto(fid, a.Block, a.Off, a.Size, r.buf)
-		r.st.bytes += int64(a.Size)
-	}
+	hit, err = r.rp.Access(ev.Access)
 	r.st.latencies = append(r.st.latencies, time.Since(t0))
-	return hit, true, err
+	if ev.Access.Write || !r.rp.NoData {
+		r.st.bytes += int64(ev.Access.Size)
+	}
+	return hit, err
 }

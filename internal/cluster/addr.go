@@ -1,7 +1,8 @@
-// addr.go — node address specs. A member is identified by the same
-// "unix:/path" / "tcp:host:port" spec acfcd's -listen flag takes; the
-// spec string doubles as the member's name on the hash ring, so routing
-// and dialing agree by construction.
+// addr.go — node address specs, and the one way to reach the node behind
+// one. A member is identified by the same "unix:/path" / "tcp:host:port"
+// spec acfcd's -listen flag takes; the spec string doubles as the
+// member's name on the hash ring, so routing and dialing agree by
+// construction.
 
 package cluster
 
@@ -9,6 +10,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/server/client"
 )
 
 // peerDialTimeout bounds how long a fill worker can stall dialing a
@@ -26,4 +29,22 @@ func SplitAddr(spec string) (network, addr string, err error) {
 		return "tcp", strings.TrimPrefix(spec, "tcp:"), nil
 	}
 	return "", "", fmt.Errorf("bad node address %q (want unix:/path or tcp:host:port)", spec)
+}
+
+// redial builds the reconnecting session to member spec — the one way
+// the cluster tier reaches a node, whether as a routing client or as a
+// peer: one bounded dial, one retry, and onConnect run on every fresh
+// connection before it is handed out. Nothing is dialed until the first
+// Get.
+func redial(spec string, onConnect func(*client.Conn) error) (*client.Redialer[*client.Conn], error) {
+	network, addr, err := SplitAddr(spec)
+	if err != nil {
+		return nil, err
+	}
+	return &client.Redialer[*client.Conn]{
+		Dial:        func() (*client.Conn, error) { return client.Dial(network, addr) },
+		DialTimeout: peerDialTimeout,
+		Attempts:    2,
+		OnConnect:   onConnect,
+	}, nil
 }

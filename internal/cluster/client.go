@@ -6,15 +6,16 @@
 // name different ids) and only the name — and therefore the synthetic
 // id bound to it — is cluster-global.
 //
-// Failure handling is the unplanned-death half of the membership story:
-// when a node stops answering (transport error, or the drain refusal a
-// retiring server sends), the client marks it dead, re-routes the file
-// to the ring over the survivors, re-resolves it there (re-create with
-// the remembered shape when the survivor has never seen it), and
-// retries — again if that survivor is gone as well, until a node
-// answers or none is left. The survivor then pulls the blocks through
-// cold from the origin — no coordination, no recovery protocol, exactly
-// the redial-next-owner behavior the cluster design promises.
+// Failure handling is the unplanned-death half of the membership story,
+// and it is one loop (onOwner): every routed op runs on the name's owner
+// among the members not yet marked dead, and when that node stops
+// answering (transport error, or the drain refusal a retiring server
+// sends) it is marked dead and the op runs again on the next owner —
+// after re-resolving the file there (re-create with the remembered shape
+// when the survivor has never seen it) — until a node answers or none is
+// left. The survivor then pulls the blocks through cold from the origin
+// — no coordination, no recovery protocol, exactly the redial-next-owner
+// behavior the cluster design promises.
 
 package cluster
 
@@ -25,28 +26,23 @@ import (
 
 	"repro/internal/acm"
 	"repro/internal/fs"
-	"repro/internal/server"
 	"repro/internal/server/client"
 )
 
 // Client is a routing client over a static member list. Safe for one
 // goroutine (like client.Conn, concurrency comes from many Clients).
 type Client struct {
-	ring *Ring
-
-	mu     sync.Mutex // guards nodes/dead across the failover path
-	nodes  map[string]*clusterSess
-	dead   map[string]bool
+	mu     sync.Mutex // guards live/nodes/files/byName across the failover path
+	live   *Ring      // the members not yet marked dead
+	nodes  map[string]*client.Redialer[*client.Conn]
 	files  map[fs.FileID]*centry
 	byName map[string]fs.FileID
 	nextID fs.FileID
 
+	// Session state replayed onto a reconnecting node: manager mode, and
+	// the last policy set per priority level.
 	controlled bool
-	policies   []policySet // replayed onto reconnecting nodes
-}
-
-type clusterSess struct {
-	rd *client.Redialer[*client.Conn]
+	policies   map[int]acm.Policy
 }
 
 // centry is one synthetic file id's binding: the name (the routing
@@ -61,20 +57,16 @@ type centry struct {
 	remote  fs.FileID
 }
 
-type policySet struct {
-	prio int
-	pol  acm.Policy
-}
-
 // NewClient builds a client over members.
 func NewClient(members []string) *Client {
 	return &Client{
-		ring:   NewRing(members),
-		nodes:  make(map[string]*clusterSess),
-		dead:   make(map[string]bool),
+		live:   NewRing(members),
+		nodes:  make(map[string]*client.Redialer[*client.Conn]),
 		files:  make(map[fs.FileID]*centry),
 		byName: make(map[string]fs.FileID),
 		nextID: 1,
+
+		policies: make(map[int]acm.Policy),
 	}
 }
 
@@ -82,43 +74,34 @@ func NewClient(members []string) *Client {
 func (cl *Client) alive() *Ring {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	r := cl.ring
-	for m := range cl.dead {
-		r = r.Without(m)
-	}
-	return r
+	return cl.live
 }
 
 func (cl *Client) markDead(addr string) {
 	cl.mu.Lock()
-	cl.dead[addr] = true
+	if cl.live.Has(addr) {
+		cl.live = cl.live.Without(addr)
+	}
 	cl.mu.Unlock()
 }
 
 // conn returns (dialing if needed) the session to addr. A fresh
 // connection replays the client's session state: manager mode and any
 // policy table edits.
-func (cl *Client) conn(addr string) (*client.Conn, *clusterSess, error) {
+func (cl *Client) conn(addr string) (*client.Conn, *client.Redialer[*client.Conn], error) {
 	cl.mu.Lock()
-	s, ok := cl.nodes[addr]
+	rd, ok := cl.nodes[addr]
 	if !ok {
-		network, hostOrPath, err := SplitAddr(addr)
-		if err != nil {
+		var err error
+		if rd, err = redial(addr, cl.restore); err != nil {
 			cl.mu.Unlock()
 			return nil, nil, err
 		}
-		s = &clusterSess{}
-		s.rd = &client.Redialer[*client.Conn]{
-			Dial:        func() (*client.Conn, error) { return client.Dial(network, hostOrPath) },
-			DialTimeout: peerDialTimeout,
-			Attempts:    2,
-			OnConnect:   func(c *client.Conn) error { return cl.restore(c) },
-		}
-		cl.nodes[addr] = s
+		cl.nodes[addr] = rd
 	}
 	cl.mu.Unlock()
-	c, err := s.rd.Get()
-	return c, s, err
+	c, err := rd.Get()
+	return c, rd, err
 }
 
 func (cl *Client) restore(c *client.Conn) error {
@@ -127,8 +110,8 @@ func (cl *Client) restore(c *client.Conn) error {
 			return err
 		}
 	}
-	for _, ps := range cl.policies {
-		if err := c.SetPolicy(ps.prio, ps.pol); err != nil {
+	for prio, pol := range cl.policies {
+		if err := c.SetPolicy(prio, pol); err != nil {
 			return err
 		}
 	}
@@ -146,88 +129,65 @@ func retriable(err error) bool {
 	return !errors.As(err, &se) // non-status error: the transport broke
 }
 
-// resolve opens (or, when the shape is known, creates) e.name on addr
-// and rebinds the entry there.
-func (cl *Client) resolve(e *centry, addr string) error {
-	c, _, err := cl.conn(addr)
-	if err != nil {
-		return err
-	}
-	rf, err := openOrCreateShaped(c, e)
-	if err != nil {
-		return err
-	}
-	e.addr, e.remote = addr, rf
-	return nil
-}
+var errNoMembers = errors.New("empty member list")
 
-func openOrCreateShaped(c *client.Conn, e *centry) (fs.FileID, error) {
-	f, err := c.Open(e.name)
-	if err == nil {
-		return f.ID, nil
-	}
-	if e.created {
-		if se := (*client.StatusError)(nil); errors.As(err, &se) && se.Status == server.StatusNotFound {
-			f, err = c.Create(e.name, e.disk, e.size)
-			if err == nil {
-				return f.ID, nil
-			}
-		}
-	}
-	return 0, err
-}
-
-// do runs op against e's node, failing over to the next live ring owner
-// for as long as the node it tried is gone and another is left.
-func (cl *Client) do(e *centry, op func(c *client.Conn, remote fs.FileID) error) error {
+// onOwner runs op on name's hash owner among the live members and walks
+// down the ring of survivors while the owner it tried is gone: a node
+// that will not dial, or fails op retriably (the node a leaver handed a
+// file to can die before this client next touches it), is marked dead
+// and the next owner tried. It returns op's first success or
+// non-retriable error, or, with no member left, the last failure.
+func (cl *Client) onOwner(name string, op func(c *client.Conn, owner string) error) error {
+	cause := errNoMembers
 	for {
-		c, s, err := cl.conn(e.addr)
-		if err == nil {
-			err = op(c, e.remote)
-			if err == nil || !retriable(err) {
-				return err
-			}
-			s.rd.Invalidate(c)
-		}
-		cl.markDead(e.addr)
-		if err := cl.failover(e, err); err != nil {
-			return err
-		}
-	}
-}
-
-// failover rebinds e to the first live ring owner that resolves it. An
-// owner that is gone too — the node a leaver handed the file to can die
-// before this client next touches it — is marked dead and the next one
-// tried; any other failure to resolve surfaces.
-func (cl *Client) failover(e *centry, cause error) error {
-	for {
-		next := cl.alive()
-		if next.Len() == 0 {
+		owner := cl.alive().Owner(name)
+		if owner == "" {
 			return fmt.Errorf("cluster: no live nodes: %w", cause)
 		}
-		owner := next.Owner(e.name)
-		err := cl.resolve(e, owner)
+		c, rd, err := cl.conn(owner)
 		if err == nil {
-			return nil
-		}
-		if !retriable(err) {
-			return fmt.Errorf("cluster: failover of %s to %s: %w", e.name, owner, err)
+			if err = op(c, owner); err == nil || !retriable(err) {
+				return err
+			}
+			rd.Invalidate(c)
 		}
 		cl.markDead(owner)
 		cause = err
 	}
 }
 
-// entry looks a synthetic id up.
-func (cl *Client) entry(f fs.FileID) (*centry, error) {
+// do runs op against the file behind synthetic id f, on the node that
+// owns its name now. When that is no longer the node the file is bound to
+// — the failover: that node was marked dead, by this call's last attempt
+// or under another file — it is first rebound to the new owner by opening
+// it there, or, when its shape is known, creating it; a failure to
+// resolve that is not the new owner being gone too surfaces.
+func (cl *Client) do(f fs.FileID, op func(c *client.Conn, remote fs.FileID) error) error {
 	cl.mu.Lock()
 	e := cl.files[f]
 	cl.mu.Unlock()
 	if e == nil {
-		return nil, fmt.Errorf("cluster: unknown file id %d", f)
+		return fmt.Errorf("cluster: unknown file id %d", f)
 	}
-	return e, nil
+	return cl.onOwner(e.name, func(c *client.Conn, owner string) error {
+		if owner != e.addr {
+			var moved client.File
+			var err error
+			if e.created {
+				moved, err = openOrCreate(c, e.name, e.disk, e.size)
+			} else {
+				moved, err = c.Open(e.name)
+			}
+			if err != nil {
+				if !retriable(err) {
+					err = fmt.Errorf("cluster: failover of %s to %s: %w", e.name, owner, err)
+				}
+				return err
+			}
+			e.addr, e.remote = owner, moved.ID
+		}
+		return op(c, e.remote)
+	})
 }
 
 // bind assigns (or reuses) the synthetic id for name.
@@ -247,41 +207,27 @@ func (cl *Client) bind(name string) (*centry, fs.FileID) {
 
 // Open resolves name on its owning node.
 func (cl *Client) Open(name string) (client.File, error) {
-	owner := cl.alive().Owner(name)
-	if owner == "" {
-		return client.File{}, errors.New("cluster: no live nodes")
-	}
-	c, s, err := cl.conn(owner)
-	if err != nil {
-		// The owner won't even dial: mark it dead and route to the
-		// survivors, same as a mid-op transport failure.
-		cl.markDead(owner)
-		if next := cl.alive(); next.Len() > 0 {
-			return cl.Open(name)
-		}
-		return client.File{}, err
-	}
-	f, err := c.Open(name)
-	if err != nil {
-		if retriable(err) {
-			s.rd.Invalidate(c)
-			cl.markDead(owner)
-			if next := cl.alive(); next.Len() > 0 {
-				return cl.Open(name)
-			}
-		} else if se := (*client.StatusError)(nil); errors.As(err, &se) && se.Status == server.StatusNotFound {
+	var file client.File
+	err := cl.onOwner(name, func(c *client.Conn, owner string) error {
+		f, err := c.Open(name)
+		if notFound(err) {
 			// The owner has never seen the name — it may have been
 			// created before a join moved the name's hash owner here.
 			// Probe the rest of the cluster and migrate routing.
-			if file, ok := cl.openThrough(name, owner); ok {
-				return file, nil
+			if through, ok := cl.openThrough(name, owner); ok {
+				file = through
+				return nil
 			}
 		}
-		return client.File{}, err
-	}
-	e, id := cl.bind(name)
-	e.addr, e.remote, e.size = owner, f.ID, f.Size
-	return client.File{ID: id, Size: f.Size}, nil
+		if err != nil {
+			return err
+		}
+		e, id := cl.bind(name)
+		e.addr, e.remote, e.size = owner, f.ID, f.Size
+		file = client.File{ID: id, Size: f.Size}
+		return nil
+	})
+	return file, err
 }
 
 // openThrough handles the join case: name hashes to owner, but it was
@@ -326,65 +272,57 @@ func (cl *Client) openThrough(name, owner string) (client.File, bool) {
 // Create creates name on its owning node and remembers the shape, so a
 // failover can re-create it on a survivor.
 func (cl *Client) Create(name string, d, sizeBlocks int) (client.File, error) {
-	owner := cl.alive().Owner(name)
-	if owner == "" {
-		return client.File{}, errors.New("cluster: no live nodes")
-	}
-	c, s, err := cl.conn(owner)
-	if err != nil {
-		cl.markDead(owner)
-		if next := cl.alive(); next.Len() > 0 {
-			return cl.Create(name, d, sizeBlocks)
+	var file client.File
+	err := cl.onOwner(name, func(c *client.Conn, owner string) error {
+		f, err := c.Create(name, d, sizeBlocks)
+		if err != nil {
+			return err
 		}
-		return client.File{}, err
-	}
-	f, err := c.Create(name, d, sizeBlocks)
-	if err != nil {
-		if retriable(err) {
-			s.rd.Invalidate(c)
-			cl.markDead(owner)
-			if next := cl.alive(); next.Len() > 0 {
-				return cl.Create(name, d, sizeBlocks)
-			}
-		}
-		return client.File{}, err
-	}
-	e, id := cl.bind(name)
-	e.addr, e.remote = owner, f.ID
-	e.disk, e.size, e.created = d, f.Size, true
-	return client.File{ID: id, Size: f.Size}, nil
+		e, id := cl.bind(name)
+		e.addr, e.remote = owner, f.ID
+		e.disk, e.size, e.created = d, f.Size, true
+		file = client.File{ID: id, Size: f.Size}
+		return nil
+	})
+	return file, err
 }
 
-// Remove removes name on its owning node.
+// Remove removes name on its owning node and forgets the name's binding:
+// a synthetic id handed out for it is unknown from here on.
 func (cl *Client) Remove(name string) error {
-	e, _ := cl.bind(name)
+	e, id := cl.bind(name)
 	if e.addr == "" {
-		if owner := cl.alive().Owner(name); owner != "" {
-			e.addr = owner
-		} else {
-			return errors.New("cluster: no live nodes")
-		}
+		e.addr = cl.alive().Owner(name) // never opened here: nothing to resolve first
 	}
-	return cl.do(e, func(c *client.Conn, _ fs.FileID) error {
-		return c.Remove(e.name)
+	err := cl.do(id, func(c *client.Conn, _ fs.FileID) error {
+		return c.Remove(name)
 	})
+	if err == nil {
+		cl.mu.Lock()
+		delete(cl.files, id)
+		delete(cl.byName, name)
+		cl.mu.Unlock()
+	}
+	return err
 }
 
 // Control toggles manager mode on every live node (sessions span all of
-// them), and remembers the flag for reconnects.
+// them), and remembers the flag for reconnects — after the broadcast, so
+// a node first dialed by it is not told twice.
 func (cl *Client) Control(enable bool) error {
+	err := cl.broadcast(func(c *client.Conn) error { return c.Control(enable) })
 	cl.controlled = enable
-	return cl.broadcast(func(c *client.Conn) error { return c.Control(enable) })
+	return err
 }
 
 func (cl *Client) broadcast(op func(c *client.Conn) error) error {
 	var firstErr error
 	for _, m := range cl.alive().Members() {
-		c, s, err := cl.conn(m)
+		c, rd, err := cl.conn(m)
 		if err == nil {
 			err = op(c)
 			if err != nil && retriable(err) {
-				s.rd.Invalidate(c)
+				rd.Invalidate(c)
 			}
 		}
 		if err != nil {
@@ -406,79 +344,51 @@ func (cl *Client) broadcast(op func(c *client.Conn) error) error {
 func (cl *Client) Fbehavior(op client.FbOp, a client.FbArgs) (client.FbResult, error) {
 	switch op {
 	case client.FbSetPolicy:
-		cl.policies = append(cl.policies, policySet{prio: a.Prio, pol: a.Policy})
+		cl.policies[a.Prio] = a.Policy
 		err := cl.broadcast(func(c *client.Conn) error {
 			_, e := c.Fbehavior(op, a)
 			return e
 		})
 		return client.FbResult{}, err
-	case client.FbGetPolicy:
-		members := cl.alive().Members()
-		if len(members) == 0 {
-			return client.FbResult{}, errors.New("cluster: no live nodes")
-		}
-		c, _, err := cl.conn(members[0])
-		if err != nil {
-			return client.FbResult{}, err
-		}
-		return c.Fbehavior(op, a)
-	}
-	e, err := cl.entry(a.File)
-	if err != nil {
-		return client.FbResult{}, err
 	}
 	var res client.FbResult
-	err = cl.do(e, func(c *client.Conn, remote fs.FileID) error {
-		ra := a
-		ra.File = remote
-		var e2 error
-		res, e2 = c.Fbehavior(op, ra)
-		return e2
-	})
+	call := func(c *client.Conn, remote fs.FileID) (err error) {
+		a.File = remote
+		res, err = c.Fbehavior(op, a)
+		return err
+	}
+	var err error
+	if op == client.FbGetPolicy { // any node: every one holds the session's table
+		err = cl.onOwner("", func(c *client.Conn, _ string) error { return call(c, 0) })
+	} else {
+		err = cl.do(a.File, call)
+	}
 	return res, err
 }
 
 // ReadInto reads one block range from the file's node.
-func (cl *Client) ReadInto(f fs.FileID, blk int32, off, size int, dst []byte) (bool, error) {
-	e, err := cl.entry(f)
-	if err != nil {
-		return false, err
-	}
-	var hit bool
-	err = cl.do(e, func(c *client.Conn, remote fs.FileID) error {
-		var e2 error
-		hit, e2 = c.ReadInto(remote, blk, off, size, dst)
-		return e2
+func (cl *Client) ReadInto(f fs.FileID, blk int32, off, size int, dst []byte) (hit bool, err error) {
+	err = cl.do(f, func(c *client.Conn, remote fs.FileID) (err error) {
+		hit, err = c.ReadInto(remote, blk, off, size, dst)
+		return err
 	})
 	return hit, err
 }
 
 // ReadNoData is ReadInto without the payload (load-generator mode).
-func (cl *Client) ReadNoData(f fs.FileID, blk int32, off, size int) (bool, error) {
-	e, err := cl.entry(f)
-	if err != nil {
-		return false, err
-	}
-	var hit bool
-	err = cl.do(e, func(c *client.Conn, remote fs.FileID) error {
-		var e2 error
-		hit, e2 = c.ReadNoData(remote, blk, off, size)
-		return e2
+func (cl *Client) ReadNoData(f fs.FileID, blk int32, off, size int) (hit bool, err error) {
+	err = cl.do(f, func(c *client.Conn, remote fs.FileID) (err error) {
+		hit, err = c.ReadNoData(remote, blk, off, size)
+		return err
 	})
 	return hit, err
 }
 
 // Write writes one block range to the file's node.
-func (cl *Client) Write(f fs.FileID, blk int32, off int, payload []byte) (bool, error) {
-	e, err := cl.entry(f)
-	if err != nil {
-		return false, err
-	}
-	var hit bool
-	err = cl.do(e, func(c *client.Conn, remote fs.FileID) error {
-		var e2 error
-		hit, e2 = c.Write(remote, blk, off, payload)
-		return e2
+func (cl *Client) Write(f fs.FileID, blk int32, off int, payload []byte) (hit bool, err error) {
+	err = cl.do(f, func(c *client.Conn, remote fs.FileID) (err error) {
+		hit, err = c.Write(remote, blk, off, payload)
+		return err
 	})
 	return hit, err
 }
@@ -487,10 +397,10 @@ func (cl *Client) Write(f fs.FileID, blk int32, off int, payload []byte) (bool, 
 func (cl *Client) Close() error {
 	cl.mu.Lock()
 	nodes := cl.nodes
-	cl.nodes = make(map[string]*clusterSess)
+	cl.nodes = make(map[string]*client.Redialer[*client.Conn])
 	cl.mu.Unlock()
-	for _, s := range nodes {
-		s.rd.Close()
+	for _, rd := range nodes {
+		rd.Close()
 	}
 	return nil
 }

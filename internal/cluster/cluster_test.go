@@ -118,6 +118,11 @@ func (tc *testCluster) kill(m string) {
 	tc.nodes[m].Srv.Shutdown(ctx)
 }
 
+// readOrigin reads one block of the origin: a run of one.
+func readOrigin(o Origin, name string, blk int32, dst []byte) error {
+	return o.ReadRun(name, blk, [][]byte{dst})
+}
+
 func blockPattern(name string, blk int32) []byte {
 	b := make([]byte, disk.BlockSize)
 	pat := []byte(name + "#" + strconv.Itoa(int(blk)) + "|")
@@ -336,7 +341,6 @@ type failingOrigin struct {
 // ("such file", "dirty"...): an origin outage must surface as io.
 var errOriginDown = errors.New("origin backend unreachable")
 
-func (f failingOrigin) ReadBlock(name string, blk int32, dst []byte) error { return errOriginDown }
 func (f failingOrigin) ReadRun(name string, start int32, dsts [][]byte) error {
 	return errOriginDown
 }

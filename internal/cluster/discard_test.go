@@ -86,7 +86,7 @@ func TestClusterRecreatedNameReadsZeros(t *testing.T) {
 			}
 			deadline := time.Now().Add(10 * time.Second)
 			for { // block 0 went out long ago; wait for write-behind to land it
-				if err := o.origin.ReadBlock("foo", 0, got); err != nil {
+				if err := readOrigin(o.origin, "foo", 0, got); err != nil {
 					t.Fatal(err)
 				}
 				if bytes.Equal(got, first(0)) {
@@ -145,7 +145,7 @@ func TestClusterRecreatedNameReadsZeros(t *testing.T) {
 			stopped = true
 			stop()
 			for blk := int32(0); blk < blocks; blk++ {
-				if err := o.origin.ReadBlock("foo", blk, got); err != nil {
+				if err := readOrigin(o.origin, "foo", blk, got); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, second(blk)) {
@@ -178,14 +178,14 @@ func TestOriginDiscard(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Discard 0 alone and 2, 3 in a run that rewrites 1 and 4.
-			if err := o.origin.WriteBlock("f", 0, nil); err != nil {
+			if err := o.origin.WriteRun("f", 0, [][]byte{nil}); err != nil {
 				t.Fatal(err)
 			}
 			fresh := blockPattern("fresh", 1)
 			if err := o.origin.WriteRun("f", 1, [][]byte{fresh, nil, nil, fresh}); err != nil {
 				t.Fatal(err)
 			}
-			if err := o.origin.WriteBlock("never", 3, nil); err != nil {
+			if err := o.origin.WriteRun("never", 3, [][]byte{nil}); err != nil {
 				t.Fatalf("discard in a file never written: %v", err)
 			}
 			dsts := make([][]byte, 6)

@@ -39,7 +39,7 @@ func TestLifecycleNodeLeave(t *testing.T) {
 	dst := make([]byte, disk.BlockSize)
 	for _, name := range moved {
 		for b := int32(0); b < blocks; b++ {
-			if err := origin.ReadBlock(name, b, dst); err != nil || !bytes.Equal(dst, blockPattern(name, b)) {
+			if err := readOrigin(origin, name, b, dst); err != nil || !bytes.Equal(dst, blockPattern(name, b)) {
 				t.Errorf("%s/%d not on the origin after the leave (err %v)", name, b, err)
 			}
 		}

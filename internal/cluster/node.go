@@ -130,69 +130,62 @@ func (n *Node) handoff() error {
 		return nil
 	}
 	var firstErr error
-	type remote struct {
-		c   *client.Conn
-		p   *peer
-		ids map[string]remoteFile
+	note := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
-	remotes := make(map[string]*remote)
+	type remoteFile struct {
+		id   fs.FileID
+		skip bool // it would not open on its owner
+	}
+	conns := make(map[string]*client.Conn) // owner -> session; nil: it would not dial
+	files := make(map[string]remoteFile)   // name -> the file on its owner
 	for _, cb := range n.Srv.CachedContents() {
 		owner := rest.Owner(cb.Name)
-		r, ok := remotes[owner]
-		if !ok {
-			c, p, err := n.store.Peer(owner)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("handoff dial %s: %w", owner, err)
-				}
-				remotes[owner] = &remote{} // dead owner: skip its blocks
-				continue
-			}
-			r = &remote{c: c, p: p, ids: make(map[string]remoteFile)}
-			remotes[owner] = r
-		}
-		if r.c == nil {
-			continue
-		}
-		rf, ok := r.ids[cb.Name]
-		if !ok {
+		c, dialed := conns[owner]
+		if !dialed {
 			var err error
-			rf, err = openOrCreate(r.c, cb.Name, cb.Disk, cb.Size)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("handoff open %s on %s: %w", cb.Name, owner, err)
-				}
-				rf = remoteFile{skip: true}
+			if c, _, err = n.store.Peer(owner); err != nil {
+				note(fmt.Errorf("handoff dial %s: %w", owner, err))
 			}
-			r.ids[cb.Name] = rf
+			conns[owner] = c
+		}
+		if c == nil {
+			continue // dead owner: skip its blocks
+		}
+		rf, ok := files[cb.Name]
+		if !ok {
+			f, err := openOrCreate(c, cb.Name, cb.Disk, cb.Size)
+			if err != nil {
+				note(fmt.Errorf("handoff open %s on %s: %w", cb.Name, owner, err))
+			}
+			rf = remoteFile{id: f.ID, skip: err != nil}
+			files[cb.Name] = rf
 		}
 		if rf.skip {
 			continue
 		}
-		if _, err := r.c.Write(rf.id, cb.Blk, 0, cb.Data); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("handoff write %s/%d to %s: %w", cb.Name, cb.Blk, owner, err)
+		if _, err := c.Write(rf.id, cb.Blk, 0, cb.Data); err != nil {
+			note(fmt.Errorf("handoff write %s/%d to %s: %w", cb.Name, cb.Blk, owner, err))
 		}
 	}
 	return firstErr
 }
 
-type remoteFile struct {
-	id   fs.FileID
-	skip bool
+// notFound reports whether err is the node saying it has no such file.
+func notFound(err error) bool {
+	se := (*client.StatusError)(nil)
+	return errors.As(err, &se) && se.Status == server.StatusNotFound
 }
 
-// openOrCreate resolves name on the receiving node, creating it with
-// the retiring node's shape when the receiver has never seen it.
-func openOrCreate(c *client.Conn, name string, disk, size int) (remoteFile, error) {
+// openOrCreate resolves name on c, creating it with the given shape when
+// the node has never seen it: how a file arrives on the node a handoff
+// or a failover moves it to.
+func openOrCreate(c *client.Conn, name string, disk, size int) (client.File, error) {
 	f, err := c.Open(name)
-	if err == nil {
-		return remoteFile{id: f.ID}, nil
-	}
-	if se := (*client.StatusError)(nil); errors.As(err, &se) && se.Status == server.StatusNotFound {
+	if notFound(err) {
 		f, err = c.Create(name, disk, size)
-		if err == nil {
-			return remoteFile{id: f.ID}, nil
-		}
 	}
-	return remoteFile{}, err
+	return f, err
 }

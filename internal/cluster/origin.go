@@ -28,15 +28,12 @@ import (
 // use — every node's write-behind flusher and fill workers reach it at
 // once.
 type Origin interface {
-	// ReadBlock fills dst (len BlockSize) with the named file's block.
-	ReadBlock(name string, blk int32, dst []byte) error
-	// WriteBlock persists src as the named file's block, or discards the
-	// block when src is nil.
-	WriteBlock(name string, blk int32, src []byte) error
-	// ReadRun / WriteRun move a run of consecutive blocks starting at
-	// start in one call — the batch shape the fill workers and the
-	// write-behind flusher hand down (PR 8's run coalescing, kept alive
-	// through the cluster tier). A nil entry of srcs discards its block.
+	// ReadRun / WriteRun move a run of consecutive blocks of the named
+	// file, starting at start, in one call — the batch shape the fill
+	// workers and the write-behind flusher hand down (PR 8's run
+	// coalescing, kept alive through the cluster tier); a single block is
+	// a run of one. ReadRun fills each dst (len BlockSize); WriteRun
+	// persists each src, and a nil entry of srcs discards its block.
 	ReadRun(name string, start int32, dsts [][]byte) error
 	WriteRun(name string, start int32, srcs [][]byte) error
 	Close() error
@@ -56,21 +53,6 @@ func NewMemOrigin() *MemOrigin {
 
 func originKey(name string, blk int32) string {
 	return name + "\x00" + fmt.Sprint(blk)
-}
-
-func (m *MemOrigin) ReadBlock(name string, blk int32, dst []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if b, ok := m.blocks[originKey(name, blk)]; ok {
-		copy(dst, b)
-		return nil
-	}
-	clear(dst)
-	return nil
-}
-
-func (m *MemOrigin) WriteBlock(name string, blk int32, src []byte) error {
-	return m.WriteRun(name, blk, [][]byte{src})
 }
 
 func (m *MemOrigin) ReadRun(name string, start int32, dsts [][]byte) error {
@@ -163,14 +145,6 @@ func NewDirOrigin(dir string) (*DirOrigin, error) {
 
 func (d *DirOrigin) path(name string) string {
 	return filepath.Join(d.dir, url.PathEscape(name))
-}
-
-func (d *DirOrigin) ReadBlock(name string, blk int32, dst []byte) error {
-	return d.ReadRun(name, blk, [][]byte{dst})
-}
-
-func (d *DirOrigin) WriteBlock(name string, blk int32, src []byte) error {
-	return d.WriteRun(name, blk, [][]byte{src})
 }
 
 func (d *DirOrigin) ReadRun(name string, start int32, dsts [][]byte) error {

@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/fs"
-	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/stats"
 )
@@ -50,8 +49,7 @@ var ErrPeerFill = errors.New("cluster: peer fill failed")
 // only as long as the remote process lives, so the cache resets on
 // every fresh dial).
 type peer struct {
-	addr string
-	rd   *client.Redialer[*client.Conn]
+	rd *client.Redialer[*client.Conn]
 
 	mu    sync.Mutex
 	files map[string]fs.FileID
@@ -164,31 +162,23 @@ func (ns *NodeStore) Peer(addr string) (*client.Conn, *peer, error) {
 	ns.mu.Lock()
 	p, ok := ns.peers[addr]
 	if !ok {
-		network, hostOrPath, err := SplitAddr(addr)
+		p = &peer{}
+		rd, err := redial(addr, func(*client.Conn) error {
+			p.mu.Lock()
+			p.files = make(map[string]fs.FileID)
+			p.mu.Unlock()
+			return nil
+		})
 		if err != nil {
 			ns.mu.Unlock()
 			return nil, nil, err
 		}
-		p = &peer{addr: addr}
-		p.rd = &client.Redialer[*client.Conn]{
-			Dial:        func() (*client.Conn, error) { return client.Dial(network, hostOrPath) },
-			DialTimeout: peerDialTimeout,
-			Attempts:    2,
-			OnConnect: func(*client.Conn) error {
-				p.mu.Lock()
-				p.files = make(map[string]fs.FileID)
-				p.mu.Unlock()
-				return nil
-			},
-		}
+		p.rd = rd
 		ns.peers[addr] = p
 	}
 	ns.mu.Unlock()
 	c, err := p.rd.Get()
-	if err != nil {
-		return nil, p, err
-	}
-	return c, p, nil
+	return c, p, err
 }
 
 // warmPeer picks the peer to consult for name, or "" when the origin
@@ -210,18 +200,13 @@ func (ns *NodeStore) warmPeer(name string) string {
 	if prev == "" || prev == ns.self {
 		return ""
 	}
-	if _, p, _ := ns.peerNoDial(prev); p != nil && p.isDown() {
+	ns.mu.RLock()
+	p := ns.peers[prev] // looked up, not dialed
+	ns.mu.RUnlock()
+	if p != nil && p.isDown() {
 		return ""
 	}
 	return prev
-}
-
-// peerNoDial looks the peer record up without dialing.
-func (ns *NodeStore) peerNoDial(addr string) (*client.Conn, *peer, error) {
-	ns.mu.RLock()
-	p := ns.peers[addr]
-	ns.mu.RUnlock()
-	return nil, p, nil
 }
 
 // readFromPeer pulls one block of name from the warm peer into dst.
@@ -238,7 +223,7 @@ func (ns *NodeStore) readFromPeer(addr, name string, blk int32, dst []byte) (boo
 	}
 	fid, err := p.open(c, name)
 	if err != nil {
-		if se := (*client.StatusError)(nil); errors.As(err, &se) && se.Status == server.StatusNotFound {
+		if notFound(err) {
 			ns.mu.Lock()
 			ns.noPeer[name] = true
 			ns.mu.Unlock()
@@ -249,140 +234,95 @@ func (ns *NodeStore) readFromPeer(addr, name string, blk int32, dst []byte) (boo
 		return false, err
 	}
 	if _, err := c.ReadInto(fid, blk, 0, disk.BlockSize, dst); err != nil {
-		if se := (*client.StatusError)(nil); errors.As(err, &se) {
-			// An in-protocol failure (the peer is up but cannot produce
-			// the block): don't tear the connection down, just fall to
-			// the origin.
-			return false, err
+		// An in-protocol failure (the peer is up but cannot produce the
+		// block) doesn't tear the connection down, just falls to the
+		// origin.
+		if se := (*client.StatusError)(nil); !errors.As(err, &se) {
+			p.rd.Invalidate(c)
 		}
-		p.rd.Invalidate(c)
 		return false, err
 	}
 	ns.peerFills.Add(1)
 	return true, nil
 }
 
-// ReadBlock implements disk.Store: warm peer first when the guard
-// allows, the origin otherwise — every failure counted and surfaced.
+// ReadBlock and WriteBlock implement disk.Store: a block is a run of one,
+// so routing, counting and error wrapping are written once, below.
 func (ns *NodeStore) ReadBlock(file, blk int32, dst []byte) error {
-	name, err := ns.name(file)
-	if err != nil {
-		ns.peerFillErrors.Add(1)
-		return err
-	}
-	if addr := ns.warmPeer(name); addr != "" {
-		served, perr := ns.readFromPeer(addr, name, blk, dst)
-		if served {
-			return nil
-		}
-		if perr != nil {
-			ns.peerFillErrors.Add(1)
-		}
-	}
-	if err := ns.origin.ReadBlock(name, blk, dst); err != nil {
-		ns.peerFillErrors.Add(1)
-		return fmt.Errorf("%w: origin read %s/%d: %v", ErrPeerFill, name, blk, err)
-	}
-	return nil
+	return ns.ReadBlocks([]disk.BlockSpan{{File: file, Blk: blk}}, [][]byte{dst})[0]
 }
 
-// WriteBlock implements disk.Store: write-backs and flushes persist to
-// the origin under the file's name, and a removed file's discards (nil
-// src) go there the same way — the name stays announced after the remove,
-// so the blocks its previous holder left are gone before the name can be
-// read again.
 func (ns *NodeStore) WriteBlock(file, blk int32, src []byte) error {
-	name, err := ns.name(file)
-	if err != nil {
-		ns.peerFillErrors.Add(1)
-		return err
-	}
-	if err := ns.origin.WriteBlock(name, blk, src); err != nil {
-		ns.peerFillErrors.Add(1)
-		return fmt.Errorf("%w: origin write %s/%d: %v", ErrPeerFill, name, blk, err)
-	}
-	return nil
+	return ns.WriteBlocks([]disk.BlockSpan{{File: file, Blk: blk}}, [][]byte{src})[0]
 }
 
-// ReadBlocks implements disk.BatchStore: same-file adjacent runs (the
-// shape the fill workers coalesce into) retire as one origin run read;
-// a run on the warm-peer path degrades to per-block peer round-trips,
-// because the wire protocol reads one block per frame.
+// ReadBlocks implements disk.BatchStore: each same-file adjacent run (the
+// shape the fill workers coalesce into) is served by the warm peer when
+// the guard allows and by the origin, as one run read, otherwise — every
+// failure counted and surfaced. A run on the warm-peer path degrades to
+// per-block peer round-trips, because the wire protocol reads one block
+// per frame.
 func (ns *NodeStore) ReadBlocks(specs []disk.BlockSpan, dsts [][]byte) []error {
-	errs := make([]error, len(specs))
-	eachRun(specs, func(lo, hi int) {
-		name, err := ns.name(specs[lo].File)
-		if err != nil {
-			ns.peerFillErrors.Add(1)
-			for i := lo; i < hi; i++ {
-				errs[i] = err
-			}
-			return
-		}
+	return ns.eachRun(specs, "read", func(name string, lo, hi int) error {
 		if addr := ns.warmPeer(name); addr != "" {
-			allServed := true
-			for i := lo; i < hi; i++ {
-				served, perr := ns.readFromPeer(addr, name, specs[i].Blk, dsts[i])
+			served := true
+			for i := lo; i < hi && served; i++ {
+				var perr error
+				served, perr = ns.readFromPeer(addr, name, specs[i].Blk, dsts[i])
 				if perr != nil {
 					ns.peerFillErrors.Add(1)
 				}
-				if !served {
-					allServed = false
-					break // peer miss or failure: the origin serves the whole run
-				}
 			}
-			if allServed {
-				return
+			if served {
+				return nil
 			}
+			// Peer miss or failure: the origin serves the whole run.
 		}
-		if err := ns.origin.ReadRun(name, specs[lo].Blk, dsts[lo:hi]); err != nil {
-			ns.peerFillErrors.Add(1)
-			werr := fmt.Errorf("%w: origin read run %s/%d+%d: %v", ErrPeerFill, name, specs[lo].Blk, hi-lo, err)
-			for i := lo; i < hi; i++ {
-				errs[i] = werr
-			}
-		}
+		return ns.origin.ReadRun(name, specs[lo].Blk, dsts[lo:hi])
 	})
-	return errs
 }
 
-// WriteBlocks implements disk.BatchStore: runs go to the origin as one
-// vectored write each, discards (nil entries) in place among them.
+// WriteBlocks implements disk.BatchStore: write-backs and flushes persist
+// to the origin under the file's name, each run as one vectored write,
+// and a removed file's discards (nil entries) go there the same way, in
+// place among them — the name stays announced after the remove, so the
+// blocks its previous holder left are gone before the name can be read
+// again.
 func (ns *NodeStore) WriteBlocks(specs []disk.BlockSpan, srcs [][]byte) []error {
+	return ns.eachRun(specs, "write", func(name string, lo, hi int) error {
+		return ns.origin.WriteRun(name, specs[lo].Blk, srcs[lo:hi])
+	})
+}
+
+// eachRun splits specs into same-file consecutive-block runs, resolves
+// each run's file name and calls f with it and the run's [lo, hi) range;
+// a failure — no name announced, or f's, which is the origin's — is
+// counted and set, wrapped, on every block of its run. The callers above
+// hand down batches the fill workers and flusher already sorted and
+// grouped, but arbitrary spans still split correctly — just into more
+// runs.
+func (ns *NodeStore) eachRun(specs []disk.BlockSpan, verb string, f func(name string, lo, hi int) error) []error {
 	errs := make([]error, len(specs))
-	eachRun(specs, func(lo, hi int) {
+	for lo := 0; lo < len(specs); {
+		hi := lo + 1
+		for hi < len(specs) && specs[hi].File == specs[lo].File && specs[hi].Blk == specs[hi-1].Blk+1 {
+			hi++
+		}
 		name, err := ns.name(specs[lo].File)
+		if err == nil {
+			if err = f(name, lo, hi); err != nil {
+				err = fmt.Errorf("%w: origin %s %s/%d+%d: %v", ErrPeerFill, verb, name, specs[lo].Blk, hi-lo, err)
+			}
+		}
 		if err != nil {
 			ns.peerFillErrors.Add(1)
 			for i := lo; i < hi; i++ {
 				errs[i] = err
 			}
-			return
 		}
-		if err := ns.origin.WriteRun(name, specs[lo].Blk, srcs[lo:hi]); err != nil {
-			ns.peerFillErrors.Add(1)
-			werr := fmt.Errorf("%w: origin write run %s/%d+%d: %v", ErrPeerFill, name, specs[lo].Blk, hi-lo, err)
-			for i := lo; i < hi; i++ {
-				errs[i] = werr
-			}
-		}
-	})
-	return errs
-}
-
-// eachRun splits specs into same-file consecutive-block runs and calls
-// f with each [lo, hi) range. The callers above hand down batches the
-// fill workers and flusher already sorted and grouped, but arbitrary
-// spans still split correctly — just into more runs.
-func eachRun(specs []disk.BlockSpan, f func(lo, hi int)) {
-	for i := 0; i < len(specs); {
-		j := i + 1
-		for j < len(specs) && specs[j].File == specs[i].File && specs[j].Blk == specs[j-1].Blk+1 {
-			j++
-		}
-		f(i, j)
-		i = j
+		lo = hi
 	}
+	return errs
 }
 
 // Close closes every peer connection. The origin is shared by the whole

@@ -77,6 +77,22 @@ type File struct {
 	Size int // blocks, at open/create time
 }
 
+// Session is the one-method-per-op surface a driver of the interface
+// needs — what a transcript replays through (Replay) and a load generator
+// holds: *Conn speaks it to one server, *cluster.Client routes it over a
+// member list, and tests put a stub behind it.
+type Session interface {
+	Open(name string) (File, error)
+	Create(name string, d, sizeBlocks int) (File, error)
+	Remove(name string) error
+	Control(enable bool) error
+	Fbehavior(op FbOp, a FbArgs) (FbResult, error)
+	ReadInto(f fs.FileID, blk int32, off, size int, dst []byte) (hit bool, err error)
+	ReadNoData(f fs.FileID, blk int32, off, size int) (hit bool, err error)
+	Write(f fs.FileID, blk int32, off int, payload []byte) (hit bool, err error)
+	Close() error
+}
+
 // Conn is one client session = one cache owner on the server.
 type Conn struct {
 	mu     sync.Mutex
@@ -84,9 +100,9 @@ type Conn struct {
 	bw     *bufio.Writer
 	br     *bufio.Reader
 	nextID uint32
-	// scratch encodes a read request (9-byte frame header + 13-byte
-	// body) in one piece, so ReadInto writes no per-call buffers.
-	scratch [22]byte
+	// scratch holds the encoded read or write request between calls, so
+	// the access path allocates nothing.
+	scratch []byte
 }
 
 // Dial connects to an acfcd server ("unix", "/path" or "tcp", "addr").
@@ -105,29 +121,48 @@ func Dial(network, addr string) (*Conn, error) {
 // Close ends the session; the server releases this owner's blocks.
 func (c *Conn) Close() error { return c.c.Close() }
 
-// roundTrip issues one request and waits for its response.
-func (c *Conn) roundTrip(op uint8, body []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// start is the one framing path: it writes the request frame, reads the
+// response's header, checks that it answers this request and turns a
+// non-OK status into a *StatusError. On success the OK body — n bytes —
+// is still on c.br for the caller to land where it wants it. The caller
+// holds c.mu.
+func (c *Conn) start(op uint8, body []byte) (n int, err error) {
 	c.nextID++
 	id := c.nextID
 	if err := server.WriteFrame(c.bw, id, op, body); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if err := c.bw.Flush(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	gotID, status, resp, err := server.ReadFrame(c.br)
+	gotID, status, n, err := server.ReadFrameHeader(c.br)
+	if err != nil {
+		return 0, err
+	}
+	if gotID != id {
+		return 0, fmt.Errorf("%w: response id %d for request %d", ErrBadFrame, gotID, id)
+	}
+	if status != server.StatusOK {
+		msg := make([]byte, n)
+		if _, err := io.ReadFull(c.br, msg); err != nil {
+			return 0, err
+		}
+		return 0, &StatusError{Status: status, Msg: string(msg)}
+	}
+	return n, nil
+}
+
+// roundTrip issues one request and returns its OK response's body.
+func (c *Conn) roundTrip(op uint8, body []byte) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, err := c.start(op, body)
 	if err != nil {
 		return nil, err
 	}
-	if gotID != id {
-		return nil, fmt.Errorf("%w: response id %d for request %d", ErrBadFrame, gotID, id)
-	}
-	if status != server.StatusOK {
-		return nil, &StatusError{Status: status, Msg: string(resp)}
-	}
-	return resp, nil
+	resp := make([]byte, n)
+	_, err = io.ReadFull(c.br, resp)
+	return resp, err
 }
 
 // Ping round-trips an empty frame.
@@ -136,32 +171,27 @@ func (c *Conn) Ping() error {
 	return err
 }
 
-// Open resolves a file by name.
-func (c *Conn) Open(name string) (File, error) {
-	resp, err := c.roundTrip(server.OpOpen, []byte(name))
+// file issues an open or a create and decodes the reply they share.
+func (c *Conn) file(op uint8, body []byte) (File, error) {
+	resp, err := c.roundTrip(op, body)
 	if err != nil {
 		return File{}, err
 	}
-	if len(resp) != 8 {
-		return File{}, fmt.Errorf("%w: open: %d-byte response", ErrBadFrame, len(resp))
+	m, ok := server.ParseFileReply(resp)
+	if !ok {
+		return File{}, fmt.Errorf("%w: open/create: %d-byte response", ErrBadFrame, len(resp))
 	}
-	return File{ID: fs.FileID(be32(resp[0:])), Size: int(be32(resp[4:]))}, nil
+	return File(m), nil
+}
+
+// Open resolves a file by name.
+func (c *Conn) Open(name string) (File, error) {
+	return c.file(server.OpOpen, []byte(name))
 }
 
 // Create creates a file of sizeBlocks blocks on disk d.
 func (c *Conn) Create(name string, d, sizeBlocks int) (File, error) {
-	body := make([]byte, 5+len(name))
-	body[0] = uint8(d)
-	put32(body[1:], uint32(sizeBlocks))
-	copy(body[5:], name)
-	resp, err := c.roundTrip(server.OpCreate, body)
-	if err != nil {
-		return File{}, err
-	}
-	if len(resp) != 8 {
-		return File{}, fmt.Errorf("%w: create: %d-byte response", ErrBadFrame, len(resp))
-	}
-	return File{ID: fs.FileID(be32(resp[0:])), Size: int(be32(resp[4:]))}, nil
+	return c.file(server.OpCreate, server.CreateReq{Disk: d, Size: sizeBlocks, Name: name}.Append(nil))
 }
 
 // Remove unlinks a file by name.
@@ -170,27 +200,44 @@ func (c *Conn) Remove(name string) error {
 	return err
 }
 
-func readBody(f fs.FileID, blk int32, off, size int, flags uint8) []byte {
-	body := make([]byte, 13)
-	put32(body[0:], uint32(f))
-	put32(body[4:], uint32(blk))
-	put16(body[8:], uint16(off))
-	put16(body[10:], uint16(size))
-	body[12] = flags
-	return body
+// access issues a read or a write — the two ops that answer with the
+// flags byte, then, for a read with data, the payload — and lands the
+// payload, len(dst) bytes, in dst straight off the connection's buffer.
+// The caller holds c.mu: body is c.scratch.
+func (c *Conn) access(op uint8, body, dst []byte) (hit bool, err error) {
+	n, err := c.start(op, body)
+	if err != nil {
+		return false, err
+	}
+	if n != 1+len(dst) {
+		c.br.Discard(n)
+		return false, fmt.Errorf("%w: op %d: %d-byte response, want %d", ErrBadFrame, op, n, 1+len(dst))
+	}
+	flags, err := c.br.ReadByte()
+	if err != nil {
+		return false, err
+	}
+	if _, err := io.ReadFull(c.br, dst); err != nil {
+		return false, err
+	}
+	return flags&server.FlagHit != 0, nil
+}
+
+// read issues one read, encoded into the connection's scratch so the
+// steady-state read path allocates nothing.
+func (c *Conn) read(m server.ReadReq, dst []byte) (hit bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.scratch = m.Append(c.scratch[:0])
+	return c.access(server.OpRead, c.scratch, dst)
 }
 
 // Read reads size bytes at off within block blk. It returns the bytes
 // and whether the access hit the cache.
 func (c *Conn) Read(f fs.FileID, blk int32, off, size int) (data []byte, hit bool, err error) {
-	resp, err := c.roundTrip(server.OpRead, readBody(f, blk, off, size, 0))
-	if err != nil {
-		return nil, false, err
-	}
-	if len(resp) != 1+size {
-		return nil, false, fmt.Errorf("%w: read: %d-byte response, want %d", ErrBadFrame, len(resp), 1+size)
-	}
-	return resp[1:], resp[0]&server.FlagHit != 0, nil
+	data = make([]byte, size)
+	hit, err = c.ReadInto(f, blk, off, size, data)
+	return data, hit, err
 }
 
 // ReadInto reads size bytes at off within block blk into dst[:size],
@@ -202,83 +249,22 @@ func (c *Conn) ReadInto(f fs.FileID, blk int32, off, size int, dst []byte) (hit 
 	if len(dst) < size {
 		return false, fmt.Errorf("%w: read: %d-byte buffer for %d-byte read", ErrBadFrame, len(dst), size)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nextID++
-	id := c.nextID
-	b := c.scratch[:]
-	put32(b[0:], uint32(server.FrameOverhead+13))
-	put32(b[4:], id)
-	b[8] = server.OpRead
-	put32(b[9:], uint32(f))
-	put32(b[13:], uint32(blk))
-	put16(b[17:], uint16(off))
-	put16(b[19:], uint16(size))
-	b[21] = 0
-	if _, err := c.bw.Write(b); err != nil {
-		return false, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return false, err
-	}
-	gotID, status, n, err := server.ReadFrameHeader(c.br)
-	if err != nil {
-		return false, err
-	}
-	if gotID != id {
-		return false, fmt.Errorf("%w: response id %d for request %d", ErrBadFrame, gotID, id)
-	}
-	if status != server.StatusOK {
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(c.br, msg); err != nil {
-			return false, err
-		}
-		return false, &StatusError{Status: status, Msg: string(msg)}
-	}
-	if n != 1+size {
-		c.br.Discard(n)
-		return false, fmt.Errorf("%w: read: %d-byte response, want %d", ErrBadFrame, n, 1+size)
-	}
-	flags, err := c.br.ReadByte()
-	if err != nil {
-		return false, err
-	}
-	if _, err := io.ReadFull(c.br, dst[:size]); err != nil {
-		return false, err
-	}
-	return flags&server.FlagHit != 0, nil
+	return c.read(server.ReadReq{File: f, Blk: blk, Off: off, Size: size}, dst[:size])
 }
 
 // ReadNoData performs the access without transferring the bytes back:
 // the load generator's probe.
 func (c *Conn) ReadNoData(f fs.FileID, blk int32, off, size int) (hit bool, err error) {
-	resp, err := c.roundTrip(server.OpRead, readBody(f, blk, off, size, server.ReadNoData))
-	if err != nil {
-		return false, err
-	}
-	if len(resp) != 1 {
-		return false, fmt.Errorf("%w: read: %d-byte response, want 1", ErrBadFrame, len(resp))
-	}
-	return resp[0]&server.FlagHit != 0, nil
+	return c.read(server.ReadReq{File: f, Blk: blk, Off: off, Size: size, Flags: server.ReadNoData}, nil)
 }
 
 // Write writes payload at off within block blk, growing the file as
 // needed.
 func (c *Conn) Write(f fs.FileID, blk int32, off int, payload []byte) (hit bool, err error) {
-	body := make([]byte, 12+len(payload))
-	put32(body[0:], uint32(f))
-	put32(body[4:], uint32(blk))
-	put16(body[8:], uint16(off))
-	put16(body[10:], uint16(len(payload)))
-	copy(body[12:], payload)
-	resp, err := c.roundTrip(server.OpWrite, body)
-	if err != nil {
-		return false, err
-	}
-	if len(resp) != 1 {
-		return false, fmt.Errorf("%w: write: %d-byte response", ErrBadFrame, len(resp))
-	}
-	return resp[0]&server.FlagHit != 0, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.scratch = server.WriteReq{File: f, Blk: blk, Off: off, Data: payload}.Append(c.scratch[:0])
+	return c.access(server.OpWrite, c.scratch, nil)
 }
 
 // Control enables (true) or disables (false) cache control — the
@@ -335,32 +321,23 @@ type FbResult struct {
 func (c *Conn) Fbehavior(op FbOp, a FbArgs) (FbResult, error) {
 	switch op {
 	case FbSetPriority:
-		body := make([]byte, 8)
-		put32(body[0:], uint32(a.File))
-		put32(body[4:], uint32(int32(a.Prio)))
-		_, err := c.roundTrip(server.OpSetPriority, body)
+		_, err := c.roundTrip(server.OpSetPriority, server.SetPriorityReq{File: a.File, Prio: a.Prio}.Append(nil))
 		return FbResult{}, err
 	case FbGetPriority:
-		body := make([]byte, 4)
-		put32(body, uint32(a.File))
-		resp, err := c.roundTrip(server.OpGetPriority, body)
+		resp, err := c.roundTrip(server.OpGetPriority, server.Word(a.File).Append(nil))
 		if err != nil {
 			return FbResult{}, err
 		}
-		if len(resp) != 4 {
+		prio, ok := server.ParseWord(resp)
+		if !ok {
 			return FbResult{}, fmt.Errorf("%w: get_priority: %d-byte response", ErrBadFrame, len(resp))
 		}
-		return FbResult{Prio: int(int32(be32(resp)))}, nil
+		return FbResult{Prio: int(prio)}, nil
 	case FbSetPolicy:
-		body := make([]byte, 5)
-		put32(body[0:], uint32(int32(a.Prio)))
-		body[4] = uint8(a.Policy)
-		_, err := c.roundTrip(server.OpSetPolicy, body)
+		_, err := c.roundTrip(server.OpSetPolicy, server.SetPolicyReq{Prio: a.Prio, Policy: a.Policy}.Append(nil))
 		return FbResult{}, err
 	case FbGetPolicy:
-		body := make([]byte, 4)
-		put32(body, uint32(int32(a.Prio)))
-		resp, err := c.roundTrip(server.OpGetPolicy, body)
+		resp, err := c.roundTrip(server.OpGetPolicy, server.Word(a.Prio).Append(nil))
 		if err != nil {
 			return FbResult{}, err
 		}
@@ -369,12 +346,7 @@ func (c *Conn) Fbehavior(op FbOp, a FbArgs) (FbResult, error) {
 		}
 		return FbResult{Policy: acm.Policy(resp[0])}, nil
 	case FbSetTempPri:
-		body := make([]byte, 16)
-		put32(body[0:], uint32(a.File))
-		put32(body[4:], uint32(a.Start))
-		put32(body[8:], uint32(a.End))
-		put32(body[12:], uint32(int32(a.Prio)))
-		_, err := c.roundTrip(server.OpSetTempPri, body)
+		_, err := c.roundTrip(server.OpSetTempPri, server.SetTempPriReq{File: a.File, Start: a.Start, End: a.End, Prio: a.Prio}.Append(nil))
 		return FbResult{}, err
 	case FbSetAlloc:
 		resp, err := c.roundTrip(server.OpSetAlloc, []byte(a.Alloc))
@@ -453,14 +425,4 @@ func (c *Conn) Stats() (server.StatsReply, error) {
 		return server.StatsReply{}, err
 	}
 	return sr, nil
-}
-
-func be32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-func put32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-func put16(b []byte, v uint16) {
-	b[0], b[1] = byte(v>>8), byte(v)
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -10,11 +11,11 @@ import (
 // fakeConn is a stub connection for Redialer tests: it records closes.
 type fakeConn struct {
 	id     int
-	closed bool
+	closed atomic.Bool
 }
 
 func (f *fakeConn) Close() error {
-	f.closed = true
+	f.closed.Store(true)
 	return nil
 }
 
@@ -104,7 +105,7 @@ func TestRedialerOnConnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first connection's failed restore must close it and retry.
-	if len(d.conns) != 2 || !d.conns[0].closed {
+	if len(d.conns) != 2 || !d.conns[0].closed.Load() {
 		t.Errorf("failed-OnConnect conn not closed (conns %d)", len(d.conns))
 	}
 	if c.id != 2 || len(restored) != 1 || restored[0] != 2 {
@@ -117,7 +118,7 @@ func TestRedialerInvalidate(t *testing.T) {
 	r := &Redialer[*fakeConn]{Dial: d.dial}
 	c1, _ := r.Get()
 	r.Invalidate(c1)
-	if !c1.closed {
+	if !c1.closed.Load() {
 		t.Errorf("Invalidate left the dead connection open")
 	}
 	c2, err := r.Get()
@@ -130,7 +131,7 @@ func TestRedialerInvalidate(t *testing.T) {
 	// A stale invalidate (the old handle, after redial) must not touch
 	// the current connection.
 	r.Invalidate(c1)
-	if c2.closed {
+	if c2.closed.Load() {
 		t.Errorf("stale Invalidate closed the live connection")
 	}
 	if c3, _ := r.Get(); c3 != c2 {
@@ -156,7 +157,7 @@ func TestRedialerDialTimeout(t *testing.T) {
 	// The dial that eventually completes must be closed, not leaked.
 	close(release)
 	deadline := time.Now().Add(time.Second)
-	for !late.closed {
+	for !late.closed.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("late connection never closed after timeout")
 		}
@@ -171,7 +172,7 @@ func TestRedialerClose(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !c1.closed {
+	if !c1.closed.Load() {
 		t.Errorf("Close left the connection open")
 	}
 	// The redialer stays usable after Close.

@@ -5,7 +5,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"reflect"
 	"testing"
+
+	"repro/internal/acm"
+	"repro/internal/fs"
 )
 
 // frame builds a syntactically valid frame for seeding.
@@ -102,6 +106,81 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(rest, body) {
 			t.Fatalf("body mismatch after ReadFrameHeader")
+		}
+	})
+}
+
+// bodyCodec is one message type seen by FuzzBodyRoundTrip: its parser,
+// and its Append behind the any.
+type bodyCodec struct {
+	name   string
+	parse  func([]byte) (any, bool)
+	append func(any) []byte
+}
+
+func codecOf[M interface{ Append([]byte) []byte }](name string, parse func([]byte) (M, bool)) bodyCodec {
+	return bodyCodec{
+		name:   name,
+		parse:  func(b []byte) (any, bool) { m, ok := parse(b); return m, ok },
+		append: func(m any) []byte { return m.(M).Append(nil) },
+	}
+}
+
+var bodyCodecs = []bodyCodec{
+	codecOf("ReadReq", ParseReadReq),
+	codecOf("WriteReq", ParseWriteReq),
+	codecOf("CreateReq", ParseCreateReq),
+	codecOf("FileReply", ParseFileReply),
+	codecOf("Word", ParseWord),
+	codecOf("SetPriorityReq", ParseSetPriorityReq),
+	codecOf("SetPolicyReq", ParseSetPolicyReq),
+	codecOf("SetTempPriReq", ParseSetTempPriReq),
+}
+
+// FuzzBodyRoundTrip holds every message type of protocol.go to one
+// canonical form. Arbitrary bytes either fail to parse as a given type or
+// re-append to the identical bytes — nothing is silently ignored — and
+// any in-range value (built here from the fuzzed words) survives
+// Append then parse unchanged. Seeded with the bodies the golden script
+// sends.
+func FuzzBodyRoundTrip(f *testing.F) {
+	for _, seed := range [][]byte{
+		{},
+		append([]byte{0, 0, 0, 0, 32}, "golden-0"...),                                         // create
+		append([]byte{0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 128}, bytes.Repeat([]byte{9}, 128)...), // write
+		{0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 128, 0},                                             // read
+		{0, 0, 0, 1, 0, 0, 0, 5},                                                              // set_priority
+		{0, 0, 0, 1},                                                                          // get_priority, get_policy, close
+		{0, 0, 0, 5, 1},                                                                       // set_policy
+		{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 2},                                      // set_temppri
+	} {
+		f.Add(seed, uint32(1), uint32(7), uint32(128), uint32(2), uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, w0, w1, w2, w3 uint32, by uint8) {
+		for _, c := range bodyCodecs {
+			if m, ok := c.parse(data); ok {
+				if again := c.append(m); !bytes.Equal(again, data) {
+					t.Fatalf("%s: %x parses to %+v, which appends to %x", c.name, data, m, again)
+				}
+			}
+		}
+
+		data = append([]byte{}, data[:min(len(data), 0xffff)]...) // in range for a write, and never nil
+		values := []any{
+			ReadReq{File: fs.FileID(w0), Blk: int32(w1), Off: int(w2 & 0xffff), Size: int(w3 & 0xffff), Flags: by},
+			WriteReq{File: fs.FileID(w0), Blk: int32(w1), Off: int(w2 & 0xffff), Data: data},
+			CreateReq{Disk: int(by), Size: int(w0), Name: "n" + string(data)},
+			FileReply{ID: fs.FileID(w0), Size: int(w1)},
+			Word(w0),
+			SetPriorityReq{File: fs.FileID(w0), Prio: int(int32(w1))},
+			SetPolicyReq{Prio: int(int32(w0)), Policy: acm.Policy(by)},
+			SetTempPriReq{File: fs.FileID(w0), Start: int32(w1), End: int32(w2), Prio: int(int32(w3))},
+		}
+		for i, c := range bodyCodecs {
+			got, ok := c.parse(c.append(values[i]))
+			if !ok || !reflect.DeepEqual(got, values[i]) {
+				t.Fatalf("%s: %+v appends and parses back as %+v (ok %v)", c.name, values[i], got, ok)
+			}
 		}
 	})
 }

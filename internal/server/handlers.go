@@ -13,6 +13,8 @@ import (
 
 func statusOf(err error) uint8 {
 	switch {
+	case err == errMalformed:
+		return StatusBadRequest
 	case errors.Is(err, core.ErrNotFound):
 		return StatusNotFound
 	case errors.Is(err, core.ErrOutOfRange):
@@ -69,7 +71,7 @@ func (sh *shard) handle(se *session, r *request) (retained bool) {
 	case OpWrite:
 		return sh.handleWrite(se, r)
 	case OpClose:
-		if len(r.body) != 4 {
+		if _, ok := ParseWord(r.body); !ok {
 			se.send(r.id, StatusBadRequest, []byte("close: want 4-byte body"))
 			return false
 		}
@@ -102,18 +104,12 @@ func (sh *shard) handleOpen(se *session, r *request) {
 }
 
 func (sh *shard) handleCreate(se *session, r *request) {
-	if len(r.body) < 6 {
+	m, ok := ParseCreateReq(r.body)
+	if !ok {
 		se.send(r.id, StatusBadRequest, []byte("create: short body"))
 		return
 	}
-	d := int(r.body[0])
-	size := int(be32(r.body[1:]))
-	name := string(r.body[5:])
-	if name == "" {
-		se.send(r.id, StatusBadRequest, []byte("create: empty name"))
-		return
-	}
-	f, err := sh.kern.Create(se.owners[sh.idx], name, d, size)
+	f, err := sh.kern.Create(se.owners[sh.idx], m.Name, m.Disk, m.Size)
 	if err != nil {
 		se.sendErr(r.id, err)
 		return
@@ -127,10 +123,7 @@ func (sh *shard) replyFile(se *session, id uint32, f *fs.File) {
 	if fa := sh.srv.cfg.FileAnnounce; fa != nil {
 		fa(int32(sh.wire(f.ID())), f.Name())
 	}
-	resp := make([]byte, 8)
-	put32(resp[0:], uint32(sh.wire(f.ID())))
-	put32(resp[4:], uint32(f.Size()))
-	se.send(id, StatusOK, resp)
+	se.send(id, StatusOK, FileReply{ID: sh.wire(f.ID()), Size: f.Size()}.Append(nil))
 }
 
 // readCtx is one in-flight read's reply state, pooled so the hot path
@@ -186,45 +179,37 @@ func (rc *readCtx) ReadDone(data []byte, hit bool, err error) {
 }
 
 func (sh *shard) handleRead(se *session, r *request) {
-	if len(r.body) != 13 {
+	m, ok := ParseReadReq(r.body)
+	if !ok {
 		se.send(r.id, StatusBadRequest, []byte("read: want 13-byte body"))
 		return
 	}
-	fid := sh.local(fs.FileID(be32(r.body[0:])))
-	blk := int32(be32(r.body[4:]))
+	fid := sh.local(m.File)
 	rc := readCtxPool.Get().(*readCtx)
 	*rc = readCtx{
 		sh:    sh,
 		se:    se,
 		id:    r.id,
-		off:   int(be16(r.body[8:])),
-		size:  int(be16(r.body[10:])),
-		flags: r.body[12],
-		bid:   cache.BlockID{File: fid, Num: blk},
+		off:   m.Off,
+		size:  m.Size,
+		flags: m.Flags,
+		bid:   cache.BlockID{File: fid, Num: m.Blk},
 	}
-	sh.kern.ReadTo(se.owners[sh.idx], fid, blk, rc.off, rc.size, rc)
+	sh.kern.ReadTo(se.owners[sh.idx], fid, m.Blk, m.Off, m.Size, rc)
 }
 
 func (sh *shard) handleWrite(se *session, r *request) bool {
-	if len(r.body) < 12 {
-		se.send(r.id, StatusBadRequest, []byte("write: short body"))
-		return false
-	}
-	fid := sh.local(fs.FileID(be32(r.body[0:])))
-	blk := int32(be32(r.body[4:]))
-	off := int(be16(r.body[8:]))
-	dlen := int(be16(r.body[10:]))
-	if len(r.body) != 12+dlen {
+	m, ok := ParseWriteReq(r.body)
+	if !ok {
 		se.send(r.id, StatusBadRequest, []byte("write: length mismatch"))
 		return false
 	}
-	payload := r.body[12:]
 	id := r.id
-	// The request is retained until the kernel has consumed payload
+	// The request is retained until the kernel has consumed m.Data
 	// (which aliases r.body): on every completion path — hit, filled
 	// miss, error — the copy into the cache happens before this
 	// callback runs, so releasing here is safe.
-	sh.kern.Write(se.owners[sh.idx], fid, blk, off, payload, func(hit bool, err error) {
+	sh.kern.Write(se.owners[sh.idx], sh.local(m.File), m.Blk, m.Off, m.Data, func(hit bool, err error) {
 		releaseRequest(r)
 		if err != nil {
 			se.sendErr(id, err)
@@ -235,40 +220,36 @@ func (sh *shard) handleWrite(se *session, r *request) bool {
 	return true
 }
 
+// errMalformed is a fixed-length fbehavior body of the wrong length.
+var errMalformed = errors.New("fbehavior: malformed body")
+
 // handleFbehavior serves the shard-local fbehavior ops: each has a
 // fixed-length body and replies nothing, or the value it read.
 func (sh *shard) handleFbehavior(se *session, r *request) {
 	owner, b := se.owners[sh.idx], r.body
-	name, want := "set_priority", 8
-	switch r.op {
-	case OpGetPriority:
-		name, want = "get_priority", 4
-	case OpGetPolicy:
-		name, want = "get_policy", 4
-	case OpSetTempPri:
-		name, want = "set_temppri", 16
-	}
-	if len(b) != want {
-		se.send(r.id, StatusBadRequest, []byte(fmt.Sprintf("%s: want %d-byte body", name, want)))
-		return
-	}
 	var resp []byte
-	var err error
+	err := errMalformed
 	switch r.op {
 	case OpSetPriority:
-		err = sh.kern.SetPriority(owner, sh.local(fs.FileID(be32(b))), int(int32(be32(b[4:]))))
+		if m, ok := ParseSetPriorityReq(b); ok {
+			err = sh.kern.SetPriority(owner, sh.local(m.File), m.Prio)
+		}
 	case OpGetPriority:
-		var prio int
-		prio, err = sh.kern.GetPriority(owner, sh.local(fs.FileID(be32(b))))
-		resp = make([]byte, 4)
-		put32(resp, uint32(int32(prio)))
+		if f, ok := ParseWord(b); ok {
+			var prio int
+			prio, err = sh.kern.GetPriority(owner, sh.local(fs.FileID(f)))
+			resp = Word(prio).Append(nil)
+		}
 	case OpGetPolicy:
-		var pol acm.Policy
-		pol, err = sh.kern.GetPolicy(owner, int(int32(be32(b))))
-		resp = []byte{uint8(pol)}
+		if prio, ok := ParseWord(b); ok {
+			var pol acm.Policy
+			pol, err = sh.kern.GetPolicy(owner, int(prio))
+			resp = []byte{uint8(pol)}
+		}
 	case OpSetTempPri:
-		err = sh.kern.SetTempPri(owner, sh.local(fs.FileID(be32(b))),
-			int32(be32(b[4:])), int32(be32(b[8:])), int(int32(be32(b[12:]))))
+		if m, ok := ParseSetTempPriReq(b); ok {
+			err = sh.kern.SetTempPri(owner, sh.local(m.File), m.Start, m.End, m.Prio)
+		}
 	}
 	if err != nil {
 		se.sendErr(r.id, err)
@@ -302,13 +283,13 @@ func (s *Server) broadcastCtl(se *session, r *request) {
 			apply = (*core.Live).EnableControl
 		}
 	case OpSetPolicy:
-		if len(r.body) != 5 {
+		m, ok := ParseSetPolicyReq(r.body)
+		if !ok {
 			se.send(r.id, StatusBadRequest, []byte("set_policy: want 5-byte body"))
 			return
 		}
-		prio, pol := int(int32(be32(r.body))), acm.Policy(r.body[4])
-		apply = func(k *core.Live, owner int) error { return k.SetPolicy(owner, prio, pol) }
-		okBody = []byte{r.body[4]}
+		apply = func(k *core.Live, owner int) error { return k.SetPolicy(owner, m.Prio, m.Policy) }
+		okBody = []byte{uint8(m.Policy)}
 	case OpSetAlloc:
 		alloc, err := cache.ParseAlloc(string(r.body))
 		if err != nil {

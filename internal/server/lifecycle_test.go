@@ -73,12 +73,7 @@ func noServerGoroutines(t *testing.T) {
 }
 
 func readBody(f client.File, blk int32, flags uint8) []byte {
-	b := make([]byte, 13)
-	put32be(b[0:], uint32(f.ID))
-	put32be(b[4:], uint32(blk))
-	b[10], b[11] = byte(core.BlockSize>>8), byte(core.BlockSize&0xff)
-	b[12] = flags
-	return b
+	return server.ReadReq{File: f.ID, Blk: blk, Size: core.BlockSize, Flags: flags}.Append(nil)
 }
 
 // lifecycleSession is one client's life: a 3 MB file written whole (so

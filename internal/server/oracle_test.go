@@ -6,7 +6,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/expt"
-	"repro/internal/fs"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/workload"
@@ -74,7 +73,20 @@ func TestOracleWireReplayMatchesSimulation(t *testing.T) {
 			c := dial()
 			defer c.Close()
 
-			replayTranscript(t, c, rec.Events)
+			// Serially through one session, any wire or status error
+			// fatal: the translation is client.Replay's, as in acload.
+			rp := client.Replay{S: c, NoData: true}
+			for i, ev := range rec.Events {
+				var err error
+				if ev.IsCtl {
+					err = rp.Ctl(ev.Ctl)
+				} else {
+					_, err = rp.Access(ev.Access)
+				}
+				if err != nil {
+					t.Fatalf("event %d (%+v): %v", i, ev, err)
+				}
+			}
 
 			sr, err := c.Stats()
 			if err != nil {
@@ -94,59 +106,5 @@ func TestOracleWireReplayMatchesSimulation(t *testing.T) {
 				t.Errorf("cache stats diverge from simulation:\n got %+v\nwant %+v", sr.Kernel.Cache, rec.Result.CacheStats)
 			}
 		})
-	}
-}
-
-// replayTranscript pushes a recorded transcript through one session,
-// serially, failing the test on any wire or status error. Recorded file
-// ids map to server ids at each Create event, exactly as acload does.
-func replayTranscript(t *testing.T, c *client.Conn, events []expt.ReplayEvent) {
-	t.Helper()
-	files := make(map[fs.FileID]fs.FileID)
-	payload := make([]byte, core.BlockSize)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	for i, ev := range events {
-		var err error
-		if ev.IsCtl {
-			ct := ev.Ctl
-			switch ct.Op {
-			case core.CtlCreateFile:
-				var f client.File
-				f, err = c.Create(ct.FileName, ct.Disk, ct.Size)
-				if err == nil {
-					files[ct.File] = f.ID
-				}
-			case core.CtlRemoveFile:
-				err = c.Remove(ct.FileName)
-				delete(files, ct.File)
-			case core.CtlControl:
-				err = c.Control(ct.Enable)
-			case core.CtlSetPriority:
-				err = c.SetPriority(files[ct.File], ct.Prio)
-			case core.CtlSetPolicy:
-				err = c.SetPolicy(ct.Prio, ct.Policy)
-			case core.CtlSetTempPri:
-				err = c.SetTempPri(files[ct.File], ct.Start, ct.End, ct.Prio)
-			}
-			if err != nil {
-				t.Fatalf("event %d (ctl %d): %v", i, ct.Op, err)
-			}
-			continue
-		}
-		a := ev.Access
-		fid, ok := files[a.File]
-		if !ok {
-			t.Fatalf("event %d: access to file %d before its create event", i, a.File)
-		}
-		if a.Write {
-			_, err = c.Write(fid, a.Block, a.Off, payload[:a.Size])
-		} else {
-			_, err = c.ReadNoData(fid, a.Block, a.Off, a.Size)
-		}
-		if err != nil {
-			t.Fatalf("event %d (file %d blk %d): %v", i, a.File, a.Block, err)
-		}
 	}
 }

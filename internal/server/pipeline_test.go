@@ -18,10 +18,6 @@ import (
 
 func dialRaw(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
-func put32be(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-
 // shutdownAndClose drains and closes the server mid-test (the t.Cleanup
 // Shutdown from startServer is idempotent and becomes a no-op).
 func shutdownAndClose(t *testing.T, srv *server.Server) {
@@ -212,12 +208,8 @@ func TestServerMidFillDisconnect(t *testing.T) {
 			if err != nil {
 				return
 			}
-			rd := make([]byte, 13)
-			put32be(rd[0:], uint32(f.ID))
-			put32be(rd[4:], 1)
-			rd[11] = 1 // size
-			rd[12] = server.ReadNoData
-			server.WriteFrame(raw, 1, server.OpRead, rd)
+			rd := server.ReadReq{File: f.ID, Blk: 1, Size: 1, Flags: server.ReadNoData}
+			server.WriteFrame(raw, 1, server.OpRead, rd.Append(nil))
 			raw.Close()
 		}()
 	}

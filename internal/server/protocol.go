@@ -54,6 +54,13 @@
 // unknown_policy. get_alloc anchors at shard 0.
 //
 // Non-OK responses carry the error message as the body.
+//
+// This table is the one prose description of the bodies; the message
+// types below (ReadReq … FileReply, Word) are its only implementation.
+// The server's handlers and routing, the typed client and the tests'
+// hand encoders all append and parse through them, and nothing outside
+// this file indexes into a body. (golden_test.go keeps an encoding of its
+// own on purpose: it is the pin these types are checked against.)
 package server
 
 import (
@@ -62,6 +69,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"repro/internal/acm"
+	"repro/internal/fs"
 )
 
 // Opcodes (request tag).
@@ -154,13 +164,23 @@ const FrameOverhead = 5
 // not body: what ReadFrameHeader needs before it can return.
 const frameHeaderLen = 4 + FrameOverhead
 
-// WriteFrame writes one frame.
+// appendFrameHeader appends the 9-byte header of a frame whose body is
+// bodyLen bytes: the one encoder of it, under WriteFrame and the
+// zero-copy response writer (wire.go).
+func appendFrameHeader(b []byte, id uint32, tag uint8, bodyLen int) []byte {
+	return append(app32(app32(b, uint32(FrameOverhead+bodyLen)), id), tag)
+}
+
+// WriteFrame writes one frame. On a *bufio.Writer — what every framing
+// path in the repository hands it — the header is built in the writer's
+// own spare buffer, so a frame costs no allocation; for any other writer
+// the header is a fresh 9 bytes.
 func WriteFrame(w io.Writer, id uint32, tag uint8, body []byte) error {
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(FrameOverhead+len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], id)
-	hdr[8] = tag
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		hdr = bw.AvailableBuffer()
+	}
+	if _, err := w.Write(appendFrameHeader(hdr, id, tag, len(body))); err != nil {
 		return err
 	}
 	if len(body) > 0 {
@@ -258,10 +278,172 @@ func putFrameBuf(fb *frameBuf) {
 	}
 }
 
-// be32 / be16 are tiny read helpers for request parsing; the caller has
-// already bounds-checked the body.
+// be32 / be16 / app32 / app16 are the big-endian helpers of the parsers
+// and appenders below; a parser's caller has bounds-checked the body.
 func be32(b []byte) uint32 { return binary.BigEndian.Uint32(b) }
 func be16(b []byte) uint16 { return binary.BigEndian.Uint16(b) }
 
-func put32(b []byte, v uint32) { binary.BigEndian.PutUint32(b, v) }
-func put16(b []byte, v uint16) { binary.BigEndian.PutUint16(b, v) }
+func app32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
+func app16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
+
+// Message bodies. Each type's Append writes the body after b and its
+// parser reports whether b is exactly one such body — nothing short or
+// long is accepted, so a body has one encoding. A field narrower on the
+// wire than in Go (the comments give the wire width) is truncated by
+// Append.
+
+// ReadReq is the read request: size bytes at off within block blk.
+type ReadReq struct {
+	File      fs.FileID
+	Blk       int32
+	Off, Size int   // u16
+	Flags     uint8 // ReadNoData
+}
+
+func (m ReadReq) Append(b []byte) []byte {
+	b = app32(app32(b, uint32(m.File)), uint32(m.Blk))
+	return append(app16(app16(b, uint16(m.Off)), uint16(m.Size)), m.Flags)
+}
+
+func ParseReadReq(b []byte) (ReadReq, bool) {
+	if len(b) != 13 {
+		return ReadReq{}, false
+	}
+	return ReadReq{fs.FileID(be32(b)), int32(be32(b[4:])), int(be16(b[8:])), int(be16(b[10:])), b[12]}, true
+}
+
+// WriteReq is the write request: Data (at most 65 535 bytes, its length
+// the body's len field) at off within block blk. A parsed Data aliases
+// the body.
+type WriteReq struct {
+	File fs.FileID
+	Blk  int32
+	Off  int // u16
+	Data []byte
+}
+
+func (m WriteReq) Append(b []byte) []byte {
+	b = app32(app32(b, uint32(m.File)), uint32(m.Blk))
+	return append(app16(app16(b, uint16(m.Off)), uint16(len(m.Data))), m.Data...)
+}
+
+func ParseWriteReq(b []byte) (WriteReq, bool) {
+	if len(b) < 12 || len(b) != 12+int(be16(b[10:])) {
+		return WriteReq{}, false
+	}
+	return WriteReq{fs.FileID(be32(b)), int32(be32(b[4:])), int(be16(b[8:])), b[12:]}, true
+}
+
+// CreateReq is the create request: a file of Size blocks on disk Disk.
+// The name is never empty.
+type CreateReq struct {
+	Disk int // u8
+	Size int // u32, blocks
+	Name string
+}
+
+func (m CreateReq) Append(b []byte) []byte {
+	return append(app32(append(b, uint8(m.Disk)), uint32(m.Size)), m.Name...)
+}
+
+func ParseCreateReq(b []byte) (CreateReq, bool) {
+	if len(b) < 6 {
+		return CreateReq{}, false
+	}
+	return CreateReq{int(b[0]), int(be32(b[1:])), string(b[5:])}, true
+}
+
+// FileReply is the OK response to open and create: the file's wire id
+// and its size in blocks.
+type FileReply struct {
+	ID   fs.FileID
+	Size int // u32
+}
+
+func (m FileReply) Append(b []byte) []byte {
+	return app32(app32(b, uint32(m.ID)), uint32(m.Size))
+}
+
+func ParseFileReply(b []byte) (FileReply, bool) {
+	if len(b) != 8 {
+		return FileReply{}, false
+	}
+	return FileReply{fs.FileID(be32(b)), int(be32(b[4:]))}, true
+}
+
+// Word is the one-field body, 4 bytes: the file of close and
+// get_priority, the priority level of get_policy, and the priority
+// get_priority answers with.
+type Word int32
+
+func (m Word) Append(b []byte) []byte { return app32(b, uint32(m)) }
+
+func ParseWord(b []byte) (Word, bool) {
+	if len(b) != 4 {
+		return 0, false
+	}
+	return Word(be32(b)), true
+}
+
+// fileOf returns the file id that leads every file-scoped request body
+// (read, write, close, set_priority, get_priority, set_temppri), which is
+// all routing reads of one; ok is false for a body too short to hold it.
+func fileOf(b []byte) (fs.FileID, bool) {
+	f, ok := ParseWord(b[:min(len(b), 4)])
+	return fs.FileID(f), ok
+}
+
+// SetPriorityReq is the set_priority request.
+type SetPriorityReq struct {
+	File fs.FileID
+	Prio int // i32
+}
+
+func (m SetPriorityReq) Append(b []byte) []byte {
+	return app32(app32(b, uint32(m.File)), uint32(int32(m.Prio)))
+}
+
+func ParseSetPriorityReq(b []byte) (SetPriorityReq, bool) {
+	if len(b) != 8 {
+		return SetPriorityReq{}, false
+	}
+	return SetPriorityReq{fs.FileID(be32(b)), int(int32(be32(b[4:])))}, true
+}
+
+// SetPolicyReq is the set_policy request; its OK response is the policy
+// byte alone.
+type SetPolicyReq struct {
+	Prio   int        // i32
+	Policy acm.Policy // u8
+}
+
+func (m SetPolicyReq) Append(b []byte) []byte {
+	return append(app32(b, uint32(int32(m.Prio))), uint8(m.Policy))
+}
+
+func ParseSetPolicyReq(b []byte) (SetPolicyReq, bool) {
+	if len(b) != 5 {
+		return SetPolicyReq{}, false
+	}
+	return SetPolicyReq{int(int32(be32(b))), acm.Policy(b[4])}, true
+}
+
+// SetTempPriReq is the set_temppri request: a temporary priority for the
+// cached blocks of File in [Start, End].
+type SetTempPriReq struct {
+	File       fs.FileID
+	Start, End int32
+	Prio       int // i32
+}
+
+func (m SetTempPriReq) Append(b []byte) []byte {
+	b = app32(app32(b, uint32(m.File)), uint32(m.Start))
+	return app32(app32(b, uint32(m.End)), uint32(int32(m.Prio)))
+}
+
+func ParseSetTempPriReq(b []byte) (SetTempPriReq, bool) {
+	if len(b) != 16 {
+		return SetTempPriReq{}, false
+	}
+	return SetTempPriReq{fs.FileID(be32(b)), int32(be32(b[4:])), int32(be32(b[8:])), int(int32(be32(b[12:])))}, true
+}

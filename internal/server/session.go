@@ -228,14 +228,14 @@ func (s *Server) shardFor(op uint8, body []byte) *shard {
 	}
 	switch op {
 	case OpRead, OpWrite, OpClose, OpSetPriority, OpGetPriority, OpSetTempPri:
-		if len(body) >= 4 {
-			return s.shards[be32(body)%n]
+		if f, ok := fileOf(body); ok {
+			return s.shards[uint32(f)%n]
 		}
 	case OpOpen, OpRemove:
 		return s.shards[hashName(body)%n]
 	case OpCreate:
-		if len(body) > 5 {
-			return s.shards[hashName(body[5:])%n]
+		if m, ok := ParseCreateReq(body); ok {
+			return s.shards[hashName(m.Name)%n]
 		}
 	}
 	return s.shards[0]
@@ -243,10 +243,10 @@ func (s *Server) shardFor(op uint8, body []byte) *shard {
 
 // hashName is FNV-1a over the file name: stable across runs (replay and
 // restart see the same placement), cheap, and well-mixed on short paths.
-func hashName(b []byte) uint32 {
+func hashName[S string | []byte](b S) uint32 {
 	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
+	for i := 0; i < len(b); i++ {
+		h ^= uint32(b[i])
 		h *= 16777619
 	}
 	return h

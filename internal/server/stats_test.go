@@ -3,7 +3,6 @@ package server_test
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -104,14 +103,12 @@ func TestStatsSurfacesAgree(t *testing.T) {
 		return rb
 	}
 	for i := 0; i < 4; i++ {
-		fid := call(server.OpOpen, []byte(fmt.Sprintf("keep%d", i)))[:4]
-		for b := uint32(0); b < 4; b++ {
-			body := make([]byte, 13)
-			copy(body, fid)
-			binary.BigEndian.PutUint32(body[4:], b)
-			binary.BigEndian.PutUint16(body[10:], 8)
-			body[12] = server.ReadNoData
-			call(server.OpRead, body)
+		f, ok := server.ParseFileReply(call(server.OpOpen, []byte(fmt.Sprintf("keep%d", i))))
+		if !ok {
+			t.Fatalf("open keep%d: malformed reply", i)
+		}
+		for b := int32(0); b < 4; b++ {
+			call(server.OpRead, server.ReadReq{File: f.ID, Blk: b, Size: 8, Flags: server.ReadNoData}.Append(nil))
 		}
 	}
 

@@ -1,8 +1,10 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"net"
 	"testing"
 
 	"repro/internal/acm"
@@ -98,4 +100,60 @@ func statusOfErr(t *testing.T, err error) uint8 {
 		t.Fatalf("not a status error: %v", err)
 	}
 	return se.Status
+}
+
+// TestMalformedBodiesAreBadRequests: every op with a body answers a body
+// one byte short, and one byte long, with bad_request — on two shards, so
+// routing a body too short to hold its file id is covered — and the
+// session keeps serving afterwards.
+func TestMalformedBodiesAreBadRequests(t *testing.T) {
+	_, addr, _ := startServer(t, server.Config{Shards: 2})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	br := bufio.NewReader(raw)
+	var reqID uint32
+	call := func(op uint8, body []byte) uint8 {
+		t.Helper()
+		reqID++
+		if err := server.WriteFrame(raw, reqID, op, body); err != nil {
+			t.Fatal(err)
+		}
+		id, st, _, err := server.ReadFrame(br)
+		if err != nil || id != reqID {
+			t.Fatalf("op %d: id %d err %v", op, id, err)
+		}
+		return st
+	}
+	for _, tc := range []struct {
+		op   uint8
+		body []byte // well-formed
+	}{
+		{server.OpCreate, server.CreateReq{Size: 1, Name: "f"}.Append(nil)},
+		{server.OpRead, server.ReadReq{File: 1, Size: 8}.Append(nil)},
+		{server.OpWrite, server.WriteReq{File: 1, Data: []byte("x")}.Append(nil)},
+		{server.OpClose, server.Word(1).Append(nil)},
+		{server.OpControl, []byte{1}},
+		{server.OpSetPriority, server.SetPriorityReq{File: 1, Prio: 2}.Append(nil)},
+		{server.OpGetPriority, server.Word(1).Append(nil)},
+		{server.OpSetPolicy, server.SetPolicyReq{Prio: 2}.Append(nil)},
+		{server.OpGetPolicy, server.Word(2).Append(nil)},
+		{server.OpSetTempPri, server.SetTempPriReq{File: 1, End: 1, Prio: 2}.Append(nil)},
+	} {
+		short, long := tc.body[:len(tc.body)-1], append(tc.body[:len(tc.body):len(tc.body)], 0)
+		if st := call(tc.op, short); st != server.StatusBadRequest {
+			t.Errorf("op %d, body one byte short: status %s, want bad_request", tc.op, server.StatusName(st))
+		}
+		if tc.op == server.OpCreate {
+			continue // a longer create body is a longer name
+		}
+		if st := call(tc.op, long); st != server.StatusBadRequest {
+			t.Errorf("op %d, body one byte long: status %s, want bad_request", tc.op, server.StatusName(st))
+		}
+	}
+	if st := call(server.OpPing, nil); st != server.StatusOK {
+		t.Errorf("ping after the malformed requests: status %s", server.StatusName(st))
+	}
 }

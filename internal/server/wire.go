@@ -61,25 +61,17 @@ func (w *frameWriter) full() bool {
 }
 
 // add encodes f's header into the scratch arena and appends its vectors.
-// The caller has checked full().
+// The caller has checked full(), so the appends stay inside the arena.
 func (w *frameWriter) add(f *outFrame) {
 	n := len(w.hdrs)
 	if f.slot != nil {
-		w.hdrs = append(w.hdrs, 0, 0, 0, 0, 0, 0, 0, 0, 0, f.flags)
-		h := w.hdrs[n : n+zcHdrLen]
-		put32(h[0:], uint32(FrameOverhead+1+len(f.payload)))
-		put32(h[4:], f.id)
-		h[8] = f.tag
-		w.vecs = append(w.vecs, h, f.payload)
+		w.hdrs = append(appendFrameHeader(w.hdrs, f.id, f.tag, 1+len(f.payload)), f.flags)
+		w.vecs = append(w.vecs, w.hdrs[n:], f.payload)
 		w.slots = append(w.slots, f.slot)
 		return
 	}
-	w.hdrs = append(w.hdrs, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-	h := w.hdrs[n : n+9]
-	put32(h[0:], uint32(FrameOverhead+len(f.body)))
-	put32(h[4:], f.id)
-	h[8] = f.tag
-	w.vecs = append(w.vecs, h)
+	w.hdrs = appendFrameHeader(w.hdrs, f.id, f.tag, len(f.body))
+	w.vecs = append(w.vecs, w.hdrs[n:])
 	if len(f.body) > 0 {
 		w.vecs = append(w.vecs, f.body)
 	}

@@ -55,10 +55,7 @@ func TestZeroCopyReadHitAllocs(t *testing.T) {
 	reqs := make([][]byte, blocks)
 	for b := range reqs {
 		var buf bytes.Buffer
-		body := make([]byte, 13)
-		put32t(body[0:], uint32(f.ID))
-		put32t(body[4:], uint32(b))
-		body[10] = byte(core.BlockSize >> 8)
+		body := server.ReadReq{File: f.ID, Blk: int32(b), Size: core.BlockSize}.Append(nil)
 		if err := server.WriteFrame(&buf, uint32(b+1), server.OpRead, body); err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +134,4 @@ func TestZeroCopyReadHitAllocs(t *testing.T) {
 		t.Errorf("wire_copy_fallbacks = %d, want 0 on a read-only steady state", got)
 	}
 	_ = srv
-}
-
-func put32t(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
 }
