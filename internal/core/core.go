@@ -16,6 +16,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/meta"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // ioPending marks a buffer whose fill I/O has not completed; the elevator
@@ -454,21 +455,10 @@ func (st ProcStats) BlockIOs() int64 {
 	return st.DemandReads + st.Prefetches + st.WriteBacks
 }
 
-// Add folds o into st, counter for counter. The sharded server uses it to
-// present one per-session view over the per-shard owner records.
-func (st *ProcStats) Add(o ProcStats) {
-	st.ReadCalls += o.ReadCalls
-	st.WriteCalls += o.WriteCalls
-	st.Hits += o.Hits
-	st.Misses += o.Misses
-	st.DemandReads += o.DemandReads
-	st.Prefetches += o.Prefetches
-	st.WriteBacks += o.WriteBacks
-	st.Opens += o.Opens
-	st.MetadataReads += o.MetadataReads
-	st.FbehaviorCalls += o.FbehaviorCalls
-	st.ComputeTime += o.ComputeTime
-}
+// Add folds o into st, counter for counter (stats.Fold). The sharded
+// server uses it to present one per-session view over the per-shard owner
+// records.
+func (st *ProcStats) Add(o ProcStats) { stats.Fold(st, o) }
 
 // Proc is one simulated application process.
 type Proc struct {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/acm"
@@ -676,5 +677,26 @@ func TestWaitValidMultipleWaiters(t *testing.T) {
 	}
 	if tB < tA {
 		t.Errorf("b (%v) finished before a (%v)?", tB, tA)
+	}
+}
+
+// TestProcStatsAddSumsEveryField: with every ProcStats field set to a
+// distinct non-zero value on both sides, Add returns the sum field by
+// field — a counter added to the struct folds without an Add line.
+func TestProcStatsAddSumsEveryField(t *testing.T) {
+	var a, b core.ProcStats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	sum := a
+	sum.Add(b)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		if got, want := sv.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("ProcStats.%s: Add(%d, %d) = %d, want %d",
+				sv.Type().Field(i).Name, i+1, 100*(i+1), got, want)
+		}
 	}
 }

@@ -72,21 +72,15 @@ type LiveConfig struct {
 	// Store holds block contents (default: an in-memory MemStore).
 	Store disk.Store
 
-	// StartFill, when non-nil, executes demand reads asynchronously: it
-	// must arrange for fl.Data (or fl.Err) to be produced and for
-	// CompleteFill(fl) to then be called on the kernel goroutine. Nil
-	// means fills run synchronously inline — the mode the oracle test
-	// and any single-threaded embedding use.
-	StartFill func(fl *Fill)
-
-	// StartFillBatch, when non-nil alongside StartFill, receives a whole
-	// read-ahead run (same file, ascending blocks) in one call, letting
-	// the executor retire it as a single vectored store read. Each fill
-	// in the batch carries the usual contract: produce Data or Err, then
-	// CompleteFill on the kernel goroutine. Nil means runs degrade to
-	// per-fill StartFill calls — semantically identical, just one store
-	// op per block.
-	StartFillBatch func(fls []*Fill)
+	// StartFill, when non-nil, executes block reads asynchronously, a run
+	// at a time: a demand miss is a run of one, a read-ahead window a
+	// whole run (same file, ascending blocks) the executor may retire as
+	// one vectored store read. For each fill it must arrange for fl.Data
+	// (or fl.Err) to be produced and for CompleteFill(fl) to then be
+	// called on the kernel goroutine. Nil means fills run synchronously
+	// inline — the mode the oracle test and any single-threaded embedding
+	// use.
+	StartFill func(fls []*Fill)
 
 	// StartWriteBack, when non-nil, executes dirty-victim write-backs
 	// asynchronously: it must arrange for the store write and for
@@ -116,18 +110,14 @@ type LiveConfig struct {
 	// oracle test needs; a production daemon may prefer wall time so
 	// that update-style flushing ages in seconds.
 	WallClock bool
-
-	// HitWindow sizes the windowed hit-ratio gauge: the hit ratio of the
-	// last HitWindow cache accesses (reads and writes), refreshed each
-	// time a window completes. The gauge feeds the per-shard
-	// alloc_hit_ratio metric and the online policy adapter. Default 1024
-	// accesses; the counter always runs (it is two integer adds per
-	// access).
-	HitWindow int
 }
 
-// DefaultHitWindow is the HitWindow applied when the config leaves it 0.
-const DefaultHitWindow = 1024
+// hitWindow sizes the windowed hit-ratio gauge: the hit ratio of the last
+// hitWindow cache accesses (reads and writes), refreshed each time a
+// window completes. The gauge feeds the per-shard alloc_hit_ratio metric
+// and the online policy adapter; the counter always runs (it is two
+// integer adds per access).
+const hitWindow = 1024
 
 func (c LiveConfig) cacheBlocks() int {
 	bytes := c.CacheBytes
@@ -229,9 +219,6 @@ type Live struct {
 	// the store — the queue holds fresher data than the store until the
 	// flusher lands it.
 	pendingWB map[cache.BlockID]*WriteBack
-	// prefetched marks blocks brought in by read-ahead and not yet
-	// touched by a demand access, for the PrefetchHits counter.
-	prefetched map[cache.BlockID]bool
 	// persisted is, per file, the set of blocks handed to the store on
 	// any path (write-behind, the inline write-back, FlushDirty, a
 	// detached write-through): what Remove has to take back. One bit a
@@ -250,7 +237,7 @@ type Live struct {
 	fill          stats.FillStats
 	wbOutstanding int64 // write-backs enqueued, not yet completed
 
-	// Windowed hit-ratio gauge (see LiveConfig.HitWindow): winHits and
+	// Windowed hit-ratio gauge (see hitWindow): winHits and
 	// winAccesses accumulate the current window; when winAccesses reaches
 	// the window size, the completed window's ratio is latched into
 	// lastWindowBP (basis points) and the counters reset. windowsDone
@@ -277,7 +264,6 @@ func NewLive(cfg LiveConfig) *Live {
 		epoch:      time.Now(),
 		mshr:       make(map[cache.BlockID]*Fill),
 		pendingWB:  make(map[cache.BlockID]*WriteBack),
-		prefetched: make(map[cache.BlockID]bool),
 		persisted:  make(map[fs.FileID]blockSet),
 		discarding: make(map[string]*WriteBack),
 		shadowed:   make(map[fs.FileID]*WriteBack),
@@ -339,11 +325,7 @@ func (l *Live) noteAccess(hit bool) {
 	if hit {
 		l.winHits++
 	}
-	window := int64(l.cfg.HitWindow)
-	if window <= 0 {
-		window = DefaultHitWindow
-	}
-	if l.winAccesses >= window {
+	if l.winAccesses >= hitWindow {
 		l.lastWindowBP = 10000 * l.winHits / l.winAccesses
 		l.winHits, l.winAccesses = 0, 0
 		l.windowsDone++

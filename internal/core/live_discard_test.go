@@ -242,7 +242,7 @@ func TestLiveWriteAfterRemovePersistsNothing(t *testing.T) {
 				CacheBytes: 4 * core.BlockSize,
 				Alloc:      cache.LRUSP,
 				Store:      mem,
-				StartFill:  func(fl *core.Fill) { held = append(held, fl) },
+				StartFill:  func(fls []*core.Fill) { held = append(held, fls...) },
 			}
 			if behind {
 				cfg.StartWriteBack = ex.start

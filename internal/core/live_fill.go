@@ -22,11 +22,27 @@ type Fill struct {
 	Data []byte
 	Err  error // set by the executor on I/O failure
 
-	buf      *cache.Buf
-	done     bool
-	prefetch bool // issued by read-ahead, no demand waiter yet
-	waiters  []func(data []byte, err error)
+	buf     *cache.Buf
+	done    bool
+	waiters []func(data []byte, err error)
+	// self backs the run of one a demand miss dispatches (run), so the
+	// miss allocates no slice to hand StartFill.
+	self [1]*Fill
 }
+
+// run returns fl as a run of one.
+func (fl *Fill) run() []*Fill {
+	fl.self[0] = fl
+	return fl.self[:]
+}
+
+// raRun is one file's entry in an owner's sequential detector: the last
+// block read, and the leading edge of the prefetch window — the highest
+// block already scheduled for read-ahead on the run. The window refills
+// half-a-depth at a time so prefetches arrive as multi-block runs the
+// executor can vector, instead of the one-block top-ups a per-read scheme
+// degenerates to.
+type raRun struct{ last, until int32 }
 
 // minReadAheadSweep is the smallest sequential-detector size worth
 // sweeping for removed files (liveOwner.raSweepAt).
@@ -82,35 +98,14 @@ func (l *Live) stageFill(fl *Fill) bool {
 	return true
 }
 
-// dispatchFill starts a fill's I/O.
-func (l *Live) dispatchFill(fl *Fill) {
-	if !l.stageFill(fl) {
-		return
-	}
-	l.fill.StoreReads++
-	if sf := l.cfg.StartFill; sf != nil {
-		sf(fl)
-		return
-	}
-	fl.Err = l.store.ReadBlock(int32(fl.ID.File), fl.ID.Num, fl.Data)
-	l.CompleteFill(fl)
-}
-
-// dispatchFillRun starts a read-ahead run's I/O: stage each fill (the
-// write-behind forward can satisfy some in place), then hand the rest
-// to the batch executor in one call so a K-block run costs one vectored
-// read instead of K. StoreReads counts blocks, not calls, so the
-// counter stays comparable across executors; the call shape shows up in
-// BatchedFills/FillBatchBlocks instead. Without a batch executor the
-// run degrades to per-fill dispatch.
-func (l *Live) dispatchFillRun(fls []*Fill) {
-	sfb := l.cfg.StartFillBatch
-	if sfb == nil || l.cfg.StartFill == nil {
-		for _, fl := range fls {
-			l.dispatchFill(fl)
-		}
-		return
-	}
+// dispatchFills starts a run's I/O: stage each fill (the write-behind
+// forward can satisfy some in place), then hand the rest to the executor
+// in one call so a K-block read-ahead run costs one vectored read instead
+// of K. StoreReads counts blocks, not calls, so the counter stays
+// comparable across executors; the call shape shows up in
+// BatchedFills/FillBatchBlocks instead. Without an executor each fill
+// reads inline.
+func (l *Live) dispatchFills(fls []*Fill) {
 	run := fls[:0]
 	for _, fl := range fls {
 		if l.stageFill(fl) {
@@ -121,7 +116,14 @@ func (l *Live) dispatchFillRun(fls []*Fill) {
 		return
 	}
 	l.fill.StoreReads += int64(len(run))
-	sfb(run)
+	if sf := l.cfg.StartFill; sf != nil {
+		sf(run)
+		return
+	}
+	for _, fl := range run {
+		fl.Err = l.store.ReadBlock(int32(fl.ID.File), fl.ID.Num, fl.Data)
+		l.CompleteFill(fl)
+	}
 }
 
 // CompleteFill applies a finished block read: install the bytes (or
@@ -138,7 +140,6 @@ func (l *Live) CompleteFill(fl *Fill) {
 	if l.bc.Peek(fl.ID) == fl.buf {
 		if fl.Err != nil {
 			l.bc.Drop(fl.buf)
-			delete(l.prefetched, fl.ID)
 		} else {
 			fl.buf.ValidAt = 0
 		}
@@ -168,12 +169,15 @@ func (l *Live) NoteFillQueueDepth(depth int) {
 	}
 }
 
-// notePrefetchHit counts the first demand touch of a prefetched block.
-func (l *Live) notePrefetchHit(id cache.BlockID) {
-	if l.prefetched[id] {
-		delete(l.prefetched, id)
+// lookup is the demand access's cache lookup, counting the first touch of
+// a prefetched block. A buffer nobody has referenced is one read-ahead
+// brought in (demand inserts set the bit at once), and the lookup is what
+// sets it: the reference bit is the record, as in the paper's BUF header.
+func (l *Live) lookup(id cache.BlockID, owner, off, size int) *cache.Buf {
+	if b := l.bc.Peek(id); b != nil && !b.Referenced {
 		l.fill.PrefetchHits++
 	}
+	return l.bc.LookupBy(id, owner, off, size)
 }
 
 // noteSequential updates the per-owner sequential detector and issues
@@ -184,56 +188,48 @@ func (l *Live) notePrefetchHit(id cache.BlockID) {
 // Prefetch fills go through the MSHR like any other, so a demand miss
 // that catches up simply coalesces onto the in-flight prefetch.
 //
-// Scheduling is windowed: the window [blk+1, raUntil] refills only when
+// Scheduling is windowed: the window [blk+1, until] refills only when
 // the reader has consumed it to within half the depth, and a refill
 // extends it back out to blk+depth in one go. At depth 2 that is
 // exactly the old one-block top-up; at depth K the steady state issues
-// a K/2-block run every K/2 reads, which dispatchFillRun hands to the
-// batch executor as one vectored store read.
+// a K/2-block run every K/2 reads, which dispatchFills hands to the
+// executor as one vectored store read.
 func (l *Live) noteSequential(owner int, f *fs.File, blk int32, now sim.Time) {
 	if !l.cfg.ReadAhead {
 		return
 	}
 	o := l.owners[owner]
-	if o.lastRead == nil {
-		o.lastRead = make(map[fs.FileID]int32)
-		o.raUntil = make(map[fs.FileID]int32)
+	if o.runs == nil {
+		o.runs = make(map[fs.FileID]raRun)
 	}
-	if len(o.lastRead) >= o.raSweepAt {
+	if len(o.runs) >= o.raSweepAt {
 		// Forget the files that have been removed since the detector was
 		// last this big; it may then grow to twice what is left.
-		for fid := range o.lastRead {
+		for fid := range o.runs {
 			if _, ok := l.fsys.ByID(fid); !ok {
-				delete(o.lastRead, fid)
-				delete(o.raUntil, fid)
+				delete(o.runs, fid)
 			}
 		}
-		o.raSweepAt = max(2*len(o.lastRead), minReadAheadSweep)
+		o.raSweepAt = max(2*len(o.runs), minReadAheadSweep)
 	}
-	last, seen := o.lastRead[f.ID()]
-	o.lastRead[f.ID()] = blk
-	if !seen || blk != last+1 {
+	r, seen := o.runs[f.ID()]
+	if !seen || blk != r.last+1 {
 		// Run broken (or just starting): forget the old window so a
 		// re-scan of evicted blocks prefetches again from scratch.
-		delete(o.raUntil, f.ID())
+		o.runs[f.ID()] = raRun{last: blk, until: blk}
 		return
 	}
 	depth := l.cfg.ReadAheadDepth
 	if depth <= 0 {
 		depth = 2
 	}
-	until, ok := o.raUntil[f.ID()]
-	if !ok || until < blk {
-		until = blk
+	until := max(r.until, blk)
+	target := until
+	if int(until)-int(blk) <= depth/2 { // refill once no more than half full
+		target = max(until, min(blk+int32(depth), int32(f.Size())-1))
 	}
-	if int(until)-int(blk) > depth/2 {
-		return // window still more than half full
-	}
-	target := blk + int32(depth)
-	if max := int32(f.Size()) - 1; target > max {
-		target = max
-	}
-	if target <= until {
+	o.runs[f.ID()] = raRun{last: blk, until: target}
+	if target == until {
 		return
 	}
 	run := make([]*Fill, 0, target-until)
@@ -249,15 +245,9 @@ func (l *Live) noteSequential(owner int, f *fs.File, blk int32, now sim.Time) {
 		}
 		buf, victim := l.bc.Insert(id, owner, now)
 		l.flushVictim(victim) // a prefetch has no requester to hand an error
-		fl := l.newFill(buf)
-		fl.prefetch = true
-		l.prefetched[id] = true
+		run = append(run, l.newFill(buf))
 		o.stats.Prefetches++
 		l.fill.PrefetchIssued++
-		run = append(run, fl)
 	}
-	o.raUntil[f.ID()] = target
-	if len(run) > 0 {
-		l.dispatchFillRun(run)
-	}
+	l.dispatchFills(run)
 }

@@ -15,16 +15,10 @@ type liveOwner struct {
 	live  bool
 	mgr   *acm.Manager
 	stats ProcStats
-	// lastRead is the per-file sequential-run detector for read-ahead,
-	// per owner exactly as the DES keeps it per process.
-	lastRead map[fs.FileID]int32
-	// raUntil is the highest block already scheduled for read-ahead on
-	// each sequential run: the leading edge of the prefetch window. The
-	// window refills half-a-depth at a time so prefetches arrive as
-	// multi-block runs the batch executor can vector, instead of the
-	// one-block top-ups a per-read scheme degenerates to.
-	raUntil map[fs.FileID]int32
-	// raSweepAt is the size at which lastRead is next swept of removed
+	// runs is the per-file sequential-run detector for read-ahead, per
+	// owner exactly as the DES keeps it per process.
+	runs map[fs.FileID]raRun
+	// raSweepAt is the size at which runs is next swept of removed
 	// files (noteSequential), twice what the last sweep left: the detector
 	// holds the files that exist, not every file the session ever read.
 	raSweepAt int
@@ -82,7 +76,7 @@ func (l *Live) ReleaseOwner(id int) (ProcStats, error) {
 		l.bc.DisownOwner(id)
 	}
 	o.live = false
-	o.lastRead, o.raUntil = nil, nil // ids are never reused: a dead session's run state is garbage
+	o.runs = nil // ids are never reused: a dead session's run state is garbage
 	return o.stats, err
 }
 
@@ -142,11 +136,6 @@ func (l *Live) Remove(owner int, name string) error {
 	}
 	fid := f.ID()
 	l.bc.InvalidateFile(fid)
-	for id := range l.prefetched {
-		if id.File == fid {
-			delete(l.prefetched, id)
-		}
-	}
 	l.ctl.FileGone(fid)
 	if err := l.fsys.Remove(name); err != nil {
 		return err

@@ -10,7 +10,7 @@ import (
 // TestReleasedOwnersHoldNoReadAheadState runs a long-lived kernel through
 // many short sessions — add an owner, scan a file sequentially under
 // read-ahead, release — and checks that a released owner keeps neither of
-// its per-file run maps (owner ids are never reused, so l.owners only
+// its per-file run map (owner ids are never reused, so l.owners only
 // grows) and that every scan prefetches exactly as the first one did,
 // however many owners came before it.
 func TestReleasedOwnersHoldNoReadAheadState(t *testing.T) {
@@ -52,9 +52,8 @@ func TestReleasedOwnersHoldNoReadAheadState(t *testing.T) {
 		prevHits = hits
 	}
 	for id, o := range l.owners {
-		if !o.live && (o.lastRead != nil || o.raUntil != nil) {
-			t.Fatalf("released owner %d still holds its read-ahead maps (%d, %d entries)",
-				id, len(o.lastRead), len(o.raUntil))
+		if !o.live && o.runs != nil {
+			t.Fatalf("released owner %d still holds its read-ahead map (%d entries)", id, len(o.runs))
 		}
 	}
 	l.CheckInvariants()
@@ -104,9 +103,9 @@ func TestReadAheadDetectorForgetsRemovedFiles(t *testing.T) {
 		}
 		// Two files exist when the detector is at its largest: the bound is
 		// the sweep's floor.
-		if len(o.lastRead) > minReadAheadSweep || len(o.raUntil) > minReadAheadSweep {
-			t.Fatalf("after %d files the detector holds %d and %d entries, want at most %d",
-				i+1, len(o.lastRead), len(o.raUntil), minReadAheadSweep)
+		if len(o.runs) > minReadAheadSweep {
+			t.Fatalf("after %d files the detector holds %d entries, want at most %d",
+				i+1, len(o.runs), minReadAheadSweep)
 		}
 		// One more block of the file that stays, per temporary: its run
 		// must survive every sweep in between.

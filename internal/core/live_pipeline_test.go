@@ -31,11 +31,9 @@ func (s *failStore) WriteBlock(file, blk int32, src []byte) error {
 // executor hand-off — and completion fans the bytes out to both, the
 // first as a miss and the joiner as a hit.
 func TestLiveMissCoalescing(t *testing.T) {
-	var fills []*core.Fill
-	l := core.NewLive(core.LiveConfig{
+	l, held := holdFills(core.LiveConfig{
 		CacheBytes: 8 * core.BlockSize,
 		Alloc:      cache.LRUSP,
-		StartFill:  func(fl *core.Fill) { fills = append(fills, fl) },
 	})
 	ow := l.AddOwner("t")
 	f, err := l.Create(ow, "f", 0, 4)
@@ -55,16 +53,16 @@ func TestLiveMissCoalescing(t *testing.T) {
 	}); done {
 		t.Fatal("first read completed synchronously with a manual executor")
 	}
-	if len(fills) != 1 {
-		t.Fatalf("first miss dispatched %d fills, want 1", len(fills))
+	if len(*held) != 1 {
+		t.Fatalf("first miss dispatched %d fills, want 1", len(*held))
 	}
 	if done := l.Read(ow, f.ID(), 0, 0, 8, func(data []byte, hit bool, err error) {
 		r2 = result{data, hit, err, true}
 	}); done {
 		t.Fatal("coalesced read completed before the fill")
 	}
-	if len(fills) != 1 {
-		t.Fatalf("coalescing dispatched a second fill (%d total)", len(fills))
+	if len(*held) != 1 {
+		t.Fatalf("coalescing dispatched a second fill (%d total)", len(*held))
 	}
 	if got := l.Snapshot().Fill; got.StoreReads != 1 || got.CoalescedMisses != 1 {
 		t.Errorf("fill stats = %+v, want 1 store read / 1 coalesced", got)
@@ -74,8 +72,8 @@ func TestLiveMissCoalescing(t *testing.T) {
 	}
 
 	want := bytes.Repeat([]byte{0x5a}, core.BlockSize)
-	copy(fills[0].Data, want)
-	l.CompleteFill(fills[0])
+	copy((*held)[0].Data, want)
+	l.CompleteFill((*held)[0])
 
 	if !r1.done || !r2.done {
 		t.Fatalf("waiters not run: r1 %v r2 %v", r1.done, r2.done)
@@ -356,4 +354,12 @@ func TestLiveSnapshotIsolated(t *testing.T) {
 	if before.Fill.StoreReads != 0 {
 		t.Error("earlier snapshot mutated by later kernel activity")
 	}
+}
+
+// holdFills builds a kernel whose fills wait in *held until the test
+// completes them.
+func holdFills(cfg core.LiveConfig) (*core.Live, *[]*core.Fill) {
+	held := new([]*core.Fill)
+	cfg.StartFill = func(fls []*core.Fill) { *held = append(*held, fls...) }
+	return core.NewLive(cfg), held
 }

@@ -55,10 +55,9 @@ func (l *Live) ReadTo(owner int, fid fs.FileID, blk int32, off, size int, reply 
 	o.stats.ReadCalls++
 	now := l.advance()
 	id := cache.BlockID{File: fid, Num: blk}
-	if b := l.bc.LookupBy(id, owner, off, size); b != nil {
+	if b := l.lookup(id, owner, off, size); b != nil {
 		o.stats.Hits++
 		l.noteAccess(true)
-		l.notePrefetchHit(id)
 		if b.Busy(now) {
 			// Fill still in flight: coalesce onto it, as waitValid would.
 			if fl := l.mshr[id]; fl != nil && fl.buf == b {
@@ -85,7 +84,7 @@ func (l *Live) ReadTo(owner int, fid fs.FileID, blk int32, off, size int, reply 
 		}
 		reply.ReadDone(data, false, err)
 	})
-	l.dispatchFill(fl)
+	l.dispatchFills(fl.run())
 	l.noteSequential(owner, f, blk, now)
 	return fl.done
 }
@@ -123,11 +122,10 @@ func (l *Live) Write(owner int, fid fs.FileID, blk int32, off int, payload []byt
 	}
 	now := l.advance()
 	id := cache.BlockID{File: fid, Num: blk}
-	b := l.bc.LookupBy(id, owner, off, len(payload))
+	b := l.lookup(id, owner, off, len(payload))
 	if b != nil {
 		o.stats.Hits++
 		l.noteAccess(true)
-		l.notePrefetchHit(id)
 		if b.Busy(now) {
 			if fl := l.mshr[id]; fl != nil && fl.buf == b {
 				l.fill.CoalescedMisses++
@@ -157,7 +155,7 @@ func (l *Live) Write(owner int, fid fs.FileID, blk int32, off int, payload []byt
 			}
 			done(false, l.applyWrite(b, fl, off, payload, err))
 		})
-		l.dispatchFill(fl)
+		l.dispatchFills(fl.run())
 		return fl.done
 	}
 	data := b.Slot.Data()

@@ -85,11 +85,7 @@ func (l *Live) notePersisted(id cache.BlockID) {
 // victim carries a detached slot exactly when it was dirty with valid
 // bytes; writeBack releases the slot once the bytes are safe.
 func (l *Live) flushVictim(v *cache.Victim) error {
-	if v == nil {
-		return nil
-	}
-	delete(l.prefetched, v.ID)
-	if v.Slot == nil {
+	if v == nil || v.Slot == nil {
 		return nil
 	}
 	return l.writeBack(v.ID, v.Slot, v.Slot.Data(), v.Owner)
@@ -97,7 +93,7 @@ func (l *Live) flushVictim(v *cache.Victim) error {
 
 // writeBack persists one evicted block's bytes. With a StartWriteBack
 // executor the write is asynchronous: the kernel records the newest
-// pending bytes per block (dispatchFill forwards from them) and the
+// pending bytes per block (stageFill forwards from them) and the
 // executor re-enters through CompleteWriteBack. Without one the write
 // runs inline, and a failure is surfaced — counted, wrapped in
 // ErrWriteBack, never a panic — to the request that forced the eviction.

@@ -176,12 +176,6 @@ func (r *Runner) Submit(spec RunSpec) *Future {
 	return f
 }
 
-// RunVia is Submit followed by Wait: the drop-in replacement for Run at
-// call sites that need the result immediately.
-func (r *Runner) RunVia(spec RunSpec) RunResult {
-	return r.Submit(spec).Wait()
-}
-
 // defaultSeed is what core substitutes when RunSpec.Seed is zero; the
 // fingerprint normalizes Seed through it so "unset" and "explicitly the
 // default" memoize to the same run.

@@ -26,7 +26,7 @@ func fig4Cell() RunSpec {
 func TestRunnerParallelMatchesSerial(t *testing.T) {
 	spec := fig4Cell()
 	serial := Run(spec)
-	par := NewRunner(8).RunVia(spec)
+	par := NewRunner(8).Submit(spec).Wait()
 	if !reflect.DeepEqual(serial, par) {
 		t.Errorf("parallel result differs from serial:\nserial: %+v\nparallel: %+v", serial, par)
 	}

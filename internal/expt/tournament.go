@@ -15,6 +15,7 @@ package expt
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/workload"
@@ -60,7 +61,7 @@ func RunTournament(r *Runner, cacheMB float64) []TournamentResult {
 		for _, mix := range TournamentMixes {
 			cells = append(cells, cell{
 				policy: pol,
-				mix:    mixName(mix),
+				mix:    strings.Join(mix, "+"),
 				fut: r.Submit(RunSpec{
 					Apps:    mixSpec(mix, workload.Oblivious),
 					CacheMB: cacheMB,
@@ -79,17 +80,6 @@ func RunTournament(r *Runner, cacheMB float64) []TournamentResult {
 			ElapsedSec: res.TotalElapsed.Seconds(),
 			BlockIOs:   res.TotalIOs,
 		})
-	}
-	return out
-}
-
-func mixName(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += "+"
-		}
-		out += n
 	}
 	return out
 }
@@ -129,7 +119,7 @@ func Tournament(r *Runner) []Table {
 		Header: header,
 	}
 	for _, mix := range TournamentMixes {
-		name := mixName(mix)
+		name := strings.Join(mix, "+")
 		hrow, erow := []string{name}, []string{name}
 		for _, p := range policies {
 			res := byKey[name+"|"+p.String()]

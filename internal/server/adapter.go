@@ -8,7 +8,7 @@
 // hash can genuinely want ARC in one shard and plain LRU in another.
 //
 // The schedule is sample-then-settle with periodic probes. Epochs are
-// counted in completed hit windows (Config.AdaptEvery windows per
+// counted in completed hit windows (adaptEpochWindows windows per
 // epoch), so the clock is request traffic itself; an idle shard never
 // swaps. The first pass runs every candidate for one epoch to seed its
 // score (an EWMA of the last-window hit ratio, in basis points); after
@@ -29,6 +29,9 @@ import (
 )
 
 const (
+	// adaptEpochWindows is the adapter epoch length in completed hit
+	// windows (the kernel's window is 1024 accesses).
+	adaptEpochWindows = 4
 	// adapterProbeEvery is the number of steady epochs between probes of
 	// a non-incumbent candidate.
 	adapterProbeEvery = 8
@@ -38,8 +41,7 @@ const (
 )
 
 type allocAdapter struct {
-	kern  *core.Live
-	every int64 // hit windows per epoch
+	kern *core.Live
 
 	candidates []cache.Alloc
 	score      []float64 // EWMA of windowed hit ratio (bp); -1 = unsampled
@@ -57,8 +59,8 @@ type allocAdapter struct {
 // newAllocAdapter parses the candidate list and points the kernel at the
 // first candidate to start the sampling pass. Panics on an unknown or
 // duplicate name — adapter config is operator input, checked at startup.
-func newAllocAdapter(names []string, every int64, kern *core.Live) *allocAdapter {
-	ad := &allocAdapter{kern: kern, every: every, sampling: true}
+func newAllocAdapter(names []string, kern *core.Live) *allocAdapter {
+	ad := &allocAdapter{kern: kern, sampling: true}
 	seen := make(map[cache.Alloc]bool)
 	for _, name := range names {
 		a, err := cache.ParseAlloc(name)
@@ -82,7 +84,7 @@ func newAllocAdapter(names []string, every int64, kern *core.Live) *allocAdapter
 // requests. A no-op until the current epoch's windows have completed.
 func (ad *allocAdapter) tick() {
 	wd := ad.kern.HitWindowsDone()
-	if wd-ad.lastWindows < ad.every {
+	if wd-ad.lastWindows < adaptEpochWindows {
 		return
 	}
 	ad.lastWindows = wd

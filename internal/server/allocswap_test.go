@@ -204,18 +204,15 @@ func allocFlipSoak(t *testing.T, shards int) {
 }
 
 // TestAdaptAllocSettles drives the online adapter end to end: with two
-// candidates and a short hit window, steady traffic makes the adapter
+// candidates at the production window and epoch, steady traffic (160
+// rounds of 64 accesses: two and a half epochs) makes the adapter
 // sample both policies (visible as alloc swaps) and settle on one of
 // them; the stats surfaces report whichever policy each shard runs.
 func TestAdaptAllocSettles(t *testing.T) {
 	cfg := server.Config{
-		Kernel: core.LiveConfig{
-			CacheBytes: 32 * core.BlockSize,
-			HitWindow:  64,
-		},
+		Kernel:     core.LiveConfig{CacheBytes: 32 * core.BlockSize},
 		Shards:     1,
 		AdaptAlloc: []string{"global-lru", "arc"},
-		AdaptEvery: 1,
 	}
 	srv, _, dial := startServer(t, cfg)
 	_ = srv
@@ -229,7 +226,7 @@ func TestAdaptAllocSettles(t *testing.T) {
 	// A hot set that fits beside a recurring scan: the kind of mix the
 	// window gauge can tell policies apart on. Content correctness is
 	// asserted throughout — adapter swaps must never lose a byte.
-	for round := 0; round < 40; round++ {
+	for round := 0; round < 160; round++ {
 		for b := int32(0); b < 8; b++ {
 			if _, err := c.Write(f.ID, b, 0, []byte{byte(b), byte(round)}); err != nil {
 				t.Fatal(err)

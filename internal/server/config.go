@@ -59,17 +59,14 @@ type Config struct {
 	// AdaptAlloc, when non-empty, turns on the per-shard online
 	// allocation-policy adapter over the named candidate policies (see
 	// cache.ParseAlloc). Each shard samples every candidate for one epoch
-	// (AdaptEvery completed hit windows), scores it by EWMA windowed hit
-	// ratio, then settles on the best — switching later only when a
-	// fresh probe beats the incumbent by more than adaptHysteresisBP
-	// basis points. Adapter swaps run on the shard goroutine through the
-	// same SetAllocPolicy migration as the set_alloc wire op, and count
-	// in the alloc_swaps stat. New panics at construction on an unknown
-	// candidate name.
+	// (adaptEpochWindows completed hit windows), scores it by EWMA
+	// windowed hit ratio, then settles on the best — switching later only
+	// when a fresh probe beats the incumbent by more than
+	// adaptHysteresisBP basis points. Adapter swaps run on the shard
+	// goroutine through the same SetAllocPolicy migration as the set_alloc
+	// wire op, and count in the alloc_swaps stat. New panics at
+	// construction on an unknown candidate name.
 	AdaptAlloc []string
-	// AdaptEvery is the adapter epoch length in completed hit windows
-	// (default 4; the window itself is Kernel.HitWindow accesses).
-	AdaptEvery int64
 }
 
 func (c *Config) fillDefaults() {
@@ -84,9 +81,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 30 * time.Second
-	}
-	if c.AdaptEvery <= 0 {
-		c.AdaptEvery = 4
 	}
 }
 
@@ -105,7 +99,7 @@ type StatsReply struct {
 
 // AllocStatus is one shard's allocation-policy line in a StatsReply:
 // the active policy plus the windowed hit-ratio gauge behind the
-// adapter (basis points over the last completed HitWindow accesses).
+// adapter (basis points over the last completed window of accesses).
 type AllocStatus struct {
 	Policy      string `json:"policy"`
 	HitWindowBP int64  `json:"hit_window_bp"`

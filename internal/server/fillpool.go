@@ -50,7 +50,7 @@ func newFillQueue() *fillQueue {
 
 // push enqueues fills and reports the resulting queue depth (the
 // kernel's high-water counter wants it).
-func (q *fillQueue) push(fls ...*core.Fill) int {
+func (q *fillQueue) push(fls []*core.Fill) int {
 	q.mu.Lock()
 	q.fills = append(q.fills, fls...)
 	depth := len(q.fills)
@@ -96,14 +96,14 @@ func (q *fillQueue) close() {
 
 // fillWorker is one pool goroutine: drain a batch, retire it run by
 // run, repeat until the queue closes.
-func (sh *shard) fillWorker(store disk.Store, batchCapable bool) {
+func (sh *shard) fillWorker(store disk.Store) {
 	defer sh.srv.running.Done()
 	for {
 		batch := sh.fq.pop(maxFillBatch)
 		if batch == nil {
 			return
 		}
-		sh.runFills(store, batchCapable, batch)
+		sh.runFills(store, batch)
 	}
 }
 
@@ -119,7 +119,7 @@ func (sh *shard) fillWorker(store disk.Store, batchCapable bool) {
 // A block can appear twice (an orphaned mid-fill-eviction read and its
 // successor fill); equal block numbers never extend a run, so both
 // issue separately and each reads the same authoritative store bytes.
-func (sh *shard) runFills(store disk.Store, batchCapable bool, batch []*core.Fill) {
+func (sh *shard) runFills(store disk.Store, batch []*core.Fill) {
 	sort.Slice(batch, func(a, b int) bool {
 		if batch[a].ID.File != batch[b].ID.File {
 			return batch[a].ID.File < batch[b].ID.File
@@ -147,7 +147,7 @@ func (sh *shard) runFills(store disk.Store, batchCapable bool, batch []*core.Fil
 				run[k].Err = err
 			}
 		}
-		sh.kch <- kmsg{fills: run, batched: len(run) > 1 && batchCapable}
+		sh.kch <- kmsg{fills: run}
 	}
 }
 
@@ -161,7 +161,7 @@ func (sh *shard) runFills(store disk.Store, batchCapable bool, batch []*core.Fil
 // way: whatever was gathered ahead of it (any of it may be the file's)
 // goes to the store first, then its blocks go back in one batch of their
 // own.
-func (sh *shard) flusher(store disk.Store, batchCapable bool) {
+func (sh *shard) flusher(store disk.Store) {
 	defer sh.srv.running.Done()
 	var batch []*core.WriteBack
 	seen := make(map[cache.BlockID]bool)
@@ -169,7 +169,7 @@ func (sh *shard) flusher(store disk.Store, batchCapable bool) {
 		if len(batch) == 0 {
 			return
 		}
-		sh.flushWBs(store, batchCapable, batch)
+		sh.flushWBs(store, batch)
 		batch = nil // the slice rode the completion message; start fresh
 		clear(seen)
 	}
@@ -177,7 +177,7 @@ func (sh *shard) flusher(store disk.Store, batchCapable bool) {
 		if wb.Discard != nil {
 			flush()
 			wb.Err = disk.Discard(store, wb.Discard)
-			sh.kch <- kmsg{wb: wb}
+			sh.kch <- kmsg{wbs: []*core.WriteBack{wb}}
 			return
 		}
 		if seen[wb.ID] {
@@ -204,24 +204,24 @@ func (sh *shard) flusher(store disk.Store, batchCapable bool) {
 	}
 }
 
-// flushWBs retires one gathered batch: a lone victim keeps the plain
-// WriteBlock path, a group goes through WriteBatch so adjacent-slot
-// victims collapse into pwritev runs.
-func (sh *shard) flushWBs(store disk.Store, batchCapable bool, batch []*core.WriteBack) {
+// flushWBs retires one gathered batch, which re-enters the kernel loop
+// as one completion: a lone victim keeps the plain WriteBlock path, a
+// group goes through WriteBatch so adjacent-slot victims collapse into
+// pwritev runs.
+func (sh *shard) flushWBs(store disk.Store, batch []*core.WriteBack) {
 	if len(batch) == 1 {
 		wb := batch[0]
 		wb.Err = store.WriteBlock(int32(wb.ID.File), wb.ID.Num, wb.Data)
-		sh.kch <- kmsg{wb: wb}
-		return
+	} else {
+		specs := make([]disk.BlockSpan, len(batch))
+		srcs := make([][]byte, len(batch))
+		for i, wb := range batch {
+			specs[i] = disk.BlockSpan{File: int32(wb.ID.File), Blk: wb.ID.Num}
+			srcs[i] = wb.Data
+		}
+		for i, err := range disk.WriteBatch(store, specs, srcs) {
+			batch[i].Err = err
+		}
 	}
-	specs := make([]disk.BlockSpan, len(batch))
-	srcs := make([][]byte, len(batch))
-	for i, wb := range batch {
-		specs[i] = disk.BlockSpan{File: int32(wb.ID.File), Blk: wb.ID.Num}
-		srcs[i] = wb.Data
-	}
-	for i, err := range disk.WriteBatch(store, specs, srcs) {
-		batch[i].Err = err
-	}
-	sh.kch <- kmsg{wbs: batch, batched: batchCapable}
+	sh.kch <- kmsg{wbs: batch}
 }

@@ -104,26 +104,19 @@ func New(cfg Config) *Server {
 		kcfg := cfg.Kernel.ShardConfig(i, n)
 		store := remapStore{base: base, shard: int32(i), n: int32(n)}
 		kcfg.Store = store
-		// batchCapable: whether the base store can actually vector a
-		// run. The batch counters only tick when it can, so BatchedFills
-		// on a plain (or counting test) store honestly reads zero.
-		_, batchCapable := base.(disk.BatchStore)
-		// Fills queue on the shard's fill queue (the hooks run on the
+		_, sh.vectors = base.(disk.BatchStore)
+		// Fills queue on the shard's fill queue (the hook runs on the
 		// kernel goroutine, which also tracks the queue's high-water
 		// mark); a bounded worker pool drains it, groups same-file
 		// adjacent blocks, and re-enters the loop one run at a time. The
 		// loop counts fills in flight so shutdown can wait for the last.
-		kcfg.StartFill = func(fl *core.Fill) {
-			sh.fillsInflight++
-			sh.kern.NoteFillQueueDepth(sh.fq.push(fl))
-		}
-		kcfg.StartFillBatch = func(fls []*core.Fill) {
+		kcfg.StartFill = func(fls []*core.Fill) {
 			sh.fillsInflight += len(fls)
-			sh.kern.NoteFillQueueDepth(sh.fq.push(fls...))
+			sh.kern.NoteFillQueueDepth(sh.fq.push(fls))
 		}
 		srv.running.Add(fillWorkers)
 		for w := 0; w < fillWorkers; w++ {
-			go sh.fillWorker(store, batchCapable)
+			go sh.fillWorker(store)
 		}
 		if cfg.WritebackDepth > 0 {
 			sh.wbch = make(chan *core.WriteBack, cfg.WritebackDepth)
@@ -135,11 +128,11 @@ func New(cfg Config) *Server {
 			// along the way (fillpool.go). It exits when retire closes
 			// wbch.
 			srv.running.Add(1)
-			go sh.flusher(store, batchCapable)
+			go sh.flusher(store)
 		}
 		sh.kern = core.NewLive(kcfg)
 		if len(cfg.AdaptAlloc) > 0 {
-			sh.adapter = newAllocAdapter(cfg.AdaptAlloc, cfg.AdaptEvery, sh.kern)
+			sh.adapter = newAllocAdapter(cfg.AdaptAlloc, sh.kern)
 		}
 		kerns = append(kerns, sh.kern)
 		srv.shards = append(srv.shards, sh)

@@ -5,20 +5,19 @@ import (
 )
 
 // kmsg is one message into a shard loop. Exactly one field group is set:
-// a session event (sess + req/open/close), a completed fill, a closure to
-// run on the shard goroutine, or a shutdown phase.
+// a session event (sess + req/open/close), a completed fill or
+// write-back run, a closure to run on the shard goroutine, or a shutdown
+// phase.
 type kmsg struct {
-	sess    *session
-	req     *request          // with sess: one request frame
-	open    bool              // with sess: session arrived
-	close   bool              // with sess: session is gone
-	fills   []*core.Fill      // a completed fill run (one store call)
-	wb      *core.WriteBack   // a completed asynchronous write-back
-	wbs     []*core.WriteBack // a completed write-back batch (batched flusher)
-	batched bool              // with fills/wbs: the store retired it as one vectored call
-	call    func(*shard)      // run on the shard goroutine (ask)
-	drain   bool              // begin refusing requests
-	force   bool              // kill every remaining session
+	sess  *session
+	req   *request          // with sess: one request frame
+	open  bool              // with sess: session arrived
+	close bool              // with sess: session is gone
+	fills []*core.Fill      // a completed fill run (one store call)
+	wbs   []*core.WriteBack // a completed write-back batch, or one discard
+	call  func(*shard)      // run on the shard goroutine (ask)
+	drain bool              // begin refusing requests
+	force bool              // kill every remaining session
 }
 
 // shard is one kernel shard: a Live of its own plus the one goroutine
@@ -54,6 +53,11 @@ type shard struct {
 	// fq is the shard's fill queue; the worker pool drains it. Closed at
 	// retire.
 	fq *fillQueue
+	// vectors reports whether the base store can retire a run as one
+	// vectored call. A completed run of more than one block counts as a
+	// batch only when it can, so BatchedFills on a plain (or counting
+	// test) store honestly reads zero.
+	vectors bool
 
 	// adapter is the shard's online allocation-policy adapter (nil
 	// unless Config.AdaptAlloc is set); ticked between requests.
@@ -110,7 +114,7 @@ func (sh *shard) loop() {
 		switch {
 		case m.fills != nil:
 			sh.fillsInflight -= len(m.fills)
-			if m.batched {
+			if len(m.fills) > 1 && sh.vectors {
 				sh.kern.CountFillBatch(len(m.fills))
 			}
 			for _, fl := range m.fills {
@@ -118,16 +122,12 @@ func (sh *shard) loop() {
 			}
 		case m.wbs != nil:
 			sh.wbInflight -= len(m.wbs)
-			if m.batched {
+			if len(m.wbs) > 1 && sh.vectors {
 				sh.kern.CountWritebackBatches(1)
 			}
 			for _, wb := range m.wbs {
 				sh.kern.CompleteWriteBack(wb)
 			}
-			sh.drainOverflow()
-		case m.wb != nil:
-			sh.wbInflight--
-			sh.kern.CompleteWriteBack(m.wb)
 			sh.drainOverflow()
 		case m.call != nil:
 			m.call(sh)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"repro/internal/cache"
+	"repro/internal/stats"
 )
 
 // Metrics snapshots the server counters; ok is false once shutdown has
@@ -41,7 +42,7 @@ func (s *Server) metrics(only *session) (Metrics, bool) {
 		}
 	}
 	if extraFill != nil {
-		m.Kernel.Fill.Accumulate(extraFill())
+		stats.Fold(&m.Kernel.Fill, extraFill())
 	}
 	m.SessionsActive = len(m.Sessions)
 	return m, true

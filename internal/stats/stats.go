@@ -97,12 +97,16 @@ type FillStats struct {
 	PeerFillErrors int64 `json:"peer_fill_errors"`
 }
 
-// Accumulate folds o into s: counters add, high-water marks take the max.
-func (s *FillStats) Accumulate(o FillStats) {
-	accumulate(reflect.ValueOf(s).Elem(), reflect.ValueOf(o))
+// Fold folds src into *dst, for any flat all-integer counter struct
+// (FillStats, core.ProcStats, one group of a Snapshot): a field whose
+// name ends in HighWater takes the larger value, every other field the
+// sum. Like writeGroup it reads the rule off the struct, so a counter
+// added to the schema is one field and nothing else.
+func Fold[T any](dst *T, src T) {
+	accumulate(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src))
 }
 
-// Accumulate folds o into s, group by group, with the same rule.
+// Accumulate folds o into s, group by group, with Fold's rule.
 func (s *Snapshot) Accumulate(o Snapshot) {
 	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
 	for g := 0; g < dst.NumField(); g++ {
@@ -110,11 +114,7 @@ func (s *Snapshot) Accumulate(o Snapshot) {
 	}
 }
 
-// accumulate folds src into dst, two values of one flat all-integer
-// struct type: a field whose name ends in HighWater takes the larger
-// value, every other field the sum. Like writeGroup it reads the rule
-// off the struct, so a counter added to the schema is one field and
-// nothing else.
+// accumulate is Fold over two reflected values of one struct type.
 func accumulate(dst, src reflect.Value) {
 	t := dst.Type()
 	for i := 0; i < t.NumField(); i++ {

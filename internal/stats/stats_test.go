@@ -110,8 +110,8 @@ func TestAccumulateReadsTheStruct(t *testing.T) {
 	}
 
 	f := FillStats{DiscardedBlocks: 5, WritebackQueueHighWater: 7}
-	f.Accumulate(FillStats{DiscardedBlocks: 6, WritebackQueueHighWater: 3})
+	Fold(&f, FillStats{DiscardedBlocks: 6, WritebackQueueHighWater: 3})
 	if f.DiscardedBlocks != 11 || f.WritebackQueueHighWater != 7 {
-		t.Errorf("FillStats.Accumulate = %+v, want 11 discarded, high water 7", f)
+		t.Errorf("Fold of FillStats = %+v, want 11 discarded, high water 7", f)
 	}
 }
