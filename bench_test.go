@@ -1,260 +1,29 @@
 // Benchmarks that regenerate every table and figure of the paper's
-// evaluation, one benchmark family per experiment. Each iteration runs the
-// full simulated experiment; ns/op therefore measures simulator
-// throughput, and the custom metrics report the science:
+// evaluation, one sub-benchmark per experiment: BenchmarkExperiment/<id>
+// for every id of acbench -run all, then the allocation-policy tournament.
+// Each iteration runs the experiment's own driver serially with no run
+// cache, so ns/op is the simulator's cost for the whole experiment. The
+// tables are the science (acbench prints them); the benchmark's des_paper
+// workload times the same drivers beside the environment.
 //
-//	io_ratio       block I/Os under LRU-SP divided by the original kernel
-//	elapsed_ratio  elapsed time under LRU-SP divided by the original kernel
-//	paper_io_ratio the ratio published in the paper, for comparison
-//
-// Run with: go test -bench=. -benchmem
+// Run with: go test -run '^$' -bench Experiment -benchmem
 package acfc_test
 
 import (
-	"fmt"
-	"strings"
+	"slices"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/expt"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
-// benchSingle runs one Figure 4 cell: a single application at one cache
-// size under both kernels.
-func benchSingle(b *testing.B, app string, mb float64, sizeIdx int) {
-	var orig, sp expt.RunResult
-	for i := 0; i < b.N; i++ {
-		orig = expt.Run(expt.RunSpec{
-			Apps:    []expt.AppSpec{{Make: expt.Registry[app], Mode: workload.Oblivious}},
-			CacheMB: mb, Alloc: cache.GlobalLRU,
-		})
-		sp = expt.Run(expt.RunSpec{
-			Apps:    []expt.AppSpec{{Make: expt.Registry[app], Mode: workload.Smart}},
-			CacheMB: mb, Alloc: cache.LRUSP,
-		})
-	}
-	b.ReportMetric(float64(sp.TotalIOs)/float64(orig.TotalIOs), "io_ratio")
-	b.ReportMetric(sp.TotalElapsed.Seconds()/orig.TotalElapsed.Seconds(), "elapsed_ratio")
-	p := expt.PaperSingles[app]
-	b.ReportMetric(float64(p.IOsSP[sizeIdx])/float64(p.IOsOrig[sizeIdx]), "paper_io_ratio")
-}
-
-// BenchmarkFig4 regenerates Figure 4 (and appendix Tables 5 and 6): every
-// application at every cache size.
-func BenchmarkFig4(b *testing.B) {
-	for _, app := range []string{"din", "cs1", "cs2", "cs3", "gli", "ldk", "pjn", "sort"} {
-		for i, mb := range expt.Sizes {
-			app, mb, i := app, mb, i
-			b.Run(fmt.Sprintf("%s/%gMB", app, mb), func(b *testing.B) {
-				benchSingle(b, app, mb, i)
-			})
-		}
-	}
-}
-
-// benchMix runs one Figure 5 cell: a workload mix under both kernels.
-func benchMix(b *testing.B, mix []string, mb float64) {
-	var orig, sp expt.RunResult
-	mkSpecs := func(mode workload.Mode) []expt.AppSpec {
-		var out []expt.AppSpec
-		for _, n := range mix {
-			out = append(out, expt.AppSpec{Make: expt.Registry[n], Mode: mode})
-		}
-		return out
-	}
-	for i := 0; i < b.N; i++ {
-		orig = expt.Run(expt.RunSpec{Apps: mkSpecs(workload.Oblivious), CacheMB: mb, Alloc: cache.GlobalLRU})
-		sp = expt.Run(expt.RunSpec{Apps: mkSpecs(workload.Smart), CacheMB: mb, Alloc: cache.LRUSP})
-	}
-	b.ReportMetric(float64(sp.TotalIOs)/float64(orig.TotalIOs), "io_ratio")
-	b.ReportMetric(sp.TotalElapsed.Seconds()/orig.TotalElapsed.Seconds(), "elapsed_ratio")
-}
-
-// BenchmarkFig5 regenerates Figure 5: the nine concurrent mixes, LRU-SP vs
-// the original kernel.
-func BenchmarkFig5(b *testing.B) {
-	for _, mix := range expt.Fig5Mixes {
-		for _, mb := range []float64{6.4, 16} {
-			mix, mb := mix, mb
-			b.Run(fmt.Sprintf("%s/%gMB", strings.Join(mix, "+"), mb), func(b *testing.B) {
-				benchMix(b, mix, mb)
-			})
-		}
-	}
-}
-
-// BenchmarkFig6 regenerates Figure 6: ALLOC-LRU vs LRU-SP on the five
-// mixes.
-func BenchmarkFig6(b *testing.B) {
-	for _, mix := range expt.Fig6Mixes {
-		mix := mix
-		b.Run(strings.Join(mix, "+"), func(b *testing.B) {
-			mkSpecs := func() []expt.AppSpec {
-				var out []expt.AppSpec
-				for _, n := range mix {
-					out = append(out, expt.AppSpec{Make: expt.Registry[n], Mode: workload.Smart})
-				}
-				return out
-			}
-			var sp, al expt.RunResult
+func BenchmarkExperiment(b *testing.B) {
+	for _, id := range slices.Concat(expt.Order, []string{"tournament"}) {
+		b.Run(id, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sp = expt.Run(expt.RunSpec{Apps: mkSpecs(), CacheMB: 6.4, Alloc: cache.LRUSP})
-				al = expt.Run(expt.RunSpec{Apps: mkSpecs(), CacheMB: 6.4, Alloc: cache.AllocLRU})
+				if len(expt.Experiments[id](nil)) == 0 {
+					b.Fatalf("%s rendered no table", id)
+				}
 			}
-			// Above 1.0: ALLOC-LRU does more I/O than LRU-SP, the
-			// paper's point that swapping matters.
-			b.ReportMetric(float64(al.TotalIOs)/float64(sp.TotalIOs), "alloclru_io_ratio")
 		})
-	}
-}
-
-// BenchmarkTable1 regenerates the placeholder experiment: probe ReadN I/Os
-// under Oblivious / Unprotected / Protected settings.
-func BenchmarkTable1(b *testing.B) {
-	for si, setting := range expt.PaperTable1.Settings {
-		for ni, n := range expt.PaperTable1.Ns {
-			setting, n, si, ni := setting, n, si, ni
-			b.Run(fmt.Sprintf("%s/Read%d", setting, n), func(b *testing.B) {
-				bgMode, alloc := workload.Oblivious, cache.LRUSP
-				if si > 0 {
-					bgMode = workload.Foolish
-				}
-				if setting == "Unprotected" {
-					alloc = cache.LRUS
-				}
-				var res expt.RunResult
-				for i := 0; i < b.N; i++ {
-					res = expt.Run(expt.RunSpec{
-						Apps: []expt.AppSpec{
-							{Make: func() workload.App { return workload.Read300(0) }, Mode: bgMode},
-							{Make: func() workload.App { return workload.Probe(n, 0) }, Mode: workload.Oblivious},
-						},
-						CacheMB: 6.4, Alloc: alloc,
-					})
-				}
-				b.ReportMetric(float64(res.PerApp[1].BlockIOs), "probe_ios")
-				b.ReportMetric(float64(expt.PaperTable1.BlockIOs[setting][ni]), "paper_probe_ios")
-			})
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates the foolish-process experiment: each smart
-// application next to an oblivious or foolish Read300.
-func BenchmarkTable2(b *testing.B) {
-	for _, partner := range expt.PaperTable2.Partners {
-		for _, policy := range []string{"oblivious", "foolish"} {
-			partner, policy := partner, policy
-			b.Run(partner+"/"+policy, func(b *testing.B) {
-				bgMode := workload.Oblivious
-				if policy == "foolish" {
-					bgMode = workload.Foolish
-				}
-				var res expt.RunResult
-				for i := 0; i < b.N; i++ {
-					res = expt.Run(expt.RunSpec{
-						Apps: []expt.AppSpec{
-							{Make: expt.Registry[partner], Mode: workload.Smart},
-							{Make: func() workload.App { return workload.Read300(0) }, Mode: bgMode},
-						},
-						CacheMB: 6.4, Alloc: cache.LRUSP,
-					})
-				}
-				b.ReportMetric(float64(res.PerApp[0].BlockIOs), "app_ios")
-				b.ReportMetric(res.PerApp[0].Elapsed.Seconds(), "app_seconds")
-			})
-		}
-	}
-}
-
-// benchTable34 runs Table 3 (one disk) or Table 4 (two disks): the
-// oblivious Read300's elapsed time next to oblivious vs smart partners.
-func benchTable34(b *testing.B, readDisk int) {
-	for _, partner := range expt.PaperTable3.Partners {
-		for _, mode := range []workload.Mode{workload.Oblivious, workload.Smart} {
-			partner, mode := partner, mode
-			b.Run(fmt.Sprintf("%s/%v", partner, mode), func(b *testing.B) {
-				var res expt.RunResult
-				for i := 0; i < b.N; i++ {
-					res = expt.Run(expt.RunSpec{
-						Apps: []expt.AppSpec{
-							{Make: expt.Registry[partner], Mode: mode},
-							{Make: func() workload.App { return workload.Read300(readDisk) }, Mode: workload.Oblivious},
-						},
-						CacheMB: 6.4, Alloc: cache.LRUSP,
-					})
-				}
-				b.ReportMetric(res.PerApp[1].Elapsed.Seconds(), "read300_seconds")
-			})
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates Table 3 (smart partners vs oblivious
-// Read300, one disk).
-func BenchmarkTable3(b *testing.B) { benchTable34(b, 0) }
-
-// BenchmarkTable4 regenerates Table 4 (Read300 on its own disk).
-func BenchmarkTable4(b *testing.B) { benchTable34(b, 1) }
-
-// BenchmarkAblation exercises the revocation extension and the read-ahead
-// model ablation.
-func BenchmarkAblation(b *testing.B) {
-	b.Run("revocation", func(b *testing.B) {
-		var res expt.RunResult
-		for i := 0; i < b.N; i++ {
-			res = expt.Run(expt.RunSpec{
-				Apps: []expt.AppSpec{
-					{Make: func() workload.App { return workload.Read300(0) }, Mode: workload.Foolish},
-					{Make: func() workload.App { return workload.Probe(400, 0) }, Mode: workload.Oblivious},
-				},
-				CacheMB: 6.4, Alloc: cache.LRUSP,
-				Revoke: cache.RevokeConfig{Enabled: true, MinDecisions: 200, MistakeRatio: 0.3},
-			})
-		}
-		b.ReportMetric(float64(res.CacheStats.Revocations), "revocations")
-		b.ReportMetric(float64(res.PerApp[0].BlockIOs), "foolish_ios")
-	})
-	b.Run("readahead-off", func(b *testing.B) {
-		var res expt.RunResult
-		for i := 0; i < b.N; i++ {
-			res = expt.Run(expt.RunSpec{
-				Apps:    []expt.AppSpec{{Make: expt.Registry["din"], Mode: workload.Smart}},
-				CacheMB: 6.4, Alloc: cache.LRUSP,
-				Opts: expt.Options{ReadAheadOff: true},
-			})
-		}
-		b.ReportMetric(res.TotalElapsed.Seconds(), "din_seconds")
-	})
-}
-
-// BenchmarkPolicies replays each workload's reference stream through
-// standalone LRU, MRU and Belady-OPT caches at the paper's default size,
-// reporting how close LRU gets to the optimum (the headroom application
-// control is after).
-func BenchmarkPolicies(b *testing.B) {
-	for _, app := range []string{"din", "cs2", "pjn", "sort"} {
-		app := app
-		b.Run(app, func(b *testing.B) {
-			var lruOverOpt float64
-			for i := 0; i < b.N; i++ {
-				tr := expt.CaptureTrace(app)
-				res := trace.Compare(tr.Refs, 819)
-				lruOverOpt = float64(res[0].Misses) / float64(res[2].Misses)
-			}
-			b.ReportMetric(lruOverOpt, "lru_over_opt")
-		})
-	}
-}
-
-// BenchmarkVM runs the Section 7 virtual-memory transfer experiment.
-func BenchmarkVM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables := expt.VM(nil)
-		if len(tables) != 1 {
-			b.Fatal("vm experiment shape changed")
-		}
 	}
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	acbench [-run all|fig4|fig5|fig6|table1|table2|table3|table4|ablation]
+//	acbench [-run all|fig4|fig5|fig6|table1|table2|table3|table4|ablation|policies|vm|tournament]
 //	        [-sizes 6.4,8,12,16] [-parallel N] [-charts]
 //	        [-tournament] [-cpuprofile file] [-memprofile file]
 //	        [-nofastpath]
@@ -64,7 +64,8 @@ func main() {
 }
 
 func run() int {
-	runFlag := flag.String("run", "all", "experiment to run: all, or one of "+strings.Join(expt.Order, ", "))
+	known := strings.Join(expt.Order, ", ") + ", tournament"
+	runFlag := flag.String("run", "all", "experiment to run: all, or one of "+known)
 	sizesFlag := flag.String("sizes", "", "comma-separated cache sizes in MB for fig4/fig5/fig6 (default: the paper's 6.4,8,12,16)")
 	chartsFlag := flag.Bool("charts", false, "render Figures 4-6 as ASCII bar charts instead of tables")
 	parallelFlag := flag.Int("parallel", 0, "max concurrent simulations (default GOMAXPROCS; 1 = serial)")
@@ -127,8 +128,7 @@ func run() int {
 	ids := expt.Order
 	if *runFlag != "all" {
 		if _, ok := expt.Experiments[*runFlag]; !ok {
-			fmt.Fprintf(os.Stderr, "acbench: unknown experiment %q (want all, %s)\n",
-				*runFlag, strings.Join(expt.Order, ", "))
+			fmt.Fprintf(os.Stderr, "acbench: unknown experiment %q (want all, %s)\n", *runFlag, known)
 			return 2
 		}
 		ids = []string{*runFlag}

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/workload"
 )
@@ -42,52 +41,46 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
+	if *cacheFlag <= 0 || *seedFlag == 0 {
+		fail("-cache and -seed must be positive") // a zero RunSpec field means its default
+	}
 
-	cfg := core.DefaultConfig()
-	cfg.CacheBytes = core.MB(*cacheFlag)
-	cfg.Alloc = alloc
-	cfg.Seed = *seedFlag
-	cfg.ReadAhead = !*noRAFlag
+	spec := expt.RunSpec{
+		CacheMB: *cacheFlag,
+		Alloc:   alloc,
+		Seed:    *seedFlag,
+		Opts:    expt.Options{ReadAheadOff: *noRAFlag},
+	}
 	if *revokeFlag {
-		cfg.Revoke = cache.RevokeConfig{Enabled: true, MinDecisions: 200, MistakeRatio: 0.3}
+		spec.Revoke = cache.RevokeConfig{Enabled: true, MinDecisions: 200, MistakeRatio: 0.3}
 	}
-	sys := core.NewSystem(cfg)
-
-	type launched struct {
-		app  workload.App
-		mode workload.Mode
-		proc *core.Proc
-	}
-	var runs []launched
-	for _, spec := range strings.Split(*appsFlag, ",") {
-		as, err := expt.ParseApp(spec)
+	for _, s := range strings.Split(*appsFlag, ",") {
+		as, err := expt.ParseApp(s)
 		if err != nil {
-			fail("%v in %q", err, spec)
+			fail("%v in %q", err, s)
 		}
 		if alloc == cache.GlobalLRU && as.Mode != workload.Oblivious {
 			fail("the original kernel (global-lru) supports only oblivious mode")
 		}
-		app := as.Make()
-		runs = append(runs, launched{app, as.Mode, workload.Launch(sys, app, as.Mode)})
+		spec.Apps = append(spec.Apps, as)
 	}
-
-	sys.Run()
+	res := expt.Run(spec)
 
 	fmt.Printf("%.1f MB cache, %s, seed %d\n", *cacheFlag, alloc, *seedFlag)
 	fmt.Printf("%-10s %-10s %10s %10s %10s %10s %8s\n",
 		"app", "mode", "elapsed s", "block IOs", "hits", "misses", "hit%")
-	for _, r := range runs {
-		st := r.proc.Stats()
+	for i, ar := range res.PerApp {
+		st := ar.Stats
 		total := st.Hits + st.Misses
 		hitPct := 0.0
 		if total > 0 {
 			hitPct = 100 * float64(st.Hits) / float64(total)
 		}
 		fmt.Printf("%-10s %-10s %10.1f %10d %10d %10d %7.1f%%\n",
-			r.app.Name(), r.mode, r.proc.Elapsed().Seconds(),
-			st.BlockIOs(), st.Hits, st.Misses, hitPct)
+			ar.Name, spec.Apps[i].Mode, ar.Elapsed.Seconds(),
+			ar.BlockIOs, st.Hits, st.Misses, hitPct)
 	}
-	cs := sys.Cache().Stats()
+	cs := res.CacheStats
 	fmt.Printf("cache: %d evictions, %d overrules, %d placeholder hits, %d revocations\n",
 		cs.Evictions, cs.Overrules, cs.PlaceholderHits, cs.Revocations)
 }

@@ -83,7 +83,7 @@ func main() {
 		fmt.Fprintf(out, "%s reference stream: %d refs, %d unique blocks; standalone caches of %d blocks (%.1f MB)\n",
 			app.Name(), captured.Len(), captured.Unique(), capacity, *cacheFlag)
 		for _, r := range trace.Compare(captured.Refs, capacity) {
-			fmt.Fprintf(out, "  %-4s %7d misses  %5.1f%% hit ratio\n", r.Policy, r.Misses, 100*r.HitRatio())
+			fmt.Fprintf(out, "  %-5s %6d misses  %5.1f%% hit ratio\n", r.Policy, r.Misses, 100*r.HitRatio())
 		}
 		return
 	}

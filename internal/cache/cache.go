@@ -14,10 +14,10 @@
 // block both selects the kept block as the next candidate and reports the
 // manager's mistake (placeholder_used).
 //
-// Allocation policies are pluggable (policy.go): a name-keyed registry
-// of AllocPolicy implementations selected by Config.Alloc and
-// hot-swappable at runtime through SetAlloc. Six ship built in — the
-// four matching the paper's Section 6 comparisons, plus two adaptive
+// Allocation policies sit behind one interface (policy.go): a fixed,
+// name-keyed table of AllocPolicy implementations selected by Config.Alloc
+// and hot-swappable at runtime through SetAlloc. There are six — the four
+// matching the paper's Section 6 comparisons, plus two adaptive
 // extensions:
 //
 //	GlobalLRU — the original kernel: plain global LRU, no application
@@ -262,7 +262,11 @@ func New(cfg Config, repl Replacer) *Cache {
 		tail: &Buf{},
 		repl: repl,
 	}
-	c.pol = c.newAllocPolicy(cfg.Alloc)
+	f := allocFactories[cfg.Alloc]
+	if f == nil {
+		panic(fmt.Sprintf("cache: unknown allocation policy %q", cfg.Alloc))
+	}
+	c.pol = f(c)
 	if repl == nil && c.pol.TwoLevel() {
 		panic("cache: two-level policy requires a Replacer")
 	}

@@ -91,21 +91,15 @@ type polNode struct {
 	lastUse    int64 // AWRP: policy-local logical clock at last access
 }
 
-// allocFactories is the policy registry. Populated at init time;
-// read-only afterwards, so concurrent ParseAlloc/New/SetAlloc need no
-// lock.
-var allocFactories = map[Alloc]func(*Cache) AllocPolicy{}
-
-// RegisterAlloc adds a policy to the registry under its name. Built-ins
-// register at init; external packages may add their own before building
-// caches. Re-registering a name panics — a silent override would
-// desynchronize every surface that already parsed it.
-func RegisterAlloc(name Alloc, factory func(*Cache) AllocPolicy) {
-	name = name.norm()
-	if _, dup := allocFactories[name]; dup {
-		panic(fmt.Sprintf("cache: allocation policy %q registered twice", name))
-	}
-	allocFactories[name] = factory
+// allocFactories is the policy registry: every name a surface can parse.
+// It is read-only, so concurrent ParseAlloc/New/SetAlloc need no lock.
+var allocFactories = map[Alloc]func(*Cache) AllocPolicy{
+	GlobalLRU: lruFamily(GlobalLRU, false, false, false),
+	LRUSP:     lruFamily(LRUSP, true, true, true),
+	LRUS:      lruFamily(LRUS, true, false, true),
+	AllocLRU:  lruFamily(AllocLRU, false, false, true),
+	ARC:       func(c *Cache) AllocPolicy { return newARCPolicy(c) },
+	AWRP:      func(c *Cache) AllocPolicy { return newAWRPPolicy(c) },
 }
 
 // ParseAlloc resolves a policy name to its registered Alloc. This is the
@@ -129,25 +123,6 @@ func AllocNames() []Alloc {
 	return names
 }
 
-func init() {
-	for _, e := range []struct {
-		name         Alloc
-		swap, ph, tl bool
-	}{
-		{GlobalLRU, false, false, false},
-		{LRUSP, true, true, true},
-		{LRUS, true, false, true},
-		{AllocLRU, false, false, true},
-	} {
-		e := e
-		RegisterAlloc(e.name, func(c *Cache) AllocPolicy {
-			return &lruPolicy{c: c, name: e.name, swap: e.swap, ph: e.ph, twoLevel: e.tl}
-		})
-	}
-	RegisterAlloc(ARC, func(c *Cache) AllocPolicy { return newARCPolicy(c) })
-	RegisterAlloc(AWRP, func(c *Cache) AllocPolicy { return newAWRPPolicy(c) })
-}
-
 // lruPolicy is the whole classic family — GlobalLRU, LRU-SP, LRU-S and
 // ALLOC-LRU — over the Cache's own global recency list. The list is
 // maintained by the Cache for every policy, so this policy stores nothing
@@ -160,6 +135,13 @@ type lruPolicy struct {
 	swap     bool
 	ph       bool
 	twoLevel bool
+}
+
+// lruFamily returns the factory for one member of the classic family.
+func lruFamily(name Alloc, swap, ph, twoLevel bool) func(*Cache) AllocPolicy {
+	return func(c *Cache) AllocPolicy {
+		return &lruPolicy{c: c, name: name, swap: swap, ph: ph, twoLevel: twoLevel}
+	}
 }
 
 func (p *lruPolicy) Name() Alloc        { return p.name }
@@ -179,17 +161,6 @@ func (p *lruPolicy) Overruled(candidate, chosen *Buf) {
 	}
 }
 
-// newAllocPolicy builds the policy for cfg.Alloc; construction-time
-// resolution panics on an unknown name (matching the old enum, where an
-// out-of-range value could not name behavior at all).
-func (c *Cache) newAllocPolicy(name Alloc) AllocPolicy {
-	f := allocFactories[name.norm()]
-	if f == nil {
-		panic(fmt.Sprintf("cache: unknown allocation policy %q", name))
-	}
-	return f(c)
-}
-
 // SetAlloc hot-swaps the allocation policy on a live cache: a
 // migrate-in-place transition that relinks every resident block into the
 // new policy's structures and drops state only the old policy could
@@ -205,14 +176,13 @@ func (c *Cache) newAllocPolicy(name Alloc) AllocPolicy {
 // and recency in list order).
 func (c *Cache) SetAlloc(name Alloc) error {
 	name = name.norm()
-	f := allocFactories[name]
-	if f == nil {
-		return fmt.Errorf("%w %q (have %v)", ErrUnknownAlloc, string(name), AllocNames())
+	if _, err := ParseAlloc(string(name)); err != nil {
+		return err
 	}
 	if name == c.pol.Name() {
 		return nil
 	}
-	np := f(c)
+	np := allocFactories[name](c)
 	if c.repl == nil && np.TwoLevel() {
 		return fmt.Errorf("cache: policy %q requires a Replacer (cache built without one)", name)
 	}

@@ -9,11 +9,19 @@ import (
 	"repro/internal/workload"
 )
 
-// The experiment drivers all follow the same two-phase shape: submit
-// every RunSpec to the Runner up front (so a parallel Runner can keep all
-// its workers busy), then collect results in the fixed presentation order
-// while assembling rows. Each simulation is deterministic, so the
-// rendered tables are byte-identical regardless of parallelism.
+// The experiment drivers all follow the same shape: one loop submits each
+// row's RunSpecs to the Runner and queues the row as a closure over their
+// Futures, then collect builds the rows in presentation order. Every spec
+// is submitted before any row waits (so a parallel Runner can keep all its
+// workers busy), and each simulation is deterministic, so the rendered
+// tables are byte-identical regardless of parallelism.
+
+// collect builds the queued rows in order, each waiting on its own runs.
+func collect(rows []func()) {
+	for _, row := range rows {
+		row()
+	}
+}
 
 // sizeIdx maps a cache size to its index in Sizes (for paper lookups).
 func sizeIdx(mb float64) int {
@@ -47,50 +55,43 @@ func Fig4(r *Runner, sizes []float64) []Table {
 			"stream and replacement policy, so sim and paper should be close.",
 		Header: []string{"app", "MB", "sim orig", "sim sp", "sim ratio", "paper orig", "paper sp", "paper ratio"},
 	}
-	type cell struct{ orig, sp *Future }
-	cells := make([]cell, 0, len(singleApps)*len(sizes))
+	var rows []func()
 	for _, app := range singleApps {
 		for _, mb := range sizes {
-			cells = append(cells, cell{
-				orig: r.Submit(RunSpec{
-					Apps:    mixSpec([]string{app}, workload.Oblivious),
-					CacheMB: mb, Alloc: cache.GlobalLRU,
-				}),
-				sp: r.Submit(RunSpec{
-					Apps:    mixSpec([]string{app}, workload.Smart),
-					CacheMB: mb, Alloc: cache.LRUSP,
-				}),
+			origF := r.Submit(RunSpec{
+				Apps:    mixSpec([]string{app}, workload.Oblivious),
+				CacheMB: mb, Alloc: cache.GlobalLRU,
+			})
+			spF := r.Submit(RunSpec{
+				Apps:    mixSpec([]string{app}, workload.Smart),
+				CacheMB: mb, Alloc: cache.LRUSP,
+			})
+			rows = append(rows, func() {
+				orig, sp := origF.Wait(), spF.Wait()
+				oe, se := orig.TotalElapsed.Seconds(), sp.TotalElapsed.Seconds()
+				oi, si := orig.TotalIOs, sp.TotalIOs
+				var pe, pse string
+				var pio, psio string
+				var per, pir string
+				if i := sizeIdx(mb); i >= 0 {
+					pRow := PaperSingles[app]
+					pe = fmtSecs(pRow.ElapsedOrig[i])
+					pse = fmtSecs(pRow.ElapsedSP[i])
+					per = fmtRatio(pRow.ElapsedSP[i] / pRow.ElapsedOrig[i])
+					pio = fmt.Sprint(pRow.IOsOrig[i])
+					psio = fmt.Sprint(pRow.IOsSP[i])
+					pir = fmtRatio(float64(pRow.IOsSP[i]) / float64(pRow.IOsOrig[i]))
+				}
+				elapsed.Rows = append(elapsed.Rows, []string{
+					app, fmt.Sprint(mb), fmtSecs(oe), fmtSecs(se), fmtRatio(se / oe), pe, pse, per,
+				})
+				ios.Rows = append(ios.Rows, []string{
+					app, fmt.Sprint(mb), fmt.Sprint(oi), fmt.Sprint(si), fmtRatio(float64(si) / float64(oi)), pio, psio, pir,
+				})
 			})
 		}
 	}
-	ci := 0
-	for _, app := range singleApps {
-		for _, mb := range sizes {
-			orig, sp := cells[ci].orig.Wait(), cells[ci].sp.Wait()
-			ci++
-			oe, se := orig.TotalElapsed.Seconds(), sp.TotalElapsed.Seconds()
-			oi, si := orig.TotalIOs, sp.TotalIOs
-			pRow, havePaper := PaperSingles[app], sizeIdx(mb) >= 0
-			var pe, pse string
-			var pio, psio string
-			var per, pir string
-			if havePaper {
-				i := sizeIdx(mb)
-				pe = fmtSecs(pRow.ElapsedOrig[i])
-				pse = fmtSecs(pRow.ElapsedSP[i])
-				per = fmtRatio(pRow.ElapsedSP[i] / pRow.ElapsedOrig[i])
-				pio = fmt.Sprint(pRow.IOsOrig[i])
-				psio = fmt.Sprint(pRow.IOsSP[i])
-				pir = fmtRatio(float64(pRow.IOsSP[i]) / float64(pRow.IOsOrig[i]))
-			}
-			elapsed.Rows = append(elapsed.Rows, []string{
-				app, fmt.Sprint(mb), fmtSecs(oe), fmtSecs(se), fmtRatio(se / oe), pe, pse, per,
-			})
-			ios.Rows = append(ios.Rows, []string{
-				app, fmt.Sprint(mb), fmt.Sprint(oi), fmt.Sprint(si), fmtRatio(float64(si) / float64(oi)), pio, psio, pir,
-			})
-		}
-	}
+	collect(rows)
 	return []Table{elapsed, ios}
 }
 
@@ -98,9 +99,6 @@ func Fig4(r *Runner, sizes []float64) []Table {
 // the original kernel (all oblivious) and LRU-SP (all smart), reporting
 // totals normalized to the original kernel.
 func Fig5(r *Runner, sizes []float64) []Table {
-	if sizes == nil {
-		sizes = Sizes
-	}
 	t := Table{
 		ID:    "fig5",
 		Title: "Multiple concurrent applications, LRU-SP vs original kernel (Figure 5)",
@@ -110,31 +108,7 @@ func Fig5(r *Runner, sizes []float64) []Table {
 			"0.7 for elapsed time and below 0.6 for I/Os at 16 MB.",
 		Header: []string{"mix", "MB", "orig s", "sp s", "elapsed ratio", "orig IOs", "sp IOs", "IO ratio"},
 	}
-	type cell struct{ orig, sp *Future }
-	var cells []cell
-	for _, mix := range Fig5Mixes {
-		for _, mb := range sizes {
-			cells = append(cells, cell{
-				orig: r.Submit(RunSpec{Apps: mixSpec(mix, workload.Oblivious), CacheMB: mb, Alloc: cache.GlobalLRU}),
-				sp:   r.Submit(RunSpec{Apps: mixSpec(mix, workload.Smart), CacheMB: mb, Alloc: cache.LRUSP}),
-			})
-		}
-	}
-	ci := 0
-	for _, mix := range Fig5Mixes {
-		name := strings.Join(mix, "+")
-		for _, mb := range sizes {
-			orig, sp := cells[ci].orig.Wait(), cells[ci].sp.Wait()
-			ci++
-			t.Rows = append(t.Rows, []string{
-				name, fmt.Sprint(mb),
-				fmtSecs(orig.TotalElapsed.Seconds()), fmtSecs(sp.TotalElapsed.Seconds()),
-				fmtRatio(sp.TotalElapsed.Seconds() / orig.TotalElapsed.Seconds()),
-				fmt.Sprint(orig.TotalIOs), fmt.Sprint(sp.TotalIOs),
-				fmtRatio(float64(sp.TotalIOs) / float64(orig.TotalIOs)),
-			})
-		}
-	}
+	mixRows(r, &t, Fig5Mixes, sizes, kernel{workload.Oblivious, cache.GlobalLRU}, kernel{workload.Smart, cache.LRUSP})
 	return []Table{t}
 }
 
@@ -143,9 +117,6 @@ func Fig5(r *Runner, sizes []float64) []Table {
 // LRU-SP. The LRU-SP runs are spec-identical to Figure 5's, so under a
 // caching Runner they are memo hits, not re-executions.
 func Fig6(r *Runner, sizes []float64) []Table {
-	if sizes == nil {
-		sizes = Sizes
-	}
 	t := Table{
 		ID:    "fig6",
 		Title: "ALLOC-LRU vs LRU-SP for concurrent applications (Figure 6)",
@@ -154,32 +125,43 @@ func Fig6(r *Runner, sizes []float64) []Table {
 			"processes, the paper's argument that swapping is necessary.",
 		Header: []string{"mix", "MB", "sp s", "alloc-lru s", "elapsed ratio", "sp IOs", "alloc-lru IOs", "IO ratio"},
 	}
-	type cell struct{ sp, al *Future }
-	var cells []cell
-	for _, mix := range Fig6Mixes {
-		for _, mb := range sizes {
-			cells = append(cells, cell{
-				sp: r.Submit(RunSpec{Apps: mixSpec(mix, workload.Smart), CacheMB: mb, Alloc: cache.LRUSP}),
-				al: r.Submit(RunSpec{Apps: mixSpec(mix, workload.Smart), CacheMB: mb, Alloc: cache.AllocLRU}),
-			})
-		}
+	mixRows(r, &t, Fig6Mixes, sizes, kernel{workload.Smart, cache.LRUSP}, kernel{workload.Smart, cache.AllocLRU})
+	return []Table{t}
+}
+
+// kernel is one side of a Figure 5 or 6 comparison: the mode every
+// application runs in, and the allocation policy.
+type kernel struct {
+	mode  workload.Mode
+	alloc cache.Alloc
+}
+
+// mixRows fills t with one row per mix and cache size (nil: the paper's):
+// each mix's total elapsed time and block I/Os under the base and alt
+// kernels, and alt's ratios to base.
+func mixRows(r *Runner, t *Table, mixes [][]string, sizes []float64, base, alt kernel) {
+	if sizes == nil {
+		sizes = Sizes
 	}
-	ci := 0
-	for _, mix := range Fig6Mixes {
+	var rows []func()
+	for _, mix := range mixes {
 		name := strings.Join(mix, "+")
 		for _, mb := range sizes {
-			sp, al := cells[ci].sp.Wait(), cells[ci].al.Wait()
-			ci++
-			t.Rows = append(t.Rows, []string{
-				name, fmt.Sprint(mb),
-				fmtSecs(sp.TotalElapsed.Seconds()), fmtSecs(al.TotalElapsed.Seconds()),
-				fmtRatio(al.TotalElapsed.Seconds() / sp.TotalElapsed.Seconds()),
-				fmt.Sprint(sp.TotalIOs), fmt.Sprint(al.TotalIOs),
-				fmtRatio(float64(al.TotalIOs) / float64(sp.TotalIOs)),
+			baseF := r.Submit(RunSpec{Apps: mixSpec(mix, base.mode), CacheMB: mb, Alloc: base.alloc})
+			altF := r.Submit(RunSpec{Apps: mixSpec(mix, alt.mode), CacheMB: mb, Alloc: alt.alloc})
+			rows = append(rows, func() {
+				b, a := baseF.Wait(), altF.Wait()
+				t.Rows = append(t.Rows, []string{
+					name, fmt.Sprint(mb),
+					fmtSecs(b.TotalElapsed.Seconds()), fmtSecs(a.TotalElapsed.Seconds()),
+					fmtRatio(a.TotalElapsed.Seconds() / b.TotalElapsed.Seconds()),
+					fmt.Sprint(b.TotalIOs), fmt.Sprint(a.TotalIOs),
+					fmtRatio(float64(a.TotalIOs) / float64(b.TotalIOs)),
+				})
 			})
 		}
 	}
-	return []Table{t}
+	collect(rows)
 }
 
 // table1Spec builds one Table 1 run: a background Read300 and a foreground
@@ -217,25 +199,21 @@ func Table1(r *Runner) []Table {
 			"pull the probe's I/Os back down to the oblivious level.",
 		Header: []string{"setting", "N", "sim s", "paper s", "sim IOs", "paper IOs"},
 	}
-	var futs []*Future
-	for _, setting := range PaperTable1.Settings {
-		for _, n := range PaperTable1.Ns {
-			futs = append(futs, r.Submit(table1Spec(n, setting)))
-		}
-	}
-	fi := 0
+	var rows []func()
 	for _, setting := range PaperTable1.Settings {
 		for i, n := range PaperTable1.Ns {
-			res := futs[fi].Wait()
-			fi++
-			probe := res.PerApp[1]
-			t.Rows = append(t.Rows, []string{
-				setting, fmt.Sprint(n),
-				fmtSecs(probe.Elapsed.Seconds()), fmtSecs(PaperTable1.Elapsed[setting][i]),
-				fmt.Sprint(probe.BlockIOs), fmt.Sprint(PaperTable1.BlockIOs[setting][i]),
+			f := r.Submit(table1Spec(n, setting))
+			rows = append(rows, func() {
+				probe := f.Wait().PerApp[1]
+				t.Rows = append(t.Rows, []string{
+					setting, fmt.Sprint(n),
+					fmtSecs(probe.Elapsed.Seconds()), fmtSecs(PaperTable1.Elapsed[setting][i]),
+					fmt.Sprint(probe.BlockIOs), fmt.Sprint(PaperTable1.BlockIOs[setting][i]),
+				})
 			})
 		}
 	}
+	collect(rows)
 	return []Table{t}
 }
 
@@ -251,36 +229,32 @@ func Table2(r *Runner) []Table {
 			"placeholders bound the damage.",
 		Header: []string{"app", "Read300", "sim s", "paper s", "sim IOs", "paper IOs"},
 	}
-	var futs []*Future
+	var rows []func()
 	for _, policy := range []string{"Oblivious", "Foolish"} {
-		for _, partner := range PaperTable2.Partners {
+		for i, partner := range PaperTable2.Partners {
 			bgMode := workload.Oblivious
 			if policy == "Foolish" {
 				bgMode = workload.Foolish
 			}
-			futs = append(futs, r.Submit(RunSpec{
+			f := r.Submit(RunSpec{
 				Apps: []AppSpec{
 					{Name: partner, Make: Registry[partner], Mode: workload.Smart},
 					namedApp("read300@d0", func() workload.App { return workload.Read300(0) }, bgMode),
 				},
 				CacheMB: 6.4,
 				Alloc:   cache.LRUSP,
-			}))
-		}
-	}
-	fi := 0
-	for _, policy := range []string{"Oblivious", "Foolish"} {
-		for i, partner := range PaperTable2.Partners {
-			res := futs[fi].Wait()
-			fi++
-			app := res.PerApp[0]
-			t.Rows = append(t.Rows, []string{
-				partner, strings.ToLower(policy),
-				fmtSecs(app.Elapsed.Seconds()), fmtSecs(PaperTable2.Elapsed[policy][i]),
-				fmt.Sprint(app.BlockIOs), fmt.Sprint(PaperTable2.BlockIOs[policy][i]),
+			})
+			rows = append(rows, func() {
+				app := f.Wait().PerApp[0]
+				t.Rows = append(t.Rows, []string{
+					partner, strings.ToLower(policy),
+					fmtSecs(app.Elapsed.Seconds()), fmtSecs(PaperTable2.Elapsed[policy][i]),
+					fmt.Sprint(app.BlockIOs), fmt.Sprint(PaperTable2.BlockIOs[policy][i]),
+				})
 			})
 		}
 	}
+	collect(rows)
 	return []Table{t}
 }
 
@@ -297,8 +271,8 @@ func table34(r *Runner, id, title string, readDisk int, paper map[string][4]floa
 			"oblivious vs smart. Smart partners must not hurt oblivious " +
 			"processes; on one disk they generally help by reducing disk load.",
 	}
-	var futs [][2]*Future
-	for _, partner := range partners {
+	var rows []func()
+	for i, partner := range partners {
 		var pair [2]*Future
 		for j, partnerMode := range []workload.Mode{workload.Oblivious, workload.Smart} {
 			pair[j] = r.Submit(RunSpec{
@@ -311,19 +285,16 @@ func table34(r *Runner, id, title string, readDisk int, paper map[string][4]floa
 				Alloc:   cache.LRUSP,
 			})
 		}
-		futs = append(futs, pair)
-	}
-	for i, partner := range partners {
-		var secs [2]float64
-		for j := range secs {
-			secs[j] = futs[i][j].Wait().PerApp[1].Elapsed.Seconds()
-		}
-		t.Rows = append(t.Rows, []string{
-			partner,
-			fmtSecs(secs[0]), fmtSecs(paper["Oblivious"][i]),
-			fmtSecs(secs[1]), fmtSecs(paper["Smart"][i]),
+		rows = append(rows, func() {
+			obl, smart := pair[0].Wait().PerApp[1], pair[1].Wait().PerApp[1]
+			t.Rows = append(t.Rows, []string{
+				partner,
+				fmtSecs(obl.Elapsed.Seconds()), fmtSecs(paper["Oblivious"][i]),
+				fmtSecs(smart.Elapsed.Seconds()), fmtSecs(paper["Smart"][i]),
+			})
 		})
 	}
+	collect(rows)
 	return t
 }
 
@@ -369,9 +340,9 @@ func Ablation(r *Runner) []Table {
 		{"lru-sp+revoke, foolish bg", cache.LRUSP,
 			cache.RevokeConfig{Enabled: true, MinDecisions: 200, MistakeRatio: 0.3}, workload.Foolish},
 	}
-	var revFuts []*Future
+	var rows []func()
 	for _, v := range variants {
-		revFuts = append(revFuts, r.Submit(RunSpec{
+		f := r.Submit(RunSpec{
 			Apps: []AppSpec{
 				namedApp("read300@d0", func() workload.App { return workload.Read300(0) }, v.bgMode),
 				namedApp("probe400@d0", func() workload.App { return workload.Probe(400, 0) }, workload.Oblivious),
@@ -379,17 +350,18 @@ func Ablation(r *Runner) []Table {
 			CacheMB: 6.4,
 			Alloc:   v.alloc,
 			Revoke:  v.revoke,
-		}))
-	}
-	for i, v := range variants {
-		res := revFuts[i].Wait()
-		rev.Rows = append(rev.Rows, []string{
-			v.name,
-			fmt.Sprint(res.PerApp[1].BlockIOs), fmtSecs(res.PerApp[1].Elapsed.Seconds()),
-			fmt.Sprint(res.PerApp[0].BlockIOs),
-			fmt.Sprint(res.CacheStats.Revocations),
+		})
+		rows = append(rows, func() {
+			res := f.Wait()
+			rev.Rows = append(rev.Rows, []string{
+				v.name,
+				fmt.Sprint(res.PerApp[1].BlockIOs), fmtSecs(res.PerApp[1].Elapsed.Seconds()),
+				fmt.Sprint(res.PerApp[0].BlockIOs),
+				fmt.Sprint(res.CacheStats.Revocations),
+			})
 		})
 	}
+	collect(rows)
 
 	ra := Table{
 		ID:    "ablation-readahead",
@@ -401,40 +373,31 @@ func Ablation(r *Runner) []Table {
 			"these sequential workloads.",
 		Header: []string{"app", "kernel", "depth", "IOs", "elapsed s"},
 	}
-	var raFuts []*Future
+	rows = nil
 	for _, app := range []string{"din", "sort"} {
 		for _, smart := range []bool{false, true} {
 			for _, depth := range []int{0, 1, 2, 4} {
-				mode, alloc := workload.Oblivious, cache.GlobalLRU
+				mode, alloc, kernel := workload.Oblivious, cache.GlobalLRU, "original"
 				if smart {
-					mode, alloc = workload.Smart, cache.LRUSP
+					mode, alloc, kernel = workload.Smart, cache.LRUSP, "lru-sp"
 				}
-				raFuts = append(raFuts, r.Submit(RunSpec{
+				f := r.Submit(RunSpec{
 					Apps:    mixSpec([]string{app}, mode),
 					CacheMB: 6.4,
 					Alloc:   alloc,
 					Opts:    Options{ReadAheadOff: depth == 0, ReadAheadDepth: depth},
-				}))
-			}
-		}
-	}
-	fi := 0
-	for _, app := range []string{"din", "sort"} {
-		for _, smart := range []bool{false, true} {
-			for _, depth := range []int{0, 1, 2, 4} {
-				kernel := "original"
-				if smart {
-					kernel = "lru-sp"
-				}
-				res := raFuts[fi].Wait()
-				fi++
-				ra.Rows = append(ra.Rows, []string{
-					app, kernel, fmt.Sprint(depth),
-					fmt.Sprint(res.TotalIOs), fmtSecs(res.TotalElapsed.Seconds()),
+				})
+				rows = append(rows, func() {
+					res := f.Wait()
+					ra.Rows = append(ra.Rows, []string{
+						app, kernel, fmt.Sprint(depth),
+						fmt.Sprint(res.TotalIOs), fmtSecs(res.TotalElapsed.Seconds()),
+					})
 				})
 			}
 		}
 	}
+	collect(rows)
 
 	vr := Table{
 		ID:    "ablation-variance",
@@ -478,10 +441,10 @@ func Ablation(r *Runner) []Table {
 			"the paper's final section leaves open.",
 		Header: []string{"scheduler", "update policy", "read300 s", "sort s", "max queue"},
 	}
-	var upFuts []*Future
+	rows = nil
 	for _, fifo := range []bool{true, false} {
 		for _, spread := range []bool{false, true} {
-			upFuts = append(upFuts, r.Submit(RunSpec{
+			f := r.Submit(RunSpec{
 				Apps: []AppSpec{
 					{Name: "sort", Make: Registry["sort"], Mode: workload.Smart},
 					namedApp("read300@d1", func() workload.App { return workload.Read300(1) }, workload.Oblivious),
@@ -490,12 +453,7 @@ func Ablation(r *Runner) []Table {
 				Alloc:      cache.LRUSP,
 				SpreadSync: spread,
 				FIFODisk:   fifo,
-			}))
-		}
-	}
-	fi = 0
-	for _, fifo := range []bool{true, false} {
-		for _, spread := range []bool{false, true} {
+			})
 			sname := "c-look"
 			if fifo {
 				sname = "fifo"
@@ -504,15 +462,17 @@ func Ablation(r *Runner) []Table {
 			if spread {
 				name = "spread"
 			}
-			res := upFuts[fi].Wait()
-			fi++
-			up.Rows = append(up.Rows, []string{
-				sname, name,
-				fmtSecs(res.PerApp[1].Elapsed.Seconds()), fmtSecs(res.PerApp[0].Elapsed.Seconds()),
-				fmt.Sprint(res.MaxQueue),
+			rows = append(rows, func() {
+				res := f.Wait()
+				up.Rows = append(up.Rows, []string{
+					sname, name,
+					fmtSecs(res.PerApp[1].Elapsed.Seconds()), fmtSecs(res.PerApp[0].Elapsed.Seconds()),
+					fmt.Sprint(res.MaxQueue),
+				})
 			})
 		}
 	}
+	collect(rows)
 	uc := Table{
 		ID:    "ablation-upcall",
 		Title: "Primitive interface vs upcall-based control (Section 7 related-work claim)",
@@ -523,43 +483,27 @@ func Ablation(r *Runner) []Table {
 			"overhead band on the consultation-heavy workloads.",
 		Header: []string{"app", "control", "consults", "elapsed s", "overhead"},
 	}
-	var ucFuts []*Future
+	rows = nil
 	for _, app := range []string{"din", "cs2", "sort"} {
-		for _, upcall := range []bool{false, true} {
-			spec := RunSpec{
-				Apps:    mixSpec([]string{app}, workload.Smart),
-				CacheMB: 6.4,
-				Alloc:   cache.LRUSP,
-			}
-			if upcall {
-				spec.UpcallCPU = sim.Millisecond
-			}
-			ucFuts = append(ucFuts, r.Submit(spec))
+		spec := RunSpec{
+			Apps:    mixSpec([]string{app}, workload.Smart),
+			CacheMB: 6.4,
+			Alloc:   cache.LRUSP,
 		}
+		primF := r.Submit(spec)
+		spec.UpcallCPU = sim.Millisecond
+		upF := r.Submit(spec)
+		rows = append(rows, func() {
+			prim, up := primF.Wait(), upF.Wait()
+			base, secs := prim.TotalElapsed.Seconds(), up.TotalElapsed.Seconds()
+			uc.Rows = append(uc.Rows,
+				[]string{app, "primitives", fmt.Sprint(prim.CacheStats.Consults), fmtSecs(base), ""},
+				[]string{app, "upcalls", fmt.Sprint(up.CacheStats.Consults), fmtSecs(secs),
+					fmt.Sprintf("+%.1f%%", 100*(secs/base-1))},
+			)
+		})
 	}
-	fi = 0
-	for _, app := range []string{"din", "cs2", "sort"} {
-		var base float64
-		for _, upcall := range []bool{false, true} {
-			name := "primitives"
-			if upcall {
-				name = "upcalls"
-			}
-			res := ucFuts[fi].Wait()
-			fi++
-			secs := res.TotalElapsed.Seconds()
-			overhead := ""
-			if upcall {
-				overhead = fmt.Sprintf("+%.1f%%", 100*(secs/base-1))
-			} else {
-				base = secs
-			}
-			uc.Rows = append(uc.Rows, []string{
-				app, name, fmt.Sprint(res.CacheStats.Consults),
-				fmtSecs(secs), overhead,
-			})
-		}
-	}
+	collect(rows)
 	return []Table{rev, ra, vr, up, uc}
 }
 

@@ -9,9 +9,10 @@ import (
 	"repro/internal/workload"
 )
 
-// captureSpec is the one-app traced run CaptureTrace performs. The Trace
-// callback makes it uncacheable by design: the per-access events escape
-// through the callback, which would never fire again on a memo hit.
+// captureSpec runs one application alone (oblivious, original kernel),
+// appending its block reference stream to tr. The Trace callback makes it
+// uncacheable by design: the per-access events escape through the
+// callback, which would never fire again on a memo hit.
 func captureSpec(app string, tr *trace.Trace) RunSpec {
 	return RunSpec{
 		Apps:    mixSpec([]string{app}, workload.Oblivious),
@@ -23,22 +24,14 @@ func captureSpec(app string, tr *trace.Trace) RunSpec {
 	}
 }
 
-// CaptureTrace runs one application alone (oblivious, original kernel) and
-// returns its block reference stream.
-func CaptureTrace(app string) *trace.Trace {
-	tr := &trace.Trace{}
-	Run(captureSpec(app, tr))
-	return tr
-}
-
 // Policies replays every workload's own reference stream through
-// standalone LRU, MRU and Belady-optimal caches at the paper's cache
-// sizes. The capture runs are independent, so they go through the Runner
-// (the trace replays themselves are cheap and stay inline). The companion
-// paper argues application policies should approximate optimal
-// replacement; this table shows how much headroom OPT leaves over LRU for
-// each access pattern, and how close the simple MRU policy already comes
-// for the cyclic ones.
+// single-process LRU, MRU, LRU-2 and Belady-optimal caches (trace.Compare)
+// at the paper's cache sizes. The capture runs are independent, so they go
+// through the Runner (the trace replays themselves are cheap and stay
+// inline). The companion paper argues application policies should
+// approximate optimal replacement; this table shows how much headroom OPT
+// leaves over LRU for each access pattern, and how close the simple MRU
+// policy already comes for the cyclic ones.
 func Policies(r *Runner, sizes []float64) []Table {
 	if sizes == nil {
 		sizes = []float64{6.4, 16}
@@ -54,31 +47,30 @@ func Policies(r *Runner, sizes []float64) []Table {
 			"buffering) is the scan-resistant automatic alternative.",
 		Header: []string{"app", "MB", "refs", "unique", "LRU miss", "MRU miss", "LRU-2 miss", "OPT miss", "LRU/OPT"},
 	}
-	traces := make([]*trace.Trace, len(singleApps))
-	futs := make([]*Future, len(singleApps))
-	for i, app := range singleApps {
-		traces[i] = &trace.Trace{}
-		futs[i] = r.Submit(captureSpec(app, traces[i]))
-	}
-	for i, app := range singleApps {
-		futs[i].Wait() // the capture run fully populates traces[i]
-		tr := traces[i]
-		for _, mb := range sizes {
-			capacity := core.Config{CacheBytes: core.MB(mb)}.CacheBlocks()
-			res := trace.Compare(tr.Refs, capacity)
-			lru, mru, lru2, opt := res[0], res[1], res[2], res[3]
-			ratio := "inf"
-			if opt.Misses > 0 {
-				ratio = fmtRatio(float64(lru.Misses) / float64(opt.Misses))
+	var rows []func()
+	for _, app := range singleApps {
+		tr := &trace.Trace{}
+		f := r.Submit(captureSpec(app, tr))
+		rows = append(rows, func() {
+			f.Wait() // the capture run fully populates tr
+			for _, mb := range sizes {
+				capacity := core.Config{CacheBytes: core.MB(mb)}.CacheBlocks()
+				res := trace.Compare(tr.Refs, capacity)
+				lru, mru, lru2, opt := res[0], res[1], res[2], res[3]
+				ratio := "inf"
+				if opt.Misses > 0 {
+					ratio = fmtRatio(float64(lru.Misses) / float64(opt.Misses))
+				}
+				t.Rows = append(t.Rows, []string{
+					app, fmt.Sprint(mb),
+					fmt.Sprint(tr.Len()), fmt.Sprint(tr.Unique()),
+					fmt.Sprint(lru.Misses), fmt.Sprint(mru.Misses),
+					fmt.Sprint(lru2.Misses), fmt.Sprint(opt.Misses),
+					ratio,
+				})
 			}
-			t.Rows = append(t.Rows, []string{
-				app, fmt.Sprint(mb),
-				fmt.Sprint(tr.Len()), fmt.Sprint(tr.Unique()),
-				fmt.Sprint(lru.Misses), fmt.Sprint(mru.Misses),
-				fmt.Sprint(lru2.Misses), fmt.Sprint(opt.Misses),
-				ratio,
-			})
-		}
+		})
 	}
+	collect(rows)
 	return []Table{t}
 }

@@ -69,15 +69,6 @@ func NewRunner(parallelism int, opts ...Options) *Runner {
 	return r
 }
 
-// Options reports the base Options this Runner merges into every
-// submitted spec.
-func (r *Runner) Options() Options {
-	if r == nil {
-		return Options{}
-	}
-	return r.base
-}
-
 // Stats returns a snapshot of the scheduler counters.
 func (r *Runner) Stats() RunnerStats {
 	if r == nil {

@@ -44,43 +44,37 @@ type TournamentResult struct {
 
 // RunTournament executes the full policy × mix matrix at the given
 // cache size (MB; 0 means the paper's default 6.4) and returns the
-// cells in policy-major order. All runs are submitted before any is
-// collected, so a parallel Runner executes the whole matrix at once.
+// cells in policy-major order: the cell of policy p (in AllocNames order)
+// and mix m is out[p*len(TournamentMixes)+m]. All runs are submitted
+// before any is collected, so a parallel Runner executes the whole matrix
+// at once.
 func RunTournament(r *Runner, cacheMB float64) []TournamentResult {
 	if cacheMB == 0 {
 		cacheMB = 6.4
 	}
 	policies := cache.AllocNames()
-	type cell struct {
-		policy cache.Alloc
-		mix    string
-		fut    *Future
-	}
-	cells := make([]cell, 0, len(policies)*len(TournamentMixes))
+	out := make([]TournamentResult, 0, len(policies)*len(TournamentMixes))
+	var rows []func()
 	for _, pol := range policies {
 		for _, mix := range TournamentMixes {
-			cells = append(cells, cell{
-				policy: pol,
-				mix:    strings.Join(mix, "+"),
-				fut: r.Submit(RunSpec{
-					Apps:    mixSpec(mix, workload.Oblivious),
-					CacheMB: cacheMB,
-					Alloc:   pol,
-				}),
+			f := r.Submit(RunSpec{
+				Apps:    mixSpec(mix, workload.Oblivious),
+				CacheMB: cacheMB,
+				Alloc:   pol,
+			})
+			rows = append(rows, func() {
+				res := f.Wait()
+				out = append(out, TournamentResult{
+					Policy:     pol,
+					Mix:        strings.Join(mix, "+"),
+					HitRatio:   hitRatio(res.CacheStats),
+					ElapsedSec: res.TotalElapsed.Seconds(),
+					BlockIOs:   res.TotalIOs,
+				})
 			})
 		}
 	}
-	out := make([]TournamentResult, 0, len(cells))
-	for _, c := range cells {
-		res := c.fut.Wait()
-		out = append(out, TournamentResult{
-			Policy:     c.policy,
-			Mix:        c.mix,
-			HitRatio:   hitRatio(res.CacheStats),
-			ElapsedSec: res.TotalElapsed.Seconds(),
-			BlockIOs:   res.TotalIOs,
-		})
-	}
+	collect(rows)
 	return out
 }
 
@@ -96,10 +90,6 @@ func hitRatio(s cache.Stats) float64 {
 func Tournament(r *Runner) []Table {
 	results := RunTournament(r, 6.4)
 	policies := cache.AllocNames()
-	byKey := make(map[string]TournamentResult, len(results))
-	for _, res := range results {
-		byKey[res.Mix+"|"+res.Policy.String()] = res
-	}
 	header := []string{"mix"}
 	for _, p := range policies {
 		header = append(header, p.String())
@@ -118,11 +108,11 @@ func Tournament(r *Runner) []Table {
 		Title:  "Allocation-policy tournament: total elapsed seconds",
 		Header: header,
 	}
-	for _, mix := range TournamentMixes {
+	for m, mix := range TournamentMixes {
 		name := strings.Join(mix, "+")
 		hrow, erow := []string{name}, []string{name}
-		for _, p := range policies {
-			res := byKey[name+"|"+p.String()]
+		for p := range policies {
+			res := results[p*len(TournamentMixes)+m]
 			hrow = append(hrow, fmt.Sprintf("%.3f", res.HitRatio))
 			erow = append(erow, fmtSecs(res.ElapsedSec))
 		}

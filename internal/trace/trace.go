@@ -1,6 +1,9 @@
 // Package trace captures block reference streams from simulation runs and
-// replays them through standalone single-process replacement policies —
-// LRU, MRU, and Belady's optimal (OPT). The paper's companion work
+// replays them through single-process replacement policies — LRU, MRU,
+// LRU-2 and Belady's optimal (OPT). LRU and MRU are the kernel's own: the
+// buffer cache under global LRU (the paper's original kernel), and the
+// same cache with one ACM manager whose pool runs MRU. LRU-2 and OPT have
+// no kernel equivalent and are simulated here. The paper's companion work
 // (USENIX '94) argues application policies should be derived from the
 // optimal replacement principle; replaying a workload's own stream
 // through OPT gives the unreachable lower bound on misses that a smart
@@ -11,7 +14,10 @@ import (
 	"container/heap"
 	"fmt"
 
+	"repro/internal/acm"
+	"repro/internal/cache"
 	"repro/internal/fs"
+	"repro/internal/sim"
 )
 
 // Ref is one block reference.
@@ -62,65 +68,44 @@ func (r Result) HitRatio() float64 {
 	return float64(r.Hits) / float64(total)
 }
 
-// SimLRU replays the stream through a single least-recently-used cache of
-// the given capacity.
+// SimLRU replays the stream through the kernel's buffer cache of the
+// given capacity under global LRU, the paper's original kernel.
 func SimLRU(refs []Ref, capacity int) Result {
-	return simEndList(refs, capacity, "LRU", false)
+	c := cache.New(cache.Config{Capacity: capacity, Alloc: cache.GlobalLRU}, nil)
+	return replay(refs, c, cache.NoOwner, "LRU")
 }
 
-// SimMRU replays the stream through a most-recently-used cache: on
-// pressure, the block touched most recently is replaced.
+// SimMRU replays the stream through the kernel's buffer cache with one
+// manager whose default pool runs MRU: on pressure, the block touched most
+// recently is replaced. A fresh ACM cannot fail to create the manager or
+// set the policy, so an error there is a bug and panics.
 func SimMRU(refs []Ref, capacity int) Result {
-	return simEndList(refs, capacity, "MRU", true)
+	a := acm.New(func() sim.Time { return 0 }, acm.Limits{})
+	m, err := a.CreateManager(0)
+	if err == nil {
+		err = m.SetPolicy(acm.DefaultPriority, acm.MRU)
+	}
+	if err != nil {
+		panic(err)
+	}
+	c := cache.New(cache.Config{Capacity: capacity, Alloc: cache.AllocLRU}, a)
+	return replay(refs, c, 0, "MRU")
 }
 
-// lruNode is a doubly linked recency-list node.
-type lruNode struct {
-	ref        Ref
-	prev, next *lruNode
-}
-
-// simEndList runs a recency list evicting from the LRU end (lru=false ->
-// victim head) or the MRU end (mru: victim tail).
-func simEndList(refs []Ref, capacity int, name string, mru bool) Result {
-	if capacity <= 0 {
-		panic("trace: non-positive capacity")
-	}
-	res := Result{Policy: name, Capacity: capacity}
-	head, tail := &lruNode{}, &lruNode{} // sentinels; head side = LRU
-	head.next, tail.prev = tail, head
-	nodes := make(map[Ref]*lruNode, capacity)
-	unlink := func(n *lruNode) {
-		n.prev.next = n.next
-		n.next.prev = n.prev
-	}
-	pushMRU := func(n *lruNode) {
-		n.prev = tail.prev
-		n.next = tail
-		n.prev.next = n
-		tail.prev = n
-	}
+// replay runs the stream through c, loading each missed block for owner.
+// Every loaded block is marked referenced at once, as a demand load is:
+// an MRU pool keeps unreferenced (read-ahead) blocks as its last resort.
+func replay(refs []Ref, c *cache.Cache, owner int, name string) Result {
+	res := Result{Policy: name, Capacity: c.Capacity()}
 	for _, r := range refs {
-		if n, ok := nodes[r]; ok {
+		id := cache.BlockID{File: r.File, Num: r.Block}
+		if c.Lookup(id, 0, 0) != nil {
 			res.Hits++
-			unlink(n)
-			pushMRU(n)
 			continue
 		}
 		res.Misses++
-		if len(nodes) >= capacity {
-			var victim *lruNode
-			if mru {
-				victim = tail.prev
-			} else {
-				victim = head.next
-			}
-			unlink(victim)
-			delete(nodes, victim.ref)
-		}
-		n := &lruNode{ref: r}
-		nodes[r] = n
-		pushMRU(n)
+		b, _ := c.Insert(id, owner, 0)
+		b.Referenced = true
 	}
 	return res
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +168,72 @@ func TestQuickConservation(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// sliceSim is the plain reference for SimLRU and SimMRU: the cached blocks
+// in a slice from least to most recently used, searched and shifted on
+// every reference. The victim is the first element under LRU, the last
+// under MRU.
+func sliceSim(refs []Ref, capacity int, mru bool) (hits, misses int64) {
+	var cached []Ref
+	for _, r := range refs {
+		if i := slices.Index(cached, r); i >= 0 {
+			hits++
+			cached = append(slices.Delete(cached, i, i+1), r)
+			continue
+		}
+		misses++
+		if len(cached) == capacity {
+			victim := 0
+			if mru {
+				victim = len(cached) - 1
+			}
+			cached = slices.Delete(cached, victim, victim+1)
+		}
+		cached = append(cached, r)
+	}
+	return hits, misses
+}
+
+// TestQuickLRUMRUMatchSlice holds SimLRU and SimMRU to the slice model on
+// random streams over up to three files of 120 blocks, at capacities 1-40.
+// A quarter of the streams are sequential passes, where LRU thrashes and
+// MRU keeps a prefix; the rest mix random references with short runs.
+func TestQuickLRUMRUMatchSlice(t *testing.T) {
+	f := func(seed uint64, capRaw uint8) bool {
+		capacity := 1 + int(capRaw)%40
+		rng := sim.NewRand(seed)
+		files := 1 + rng.Intn(3)
+		sequential := rng.Intn(4) == 0
+		refs := make([]Ref, 400+rng.Intn(400))
+		for i := range refs {
+			switch {
+			case sequential:
+				refs[i] = Ref{File: fs.FileID(1 + i/120%files), Block: int32(i % 120)}
+			case i > 0 && rng.Intn(3) == 0:
+				refs[i] = Ref{File: refs[i-1].File, Block: (refs[i-1].Block + 1) % 120}
+			default:
+				refs[i] = Ref{File: fs.FileID(1 + rng.Intn(files)), Block: int32(rng.Intn(120))}
+			}
+		}
+		for _, mru := range []bool{false, true} {
+			replay := SimLRU
+			if mru {
+				replay = SimMRU
+			}
+			got := replay(refs, capacity)
+			hits, misses := sliceSim(refs, capacity, mru)
+			if got.Hits != hits || got.Misses != misses {
+				t.Logf("%s capacity %d: got %d hits %d misses, slice %d hits %d misses",
+					got.Policy, capacity, got.Hits, got.Misses, hits, misses)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
 }
