@@ -9,7 +9,7 @@
 //
 //	acfcd -listen unix:/tmp/acfcd.sock [-metrics 127.0.0.1:9090]
 //	      [-pprof 127.0.0.1:6060]
-//	      [-cache-mb 6.4] [-alloc lru-sp] [-adapt-alloc global-lru,arc]
+//	      [-cache-mb 6.4] [-alloc lru-sp]
 //	      [-store mem|/path/to/file]
 //	      [-shards 1] [-idle 2m] [-inflight 32] [-evict-on-close]
 //	      [-writeback-depth 0] [-readahead 0] [-grace 10s]
@@ -17,9 +17,10 @@
 //
 // -alloc names any policy in the kernel's registry (cache.AllocNames:
 // global-lru, lru-sp, lru-s, alloc-lru, arc, awrp); clients can re-point
-// a live daemon with the set_alloc wire op. -adapt-alloc instead hands
-// each shard's policy to the online adapter, which samples the listed
-// candidates by windowed hit ratio and settles on the best.
+// a live daemon with the set_alloc wire op.
+//
+// A bad flag value, or -store or -origin without the mode it belongs to,
+// exits 2 before any store, origin or listener is opened.
 //
 // With -cluster, the daemon joins a static multi-node tier: the member
 // list (which must include this node's -listen spec) is hashed into a
@@ -61,7 +62,7 @@ func main() {
 type options struct {
 	listen, metrics, pprof string
 	cacheMB                float64
-	alloc, adaptAlloc      string
+	alloc                  string
 	store                  string
 	idle, grace            time.Duration
 	inflight, shards       int
@@ -81,7 +82,6 @@ func newFlags() (*flag.FlagSet, *options) {
 	fl.StringVar(&o.pprof, "pprof", "", "HTTP net/http/pprof listen address (empty: disabled)")
 	fl.Float64Var(&o.cacheMB, "cache-mb", 6.4, "cache size in MB")
 	fl.StringVar(&o.alloc, "alloc", "lru-sp", fmt.Sprintf("allocation policy: %v", cache.AllocNames()))
-	fl.StringVar(&o.adaptAlloc, "adapt-alloc", "", "comma-separated candidate policies for the per-shard online adapter (empty: off)")
 	fl.StringVar(&o.store, "store", "mem", "block store: mem, or a backing file path")
 	fl.DurationVar(&o.idle, "idle", 2*time.Minute, "session idle timeout")
 	fl.IntVar(&o.inflight, "inflight", 32, "max pipelined requests per session")
@@ -98,22 +98,11 @@ func newFlags() (*flag.FlagSet, *options) {
 func run() int {
 	fl, o := newFlags()
 	fl.Parse(os.Args[1:])
-
-	alloc, err := cache.ParseAlloc(o.alloc)
-	if err != nil {
+	if err := o.check(); err != nil {
 		fmt.Fprintf(os.Stderr, "acfcd: %v\n", err)
 		return 2
 	}
-	var adaptAlloc []string
-	if o.adaptAlloc != "" {
-		adaptAlloc = strings.Split(o.adaptAlloc, ",")
-		for _, name := range adaptAlloc {
-			if _, err := cache.ParseAlloc(name); err != nil {
-				fmt.Fprintf(os.Stderr, "acfcd: -adapt-alloc: %v\n", err)
-				return 2
-			}
-		}
-	}
+
 	var store disk.Store
 	if o.store != "mem" {
 		fst, err := disk.NewFileStore(o.store)
@@ -127,7 +116,7 @@ func run() int {
 	scfg := server.Config{
 		Kernel: core.LiveConfig{
 			CacheBytes:     core.MB(o.cacheMB),
-			Alloc:          alloc,
+			Alloc:          cache.Alloc(o.alloc), // check parsed it
 			Store:          store,
 			EvictOnRelease: o.evictOnClose,
 			ReadAhead:      o.readahead > 0,
@@ -138,7 +127,6 @@ func run() int {
 		WritebackDepth: o.writebackDepth,
 		MaxInflight:    o.inflight,
 		IdleTimeout:    o.idle,
-		AdaptAlloc:     adaptAlloc,
 	}
 
 	// Cluster mode swaps the base store for the cluster tier's NodeStore;
@@ -146,24 +134,13 @@ func run() int {
 	var node *cluster.Node
 	srv := (*server.Server)(nil)
 	if o.cluster != "" {
-		if store != nil {
-			fmt.Fprintln(os.Stderr, "acfcd: -store does not combine with -cluster (the shared -origin is the backing tier)")
-			return 2
-		}
-		var origin cluster.Origin
-		switch {
-		case o.origin == "mem":
-			origin = cluster.NewMemOrigin()
-		case strings.HasPrefix(o.origin, "dir:"):
+		var origin cluster.Origin = cluster.NewMemOrigin()
+		if dir, ok := strings.CutPrefix(o.origin, "dir:"); ok {
 			var err error
-			origin, err = cluster.NewDirOrigin(strings.TrimPrefix(o.origin, "dir:"))
-			if err != nil {
+			if origin, err = cluster.NewDirOrigin(dir); err != nil {
 				fmt.Fprintf(os.Stderr, "acfcd: %v\n", err)
 				return 1
 			}
-		default:
-			fmt.Fprintf(os.Stderr, "acfcd: bad -origin %q (want mem or dir:/path)\n", o.origin)
-			return 2
 		}
 		members := strings.Split(o.cluster, ",")
 		n, err := cluster.NewNode(cluster.NodeConfig{
@@ -259,12 +236,53 @@ func run() int {
 	return 0
 }
 
+// check rejects every flag value acfcd would otherwise replace with a
+// default, ignore, or act on only half way. It opens nothing.
+func (o *options) check() error {
+	switch {
+	case o.cacheMB <= 0:
+		return fmt.Errorf("-cache-mb must be positive (got %v)", o.cacheMB)
+	case o.inflight <= 0:
+		return fmt.Errorf("-inflight must be positive (got %d)", o.inflight)
+	case o.shards <= 0:
+		return fmt.Errorf("-shards must be positive (got %d)", o.shards)
+	case o.idle <= 0:
+		return fmt.Errorf("-idle must be positive (got %v)", o.idle)
+	case o.grace < 0:
+		return fmt.Errorf("-grace must not be negative (got %v)", o.grace)
+	case o.writebackDepth < 0:
+		return fmt.Errorf("-writeback-depth must not be negative (got %d)", o.writebackDepth)
+	case o.readahead < 0:
+		return fmt.Errorf("-readahead must not be negative (got %d)", o.readahead)
+	case o.cluster != "" && o.store != "mem":
+		return fmt.Errorf("-store does not combine with -cluster (the shared -origin is the backing tier)")
+	case o.cluster == "" && o.origin != "mem":
+		return fmt.Errorf("-origin needs -cluster")
+	case o.origin != "mem" && !strings.HasPrefix(o.origin, "dir:"):
+		return fmt.Errorf("bad -origin %q (want mem or dir:/path)", o.origin)
+	}
+	if _, err := cache.ParseAlloc(o.alloc); err != nil {
+		return err
+	}
+	_, _, err := splitListen(o.listen)
+	return err
+}
+
+// splitListen parses "unix:/path" or "tcp:addr".
+func splitListen(spec string) (network, addr string, err error) {
+	network, addr, ok := strings.Cut(spec, ":")
+	if !ok || (network != "unix" && network != "tcp") {
+		return "", "", fmt.Errorf("bad -listen %q (want unix:/path or tcp:host:port)", spec)
+	}
+	return network, addr, nil
+}
+
 // listen parses "unix:/path" or "tcp:addr" and listens. A stale unix
 // socket from an unclean previous exit is removed first.
 func listen(spec string) (net.Listener, error) {
-	network, addr, ok := strings.Cut(spec, ":")
-	if !ok || (network != "unix" && network != "tcp") {
-		return nil, fmt.Errorf("bad -listen %q (want unix:/path or tcp:host:port)", spec)
+	network, addr, err := splitListen(spec)
+	if err != nil {
+		return nil, err
 	}
 	if network == "unix" {
 		if _, err := os.Stat(addr); err == nil {

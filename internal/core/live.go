@@ -60,8 +60,6 @@ type LiveConfig struct {
 	Alloc cache.Alloc
 	// Revoke configures foolish-manager revocation.
 	Revoke cache.RevokeConfig
-	// SharedFiles makes cached-block ownership follow use across owners.
-	SharedFiles bool
 	// ACMLimits caps per-manager kernel resources.
 	ACMLimits acm.Limits
 
@@ -111,13 +109,6 @@ type LiveConfig struct {
 	// that update-style flushing ages in seconds.
 	WallClock bool
 }
-
-// hitWindow sizes the windowed hit-ratio gauge: the hit ratio of the last
-// hitWindow cache accesses (reads and writes), refreshed each time a
-// window completes. The gauge feeds the per-shard alloc_hit_ratio metric
-// and the online policy adapter; the counter always runs (it is two
-// integer adds per access).
-const hitWindow = 1024
 
 func (c LiveConfig) cacheBlocks() int {
 	bytes := c.CacheBytes
@@ -236,17 +227,6 @@ type Live struct {
 
 	fill          stats.FillStats
 	wbOutstanding int64 // write-backs enqueued, not yet completed
-
-	// Windowed hit-ratio gauge (see hitWindow): winHits and
-	// winAccesses accumulate the current window; when winAccesses reaches
-	// the window size, the completed window's ratio is latched into
-	// lastWindowBP (basis points) and the counters reset. windowsDone
-	// lets the policy adapter detect window boundaries without its own
-	// counting.
-	winHits      int64
-	winAccesses  int64
-	lastWindowBP int64
-	windowsDone  int64
 }
 
 // NewLive builds a Live kernel.
@@ -270,11 +250,10 @@ func NewLive(cfg LiveConfig) *Live {
 	}
 	l.ctl = acm.New(l.Now, cfg.ACMLimits)
 	l.bc = cache.New(cache.Config{
-		Capacity:       cfg.cacheBlocks(),
-		Alloc:          cfg.Alloc,
-		Revoke:         cfg.Revoke,
-		SharedTransfer: cfg.SharedFiles,
-		SlotBytes:      BlockSize,
+		Capacity:  cfg.cacheBlocks(),
+		Alloc:     cfg.Alloc,
+		Revoke:    cfg.Revoke,
+		SlotBytes: BlockSize,
 	}, l.ctl)
 	return l
 }
@@ -318,47 +297,10 @@ func (l *Live) Snapshot() stats.Snapshot {
 	return stats.Snapshot{Cache: l.bc.Stats(), Fill: l.fill}
 }
 
-// noteAccess feeds the windowed hit-ratio gauge; called once per cache
-// read or write on the kernel goroutine.
-func (l *Live) noteAccess(hit bool) {
-	l.winAccesses++
-	if hit {
-		l.winHits++
-	}
-	if l.winAccesses >= hitWindow {
-		l.lastWindowBP = 10000 * l.winHits / l.winAccesses
-		l.winHits, l.winAccesses = 0, 0
-		l.windowsDone++
-	}
-}
-
-// HitRatioWindowBP returns the hit ratio of the last completed access
-// window in basis points (0..10000), or of the partial current window
-// before the first completes.
-func (l *Live) HitRatioWindowBP() int64 {
-	if l.windowsDone == 0 && l.winAccesses > 0 {
-		return 10000 * l.winHits / l.winAccesses
-	}
-	return l.lastWindowBP
-}
-
-// HitWindowsDone returns how many access windows have completed; the
-// policy adapter uses it to pace its evaluations.
-func (l *Live) HitWindowsDone() int64 { return l.windowsDone }
-
 // SetAllocPolicy hot-swaps the kernel's allocation policy by name; see
 // cache.SetAlloc for the migrate-in-place contract. Kernel goroutine
 // only.
-func (l *Live) SetAllocPolicy(name cache.Alloc) error {
-	if err := l.bc.SetAlloc(name); err != nil {
-		return err
-	}
-	// A fresh policy deserves a fresh evaluation window: a half-window
-	// measured across the swap would charge the new policy for the old
-	// one's misses.
-	l.winHits, l.winAccesses = 0, 0
-	return nil
-}
+func (l *Live) SetAllocPolicy(name cache.Alloc) error { return l.bc.SetAlloc(name) }
 
 // AllocPolicy returns the name of the allocation policy in force.
 func (l *Live) AllocPolicy() cache.Alloc { return l.bc.Alloc() }

@@ -57,7 +57,6 @@ func (l *Live) ReadTo(owner int, fid fs.FileID, blk int32, off, size int, reply 
 	id := cache.BlockID{File: fid, Num: blk}
 	if b := l.lookup(id, owner, off, size); b != nil {
 		o.stats.Hits++
-		l.noteAccess(true)
 		if b.Busy(now) {
 			// Fill still in flight: coalesce onto it, as waitValid would.
 			if fl := l.mshr[id]; fl != nil && fl.buf == b {
@@ -72,7 +71,6 @@ func (l *Live) ReadTo(owner int, fid fs.FileID, blk int32, off, size int, reply 
 		return true
 	}
 	o.stats.Misses++
-	l.noteAccess(false)
 	buf, victim := l.bc.Insert(id, owner, now)
 	werr := l.flushVictim(victim)
 	buf.Referenced = true
@@ -125,7 +123,6 @@ func (l *Live) Write(owner int, fid fs.FileID, blk int32, off int, payload []byt
 	b := l.lookup(id, owner, off, len(payload))
 	if b != nil {
 		o.stats.Hits++
-		l.noteAccess(true)
 		if b.Busy(now) {
 			if fl := l.mshr[id]; fl != nil && fl.buf == b {
 				l.fill.CoalescedMisses++
@@ -141,7 +138,6 @@ func (l *Live) Write(owner int, fid fs.FileID, blk int32, off int, payload []byt
 		return true
 	}
 	o.stats.Misses++
-	l.noteAccess(false)
 	b, victim := l.bc.Insert(id, owner, now)
 	werr := l.flushVictim(victim)
 	b.Referenced = true

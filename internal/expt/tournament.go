@@ -10,7 +10,7 @@
 // contain sort or glimpse, the workloads whose long sequential scans
 // flush an LRU working set; those are where scan-resistant policies
 // (ARC's two-list structure, AWRP's frequency weighting) can beat
-// GlobalLRU, and where the online adapter has something to find.
+// GlobalLRU, and so where the choice of -alloc matters.
 package expt
 
 import (

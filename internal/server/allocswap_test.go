@@ -202,71 +202,3 @@ func allocFlipSoak(t *testing.T, shards int) {
 		t.Error("flip soak recorded zero alloc swaps; the flipper never ran")
 	}
 }
-
-// TestAdaptAllocSettles drives the online adapter end to end: with two
-// candidates at the production window and epoch, steady traffic (160
-// rounds of 64 accesses: two and a half epochs) makes the adapter
-// sample both policies (visible as alloc swaps) and settle on one of
-// them; the stats surfaces report whichever policy each shard runs.
-func TestAdaptAllocSettles(t *testing.T) {
-	cfg := server.Config{
-		Kernel:     core.LiveConfig{CacheBytes: 32 * core.BlockSize},
-		Shards:     1,
-		AdaptAlloc: []string{"global-lru", "arc"},
-	}
-	srv, _, dial := startServer(t, cfg)
-	_ = srv
-	c := dial()
-	defer c.Close()
-
-	f, err := c.Create("adapt", 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A hot set that fits beside a recurring scan: the kind of mix the
-	// window gauge can tell policies apart on. Content correctness is
-	// asserted throughout — adapter swaps must never lose a byte.
-	for round := 0; round < 160; round++ {
-		for b := int32(0); b < 8; b++ {
-			if _, err := c.Write(f.ID, b, 0, []byte{byte(b), byte(round)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for b := int32(0); b < 48; b++ {
-			if _, err := c.ReadNoData(f.ID, b, 0, 8); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for b := int32(0); b < 8; b++ {
-			data, _, err := c.Read(f.ID, b, 0, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if data[0] != byte(b) || data[1] != byte(round) {
-				t.Fatalf("round %d block %d: data lost across adapter swap: %v", round, b, data)
-			}
-		}
-	}
-
-	sr, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The sampling pass alone flips lru-sp -> global-lru -> arc.
-	if got := sr.Kernel.Cache.AllocSwaps; got < 2 {
-		t.Errorf("alloc_swaps = %d, want >= 2 (sampling pass)", got)
-	}
-	name, err := c.GetAlloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "global-lru" && name != "arc" {
-		t.Errorf("adapter left policy %q, want a candidate", name)
-	}
-	if len(sr.Alloc) != 1 || sr.Alloc[0].Policy != name {
-		t.Errorf("stats alloc section %+v disagrees with GetAlloc %q", sr.Alloc, name)
-	}
-	if sr.Alloc[0].WindowsDone == 0 {
-		t.Error("no hit windows completed; the gauge never latched")
-	}
-}

@@ -408,7 +408,8 @@ func (c *Conn) SetAlloc(name string) error {
 }
 
 // GetAlloc reports the canonical name of the active allocation policy
-// (shard 0's — shards only diverge under the adaptive policy switcher).
+// (shard 0's — set_alloc is validated once and applied to every shard,
+// so the shards agree).
 func (c *Conn) GetAlloc() (string, error) {
 	res, err := c.Fbehavior(FbGetAlloc, FbArgs{})
 	return res.Alloc, err

@@ -37,8 +37,6 @@ type Config struct {
 	// IdleTimeout disconnects a session with no traffic for this long
 	// (default 2 minutes); disconnect releases the session's owners.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds one response write (default 30s).
-	WriteTimeout time.Duration
 	// CheckInvariants runs each shard kernel's cross-structure invariant
 	// checks after every session close (tests; too slow for production).
 	CheckInvariants bool
@@ -55,18 +53,6 @@ type Config struct {
 	// every stats surface: the wire stats reply, Metrics, and /metrics.
 	// Per-shard sections are unchanged — the counters are not per-shard.
 	ExtraFill func() stats.FillStats
-
-	// AdaptAlloc, when non-empty, turns on the per-shard online
-	// allocation-policy adapter over the named candidate policies (see
-	// cache.ParseAlloc). Each shard samples every candidate for one epoch
-	// (adaptEpochWindows completed hit windows), scores it by EWMA
-	// windowed hit ratio, then settles on the best — switching later only
-	// when a fresh probe beats the incumbent by more than
-	// adaptHysteresisBP basis points. Adapter swaps run on the shard
-	// goroutine through the same SetAllocPolicy migration as the set_alloc
-	// wire op, and count in the alloc_swaps stat. New panics at
-	// construction on an unknown candidate name.
-	AdaptAlloc []string
 }
 
 func (c *Config) fillDefaults() {
@@ -78,9 +64,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
 	}
 }
 
@@ -98,12 +81,10 @@ type StatsReply struct {
 }
 
 // AllocStatus is one shard's allocation-policy line in a StatsReply:
-// the active policy plus the windowed hit-ratio gauge behind the
-// adapter (basis points over the last completed window of accesses).
+// the policy in force, which -alloc set at start and set_alloc may have
+// changed since.
 type AllocStatus struct {
-	Policy      string `json:"policy"`
-	HitWindowBP int64  `json:"hit_window_bp"`
-	WindowsDone int64  `json:"windows_done"`
+	Policy string `json:"policy"`
 }
 
 // SessionInfo describes one live session in a Metrics snapshot. Owner is
@@ -125,13 +106,9 @@ type ShardMetrics struct {
 	FillsInflight      int
 	WritebacksInflight int
 	CachedBlocks       int
-	// AllocPolicy is the shard's active allocation policy,
-	// AllocHitRatioBP the windowed hit-ratio gauge (basis points over
-	// the last completed window) that the online adapter steers by, and
-	// AllocWindowsDone how many windows have completed.
-	AllocPolicy      string
-	AllocHitRatioBP  int64
-	AllocWindowsDone int64
+	// AllocPolicy is the shard's active allocation policy. Every shard
+	// runs the same one: set_alloc applies one name to them all.
+	AllocPolicy string
 }
 
 // Metrics is a point-in-time server snapshot. The top-level fields

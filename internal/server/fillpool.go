@@ -16,6 +16,7 @@ package server
 import (
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -30,6 +31,8 @@ const (
 	// time; maxWritebackBatch bounds one flusher drain of wbch.
 	maxFillBatch      = 128
 	maxWritebackBatch = 64
+	// writeTimeout bounds one response write (wire.go).
+	writeTimeout = 30 * time.Second
 )
 
 // fillQueue is the per-shard miss queue between the kernel loop and the

@@ -51,9 +51,6 @@ func (sh *shard) local(wire fs.FileID) fs.FileID {
 // asynchronously (handleRead) must copy what they need out of r first.
 func (sh *shard) handle(se *session, r *request) (retained bool) {
 	sh.requests++
-	if sh.adapter != nil {
-		sh.adapter.tick()
-	}
 	if sh.draining {
 		sh.refused++
 		se.send(r.id, StatusRefused, []byte("server shutting down"))

@@ -38,7 +38,6 @@ func (s *Server) MetricsHandler() http.Handler {
 			fmt.Fprintf(w, "acfcd_shard_writebacks_inflight%s %d\n", l, sm.WritebacksInflight)
 			fmt.Fprintf(w, "acfcd_shard_cached_blocks%s %d\n", l, sm.CachedBlocks)
 			fmt.Fprintf(w, "acfcd_shard_alloc_policy{shard=\"%d\",policy=%q} 1\n", i, sm.AllocPolicy)
-			fmt.Fprintf(w, "acfcd_shard_alloc_hit_window_bp%s %d\n", l, sm.AllocHitRatioBP)
 		}
 		sort.Slice(m.Sessions, func(i, j int) bool { return m.Sessions[i].Owner < m.Sessions[j].Owner })
 		for _, se := range m.Sessions {

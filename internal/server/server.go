@@ -131,9 +131,6 @@ func New(cfg Config) *Server {
 			go sh.flusher(store)
 		}
 		sh.kern = core.NewLive(kcfg)
-		if len(cfg.AdaptAlloc) > 0 {
-			sh.adapter = newAllocAdapter(cfg.AdaptAlloc, sh.kern)
-		}
 		kerns = append(kerns, sh.kern)
 		srv.shards = append(srv.shards, sh)
 	}

@@ -261,7 +261,7 @@ func (se *session) writeLoop() {
 	// when the queue goes idle — a pipelined burst of reads becomes one
 	// vectored write straight from the cache arena, a lone round-trip
 	// still flushes immediately.
-	w := newFrameWriter(se.conn, se.srv.cfg.WriteTimeout)
+	w := newFrameWriter(se.conn)
 	dead := false
 	for f := range se.out {
 		for more := true; more; {

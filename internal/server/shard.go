@@ -58,10 +58,6 @@ type shard struct {
 	// batch only when it can, so BatchedFills on a plain (or counting
 	// test) store honestly reads zero.
 	vectors bool
-
-	// adapter is the shard's online allocation-policy adapter (nil
-	// unless Config.AdaptAlloc is set); ticked between requests.
-	adapter *allocAdapter
 }
 
 // post is the late sender's send: for a message that holds nothing open

@@ -322,16 +322,9 @@ func TestMetricsDrift(t *testing.T) {
 		if sm.AllocPolicy != cache.LRUSP.String() {
 			t.Errorf("shard %d policy = %q, want %q", i, sm.AllocPolicy, cache.LRUSP)
 		}
-		if sr.Alloc[i].HitWindowBP != sm.AllocHitRatioBP {
-			t.Errorf("shard %d hit window: wire %d, metrics %d", i, sr.Alloc[i].HitWindowBP, sm.AllocHitRatioBP)
-		}
 		pl := fmt.Sprintf(`{shard="%d",policy=%q}`, i, sm.AllocPolicy)
 		if got := lines["acfcd_shard_alloc_policy"+pl]; got != 1 {
 			t.Errorf("shard %d: plaintext policy line %s = %d, want 1", i, pl, got)
-		}
-		l := fmt.Sprintf(`{shard="%d"}`, i)
-		if got := lines["acfcd_shard_alloc_hit_window_bp"+l]; got != sm.AllocHitRatioBP {
-			t.Errorf("shard %d hit window: plaintext %d, struct %d", i, got, sm.AllocHitRatioBP)
 		}
 	}
 }

@@ -62,8 +62,6 @@ func (sh *shard) snapshot(m *Metrics, at map[*session]int, only *session) {
 		WritebacksInflight: sh.wbInflight,
 		CachedBlocks:       sh.kern.Cache().Len(),
 		AllocPolicy:        sh.kern.AllocPolicy().String(),
-		AllocHitRatioBP:    sh.kern.HitRatioWindowBP(),
-		AllocWindowsDone:   sh.kern.HitWindowsDone(),
 	}
 	m.Shards = append(m.Shards, sm)
 	m.Kernel.Accumulate(sm.Kernel)
@@ -109,11 +107,7 @@ func (s *Server) serveStats(se *session, r *request) {
 		if len(m.Shards) > 1 {
 			sr.PerShard = append(sr.PerShard, sm.Kernel)
 		}
-		sr.Alloc = append(sr.Alloc, AllocStatus{
-			Policy:      sm.AllocPolicy,
-			HitWindowBP: sm.AllocHitRatioBP,
-			WindowsDone: sm.AllocWindowsDone,
-		})
+		sr.Alloc = append(sr.Alloc, AllocStatus{Policy: sm.AllocPolicy})
 	}
 	body, err := json.Marshal(sr)
 	if err != nil {

@@ -149,8 +149,8 @@ func TestStatsSurfacesAgree(t *testing.T) {
 			t.Errorf("shard %d: wire %+v\nMetrics %+v", i, srA.PerShard[i], sm.Kernel)
 		}
 		checkSnapshotLines(t, lines, "acfcd_shard", fmt.Sprintf(`{shard="%d"}`, i), srA.PerShard[i])
-		if srA.Alloc[i].Policy != sm.AllocPolicy || srA.Alloc[i].HitWindowBP != sm.AllocHitRatioBP {
-			t.Errorf("shard %d alloc: wire %+v, Metrics %q %d", i, srA.Alloc[i], sm.AllocPolicy, sm.AllocHitRatioBP)
+		if srA.Alloc[i].Policy != sm.AllocPolicy {
+			t.Errorf("shard %d alloc: wire %+v, Metrics %q", i, srA.Alloc[i], sm.AllocPolicy)
 		}
 	}
 

@@ -38,16 +38,14 @@ const maxBatchFrames = 64
 // session's writer goroutine.
 type frameWriter struct {
 	conn  net.Conn
-	wt    time.Duration
 	vecs  net.Buffers
 	hdrs  []byte        // header scratch; fixed capacity, vecs slice into it
 	slots []*cache.Slot // pinned slots, unpinned by the next reset
 }
 
-func newFrameWriter(conn net.Conn, wt time.Duration) *frameWriter {
+func newFrameWriter(conn net.Conn) *frameWriter {
 	return &frameWriter{
 		conn:  conn,
-		wt:    wt,
 		vecs:  make(net.Buffers, 0, 2*maxBatchFrames),
 		hdrs:  make([]byte, 0, maxBatchFrames*zcHdrLen),
 		slots: make([]*cache.Slot, 0, maxBatchFrames),
@@ -84,7 +82,7 @@ func (w *frameWriter) flush() error {
 	if len(w.vecs) == 0 {
 		return nil
 	}
-	w.conn.SetWriteDeadline(time.Now().Add(w.wt))
+	w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	v := w.vecs
 	_, err := v.WriteTo(w.conn) // consumes v, a copy; entries are reset below
 	w.reset()
