@@ -6,10 +6,11 @@
 // decides the call shape (mechanism). Misses and read-ahead runs queue
 // on a per-shard fillQueue, a small worker pool drains it, groups
 // same-file adjacent blocks, and retires each run with one vectored
-// store read; the flusher drains wbch opportunistically and retires
-// adjacent victims with one vectored write. MSHR join/detach, orphan
-// rules and Conflict ordering all live above this layer and see the
-// same per-fill/per-write-back completions they always did.
+// store read; the flusher lets the fills already in flight reach the
+// store first, gathering wbch meanwhile, and retires adjacent victims
+// with one vectored write. MSHR join/detach, orphan rules and Conflict
+// ordering all live above this layer and see the same
+// per-fill/per-write-back completions they always did.
 
 package server
 
@@ -154,9 +155,14 @@ func (sh *shard) runFills(store disk.Store, batch []*core.Fill) {
 	}
 }
 
-// flusher is the shard's write-behind goroutine: receive one victim,
-// opportunistically drain whatever else is already queued, and retire
-// the batch. Queue order is preserved within and across batches, which
+// flusher is the shard's write-behind goroutine: receive one victim and
+// hold it, gathering whatever else is queued, until every fill the shard
+// had issued by then has come back — demand reads first, as disksort
+// sweeps delayed writes into the read stream's gaps. A later fill never
+// extends the wait, so misses cannot starve write-behind; a full batch
+// ends it early, and wbch cannot close under it (a shard retires with no
+// write-back in flight). Then retire the batch. Queue order is preserved
+// within and across batches, which
 // is what keeps every same-block Conflict constraint honored; a batch
 // never holds the same block twice — on a duplicate the gathered batch
 // flushes first, so the older bytes are on the store before the newer
@@ -191,6 +197,14 @@ func (sh *shard) flusher(store disk.Store) {
 	}
 	for wb := range sh.wbch {
 		add(wb)
+		issued := sh.fillsIssued.Load()
+		for len(batch) > 0 && len(batch) < maxWritebackBatch && sh.fillsDone.Load() < issued {
+			select {
+			case wb2 := <-sh.wbch:
+				add(wb2)
+			case <-sh.fillWake:
+			}
+		}
 	gather:
 		for len(batch) < maxWritebackBatch {
 			select {

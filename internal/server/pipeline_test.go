@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/server"
@@ -368,5 +371,252 @@ func TestServerReadAhead(t *testing.T) {
 	}
 	if m.Kernel.Fill.PrefetchHits == 0 {
 		t.Error("no demand read landed on a prefetched block")
+	}
+}
+
+// yieldStore logs store calls in order — "r<blk>" when a read arrives,
+// "r<blk>." when it returns, "w<blk>" when a write arrives — and holds
+// each read of a gated block until that block's gate opens.
+type yieldStore struct {
+	disk.Store
+	gates map[int32]chan struct{} // fixed at construction
+
+	mu  sync.Mutex
+	log []string
+}
+
+func newYieldStore(base disk.Store, gated ...int32) *yieldStore {
+	s := &yieldStore{Store: base, gates: make(map[int32]chan struct{})}
+	for _, blk := range gated {
+		s.gates[blk] = make(chan struct{})
+	}
+	return s
+}
+
+func (s *yieldStore) note(format string, blk int32) {
+	s.mu.Lock()
+	s.log = append(s.log, fmt.Sprintf(format, blk))
+	s.mu.Unlock()
+}
+
+func (s *yieldStore) ReadBlock(file, blk int32, dst []byte) error {
+	s.note("r%d", blk)
+	if gate := s.gates[blk]; gate != nil {
+		<-gate
+	}
+	err := s.Store.ReadBlock(file, blk, dst)
+	s.note("r%d.", blk)
+	return err
+}
+
+func (s *yieldStore) WriteBlock(file, blk int32, src []byte) error {
+	s.note("w%d", blk)
+	return s.Store.WriteBlock(file, blk, src)
+}
+
+// open lets the gated block's reads through; opening twice is a no-op.
+func (s *yieldStore) open(blk int32) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.gates[blk]:
+	default:
+		close(s.gates[blk])
+	}
+}
+
+func (s *yieldStore) openAll() {
+	for blk := range s.gates {
+		s.open(blk)
+	}
+}
+
+// at is the position of entry e in the log, or -1.
+func (s *yieldStore) at(e string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Index(s.log, e)
+}
+
+// waitFor polls until entry e is in the log.
+func (s *yieldStore) waitFor(t *testing.T, e string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.at(e) < 0 {
+		if time.Now().After(deadline) {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			t.Fatalf("store never saw %s; calls: %v", e, s.log)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// yieldServer starts one shard, global LRU over cacheBlocks blocks and a
+// write-behind queue of 4 on store, and creates one 32-block file. Reads
+// of never-written blocks make clean blocks and whole-block writes dirty
+// ones, so every eviction the tests below force is known. gatedRead
+// issues a read on a connection of its own and returns once it is at the
+// store, with a function that waits for its reply and hangs up.
+func yieldServer(t *testing.T, store *yieldStore, cacheBlocks int) (srv *server.Server, c *client.Conn, f client.File, gatedRead func(blk int32) (wait func())) {
+	t.Helper()
+	srv, _, dial := startServer(t, server.Config{
+		Kernel:         core.LiveConfig{CacheBytes: int64(cacheBlocks * core.BlockSize), Alloc: cache.GlobalLRU, Store: store},
+		Shards:         1,
+		WritebackDepth: 4,
+	})
+	// Cleanups run last-first: the gates open and the sessions close
+	// before startServer's Shutdown, whatever the test left.
+	t.Cleanup(store.openAll)
+	c = dial()
+	t.Cleanup(func() { c.Close() })
+	f, err := c.Create("f", 0, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gatedRead = func(blk int32) func() {
+		r := dial()
+		t.Cleanup(func() { r.Close() })
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.ReadNoData(f.ID, blk, 0, 1)
+			done <- err
+		}()
+		store.waitFor(t, fmt.Sprintf("r%d", blk))
+		return func() {
+			t.Helper()
+			if err := <-done; err != nil {
+				t.Fatalf("read of block %d: %v", blk, err)
+			}
+			r.Close()
+		}
+	}
+	return srv, c, f, gatedRead
+}
+
+// TestWriteBehindYieldsToFills pins demand reads first: (a) with no fill
+// in flight a write-back reaches the store at once; (b) one queued while
+// a fill is in flight reaches it only after that read returns; (c) a fill
+// issued after the flusher began waiting does not hold it.
+func TestWriteBehindYieldsToFills(t *testing.T) {
+	store := newYieldStore(disk.NewMemStore(), 10, 11, 12)
+	srv, c, f, gatedRead := yieldServer(t, store, 6)
+	block := bytes.Repeat([]byte{0x3c}, core.BlockSize)
+	write := func(blk int32) {
+		t.Helper()
+		if _, err := c.Write(f.ID, blk, 0, block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(blk int32) {
+		t.Helper()
+		if _, err := c.ReadNoData(f.ID, blk, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// LRU to MRU, d for dirty: 0d 20 1d 21 22 2d.
+	write(0)
+	read(20)
+	write(1)
+	read(21)
+	read(22)
+	write(2)
+
+	// (a) Evicts 0d with nothing in flight.
+	write(3)
+	store.waitFor(t, "w0")
+	waitWriteBehindIdle(t, srv)
+
+	// (b) The fill of 10 evicts 20 (clean); then 1d goes behind it.
+	wait10 := gatedRead(10)
+	write(4)
+	time.Sleep(50 * time.Millisecond)
+	if store.at("w1") >= 0 {
+		t.Error("block 1's write-back reached the store with the fill of block 10 in flight")
+	}
+	store.open(10)
+	wait10()
+	store.waitFor(t, "w1")
+	if store.at("w1") < store.at("r10.") {
+		t.Error("block 1's write-back reached the store before the fill of block 10 returned")
+	}
+
+	// (c) Cache: 21 22 2d 3d 10 4d. The fill of 11 evicts 21; 22 moves
+	// up, so 2d goes behind the fill of 11; 3 moves up, so the fill of 12
+	// evicts 10 (clean) after the flusher has begun waiting.
+	wait11 := gatedRead(11)
+	read(22)
+	write(5)
+	read(3)
+	time.Sleep(10 * time.Millisecond) // the flusher takes 2d off the queue
+	wait12 := gatedRead(12)
+	store.open(11)
+	wait11()
+	store.waitFor(t, "w2") // while the fill of 12 is still at its gate
+	store.open(12)
+	wait12()
+	waitWriteBehindIdle(t, srv)
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	var writes []string
+	for _, e := range store.log {
+		if e[0] == 'w' {
+			writes = append(writes, e)
+		}
+	}
+	if want := []string{"w0", "w1", "w2"}; !slices.Equal(writes, want) {
+		t.Errorf("writes %v, want %v", writes, want)
+	}
+}
+
+// TestWriteBehindDrainHeldBatch: Shutdown begins while the flusher holds
+// a write-back behind a gated fill. The drain barrier waits for both; once
+// the gate opens the shard retires, the block is on the store and no
+// server goroutine is left.
+func TestWriteBehindDrainHeldBatch(t *testing.T) {
+	mem := disk.NewMemStore()
+	store := newYieldStore(mem, 10)
+	srv, c, f, gatedRead := yieldServer(t, store, 2)
+	block := bytes.Repeat([]byte{0x4d}, core.BlockSize)
+	if _, err := c.ReadNoData(f.ID, 5, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(f.ID, 0, 0, block); err != nil {
+		t.Fatal(err)
+	}
+	wait10 := gatedRead(10)                               // evicts 5 (clean)
+	if _, err := c.Write(f.ID, 1, 0, block); err != nil { // evicts 0d: held
+		t.Fatal(err)
+	}
+	c.Close()
+
+	result := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		result <- srv.Shutdown(ctx)
+	}()
+	select {
+	case err := <-result:
+		t.Fatalf("Shutdown returned (%v) with a fill and a write-back in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if store.at("w0") >= 0 {
+		t.Error("block 0's write-back reached the store with the fill of block 10 in flight")
+	}
+	store.open(10)
+	wait10()
+	within(t, 10*time.Second, "Shutdown after the gate opened", func() {
+		if err := <-result; err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	})
+	noServerGoroutines(t)
+	got := make([]byte, core.BlockSize)
+	if err := mem.ReadBlock(int32(f.ID), 0, got); err != nil || !bytes.Equal(got, block) {
+		t.Errorf("block 0 not on the store after the drain (err %v)", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }

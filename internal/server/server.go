@@ -109,9 +109,10 @@ func New(cfg Config) *Server {
 		// kernel goroutine, which also tracks the queue's high-water
 		// mark); a bounded worker pool drains it, groups same-file
 		// adjacent blocks, and re-enters the loop one run at a time. The
-		// loop counts fills in flight so shutdown can wait for the last.
+		// loop counts fills in flight so shutdown can wait for the last,
+		// and the flusher so it can let them go first.
 		kcfg.StartFill = func(fls []*core.Fill) {
-			sh.fillsInflight += len(fls)
+			sh.fillsIssued.Add(int64(len(fls)))
 			sh.kern.NoteFillQueueDepth(sh.fq.push(fls))
 		}
 		srv.running.Add(fillWorkers)
@@ -120,13 +121,14 @@ func New(cfg Config) *Server {
 		}
 		if cfg.WritebackDepth > 0 {
 			sh.wbch = make(chan *core.WriteBack, cfg.WritebackDepth)
+			sh.fillWake = make(chan struct{}, 1)
 			kcfg.StartWriteBack = sh.startWriteBack
 			// The flusher: one goroutine per shard draining the queue in
 			// FIFO order (which is what makes queue-order execution honor
 			// every same-block Conflict constraint) and re-entering the
 			// kernel loop with the result — batching adjacent victims
-			// along the way (fillpool.go). It exits when retire closes
-			// wbch.
+			// along the way, behind the fills already in flight
+			// (fillpool.go). It exits when retire closes wbch.
 			srv.running.Add(1)
 			go sh.flusher(store)
 		}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"sync/atomic"
+
 	"repro/internal/core"
 )
 
@@ -33,11 +35,16 @@ type shard struct {
 	// and send plainly; anyone else goes through post.
 	done chan struct{}
 
-	sessions      map[*session]bool
-	draining      bool
-	fillsInflight int
-	requests      int64
-	refused       int64
+	sessions map[*session]bool
+	draining bool
+	requests int64
+	refused  int64
+	// fillsIssued (the StartFill hook) and fillsDone (the loop) count the
+	// store fills sent to the pool and come back. Only the loop writes
+	// them; the flusher reads them to let those in flight go first, and
+	// fillWake (one slot, sent without blocking) wakes it when one lands.
+	fillsIssued, fillsDone atomic.Int64
+	fillWake               chan struct{}
 
 	// wbch feeds the shard's flusher goroutine (nil when write-behind is
 	// off). wbOverflow holds write-backs that must execute in FIFO order
@@ -109,7 +116,11 @@ func (sh *shard) loop() {
 	for m := range sh.kch {
 		switch {
 		case m.fills != nil:
-			sh.fillsInflight -= len(m.fills)
+			sh.fillsDone.Add(int64(len(m.fills)))
+			select {
+			case sh.fillWake <- struct{}{}:
+			default:
+			}
 			if len(m.fills) > 1 && sh.vectors {
 				sh.kern.CountFillBatch(len(m.fills))
 			}
@@ -142,7 +153,7 @@ func (sh *shard) loop() {
 				releaseRequest(m.req)
 			}
 		}
-		if sh.draining && len(sh.sessions) == 0 && sh.fillsInflight == 0 && sh.wbInflight == 0 {
+		if sh.draining && len(sh.sessions) == 0 && sh.fillsDone.Load() == sh.fillsIssued.Load() && sh.wbInflight == 0 {
 			sh.retire()
 			return
 		}

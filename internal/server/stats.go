@@ -58,7 +58,7 @@ func (sh *shard) snapshot(m *Metrics, at map[*session]int, only *session) {
 		Kernel:             sh.kern.Snapshot(),
 		Requests:           sh.requests,
 		Refused:            sh.refused,
-		FillsInflight:      sh.fillsInflight,
+		FillsInflight:      int(sh.fillsIssued.Load() - sh.fillsDone.Load()),
 		WritebacksInflight: sh.wbInflight,
 		CachedBlocks:       sh.kern.Cache().Len(),
 		AllocPolicy:        sh.kern.AllocPolicy().String(),
