@@ -54,7 +54,7 @@ race:
 # raises the ceiling in its own diff, where a reviewer sees it. longest
 # prints the ten longest of the same files, so the next 1 500-line file
 # shows on the push that creates it.
-LOC_MAX = 16776
+LOC_MAX = 16796
 LOC_FILES = find . \( -name '.?*' -o -name benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -type f -print0
 loc:
 	@n=$$($(LOC_FILES) | xargs -0 cat | wc -l); echo $$n; \
@@ -94,7 +94,7 @@ bench-sim:
 
 # One transcript recorded (pjn smart, app_mix's largest), repeated for
 # benchstat: B/op is the memory a recording writes, about twice the
-# transcript-MB/op beside it.
+# transcript-MB/op beside it (48 B events plus the control side table).
 bench-record:
 	$(GO) test ./internal/expt -run '^$$' -bench 'Record' -benchmem -count 5
 

@@ -44,6 +44,8 @@ type (
 	CacheStats = cache.Stats
 	// TraceEvent is one block access delivered to Config.Trace.
 	TraceEvent = core.TraceEvent
+	// Access is who accessed which block, and how; TraceEvent embeds it.
+	Access = core.Access
 	// Manager is a process's ACM manager (Proc.Manager).
 	Manager = acm.Manager
 	// Limits caps per-manager kernel resources (Config.ACMLimits).

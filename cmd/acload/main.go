@@ -295,7 +295,7 @@ func (r *replayer) step(ev expt.ReplayEvent) error {
 // also records the wire latency and the payload bytes moved.
 func (r *replayer) apply(ev expt.ReplayEvent) (hit bool, err error) {
 	if ev.IsCtl {
-		return false, r.rp.Ctl(ev.Ctl)
+		return false, r.rp.Ctl(*ev.Ctl.CtlEvent)
 	}
 	t0 := time.Now()
 	hit, err = r.rp.Access(ev.Access)

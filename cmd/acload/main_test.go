@@ -117,11 +117,11 @@ func (c *stubConn) Close() error { return nil }
 // enable control, then n reads of it.
 func transcript(reads int) []expt.ReplayEvent {
 	evs := []expt.ReplayEvent{
-		{IsCtl: true, Ctl: core.CtlEvent{Op: core.CtlCreateFile, File: 7, FileName: "f", Disk: 0, Size: 4}},
-		{IsCtl: true, Ctl: core.CtlEvent{Op: core.CtlControl, Enable: true}},
+		{IsCtl: true, Ctl: expt.Ctl{CtlEvent: &core.CtlEvent{Op: core.CtlCreateFile, File: 7, FileName: "f", Disk: 0, Size: 4}}},
+		{IsCtl: true, Ctl: expt.Ctl{CtlEvent: &core.CtlEvent{Op: core.CtlControl, Enable: true}}},
 	}
 	for i := 0; i < reads; i++ {
-		evs = append(evs, expt.ReplayEvent{Access: core.TraceEvent{File: 7, Block: int32(i % 4), Off: 0, Size: 8}})
+		evs = append(evs, expt.ReplayEvent{Access: core.Access{File: 7, Block: int32(i % 4), Off: 0, Size: 8}})
 	}
 	return evs
 }
@@ -200,9 +200,9 @@ func TestReplayRefusedNeverRecounts(t *testing.T) {
 func TestReplayHardErrorAborts(t *testing.T) {
 	s := newStubSrv()
 	evs := []expt.ReplayEvent{
-		{IsCtl: true, Ctl: core.CtlEvent{Op: core.CtlCreateFile, File: 7, FileName: "f", Disk: 0, Size: 4}},
+		{IsCtl: true, Ctl: expt.Ctl{CtlEvent: &core.CtlEvent{Op: core.CtlCreateFile, File: 7, FileName: "f", Disk: 0, Size: 4}}},
 		// Access to a file id the transcript never created.
-		{Access: core.TraceEvent{File: 9, Block: 0, Size: 8}},
+		{Access: core.Access{File: 9, Block: 0, Size: 8}},
 	}
 	st, err := replayOne(s.dial, "p/", evs, false)
 	if err == nil {

@@ -133,17 +133,22 @@ type Config struct {
 	NoSimFastPath bool
 }
 
-// TraceEvent describes one block access for Config.Trace.
+// Access is what a replay needs of one block access: who made it, where,
+// and whether it wrote. Proc sits in what would be padding: 32 bytes.
+type Access struct {
+	Off, Size int
+	Proc      int32
+	File      fs.FileID
+	Block     int32
+	Write     bool
+}
+
+// TraceEvent describes one block access for Config.Trace; a transcript keeps its Access.
 type TraceEvent struct {
-	Time  sim.Time
-	Proc  int
-	Name  string // process name
-	File  fs.FileID
-	Block int32
-	Off   int
-	Size  int
-	Write bool
-	Hit   bool
+	Access
+	Time sim.Time
+	Name string // process name
+	Hit  bool
 }
 
 // DefaultConfig returns the paper's machine: 6.4 MB cache, LRU-SP, one
@@ -510,9 +515,8 @@ func (p *Proc) Now() sim.Time { return p.sp.Now() }
 func (p *Proc) trace(f *fs.File, blk int32, off, size int, write, hit bool) {
 	if t := p.sys.cfg.Trace; t != nil {
 		t(TraceEvent{
-			Time: p.sp.Now(), Proc: p.id, Name: p.name,
-			File: f.ID(), Block: blk, Off: off, Size: size,
-			Write: write, Hit: hit,
+			Access: Access{Proc: int32(p.id), File: f.ID(), Block: blk, Off: off, Size: size, Write: write},
+			Time:   p.sp.Now(), Name: p.name, Hit: hit,
 		})
 	}
 }

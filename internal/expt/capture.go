@@ -8,9 +8,13 @@ import "repro/internal/core"
 // which is everything a wire-level replay needs to reproduce the run.
 type ReplayEvent struct {
 	IsCtl  bool
-	Access core.TraceEvent
-	Ctl    core.CtlEvent
+	Access core.Access
+	Ctl    Ctl
 }
+
+// Ctl points a control event at its body in Recording.Ctls (nil for an
+// access); embedded, the pointer reads as ev.Ctl.Op, ev.Ctl.FileName, ...
+type Ctl struct{ *core.CtlEvent }
 
 // Recording is a replayable transcript of one DES run: the spec that
 // produced it, every access and control event in issue order, and the
@@ -18,12 +22,14 @@ type ReplayEvent struct {
 // wire replay against.
 type Recording struct {
 	Spec RunSpec
-	// Events is in issue order, allocated once: len == cap, ~160 B an event.
+	// Events is in issue order, allocated once: len == cap.
 	Events []ReplayEvent
+	// Ctls is the control events' bodies: the k-th IsCtl event's is Ctls[k].
+	Ctls   []core.CtlEvent
 	Result RunResult
 }
 
-// chunkEvents sizes the chunks (~640 KB) Record gathers events in; a
+// chunkEvents sizes the chunks (~192 KB) Record gathers events in; a
 // chunk is filled in place, never copied or regrown.
 const chunkEvents = 4096
 
@@ -51,13 +57,14 @@ func Record(spec RunSpec) *Recording {
 	}
 	prevT, prevC := spec.Trace, spec.TraceCtl
 	spec.Trace = func(ev core.TraceEvent) {
-		next().Access = ev
+		next().Access = ev.Access
 		if prevT != nil {
 			prevT(ev)
 		}
 	}
 	spec.TraceCtl = func(ev core.CtlEvent) {
-		*next() = ReplayEvent{IsCtl: true, Ctl: ev}
+		next().IsCtl = true
+		rec.Ctls = append(rec.Ctls, ev)
 		if prevC != nil {
 			prevC(ev)
 		}
@@ -66,6 +73,13 @@ func Record(spec RunSpec) *Recording {
 	rec.Events = make([]ReplayEvent, 0, n)
 	for _, c := range chunks {
 		rec.Events = append(rec.Events, c[:min(chunkEvents, n-len(rec.Events))]...)
+	}
+	// Pointed only now: appending to Ctls may have moved it.
+	k := 0
+	for i := range rec.Events {
+		if ev := &rec.Events[i]; ev.IsCtl {
+			ev.Ctl.CtlEvent, k = &rec.Ctls[k], k+1
+		}
 	}
 	return rec
 }

@@ -25,40 +25,93 @@ func recordSpec(app string) RunSpec {
 // recordWithReference records spec while an append-based pair of hooks,
 // passed as the spec's own Trace/TraceCtl, collects the same run.
 func recordWithReference(spec RunSpec) (rec *Recording, ref []ReplayEvent) {
-	spec.Trace = func(ev core.TraceEvent) { ref = append(ref, ReplayEvent{Access: ev}) }
-	spec.TraceCtl = func(ev core.CtlEvent) { ref = append(ref, ReplayEvent{IsCtl: true, Ctl: ev}) }
+	spec.Trace = func(ev core.TraceEvent) { ref = append(ref, ReplayEvent{Access: ev.Access}) }
+	spec.TraceCtl = func(ev core.CtlEvent) { ref = append(ref, ReplayEvent{IsCtl: true, Ctl: Ctl{&ev}}) }
 	return Record(spec), ref
 }
 
+// sameEvents compares control events by value through their pointers.
 func sameEvents(t *testing.T, got, want []ReplayEvent) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("transcript has %d events, the reference hooks saw %d", len(got), len(want))
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: transcript %+v, reference %+v", i, got[i], want[i])
+	for i, g := range got {
+		w := want[i]
+		if g.IsCtl != w.IsCtl || g.Access != w.Access || g.IsCtl && *g.Ctl.CtlEvent != *w.Ctl.CtlEvent {
+			t.Fatalf("event %d: transcript %v %+v %+v, reference %v %+v %+v",
+				i, g.IsCtl, g.Access, g.Ctl.CtlEvent, w.IsCtl, w.Access, w.Ctl.CtlEvent)
 		}
+	}
+}
+
+// transcriptBytes is what a transcript holds: its events and the
+// control side table.
+func transcriptBytes(rec *Recording) float64 {
+	return float64(len(rec.Events))*float64(unsafe.Sizeof(ReplayEvent{})) +
+		float64(len(rec.Ctls))*float64(unsafe.Sizeof(core.CtlEvent{}))
+}
+
+// TestRecordEventSize pins the transcript's layout: an access inline, a
+// control event a pointer into Recording.Ctls. 48 B is the floor while
+// the benchmark's replay reads Off and Size as int and a control event's
+// fields by name through ReplayEvent.Ctl; going lower needs a projection
+// the benchmark reads instead.
+func TestRecordEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(core.Access{}); got != 32 {
+		t.Errorf("core.Access is %d B, want 32", got)
+	}
+	if got := unsafe.Sizeof(ReplayEvent{}); got != 48 {
+		t.Errorf("ReplayEvent is %d B, want 48", got)
 	}
 }
 
 // TestRecordIdentity: the transcript is, event for event and in order,
 // what the spec's own chained hooks saw in the same run, and recording
-// changes nothing the run counts.
+// changes nothing the run counts. Table 1's Protected pair, a foolish
+// read300 beside an oblivious probe, is two processes: split by
+// Access.Proc, each has one access per read or write call it made.
 func TestRecordIdentity(t *testing.T) {
-	for _, app := range []string{"cs2", "ldk", "gli", "pjn"} {
-		t.Run(app, func(t *testing.T) {
-			spec := recordSpec(app)
-			rec, ref := recordWithReference(spec)
+	protected := table1Spec(490, "Protected")
+	protected.Opts.ReadAheadOff = true
+	cases := []struct {
+		name string
+		spec RunSpec
+	}{
+		{"cs2", recordSpec("cs2")},
+		{"ldk", recordSpec("ldk")},
+		{"gli", recordSpec("gli")},
+		{"pjn", recordSpec("pjn")},
+		{"table1-protected", protected},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, ref := recordWithReference(tc.spec)
 			if len(ref) == 0 {
 				t.Fatal("the reference hooks saw nothing")
 			}
 			sameEvents(t, rec.Events, ref)
-			plain := Run(spec)
+			plain := Run(tc.spec)
 			if rec.Result.TotalIOs != plain.TotalIOs || rec.Result.CacheStats != plain.CacheStats ||
 				rec.Result.PerApp[0].BlockIOs != plain.PerApp[0].BlockIOs {
 				t.Errorf("recorded run: %d I/Os, cache %+v; unhooked: %d I/Os, cache %+v",
 					rec.Result.TotalIOs, rec.Result.CacheStats, plain.TotalIOs, plain.CacheStats)
+			}
+			perProc := make([]int64, len(rec.Result.PerApp))
+			for i, ev := range rec.Events {
+				if ev.IsCtl {
+					continue
+				}
+				p := int(ev.Access.Proc)
+				if p < 0 || p >= len(perProc) {
+					t.Fatalf("access %d is by process %d, the run had %d", i, p, len(perProc))
+				}
+				perProc[p]++
+			}
+			for i, a := range rec.Result.PerApp {
+				if want := a.Stats.ReadCalls + a.Stats.WriteCalls; perProc[i] != want {
+					t.Errorf("process %d (%s): %d accesses, it made %d read and write calls", i, a.Name, perProc[i], want)
+				}
 			}
 		})
 	}
@@ -92,10 +145,22 @@ func TestRecordBoundaries(t *testing.T) {
 			if cap(rec.Events) != len(rec.Events) {
 				t.Errorf("len %d, cap %d: the transcript is not allocated at its size", len(rec.Events), cap(rec.Events))
 			}
+			k := 0
 			for i, ev := range rec.Events {
-				if ev == (ReplayEvent{}) {
+				switch {
+				case ev == (ReplayEvent{}):
 					t.Fatalf("event %d of %d is zero", i, len(rec.Events))
+				case ev.IsCtl:
+					if k == len(rec.Ctls) || ev.Ctl.CtlEvent != &rec.Ctls[k] {
+						t.Fatalf("control event %d does not point at Ctls[%d]", i, k)
+					}
+					k++
+				case ev.Ctl.CtlEvent != nil:
+					t.Fatalf("access event %d points at a control event", i)
 				}
+			}
+			if k != len(rec.Ctls) {
+				t.Errorf("%d control events, %d in Ctls", k, len(rec.Ctls))
 			}
 			sameEvents(t, rec.Events, ref)
 		})
@@ -117,7 +182,7 @@ func TestRecordBudget(t *testing.T) {
 	var rec *Recording
 	plain := allocated(func() { Run(spec) })
 	hooked := allocated(func() { rec = Record(spec) })
-	transcript := float64(len(rec.Events)) * float64(unsafe.Sizeof(ReplayEvent{}))
+	transcript := transcriptBytes(rec)
 	over := float64(hooked) - float64(plain)
 	t.Logf("%d events, a %.1f MB transcript; Record allocated %.1f MB over the unhooked run's %.1f MB (%.2fx)",
 		len(rec.Events), transcript/1e6, over/1e6, float64(plain)/1e6, over/transcript)
@@ -137,5 +202,5 @@ func BenchmarkRecord(b *testing.B) {
 	}
 	events := float64(len(recordSink.Events))
 	b.ReportMetric(events, "events/op")
-	b.ReportMetric(events*float64(unsafe.Sizeof(ReplayEvent{}))/1e6, "transcript-MB/op")
+	b.ReportMetric(transcriptBytes(recordSink)/1e6, "transcript-MB/op")
 }

@@ -91,7 +91,7 @@ func (r *Replay) Ctl(ct core.CtlEvent) error {
 
 // Access issues one block access — a write of the replay's fixed pattern,
 // or a read (ReadNoData when r.NoData) — and reports whether it hit.
-func (r *Replay) Access(a core.TraceEvent) (hit bool, err error) {
+func (r *Replay) Access(a core.Access) (hit bool, err error) {
 	fid, ok := r.files[a.File]
 	if !ok {
 		return false, fmt.Errorf("access to file %d before its create event", a.File)

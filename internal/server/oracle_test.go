@@ -79,7 +79,7 @@ func TestOracleWireReplayMatchesSimulation(t *testing.T) {
 			for i, ev := range rec.Events {
 				var err error
 				if ev.IsCtl {
-					err = rp.Ctl(ev.Ctl)
+					err = rp.Ctl(*ev.Ctl.CtlEvent)
 				} else {
 					_, err = rp.Access(ev.Access)
 				}
