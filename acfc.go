@@ -48,8 +48,6 @@ type (
 	Access = core.Access
 	// Manager is a process's ACM manager (Proc.Manager).
 	Manager = acm.Manager
-	// Limits caps per-manager kernel resources (Config.ACMLimits).
-	Limits = acm.Limits
 	// Sched selects the disk drivers' scheduling (Config.DiskSched).
 	Sched = disk.Sched
 	// Disk is one simulated drive (System.Disk).

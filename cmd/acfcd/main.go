@@ -16,8 +16,9 @@
 //	      [-cluster tcp:h1:p1,tcp:h2:p2,...] [-origin mem|dir:/path]
 //
 // -alloc names any policy in the kernel's registry (cache.AllocNames:
-// global-lru, lru-sp, lru-s, alloc-lru, arc, awrp); clients can re-point
-// a live daemon with the set_alloc wire op.
+// global-lru, lru-sp, lru-s, alloc-lru, arc, awrp). It is fixed for the
+// daemon's life: every shard runs it, and the stats reply and /metrics
+// name it.
 //
 // A bad flag value, or -store or -origin without the mode it belongs to,
 // exits 2 before any store, origin or listener is opened.

@@ -57,9 +57,11 @@ func main() {
 	cfg.Alloc = alloc
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
-	var captured trace.Trace
+	var captured []cache.BlockID
 	if *compareFlag {
-		cfg.Trace = func(ev core.TraceEvent) { captured.Append(ev.File, ev.Block) }
+		cfg.Trace = func(ev core.TraceEvent) {
+			captured = append(captured, cache.BlockID{File: ev.File, Num: ev.Block})
+		}
 	} else if *dumpFlag {
 		cfg.Trace = func(ev core.TraceEvent) {
 			op, res := "R", "miss"
@@ -81,8 +83,8 @@ func main() {
 	if *compareFlag {
 		capacity := cfg.CacheBlocks()
 		fmt.Fprintf(out, "%s reference stream: %d refs, %d unique blocks; standalone caches of %d blocks (%.1f MB)\n",
-			app.Name(), captured.Len(), captured.Unique(), capacity, *cacheFlag)
-		for _, r := range trace.Compare(captured.Refs, capacity) {
+			app.Name(), len(captured), trace.Unique(captured), capacity, *cacheFlag)
+		for _, r := range trace.Compare(captured, capacity) {
 			fmt.Fprintf(out, "  %-5s %6d misses  %5.1f%% hit ratio\n", r.Policy, r.Misses, 100*r.HitRatio())
 		}
 		return

@@ -15,8 +15,8 @@
 // manager's mistake (placeholder_used).
 //
 // Allocation policies sit behind one interface (policy.go): a fixed,
-// name-keyed table of AllocPolicy implementations selected by Config.Alloc
-// and hot-swappable at runtime through SetAlloc. There are six — the four
+// name-keyed table of AllocPolicy implementations, one of which
+// Config.Alloc fixes for the cache's life. There are six — the four
 // matching the paper's Section 6 comparisons, plus two adaptive
 // extensions:
 //
@@ -100,7 +100,7 @@ type Buf struct {
 
 	// pol is the allocation policy's per-block state (see policy.go),
 	// embedded for the same reason: policies must never allocate per
-	// block. Reset when the buffer recycles and on policy hot-swap.
+	// block. Reset when the buffer recycles.
 	pol polNode
 
 	gprev, gnext *Buf // global allocation list; nil when not linked
@@ -169,7 +169,6 @@ type Stats struct {
 	Vindicated      int64 `json:"vindicated"`       // placeholders dropped because the kept block was used
 	Transfers       int64 `json:"transfers"`        // shared-block ownership transfers
 	Revocations     int64 `json:"revocations"`
-	AllocSwaps      int64 `json:"alloc_swaps"` // live allocation-policy hot-swaps (SetAlloc)
 }
 
 // OwnerStats tracks one manager's decision quality for the revocation
@@ -224,7 +223,7 @@ type Cache struct {
 	count      int
 	ph         oaTable[placeholder] // packed BlockID -> live placeholder
 	repl       Replacer
-	pol        AllocPolicy // the allocation policy in force; swapped by SetAlloc
+	pol        AllocPolicy // the allocation policy, fixed at New
 	stats      Stats
 	owners     []*OwnerStats // indexed by owner id; nil = no record yet
 	noOwner    OwnerStats    // shared record for all negative owner ids

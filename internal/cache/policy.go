@@ -10,9 +10,9 @@ import (
 
 // Alloc names a registered allocation policy. It is a string type so the
 // one parser/printer pair (ParseAlloc / String) serves every surface that
-// names a policy — flags, the set_alloc wire op, experiment specs, stats
-// labels — and so the zero value can keep meaning "the default"
-// (GlobalLRU, as it did when Alloc was an integer enum).
+// names a policy — flags, experiment specs, stats labels — and so the
+// zero value can keep meaning "the default" (GlobalLRU, as it did when
+// Alloc was an integer enum).
 type Alloc string
 
 // The built-in allocation policies. The first four match the paper's
@@ -82,8 +82,7 @@ type AllocPolicy interface {
 
 // polNode is the allocation policy's per-buffer state, embedded in Buf so
 // policies never allocate per block: intrusive T1/T2 linkage for ARC,
-// frequency and recency for AWRP. Reset wholesale when a buffer recycles
-// and when the cache migrates to a different policy.
+// frequency and recency for AWRP. Reset wholesale when a buffer recycles.
 type polNode struct {
 	prev, next *Buf  // ARC: resident-list linkage (nil when unlinked)
 	list       uint8 // ARC: which resident list (arcInT1 / arcInT2)
@@ -92,7 +91,7 @@ type polNode struct {
 }
 
 // allocFactories is the policy registry: every name a surface can parse.
-// It is read-only, so concurrent ParseAlloc/New/SetAlloc need no lock.
+// It is read-only, so concurrent ParseAlloc/New need no lock.
 var allocFactories = map[Alloc]func(*Cache) AllocPolicy{
 	GlobalLRU: lruFamily(GlobalLRU, false, false, false),
 	LRUSP:     lruFamily(LRUSP, true, true, true),
@@ -159,55 +158,4 @@ func (p *lruPolicy) Overruled(candidate, chosen *Buf) {
 	if p.swap {
 		p.c.swapPositions(candidate, chosen)
 	}
-}
-
-// SetAlloc hot-swaps the allocation policy on a live cache: a
-// migrate-in-place transition that relinks every resident block into the
-// new policy's structures and drops state only the old policy could
-// interpret.
-//
-// Transition rule: placeholders record *policy decisions* (LRU-SP
-// overrules), so they are all dropped — the new policy starts with a
-// clean decision record. Resident blocks, their dirty state, their data
-// slots and their ACM level linkage are untouched. The global list is
-// walked LRU to MRU and each block re-announced through Inserted, so a
-// recency-based policy inherits the existing order (ARC starts with
-// everything in T1, its cold-start state; AWRP starts with frequency 1
-// and recency in list order).
-func (c *Cache) SetAlloc(name Alloc) error {
-	name = name.norm()
-	if _, err := ParseAlloc(string(name)); err != nil {
-		return err
-	}
-	if name == c.pol.Name() {
-		return nil
-	}
-	np := allocFactories[name](c)
-	if c.repl == nil && np.TwoLevel() {
-		return fmt.Errorf("cache: policy %q requires a Replacer (cache built without one)", name)
-	}
-	// Drop every placeholder: they encode the old policy's overrule
-	// history. Collect-then-delete — forEach must not see mutation.
-	var stale []*placeholder
-	c.ph.forEach(func(k key, ph *placeholder) { stale = append(stale, ph) })
-	for _, ph := range stale {
-		c.dropPlaceholder(ph)
-	}
-	if np.Placeholders() {
-		// Swapping into a placeholder policy on a cache built without
-		// one: pre-size the (now empty) index so steady-state placeholder
-		// churn stays rehash-free, as New would have. reserve no-ops when
-		// the table is already big enough.
-		c.ph.reserve(c.cfg.Capacity)
-	}
-	// Relink residents LRU→MRU so order-sensitive policies inherit the
-	// global recency order.
-	for b := c.head.gnext; b != c.tail; b = b.gnext {
-		b.pol = polNode{}
-		np.Inserted(b)
-	}
-	c.pol = np
-	c.cfg.Alloc = name
-	c.stats.AllocSwaps++
-	return nil
 }

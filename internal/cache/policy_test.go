@@ -1,7 +1,6 @@
 package cache_test
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/cache"
@@ -86,122 +85,6 @@ func TestAWRPFrequencyBeatsRecency(t *testing.T) {
 	c.CheckInvariants()
 	if c.Peek(id(0)) == nil {
 		t.Error("awrp evicted the high-frequency block; weight ranking not applied")
-	}
-}
-
-// TestSetAllocMigratesInPlace drives the live policy swap through every
-// registered policy in sequence on a warm, dirty, placeholder-carrying
-// cache, checking invariants and content preservation after each hop.
-func TestSetAllocMigratesInPlace(t *testing.T) {
-	m := &mockRepl{managed: map[int]bool{1: true}}
-	c := cache.New(cache.Config{Capacity: 8, Alloc: cache.LRUSP}, m)
-	for i := 0; i < 8; i++ {
-		get(c, id(i), 1)
-	}
-	// Manufacture an overrule so a placeholder exists pre-swap.
-	m.pick = func(candidate *cache.Buf, missing cache.BlockID) *cache.Buf {
-		if b := c.Peek(id(7)); b != nil && b != candidate {
-			return b
-		}
-		return candidate
-	}
-	get(c, id(8), 1)
-	m.pick = nil
-	if c.Placeholders() == 0 {
-		t.Fatal("setup: no placeholder built")
-	}
-	c.MarkDirty(c.Peek(id(3)), 0)
-
-	resident := c.GlobalOrder()
-	hops := append(cache.AllocNames(), cache.LRUSP, cache.ARC, cache.LRUSP)
-	for _, alloc := range hops {
-		if err := c.SetAlloc(alloc); err != nil {
-			t.Fatalf("SetAlloc(%s): %v", alloc, err)
-		}
-		if c.Alloc() != alloc {
-			t.Fatalf("after SetAlloc(%s): Alloc() = %s", alloc, c.Alloc())
-		}
-		c.CheckInvariants()
-		for _, blk := range resident {
-			if c.Peek(blk) == nil {
-				t.Fatalf("block %v lost migrating to %s", blk, alloc)
-			}
-		}
-		// The cache keeps operating under the new policy.
-		get(c, id(100), 1)
-		get(c, id(3), 1)
-		resident = c.GlobalOrder()
-		c.CheckInvariants()
-	}
-	if !c.Peek(id(3)).Dirty {
-		t.Error("dirty flag lost across migrations")
-	}
-	if got := c.Stats().AllocSwaps; got < int64(len(hops)-1) {
-		t.Errorf("AllocSwaps = %d after %d hops", got, len(hops))
-	}
-}
-
-// TestSetAllocDropsPlaceholders: placeholders encode the old policy's
-// overrule history and must not survive a swap.
-func TestSetAllocDropsPlaceholders(t *testing.T) {
-	c, _ := setupOverruleWithPlaceholder(t)
-	if c.Placeholders() == 0 {
-		t.Fatal("setup: no placeholder")
-	}
-	if err := c.SetAlloc(cache.ARC); err != nil {
-		t.Fatal(err)
-	}
-	if c.Placeholders() != 0 {
-		t.Errorf("%d placeholders survived the swap", c.Placeholders())
-	}
-	c.CheckInvariants()
-	// And swapping back re-arms the placeholder machinery.
-	if err := c.SetAlloc(cache.LRUSP); err != nil {
-		t.Fatal(err)
-	}
-	get(c, id(50), 1)
-	c.CheckInvariants()
-}
-
-// setupOverruleWithPlaceholder builds a full LRU-SP cache holding one
-// placeholder from a manager overrule.
-func setupOverruleWithPlaceholder(t *testing.T) (*cache.Cache, *mockRepl) {
-	t.Helper()
-	m := &mockRepl{managed: map[int]bool{1: true}}
-	c := cache.New(cache.Config{Capacity: 3, Alloc: cache.LRUSP}, m)
-	for i := 0; i < 3; i++ {
-		get(c, id(i), 1)
-	}
-	m.pick = func(candidate *cache.Buf, missing cache.BlockID) *cache.Buf {
-		if b := c.Peek(id(2)); b != nil && b != candidate {
-			return b
-		}
-		return candidate
-	}
-	get(c, id(3), 1)
-	m.pick = nil
-	return c, m
-}
-
-// TestSetAllocErrors pins the error contract: unknown names are
-// ErrUnknownAlloc (errors.Is-able), two-level policies need a Replacer,
-// and a same-name swap is a free no-op.
-func TestSetAllocErrors(t *testing.T) {
-	c := cache.New(cache.Config{Capacity: 2, Alloc: cache.GlobalLRU}, nil)
-	if err := c.SetAlloc("no-such"); !errors.Is(err, cache.ErrUnknownAlloc) {
-		t.Errorf("SetAlloc(unknown) = %v, want ErrUnknownAlloc", err)
-	}
-	if err := c.SetAlloc(cache.ARC); err == nil {
-		t.Error("SetAlloc(arc) on a Replacer-less cache did not fail")
-	}
-	if c.Alloc() != cache.GlobalLRU {
-		t.Errorf("failed swaps changed the policy to %s", c.Alloc())
-	}
-	if err := c.SetAlloc(cache.GlobalLRU); err != nil {
-		t.Errorf("same-name swap: %v", err)
-	}
-	if got := c.Stats().AllocSwaps; got != 0 {
-		t.Errorf("AllocSwaps = %d after only failed/no-op swaps, want 0", got)
 	}
 }
 

@@ -53,12 +53,6 @@ type Config struct {
 	CopyCPU      sim.Time
 	MissCPU      sim.Time
 	FbehaviorCPU sim.Time
-	// CPUQuantum chunks CPU service for round-robin-like sharing: a
-	// process never waits for more than roughly one quantum of another
-	// process's computation. The small default (2 ms) approximates the
-	// Unix scheduler's priority boost for I/O-bound processes, which
-	// lets them preempt CPU-bound neighbours almost immediately.
-	CPUQuantum sim.Time
 
 	// ReadAhead enables sequential read-ahead. ReadAheadDepth is how
 	// many blocks ahead the kernel keeps in flight; 0 means 1, the
@@ -80,11 +74,10 @@ type Config struct {
 	DirtyAge     sim.Time
 	// SpreadSync smooths the update daemon in the style of Mogul's "A
 	// better update policy" (cited by the paper): instead of one burst
-	// every SyncInterval, the daemon wakes SyncSlices times per interval
-	// and flushes only the aged dirty blocks, spreading write-back load
-	// so bursts do not queue behind demand reads. SyncSlices 0 means 30.
+	// every SyncInterval, the daemon wakes 30 times per interval and
+	// flushes only the aged dirty blocks, spreading write-back load so
+	// bursts do not queue behind demand reads.
 	SpreadSync bool
-	SyncSlices int
 
 	// SharedFiles makes cached-block ownership follow use, so whichever
 	// process is actively using a shared file's block applies its policy
@@ -109,8 +102,6 @@ type Config struct {
 
 	// Revoke configures the foolish-manager revocation extension.
 	Revoke cache.RevokeConfig
-	// ACMLimits caps per-manager kernel resources.
-	ACMLimits acm.Limits
 
 	// Trace, when non-nil, receives every block access (reads and
 	// writes, not read-ahead) as it happens. Useful for dumping or
@@ -243,7 +234,7 @@ func NewSystem(cfg Config) *System {
 		caps = append(caps, g.Blocks())
 	}
 	s.fsys = fs.New(fs.Config{DiskBlocks: caps, FileGapBlocks: cfg.FileGapBlocks})
-	s.ctl = acm.New(s.eng.Now, cfg.ACMLimits)
+	s.ctl = acm.New(s.eng.Now, acm.Limits{})
 	s.bc = cache.New(cache.Config{
 		Capacity:       cfg.CacheBlocks(),
 		Alloc:          cfg.Alloc,
@@ -304,11 +295,7 @@ func (s *System) CreateFile(name string, diskIdx, sizeBlocks int) *fs.File {
 func (s *System) startUpdateDaemon() {
 	interval := s.cfg.SyncInterval
 	if s.cfg.SpreadSync {
-		slices := s.cfg.SyncSlices
-		if slices <= 0 {
-			slices = 30
-		}
-		interval = s.cfg.SyncInterval / sim.Time(slices)
+		interval = s.cfg.SyncInterval / 30
 		if interval < sim.Millisecond {
 			interval = sim.Millisecond
 		}
@@ -528,14 +515,14 @@ func (p *Proc) Compute(d sim.Time) {
 	p.sys.useCPU(p.sp, d)
 }
 
-// useCPU charges CPU time in quantum-sized chunks so that concurrent
-// processes share the processor round-robin style instead of FCFS on
-// whole compute bursts.
+// useCPU charges CPU time in 2 ms chunks so that concurrent processes
+// share the processor round-robin style instead of FCFS on whole compute
+// bursts: a process never waits for more than roughly one quantum of
+// another process's computation. The small quantum approximates the Unix
+// scheduler's priority boost for I/O-bound processes, which lets them
+// preempt CPU-bound neighbours almost immediately.
 func (s *System) useCPU(sp *sim.Proc, d sim.Time) {
-	q := s.cfg.CPUQuantum
-	if q <= 0 {
-		q = 2 * sim.Millisecond
-	}
+	const q = 2 * sim.Millisecond
 	for d > q {
 		s.cpu.Use(sp, q)
 		d -= q

@@ -103,10 +103,10 @@ type LiveConfig struct {
 	EvictOnRelease bool
 
 	// WallClock stamps cache recency with real time instead of the
-	// deterministic per-operation logical tick. The tick default keeps
-	// replacement order a pure function of request order, which the
-	// oracle test needs; a production daemon may prefer wall time so
-	// that update-style flushing ages in seconds.
+	// deterministic per-operation logical tick. Neither clock changes
+	// replacement: recency is the global list's order, a buffer's
+	// ValidAt is only ever 0 or IOPending, and every flush outside tests
+	// passes MaxTime (the oracle test replays under both).
 	WallClock bool
 }
 
@@ -296,14 +296,6 @@ func (l *Live) PendingWriteBacks() int { return int(l.wbOutstanding) }
 func (l *Live) Snapshot() stats.Snapshot {
 	return stats.Snapshot{Cache: l.bc.Stats(), Fill: l.fill}
 }
-
-// SetAllocPolicy hot-swaps the kernel's allocation policy by name; see
-// cache.SetAlloc for the migrate-in-place contract. Kernel goroutine
-// only.
-func (l *Live) SetAllocPolicy(name cache.Alloc) error { return l.bc.SetAlloc(name) }
-
-// AllocPolicy returns the name of the allocation policy in force.
-func (l *Live) AllocPolicy() cache.Alloc { return l.bc.Alloc() }
 
 // --- invariants ---
 

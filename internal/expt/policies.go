@@ -10,16 +10,16 @@ import (
 )
 
 // captureSpec runs one application alone (oblivious, original kernel),
-// appending its block reference stream to tr. The Trace callback makes it
-// uncacheable by design: the per-access events escape through the
+// appending its block reference stream to refs. The Trace callback makes
+// it uncacheable by design: the per-access events escape through the
 // callback, which would never fire again on a memo hit.
-func captureSpec(app string, tr *trace.Trace) RunSpec {
+func captureSpec(app string, refs *[]cache.BlockID) RunSpec {
 	return RunSpec{
 		Apps:    mixSpec([]string{app}, workload.Oblivious),
 		CacheMB: 6.4,
 		Alloc:   cache.GlobalLRU,
 		Trace: func(ev core.TraceEvent) {
-			tr.Append(ev.File, ev.Block)
+			*refs = append(*refs, cache.BlockID{File: ev.File, Num: ev.Block})
 		},
 	}
 }
@@ -49,13 +49,13 @@ func Policies(r *Runner, sizes []float64) []Table {
 	}
 	var rows []func()
 	for _, app := range singleApps {
-		tr := &trace.Trace{}
-		f := r.Submit(captureSpec(app, tr))
+		refs := new([]cache.BlockID)
+		f := r.Submit(captureSpec(app, refs))
 		rows = append(rows, func() {
-			f.Wait() // the capture run fully populates tr
+			f.Wait() // the capture run fully populates refs
 			for _, mb := range sizes {
 				capacity := core.Config{CacheBytes: core.MB(mb)}.CacheBlocks()
-				res := trace.Compare(tr.Refs, capacity)
+				res := trace.Compare(*refs, capacity)
 				lru, mru, lru2, opt := res[0], res[1], res[2], res[3]
 				ratio := "inf"
 				if opt.Misses > 0 {
@@ -63,7 +63,7 @@ func Policies(r *Runner, sizes []float64) []Table {
 				}
 				t.Rows = append(t.Rows, []string{
 					app, fmt.Sprint(mb),
-					fmt.Sprint(tr.Len()), fmt.Sprint(tr.Unique()),
+					fmt.Sprint(len(*refs)), fmt.Sprint(trace.Unique(*refs)),
 					fmt.Sprint(lru.Misses), fmt.Sprint(mru.Misses),
 					fmt.Sprint(lru2.Misses), fmt.Sprint(opt.Misses),
 					ratio,

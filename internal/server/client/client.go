@@ -39,9 +39,6 @@ var (
 	// ErrBadFrame: the peer rejected the frame as malformed, or this
 	// client received a response it cannot parse.
 	ErrBadFrame = errors.New("acfcd: bad frame")
-	// ErrUnknownPolicy: set_alloc named an allocation policy the
-	// server's registry does not know.
-	ErrUnknownPolicy = errors.New("acfcd: unknown allocation policy")
 )
 
 // StatusError is a non-OK response. It satisfies errors.Is for the
@@ -65,8 +62,6 @@ func (e *StatusError) Is(target error) bool {
 		return e.Status == server.StatusRevoked
 	case ErrBadFrame:
 		return e.Status == server.StatusBadRequest
-	case ErrUnknownPolicy:
-		return e.Status == server.StatusUnknownPolicy
 	}
 	return false
 }
@@ -288,30 +283,25 @@ const (
 	FbSetPolicy
 	FbGetPolicy
 	FbSetTempPri
-	FbSetAlloc
-	FbGetAlloc
 )
 
 // FbArgs are the arguments of a multiplexed Fbehavior call; each op
 // reads the fields it needs (File for the per-file calls, Prio for all
 // priority-scoped calls, Policy for FbSetPolicy, Start/End for
-// FbSetTempPri, Alloc for FbSetAlloc).
+// FbSetTempPri).
 type FbArgs struct {
 	File   fs.FileID
 	Prio   int
 	Policy acm.Policy
 	Start  int32
 	End    int32
-	Alloc  string
 }
 
 // FbResult is the result of a multiplexed Fbehavior call: Prio for
-// FbGetPriority, Policy for FbGetPolicy, Alloc (the canonical policy
-// name) for FbSetAlloc/FbGetAlloc, zero otherwise.
+// FbGetPriority, Policy for FbGetPolicy, zero otherwise.
 type FbResult struct {
 	Prio   int
 	Policy acm.Policy
-	Alloc  string
 }
 
 // Fbehavior is the multiplexed form of the paper's fbehavior syscall:
@@ -348,21 +338,6 @@ func (c *Conn) Fbehavior(op FbOp, a FbArgs) (FbResult, error) {
 	case FbSetTempPri:
 		_, err := c.roundTrip(server.OpSetTempPri, server.SetTempPriReq{File: a.File, Start: a.Start, End: a.End, Prio: a.Prio}.Append(nil))
 		return FbResult{}, err
-	case FbSetAlloc:
-		resp, err := c.roundTrip(server.OpSetAlloc, []byte(a.Alloc))
-		if err != nil {
-			return FbResult{}, err
-		}
-		return FbResult{Alloc: string(resp)}, nil
-	case FbGetAlloc:
-		resp, err := c.roundTrip(server.OpGetAlloc, nil)
-		if err != nil {
-			return FbResult{}, err
-		}
-		if len(resp) == 0 {
-			return FbResult{}, fmt.Errorf("%w: get_alloc: empty response", ErrBadFrame)
-		}
-		return FbResult{Alloc: string(resp)}, nil
 	}
 	return FbResult{}, fmt.Errorf("%w: unknown fbehavior op %d", ErrBadFrame, op)
 }
@@ -396,23 +371,6 @@ func (c *Conn) GetPolicy(prio int) (acm.Policy, error) {
 func (c *Conn) SetTempPri(f fs.FileID, startBlk, endBlk int32, prio int) error {
 	_, err := c.Fbehavior(FbSetTempPri, FbArgs{File: f, Start: startBlk, End: endBlk, Prio: prio})
 	return err
-}
-
-// SetAlloc installs the named kernel allocation policy in every shard
-// (cache.ParseAlloc names: "global-lru", "lru-sp", "arc", ...). A name
-// the server's registry does not know fails with an error matching
-// errors.Is(err, ErrUnknownPolicy), and no shard is touched.
-func (c *Conn) SetAlloc(name string) error {
-	_, err := c.Fbehavior(FbSetAlloc, FbArgs{Alloc: name})
-	return err
-}
-
-// GetAlloc reports the canonical name of the active allocation policy
-// (shard 0's — set_alloc is validated once and applied to every shard,
-// so the shards agree).
-func (c *Conn) GetAlloc() (string, error) {
-	res, err := c.Fbehavior(FbGetAlloc, FbArgs{})
-	return res.Alloc, err
 }
 
 // Stats fetches this session's counters and the kernel snapshot.

@@ -38,10 +38,6 @@ type Redialer[C io.Closer] struct {
 	DialTimeout time.Duration
 	// Attempts is the number of dial attempts per Get (default 3).
 	Attempts int
-	// Backoff is the delay before the second attempt, doubling per
-	// attempt up to MaxBackoff (defaults 10ms, 1s).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 
 	mu   sync.Mutex
 	c    C
@@ -55,16 +51,12 @@ func (r *Redialer[C]) attempts() int {
 	return 3
 }
 
-func (r *Redialer[C]) backoff() (first, cap time.Duration) {
-	first, cap = r.Backoff, r.MaxBackoff
-	if first <= 0 {
-		first = 10 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = time.Second
-	}
-	return first, cap
-}
+// The delay before a Get's second attempt, doubling per attempt up to
+// maxBackoff.
+const (
+	firstBackoff = 10 * time.Millisecond
+	maxBackoff   = time.Second
+)
 
 // dialOnce runs one Dial under the timeout. On timeout the in-flight
 // dial keeps running in a goroutine whose only job is to close whatever
@@ -109,14 +101,12 @@ func (r *Redialer[C]) Get() (C, error) {
 	if r.live {
 		return r.c, nil
 	}
-	delay, maxDelay := r.backoff()
+	delay := firstBackoff
 	var lastErr error
 	for i := 0; i < r.attempts(); i++ {
 		if i > 0 {
 			time.Sleep(delay)
-			if delay *= 2; delay > maxDelay {
-				delay = maxDelay
-			}
+			delay = min(2*delay, maxBackoff)
 		}
 		c, err := r.dialOnce()
 		if err != nil {

@@ -58,7 +58,7 @@ func TestRedialerGetReusesConnection(t *testing.T) {
 
 func TestRedialerRetriesWithBackoff(t *testing.T) {
 	d := &fakeDialer{failures: 2}
-	r := &Redialer[*fakeConn]{Dial: d.dial, Backoff: time.Millisecond}
+	r := &Redialer[*fakeConn]{Dial: d.dial}
 	start := time.Now()
 	c, err := r.Get()
 	if err != nil {
@@ -67,15 +67,15 @@ func TestRedialerRetriesWithBackoff(t *testing.T) {
 	if c.id != 3 {
 		t.Errorf("got conn %d, want the third dial", c.id)
 	}
-	// Two retries at 1ms then 2ms backoff: at least 3ms must have passed.
-	if elapsed := time.Since(start); elapsed < 3*time.Millisecond {
+	// Two retries at 10ms then 20ms backoff: at least 30ms must have passed.
+	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
 		t.Errorf("Get returned after %v; backoff skipped", elapsed)
 	}
 }
 
 func TestRedialerExhaustsAttempts(t *testing.T) {
 	d := &fakeDialer{failures: 100}
-	r := &Redialer[*fakeConn]{Dial: d.dial, Attempts: 2, Backoff: time.Microsecond}
+	r := &Redialer[*fakeConn]{Dial: d.dial, Attempts: 2}
 	if _, err := r.Get(); err == nil {
 		t.Fatal("Get succeeded with every dial scripted to fail")
 	}
@@ -89,8 +89,7 @@ func TestRedialerOnConnect(t *testing.T) {
 	var restored []int
 	fail := true
 	r := &Redialer[*fakeConn]{
-		Dial:    d.dial,
-		Backoff: time.Microsecond,
+		Dial: d.dial,
 		OnConnect: func(c *fakeConn) error {
 			if fail {
 				fail = false

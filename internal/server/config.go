@@ -70,21 +70,13 @@ func (c *Config) fillDefaults() {
 // StatsReply is the JSON body of an OpStats response. With more than one
 // shard, Session and Kernel aggregate over the shards and PerShard
 // carries the breakdown; a 1-shard server omits PerShard so its wire
-// responses are identical to the unsharded server's. Alloc always has
-// one entry per shard: policy names are strings, so they ride beside
-// the numeric snapshots rather than inside them.
+// responses are identical to the unsharded server's. Alloc names the
+// allocation policy every shard runs, fixed when the server was built.
 type StatsReply struct {
 	Session  core.ProcStats   `json:"session"`
 	Kernel   stats.Snapshot   `json:"kernel"`
 	PerShard []stats.Snapshot `json:"per_shard,omitempty"`
-	Alloc    []AllocStatus    `json:"alloc,omitempty"`
-}
-
-// AllocStatus is one shard's allocation-policy line in a StatsReply:
-// the policy in force, which -alloc set at start and set_alloc may have
-// changed since.
-type AllocStatus struct {
-	Policy string `json:"policy"`
+	Alloc    string           `json:"alloc"`
 }
 
 // SessionInfo describes one live session in a Metrics snapshot. Owner is
@@ -106,15 +98,14 @@ type ShardMetrics struct {
 	FillsInflight      int
 	WritebacksInflight int
 	CachedBlocks       int
-	// AllocPolicy is the shard's active allocation policy. Every shard
-	// runs the same one: set_alloc applies one name to them all.
-	AllocPolicy string
 }
 
 // Metrics is a point-in-time server snapshot. The top-level fields
 // aggregate over the shards; Shards carries the per-shard breakdown.
+// Alloc is the allocation policy of every shard (Kernel.Alloc).
 type Metrics struct {
 	Kernel             stats.Snapshot
+	Alloc              string
 	SessionsActive     int
 	SessionsTotal      int64
 	Requests           int64

@@ -23,8 +23,6 @@ func statusOf(err error) uint8 {
 		return StatusRevoked
 	case errors.Is(err, core.ErrNoControl), errors.Is(err, core.ErrControlled):
 		return StatusNoControl
-	case errors.Is(err, cache.ErrUnknownAlloc):
-		return StatusUnknownPolicy
 	case errors.Is(err, fs.ErrExists):
 		return StatusExists
 	case errors.Is(err, acm.ErrLimit), errors.Is(err, fs.ErrNoSpace):
@@ -81,8 +79,6 @@ func (sh *shard) handle(se *session, r *request) (retained bool) {
 			return false
 		}
 		se.send(r.id, StatusOK, nil)
-	case OpGetAlloc:
-		se.send(r.id, StatusOK, []byte(sh.kern.AllocPolicy().String()))
 	case OpSetPriority, OpGetPriority, OpGetPolicy, OpSetTempPri:
 		sh.handleFbehavior(se, r)
 	default:
@@ -255,8 +251,8 @@ func (sh *shard) handleFbehavior(se *session, r *request) {
 	se.send(r.id, StatusOK, resp)
 }
 
-// broadcastCtl runs a control-plane op (control, set_policy, set_alloc)
-// in every shard, in shard order, and replies once: these ops target the
+// broadcastCtl runs a control-plane op (control, set_policy) in every
+// shard, in shard order, and replies once: these ops target the
 // session's manager state, which exists per shard. First error wins; a
 // refusal from any shard refuses the whole op. Runs on the session's
 // reader goroutine; each shard's closure is complete before the next is
@@ -264,9 +260,8 @@ func (sh *shard) handleFbehavior(se *session, r *request) {
 // consuming, so the round-trips cannot deadlock.
 func (s *Server) broadcastCtl(se *session, r *request) {
 	s.xRequests.Add(1)
-	// Validate and decode before touching any shard, so a bad body — an
-	// unknown allocation policy above all — can never leave the shards
-	// split.
+	// Validate and decode before touching any shard, so a bad body can
+	// never leave the shards split.
 	var apply func(k *core.Live, owner int) error
 	var okBody []byte
 	switch r.op {
@@ -287,14 +282,6 @@ func (s *Server) broadcastCtl(se *session, r *request) {
 		}
 		apply = func(k *core.Live, owner int) error { return k.SetPolicy(owner, m.Prio, m.Policy) }
 		okBody = []byte{uint8(m.Policy)}
-	case OpSetAlloc:
-		alloc, err := cache.ParseAlloc(string(r.body))
-		if err != nil {
-			se.send(r.id, StatusUnknownPolicy, []byte(err.Error()))
-			return
-		}
-		apply = func(k *core.Live, _ int) error { return k.SetAllocPolicy(alloc) }
-		okBody = []byte(alloc.String())
 	}
 	var firstErr error
 	refused := false

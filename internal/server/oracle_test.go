@@ -17,11 +17,14 @@ import (
 // transcript through acfcd over a real socket, and require the hit/miss
 // and I/O accounting to come out byte-identical.
 //
-// The parity argument: with read-ahead off, a single app, a serial
-// replay, and the server's deterministic tick clock, replacement is a
-// pure function of the request sequence — the wire adds latency but the
-// kernel loop sees the exact same order of operations the simulated
-// kernel saw. Counters the comparison must exclude, and why:
+// The parity argument: with read-ahead off, a single app and a serial
+// replay, replacement is a pure function of the request sequence — the
+// wire adds latency but the kernel loop sees the exact same order of
+// operations the simulated kernel saw. The kernel's clock plays no part:
+// recency is the global list's order, a buffer's ValidAt is only ever 0
+// or IOPending, and every flush outside tests passes MaxTime, so each
+// replay runs under the logical tick and under wall time alike. Counters
+// the comparison must exclude, and why:
 //
 //   - WriteBacks: the DES flushes dirty blocks on the 30-second update
 //     daemon; the live kernel flushes synchronously at eviction. Same
@@ -57,53 +60,57 @@ func TestOracleWireReplayMatchesSimulation(t *testing.T) {
 				t.Fatal("recording captured no events")
 			}
 
-			// WallClock off: the server's logical tick clock makes the
-			// replay's recency order deterministic.
-			// Shards pinned to 1: the oracle's parity argument needs the
-			// whole cache to be one replacement domain, exactly the
-			// simulated kernel. (This is also the gate that a 1-shard
-			// server is the old server, bit for bit.)
-			_, _, dial := startServer(t, server.Config{
-				Kernel: core.LiveConfig{
-					CacheBytes: core.MB(tc.cacheMB),
-					Alloc:      tc.alloc,
-				},
-				Shards: 1,
-			})
-			c := dial()
-			defer c.Close()
+			for _, wall := range []bool{false, true} {
+				t.Run(map[bool]string{false: "tick", true: "wall"}[wall], func(t *testing.T) {
+					// Shards pinned to 1: the oracle's parity argument
+					// needs the whole cache to be one replacement domain,
+					// exactly the simulated kernel. (This is also the gate
+					// that a 1-shard server is the old server, bit for bit.)
+					_, _, dial := startServer(t, server.Config{
+						Kernel: core.LiveConfig{
+							CacheBytes: core.MB(tc.cacheMB),
+							Alloc:      tc.alloc,
+							WallClock:  wall,
+						},
+						Shards: 1,
+					})
+					c := dial()
+					defer c.Close()
 
-			// Serially through one session, any wire or status error
-			// fatal: the translation is client.Replay's, as in acload.
-			rp := client.Replay{S: c, NoData: true}
-			for i, ev := range rec.Events {
-				var err error
-				if ev.IsCtl {
-					err = rp.Ctl(*ev.Ctl.CtlEvent)
-				} else {
-					_, err = rp.Access(ev.Access)
-				}
-				if err != nil {
-					t.Fatalf("event %d (%+v): %v", i, ev, err)
-				}
-			}
+					// Serially through one session, any wire or status
+					// error fatal: the translation is client.Replay's, as
+					// in acload.
+					rp := client.Replay{S: c, NoData: true}
+					for i, ev := range rec.Events {
+						var err error
+						if ev.IsCtl {
+							err = rp.Ctl(*ev.Ctl.CtlEvent)
+						} else {
+							_, err = rp.Access(ev.Access)
+						}
+						if err != nil {
+							t.Fatalf("event %d (%+v): %v", i, ev, err)
+						}
+					}
 
-			sr, err := c.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := rec.Result.PerApp[0].Stats
-			got := sr.Session
-			type subset struct {
-				ReadCalls, WriteCalls, Hits, Misses, DemandReads, Prefetches int64
-			}
-			wantSub := subset{want.ReadCalls, want.WriteCalls, want.Hits, want.Misses, want.DemandReads, want.Prefetches}
-			gotSub := subset{got.ReadCalls, got.WriteCalls, got.Hits, got.Misses, got.DemandReads, got.Prefetches}
-			if gotSub != wantSub {
-				t.Errorf("session stats diverge from simulation:\n got %+v\nwant %+v", gotSub, wantSub)
-			}
-			if sr.Kernel.Cache != rec.Result.CacheStats {
-				t.Errorf("cache stats diverge from simulation:\n got %+v\nwant %+v", sr.Kernel.Cache, rec.Result.CacheStats)
+					sr, err := c.Stats()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := rec.Result.PerApp[0].Stats
+					got := sr.Session
+					type subset struct {
+						ReadCalls, WriteCalls, Hits, Misses, DemandReads, Prefetches int64
+					}
+					wantSub := subset{want.ReadCalls, want.WriteCalls, want.Hits, want.Misses, want.DemandReads, want.Prefetches}
+					gotSub := subset{got.ReadCalls, got.WriteCalls, got.Hits, got.Misses, got.DemandReads, got.Prefetches}
+					if gotSub != wantSub {
+						t.Errorf("session stats diverge from simulation:\n got %+v\nwant %+v", gotSub, wantSub)
+					}
+					if sr.Kernel.Cache != rec.Result.CacheStats {
+						t.Errorf("cache stats diverge from simulation:\n got %+v\nwant %+v", sr.Kernel.Cache, rec.Result.CacheStats)
+					}
+				})
 			}
 		})
 	}

@@ -45,13 +45,6 @@
 //	set_temppri   file u32 | start u32 | end u32 |      -
 //	              prio i32
 //	stats         -                                     JSON (StatsReply)
-//	set_alloc     name                                  name (canonical)
-//	get_alloc     -                                     name
-//
-// set_alloc broadcasts like control/set_policy: the named allocation
-// policy (see cache.ParseAlloc) is installed in every shard before the
-// next frame runs; an unrecognized name is rejected with
-// unknown_policy. get_alloc anchors at shard 0.
 //
 // Non-OK responses carry the error message as the body.
 //
@@ -74,7 +67,10 @@ import (
 	"repro/internal/fs"
 )
 
-// Opcodes (request tag).
+// Opcodes (request tag). 15 and 16 are retired — they were set_alloc and
+// get_alloc, a live swap of the allocation policy, which is now fixed for
+// the daemon's life — and must never be reused: an old client's frame
+// gets bad_request, never another op's meaning.
 const (
 	OpPing uint8 = 1 + iota
 	OpOpen
@@ -90,8 +86,6 @@ const (
 	OpGetPolicy
 	OpSetTempPri
 	OpStats
-	OpSetAlloc
-	OpGetAlloc
 )
 
 // Statuses (response tag).
@@ -105,8 +99,7 @@ const (
 	StatusRefused   // server is draining for shutdown
 	StatusIO
 	StatusRange
-	StatusRevoked       // the session's owner is unknown or already released
-	StatusUnknownPolicy // set_alloc named a policy the registry does not know
+	StatusRevoked // the session's owner is unknown or already released
 )
 
 // StatusName names a status for reports.
@@ -132,8 +125,6 @@ func StatusName(st uint8) string {
 		return "range"
 	case StatusRevoked:
 		return "revoked"
-	case StatusUnknownPolicy:
-		return "unknown_policy"
 	}
 	return fmt.Sprintf("status%d", st)
 }

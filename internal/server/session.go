@@ -203,7 +203,7 @@ func (se *session) readLoop() {
 // before the reader can enqueue the session's next frame.
 func (s *Server) dispatch(se *session, r *request) {
 	switch r.op {
-	case OpControl, OpSetPolicy, OpSetAlloc:
+	case OpControl, OpSetPolicy:
 		// All complete (every shard round-trip included) before
 		// returning, so the request recycles here.
 		s.broadcastCtl(se, r)

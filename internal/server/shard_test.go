@@ -310,22 +310,13 @@ func TestMetricsDrift(t *testing.T) {
 		t.Errorf("writebacks_inflight: plaintext %d, struct %d", got, m.WritebacksInflight)
 	}
 
-	// Allocation-policy surfaces: the wire reply's alloc section, the
-	// Metrics struct, and the plaintext must agree per shard.
-	if len(sr.Alloc) != shards {
-		t.Fatalf("wire alloc sections: %d, want %d", len(sr.Alloc), shards)
+	// The allocation policy, one for the daemon: the wire reply, the
+	// Metrics struct and the plaintext must agree.
+	if sr.Alloc != m.Alloc || m.Alloc != cache.LRUSP.String() {
+		t.Errorf("alloc: wire %q, metrics %q, want %q", sr.Alloc, m.Alloc, cache.LRUSP)
 	}
-	for i, sm := range m.Shards {
-		if sr.Alloc[i].Policy != sm.AllocPolicy {
-			t.Errorf("shard %d policy: wire %q, metrics %q", i, sr.Alloc[i].Policy, sm.AllocPolicy)
-		}
-		if sm.AllocPolicy != cache.LRUSP.String() {
-			t.Errorf("shard %d policy = %q, want %q", i, sm.AllocPolicy, cache.LRUSP)
-		}
-		pl := fmt.Sprintf(`{shard="%d",policy=%q}`, i, sm.AllocPolicy)
-		if got := lines["acfcd_shard_alloc_policy"+pl]; got != 1 {
-			t.Errorf("shard %d: plaintext policy line %s = %d, want 1", i, pl, got)
-		}
+	if pl := fmt.Sprintf(`{policy=%q}`, m.Alloc); lines["acfcd_alloc_policy"+pl] != 1 {
+		t.Errorf("plaintext policy line acfcd_alloc_policy%s = %d, want 1", pl, lines["acfcd_alloc_policy"+pl])
 	}
 }
 

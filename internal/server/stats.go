@@ -17,12 +17,13 @@ func (s *Server) Metrics() (Metrics, bool) { return s.metrics(nil) }
 // false) as it refuses the session's other requests.
 func (s *Server) metrics(only *session) (Metrics, bool) {
 	s.mu.Lock()
-	shards, extraFill := s.shards, s.cfg.ExtraFill
+	shards, extraFill, alloc := s.shards, s.cfg.ExtraFill, s.cfg.Kernel.Alloc
 	s.mu.Unlock()
 	if shards == nil {
 		return Metrics{}, false
 	}
 	m := Metrics{
+		Alloc:         alloc.String(),
 		SessionsTotal: s.sessionsTotal.Load(),
 		Requests:      s.xRequests.Load(),
 		Refused:       s.xRefused.Load(),
@@ -61,7 +62,6 @@ func (sh *shard) snapshot(m *Metrics, at map[*session]int, only *session) {
 		FillsInflight:      int(sh.fillsIssued.Load() - sh.fillsDone.Load()),
 		WritebacksInflight: sh.wbInflight,
 		CachedBlocks:       sh.kern.Cache().Len(),
-		AllocPolicy:        sh.kern.AllocPolicy().String(),
 	}
 	m.Shards = append(m.Shards, sm)
 	m.Kernel.Accumulate(sm.Kernel)
@@ -102,12 +102,11 @@ func (s *Server) serveStats(se *session, r *request) {
 		se.send(r.id, StatusRefused, []byte("server shutting down"))
 		return
 	}
-	sr := StatsReply{Session: m.Sessions[0].Stats, Kernel: m.Kernel}
-	for _, sm := range m.Shards {
-		if len(m.Shards) > 1 {
+	sr := StatsReply{Session: m.Sessions[0].Stats, Kernel: m.Kernel, Alloc: m.Alloc}
+	if len(m.Shards) > 1 {
+		for _, sm := range m.Shards {
 			sr.PerShard = append(sr.PerShard, sm.Kernel)
 		}
-		sr.Alloc = append(sr.Alloc, AllocStatus{Policy: sm.AllocPolicy})
 	}
 	body, err := json.Marshal(sr)
 	if err != nil {

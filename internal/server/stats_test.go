@@ -141,17 +141,17 @@ func TestStatsSurfacesAgree(t *testing.T) {
 		t.Errorf("kernel totals: wire A %+v\nwire B %+v\nMetrics %+v", srA.Kernel, srB.Kernel, m.Kernel)
 	}
 	checkSnapshotLines(t, lines, "acfcd", "", srA.Kernel)
-	if len(srA.PerShard) != shards || len(m.Shards) != shards || len(srA.Alloc) != shards {
-		t.Fatalf("per-shard sections: wire %d (alloc %d), Metrics %d, want %d", len(srA.PerShard), len(srA.Alloc), len(m.Shards), shards)
+	if len(srA.PerShard) != shards || len(m.Shards) != shards {
+		t.Fatalf("per-shard sections: wire %d, Metrics %d, want %d", len(srA.PerShard), len(m.Shards), shards)
+	}
+	if srA.Alloc != m.Alloc {
+		t.Errorf("alloc: wire %q, Metrics %q", srA.Alloc, m.Alloc)
 	}
 	for i, sm := range m.Shards {
 		if srA.PerShard[i] != sm.Kernel {
 			t.Errorf("shard %d: wire %+v\nMetrics %+v", i, srA.PerShard[i], sm.Kernel)
 		}
 		checkSnapshotLines(t, lines, "acfcd_shard", fmt.Sprintf(`{shard="%d"}`, i), srA.PerShard[i])
-		if srA.Alloc[i].Policy != sm.AllocPolicy {
-			t.Errorf("shard %d alloc: wire %+v, Metrics %q", i, srA.Alloc[i], sm.AllocPolicy)
-		}
 	}
 
 	// Per-session totals: each session's own wire reply, its entry in

@@ -153,6 +153,16 @@ func TestMalformedBodiesAreBadRequests(t *testing.T) {
 			t.Errorf("op %d, body one byte long: status %s, want bad_request", tc.op, server.StatusName(st))
 		}
 	}
+	// The retired opcodes 15 and 16 (a live allocation-policy swap and its
+	// read-back) fall to handle's default arm, with and without the body
+	// they took.
+	for _, op := range []uint8{15, 16} {
+		for _, body := range [][]byte{nil, []byte("arc")} {
+			if st := call(op, body); st != server.StatusBadRequest {
+				t.Errorf("retired op %d, %d-byte body: status %s, want bad_request", op, len(body), server.StatusName(st))
+			}
+		}
+	}
 	if st := call(server.OpPing, nil); st != server.StatusOK {
 		t.Errorf("ping after the malformed requests: status %s", server.StatusName(st))
 	}

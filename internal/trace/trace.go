@@ -1,9 +1,10 @@
-// Package trace captures block reference streams from simulation runs and
-// replays them through single-process replacement policies — LRU, MRU,
-// LRU-2 and Belady's optimal (OPT). LRU and MRU are the kernel's own: the
-// buffer cache under global LRU (the paper's original kernel), and the
-// same cache with one ACM manager whose pool runs MRU. LRU-2 and OPT have
-// no kernel equivalent and are simulated here. The paper's companion work
+// Package trace replays block reference streams — a []cache.BlockID, as
+// a simulation run's Trace hook appends it — through single-process
+// replacement policies: LRU, MRU, LRU-2 and Belady's optimal (OPT). LRU
+// and MRU are the kernel's own: the buffer cache under global LRU (the
+// paper's original kernel), and the same cache with one ACM manager whose
+// pool runs MRU. LRU-2 and OPT have no kernel equivalent and are
+// simulated here. The paper's companion work
 // (USENIX '94) argues application policies should be derived from the
 // optimal replacement principle; replaying a workload's own stream
 // through OPT gives the unreachable lower bound on misses that a smart
@@ -12,40 +13,17 @@ package trace
 
 import (
 	"container/heap"
-	"fmt"
 
 	"repro/internal/acm"
 	"repro/internal/cache"
-	"repro/internal/fs"
 	"repro/internal/sim"
 )
 
-// Ref is one block reference.
-type Ref struct {
-	File  fs.FileID
-	Block int32
-}
-
-func (r Ref) String() string { return fmt.Sprintf("f%d:%d", r.File, r.Block) }
-
-// Trace is an append-only reference stream.
-type Trace struct {
-	Refs []Ref
-}
-
-// Append records one reference.
-func (t *Trace) Append(file fs.FileID, block int32) {
-	t.Refs = append(t.Refs, Ref{File: file, Block: block})
-}
-
-// Len returns the stream length.
-func (t *Trace) Len() int { return len(t.Refs) }
-
 // Unique returns the number of distinct blocks referenced (the compulsory
 // miss count).
-func (t *Trace) Unique() int {
-	seen := make(map[Ref]struct{}, len(t.Refs))
-	for _, r := range t.Refs {
+func Unique(refs []cache.BlockID) int {
+	seen := make(map[cache.BlockID]struct{}, len(refs))
+	for _, r := range refs {
 		seen[r] = struct{}{}
 	}
 	return len(seen)
@@ -70,7 +48,7 @@ func (r Result) HitRatio() float64 {
 
 // SimLRU replays the stream through the kernel's buffer cache of the
 // given capacity under global LRU, the paper's original kernel.
-func SimLRU(refs []Ref, capacity int) Result {
+func SimLRU(refs []cache.BlockID, capacity int) Result {
 	c := cache.New(cache.Config{Capacity: capacity, Alloc: cache.GlobalLRU}, nil)
 	return replay(refs, c, cache.NoOwner, "LRU")
 }
@@ -79,7 +57,7 @@ func SimLRU(refs []Ref, capacity int) Result {
 // manager whose default pool runs MRU: on pressure, the block touched most
 // recently is replaced. A fresh ACM cannot fail to create the manager or
 // set the policy, so an error there is a bug and panics.
-func SimMRU(refs []Ref, capacity int) Result {
+func SimMRU(refs []cache.BlockID, capacity int) Result {
 	a := acm.New(func() sim.Time { return 0 }, acm.Limits{})
 	m, err := a.CreateManager(0)
 	if err == nil {
@@ -95,10 +73,9 @@ func SimMRU(refs []Ref, capacity int) Result {
 // replay runs the stream through c, loading each missed block for owner.
 // Every loaded block is marked referenced at once, as a demand load is:
 // an MRU pool keeps unreferenced (read-ahead) blocks as its last resort.
-func replay(refs []Ref, c *cache.Cache, owner int, name string) Result {
+func replay(refs []cache.BlockID, c *cache.Cache, owner int, name string) Result {
 	res := Result{Policy: name, Capacity: c.Capacity()}
-	for _, r := range refs {
-		id := cache.BlockID{File: r.File, Num: r.Block}
+	for _, id := range refs {
 		if c.Lookup(id, 0, 0) != nil {
 			res.Hits++
 			continue
@@ -113,7 +90,7 @@ func replay(refs []Ref, c *cache.Cache, owner int, name string) Result {
 // optEntry is a heap element for SimOPT: the block and the stream index of
 // its next use at the time the entry was pushed.
 type optEntry struct {
-	ref     Ref
+	ref     cache.BlockID
 	nextUse int
 }
 
@@ -138,14 +115,14 @@ const infinity = int(^uint(0) >> 1)
 // replace the cached block whose next use is farthest in the future. This
 // requires the whole stream up front, which is exactly why it is a bound
 // rather than a policy.
-func SimOPT(refs []Ref, capacity int) Result {
+func SimOPT(refs []cache.BlockID, capacity int) Result {
 	if capacity <= 0 {
 		panic("trace: non-positive capacity")
 	}
 	res := Result{Policy: "OPT", Capacity: capacity}
 	// next[i] = stream index of the next reference to refs[i] after i.
 	next := make([]int, len(refs))
-	last := make(map[Ref]int, capacity)
+	last := make(map[cache.BlockID]int, capacity)
 	for i := len(refs) - 1; i >= 0; i-- {
 		if j, ok := last[refs[i]]; ok {
 			next[i] = j
@@ -154,7 +131,7 @@ func SimOPT(refs []Ref, capacity int) Result {
 		}
 		last[refs[i]] = i
 	}
-	cached := make(map[Ref]int, capacity) // block -> current next use
+	cached := make(map[cache.BlockID]int, capacity) // block -> current next use
 	h := &optHeap{}
 	for i, r := range refs {
 		if _, ok := cached[r]; ok {
@@ -183,7 +160,7 @@ func SimOPT(refs []Ref, capacity int) Result {
 
 // Compare replays the stream through LRU, MRU, LRU-2 and OPT at one
 // capacity.
-func Compare(refs []Ref, capacity int) []Result {
+func Compare(refs []cache.BlockID, capacity int) []Result {
 	return []Result{
 		SimLRU(refs, capacity),
 		SimMRU(refs, capacity),
@@ -194,7 +171,7 @@ func Compare(refs []Ref, capacity int) []Result {
 
 // lru2Node tracks a block's last two reference times for SimLRU2.
 type lru2Node struct {
-	ref        Ref
+	ref        cache.BlockID
 	last, prev int // stream indices; prev = -1 until the second access
 	pos        int // index in the lru2Heap
 }
@@ -236,14 +213,14 @@ func (h *lru2Heap) Pop() interface{} {
 // since this is an offline analysis tool), which is what makes LRU-2
 // scan-resistant: one-shot scans cannot displace blocks with established
 // reuse.
-func SimLRU2(refs []Ref, capacity int) Result {
+func SimLRU2(refs []cache.BlockID, capacity int) Result {
 	if capacity <= 0 {
 		panic("trace: non-positive capacity")
 	}
 	res := Result{Policy: "LRU-2", Capacity: capacity}
-	cached := make(map[Ref]*lru2Node, capacity)
+	cached := make(map[cache.BlockID]*lru2Node, capacity)
 	order := make(lru2Heap, 0, capacity)
-	history := make(map[Ref]int) // last reference of evicted blocks
+	history := make(map[cache.BlockID]int) // last reference of evicted blocks
 	for i, r := range refs {
 		if n, ok := cached[r]; ok {
 			res.Hits++

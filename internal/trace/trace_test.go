@@ -5,20 +5,21 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cache"
 	"repro/internal/fs"
 	"repro/internal/sim"
 )
 
-func seq(n int) []Ref {
-	refs := make([]Ref, n)
+func seq(n int) []cache.BlockID {
+	refs := make([]cache.BlockID, n)
 	for i := range refs {
-		refs[i] = Ref{File: 1, Block: int32(i)}
+		refs[i] = cache.BlockID{File: 1, Num: int32(i)}
 	}
 	return refs
 }
 
-func cyclic(blocks, passes int) []Ref {
-	var refs []Ref
+func cyclic(blocks, passes int) []cache.BlockID {
+	var refs []cache.BlockID
 	for p := 0; p < passes; p++ {
 		refs = append(refs, seq(blocks)...)
 	}
@@ -26,19 +27,9 @@ func cyclic(blocks, passes int) []Ref {
 }
 
 func TestTraceAppendAndUnique(t *testing.T) {
-	var tr Trace
-	tr.Append(1, 0)
-	tr.Append(1, 1)
-	tr.Append(1, 0)
-	tr.Append(2, 0)
-	if tr.Len() != 4 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	if tr.Unique() != 3 {
-		t.Errorf("Unique = %d, want 3", tr.Unique())
-	}
-	if got := (Ref{File: 2, Block: 7}).String(); got != "f2:7" {
-		t.Errorf("String = %q", got)
+	refs := []cache.BlockID{{File: 1, Num: 0}, {File: 1, Num: 1}, {File: 1, Num: 0}, {File: 2, Num: 0}}
+	if got := Unique(refs); got != 3 {
+		t.Errorf("Unique = %d, want 3", got)
 	}
 }
 
@@ -93,10 +84,10 @@ func TestOPTOnCycleEqualsMRUIdeal(t *testing.T) {
 func TestOPTHotCold(t *testing.T) {
 	// A hot block touched every other reference with a cold stream: OPT
 	// must keep the hot block (2 misses only: hot + per cold block).
-	var refs []Ref
-	hot := Ref{File: 9, Block: 0}
+	var refs []cache.BlockID
+	hot := cache.BlockID{File: 9, Num: 0}
 	for i := 0; i < 100; i++ {
-		refs = append(refs, Ref{File: 1, Block: int32(i)}, hot)
+		refs = append(refs, cache.BlockID{File: 1, Num: int32(i)}, hot)
 	}
 	r := SimOPT(refs, 4)
 	if r.Misses != 101 {
@@ -105,7 +96,7 @@ func TestOPTHotCold(t *testing.T) {
 }
 
 func TestCapacityOnePanicsZero(t *testing.T) {
-	for _, f := range []func([]Ref, int) Result{SimLRU, SimMRU, SimOPT} {
+	for _, f := range []func([]cache.BlockID, int) Result{SimLRU, SimMRU, SimOPT} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -118,7 +109,7 @@ func TestCapacityOnePanicsZero(t *testing.T) {
 }
 
 func TestCapacityOne(t *testing.T) {
-	refs := []Ref{{1, 0}, {1, 0}, {1, 1}, {1, 0}}
+	refs := []cache.BlockID{{File: 1, Num: 0}, {File: 1, Num: 0}, {File: 1, Num: 1}, {File: 1, Num: 0}}
 	for _, r := range Compare(refs, 1) {
 		if r.Hits != 1 {
 			t.Errorf("%s: hits = %d, want 1", r.Policy, r.Hits)
@@ -132,9 +123,9 @@ func TestQuickOPTIsOptimal(t *testing.T) {
 	f := func(seed uint64, capRaw uint8) bool {
 		capacity := 1 + int(capRaw)%16
 		rng := sim.NewRand(seed)
-		refs := make([]Ref, 1500)
+		refs := make([]cache.BlockID, 1500)
 		for i := range refs {
-			refs[i] = Ref{File: fs.FileID(1 + rng.Intn(2)), Block: int32(rng.Intn(40))}
+			refs[i] = cache.BlockID{File: fs.FileID(1 + rng.Intn(2)), Num: int32(rng.Intn(40))}
 		}
 		opt := SimOPT(refs, capacity)
 		if opt.Misses > SimLRU(refs, capacity).Misses {
@@ -153,15 +144,15 @@ func TestQuickConservation(t *testing.T) {
 	f := func(seed uint64, capRaw uint8) bool {
 		capacity := 1 + int(capRaw)%20
 		rng := sim.NewRand(seed)
-		var tr Trace
-		for i := 0; i < 800; i++ {
-			tr.Append(fs.FileID(1+rng.Intn(3)), int32(rng.Intn(30)))
+		refs := make([]cache.BlockID, 800)
+		for i := range refs {
+			refs[i] = cache.BlockID{File: fs.FileID(1 + rng.Intn(3)), Num: int32(rng.Intn(30))}
 		}
-		for _, r := range Compare(tr.Refs, capacity) {
-			if r.Hits+r.Misses != int64(tr.Len()) {
+		for _, r := range Compare(refs, capacity) {
+			if r.Hits+r.Misses != int64(len(refs)) {
 				return false
 			}
-			if r.Misses < int64(tr.Unique()) {
+			if r.Misses < int64(Unique(refs)) {
 				return false
 			}
 		}
@@ -176,8 +167,8 @@ func TestQuickConservation(t *testing.T) {
 // in a slice from least to most recently used, searched and shifted on
 // every reference. The victim is the first element under LRU, the last
 // under MRU.
-func sliceSim(refs []Ref, capacity int, mru bool) (hits, misses int64) {
-	var cached []Ref
+func sliceSim(refs []cache.BlockID, capacity int, mru bool) (hits, misses int64) {
+	var cached []cache.BlockID
 	for _, r := range refs {
 		if i := slices.Index(cached, r); i >= 0 {
 			hits++
@@ -207,15 +198,15 @@ func TestQuickLRUMRUMatchSlice(t *testing.T) {
 		rng := sim.NewRand(seed)
 		files := 1 + rng.Intn(3)
 		sequential := rng.Intn(4) == 0
-		refs := make([]Ref, 400+rng.Intn(400))
+		refs := make([]cache.BlockID, 400+rng.Intn(400))
 		for i := range refs {
 			switch {
 			case sequential:
-				refs[i] = Ref{File: fs.FileID(1 + i/120%files), Block: int32(i % 120)}
+				refs[i] = cache.BlockID{File: fs.FileID(1 + i/120%files), Num: int32(i % 120)}
 			case i > 0 && rng.Intn(3) == 0:
-				refs[i] = Ref{File: refs[i-1].File, Block: (refs[i-1].Block + 1) % 120}
+				refs[i] = cache.BlockID{File: refs[i-1].File, Num: (refs[i-1].Num + 1) % 120}
 			default:
-				refs[i] = Ref{File: fs.FileID(1 + rng.Intn(files)), Block: int32(rng.Intn(120))}
+				refs[i] = cache.BlockID{File: fs.FileID(1 + rng.Intn(files)), Num: int32(rng.Intn(120))}
 			}
 		}
 		for _, mru := range []bool{false, true} {
@@ -243,9 +234,9 @@ func TestQuickLRUMRUMatchSlice(t *testing.T) {
 func TestQuickLRUStackProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRand(seed)
-		refs := make([]Ref, 1000)
+		refs := make([]cache.BlockID, 1000)
 		for i := range refs {
-			refs[i] = Ref{File: 1, Block: int32(rng.Intn(50))}
+			refs[i] = cache.BlockID{File: 1, Num: int32(rng.Intn(50))}
 		}
 		prev := int64(1 << 60)
 		for _, capacity := range []int{2, 4, 8, 16, 32} {
@@ -266,9 +257,9 @@ func TestQuickLRUStackProperty(t *testing.T) {
 func TestQuickOPTStackProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRand(seed)
-		refs := make([]Ref, 1000)
+		refs := make([]cache.BlockID, 1000)
 		for i := range refs {
-			refs[i] = Ref{File: 1, Block: int32(rng.Intn(50))}
+			refs[i] = cache.BlockID{File: 1, Num: int32(rng.Intn(50))}
 		}
 		prev := int64(1 << 60)
 		for _, capacity := range []int{2, 4, 8, 16, 32} {
@@ -289,12 +280,12 @@ func TestLRU2ScanResistance(t *testing.T) {
 	// Hot set re-referenced between one-shot scan blocks: LRU-2 keeps
 	// the hot set (scan blocks have infinite 2-distance) while LRU lets
 	// the scan flush it.
-	var refs []Ref
+	var refs []cache.BlockID
 	scan := int32(0)
 	for i := 0; i < 400; i++ {
-		refs = append(refs, Ref{File: 9, Block: int32(i % 4)}) // hot 4
-		for j := 0; j < 3; j++ {                               // heavy scan
-			refs = append(refs, Ref{File: 1, Block: scan})
+		refs = append(refs, cache.BlockID{File: 9, Num: int32(i % 4)}) // hot 4
+		for j := 0; j < 3; j++ {                                       // heavy scan
+			refs = append(refs, cache.BlockID{File: 1, Num: scan})
 			scan++
 		}
 	}
@@ -324,9 +315,9 @@ func TestLRU2CapacityPanics(t *testing.T) {
 
 func TestLRU2NeverBelowOPT(t *testing.T) {
 	rng := sim.NewRand(31)
-	refs := make([]Ref, 2000)
+	refs := make([]cache.BlockID, 2000)
 	for i := range refs {
-		refs[i] = Ref{File: 1, Block: int32(rng.Intn(60))}
+		refs[i] = cache.BlockID{File: 1, Num: int32(rng.Intn(60))}
 	}
 	if SimLRU2(refs, 16).Misses < SimOPT(refs, 16).Misses {
 		t.Error("LRU-2 beat OPT, which is impossible")
@@ -335,10 +326,10 @@ func TestLRU2NeverBelowOPT(t *testing.T) {
 
 // scanLRU2 is LRU-2 with the victim found the plain way, by ranging over
 // every cached block on every miss: the reference for SimLRU2's heap.
-func scanLRU2(refs []Ref, capacity int) Result {
+func scanLRU2(refs []cache.BlockID, capacity int) Result {
 	res := Result{Policy: "LRU-2", Capacity: capacity}
-	cached := make(map[Ref]*lru2Node, capacity)
-	history := make(map[Ref]int)
+	cached := make(map[cache.BlockID]*lru2Node, capacity)
+	history := make(map[cache.BlockID]int)
 	for i, r := range refs {
 		if n, ok := cached[r]; ok {
 			res.Hits++
@@ -378,16 +369,16 @@ func scanLRU2(refs []Ref, capacity int) Result {
 func TestLRU2HeapMatchesScan(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := sim.NewRand(seed)
-		refs := make([]Ref, 4000)
+		refs := make([]cache.BlockID, 4000)
 		scan := int32(0)
 		for i := range refs {
 			switch rng.Intn(4) {
 			case 0:
-				refs[i] = Ref{File: 1, Block: int32(rng.Intn(8))}
+				refs[i] = cache.BlockID{File: 1, Num: int32(rng.Intn(8))}
 			case 1, 2:
-				refs[i] = Ref{File: 2, Block: int32(rng.Intn(120))}
+				refs[i] = cache.BlockID{File: 2, Num: int32(rng.Intn(120))}
 			default:
-				refs[i] = Ref{File: 3, Block: scan}
+				refs[i] = cache.BlockID{File: 3, Num: scan}
 				scan++
 			}
 		}
