@@ -11,7 +11,7 @@
 //	      [-pprof 127.0.0.1:6060]
 //	      [-cache-mb 6.4] [-alloc lru-sp]
 //	      [-store mem|/path/to/file]
-//	      [-shards 1] [-idle 2m] [-inflight 32] [-evict-on-close]
+//	      [-shards 1] [-idle 2m] [-inflight 32]
 //	      [-writeback-depth 0] [-readahead 0] [-grace 10s]
 //	      [-cluster tcp:h1:p1,tcp:h2:p2,...] [-origin mem|dir:/path]
 //
@@ -67,7 +67,6 @@ type options struct {
 	store                  string
 	idle, grace            time.Duration
 	inflight, shards       int
-	evictOnClose           bool
 	writebackDepth         int
 	readahead              int
 	cluster, origin        string
@@ -83,10 +82,9 @@ func newFlags() (*flag.FlagSet, *options) {
 	fl.StringVar(&o.pprof, "pprof", "", "HTTP net/http/pprof listen address (empty: disabled)")
 	fl.Float64Var(&o.cacheMB, "cache-mb", 6.4, "cache size in MB")
 	fl.StringVar(&o.alloc, "alloc", "lru-sp", fmt.Sprintf("allocation policy: %v", cache.AllocNames()))
-	fl.StringVar(&o.store, "store", "mem", "block store: mem, or a backing file path")
+	fl.StringVar(&o.store, "store", "mem", "block store: mem, or a scratch file path (truncated at start)")
 	fl.DurationVar(&o.idle, "idle", 2*time.Minute, "session idle timeout")
 	fl.IntVar(&o.inflight, "inflight", 32, "max pipelined requests per session")
-	fl.BoolVar(&o.evictOnClose, "evict-on-close", false, "evict (write back) a closing session's blocks instead of disowning them")
 	fl.IntVar(&o.shards, "shards", 1, "independent kernel shards (files hash to shards at open)")
 	fl.DurationVar(&o.grace, "grace", 10*time.Second, "shutdown drain grace before forcing disconnects")
 	fl.IntVar(&o.writebackDepth, "writeback-depth", 0, "async write-behind queue depth per shard (0: synchronous write-backs)")
@@ -119,7 +117,6 @@ func run() int {
 			CacheBytes:     core.MB(o.cacheMB),
 			Alloc:          cache.Alloc(o.alloc), // check parsed it
 			Store:          store,
-			EvictOnRelease: o.evictOnClose,
 			ReadAhead:      o.readahead > 0,
 			ReadAheadDepth: o.readahead,
 			WallClock:      true,
@@ -240,9 +237,10 @@ func run() int {
 // check rejects every flag value acfcd would otherwise replace with a
 // default, ignore, or act on only half way. It opens nothing.
 func (o *options) check() error {
+	if err := core.CheckCacheMB(o.cacheMB); err != nil {
+		return fmt.Errorf("-cache-mb: %w", err)
+	}
 	switch {
-	case o.cacheMB <= 0:
-		return fmt.Errorf("-cache-mb must be positive (got %v)", o.cacheMB)
 	case o.inflight <= 0:
 		return fmt.Errorf("-inflight must be positive (got %d)", o.inflight)
 	case o.shards <= 0:

@@ -40,6 +40,9 @@ func TestBadFlagsExitBeforeOpening(t *testing.T) {
 		{"bad origin", []string{"-cluster", cluster, "-origin", "nfs:x"}, "-origin"},
 		{"zero cache", []string{"-cache-mb", "0"}, "-cache-mb"},
 		{"negative cache", []string{"-cache-mb", "-1"}, "-cache-mb"},
+		{"NaN cache", []string{"-cache-mb", "NaN"}, "-cache-mb"},
+		{"cache past int64 bytes", []string{"-cache-mb", "1e13"}, "-cache-mb"},
+		{"cache under one block", []string{"-cache-mb", "0.001"}, "-cache-mb"},
 		{"zero inflight", []string{"-inflight", "0"}, "-inflight"},
 		{"zero shards", []string{"-shards", "0"}, "-shards"},
 		{"zero idle", []string{"-idle", "0s"}, "-idle"},

@@ -23,7 +23,8 @@
 //
 // acload measures one replay against whatever server is at -addr; the
 // repository's performance numbers come from `go run ./benchmark`, which
-// pins the server profile and records the environment.
+// pins the server profile and records the environment. A bad flag value
+// exits 2 before anything is recorded.
 package main
 
 import (
@@ -38,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/server/client"
 )
@@ -94,21 +96,12 @@ func newFlags() (*flag.FlagSet, *options) {
 func run() int {
 	fl, o := newFlags()
 	fl.Parse(os.Args[1:])
-
-	alloc, err := cache.ParseAlloc(o.alloc)
-	var app expt.AppSpec
-	if err == nil {
-		app, err = expt.ParseApp(o.app + ":" + o.mode)
-	}
+	alloc, app, err := o.check()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acload: %v\n", err)
 		return 2
 	}
-	network, addr, ok := strings.Cut(o.addr, ":")
-	if !ok || (network != "unix" && network != "tcp") {
-		fmt.Fprintf(os.Stderr, "acload: bad -addr %q\n", o.addr)
-		return 2
-	}
+	network, addr, _ := strings.Cut(o.addr, ":")
 
 	fmt.Fprintf(os.Stderr, "acload: recording %s (%s) in simulation...\n", o.app, app.Mode)
 	rec := expt.Record(expt.RunSpec{
@@ -129,6 +122,30 @@ func run() int {
 		"acload: server %2d clients: %7d reqs in %6.2fs = %8.0f req/s, %6.1f MB/s, %5.1f allocs/op, hit %5.1f%%, p50 %5.0fµs p90 %5.0fµs p99 %6.0fµs, refused %d, errors %d\n",
 		res.Clients, res.Requests, res.Seconds, res.Throughput, res.BytesPerSec/1e6, res.AllocsPerOp, 100*res.HitRatio, res.P50us, res.P90us, res.P99us, res.Refused, res.Errors)
 	return 0
+}
+
+// check rejects every flag value acload would otherwise replace with a
+// default, measure nothing with, or fail on only after the recording, and
+// returns the parsed policy and application. It records and dials nothing.
+func (o *options) check() (cache.Alloc, expt.AppSpec, error) {
+	if o.clients <= 0 {
+		return "", expt.AppSpec{}, fmt.Errorf("-clients must be positive (got %d)", o.clients)
+	}
+	if err := core.CheckCacheMB(o.cacheMB); err != nil {
+		return "", expt.AppSpec{}, fmt.Errorf("-cache-mb: %w", err)
+	}
+	alloc, err := cache.ParseAlloc(o.alloc)
+	if err != nil {
+		return "", expt.AppSpec{}, err
+	}
+	app, err := expt.ParseApp(o.app + ":" + o.mode)
+	if err != nil {
+		return "", expt.AppSpec{}, err
+	}
+	if network, _, ok := strings.Cut(o.addr, ":"); !ok || (network != "unix" && network != "tcp") {
+		return "", expt.AppSpec{}, fmt.Errorf("bad -addr %q (want unix:/path or tcp:host:port)", o.addr)
+	}
+	return alloc, app, nil
 }
 
 // runSweep replays the transcript through n concurrent sessions, each

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -419,4 +421,53 @@ func TestFlagsDocumented(t *testing.T) {
 	fl, _ := newFlags()
 	flagdoc.Check(t, fl, "main.go", "// Usage:\n//\n", "\n//\n")
 	flagdoc.Check(t, fl, "../../README.md", "`acload` flags:\n\n", "\n\n")
+}
+
+// TestBadFlagsExitBeforeRecording: every rejected command line exits 2
+// with a message naming the flag at fault, before the transcript is
+// recorded. Each case also passes -addr bogus:x, so a command line that
+// slipped through is refused for its address instead of replaying.
+func TestBadFlagsExitBeforeRecording(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+		msg  string // a substring of what acload prints
+	}{
+		{"negative clients", []string{"-clients", "-1"}, "-clients"},
+		{"zero clients", []string{"-clients", "0"}, "-clients"},
+		{"zero cache", []string{"-cache-mb", "0"}, "-cache-mb"},
+		{"NaN cache", []string{"-cache-mb", "NaN"}, "-cache-mb"},
+		{"cache past int64 bytes", []string{"-cache-mb", "1e13"}, "-cache-mb"},
+		{"cache under one block", []string{"-cache-mb", "0.001"}, "-cache-mb"},
+		{"unknown policy", []string{"-alloc", "nope"}, "nope"},
+		{"unknown app", []string{"-app", "nope"}, "nope"},
+		{"bad addr", nil, "-addr"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			code, stderr := runWith(t, append(c.args, "-addr", "bogus:x"))
+			if code != 2 || !strings.Contains(stderr, c.msg) || strings.Contains(stderr, "recording") {
+				t.Errorf("exit %d, stderr %q; want exit 2 naming %s, before recording", code, stderr, c.msg)
+			}
+		})
+	}
+}
+
+// runWith calls run with args as the command line and returns its exit
+// code and what it wrote to stderr.
+func runWith(t *testing.T, args []string) (int, string) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	oldArgs, oldStderr := os.Args, os.Stderr
+	defer func() { os.Args, os.Stderr = oldArgs, oldStderr }()
+	os.Args, os.Stderr = append([]string{"acload"}, args...), f
+	code := run()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out)
 }

@@ -101,10 +101,9 @@ func main() {
 		st.ReadCalls, st.WriteCalls, st.Hits, st.Misses,
 		100*float64(st.Hits)/float64(st.Hits+st.Misses))
 	fmt.Fprintf(out, "  fbehavior      %d calls\n", st.FbehaviorCalls)
-	if ic := sys.InodeCache(); ic != nil && st.Opens > 0 {
-		ms := ic.Stats()
+	if st.Opens > 0 {
 		fmt.Fprintf(out, "  metadata       %d opens, %d inode reads (inode cache %.0f%% hit)\n",
-			st.Opens, st.MetadataReads, 100*ms.HitRatio())
+			st.Opens, st.MetadataReads, 100*sys.InodeCache().Stats().HitRatio())
 	}
 	cs := sys.Cache().Stats()
 	fmt.Fprintf(out, "cache: %d evictions, %d overrules, %d placeholder hits, %d revocations\n",

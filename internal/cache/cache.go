@@ -786,33 +786,10 @@ func (c *Cache) InvalidateFile(id fs.FileID) int {
 	return len(doomed)
 }
 
-// EvictOwner evicts every block owned by owner, reporting each victim to
-// fn (which may be nil) so the caller can write back dirty data. It
-// returns the number of blocks evicted. This is the eviction half of
-// revoking an owner/manager session: the manager, if any, must already
-// have been destroyed (BlockGone fires unconditionally either way, so a
-// still-linked revoked owner's ACM nodes unlink cleanly). The Victim
-// passed to fn is a copy, valid beyond the call.
-func (c *Cache) EvictOwner(owner int, fn func(Victim)) int {
-	var doomed []*Buf
-	for b := c.head.gnext; b != c.tail; b = b.gnext {
-		if b.Owner == owner {
-			doomed = append(doomed, b)
-		}
-	}
-	for _, b := range doomed {
-		v := c.evict(b)
-		if fn != nil {
-			fn(*v)
-		}
-	}
-	return len(doomed)
-}
-
 // DisownOwner transfers every block owned by owner to NoOwner, leaving
-// the blocks cached under the kernel's global policy alone. This is the
-// transfer half of revoking an owner/manager session: a departed client's
-// warm blocks stay useful to whoever reads them next.
+// the blocks cached under the kernel's global policy alone. This is how an
+// owner/manager session ends: a departed client's warm blocks stay useful
+// to whoever reads them next.
 func (c *Cache) DisownOwner(owner int) int {
 	n := 0
 	for b := c.head.gnext; b != c.tail; b = b.gnext {

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/acm"
 	"repro/internal/cache"
@@ -28,31 +29,61 @@ const ioPending = cache.IOPending
 // BlockSize is the file-system block size (8 KB, as in Ultrix).
 const BlockSize = disk.BlockSize
 
-// Config describes one simulated machine.
+// The machine the paper measures: a DEC 5000/240 running Ultrix 4.3. Every
+// experiment runs on it, so what Config does not vary is stated once here.
+const (
+	// CPU cost model. syscallCPU is the fixed kernel entry/exit cost of a
+	// file operation; copyCPU is the cost of copying one full block to
+	// user space (scaled by access size); missCPU is the added kernel cost
+	// of handling a miss; fbehaviorCPU prices a cache-control call;
+	// nameiCPU is the path-lookup cost of an Open.
+	syscallCPU   = 150 * sim.Microsecond
+	copyCPU      = 300 * sim.Microsecond
+	missCPU      = 1 * sim.Millisecond
+	fbehaviorCPU = 60 * sim.Microsecond
+	nameiCPU     = 500 * sim.Microsecond
+
+	// fileGapBlocks separates files on disk (inode/fragmentation gap), so
+	// crossing a file boundary costs a rotation instead of streaming.
+	fileGapBlocks = 2
+
+	// metaCacheEntries sizes the separate in-core inode cache: the ninode
+	// default of the era. Metadata I/O is accounted apart from the paper's
+	// block-I/O metric, matching the paper's methodology.
+	metaCacheEntries = 300
+
+	// The update daemon: every syncInterval it writes back blocks dirty
+	// for at least dirtyAge, as Ultrix's update(8) does every 30 seconds.
+	syncInterval = 30 * sim.Second
+	dirtyAge     = 30 * sim.Second
+)
+
+// disks are the paper's drives, one RZ56 and one RZ26 on a shared SCSI
+// bus; disk 0 holds files unless a workload says otherwise. Live places
+// files on the same pair.
+var disks = [...]disk.Geometry{disk.RZ56, disk.RZ26}
+
+// diskBlocks lists the capacities of disks, for the file system.
+func diskBlocks() []int {
+	caps := make([]int, len(disks))
+	for i, g := range disks {
+		caps[i] = g.Blocks()
+	}
+	return caps
+}
+
+// Config describes what an experiment varies about the simulated machine.
 type Config struct {
 	// CacheBytes sizes the buffer cache; the paper's default is 6.4 MB
 	// (10% of the workstation's 64 MB).
 	CacheBytes int64
 	// Alloc is the kernel's global allocation policy.
 	Alloc cache.Alloc
-	// Disks lists the drive geometries; disk 0 holds files unless a
-	// workload says otherwise. Default: one RZ56 and one RZ26 on a
-	// shared SCSI bus, as in the paper.
-	Disks []disk.Geometry
 	// Seed drives all stochastic components (rotational latencies).
 	Seed uint64
 	// DiskSched selects the drivers' request scheduling (default: the
 	// C-LOOK elevator of BSD disksort; FIFO exists for ablations).
 	DiskSched disk.Sched
-
-	// CPU cost model. SyscallCPU is the fixed kernel entry/exit cost of
-	// a file operation; CopyCPU is the cost of copying one full block to
-	// user space (scaled by access size); MissCPU is the added kernel
-	// cost of handling a miss; FbehaviorCPU prices a cache-control call.
-	SyscallCPU   sim.Time
-	CopyCPU      sim.Time
-	MissCPU      sim.Time
-	FbehaviorCPU sim.Time
 
 	// ReadAhead enables sequential read-ahead. ReadAheadDepth is how
 	// many blocks ahead the kernel keeps in flight; 0 means 1, the
@@ -63,18 +94,9 @@ type Config struct {
 	ReadAhead      bool
 	ReadAheadDepth int
 
-	// FileGapBlocks separates files on disk (inode/fragmentation gap),
-	// so crossing a file boundary costs a rotation instead of streaming.
-	FileGapBlocks int
-
-	// SyncInterval and DirtyAge configure the update daemon: every
-	// SyncInterval it writes back blocks dirty for at least DirtyAge.
-	// SyncInterval 0 disables the daemon.
-	SyncInterval sim.Time
-	DirtyAge     sim.Time
 	// SpreadSync smooths the update daemon in the style of Mogul's "A
 	// better update policy" (cited by the paper): instead of one burst
-	// every SyncInterval, the daemon wakes 30 times per interval and
+	// every sync interval, the daemon wakes 30 times per interval and
 	// flushes only the aged dirty blocks, spreading write-back load so
 	// bursts do not queue behind demand reads.
 	SpreadSync bool
@@ -83,14 +105,6 @@ type Config struct {
 	// process is actively using a shared file's block applies its policy
 	// to it (the paper's Section 8 future work).
 	SharedFiles bool
-
-	// MetaCacheEntries sizes the separate in-core inode cache (the
-	// BSD/Ultrix ninode table). Metadata I/O is accounted apart from the
-	// paper's block-I/O metric, matching the paper's methodology. 0
-	// disables metadata modelling entirely (Open costs CPU only).
-	MetaCacheEntries int
-	// NameiCPU is the path-lookup cost of an Open.
-	NameiCPU sim.Time
 
 	// UpcallCPU models an upcall/RPC-based control implementation: this
 	// much CPU is charged for every replace_block consultation of a
@@ -147,26 +161,25 @@ type TraceEvent struct {
 // daemon, read-ahead on.
 func DefaultConfig() Config {
 	return Config{
-		CacheBytes:       MB(6.4), // 819 blocks, as the paper states
-		Alloc:            cache.LRUSP,
-		Disks:            []disk.Geometry{disk.RZ56, disk.RZ26},
-		Seed:             1,
-		SyscallCPU:       150 * sim.Microsecond,
-		CopyCPU:          300 * sim.Microsecond,
-		MissCPU:          1 * sim.Millisecond,
-		FbehaviorCPU:     60 * sim.Microsecond,
-		ReadAhead:        true,
-		FileGapBlocks:    2,
-		MetaCacheEntries: 300, // the ninode default of the era
-		NameiCPU:         500 * sim.Microsecond,
-		SyncInterval:     30 * sim.Second,
-		DirtyAge:         30 * sim.Second,
+		CacheBytes: MB(6.4), // 819 blocks, as the paper states
+		Alloc:      cache.LRUSP,
+		Seed:       1,
+		ReadAhead:  true,
 	}
 }
 
 // MB converts binary megabytes to bytes (the paper's 6.4 MB cache is 819
 // 8 KB blocks, which is 6.4 * 2^20 / 8192).
 func MB(mb float64) int64 { return int64(mb * (1 << 20)) }
+
+// CheckCacheMB rejects a size in megabytes that MB cannot turn into a cache:
+// NaN, less than one block, or more bytes than an int64 holds.
+func CheckCacheMB(mb float64) error {
+	if b := mb * (1 << 20); !(b >= BlockSize && b < math.MaxInt64) {
+		return fmt.Errorf("%v MB is not a cache size (want one %d-byte block to under 2^63 bytes)", mb, BlockSize)
+	}
+	return nil
+}
 
 // CacheBlocks returns the cache capacity in blocks.
 func (c Config) CacheBlocks() int {
@@ -187,7 +200,7 @@ type System struct {
 	fsys  *fs.FileSystem
 	bc    *cache.Cache
 	ctl   *acm.ACM
-	inode *meta.Cache // nil when metadata modelling is off
+	inode *meta.Cache
 	procs []*Proc
 
 	// pendingIO maps buffers being filled to the record of the read in
@@ -215,9 +228,6 @@ type fill struct {
 
 // NewSystem builds a machine from the config.
 func NewSystem(cfg Config) *System {
-	if len(cfg.Disks) == 0 {
-		cfg.Disks = []disk.Geometry{disk.RZ56, disk.RZ26}
-	}
 	s := &System{cfg: cfg, pendingIO: make(map[*cache.Buf]*fill)}
 	if cfg.NoSimFastPath {
 		s.eng = sim.New(sim.DisableFastPath)
@@ -226,14 +236,12 @@ func NewSystem(cfg Config) *System {
 	}
 	s.cpu = s.eng.NewResource("cpu")
 	s.bus = disk.NewBus(s.eng)
-	var caps []int
-	for i, g := range cfg.Disks {
+	for i, g := range disks {
 		d := disk.New(s.eng, g, s.bus, cfg.Seed+uint64(i)*7919)
 		d.SetScheduler(cfg.DiskSched)
 		s.disks = append(s.disks, d)
-		caps = append(caps, g.Blocks())
 	}
-	s.fsys = fs.New(fs.Config{DiskBlocks: caps, FileGapBlocks: cfg.FileGapBlocks})
+	s.fsys = fs.New(fs.Config{DiskBlocks: diskBlocks(), FileGapBlocks: fileGapBlocks})
 	s.ctl = acm.New(s.eng.Now, acm.Limits{})
 	s.bc = cache.New(cache.Config{
 		Capacity:       cfg.CacheBlocks(),
@@ -241,16 +249,12 @@ func NewSystem(cfg Config) *System {
 		Revoke:         cfg.Revoke,
 		SharedTransfer: cfg.SharedFiles,
 	}, s.ctl)
-	if cfg.MetaCacheEntries > 0 {
-		s.inode = meta.New(cfg.MetaCacheEntries)
-	}
-	if cfg.SyncInterval > 0 {
-		s.startUpdateDaemon()
-	}
+	s.inode = meta.New(metaCacheEntries)
+	s.startUpdateDaemon()
 	return s
 }
 
-// InodeCache exposes the metadata cache (nil when disabled).
+// InodeCache exposes the metadata cache.
 func (s *System) InodeCache() *meta.Cache { return s.inode }
 
 // Engine exposes the simulation engine.
@@ -293,17 +297,14 @@ func (s *System) CreateFile(name string, diskIdx, sizeBlocks int) *fs.File {
 // update policy). The first interval is counted from the first instant of
 // the run, after everything the machine's construction scheduled.
 func (s *System) startUpdateDaemon() {
-	interval := s.cfg.SyncInterval
+	interval := syncInterval
 	if s.cfg.SpreadSync {
-		interval = s.cfg.SyncInterval / 30
-		if interval < sim.Millisecond {
-			interval = sim.Millisecond
-		}
+		interval = syncInterval / 30
 	}
 	var tick func()
 	arm := func() { s.eng.At(s.eng.Now()+interval, tick) }
 	tick = func() {
-		cutoff := s.eng.Now() - s.cfg.DirtyAge
+		cutoff := s.eng.Now() - dirtyAge
 		for _, b := range s.bc.DirtyOlderThan(cutoff) {
 			s.writeBack(b)
 		}
@@ -541,11 +542,9 @@ func (p *Proc) CreateFile(name string, d, sizeBlocks int) *fs.File {
 	if err != nil {
 		panic(err)
 	}
-	if p.sys.inode != nil {
-		p.sys.inode.Prime(f.ID())
-	}
+	p.sys.inode.Prime(f.ID())
 	p.ctlTrace(CtlEvent{Op: CtlCreateFile, File: f.ID(), FileName: name, Disk: d, Size: sizeBlocks})
-	p.sys.useCPU(p.sp, p.sys.cfg.SyscallCPU)
+	p.sys.useCPU(p.sp, syscallCPU)
 	return f
 }
 
@@ -556,8 +555,8 @@ func (p *Proc) CreateFile(name string, d, sizeBlocks int) *fs.File {
 // methodology.
 func (p *Proc) Open(f *fs.File) {
 	p.stats.Opens++
-	p.sys.useCPU(p.sp, p.sys.cfg.NameiCPU)
-	if p.sys.inode == nil || p.sys.inode.Lookup(f.ID()) {
+	p.sys.useCPU(p.sp, nameiCPU)
+	if p.sys.inode.Lookup(f.ID()) {
 		return
 	}
 	p.stats.MetadataReads++
@@ -565,7 +564,7 @@ func (p *Proc) Open(f *fs.File) {
 		return
 	}
 	addr := f.BlockAddr(0)
-	if p.sys.cfg.FileGapBlocks > 0 && addr > 0 {
+	if addr > 0 {
 		addr-- // the inode lives in the gap ahead of the file
 	}
 	d := p.sys.disks[f.Disk()]
@@ -575,9 +574,7 @@ func (p *Proc) Open(f *fs.File) {
 // RemoveFile unlinks a file; its cached blocks (dirty or not) are
 // discarded without I/O, as for an unlinked temporary file.
 func (p *Proc) RemoveFile(f *fs.File) {
-	if p.sys.inode != nil {
-		p.sys.inode.Invalidate(f.ID())
-	}
+	p.sys.inode.Invalidate(f.ID())
 	p.sys.bc.InvalidateFile(f.ID())
 	p.sys.ctl.FileGone(f.ID())
 	if err := p.sys.fsys.Remove(f.Name()); err != nil {
@@ -587,7 +584,7 @@ func (p *Proc) RemoveFile(f *fs.File) {
 	if id := int(f.ID()); id < len(p.lastRead) {
 		p.lastRead[id] = noRead
 	}
-	p.sys.useCPU(p.sp, p.sys.cfg.SyscallCPU)
+	p.sys.useCPU(p.sp, syscallCPU)
 }
 
 // --- the read/write syscall surface ---
@@ -600,10 +597,9 @@ func (p *Proc) Access(f *fs.File, blk int32, off, size int) {
 	if int(blk) >= f.Size() {
 		panic(fmt.Sprintf("core: %s reads block %d beyond %q (size %d)", p.name, blk, f.Name(), f.Size()))
 	}
-	cfg := &p.sys.cfg
 	p.stats.ReadCalls++
 	id := cache.BlockID{File: f.ID(), Num: blk}
-	cpuCost := cfg.SyscallCPU + sim.Time(int64(cfg.CopyCPU)*int64(size)/BlockSize)
+	cpuCost := syscallCPU + sim.Time(int64(copyCPU)*int64(size)/BlockSize)
 	if b := p.sys.bc.LookupBy(id, p.id, off, size); b != nil {
 		p.stats.Hits++
 		p.trace(f, blk, off, size, false, true)
@@ -618,7 +614,7 @@ func (p *Proc) Access(f *fs.File, blk int32, off, size int) {
 	buf.Referenced = true
 	p.sys.startFill(f, buf, blk)
 	p.stats.DemandReads++
-	p.sys.useCPU(p.sp, cpuCost+cfg.MissCPU)
+	p.sys.useCPU(p.sp, cpuCost+missCPU)
 	p.noteSequential(f, blk)
 	p.sys.waitValid(p, buf)
 }
@@ -664,7 +660,7 @@ func (p *Proc) noteSequential(f *fs.File, blk int32) {
 		p.sys.startFill(f, buf, next)
 		p.stats.Prefetches++
 		// Issuing the read-ahead costs the same kernel work as any miss.
-		p.sys.useCPU(p.sp, p.sys.cfg.MissCPU)
+		p.sys.useCPU(p.sp, missCPU)
 	}
 }
 
@@ -677,7 +673,6 @@ func (p *Proc) WriteAccess(f *fs.File, blk int32, off, size int) {
 		p.Write(f, blk)
 		return
 	}
-	cfg := &p.sys.cfg
 	p.stats.WriteCalls++
 	grew := false
 	if int(blk) >= f.Size() {
@@ -703,8 +698,8 @@ func (p *Proc) WriteAccess(f *fs.File, blk int32, off, size int) {
 			p.stats.DemandReads++
 		}
 	}
-	cpuCost := cfg.SyscallCPU + sim.Time(int64(cfg.CopyCPU)*int64(size)/BlockSize)
-	p.sys.useCPU(p.sp, cpuCost+cfg.MissCPU)
+	cpuCost := syscallCPU + sim.Time(int64(copyCPU)*int64(size)/BlockSize)
+	p.sys.useCPU(p.sp, cpuCost+missCPU)
 	p.sys.waitValid(p, b)
 	p.sys.bc.MarkDirty(b, p.sp.Now())
 }
@@ -713,7 +708,6 @@ func (p *Proc) WriteAccess(f *fs.File, blk int32, off, size int) {
 // block writes allocate a buffer without reading (write-behind: the disk
 // write happens at eviction or via the update daemon).
 func (p *Proc) Write(f *fs.File, blk int32) {
-	cfg := &p.sys.cfg
 	p.stats.WriteCalls++
 	if int(blk) >= f.Size() {
 		if err := p.sys.fsys.Grow(f, int(blk)+1); err != nil {
@@ -733,7 +727,7 @@ func (p *Proc) Write(f *fs.File, blk int32) {
 		b.Referenced = true
 	}
 	p.sys.bc.MarkDirty(b, p.sp.Now())
-	p.sys.useCPU(p.sp, cfg.SyscallCPU+cfg.CopyCPU)
+	p.sys.useCPU(p.sp, syscallCPU+copyCPU)
 }
 
 // WriteSeq writes blocks [from, to) in order.
@@ -779,7 +773,7 @@ func (p *Proc) Manager() *acm.Manager { return p.mgr }
 
 func (p *Proc) fbCharge() {
 	p.stats.FbehaviorCalls++
-	p.sys.useCPU(p.sp, p.sys.cfg.FbehaviorCPU)
+	p.sys.useCPU(p.sp, fbehaviorCPU)
 }
 
 func (p *Proc) requireMgr(call string) *acm.Manager {

@@ -196,9 +196,7 @@ func TestRemoveFileFreesPriorityRecord(t *testing.T) {
 }
 
 func TestDirtyEvictionWritesBack(t *testing.T) {
-	cfg := smallConfig()
-	cfg.SyncInterval = 0 // no daemon; eviction must flush
-	sys := core.NewSystem(cfg)
+	sys := core.NewSystem(smallConfig()) // the daemon's first pass is 30 s away: eviction must flush
 	p := sys.Spawn("app", func(p *core.Proc) {
 		out := p.CreateFile("out", 0, 0)
 		p.WriteSeq(out, 0, 10)
@@ -573,11 +571,6 @@ func TestSystemAccessors(t *testing.T) {
 	}
 	if sys.Cache().Alloc() != cfg.Alloc {
 		t.Error("Alloc accessor wrong")
-	}
-	// Metadata modelling off -> nil inode cache.
-	cfg.MetaCacheEntries = 0
-	if core.NewSystem(cfg).InodeCache() != nil {
-		t.Error("inode cache built despite MetaCacheEntries=0")
 	}
 }
 

@@ -9,11 +9,10 @@ import (
 
 // missConfig is a machine on which every read of strideBlock's sequence is
 // a demand miss and nothing else happens: a 50-block cache under a 400-block
-// file, no read-ahead, no update daemon.
+// file, no read-ahead, and no dirty block for the update daemon to find.
 func missConfig() core.Config {
 	cfg := smallConfig()
 	cfg.ReadAhead = false
-	cfg.SyncInterval = 0
 	return cfg
 }
 

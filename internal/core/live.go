@@ -16,10 +16,11 @@
 //
 // Accounting parity: Read and Write mirror Proc.Access / Proc.WriteAccess
 // counter for counter (ReadCalls, Hits, Misses, DemandReads, WriteBacks,
-// ...), with read-ahead off and metadata modelling off. A workload
-// replayed through Live therefore produces byte-identical ProcStats and
-// cache.Stats to a DES run of the same access sequence — the server
-// oracle test holds the two implementations to that.
+// ...), with read-ahead off. A workload replayed through Live therefore
+// produces the DES run's cache.Stats and the same ProcStats over the
+// oracle's counter subset — the server oracle test holds the two
+// implementations to that. Opens and MetadataReads are outside the subset:
+// Live has no inode cache and never reads metadata.
 package core
 
 import (
@@ -60,12 +61,6 @@ type LiveConfig struct {
 	Alloc cache.Alloc
 	// Revoke configures foolish-manager revocation.
 	Revoke cache.RevokeConfig
-	// ACMLimits caps per-manager kernel resources.
-	ACMLimits acm.Limits
-
-	// DiskBlocks lists logical disk capacities for file placement
-	// (default: the paper's RZ56 + RZ26 pair).
-	DiskBlocks []int
 
 	// Store holds block contents (default: an in-memory MemStore).
 	Store disk.Store
@@ -97,10 +92,6 @@ type LiveConfig struct {
 	// prefetch I/O is untraced, so deterministic replays must not see it.
 	ReadAhead      bool
 	ReadAheadDepth int // blocks kept in flight ahead of a run (default 2)
-
-	// EvictOnRelease makes ReleaseOwner evict the owner's blocks
-	// (writing back dirty ones) instead of disowning them in place.
-	EvictOnRelease bool
 
 	// WallClock stamps cache recency with real time instead of the
 	// deterministic per-operation logical tick. Neither clock changes
@@ -234,13 +225,10 @@ func NewLive(cfg LiveConfig) *Live {
 	if cfg.Store == nil {
 		cfg.Store = disk.NewMemStore()
 	}
-	if len(cfg.DiskBlocks) == 0 {
-		cfg.DiskBlocks = []int{disk.RZ56.Blocks(), disk.RZ26.Blocks()}
-	}
 	l := &Live{
 		cfg:        cfg,
 		store:      cfg.Store,
-		fsys:       fs.New(fs.Config{DiskBlocks: cfg.DiskBlocks}),
+		fsys:       fs.New(fs.Config{DiskBlocks: diskBlocks()}),
 		epoch:      time.Now(),
 		mshr:       make(map[cache.BlockID]*Fill),
 		pendingWB:  make(map[cache.BlockID]*WriteBack),
@@ -248,7 +236,7 @@ func NewLive(cfg LiveConfig) *Live {
 		discarding: make(map[string]*WriteBack),
 		shadowed:   make(map[fs.FileID]*WriteBack),
 	}
-	l.ctl = acm.New(l.Now, cfg.ACMLimits)
+	l.ctl = acm.New(l.Now, acm.Limits{})
 	l.bc = cache.New(cache.Config{
 		Capacity:  cfg.cacheBlocks(),
 		Alloc:     cfg.Alloc,

@@ -51,10 +51,11 @@ func (l *Live) OwnerStats(id int) (ProcStats, error) {
 }
 
 // ReleaseOwner ends an owner's session: its manager (if any) is
-// destroyed, and its blocks are either evicted (dirty ones written back)
-// or disowned in place, per LiveConfig.EvictOnRelease. This is the
-// revoked-owner path of the cache exercised as a production operation —
-// every client disconnect runs it. Returns the owner's final counters.
+// destroyed, and its blocks are disowned in place — they stay cached,
+// dirty ones included, for the next reader, as a process's blocks do when
+// it exits. This is the revoked-owner path of the cache exercised as a
+// production operation — every client disconnect runs it. Returns the
+// owner's final counters.
 func (l *Live) ReleaseOwner(id int) (ProcStats, error) {
 	o, err := l.owner(id)
 	if err != nil {
@@ -64,20 +65,10 @@ func (l *Live) ReleaseOwner(id int) (ProcStats, error) {
 		l.ctl.DestroyManager(id)
 		o.mgr = nil
 	}
-	if l.cfg.EvictOnRelease {
-		var firstErr error
-		l.bc.EvictOwner(id, func(v cache.Victim) {
-			if werr := l.flushVictim(&v); werr != nil && firstErr == nil {
-				firstErr = werr
-			}
-		})
-		err = firstErr
-	} else {
-		l.bc.DisownOwner(id)
-	}
+	l.bc.DisownOwner(id)
 	o.live = false
 	o.runs = nil // ids are never reused: a dead session's run state is garbage
-	return o.stats, err
+	return o.stats, nil
 }
 
 func (l *Live) charge(owner int, f func(*ProcStats)) {

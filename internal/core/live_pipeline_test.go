@@ -314,27 +314,34 @@ func TestLiveReadAhead(t *testing.T) {
 	}
 }
 
-// TestLiveReleaseOwnerSurfacesEvictError: the disconnect path (evict on
-// release) reports a failing write-back instead of panicking.
-func TestLiveReleaseOwnerSurfacesEvictError(t *testing.T) {
-	fs := &failStore{Store: disk.NewMemStore()}
-	l := core.NewLive(core.LiveConfig{
-		CacheBytes:     4 * core.BlockSize,
-		Alloc:          cache.LRUSP,
-		Store:          fs,
-		EvictOnRelease: true,
-	})
+// TestLiveReleaseOwnerKeepsDirtyBlocks: ending a session touches no store.
+// Its dirty block stays cached and dirty, owned by no one, so even a
+// failing store cannot fail the release; the next flush lands the block.
+func TestLiveReleaseOwnerKeepsDirtyBlocks(t *testing.T) {
+	fs := &failStore{Store: disk.NewMemStore(), failWrites: true}
+	l := core.NewLive(core.LiveConfig{CacheBytes: 4 * core.BlockSize, Alloc: cache.LRUSP, Store: fs})
 	ow := l.AddOwner("t")
 	f, err := l.Create(ow, "f", 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Write(ow, f.ID(), 0, 0, bytes.Repeat([]byte{7}, core.BlockSize), func(hit bool, err error) {})
-	fs.failWrites = true
-	if _, err := l.ReleaseOwner(ow); !errors.Is(err, core.ErrWriteBack) {
-		t.Errorf("ReleaseOwner with failing store: err = %v, want ErrWriteBack", err)
+	want := bytes.Repeat([]byte{7}, core.BlockSize)
+	l.Write(ow, f.ID(), 0, 0, want, func(hit bool, err error) {})
+	if _, err := l.ReleaseOwner(ow); err != nil {
+		t.Fatalf("ReleaseOwner with a failing store: %v", err)
 	}
 	l.CheckInvariants()
+	if b := l.Cache().Peek(cache.BlockID{File: f.ID(), Num: 0}); b == nil || !b.Dirty || b.Owner != cache.NoOwner {
+		t.Fatal("after release the written block is not cached, dirty and owned by no one")
+	}
+	fs.failWrites = false
+	if n, err := l.FlushDirty(core.MaxTime); n != 1 || err != nil {
+		t.Fatalf("FlushDirty: n=%d err=%v, want 1 and nil", n, err)
+	}
+	got := make([]byte, core.BlockSize)
+	if err := fs.Store.ReadBlock(int32(f.ID()), 0, got); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the released block is not on the store after the flush (err %v)", err)
+	}
 }
 
 // TestLiveSnapshotIsolated guards against aliasing: mutating the kernel

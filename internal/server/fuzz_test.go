@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -19,11 +18,25 @@ func frame(id uint32, tag uint8, body []byte) []byte {
 	return buf.Bytes()
 }
 
-// FuzzReadFrame feeds arbitrary bytes to both frame decoders. Neither
-// may panic, and on any input they must agree: same (id, tag, body) on
-// success, both failing otherwise — the pooled-body path the server
-// reads with (ReadFrameHeader + ReadFull) can never drift from the
-// allocating ReadFrame that clients, tests and the soak harness use.
+// decodeFrame reads one whole frame from data the way the server, the
+// client and the benchmark do: ReadFrameHeader, then the body by ReadFull.
+// It returns how many bytes the frame took.
+func decodeFrame(data []byte) (id uint32, tag uint8, body []byte, used int, err error) {
+	br := bufio.NewReader(bytes.NewReader(data))
+	id, tag, n, err := ReadFrameHeader(br)
+	if err != nil {
+		return 0, 0, nil, 0, err
+	}
+	body = make([]byte, n)
+	if _, err := io.ReadFull(br, body); err != nil {
+		return 0, 0, nil, 0, err
+	}
+	return id, tag, body, frameHeaderLen + n, nil
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame decoder. It may not
+// panic, and a frame it accepts is canonical: no body above MaxFrame, and
+// WriteFrame of what it decoded gives back exactly the bytes it consumed.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frame(1, OpPing, nil))
@@ -35,40 +48,21 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frame(3, OpOpen, []byte("a/name"))[:10])                          // truncated body
 	f.Add(frame(3, OpOpen, []byte("a/name"))[:4])                           // truncated header
 	f.Fuzz(func(t *testing.T, data []byte) {
-		id1, tag1, body1, err1 := ReadFrame(bytes.NewReader(data))
-
-		br := bufio.NewReader(bytes.NewReader(data))
-		id2, tag2, n, err2 := ReadFrameHeader(br)
-		var body2 []byte
-		if err2 == nil && n > 0 {
-			body2 = make([]byte, n)
-			if _, err := io.ReadFull(br, body2); err != nil {
-				err2 = err
-				body2 = nil
-			}
-		}
-
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("decoders disagree: ReadFrame err=%v, ReadFrameHeader err=%v", err1, err2)
-		}
-		if err1 != nil {
+		id, tag, body, used, err := decodeFrame(data)
+		if err != nil {
 			return
 		}
-		if id1 != id2 || tag1 != tag2 || !bytes.Equal(body1, body2) {
-			t.Fatalf("decoders disagree: (%d,%d,%x) vs (%d,%d,%x)", id1, tag1, body1, id2, tag2, body2)
+		if len(body) > MaxFrame-FrameOverhead {
+			t.Fatalf("accepted %d-byte body above MaxFrame", len(body))
 		}
-		if len(body1) > MaxFrame-FrameOverhead {
-			t.Fatalf("accepted %d-byte body above MaxFrame", len(body1))
-		}
-		// A declared length must match what the prefix said.
-		if want := binary.BigEndian.Uint32(data[0:]); int(want)-FrameOverhead != len(body1) {
-			t.Fatalf("length prefix %d but %d-byte body", want, len(body1))
+		if again := frame(id, tag, body); !bytes.Equal(again, data[:used]) {
+			t.Fatalf("decoded (%d,%d,%x) from %x, which encodes to %x", id, tag, body, data[:used], again)
 		}
 	})
 }
 
 // FuzzFrameRoundTrip encodes arbitrary (id, tag, body) through
-// WriteFrame and requires both decoders to return it bit for bit.
+// WriteFrame and requires the decoder to return it bit for bit.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint8(0), []byte{})
 	f.Add(uint32(1), OpPing, []byte{})
@@ -78,34 +72,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if len(body) > MaxFrame-FrameOverhead {
 			body = body[:MaxFrame-FrameOverhead]
 		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, id, tag, body); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
-		wire := buf.Bytes()
-
-		gid, gtag, gbody, err := ReadFrame(bytes.NewReader(wire))
+		wire := frame(id, tag, body)
+		gid, gtag, gbody, used, err := decodeFrame(wire)
 		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
+			t.Fatalf("decode: %v", err)
 		}
-		if gid != id || gtag != tag || !bytes.Equal(gbody, body) {
-			t.Fatalf("ReadFrame round-trip: got (%d,%d,%x), want (%d,%d,%x)", gid, gtag, gbody, id, tag, body)
-		}
-
-		br := bufio.NewReader(bytes.NewReader(wire))
-		hid, htag, n, err := ReadFrameHeader(br)
-		if err != nil {
-			t.Fatalf("ReadFrameHeader: %v", err)
-		}
-		if hid != id || htag != tag || n != len(body) {
-			t.Fatalf("ReadFrameHeader: got (%d,%d,%d), want (%d,%d,%d)", hid, htag, n, id, tag, len(body))
-		}
-		rest := make([]byte, n)
-		if _, err := io.ReadFull(br, rest); err != nil {
-			t.Fatalf("body after header: %v", err)
-		}
-		if !bytes.Equal(rest, body) {
-			t.Fatalf("body mismatch after ReadFrameHeader")
+		if gid != id || gtag != tag || !bytes.Equal(gbody, body) || used != len(wire) {
+			t.Fatalf("round-trip: got (%d,%d,%x) in %d bytes, want (%d,%d,%x) in %d", gid, gtag, gbody, used, id, tag, body, len(wire))
 		}
 	})
 }

@@ -54,7 +54,7 @@ func TestGlobalLRUWireGolden(t *testing.T) {
 		if err := server.WriteFrame(conn, reqID, op, body); err != nil {
 			t.Fatalf("req %d op %d: write: %v", reqID, op, err)
 		}
-		id, st, rb, err := server.ReadFrame(br)
+		id, st, rb, err := readFrame(br)
 		if err != nil {
 			t.Fatalf("req %d op %d: read: %v", reqID, op, err)
 		}

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -22,6 +23,7 @@ func TestIdleTimeout(t *testing.T) {
 	}
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(c)
 
 	const burst = 64
 	var frames bytes.Buffer
@@ -32,7 +34,7 @@ func TestIdleTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < burst; i++ {
-		if id, tag, _, err := server.ReadFrame(c); err != nil || tag != server.StatusOK || id != uint32(i) {
+		if id, tag, _, err := readFrame(br); err != nil || tag != server.StatusOK || id != uint32(i) {
 			t.Fatalf("burst reply %d: id %d, status %s, err %v", i, id, server.StatusName(tag), err)
 		}
 	}
@@ -43,14 +45,14 @@ func TestIdleTimeout(t *testing.T) {
 		if err := server.WriteFrame(c, 1000, server.OpPing, nil); err != nil {
 			t.Fatalf("a busy session was disconnected: %v", err)
 		}
-		if _, tag, _, err := server.ReadFrame(c); err != nil || tag != server.StatusOK {
+		if _, tag, _, err := readFrame(br); err != nil || tag != server.StatusOK {
 			t.Fatalf("a busy session was disconnected: status %s, err %v", server.StatusName(tag), err)
 		}
 	}
 	// Silence: the server hangs up after idle, not before. It armed the
 	// deadline no earlier than it received the last ping, which is no
 	// earlier than lastPing, so the floor needs no tolerance.
-	if _, _, _, err := server.ReadFrame(c); err != io.EOF {
+	if _, _, _, err := readFrame(br); err != io.EOF {
 		t.Fatalf("an idle session read %v, want EOF", err)
 	}
 	if d := time.Since(lastPing); d < idle || d > 20*idle {

@@ -7,6 +7,7 @@ package server_test
 // -race as its own CI step (make race-lifecycle).
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -27,16 +28,15 @@ import (
 	"repro/internal/server/client"
 )
 
-// lifecycleServer is the suite's server: 2 shards over a 4 MB cache,
-// read-ahead on, a write-behind queue of 4. With evictOnRelease a
-// disconnecting session's dirty blocks go to the store at once.
-func lifecycleServer(t *testing.T, store disk.Store, evictOnRelease bool) (srv *server.Server, addr string, served <-chan error) {
+// lifecycleServer is the suite's server: 2 shards splitting cacheBytes
+// (4 MB but where a test wants evictions at once), read-ahead on, a
+// write-behind queue of 4.
+func lifecycleServer(t *testing.T, store disk.Store, cacheBytes int64) (srv *server.Server, addr string, served <-chan error) {
 	t.Helper()
 	srv = server.New(server.Config{
 		Kernel: core.LiveConfig{
-			CacheBytes: core.MB(4), Alloc: cache.LRUSP, Store: store,
+			CacheBytes: cacheBytes, Alloc: cache.LRUSP, Store: store,
 			ReadAhead: true, ReadAheadDepth: 4,
-			EvictOnRelease: evictOnRelease,
 		},
 		Shards:         2,
 		WritebackDepth: 4,
@@ -116,8 +116,9 @@ func lifecycleSession(addr, name string) error {
 	raw.SetDeadline(time.Now().Add(20 * time.Second))
 	errc := make(chan error, 1)
 	go func() {
+		br := bufio.NewReader(raw)
 		for i := 0; i < blocks; i++ {
-			_, tag, _, err := server.ReadFrame(raw)
+			_, tag, _, err := readFrame(br)
 			if err == nil && tag != server.StatusOK {
 				err = errors.New(name + ": pipelined read: status " + server.StatusName(tag))
 			}
@@ -142,7 +143,7 @@ func lifecycleSession(addr, name string) error {
 // then nothing is kept.
 func lifecycleCycle(t *testing.T) {
 	t.Helper()
-	srv, addr, served := lifecycleServer(t, disk.NewMemStore(), false)
+	srv, addr, served := lifecycleServer(t, disk.NewMemStore(), core.MB(4))
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for i, name := range []string{"alpha", "beta"} {
@@ -216,11 +217,12 @@ const (
 func stormConn(c net.Conn) stormEnd {
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(c)
 	for i := 0; i < 3; i++ {
 		err := server.WriteFrame(c, uint32(i), server.OpPing, nil)
 		var tag uint8
 		if err == nil {
-			_, tag, _, err = server.ReadFrame(c)
+			_, tag, _, err = readFrame(br)
 		}
 		var ne net.Error
 		switch {
@@ -239,7 +241,7 @@ func stormConn(c net.Conn) stormEnd {
 // or served then refused, or closed; none hangs, Shutdown needs no
 // force, and no session reader or writer survives it.
 func TestLifecycleDialStorm(t *testing.T) {
-	srv, addr, served := lifecycleServer(t, disk.NewMemStore(), false)
+	srv, addr, served := lifecycleServer(t, disk.NewMemStore(), core.MB(4))
 	const dialers = 32
 	var ends [4]atomic.Int64
 	var wg sync.WaitGroup
@@ -295,7 +297,7 @@ func TestLifecycleDialStorm(t *testing.T) {
 // second Close — all return promptly on a stopped server, and Metrics
 // says so.
 func TestLifecycleLateCallers(t *testing.T) {
-	srv, addr, served := lifecycleServer(t, disk.NewMemStore(), false)
+	srv, addr, served := lifecycleServer(t, disk.NewMemStore(), core.MB(4))
 	c, err := client.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -404,22 +406,24 @@ func (s gatedStore) WriteBlock(file, blk int32, src []byte) error {
 func TestLifecycleShutdownExpiresAfterOneShardRetired(t *testing.T) {
 	mem := disk.NewMemStore()
 	store := gatedStore{Store: mem, gate: make(chan struct{})}
-	srv, addr, served := lifecycleServer(t, store, true)
+	const shardBlocks, blocks = 4, 7
+	srv, addr, served := lifecycleServer(t, store, 2*shardBlocks*core.BlockSize)
 
-	// Three dirty blocks of one file, all in one shard, evicted when
-	// the session disconnects; fewer than the write-behind queue holds,
-	// so the shard's loop never writes inline and stays responsive
-	// while its flusher sits at the gate.
+	// One file, all in one shard, written whole through the shard's four
+	// blocks: the last three writes each evict a dirty block. That is
+	// fewer than the write-behind queue holds, so the shard's loop never
+	// writes inline and stays responsive while its flusher sits at the
+	// gate.
 	c, err := client.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.Create("held", 0, 3)
+	f, err := c.Create("held", 0, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	block := bytes.Repeat([]byte{0x5A}, core.BlockSize)
-	for b := int32(0); b < 3; b++ {
+	for b := int32(0); b < blocks; b++ {
 		if _, err := c.Write(f.ID, b, 0, block); err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +467,7 @@ func TestLifecycleShutdownExpiresAfterOneShardRetired(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	got := make([]byte, core.BlockSize)
-	for b := int32(0); b < 3; b++ {
+	for b := int32(0); b < blocks; b++ {
 		if err := mem.ReadBlock(int32(f.ID), b, got); err != nil || !bytes.Equal(got, block) {
 			t.Errorf("block %d not on the store after Close (err %v)", b, err)
 		}

@@ -99,28 +99,25 @@ func waitSessionsGone(t *testing.T, srv *server.Server) server.Metrics {
 // the fill lands.
 func TestServerMissCoalescing(t *testing.T) {
 	const K = 8
-	store := &countingStore{Store: disk.NewMemStore(), readDelay: 20 * time.Millisecond}
+	mem := disk.NewMemStore()
+	store := &countingStore{Store: mem, readDelay: 20 * time.Millisecond}
 	srv, _, dial := startServer(t, server.Config{
-		Kernel: core.LiveConfig{
-			Store:          store,
-			EvictOnRelease: true, // setup's dirty block reaches the store on disconnect
-		},
+		Kernel: core.LiveConfig{Store: store},
 	})
 
-	// Seed: one session writes the block and disconnects, so the bytes
-	// are on the store and out of the cache — a genuinely cold hot block.
+	// Seed: the block's bytes go straight into the store under the file's
+	// id, so they are there and not in the cache — a genuinely cold hot
+	// block.
 	want := bytes.Repeat([]byte{0xc4}, core.BlockSize)
 	setup := dial()
 	f, err := setup.Create("hot", 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := setup.Write(f.ID, 0, 0, want); err != nil {
+	setup.Close()
+	if err := mem.WriteBlock(int32(f.ID), 0, want); err != nil {
 		t.Fatal(err)
 	}
-	setup.Close()
-	waitSessionsGone(t, srv)
-	store.reads.Store(0)
 
 	conns := make([]*client.Conn, K)
 	for i := range conns {
@@ -249,17 +246,19 @@ func TestServerMidFillDisconnect(t *testing.T) {
 }
 
 // TestWriteBehindDrainOnShutdown is the drain-barrier gate: dirty blocks
-// queued to the write-behind flusher at disconnect must all be on the
-// store after Shutdown+Close, even though the store writes slowly and
-// the queue is far shallower than the burst.
+// evicted into the write-behind flusher must all be on the store after
+// Shutdown+Close, even though the store writes slowly and the queue is far
+// shallower than the burst. A file written whole through a 4-block cache
+// makes the burst: each write past the fourth evicts a dirty block.
 func TestWriteBehindDrainOnShutdown(t *testing.T) {
-	const blocks = 8
+	const cacheBlocks, evicted = 4, 8
+	const blocks = cacheBlocks + evicted
 	ms := disk.NewMemStore()
 	store := &countingStore{Store: ms, writeDelay: 20 * time.Millisecond}
 	srv, _, dial := startServer(t, server.Config{
 		Kernel: core.LiveConfig{
-			Store:          store,
-			EvictOnRelease: true,
+			CacheBytes: cacheBlocks * core.BlockSize,
+			Store:      store,
 		},
 		WritebackDepth: 2,
 	})
@@ -274,16 +273,16 @@ func TestWriteBehindDrainOnShutdown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Close() // evict-on-release: 8 dirty victims hit the write-behind path at once
+	c.Close()
 	m := waitSessionsGone(t, srv)
-	if m.Kernel.Fill.WritebacksQueued != blocks {
-		t.Errorf("WritebacksQueued = %d, want %d", m.Kernel.Fill.WritebacksQueued, blocks)
+	if m.Kernel.Fill.WritebacksQueued != evicted {
+		t.Errorf("WritebacksQueued = %d, want %d", m.Kernel.Fill.WritebacksQueued, evicted)
 	}
 	if m.Kernel.Fill.WritebackStalls == 0 {
-		t.Error("WritebackStalls = 0; a depth-2 queue absorbed an 8-block burst without backpressure")
+		t.Errorf("WritebackStalls = 0; a depth-2 queue absorbed a %d-block burst without backpressure", evicted)
 	}
 
-	shutdownAndClose(t, srv)
+	shutdownAndClose(t, srv) // the drain lands the evicted blocks, Close flushes the cached ones
 
 	dst := make([]byte, core.BlockSize)
 	for b := int32(0); b < blocks; b++ {

@@ -182,33 +182,11 @@ func WriteFrame(w io.Writer, id uint32, tag uint8, body []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame, allocating a fresh body slice.
-func ReadFrame(r io.Reader) (id uint32, tag uint8, body []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[0:])
-	if n < FrameOverhead || n > MaxFrame {
-		return 0, 0, nil, fmt.Errorf("server: bad frame length %d", n)
-	}
-	id = binary.BigEndian.Uint32(hdr[4:])
-	tag = hdr[8]
-	if n > FrameOverhead {
-		body = make([]byte, n-FrameOverhead)
-		if _, err = io.ReadFull(r, body); err != nil {
-			return 0, 0, nil, err
-		}
-	}
-	return id, tag, body, nil
-}
-
 // ReadFrameHeader reads and validates one frame's 9-byte header from br,
-// leaving the body (bodyLen bytes) unconsumed on the stream. Unlike
-// ReadFrame it allocates nothing — Peek/Discard keep the header inside
-// the bufio buffer — so the caller can read the body into recycled
-// storage (the server's frame-buffer pool, a client's caller-owned
-// slice).
+// leaving the body (bodyLen bytes) unconsumed on the stream: the one frame
+// decoder. It allocates nothing — Peek/Discard keep the header inside the
+// bufio buffer — so the caller can read the body into recycled storage
+// (the server's frame-buffer pool, a client's caller-owned slice).
 func ReadFrameHeader(br *bufio.Reader) (id uint32, tag uint8, bodyLen int, err error) {
 	hdr, err := br.Peek(frameHeaderLen)
 	if err != nil {

@@ -1,9 +1,11 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -265,11 +267,12 @@ func TestPipelinedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
+	br := bufio.NewReader(raw)
 	// Open the file on this session, then pipeline 16 reads.
 	if err := server.WriteFrame(raw, 1, server.OpOpen, []byte("pipe")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := server.ReadFrame(raw); err != nil {
+	if _, _, _, err := readFrame(br); err != nil {
 		t.Fatal(err)
 	}
 	body := make([]byte, 13)
@@ -285,7 +288,7 @@ func TestPipelinedRequests(t *testing.T) {
 	}
 	seen := make(map[uint32]bool)
 	for i := 0; i < 16; i++ {
-		id, st, _, err := server.ReadFrame(raw)
+		id, st, _, err := readFrame(br)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,6 +304,16 @@ func TestPipelinedRequests(t *testing.T) {
 
 func putU32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
+}
+
+// readFrame reads one whole frame through the server's own decoder.
+func readFrame(br *bufio.Reader) (id uint32, tag uint8, body []byte, err error) {
+	id, tag, n, err := server.ReadFrameHeader(br)
+	if err == nil {
+		body = make([]byte, n)
+		_, err = io.ReadFull(br, body)
+	}
+	return id, tag, body, err
 }
 
 // TestShutdownRefusesNewWork exercises the drain path: requests issued
@@ -409,46 +422,5 @@ func TestSessionReleaseTransfersBlocks(t *testing.T) {
 		// them under the new accessor. Either counter may express it,
 		// but the release must have been visible somewhere.
 		t.Logf("kernel cache stats: %+v", sr.Kernel.Cache)
-	}
-}
-
-// TestEvictOnRelease checks the other release mode: the session's dirty
-// blocks are written back and leave the cache with the owner.
-func TestEvictOnRelease(t *testing.T) {
-	cfg := server.Config{}
-	cfg.Kernel.EvictOnRelease = true
-	_, _, dial := startServer(t, cfg)
-
-	a := dial()
-	f, err := a.Create("mine", 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := bytes.Repeat([]byte{0x7C}, core.BlockSize)
-	for b := int32(0); b < 4; b++ {
-		if _, err := a.Write(f.ID, b, 0, block); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.Close()
-	time.Sleep(50 * time.Millisecond)
-
-	b := dial()
-	defer b.Close()
-	g, err := b.Open("mine")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The blocks were evicted with the owner — so this is a miss — but
-	// the dirty data must have been written back, not lost.
-	data, hit, err := b.Read(g.ID, 2, 0, core.BlockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Error("read hit after evict-on-release")
-	}
-	if !bytes.Equal(data, block) {
-		t.Error("dirty block lost on evict-on-release")
 	}
 }

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -40,42 +41,29 @@ func (s *sleepStore) WriteBlock(file, blk int32, src []byte) error {
 // pipeline requests and disconnect abruptly mid-I/O. Invariant checks run
 // after every session close (startServer forces CheckInvariants), so each
 // revoke is audited while the rest of the fleet keeps hammering the cache.
-// Run under -race via `make check`. The sweep covers both release modes
-// at 1 shard and at 4, so every revoke/transfer path is audited per
-// replacement domain: with CheckInvariants forced by startServer, each
-// session close re-verifies the closing shard's kernel while the other
-// shards keep serving. Half the variants run the fill pipeline
-// (write-behind on a slow-write store plus read-ahead), so every mode
-// pairing appears with the pipeline both on and off: mid-fill
-// disconnects then race queued write-backs, prefetch fills, and the
-// drain/retire barrier too.
+// Run under -race via `make check`. Every session close disowns its
+// blocks in place; the sweep runs at 1 shard and at 4, so every
+// revoke/transfer path is audited per replacement domain: with
+// CheckInvariants forced by startServer, each session close re-verifies
+// the closing shard's kernel while the other shards keep serving. Each
+// shard count runs with the fill pipeline off and on (write-behind on a
+// slow-write store plus read-ahead): mid-fill disconnects then race
+// queued write-backs, prefetch fills, and the drain/retire barrier too.
 func TestSoakConcurrentSessions(t *testing.T) {
-	for _, v := range []struct {
-		evict     bool
-		shards    int
-		pipelined bool
-	}{
-		{false, 1, false},
-		{true, 1, true},
-		{false, 4, true},
-		{true, 4, false},
-	} {
-		v := v
-		name := "disown"
-		if v.evict {
-			name = "evict"
+	for _, shards := range []int{1, 4} {
+		for _, pipelined := range []bool{false, true} {
+			mode := "sync"
+			if pipelined {
+				mode = "pipelined"
+			}
+			t.Run(fmt.Sprintf("disown/shards=%d/%s", shards, mode), func(t *testing.T) {
+				soak(t, shards, pipelined)
+			})
 		}
-		suffix := "sync"
-		if v.pipelined {
-			suffix = "pipelined"
-		}
-		t.Run(fmt.Sprintf("%s/shards=%d/%s", name, v.shards, suffix), func(t *testing.T) {
-			soak(t, v.evict, v.shards, v.pipelined)
-		})
 	}
 }
 
-func soak(t *testing.T, evictOnRelease bool, shards int, pipelined bool) {
+func soak(t *testing.T, shards int, pipelined bool) {
 	const (
 		sessions   = 16
 		saboteurs  = 4 // extra raw connections that hang up mid-pipeline
@@ -88,9 +76,8 @@ func soak(t *testing.T, evictOnRelease bool, shards int, pipelined bool) {
 
 	cfg := server.Config{
 		Kernel: core.LiveConfig{
-			CacheBytes:     64 * core.BlockSize, // tiny: constant eviction pressure
-			Store:          &sleepStore{Store: disk.NewMemStore(), readDelay: 100 * time.Microsecond},
-			EvictOnRelease: evictOnRelease,
+			CacheBytes: 64 * core.BlockSize, // tiny: constant eviction pressure
+			Store:      &sleepStore{Store: disk.NewMemStore(), readDelay: 100 * time.Microsecond},
 		},
 		Shards:      shards,
 		MaxInflight: 8,
@@ -111,7 +98,7 @@ func soak(t *testing.T, evictOnRelease bool, shards int, pipelined bool) {
 	_, addr, dial := startServer(t, cfg)
 
 	// A shared file every session reads, so disconnects exercise the
-	// transfer-or-evict path on blocks other owners still want.
+	// transfer path on blocks other owners still want.
 	setup := dial()
 	shared, err := setup.Create("shared", 0, fileBlocks)
 	if err != nil {
@@ -155,7 +142,7 @@ func soak(t *testing.T, evictOnRelease bool, shards int, pipelined bool) {
 	}
 
 	// The shared data must have survived every revoke, in cache or on
-	// disk, whichever mode moved it there.
+	// disk, wherever eviction moved it.
 	final := dial()
 	defer final.Close()
 	for b := int32(0); b < fileBlocks; b++ {
@@ -270,7 +257,7 @@ func sabotage(addr string, id, round int) error {
 	if err := server.WriteFrame(raw, 1, server.OpCreate, body); err != nil {
 		return err
 	}
-	_, status, resp, err := server.ReadFrame(raw)
+	_, status, resp, err := readFrame(bufio.NewReader(raw))
 	if err != nil {
 		return err
 	}
@@ -299,7 +286,7 @@ func sabotageSharedReads(raw net.Conn) error {
 	if err := server.WriteFrame(raw, 1, server.OpOpen, []byte("shared")); err != nil {
 		return err
 	}
-	_, status, resp, err := server.ReadFrame(raw)
+	_, status, resp, err := readFrame(bufio.NewReader(raw))
 	if err != nil {
 		return err
 	}

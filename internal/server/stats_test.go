@@ -96,7 +96,7 @@ func TestStatsSurfacesAgree(t *testing.T) {
 		if err := server.WriteFrame(raw, reqID, op, body); err != nil {
 			t.Fatal(err)
 		}
-		id, st, rb, err := server.ReadFrame(br)
+		id, st, rb, err := readFrame(br)
 		if err != nil || id != reqID || st != server.StatusOK {
 			t.Fatalf("op %d: id %d status %d err %v: %s", op, id, st, err, rb)
 		}

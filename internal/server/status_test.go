@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 
@@ -25,19 +26,18 @@ func (fullStore) WriteBlock(file, blk int32, src []byte) error { return errDevic
 // TestStatusIgnoresErrorText: a response's status comes from what went
 // wrong, never from words in the message — which quotes the client's
 // own file names, and a store's error text below ErrWriteBack. Each
-// hostile name below carries a word that used to pick the status.
+// hostile name below carries a word that used to pick the status. The
+// limits are the daemon's own: the paper's disks and acm.DefaultLimits.
 func TestStatusIgnoresErrorText(t *testing.T) {
 	cfg := server.Config{Kernel: core.LiveConfig{
 		CacheBytes: 8 * core.BlockSize,
-		DiskBlocks: []int{32, 32},
-		ACMLimits:  acm.Limits{MaxManagers: 1, MaxLevels: 4, MaxFileRecords: 1},
 		Store:      fullStore{disk.NewMemStore()},
 	}}
 	_, _, dial := startServer(t, cfg)
-	c, second := dial(), dial()
+	c := dial()
 	defer c.Close()
-	defer second.Close()
 
+	tooBig := disk.RZ56.Blocks() + 1 // disk 0 is the RZ56
 	create := func(name string, size int) func() error {
 		return func() error { _, err := c.Create(name, 0, size); return err }
 	}
@@ -48,9 +48,9 @@ func TestStatusIgnoresErrorText(t *testing.T) {
 		do   func() error
 		want uint8
 	}{
-		{"create on a full disk", create("a", 64), server.StatusLimit},
-		{"create on a full disk, name says exists", create("my exists", 64), server.StatusLimit},
-		{"create on a full disk, name says space", create("spacecraft", 64), server.StatusLimit},
+		{"create larger than the disk", create("a", tooBig), server.StatusLimit},
+		{"create larger than the disk, name says exists", create("my exists", tooBig), server.StatusLimit},
+		{"create larger than the disk, name says space", create("spacecraft", tooBig), server.StatusLimit},
 		{"create", func() (err error) { other, err = c.Create("the limit of space", 0, 1); return err }, server.StatusOK},
 		{"create again, name says limit and space", create("the limit of space", 1), server.StatusExists},
 		{"open an absent file, name says exists", func() error { _, err := c.Open("exists"); return err }, server.StatusNotFound},
@@ -59,11 +59,32 @@ func TestStatusIgnoresErrorText(t *testing.T) {
 			return err
 		}, server.StatusIO},
 		{"create a file to grow", func() (err error) { grown, err = c.Create("g", 1, 1); return err }, server.StatusOK},
-		{"grow past the disk's end", func() error { _, err := c.Write(grown.ID, 40, 0, block); return err }, server.StatusLimit},
-		{"first manager", func() error { return c.Control(true) }, server.StatusOK},
-		{"second manager, over MaxManagers", func() error { return second.Control(true) }, server.StatusLimit},
-		{"one file record", func() error { return c.SetPriority(grown.ID, 1) }, server.StatusOK},
-		{"a second file record, over MaxFileRecords", func() error { return c.SetPriority(other.ID, 1) }, server.StatusLimit},
+		{"grow past the disk's end", func() error {
+			_, err := c.Write(grown.ID, int32(disk.RZ26.Blocks()), 0, block) // disk 1 is the RZ26
+			return err
+		}, server.StatusLimit},
+		{"manager", func() error { return c.Control(true) }, server.StatusOK},
+		{"one file record", func() error { return c.SetPriority(other.ID, 1) }, server.StatusOK},
+		{"file records up to and over MaxFileRecords", func() error {
+			for i := 1; i <= acm.DefaultLimits.MaxFileRecords; i++ {
+				f, err := c.Create(fmt.Sprintf("exists %d", i), 0, 1)
+				if err != nil {
+					return err
+				}
+				if err := c.SetPriority(f.ID, 1); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, server.StatusLimit},
+		{"levels up to and over MaxLevels", func() error {
+			for prio := 1; prio <= acm.DefaultLimits.MaxLevels+1; prio++ {
+				if err := c.SetPolicy(prio, acm.LRU); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, server.StatusLimit},
 	}
 	for _, tc := range cases {
 		if got := statusOfErr(t, tc.do()); got != tc.want {
@@ -121,7 +142,7 @@ func TestMalformedBodiesAreBadRequests(t *testing.T) {
 		if err := server.WriteFrame(raw, reqID, op, body); err != nil {
 			t.Fatal(err)
 		}
-		id, st, _, err := server.ReadFrame(br)
+		id, st, _, err := readFrame(br)
 		if err != nil || id != reqID {
 			t.Fatalf("op %d: id %d err %v", op, id, err)
 		}
