@@ -87,7 +87,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fl.IntVar(&o.inflight, "inflight", 32, "max pipelined requests per session")
 	fl.IntVar(&o.shards, "shards", 1, "independent kernel shards (files hash to shards at open)")
 	fl.DurationVar(&o.grace, "grace", 10*time.Second, "shutdown drain grace before forcing disconnects")
-	fl.IntVar(&o.writebackDepth, "writeback-depth", 0, "async write-behind queue depth per shard (0: synchronous write-backs)")
+	fl.IntVar(&o.writebackDepth, "writeback-depth", 0, "write-behind per shard: dirty victims are gathered and written N at a time, at most 64 (0: synchronous write-backs)")
 	fl.IntVar(&o.readahead, "readahead", 0, "server-side sequential read-ahead depth (0: disabled)")
 	fl.StringVar(&o.cluster, "cluster", "", "comma-separated member list (incl. this node's -listen spec); empty: single-node mode")
 	fl.StringVar(&o.origin, "origin", "mem", "cluster origin: mem (per-process; testing only) or dir:/shared/path")

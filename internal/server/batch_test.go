@@ -2,9 +2,11 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"hash/fnv"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -129,14 +131,25 @@ func runDiffServer(t *testing.T, wbDepth int) diffOutcome {
 			data, _, err := c.Read(f.ID, blk, off, size)
 			return data, err
 		})
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.proc, out.fill = st.Session, st.Kernel.Fill
+	// The flusher still holds its last partial batch, which only the
+	// drain writes: begin Shutdown with the session open, and read its
+	// counters once the held victims have landed.
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shut <- srv.Shutdown(ctx)
+	}()
+	m := waitWriteBehindIdle(t, srv)
+	out.proc, out.fill = m.Sessions[0].Stats, m.Kernel.Fill
 
 	c.Close()
-	shutdownAndClose(t, srv)
+	if err := <-shut; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
 	out.storeState = diffStoreState(t, ms, f.ID)
 	return out
 }

@@ -18,8 +18,9 @@ type Config struct {
 	// shard. 0 (the default) disables write-behind: dirty victims write
 	// back synchronously inside the kernel loop, reproducing the
 	// pre-write-behind request/IO ordering exactly — the mode the oracle
-	// test pins. With depth N, up to N dirty victims per shard ride a
-	// flusher goroutine; when the queue is full, a victim with no
+	// test pins. With depth N, a shard's dirty victims are gathered and
+	// written N at a time (at most 64) by a flusher goroutine, and a
+	// partial batch at shutdown; when the queue is full, a victim with no
 	// same-block ordering constraint degrades to a synchronous inline
 	// write (backpressure) rather than blocking the loop.
 	WritebackDepth int

@@ -157,13 +157,14 @@ func (s *orderStore) arrivals() []string {
 }
 
 // TestDiscardOrderedBehindWriteBack: the flusher is held at the store's
-// gate with block 0's write-back, blocks 1 and 2 fill the queue behind
-// it, and the file is removed. The discard must neither run inline on the
-// shard loop (a full queue sends an ordinary write-back that way) nor
-// reach the store before the writes it follows: it waits in the overflow
-// list, the remove is answered at once, and when the gate opens the store
-// sees three writes, then three discards, and ends empty. The discard is
-// in nobody's write-back counters.
+// gate with its first full batch (blocks 0 and 1; the queue holds 2),
+// blocks 2 and 3 fill the queue behind it, and the file is removed. The
+// discard must neither run inline on the shard loop (a full queue sends
+// an ordinary write-back that way) nor reach the store before the writes
+// it follows: it waits in the overflow list, the remove is answered at
+// once, and when the gate opens the store sees four writes, then four
+// discards, and ends empty. The discard is in nobody's write-back
+// counters.
 func TestDiscardOrderedBehindWriteBack(t *testing.T) {
 	mem := disk.NewMemStore()
 	store := &orderStore{Store: mem, gate: make(chan struct{})}
@@ -189,18 +190,18 @@ func TestDiscardOrderedBehindWriteBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for blk := int32(0); blk <= 4; blk++ { // the fifth evicts block 0
+	for blk := int32(0); blk <= 5; blk++ { // the fifth evicts block 0, the sixth block 1
 		write(blk)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for len(store.arrivals()) == 0 { // the flusher is at the gate; the queue is empty again
 		if time.Now().After(deadline) {
-			t.Fatal("block 0's write-back never reached the store")
+			t.Fatal("the first batch never reached the store")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	write(5) // evicts block 1: queued
-	write(6) // evicts block 2: queued, and the queue is full
+	write(6) // evicts block 2: queued
+	write(7) // evicts block 3: queued, and the queue is full
 
 	within(t, 5*time.Second, "remove with the write-behind queue full", func() {
 		if err := c.Remove("f"); err != nil {
@@ -211,28 +212,28 @@ func TestDiscardOrderedBehindWriteBack(t *testing.T) {
 		t.Fatalf("store calls with the gate shut: %v, want only block 0's write (the discard ran ahead of the queue)", got)
 	}
 	m, _ := srv.Metrics()
-	if m.WritebacksInflight != 4 {
-		t.Errorf("WritebacksInflight = %d with the gate shut, want 3 write-backs and the discard", m.WritebacksInflight)
+	if m.WritebacksInflight != 5 {
+		t.Errorf("WritebacksInflight = %d with the gate shut, want 4 write-backs and the discard", m.WritebacksInflight)
 	}
 
 	openGate()
 	m = waitWriteBehindIdle(t, srv)
-	if got, want := store.arrivals(), []string{"w0", "w1", "w2", "d0", "d1", "d2"}; !slices.Equal(got, want) {
+	if got, want := store.arrivals(), []string{"w0", "w1", "w2", "w3", "d0", "d1", "d2", "d3"}; !slices.Equal(got, want) {
 		t.Errorf("store calls: %v, want %v", got, want)
 	}
 	if got := mem.Blocks(); got != 0 {
 		t.Errorf("store holds %d blocks of the removed file, want 0 (a write landed after its discard)", got)
 	}
 	fill := m.Kernel.Fill
-	if fill.DiscardedBlocks != 3 || fill.WritebacksQueued != 3 || fill.WritebackQueueHighWater != 3 ||
+	if fill.DiscardedBlocks != 4 || fill.WritebacksQueued != 4 || fill.WritebackQueueHighWater != 4 ||
 		fill.WritebackStalls != 0 || fill.WritebackBatches != 0 || fill.WritebackErrors != 0 {
-		t.Errorf("fill stats %+v: want 3 discarded, 3 queued, high water 3, no stall, batch or error", fill)
+		t.Errorf("fill stats %+v: want 4 discarded, 4 queued, high water 4, no stall, batch or error", fill)
 	}
 	sr, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Session.WriteBacks != 3 {
-		t.Errorf("session WriteBacks = %d, want 3", sr.Session.WriteBacks)
+	if sr.Session.WriteBacks != 4 {
+		t.Errorf("session WriteBacks = %d, want 4", sr.Session.WriteBacks)
 	}
 }

@@ -6,11 +6,11 @@
 // decides the call shape (mechanism). Misses and read-ahead runs queue
 // on a per-shard fillQueue, a small worker pool drains it, groups
 // same-file adjacent blocks, and retires each run with one vectored
-// store read; the flusher lets the fills already in flight reach the
-// store first, gathering wbch meanwhile, and retires adjacent victims
-// with one vectored write. MSHR join/detach, orphan rules and Conflict
-// ordering all live above this layer and see the same
-// per-fill/per-write-back completions they always did.
+// store read; the flusher gathers victims off wbch until it holds one
+// queue's worth, lets the fills then in flight reach the store first,
+// and writes the whole batch with one vectored call. MSHR join/detach,
+// orphan rules and Conflict ordering all live above this layer and see
+// the same per-fill/per-write-back completions they always did.
 
 package server
 
@@ -29,7 +29,8 @@ const (
 	// overlap a few independent misses without unbounded goroutine spawn.
 	fillWorkers = 4
 	// maxFillBatch bounds how many queued fills one worker drains at a
-	// time; maxWritebackBatch bounds one flusher drain of wbch.
+	// time; maxWritebackBatch bounds the flusher's batch, which it writes
+	// whole once it holds min(WritebackDepth, maxWritebackBatch) victims.
 	maxFillBatch      = 128
 	maxWritebackBatch = 64
 	// writeTimeout bounds one response write (wire.go).
@@ -155,16 +156,22 @@ func (sh *shard) runFills(store disk.Store, batch []*core.Fill) {
 	}
 }
 
-// flusher is the shard's write-behind goroutine: receive one victim and
-// hold it, gathering whatever else is queued, until every fill the shard
-// had issued by then has come back — demand reads first, as disksort
-// sweeps delayed writes into the read stream's gaps. A later fill never
-// extends the wait, so misses cannot starve write-behind; a full batch
-// ends it early, and wbch cannot close under it (a shard retires with no
-// write-back in flight). Then retire the batch. Queue order is preserved
-// within and across batches, which
-// is what keeps every same-block Conflict constraint honored; a batch
-// never holds the same block twice — on a duplicate the gathered batch
+// flusher is the shard's write-behind goroutine. It gathers victims off
+// wbch and holds them until the batch has one queue's worth,
+// min(depth, maxWritebackBatch) — delayed writes go to the store in
+// bursts, as update(8) sends them. Then it lets every fill the shard has
+// in flight at that moment come back — demand reads first, as disksort
+// sweeps delayed writes into the read stream's gaps; a later fill never
+// extends the wait, so misses cannot starve write-behind — and retires
+// the batch with one store call. A held victim is no less durable than
+// a dirty block still cached, and a read of it is served from the
+// kernel's pendingWB. The drain ends a partial batch: the loop closes
+// drainc when shutdown begins, so the drain barrier (no write-back in
+// flight) completes, and wbch cannot close under a held batch.
+//
+// Queue order is preserved within and across batches, which is what
+// keeps every same-block Conflict constraint honored; a batch never
+// holds the same block twice — on a duplicate the gathered batch
 // flushes first, so the older bytes are on the store before the newer
 // write is even issued. A removed file's discard takes its turn the same
 // way: whatever was gathered ahead of it (any of it may be the file's)
@@ -172,6 +179,7 @@ func (sh *shard) runFills(store disk.Store, batch []*core.Fill) {
 // own.
 func (sh *shard) flusher(store disk.Store) {
 	defer sh.srv.running.Done()
+	full := min(cap(sh.wbch), maxWritebackBatch)
 	var batch []*core.WriteBack
 	seen := make(map[cache.BlockID]bool)
 	flush := func() {
@@ -197,25 +205,18 @@ func (sh *shard) flusher(store disk.Store) {
 	}
 	for wb := range sh.wbch {
 		add(wb)
-		issued := sh.fillsIssued.Load()
-		for len(batch) > 0 && len(batch) < maxWritebackBatch && sh.fillsDone.Load() < issued {
+	gather:
+		for len(batch) > 0 && len(batch) < full {
 			select {
 			case wb2 := <-sh.wbch:
 				add(wb2)
-			case <-sh.fillWake:
-			}
-		}
-	gather:
-		for len(batch) < maxWritebackBatch {
-			select {
-			case wb2, ok := <-sh.wbch:
-				if !ok {
-					break gather // closed; outer range will exit after the flush
-				}
-				add(wb2)
-			default:
+			case <-sh.drainc:
 				break gather
 			}
+		}
+		issued := sh.fillsIssued.Load()
+		for len(batch) > 0 && sh.fillsDone.Load() < issued {
+			<-sh.fillWake
 		}
 		flush()
 	}

@@ -493,10 +493,11 @@ func yieldServer(t *testing.T, store *yieldStore, cacheBlocks int) (srv *server.
 	return srv, c, f, gatedRead
 }
 
-// TestWriteBehindYieldsToFills pins demand reads first: (a) with no fill
-// in flight a write-back reaches the store at once; (b) one queued while
-// a fill is in flight reaches it only after that read returns; (c) a fill
-// issued after the flusher began waiting does not hold it.
+// TestWriteBehindYieldsToFills pins demand reads first on whole batches
+// (the queue holds 4, so a batch is 4 victims): (a) with no fill in
+// flight a lone write-back is held, not written; (b) a batch that fills
+// while a fill is in flight reaches the store only after that read
+// returns; (c) a fill issued after the batch filled does not hold it.
 func TestWriteBehindYieldsToFills(t *testing.T) {
 	store := newYieldStore(disk.NewMemStore(), 10, 11, 12)
 	srv, c, f, gatedRead := yieldServer(t, store, 6)
@@ -507,51 +508,59 @@ func TestWriteBehindYieldsToFills(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	read := func(blk int32) {
-		t.Helper()
-		if _, err := c.ReadNoData(f.ID, blk, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// LRU to MRU, d for dirty: 0d 20 1d 21 22 2d.
+	// LRU to MRU, d for dirty: 0d 1d 2d 20 3d 4d.
 	write(0)
-	read(20)
 	write(1)
-	read(21)
-	read(22)
 	write(2)
-
-	// (a) Evicts 0d with nothing in flight.
+	if _, err := c.ReadNoData(f.ID, 20, 0, 1); err != nil {
+		t.Fatal(err)
+	}
 	write(3)
-	store.waitFor(t, "w0")
-	waitWriteBehindIdle(t, srv)
-
-	// (b) The fill of 10 evicts 20 (clean); then 1d goes behind it.
-	wait10 := gatedRead(10)
 	write(4)
+
+	// (a) Evicts 0d with nothing in flight: held.
+	write(5)
 	time.Sleep(50 * time.Millisecond)
-	if store.at("w1") >= 0 {
-		t.Error("block 1's write-back reached the store with the fill of block 10 in flight")
+	if store.at("w0") >= 0 {
+		t.Error("a lone write-back reached the store")
+	}
+	if m, _ := srv.Metrics(); m.WritebacksInflight != 1 {
+		t.Errorf("WritebacksInflight = %d with one victim held, want 1", m.WritebacksInflight)
+	}
+
+	// (b) 1d and 2d join the batch; the fill of 10 evicts 20 (clean);
+	// then 3d fills the batch behind it.
+	write(6)
+	write(7)
+	wait10 := gatedRead(10)
+	write(8)
+	time.Sleep(50 * time.Millisecond)
+	if store.at("w0") >= 0 {
+		t.Error("a full batch reached the store with the fill of block 10 in flight")
 	}
 	store.open(10)
 	wait10()
-	store.waitFor(t, "w1")
-	if store.at("w1") < store.at("r10.") {
-		t.Error("block 1's write-back reached the store before the fill of block 10 returned")
+	store.waitFor(t, "w3")
+	if store.at("w0") < store.at("r10.") {
+		t.Error("the batch reached the store before the fill of block 10 returned")
 	}
+	waitWriteBehindIdle(t, srv)
 
-	// (c) Cache: 21 22 2d 3d 10 4d. The fill of 11 evicts 21; 22 moves
-	// up, so 2d goes behind the fill of 11; 3 moves up, so the fill of 12
-	// evicts 10 (clean) after the flusher has begun waiting.
+	// (c) Cache: 4d 5d 6d 7d 10 8d. The fill of 11 evicts 4d, and 5d 6d
+	// 7d fill the batch behind it; the fill of 12 evicts 10 (clean) after
+	// the flusher has begun waiting.
 	wait11 := gatedRead(11)
-	read(22)
-	write(5)
-	read(3)
-	time.Sleep(10 * time.Millisecond) // the flusher takes 2d off the queue
+	write(9)
+	write(13)
+	write(14)
+	time.Sleep(10 * time.Millisecond) // the flusher takes 7d off the queue
 	wait12 := gatedRead(12)
 	store.open(11)
 	wait11()
-	store.waitFor(t, "w2") // while the fill of 12 is still at its gate
+	store.waitFor(t, "w7") // while the fill of 12 is still at its gate
+	if store.at("w4") < store.at("r11.") {
+		t.Error("the batch reached the store before the fill of block 11 returned")
+	}
 	store.open(12)
 	wait12()
 	waitWriteBehindIdle(t, srv)
@@ -563,7 +572,7 @@ func TestWriteBehindYieldsToFills(t *testing.T) {
 			writes = append(writes, e)
 		}
 	}
-	if want := []string{"w0", "w1", "w2"}; !slices.Equal(writes, want) {
+	if want := []string{"w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"}; !slices.Equal(writes, want) {
 		t.Errorf("writes %v, want %v", writes, want)
 	}
 }
@@ -617,5 +626,139 @@ func TestWriteBehindDrainHeldBatch(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// spanStore counts the single-block and the vectored writes a MemStore
+// is handed, and the spans in the vectored ones.
+type spanStore struct {
+	*disk.MemStore
+	writes, batches, spans atomic.Int64
+}
+
+func (s *spanStore) WriteBlock(file, blk int32, src []byte) error {
+	s.writes.Add(1)
+	return s.MemStore.WriteBlock(file, blk, src)
+}
+
+func (s *spanStore) WriteBlocks(specs []disk.BlockSpan, srcs [][]byte) []error {
+	s.batches.Add(1)
+	s.spans.Add(int64(len(specs)))
+	return s.MemStore.WriteBlocks(specs, srcs)
+}
+
+// TestWriteBehindWholeBatch pins the flusher's call shape: at depth 4,
+// three dirty victims are held and none is written; a read of a held one
+// is served from the pending write-back, not the store; the fourth
+// victim sends all four to the store in one vectored call; and a partial
+// batch with no fill in flight lands when Shutdown drains, before
+// Close's FlushDirty writes what is still cached.
+func TestWriteBehindWholeBatch(t *testing.T) {
+	const depth = 4
+	store := &spanStore{MemStore: disk.NewMemStore()}
+	srv, _, dial := startServer(t, server.Config{
+		Kernel:         core.LiveConfig{CacheBytes: 5 * core.BlockSize, Alloc: cache.GlobalLRU, Store: store},
+		Shards:         1,
+		WritebackDepth: depth,
+	})
+	c := dial()
+	defer c.Close()
+	f, err := c.Create("f", 0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesOf := func(blk int32) []byte { return bytes.Repeat([]byte{byte(0x40 + blk)}, core.BlockSize) }
+	write := func(blk int32) {
+		t.Helper()
+		if _, err := c.Write(f.ID, blk, 0, bytesOf(blk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(blk int32) []byte {
+		t.Helper()
+		data, _, err := c.Read(f.ID, blk, 0, core.BlockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	metrics := func() server.Metrics {
+		t.Helper()
+		m, ok := srv.Metrics()
+		if !ok {
+			t.Fatal("Metrics not ok")
+		}
+		return m
+	}
+	onStore := func(blk int32) bool {
+		got := make([]byte, core.BlockSize)
+		return store.MemStore.ReadBlock(int32(f.ID), blk, got) == nil && bytes.Equal(got, bytesOf(blk))
+	}
+
+	// LRU to MRU, d for dirty: 0d 1d 2d 3d 10. Writes of 4, 5 and 6 evict
+	// 0d 1d 2d: one short of a batch.
+	for blk := int32(0); blk < 4; blk++ {
+		write(blk)
+	}
+	read(10)
+	for blk := int32(4); blk < 7; blk++ {
+		write(blk)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if n := store.writes.Load() + store.batches.Load(); n != 0 {
+		t.Errorf("%d store writes with %d of %d victims gathered, want 0", n, depth-1, depth)
+	}
+	if m := metrics(); m.WritebacksInflight != depth-1 {
+		t.Errorf("WritebacksInflight = %d, want %d held", m.WritebacksInflight, depth-1)
+	}
+
+	// Cache: 3d 10 4d 5d 6d. 3 moves up, so the read of held 0 evicts 10
+	// (clean) and is served from its pending write-back.
+	read(3)
+	before := metrics().Kernel.Fill
+	if got := read(0); !bytes.Equal(got, bytesOf(0)) {
+		t.Error("a read of a held victim returned the wrong bytes")
+	}
+	after := metrics().Kernel.Fill
+	if after.WritebackHits != before.WritebackHits+1 || after.StoreReads != before.StoreReads {
+		t.Errorf("read of a held victim: WritebackHits %d → %d, StoreReads %d → %d; want +1 and unchanged",
+			before.WritebackHits, after.WritebackHits, before.StoreReads, after.StoreReads)
+	}
+
+	// Cache: 4d 5d 6d 3d 0. Evicting 4d fills the batch.
+	write(7)
+	waitWriteBehindIdle(t, srv)
+	if w, b, s := store.writes.Load(), store.batches.Load(), store.spans.Load(); w != 0 || b != 1 || s != depth {
+		t.Errorf("a full batch cost %d single writes and %d vectored ones of %d spans, want one of %d", w, b, s, depth)
+	}
+	for _, blk := range []int32{0, 1, 2, 4} {
+		if !onStore(blk) {
+			t.Errorf("block %d not on the store after its batch", blk)
+		}
+	}
+
+	// Evicting 5d starts a batch no victim will complete: the drain
+	// writes it, and Close's flush what the cache still holds.
+	write(8)
+	c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	noServerGoroutines(t)
+	if !onStore(5) || store.writes.Load() != 1 {
+		t.Errorf("after Shutdown: block 5 on the store %v, %d single writes; want the held victim written alone", onStore(5), store.writes.Load())
+	}
+	if onStore(6) {
+		t.Error("block 6, still cached, was on the store before Close")
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	for _, blk := range []int32{3, 6, 7, 8} {
+		if !onStore(blk) {
+			t.Errorf("block %d not on the store after Close", blk)
+		}
 	}
 }

@@ -99,6 +99,7 @@ func New(cfg Config) *Server {
 			kch:      make(chan kmsg, 256),
 			done:     make(chan struct{}),
 			sessions: make(map[*session]bool),
+			drainc:   make(chan struct{}),
 			fq:       newFillQueue(),
 		}
 		kcfg := cfg.Kernel.ShardConfig(i, n)
@@ -126,9 +127,10 @@ func New(cfg Config) *Server {
 			// The flusher: one goroutine per shard draining the queue in
 			// FIFO order (which is what makes queue-order execution honor
 			// every same-block Conflict constraint) and re-entering the
-			// kernel loop with the result — batching adjacent victims
-			// along the way, behind the fills already in flight
-			// (fillpool.go). It exits when retire closes wbch.
+			// kernel loop with the result — gathering victims into
+			// batches of one queue's worth, each written behind the fills
+			// then in flight (fillpool.go). It exits when retire closes
+			// wbch.
 			srv.running.Add(1)
 			go sh.flusher(store)
 		}

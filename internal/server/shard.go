@@ -37,6 +37,9 @@ type shard struct {
 
 	sessions map[*session]bool
 	draining bool
+	// drainc closes when draining begins: the flusher's cue to write the
+	// partial batch it holds.
+	drainc   chan struct{}
 	requests int64
 	refused  int64
 	// fillsIssued (the StartFill hook) and fillsDone (the loop) count the
@@ -140,6 +143,7 @@ func (sh *shard) loop() {
 			m.call(sh)
 		case m.drain:
 			sh.draining = true
+			close(sh.drainc)
 		case m.force:
 			for se := range sh.sessions {
 				se.kill()
