@@ -25,12 +25,12 @@ import (
 // semantics — discards included: a nil source returns the block to the
 // never-written state, which is what keeps a re-created name from
 // reading its previous life. Implementations must be safe for concurrent
-// use — every node's write-behind flusher and fill workers reach it at
+// use — every node's write-behind batches and fill workers reach it at
 // once.
 type Origin interface {
 	// ReadRun / WriteRun move a run of consecutive blocks of the named
 	// file, starting at start, in one call — the batch shape the fill
-	// workers and the write-behind flusher hand down (PR 8's run
+	// workers and write-behind hand down (the store layer's run
 	// coalescing, kept alive through the cluster tier); a single block is
 	// a run of one. ReadRun fills each dst (len BlockSize); WriteRun
 	// persists each src, and a nil entry of srcs discards its block.

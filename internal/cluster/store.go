@@ -1,7 +1,7 @@
 // store.go — NodeStore: one cluster node's base block store, the layer
 // that makes a peer "just another fill source". It sits where MemStore
 // or FileStore would (under the server's per-shard remap, driven by the
-// same fill workers and write-behind flusher), translates the wire file
+// same fill workers and write-behind batches), translates the wire file
 // ids it is handed back to names, and serves each access from one of
 // two places:
 //
@@ -298,7 +298,7 @@ func (ns *NodeStore) WriteBlocks(specs []disk.BlockSpan, srcs [][]byte) []error 
 // each run's file name and calls f with it and the run's [lo, hi) range;
 // a failure — no name announced, or f's, which is the origin's — is
 // counted and set, wrapped, on every block of its run. The callers above
-// hand down batches the fill workers and flusher already sorted and
+// hand down batches the fill workers and write-behind already sorted and
 // grouped, but arbitrary spans still split correctly — just into more
 // runs.
 func (ns *NodeStore) eachRun(specs []disk.BlockSpan, verb string, f func(name string, lo, hi int) error) []error {

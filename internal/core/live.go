@@ -198,8 +198,8 @@ type Live struct {
 	mshr map[cache.BlockID]*Fill
 	// pendingWB is the newest queued-but-unwritten write-back per block.
 	// A fill for a block found here copies the bytes instead of reading
-	// the store — the queue holds fresher data than the store until the
-	// flusher lands it.
+	// the store — the queue holds fresher data than the store until its
+	// batch lands.
 	pendingWB map[cache.BlockID]*WriteBack
 	// persisted is, per file, the set of blocks handed to the store on
 	// any path (write-behind, the inline write-back, FlushDirty, a

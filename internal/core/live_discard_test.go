@@ -123,7 +123,7 @@ func TestLiveRemoveDiscardsInline(t *testing.T) {
 }
 
 // wbQueue is a manual write-behind executor: it holds what the kernel
-// hands it and, on run, does what the server's flusher does — in queue
+// hands it and, on run, does what the server's write-behind does — in queue
 // order, a write for a write-back and disk.Discard for a discard — then
 // re-enters the kernel.
 type wbQueue struct {

@@ -76,8 +76,8 @@ func (l *Live) fillData(fl *Fill) []byte {
 
 // stageFill resolves a fill that needs no store I/O. A block whose
 // newest bytes are still sitting in the write-behind queue is served
-// straight from that buffer — the store's copy is stale until the
-// flusher lands it, and the copy costs no I/O at all. A block with
+// straight from that buffer — the store's copy is stale until its batch
+// lands, and the copy costs no I/O at all. A block with
 // nothing queued, of a file whose name still has a discard queued
 // (Live.shadowed), has never been written by this file — its write-backs
 // are all behind that discard — so it is zeros, and the store is not

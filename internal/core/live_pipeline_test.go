@@ -175,7 +175,7 @@ func TestLiveWritebackForwarding(t *testing.T) {
 		t.Error("conflict write-back carries stale bytes")
 	}
 
-	// Complete in FIFO order, as the real flusher does.
+	// Complete in FIFO order, as the server's write-behind does.
 	for _, wb := range wbs {
 		l.CompleteWriteBack(wb)
 	}

@@ -168,8 +168,8 @@ func (l *Live) CompleteWriteBack(wb *WriteBack) {
 	l.charge(wb.Owner, func(st *ProcStats) { st.WriteBacks++ })
 }
 
-// CountWritebackBatches records n multi-block runs the write-behind
-// flusher retired with vectored store writes. Kernel goroutine only.
+// CountWritebackBatches records n multi-block write-behind batches
+// retired with vectored store writes. Kernel goroutine only.
 func (l *Live) CountWritebackBatches(n int) {
 	l.fill.WritebackBatches += int64(n)
 }

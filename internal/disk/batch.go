@@ -1,6 +1,6 @@
 // batch.go — the optional vectored face of a Store.
 //
-// The fill workers and the write-behind flusher coalesce adjacent blocks
+// The fill workers and write-behind coalesce adjacent blocks
 // into runs; a backend that can retire a run in one operation exposes
 // BatchStore and gets handed the whole run. Backends that can't (or test
 // wrappers that deliberately don't) are driven block-at-a-time by the

@@ -27,8 +27,8 @@ import (
 // There is no delete method: a write whose source is nil is a discard
 // (see WriteBlock; Discard issues them). It rides the write path for two
 // reasons. A discard must not overtake an older queued write of its
-// block, and the write path — the kernel's pending table, the flusher's
-// FIFO, its overflow list — is the machinery that already orders writes.
+// block, and the write path — the kernel's pending table, the shard's
+// write-behind FIFO — is the machinery that already orders writes.
 // And a Store is wrapped (shard remaps, the cluster's name translation,
 // counting and gating test stores, the benchmark's timer): an optional
 // interface stops at the first wrapper that has not heard of it, a nil

@@ -107,7 +107,7 @@ func diffStoreState(t *testing.T, ms *disk.MemStore, file fs.FileID) map[int32][
 }
 
 // runDiffServer runs the workload over the wire against a fresh server:
-// the fill worker pool, and the batching flusher at depth wbDepth.
+// the fill worker pool, and write-behind batches at depth wbDepth.
 func runDiffServer(t *testing.T, wbDepth int) diffOutcome {
 	t.Helper()
 	ms := disk.NewMemStore()
@@ -131,7 +131,7 @@ func runDiffServer(t *testing.T, wbDepth int) diffOutcome {
 			data, _, err := c.Read(f.ID, blk, off, size)
 			return data, err
 		})
-	// The flusher still holds its last partial batch, which only the
+	// The shard still holds its last partial batch, which only the
 	// drain writes: begin Shutdown with the session open, and read its
 	// counters once the held victims have landed.
 	shut := make(chan error, 1)
@@ -196,7 +196,7 @@ func runDiffKernel(t *testing.T) diffOutcome {
 // TestBatchedFillsDifferential pins the batched fill/write-back path
 // byte-identical to the single-block path: the same workload through a
 // bare kernel with synchronous single-block fills and write-backs and
-// through the server's worker pool with the batching flusher must return
+// through the server's worker pool with write-behind batches must return
 // the same bytes on every read, leave the same bytes on the store, and
 // agree on every deterministic counter. The only licensed difference is
 // *who* performs the store reads: write-behind forwarding replaces store

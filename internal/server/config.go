@@ -18,11 +18,12 @@ type Config struct {
 	// shard. 0 (the default) disables write-behind: dirty victims write
 	// back synchronously inside the kernel loop, reproducing the
 	// pre-write-behind request/IO ordering exactly — the mode the oracle
-	// test pins. With depth N, a shard's dirty victims are gathered and
-	// written N at a time (at most 64) by a flusher goroutine, and a
-	// partial batch at shutdown; when the queue is full, a victim with no
-	// same-block ordering constraint degrades to a synchronous inline
-	// write (backpressure) rather than blocking the loop.
+	// test pins. With depth N, a shard's loop queues dirty victims and
+	// cuts the queue into batches written N at a time (at most 64), a
+	// partial batch at shutdown; when N victims already wait behind the
+	// batch at the store, a victim with no same-block ordering constraint
+	// degrades to a synchronous inline write (backpressure) rather than
+	// blocking the loop.
 	WritebackDepth int
 	// Shards is the number of independent kernel shards (default 1).
 	// Each shard owns its own Live — its own cache arena, ACM, and fill

@@ -15,7 +15,7 @@ import (
 )
 
 // waitWriteBehindIdle polls until no shard has a write-back or a discard
-// in its flusher's hands, and returns the snapshot that said so.
+// in its write-behind FIFO, and returns the snapshot that said so.
 func waitWriteBehindIdle(t *testing.T, srv *server.Server) server.Metrics {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -40,7 +40,7 @@ func waitWriteBehindIdle(t *testing.T, srv *server.Server) server.Metrics {
 // than the round's files could have written back, between rounds — every
 // reply in, the write-behind queue empty — it holds nothing, and every
 // block that was ever written back was given back. With write-behind
-// (discards ride the flusher) and without (they run inline).
+// (discards ride the write-behind FIFO) and without (they run inline).
 func TestStoreFollowsLiveSet(t *testing.T) {
 	const (
 		sessions    = 4
@@ -156,12 +156,12 @@ func (s *orderStore) arrivals() []string {
 	return slices.Clone(s.log)
 }
 
-// TestDiscardOrderedBehindWriteBack: the flusher is held at the store's
-// gate with its first full batch (blocks 0 and 1; the queue holds 2),
-// blocks 2 and 3 fill the queue behind it, and the file is removed. The
-// discard must neither run inline on the shard loop (a full queue sends
-// an ordinary write-back that way) nor reach the store before the writes
-// it follows: it waits in the overflow list, the remove is answered at
+// TestDiscardOrderedBehindWriteBack: the first full batch (blocks 0 and
+// 1; the queue holds 2) is held at the store's gate, blocks 2 and 3 fill
+// the queue behind it, and the file is removed. The discard must neither
+// run inline on the shard loop (a full queue sends an ordinary
+// write-back that way) nor reach the store before the writes it follows:
+// it joins the FIFO past the bound, the remove is answered at
 // once, and when the gate opens the store sees four writes, then four
 // discards, and ends empty. The discard is in nobody's write-back
 // counters.
@@ -174,7 +174,7 @@ func TestDiscardOrderedBehindWriteBack(t *testing.T) {
 		WritebackDepth: 2,
 	})
 	// Whatever fails below, the server's shutdown (registered before
-	// this, so run after it) must not find the flusher still at the gate.
+	// this, so run after it) must not find a batch still at the gate.
 	openGate := sync.OnceFunc(func() { close(store.gate) })
 	t.Cleanup(openGate)
 	c := dial()
@@ -194,7 +194,7 @@ func TestDiscardOrderedBehindWriteBack(t *testing.T) {
 		write(blk)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for len(store.arrivals()) == 0 { // the flusher is at the gate; the queue is empty again
+	for len(store.arrivals()) == 0 { // the batch is at the gate; nothing queues behind it yet
 		if time.Now().After(deadline) {
 			t.Fatal("the first batch never reached the store")
 		}

@@ -1,16 +1,15 @@
-// fillpool.go — the bounded fill worker pool and the batching
-// write-behind flusher: the store-side mechanism under the shard
-// kernels.
+// fillpool.go — the bounded fill worker pool and the write-behind batch
+// writer: the store-side mechanism under the shard kernels.
 //
 // The kernel decides *what* to fill and write back (policy); this file
 // decides the call shape (mechanism). Misses and read-ahead runs queue
 // on a per-shard fillQueue, a small worker pool drains it, groups
 // same-file adjacent blocks, and retires each run with one vectored
-// store read; the flusher gathers victims off wbch until it holds one
-// queue's worth, lets the fills then in flight reach the store first,
-// and writes the whole batch with one vectored call. MSHR join/detach,
-// orphan rules and Conflict ordering all live above this layer and see
-// the same per-fill/per-write-back completions they always did.
+// store read; a write-behind batch, which the shard loop cuts from its
+// FIFO (shard.go), goes to the store with one vectored call. MSHR
+// join/detach, orphan rules and Conflict ordering all live above this
+// layer and see the same per-fill/per-write-back completions they
+// always did.
 
 package server
 
@@ -19,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/disk"
 )
@@ -29,8 +27,9 @@ const (
 	// overlap a few independent misses without unbounded goroutine spawn.
 	fillWorkers = 4
 	// maxFillBatch bounds how many queued fills one worker drains at a
-	// time; maxWritebackBatch bounds the flusher's batch, which it writes
-	// whole once it holds min(WritebackDepth, maxWritebackBatch) victims.
+	// time; maxWritebackBatch bounds a write-behind batch, which the loop
+	// cuts whole once it holds min(WritebackDepth, maxWritebackBatch)
+	// victims.
 	maxFillBatch      = 128
 	maxWritebackBatch = 64
 	// writeTimeout bounds one response write (wire.go).
@@ -156,81 +155,21 @@ func (sh *shard) runFills(store disk.Store, batch []*core.Fill) {
 	}
 }
 
-// flusher is the shard's write-behind goroutine. It gathers victims off
-// wbch and holds them until the batch has one queue's worth,
-// min(depth, maxWritebackBatch) — delayed writes go to the store in
-// bursts, as update(8) sends them. Then it lets every fill the shard has
-// in flight at that moment come back — demand reads first, as disksort
-// sweeps delayed writes into the read stream's gaps; a later fill never
-// extends the wait, so misses cannot starve write-behind — and retires
-// the batch with one store call. A held victim is no less durable than
-// a dirty block still cached, and a read of it is served from the
-// kernel's pendingWB. The drain ends a partial batch: the loop closes
-// drainc when shutdown begins, so the drain barrier (no write-back in
-// flight) completes, and wbch cannot close under a held batch.
-//
-// Queue order is preserved within and across batches, which is what
-// keeps every same-block Conflict constraint honored; a batch never
-// holds the same block twice — on a duplicate the gathered batch
-// flushes first, so the older bytes are on the store before the newer
-// write is even issued. A removed file's discard takes its turn the same
-// way: whatever was gathered ahead of it (any of it may be the file's)
-// goes to the store first, then its blocks go back in one batch of their
-// own.
-func (sh *shard) flusher(store disk.Store) {
+// writeBatch is one write-behind batch's trip to the store, on a
+// goroutine of its own that the loop starts once the batch may go
+// (shard.writeBehind): a discard goes through disk.Discard, a lone victim
+// keeps the plain WriteBlock path, and a group goes through WriteBatch so
+// adjacent-slot victims collapse into pwritev runs. The batch re-enters
+// the loop as one completion; the send is plain, as the loop counts the
+// batch in flight and cannot retire until it has received it.
+func (sh *shard) writeBatch(store disk.Store, batch []*core.WriteBack) {
 	defer sh.srv.running.Done()
-	full := min(cap(sh.wbch), maxWritebackBatch)
-	var batch []*core.WriteBack
-	seen := make(map[cache.BlockID]bool)
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		sh.flushWBs(store, batch)
-		batch = nil // the slice rode the completion message; start fresh
-		clear(seen)
-	}
-	add := func(wb *core.WriteBack) {
-		if wb.Discard != nil {
-			flush()
-			wb.Err = disk.Discard(store, wb.Discard)
-			sh.kch <- kmsg{wbs: []*core.WriteBack{wb}}
-			return
-		}
-		if seen[wb.ID] {
-			flush()
-		}
-		batch = append(batch, wb)
-		seen[wb.ID] = true
-	}
-	for wb := range sh.wbch {
-		add(wb)
-	gather:
-		for len(batch) > 0 && len(batch) < full {
-			select {
-			case wb2 := <-sh.wbch:
-				add(wb2)
-			case <-sh.drainc:
-				break gather
-			}
-		}
-		issued := sh.fillsIssued.Load()
-		for len(batch) > 0 && sh.fillsDone.Load() < issued {
-			<-sh.fillWake
-		}
-		flush()
-	}
-}
-
-// flushWBs retires one gathered batch, which re-enters the kernel loop
-// as one completion: a lone victim keeps the plain WriteBlock path, a
-// group goes through WriteBatch so adjacent-slot victims collapse into
-// pwritev runs.
-func (sh *shard) flushWBs(store disk.Store, batch []*core.WriteBack) {
-	if len(batch) == 1 {
-		wb := batch[0]
+	switch wb := batch[0]; {
+	case wb.Discard != nil:
+		wb.Err = disk.Discard(store, wb.Discard)
+	case len(batch) == 1:
 		wb.Err = store.WriteBlock(int32(wb.ID.File), wb.ID.Num, wb.Data)
-	} else {
+	default:
 		specs := make([]disk.BlockSpan, len(batch))
 		srcs := make([][]byte, len(batch))
 		for i, wb := range batch {

@@ -412,7 +412,7 @@ func TestLifecycleShutdownExpiresAfterOneShardRetired(t *testing.T) {
 	// One file, all in one shard, written whole through the shard's four
 	// blocks: the last three writes each evict a dirty block. That is
 	// fewer than the write-behind queue holds, so the shard's loop never
-	// writes inline and stays responsive while its flusher sits at the
+	// writes inline and stays responsive while its write-behind sits at the
 	// gate.
 	c, err := client.Dial("tcp", addr)
 	if err != nil {

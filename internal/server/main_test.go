@@ -7,8 +7,8 @@ import (
 )
 
 // serverFrames matches every goroutine the server package runs or
-// started: shard loops, fill workers, flushers, session readers and
-// writers, and a test's own `go srv.Serve(ln)`.
+// started: shard loops, fill workers, write-behind batches at the store,
+// session readers and writers, and a test's own `go srv.Serve(ln)`.
 const serverFrames = "repro/internal/server."
 
 // TestMain fails the package if a server goroutine outlives the tests:

@@ -246,7 +246,7 @@ func TestServerMidFillDisconnect(t *testing.T) {
 }
 
 // TestWriteBehindDrainOnShutdown is the drain-barrier gate: dirty blocks
-// evicted into the write-behind flusher must all be on the store after
+// evicted into write-behind must all be on the store after
 // Shutdown+Close, even though the store writes slowly and the queue is far
 // shallower than the burst. A file written whole through a 4-block cache
 // makes the burst: each write past the fourth evicts a dirty block.
@@ -548,12 +548,11 @@ func TestWriteBehindYieldsToFills(t *testing.T) {
 
 	// (c) Cache: 4d 5d 6d 7d 10 8d. The fill of 11 evicts 4d, and 5d 6d
 	// 7d fill the batch behind it; the fill of 12 evicts 10 (clean) after
-	// the flusher has begun waiting.
+	// the batch has begun waiting.
 	wait11 := gatedRead(11)
 	write(9)
 	write(13)
 	write(14)
-	time.Sleep(10 * time.Millisecond) // the flusher takes 7d off the queue
 	wait12 := gatedRead(12)
 	store.open(11)
 	wait11()
@@ -577,7 +576,60 @@ func TestWriteBehindYieldsToFills(t *testing.T) {
 	}
 }
 
-// TestWriteBehindDrainHeldBatch: Shutdown begins while the flusher holds
+// TestWriteBehindEarlyCutYieldsToFills: a batch cut short — here by a
+// second eviction of a block it holds, which must start a batch of its
+// own — still goes to the store behind the fills in flight when it was
+// cut, like a whole one; the newer bytes stay held behind it and land at
+// the drain.
+func TestWriteBehindEarlyCutYieldsToFills(t *testing.T) {
+	mem := disk.NewMemStore()
+	store := newYieldStore(mem, 10)
+	srv, c, f, gatedRead := yieldServer(t, store, 2)
+	first, second := bytes.Repeat([]byte{0x61}, core.BlockSize), bytes.Repeat([]byte{0x62}, core.BlockSize)
+	write := func(blk int32, data []byte) {
+		t.Helper()
+		if _, err := c.Write(f.ID, blk, 0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// LRU to MRU, d for dirty. 0d 1d, then 2 evicts 0d and the read of 0
+	// evicts 1d: the batch holds 0 and 1, and 0 comes back from it.
+	write(0, first)
+	write(1, first)
+	write(2, first)
+	if _, err := c.ReadNoData(f.ID, 0, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	write(0, second)                  // 2d 0d
+	wait10 := gatedRead(10)           // evicts 2d into the batch: 0 1 2
+	write(3, first)                   // evicts 0d again: a batch of its own
+	time.Sleep(50 * time.Millisecond) // long enough for a batch that need not wait
+	if store.at("w0") >= 0 {
+		t.Error("a batch cut by a duplicate reached the store with the fill of block 10 in flight")
+	}
+	if m, _ := srv.Metrics(); m.WritebacksInflight != 4 {
+		t.Errorf("WritebacksInflight = %d, want the cut batch of 3 and the one behind it", m.WritebacksInflight)
+	}
+	store.open(10)
+	wait10()
+	store.waitFor(t, "w2")
+	if store.at("w0") < store.at("r10.") {
+		t.Error("the cut batch reached the store before the fill of block 10 returned")
+	}
+
+	c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	got := make([]byte, core.BlockSize)
+	if err := mem.ReadBlock(int32(f.ID), 0, got); err != nil || !bytes.Equal(got, second) {
+		t.Errorf("block 0 after the drain: not its newer bytes (err %v)", err)
+	}
+}
+
+// TestWriteBehindDrainHeldBatch: Shutdown begins while the shard holds
 // a write-back behind a gated fill. The drain barrier waits for both; once
 // the gate opens the shard retires, the block is on the store and no
 // server goroutine is left.
@@ -647,7 +699,7 @@ func (s *spanStore) WriteBlocks(specs []disk.BlockSpan, srcs [][]byte) []error {
 	return s.MemStore.WriteBlocks(specs, srcs)
 }
 
-// TestWriteBehindWholeBatch pins the flusher's call shape: at depth 4,
+// TestWriteBehindWholeBatch pins write-behind's call shape: at depth 4,
 // three dirty victims are held and none is written; a read of a held one
 // is served from the pending write-back, not the store; the fourth
 // victim sends all four to the store in one vectored call; and a partial

@@ -31,7 +31,7 @@ type Server struct {
 	// in every shard's FIFO.
 	admitting sync.WaitGroup
 	// running counts the server's goroutines: shard loops, fill workers,
-	// flushers, session readers and writers.
+	// write-behind batches at the store, session readers and writers.
 	running sync.WaitGroup
 
 	sessionsTotal atomic.Int64
@@ -99,7 +99,6 @@ func New(cfg Config) *Server {
 			kch:      make(chan kmsg, 256),
 			done:     make(chan struct{}),
 			sessions: make(map[*session]bool),
-			drainc:   make(chan struct{}),
 			fq:       newFillQueue(),
 		}
 		kcfg := cfg.Kernel.ShardConfig(i, n)
@@ -111,9 +110,9 @@ func New(cfg Config) *Server {
 		// mark); a bounded worker pool drains it, groups same-file
 		// adjacent blocks, and re-enters the loop one run at a time. The
 		// loop counts fills in flight so shutdown can wait for the last,
-		// and the flusher so it can let them go first.
+		// and write-behind so it can let them go first.
 		kcfg.StartFill = func(fls []*core.Fill) {
-			sh.fillsIssued.Add(int64(len(fls)))
+			sh.fillsIssued += int64(len(fls))
 			sh.kern.NoteFillQueueDepth(sh.fq.push(fls))
 		}
 		srv.running.Add(fillWorkers)
@@ -121,18 +120,11 @@ func New(cfg Config) *Server {
 			go sh.fillWorker(store)
 		}
 		if cfg.WritebackDepth > 0 {
-			sh.wbch = make(chan *core.WriteBack, cfg.WritebackDepth)
-			sh.fillWake = make(chan struct{}, 1)
+			// Write-behind: the loop queues victims in one FIFO and cuts it
+			// into batches of one queue's worth, each written behind the
+			// fills then in flight (shard.writeBehind).
+			sh.wbDepth, sh.wbFull = cfg.WritebackDepth, min(cfg.WritebackDepth, maxWritebackBatch)
 			kcfg.StartWriteBack = sh.startWriteBack
-			// The flusher: one goroutine per shard draining the queue in
-			// FIFO order (which is what makes queue-order execution honor
-			// every same-block Conflict constraint) and re-entering the
-			// kernel loop with the result — gathering victims into
-			// batches of one queue's worth, each written behind the fills
-			// then in flight (fillpool.go). It exits when retire closes
-			// wbch.
-			srv.running.Add(1)
-			go sh.flusher(store)
 		}
 		sh.kern = core.NewLive(kcfg)
 		kerns = append(kerns, sh.kern)
@@ -212,7 +204,7 @@ func (s *Server) startSession(conn net.Conn) {
 // Shutdown drains the server: listeners close, connections that arrive
 // from here on are closed unserved, every queued and in-flight request
 // completes or is refused (StatusRefused), and each shard retires — its
-// loop, fill workers and flusher end — once its last session
+// loop and fill workers end — once its last session
 // disconnects and its last fill and write-back land. If ctx expires
 // first, remaining sessions are disconnected forcibly; Shutdown still
 // waits for the drain (fills are local I/O and always complete). When
@@ -297,7 +289,7 @@ func flushShards(shards []*shard) error {
 // *Server afterwards keeps a husk. Call only after Shutdown has
 // returned: the shard loops have ended, and the drain barrier has
 // already waited out every asynchronous write-back — so these flush
-// writes can never be overtaken by a stale flusher write. A second
+// writes can never be overtaken by a stale write-behind batch. A second
 // Close is a no-op.
 func (s *Server) Close() error {
 	shards, ok := s.stopped()

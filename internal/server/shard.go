@@ -1,7 +1,7 @@
 package server
 
 import (
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -37,28 +37,26 @@ type shard struct {
 
 	sessions map[*session]bool
 	draining bool
-	// drainc closes when draining begins: the flusher's cue to write the
-	// partial batch it holds.
-	drainc   chan struct{}
 	requests int64
 	refused  int64
-	// fillsIssued (the StartFill hook) and fillsDone (the loop) count the
-	// store fills sent to the pool and come back. Only the loop writes
-	// them; the flusher reads them to let those in flight go first, and
-	// fillWake (one slot, sent without blocking) wakes it when one lands.
-	fillsIssued, fillsDone atomic.Int64
-	fillWake               chan struct{}
+	// fillsIssued (the StartFill hook) and fillsDone count the store fills
+	// sent to the pool and come back.
+	fillsIssued, fillsDone int64
 
-	// wbch feeds the shard's flusher goroutine (nil when write-behind is
-	// off). wbOverflow holds write-backs that must execute in FIFO order
-	// behind an older same-block write but found wbch full; the loop
-	// drains it into wbch as completions free slots. wbInflight counts
-	// write-backs handed to the asynchronous path and not yet completed —
-	// the drain barrier waits for it, so the flusher never races
-	// Server.Close's store writes.
-	wbch       chan *core.WriteBack
-	wbOverflow []*core.WriteBack
-	wbInflight int
+	// Write-behind (wbFull == 0 when it is off). wbq is one FIFO of the
+	// write-backs handed to the store path and not yet complete, in the
+	// order the kernel queued them, cut into batches: only the last batch
+	// can still be gathering, and only the first can be at the store
+	// (wbBusy), one batch at a time — so queue order is execution order,
+	// which honors every same-block Conflict constraint. wbCut marks the
+	// head batch cut and waiting for the fills issued before it was cut
+	// (wbWait). wbInflight counts every write-back in wbq; the drain
+	// barrier waits for it, so no batch races Server.Close's store writes.
+	wbDepth, wbFull int
+	wbq             [][]*core.WriteBack
+	wbCut, wbBusy   bool
+	wbWait          int64
+	wbInflight      int
 
 	// fq is the shard's fill queue; the worker pool drains it. Closed at
 	// retire.
@@ -119,11 +117,7 @@ func (sh *shard) loop() {
 	for m := range sh.kch {
 		switch {
 		case m.fills != nil:
-			sh.fillsDone.Add(int64(len(m.fills)))
-			select {
-			case sh.fillWake <- struct{}{}:
-			default:
-			}
+			sh.fillsDone += int64(len(m.fills))
 			if len(m.fills) > 1 && sh.vectors {
 				sh.kern.CountFillBatch(len(m.fills))
 			}
@@ -132,18 +126,18 @@ func (sh *shard) loop() {
 			}
 		case m.wbs != nil:
 			sh.wbInflight -= len(m.wbs)
+			sh.wbq[0] = nil
+			sh.wbq, sh.wbBusy = sh.wbq[1:], false
 			if len(m.wbs) > 1 && sh.vectors {
 				sh.kern.CountWritebackBatches(1)
 			}
 			for _, wb := range m.wbs {
 				sh.kern.CompleteWriteBack(wb)
 			}
-			sh.drainOverflow()
 		case m.call != nil:
 			m.call(sh)
 		case m.drain:
 			sh.draining = true
-			close(sh.drainc)
 		case m.force:
 			for se := range sh.sessions {
 				se.kill()
@@ -157,7 +151,8 @@ func (sh *shard) loop() {
 				releaseRequest(m.req)
 			}
 		}
-		if sh.draining && len(sh.sessions) == 0 && sh.fillsDone.Load() == sh.fillsIssued.Load() && sh.wbInflight == 0 {
+		sh.writeBehind()
+		if sh.draining && len(sh.sessions) == 0 && sh.fillsDone == sh.fillsIssued && sh.wbInflight == 0 {
 			sh.retire()
 			return
 		}
@@ -165,66 +160,85 @@ func (sh *shard) loop() {
 }
 
 // retire ends the shard once it is draining, no session can enqueue
-// more work, no fill is in flight and the write-behind queue is empty —
+// more work, no fill is in flight and the write-behind FIFO is empty —
 // the drain barrier that makes the stopped server's direct kernel and
-// store access (FlushDirty, CachedContents, Close) safe. Closing wbch
-// and the fill queue ends the flusher and the fill workers.
+// store access (FlushDirty, CachedContents, Close) safe. Closing the
+// fill queue ends the fill workers.
 func (sh *shard) retire() {
-	if sh.wbch != nil {
-		close(sh.wbch)
-	}
 	sh.fq.close()
 	close(sh.done)
 }
 
 // startWriteBack is the shard's LiveConfig.StartWriteBack hook; it runs
-// on the shard loop goroutine and never blocks it. A write-back goes to
-// the flusher queue when there is room (behind any overflow, preserving
-// FIFO); a Conflict write-back — one that must not overtake an older
-// pending write of the same block — waits in the overflow list when the
-// queue is full (a removed file's discard is always one: one entry per
-// remove, however many blocks it names, any of whose older writes may
-// be in the queue); anything else degrades to a synchronous inline
-// write, which is the backpressure rule: a full queue slows the evicting
-// request down to today's synchronous cost instead of growing the queue
-// without bound or stalling the whole shard behind one block.
+// on the shard loop goroutine and never blocks it. A write-back joins the
+// FIFO — the last batch while that one is gathering, else a batch of its
+// own — unless wbDepth write-backs already wait behind the head batch and
+// it is not Conflict: then it degrades to a synchronous inline write,
+// which is the backpressure rule (a full queue slows the evicting request
+// down to the synchronous cost instead of growing without bound). A
+// Conflict write-back — one that must not overtake an older pending
+// write of its block; a removed file's discard is always one — joins
+// the FIFO past the bound, since only queue order is safe for it.
 func (sh *shard) startWriteBack(wb *core.WriteBack) {
-	sh.drainOverflow()
-	if len(sh.wbOverflow) == 0 {
-		select {
-		case sh.wbch <- wb:
-			sh.wbInflight++
-			return
-		default:
-		}
-	}
-	if wb.Conflict {
-		sh.wbOverflow = append(sh.wbOverflow, wb)
-		sh.wbInflight++
+	n := len(sh.wbq)
+	if !wb.Conflict && n > 0 && sh.wbInflight-len(sh.wbq[0]) >= sh.wbDepth {
+		// Inline is safe exactly because !Conflict: no older write of this
+		// block is queued anywhere, so writing now cannot reorder anything.
+		wb.Stalled = true
+		wb.Err = sh.kern.Store().WriteBlock(int32(wb.ID.File), wb.ID.Num, wb.Data)
+		sh.kern.CompleteWriteBack(wb)
 		return
 	}
-	// Inline is safe exactly because !Conflict: no older write of this
-	// block is queued anywhere, so writing now cannot reorder anything.
-	wb.Stalled = true
-	wb.Err = sh.kern.Store().WriteBlock(int32(wb.ID.File), wb.ID.Num, wb.Data)
-	sh.kern.CompleteWriteBack(wb)
+	sh.wbInflight++
+	if sh.joins(wb) {
+		sh.wbq[n-1] = append(sh.wbq[n-1], wb)
+		return
+	}
+	sh.wbq = append(sh.wbq, append(make([]*core.WriteBack, 0, sh.wbFull), wb))
 }
 
-// drainOverflow moves queued-behind-the-queue write-backs into wbch in
-// FIFO order, as far as capacity allows.
-func (sh *shard) drainOverflow() {
-	for len(sh.wbOverflow) > 0 {
-		select {
-		case sh.wbch <- sh.wbOverflow[0]:
-			sh.wbOverflow[0] = nil
-			sh.wbOverflow = sh.wbOverflow[1:]
-		default:
+// joins reports whether wb may join the FIFO's last batch: that batch is
+// short of a whole one, is neither a discard nor at the store, and does
+// not hold wb's block. A discard and a duplicate block each start a new
+// batch, so a batch is order-equivalent to its writes issued one by one,
+// whatever order the store applies it in. Only a Conflict write-back can
+// duplicate a pending block, so only it pays for the scan.
+func (sh *shard) joins(wb *core.WriteBack) bool {
+	n := len(sh.wbq)
+	if n == 0 || n == 1 && sh.wbBusy || wb.Discard != nil {
+		return false
+	}
+	last := sh.wbq[n-1]
+	if len(last) == sh.wbFull || last[0].Discard != nil {
+		return false
+	}
+	return !wb.Conflict || !slices.ContainsFunc(last, func(o *core.WriteBack) bool { return o.ID == wb.ID })
+}
+
+// writeBehind sends the FIFO's head batch to the store when it may go,
+// and the loop calls it after every message. The head is cut — it stops
+// gathering — once it is a whole batch, a discard, followed by another
+// batch, or the shard is draining; an idle shard keeps a partial batch
+// until then, as a dirty block stays cached. Demand reads go first: a
+// cut batch waits until the fills issued before it was cut have landed,
+// and a later fill never extends the wait.
+func (sh *shard) writeBehind() {
+	if len(sh.wbq) == 0 || sh.wbBusy {
+		return
+	}
+	if !sh.wbCut {
+		head := sh.wbq[0]
+		if len(sh.wbq) == 1 && len(head) < sh.wbFull && head[0].Discard == nil && !sh.draining {
 			return
 		}
+		sh.wbCut, sh.wbWait = true, sh.fillsIssued
 	}
-	if len(sh.wbOverflow) == 0 {
-		sh.wbOverflow = nil // let the backing array go
+	if sh.fillsDone < sh.wbWait {
+		return
 	}
+	sh.wbCut, sh.wbBusy = false, true
+	sh.srv.running.Add(1)
+	go sh.writeBatch(sh.kern.Store(), sh.wbq[0])
 }
 
 func (sh *shard) openSession(se *session) {

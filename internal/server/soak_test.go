@@ -18,7 +18,7 @@ import (
 // sleepStore delays every block read so fills stay genuinely in flight
 // while sessions churn — the revoke-on-disconnect path must cope with
 // owners that vanish between StartFill and CompleteFill — and every
-// write, so the write-behind flusher's queue genuinely backs up.
+// write, so the write-behind queue genuinely backs up.
 type sleepStore struct {
 	disk.Store
 	readDelay  time.Duration
@@ -84,8 +84,9 @@ func soak(t *testing.T, shards int, pipelined bool) {
 	}
 	if pipelined {
 		// A deliberately shallow queue over a slow-write store: write-backs
-		// stall (the backpressure path), conflicts overflow, and fills
-		// forward from pending write-backs, all under the same churn.
+		// stall (the backpressure path), conflicts queue past the bound,
+		// and fills forward from pending write-backs, all under the same
+		// churn.
 		cfg.WritebackDepth = 2
 		cfg.Kernel.ReadAhead = true
 		cfg.Kernel.ReadAheadDepth = 2

@@ -59,7 +59,7 @@ func (sh *shard) snapshot(m *Metrics, at map[*session]int, only *session) {
 		Kernel:             sh.kern.Snapshot(),
 		Requests:           sh.requests,
 		Refused:            sh.refused,
-		FillsInflight:      int(sh.fillsIssued.Load() - sh.fillsDone.Load()),
+		FillsInflight:      int(sh.fillsIssued - sh.fillsDone),
 		WritebacksInflight: sh.wbInflight,
 		CachedBlocks:       sh.kern.Cache().Len(),
 	}

@@ -74,8 +74,8 @@ type FillStats struct {
 	// FillBatchBlocks/BatchedFills is the mean run length.
 	BatchedFills    int64 `json:"batched_fills"`
 	FillBatchBlocks int64 `json:"fill_batch_blocks"`
-	// WritebackBatches counts multi-block batches the write-behind
-	// flusher handed to the store as one vectored write.
+	// WritebackBatches counts multi-block write-behind batches handed to
+	// the store as one vectored write.
 	WritebackBatches int64 `json:"writeback_batches"`
 	// FillQueueHighWater is the deepest the shard's fill queue has ever
 	// been: how far the bounded worker pool fell behind the miss stream.
