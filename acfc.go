@@ -34,8 +34,6 @@ type (
 	Policy = acm.Policy
 	// Alloc selects the kernel's global allocation policy.
 	Alloc = cache.Alloc
-	// RevokeConfig tunes the foolish-manager revocation extension.
-	RevokeConfig = cache.RevokeConfig
 	// Geometry describes a disk model.
 	Geometry = disk.Geometry
 	// BlockID names one cached block.

@@ -71,11 +71,11 @@ func TestPublicConstants(t *testing.T) {
 	}
 }
 
-// TestRevokeConfigThroughPublicAPI exercises the revocation extension via
-// the facade.
+// TestRevokeConfigThroughPublicAPI exercises the revocation extension
+// (Config.Revoke) via the facade.
 func TestRevokeConfigThroughPublicAPI(t *testing.T) {
 	cfg := acfc.DefaultConfig()
-	cfg.Revoke = acfc.RevokeConfig{Enabled: true, MinDecisions: 200, MistakeRatio: 0.3}
+	cfg.Revoke = true
 	sys := acfc.NewSystem(cfg)
 	acfc.Launch(sys, acfc.Read300(0), acfc.Foolish)
 	acfc.Launch(sys, acfc.ReadN(400, 1170, 0), acfc.Oblivious)

@@ -13,22 +13,25 @@
 //	      [-store mem|/path/to/file]
 //	      [-shards 1] [-idle 2m] [-inflight 32]
 //	      [-writeback-depth 0] [-readahead 0] [-grace 10s]
-//	      [-cluster tcp:h1:p1,tcp:h2:p2,...] [-origin mem|dir:/path]
+//	      [-cluster tcp:h1:p1,tcp:h2:p2,... -origin dir:/path]
 //
 // -alloc names any policy in the kernel's registry (cache.AllocNames:
 // global-lru, lru-sp, lru-s, alloc-lru, arc, awrp). It is fixed for the
 // daemon's life: every shard runs it, and the stats reply and /metrics
 // name it.
 //
-// A bad flag value, or -store or -origin without the mode it belongs to,
-// exits 2 before any store, origin or listener is opened.
+// A bad flag value, -store or -origin without the mode it belongs to, or
+// -cluster without -origin, exits 2 before any store, origin or listener
+// is opened.
 //
 // With -cluster, the daemon joins a static multi-node tier: the member
 // list (which must include this node's -listen spec) is hashed into a
 // consistent-hash ring, files route to their owning node, and local
-// misses pull through a warm peer or the shared -origin. SIGINT/SIGTERM
-// then run the planned-leave protocol: drain, flush dirty blocks to the
-// origin, stream hot blocks to the new hash owners, exit.
+// misses pull through a warm peer or the shared -origin — a directory
+// every node writes back to, so a block one node evicted dirty is there
+// for the node that takes its files over. SIGINT/SIGTERM then run the
+// planned-leave protocol: drain, flush dirty blocks to the origin, stream
+// hot blocks to the new hash owners, exit.
 //
 // Without -cluster, SIGINT/SIGTERM drain gracefully: in-flight requests
 // finish, new ones are refused, and the kernel flushes dirty blocks
@@ -90,7 +93,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fl.IntVar(&o.writebackDepth, "writeback-depth", 0, "write-behind per shard: dirty victims are gathered and written N at a time, at most 64 (0: synchronous write-backs)")
 	fl.IntVar(&o.readahead, "readahead", 0, "server-side sequential read-ahead depth (0: disabled)")
 	fl.StringVar(&o.cluster, "cluster", "", "comma-separated member list (incl. this node's -listen spec); empty: single-node mode")
-	fl.StringVar(&o.origin, "origin", "mem", "cluster origin: mem (per-process; testing only) or dir:/shared/path")
+	fl.StringVar(&o.origin, "origin", "", "cluster origin, required with -cluster: dir:/shared/path")
 	return fl, o
 }
 
@@ -132,13 +135,10 @@ func run() int {
 	var node *cluster.Node
 	srv := (*server.Server)(nil)
 	if o.cluster != "" {
-		var origin cluster.Origin = cluster.NewMemOrigin()
-		if dir, ok := strings.CutPrefix(o.origin, "dir:"); ok {
-			var err error
-			if origin, err = cluster.NewDirOrigin(dir); err != nil {
-				fmt.Fprintf(os.Stderr, "acfcd: %v\n", err)
-				return 1
-			}
+		origin, err := cluster.NewDirOrigin(strings.TrimPrefix(o.origin, "dir:"))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "acfcd: %v\n", err)
+			return 1
 		}
 		members := strings.Split(o.cluster, ",")
 		n, err := cluster.NewNode(cluster.NodeConfig{
@@ -255,10 +255,10 @@ func (o *options) check() error {
 		return fmt.Errorf("-readahead must not be negative (got %d)", o.readahead)
 	case o.cluster != "" && o.store != "mem":
 		return fmt.Errorf("-store does not combine with -cluster (the shared -origin is the backing tier)")
-	case o.cluster == "" && o.origin != "mem":
+	case o.cluster == "" && o.origin != "":
 		return fmt.Errorf("-origin needs -cluster")
-	case o.origin != "mem" && !strings.HasPrefix(o.origin, "dir:"):
-		return fmt.Errorf("bad -origin %q (want mem or dir:/path)", o.origin)
+	case o.cluster != "" && !strings.HasPrefix(o.origin, "dir:"):
+		return fmt.Errorf("-cluster needs -origin dir:/path, the directory every node writes back to (got %q)", o.origin)
 	}
 	if _, err := cache.ParseAlloc(o.alloc); err != nil {
 		return err

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +17,18 @@ func TestFlagsDocumented(t *testing.T) {
 	fl, _ := newFlags()
 	flagdoc.Check(t, fl, "main.go", "// Usage:\n//\n", "\n//\n")
 	flagdoc.Check(t, fl, "../../README.md", "`acfcd` flags:\n\n", "\n\n")
+}
+
+// TestFlagCeiling pins acfcd's flag count: a PR that adds a flag raises
+// it in its own diff (the knob ceilings of the config structs are
+// TestConfigKnobCeilings at the repository root).
+func TestFlagCeiling(t *testing.T) {
+	fl, _ := newFlags()
+	n := 0
+	fl.VisitAll(func(*flag.Flag) { n++ })
+	if n != 14 {
+		t.Errorf("acfcd has %d flags, want 14", n)
+	}
 }
 
 // TestBadFlagsExitBeforeOpening: every rejected command line exits 2
@@ -38,6 +51,8 @@ func TestBadFlagsExitBeforeOpening(t *testing.T) {
 		{"store with cluster", []string{"-store", held, "-cluster", cluster}, "-store"},
 		{"origin without cluster", []string{"-origin", "dir:" + dir}, "-origin"},
 		{"bad origin", []string{"-cluster", cluster, "-origin", "nfs:x"}, "-origin"},
+		{"cluster without origin", []string{"-cluster", cluster}, "-origin"},
+		{"per-process origin", []string{"-cluster", cluster, "-origin", "mem"}, "-origin"},
 		{"zero cache", []string{"-cache-mb", "0"}, "-cache-mb"},
 		{"negative cache", []string{"-cache-mb", "-1"}, "-cache-mb"},
 		{"NaN cache", []string{"-cache-mb", "NaN"}, "-cache-mb"},

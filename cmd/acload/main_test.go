@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"net"
 	"os"
@@ -421,6 +422,17 @@ func TestFlagsDocumented(t *testing.T) {
 	fl, _ := newFlags()
 	flagdoc.Check(t, fl, "main.go", "// Usage:\n//\n", "\n//\n")
 	flagdoc.Check(t, fl, "../../README.md", "`acload` flags:\n\n", "\n\n")
+}
+
+// TestFlagCeiling pins acload's flag count: a PR that adds a flag raises
+// it in its own diff.
+func TestFlagCeiling(t *testing.T) {
+	fl, _ := newFlags()
+	n := 0
+	fl.VisitAll(func(*flag.Flag) { n++ })
+	if n != 7 {
+		t.Errorf("acload has %d flags, want 7", n)
+	}
 }
 
 // TestBadFlagsExitBeforeRecording: every rejected command line exits 2

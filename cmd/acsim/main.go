@@ -49,10 +49,8 @@ func main() {
 		CacheMB: *cacheFlag,
 		Alloc:   alloc,
 		Seed:    *seedFlag,
+		Revoke:  *revokeFlag,
 		Opts:    expt.Options{ReadAheadOff: *noRAFlag},
-	}
-	if *revokeFlag {
-		spec.Revoke = cache.RevokeConfig{Enabled: true, MinDecisions: 200, MistakeRatio: 0.3}
 	}
 	for _, s := range strings.Split(*appsFlag, ",") {
 		as, err := expt.ParseApp(s)

@@ -179,26 +179,14 @@ type OwnerStats struct {
 	Revoked   bool
 }
 
-// RevokeConfig controls the optional revocation of cache-control
-// privileges from consistently foolish managers.
-type RevokeConfig struct {
-	Enabled bool
-	// MinDecisions is the minimum number of overrules before the ratio
-	// is examined.
-	MinDecisions int64
-	// MistakeRatio revokes a manager whose mistakes/decisions exceeds
-	// this fraction.
-	MistakeRatio float64
-}
-
 // Config configures a Cache.
 type Config struct {
 	// Capacity is the number of buffers.
 	Capacity int
 	// Alloc is the global allocation policy.
 	Alloc Alloc
-	// Revoke optionally enables foolish-manager revocation.
-	Revoke RevokeConfig
+	// Revoke takes control away from a foolish manager (recordMistake).
+	Revoke bool
 	// SharedTransfer makes ownership of a block follow its use: when a
 	// process other than the current owner hits a block, the block moves
 	// under the accessor's manager. This is the paper's Section 8 future
@@ -718,6 +706,14 @@ func (c *Cache) recordDecision(owner int) {
 	c.Owner(owner).Decisions++
 }
 
+// With Config.Revoke, a manager loses control once it has made at least
+// revokeMinDecisions overrules and placeholders caught more than
+// revokeMistakeRatio of them.
+const (
+	revokeMinDecisions = 200
+	revokeMistakeRatio = 0.3
+)
+
 // recordMistake counts a placeholder-caught mistake and applies the
 // revocation policy.
 func (c *Cache) recordMistake(owner int) {
@@ -726,9 +722,8 @@ func (c *Cache) recordMistake(owner int) {
 	}
 	os := c.Owner(owner)
 	os.Mistakes++
-	r := c.cfg.Revoke
-	if r.Enabled && !os.Revoked && os.Decisions >= r.MinDecisions &&
-		float64(os.Mistakes) > r.MistakeRatio*float64(os.Decisions) {
+	if c.cfg.Revoke && !os.Revoked && os.Decisions >= revokeMinDecisions &&
+		float64(os.Mistakes) > revokeMistakeRatio*float64(os.Decisions) {
 		os.Revoked = true
 		c.stats.Revocations++
 	}

@@ -440,7 +440,7 @@ func TestRevocation(t *testing.T) {
 	c := cache.New(cache.Config{
 		Capacity: 3,
 		Alloc:    cache.LRUSP,
-		Revoke:   cache.RevokeConfig{Enabled: true, MinDecisions: 2, MistakeRatio: 0.5},
+		Revoke:   true,
 	}, m)
 	// A maximally foolish manager: whenever consulted it gives up the
 	// hot block that is about to be re-read, while the kernel's
@@ -454,7 +454,7 @@ func TestRevocation(t *testing.T) {
 		}
 		return cand
 	}
-	for i := 0; i < 30 && !c.Revoked(1); i++ {
+	for i := 0; i < 300 && !c.Revoked(1); i++ {
 		get(c, id(i), 1) // cold stream
 		get(c, hot, 1)   // hot block, re-read constantly
 	}

@@ -1,7 +1,7 @@
 // node.go — Node ties one acfcd server to the cluster: it builds the
-// NodeStore, wires it under the server through the three hooks the
-// server grew for exactly this (base store, FileAnnounce, ExtraFill),
-// and owns the leave protocol. Leave generalizes the paper's
+// NodeStore, hangs it under the server as the base store (which the
+// server itself asks for file announcements and peer-fill counters), and
+// owns the leave protocol. Leave generalizes the paper's
 // transfer-or-evict revocation from block to node granularity: the
 // transfer arm drains sessions, flushes every dirty block to the origin
 // (so correctness never depends on what follows), then streams the
@@ -32,8 +32,8 @@ type NodeConfig struct {
 	Members []string
 	// Origin is the shared backing store. Required.
 	Origin Origin
-	// Server configures the embedded server. Kernel.Store, FileAnnounce
-	// and ExtraFill are overwritten — the cluster tier owns them.
+	// Server configures the embedded server. Kernel.Store is overwritten
+	// — the cluster tier owns it.
 	Server server.Config
 }
 
@@ -68,8 +68,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	ns := NewNodeStore(cfg.Self, ring, cfg.Origin)
 	scfg := cfg.Server
 	scfg.Kernel.Store = ns
-	scfg.FileAnnounce = ns.Announce
-	scfg.ExtraFill = ns.FillStats
 	return &Node{Self: cfg.Self, Srv: server.New(scfg), store: ns}, nil
 }
 

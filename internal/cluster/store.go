@@ -89,15 +89,15 @@ func (p *peer) open(c *client.Conn, name string) (fs.FileID, error) {
 // NodeStore implements disk.Store and disk.BatchStore over the cluster:
 // reads pull through a warm peer or the origin, writes (the kernel's
 // write-backs and flushes) go to the origin. It learns the id→name
-// mapping from the server's FileAnnounce hook, which fires on every
-// open and create — always before any fill can reference the id.
+// mapping from the server, which announces every open and create to its
+// base store — always before any fill can reference the id.
 type NodeStore struct {
 	self   string
 	origin Origin
 	ring   atomic.Pointer[Ring]
 
 	mu       sync.RWMutex
-	names    map[int32]string // wire id -> name (FileAnnounce)
+	names    map[int32]string // wire id -> name (Announce)
 	noPeer   map[string]bool  // names the warm peer lacks (negative cache)
 	peers    map[string]*peer
 	peerWarm bool // consult warm peers at all (off for a 1-node tier)
@@ -122,8 +122,8 @@ func NewNodeStore(self string, ring *Ring, origin Origin) *NodeStore {
 	return ns
 }
 
-// Announce records a wire id → name binding; the server's FileAnnounce
-// hook. Re-announcing (every open) is idempotent.
+// Announce records a wire id → name binding; the server calls it on
+// every open and create. Re-announcing (every open) is idempotent.
 func (ns *NodeStore) Announce(wire int32, name string) {
 	ns.mu.Lock()
 	if ns.names[wire] != name {
@@ -135,9 +135,8 @@ func (ns *NodeStore) Announce(wire int32, name string) {
 // Ring returns the current membership ring.
 func (ns *NodeStore) Ring() *Ring { return ns.ring.Load() }
 
-// FillStats snapshots the peer-fill counters; the server's ExtraFill
-// hook, folding them into the aggregated kernel snapshot on all three
-// stats surfaces.
+// FillStats snapshots the peer-fill counters; the server folds them into
+// the aggregated kernel snapshot on all three stats surfaces.
 func (ns *NodeStore) FillStats() stats.FillStats {
 	return stats.FillStats{
 		PeerFills:      ns.peerFills.Load(),

@@ -114,8 +114,8 @@ type Config struct {
 	// cites paid up to 10% of execution time for upcall-based control.
 	UpcallCPU sim.Time
 
-	// Revoke configures the foolish-manager revocation extension.
-	Revoke cache.RevokeConfig
+	// Revoke enables the foolish-manager revocation extension.
+	Revoke bool
 
 	// Trace, when non-nil, receives every block access (reads and
 	// writes, not read-ahead) as it happens. Useful for dumping or

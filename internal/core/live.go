@@ -8,11 +8,11 @@
 //
 // Concurrency contract: Live is single-threaded by design. Exactly one
 // goroutine (the server's kernel loop) may call its methods; block fills
-// are the only concurrent work, and they re-enter through CompleteFill on
-// that same goroutine. This mirrors the paper's kernel, where the buffer
-// cache is protected by the monolithic-kernel lock, and it is why the
-// cache and ACM structures — written for the one-runnable-process DES —
-// can be reused unchanged.
+// and write-backs are the only concurrent work, and they re-enter through
+// CompleteFill and CompleteWriteBack on that same goroutine. This mirrors
+// the paper's kernel, where the buffer cache is protected by the
+// monolithic-kernel lock, and it is why the cache and ACM structures —
+// written for the one-runnable-process DES — can be reused unchanged.
 //
 // Accounting parity: Read and Write mirror Proc.Access / Proc.WriteAccess
 // counter for counter (ReadCalls, Hits, Misses, DemandReads, WriteBacks,
@@ -59,8 +59,8 @@ type LiveConfig struct {
 	CacheBytes int64
 	// Alloc is the global allocation policy.
 	Alloc cache.Alloc
-	// Revoke configures foolish-manager revocation.
-	Revoke cache.RevokeConfig
+	// Revoke enables foolish-manager revocation.
+	Revoke bool
 
 	// Store holds block contents (default: an in-memory MemStore).
 	Store disk.Store

@@ -3,9 +3,10 @@
 // The simulated Disk in this package models *time*; a long-running cache
 // server needs a backend that actually holds bytes. A Store addresses
 // blocks by (file, block-number) pairs — the same coordinates as
-// cache.BlockID — and is safe for concurrent use, because the daemon
-// issues cache-fill reads from concurrent I/O goroutines while the kernel
-// loop performs write-backs.
+// cache.BlockID — and is safe for concurrent use, because the daemon's
+// fill workers and write-behind batches call it from goroutines of their
+// own, concurrently with each other and with the synchronous write-backs
+// a shard loop performs inline.
 
 package disk
 

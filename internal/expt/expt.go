@@ -65,8 +65,8 @@ type RunSpec struct {
 	CacheMB float64
 	Alloc   cache.Alloc
 	Seed    uint64
-	// Revoke optionally enables the revocation extension.
-	Revoke cache.RevokeConfig
+	// Revoke enables the revocation extension.
+	Revoke bool
 	// Opts are this run's execution knobs; a Runner merges its own base
 	// Options in at submission.
 	Opts Options

@@ -329,16 +329,15 @@ func Ablation(r *Runner) []Table {
 	type variant struct {
 		name   string
 		alloc  cache.Alloc
-		revoke cache.RevokeConfig
+		revoke bool
 		bgMode workload.Mode
 	}
 	variants := []variant{
-		{"lru-sp, oblivious bg", cache.LRUSP, cache.RevokeConfig{}, workload.Oblivious},
-		{"alloc-lru, foolish bg", cache.AllocLRU, cache.RevokeConfig{}, workload.Foolish},
-		{"lru-s, foolish bg", cache.LRUS, cache.RevokeConfig{}, workload.Foolish},
-		{"lru-sp, foolish bg", cache.LRUSP, cache.RevokeConfig{}, workload.Foolish},
-		{"lru-sp+revoke, foolish bg", cache.LRUSP,
-			cache.RevokeConfig{Enabled: true, MinDecisions: 200, MistakeRatio: 0.3}, workload.Foolish},
+		{"lru-sp, oblivious bg", cache.LRUSP, false, workload.Oblivious},
+		{"alloc-lru, foolish bg", cache.AllocLRU, false, workload.Foolish},
+		{"lru-s, foolish bg", cache.LRUS, false, workload.Foolish},
+		{"lru-sp, foolish bg", cache.LRUSP, false, workload.Foolish},
+		{"lru-sp+revoke, foolish bg", cache.LRUSP, true, workload.Foolish},
 	}
 	var rows []func()
 	for _, v := range variants {

@@ -194,10 +194,9 @@ func fingerprint(spec RunSpec) (string, bool) {
 	if seed == 0 {
 		seed = defaultSeed
 	}
-	fmt.Fprintf(&b, "|mb=%g|alloc=%s|seed=%d|rev=%t/%d/%g|raoff=%t|rad=%d|ss=%t|up=%d|fifo=%t|nofast=%t",
+	fmt.Fprintf(&b, "|mb=%g|alloc=%s|seed=%d|rev=%t|raoff=%t|rad=%d|ss=%t|up=%d|fifo=%t|nofast=%t",
 		spec.CacheMB, spec.Alloc.String(), seed,
-		spec.Revoke.Enabled, spec.Revoke.MinDecisions, spec.Revoke.MistakeRatio,
-		spec.Opts.ReadAheadOff, spec.Opts.ReadAheadDepth, spec.SpreadSync, spec.UpcallCPU, spec.FIFODisk,
+		spec.Revoke, spec.Opts.ReadAheadOff, spec.Opts.ReadAheadDepth, spec.SpreadSync, spec.UpcallCPU, spec.FIFODisk,
 		spec.Opts.NoFastPath)
 	return b.String(), true
 }

@@ -84,7 +84,7 @@ func TestFingerprint(t *testing.T) {
 		func(s *RunSpec) { s.CacheMB = 16 },
 		func(s *RunSpec) { s.Alloc = cache.LRUSP },
 		func(s *RunSpec) { s.Seed = 7 },
-		func(s *RunSpec) { s.Revoke = cache.RevokeConfig{Enabled: true, MinDecisions: 1, MistakeRatio: 0.5} },
+		func(s *RunSpec) { s.Revoke = true },
 		func(s *RunSpec) { s.Opts.ReadAheadOff = true },
 		func(s *RunSpec) { s.Opts.ReadAheadDepth = 4 },
 		func(s *RunSpec) { s.Opts.NoFastPath = true },

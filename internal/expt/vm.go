@@ -47,7 +47,7 @@ func VM(*Runner) []Table {
 
 	// 1. Smart manager vs plain clock on a 48-page loop in 32 frames.
 	loopRun := func(smart bool) int64 {
-		c := vmclock.New(vmclock.Config{Frames: 32, HandGap: 8, Swapping: true, Placeholders: true})
+		c := vmclock.New(vmclock.Config{Frames: 32, Swapping: true, Placeholders: true})
 		if smart {
 			c.SetManager(1, &vmMRUManager{})
 		}
@@ -66,7 +66,7 @@ func VM(*Runner) []Table {
 	// 2. Foolish ReadN-style process next to an innocent neighbour, with
 	// and without placeholders.
 	foolRun := func(placeholders bool) (int64, int64) {
-		c := vmclock.New(vmclock.Config{Frames: 24, HandGap: 6, Swapping: true, Placeholders: placeholders})
+		c := vmclock.New(vmclock.Config{Frames: 24, Swapping: true, Placeholders: placeholders})
 		c.SetManager(1, &vmMRUManager{})
 		var fool, victim int64
 		for group := 0; group < 8; group++ {
@@ -94,7 +94,7 @@ func VM(*Runner) []Table {
 
 	// 3. Swapping on/off for a smart process under a streaming neighbour.
 	swapRun := func(swapping bool) int64 {
-		c := vmclock.New(vmclock.Config{Frames: 32, HandGap: 8, Swapping: swapping, Placeholders: true})
+		c := vmclock.New(vmclock.Config{Frames: 32, Swapping: swapping, Placeholders: true})
 		c.SetManager(1, &vmMRUManager{})
 		var faults int64
 		stream := int32(0)

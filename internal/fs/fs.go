@@ -31,9 +31,9 @@ type FileID int32
 // NoFile is the zero FileID; no real file ever has it.
 const NoFile FileID = 0
 
-// DefaultExtentBlocks is the default allocation granularity: 16 blocks
-// (128 KB), similar to FFS cylinder-group clustering.
-const DefaultExtentBlocks = 16
+// extentBlocks is the allocation granularity: 16 blocks (128 KB),
+// similar to FFS cylinder-group clustering.
+const extentBlocks = 16
 
 // extent is a contiguous run of blocks on a disk.
 type extent struct {
@@ -90,21 +90,17 @@ type diskState struct {
 
 // FileSystem is the namespace plus per-disk allocators.
 type FileSystem struct {
-	disks        []*diskState
-	byName       map[string]*File
-	byID         map[FileID]*File
-	nextID       FileID
-	extentBlocks int
-	fileGap      int
+	disks   []*diskState
+	byName  map[string]*File
+	byID    map[FileID]*File
+	nextID  FileID
+	fileGap int
 }
 
 // Config controls file-system construction.
 type Config struct {
 	// DiskBlocks is the capacity of each disk, in blocks.
 	DiskBlocks []int
-	// ExtentBlocks is the allocation granularity; 0 means
-	// DefaultExtentBlocks.
-	ExtentBlocks int
 	// FileGapBlocks is skipped before each new file's first allocation,
 	// standing in for the inode, indirect blocks and fragmentation that
 	// separate files on a real FFS disk. The gap makes the transition
@@ -118,16 +114,11 @@ func New(cfg Config) *FileSystem {
 	if len(cfg.DiskBlocks) == 0 {
 		panic("fs: no disks")
 	}
-	eb := cfg.ExtentBlocks
-	if eb <= 0 {
-		eb = DefaultExtentBlocks
-	}
 	f := &FileSystem{
-		byName:       make(map[string]*File),
-		byID:         make(map[FileID]*File),
-		nextID:       1,
-		extentBlocks: eb,
-		fileGap:      cfg.FileGapBlocks,
+		byName:  make(map[string]*File),
+		byID:    make(map[FileID]*File),
+		nextID:  1,
+		fileGap: cfg.FileGapBlocks,
 	}
 	for _, c := range cfg.DiskBlocks {
 		if c <= 0 {
@@ -221,10 +212,7 @@ func (fsys *FileSystem) grow(f *File, newSize int) error {
 		f.size = oldSize
 	}
 	for need > 0 {
-		chunk := need
-		if chunk > fsys.extentBlocks {
-			chunk = fsys.extentBlocks
-		}
+		chunk := min(need, extentBlocks)
 		e, ok := ds.alloc(chunk)
 		if !ok {
 			rollback()

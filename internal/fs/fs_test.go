@@ -84,22 +84,23 @@ func TestBlockAddrOutOfRangePanics(t *testing.T) {
 func TestInterleavedGrowth(t *testing.T) {
 	// Two files grown alternately interleave their extents, as real
 	// allocators do for concurrently written files.
-	f := New(Config{DiskBlocks: []int{100000}, ExtentBlocks: 8})
+	const eb = extentBlocks
+	f := New(Config{DiskBlocks: []int{100000}})
 	a, _ := f.Create("a", 0, 0)
 	b, _ := f.Create("b", 0, 0)
 	for i := 1; i <= 5; i++ {
-		if err := f.Grow(a, i*8); err != nil {
+		if err := f.Grow(a, i*eb); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Grow(b, i*8); err != nil {
+		if err := f.Grow(b, i*eb); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if a.Size() != 40 || b.Size() != 40 {
-		t.Fatalf("sizes %d, %d; want 40, 40", a.Size(), b.Size())
+	if a.Size() != 5*eb || b.Size() != 5*eb {
+		t.Fatalf("sizes %d, %d; want %d each", a.Size(), b.Size(), 5*eb)
 	}
 	// a's second extent must land after b's first: interleaving.
-	if a.BlockAddr(8) < b.BlockAddr(0) {
+	if a.BlockAddr(eb) < b.BlockAddr(0) {
 		t.Error("growth did not interleave")
 	}
 	// Within each file addresses must be strictly increasing per extent
@@ -128,7 +129,7 @@ func TestGrowNoShrink(t *testing.T) {
 }
 
 func TestRemoveAndReuse(t *testing.T) {
-	f := New(Config{DiskBlocks: []int{100}, ExtentBlocks: 10})
+	f := New(Config{DiskBlocks: []int{100}})
 	a, _ := f.Create("a", 0, 60)
 	if _, err := f.Create("big", 0, 60); err == nil {
 		t.Fatal("expected disk-full error")
@@ -158,7 +159,7 @@ func TestRemoveAndReuse(t *testing.T) {
 }
 
 func TestFreeListCoalesces(t *testing.T) {
-	f := New(Config{DiskBlocks: []int{1000}, ExtentBlocks: 10})
+	f := New(Config{DiskBlocks: []int{1000}})
 	var files []*File
 	for i := 0; i < 5; i++ {
 		fl, _ := f.Create(string(rune('a'+i)), 0, 10)
@@ -231,8 +232,10 @@ func TestQuickNoOverlap(t *testing.T) {
 		Kind byte
 		Arg  uint8
 	}
+	// Sizes are in quarter extents, so a file spans up to 16 extents.
+	const q = extentBlocks / 4
 	check := func(ops []op) bool {
-		f := New(Config{DiskBlocks: []int{5000}, ExtentBlocks: 4})
+		f := New(Config{DiskBlocks: []int{5000 * q}})
 		var live []*File
 		n := 0
 		for _, o := range ops {
@@ -240,13 +243,13 @@ func TestQuickNoOverlap(t *testing.T) {
 			case 0: // create
 				name := string(rune('A' + n%64))
 				n++
-				if fl, err := f.Create(name, 0, int(o.Arg)%64); err == nil {
+				if fl, err := f.Create(name, 0, int(o.Arg)%64*q); err == nil {
 					live = append(live, fl)
 				}
 			case 1: // grow
 				if len(live) > 0 {
 					fl := live[int(o.Arg)%len(live)]
-					_ = f.Grow(fl, fl.Size()+int(o.Kind)%32)
+					_ = f.Grow(fl, fl.Size()+int(o.Kind)%32*q)
 				}
 			case 2: // remove
 				if len(live) > 0 {
@@ -260,7 +263,7 @@ func TestQuickNoOverlap(t *testing.T) {
 		for _, fl := range live {
 			for i := 0; i < fl.Size(); i++ {
 				a := fl.BlockAddr(i)
-				if a < 0 || a >= 5000 || seen[a] {
+				if a < 0 || a >= 5000*q || seen[a] {
 					return false
 				}
 				seen[a] = true

@@ -5,6 +5,7 @@ import (
 	"context"
 	"hash/fnv"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -329,5 +330,146 @@ func TestFillBatchSyscalls(t *testing.T) {
 	}
 	if m.Kernel.Fill.BatchedFills == 0 {
 		t.Error("BatchedFills = 0 after a read-ahead scan")
+	}
+}
+
+// heldRead is one store read stopped at readGate until the test lets it
+// through.
+type heldRead struct {
+	file, blk int32
+	release   chan struct{}
+}
+
+// readGate holds every block read at the store until the test releases
+// it, or until open closes (the test's cleanup, so a failed test cannot
+// strand a fill worker and hang Shutdown). It counts the reads at the
+// gate and keeps the most seen at once. It is a plain disk.Store, so a
+// multi-block run reaches it as per-block reads in run order. at holds
+// a read for every miss the test sends, so a read the test does not
+// expect still arrives and can be reported.
+type readGate struct {
+	disk.Store
+	at       chan heldRead
+	open     chan struct{}
+	mu       sync.Mutex
+	now, max int
+}
+
+func (g *readGate) ReadBlock(file, blk int32, dst []byte) error {
+	g.mu.Lock()
+	g.now++
+	g.max = max(g.max, g.now)
+	g.mu.Unlock()
+	r := heldRead{file, blk, make(chan struct{})}
+	g.at <- r
+	select {
+	case <-r.release:
+	case <-g.open:
+	}
+	g.mu.Lock()
+	g.now--
+	g.mu.Unlock()
+	return g.Store.ReadBlock(file, blk, dst)
+}
+
+// TestFillPoolShape pins the fill pool's shape on one shard: at most four
+// reads (fillWorkers) are ever at the store; later misses wait in the
+// fill queue; and a worker that comes free takes everything queued as one
+// batch, which reaches the store sorted by (file, block) whatever order
+// the misses arrived in.
+func TestFillPoolShape(t *testing.T) {
+	const workers, misses = 4, 8
+	gate := &readGate{Store: disk.NewMemStore(), at: make(chan heldRead, 2*misses), open: make(chan struct{})}
+	srv, _, dial := startServer(t, server.Config{Kernel: core.LiveConfig{Store: gate}, Shards: 1})
+	t.Cleanup(func() { close(gate.open) })
+	c := dial()
+	defer c.Close()
+	f, err := c.Create("shape", 0, misses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func() heldRead {
+		t.Helper()
+		select {
+		case r := <-gate.at:
+			return r
+		case <-time.After(10 * time.Second):
+			t.Fatal("no read reached the store")
+			return heldRead{}
+		}
+	}
+	inflight := func(want int) server.Metrics {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			m, ok := srv.Metrics()
+			if !ok {
+				t.Fatal("server drained")
+			}
+			if m.FillsInflight == want {
+				return m
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("FillsInflight = %d, want %d", m.FillsInflight, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// One session per miss (a client.Conn carries one request at a
+	// time), blocks sent in descending order, each once the one before
+	// is at the store or in the queue.
+	var held []heldRead
+	errs := make(chan error, misses)
+	for i := 0; i < misses; i++ {
+		mc := dial()
+		defer mc.Close()
+		blk := int32(misses - 1 - i)
+		go func() {
+			_, _, err := mc.Read(f.ID, blk, 0, core.BlockSize)
+			errs <- err
+		}()
+		if i < workers {
+			r := next()
+			if r.blk != blk {
+				t.Fatalf("miss %d: block %d at the store, want %d", i+1, r.blk, blk)
+			}
+			held = append(held, r)
+		}
+		inflight(i + 1)
+	}
+	// Misses 5-8 queue behind four busy workers and none reaches the store.
+	m := inflight(misses)
+	if hw := m.Kernel.Fill.FillQueueHighWater; hw < misses-workers {
+		t.Errorf("FillQueueHighWater = %d, want >= %d", hw, misses-workers)
+	}
+	select {
+	case r := <-gate.at:
+		t.Fatalf("block %d reached the store with every worker busy", r.blk)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	// Free one worker: it drains all four queued misses as one batch, in
+	// ascending block order.
+	close(held[0].release)
+	for want := int32(0); want < misses-workers; want++ {
+		r := next()
+		if r.file != int32(f.ID) || r.blk != want {
+			t.Fatalf("batch read %d: file %d block %d, want file %d block %d", want, r.file, r.blk, f.ID, want)
+		}
+		close(r.release)
+	}
+	for _, r := range held[1:] {
+		close(r.release)
+	}
+	for i := 0; i < misses; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("read: %v", err)
+		}
+	}
+	gate.mu.Lock()
+	defer gate.mu.Unlock()
+	if gate.max > workers {
+		t.Errorf("%d reads at the store at once, want <= %d", gate.max, workers)
 	}
 }

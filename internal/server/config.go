@@ -42,20 +42,20 @@ type Config struct {
 	// CheckInvariants runs each shard kernel's cross-structure invariant
 	// checks after every session close (tests; too slow for production).
 	CheckInvariants bool
-	// FileAnnounce, if set, is called on every successful open and
-	// create with the file's wire id and name — the mapping a
-	// name-addressed base store (the cluster tier's NodeStore) needs to
-	// resolve the wire ids it is handed on fills and write-backs. Runs
-	// on a shard goroutine; must be cheap and must not call back into
-	// the server.
-	FileAnnounce func(wire int32, name string)
-	// ExtraFill, if set, contributes additional fill counters (the
-	// cluster tier's peer-fill accounting, which lives below the shard
-	// kernels in the base store) to the aggregated kernel snapshot on
-	// every stats surface: the wire stats reply, Metrics, and /metrics.
-	// Per-shard sections are unchanged — the counters are not per-shard.
-	ExtraFill func() stats.FillStats
 }
+
+// announcer is a base store that addresses files by name (the cluster
+// tier's NodeStore): it is told every successful open and create's wire
+// id and name, the mapping it needs to resolve the wire ids it is handed
+// on fills and write-backs. Announce runs on a shard goroutine; it must
+// be cheap and must not call back into the server.
+type announcer interface{ Announce(wire int32, name string) }
+
+// fillCounter is a base store with fill counters of its own (the cluster
+// tier's peer fills, which happen below the shard kernels). Every stats
+// surface — the wire stats reply, Metrics and /metrics — folds them into
+// the aggregated kernel snapshot; per-shard sections are unchanged.
+type fillCounter interface{ FillStats() stats.FillStats }
 
 func (c *Config) fillDefaults() {
 	if c.Shards <= 0 {

@@ -111,10 +111,11 @@ func (sh *shard) handleCreate(se *session, r *request) {
 }
 
 // replyFile answers a successful open or create: the file is announced
-// (Config.FileAnnounce) and the reply carries its wire id and size.
+// to a name-addressed base store (announcer) and the reply carries its
+// wire id and size.
 func (sh *shard) replyFile(se *session, id uint32, f *fs.File) {
-	if fa := sh.srv.cfg.FileAnnounce; fa != nil {
-		fa(int32(sh.wire(f.ID())), f.Name())
+	if sh.announce != nil {
+		sh.announce.Announce(int32(sh.wire(f.ID())), f.Name())
 	}
 	se.send(id, StatusOK, FileReply{ID: sh.wire(f.ID()), Size: f.Size()}.Append(nil))
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/expt"
 	"repro/internal/server"
 	"repro/internal/server/client"
-	"repro/internal/workload"
 )
 
 // TestOracleWireReplayMatchesSimulation is the correctness oracle of the
@@ -33,31 +32,47 @@ import (
 //     files through Create events instead).
 //   - FbehaviorCalls: Get* calls are untraced (they change nothing), so
 //     the replayed call count differs from the workload's.
+//
+// The revoking case is the same parity with revocation on in both
+// kernels: a foolish read300's manager loses control once, mid-run.
 func TestOracleWireReplayMatchesSimulation(t *testing.T) {
 	cases := []struct {
-		app     string
-		mode    workload.Mode
+		app     string // an expt.ParseApp spec
 		cacheMB float64
 		alloc   cache.Alloc
+		revoke  bool
 	}{
-		{"cs1", workload.Smart, 2, cache.LRUSP}, // read-only scans, fbehavior-heavy
-		{"cs1", workload.Oblivious, 2, cache.GlobalLRU},
-		{"sort", workload.Smart, 2, cache.LRUSP}, // writes, grows and removes files
+		{"cs1:smart", 2, cache.LRUSP, false}, // read-only scans, fbehavior-heavy
+		{"cs1:oblivious", 2, cache.GlobalLRU, false},
+		{"sort:smart", 2, cache.LRUSP, false}, // writes, grows and removes files
+		{"read300:foolish", 6.4, cache.LRUSP, true},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.app+"/"+tc.mode.String(), func(t *testing.T) {
-			if testing.Short() && tc.app == "sort" {
+		as, err := expt.ParseApp(tc.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := as.Name + "/" + as.Mode.String()
+		if tc.revoke {
+			name += "+revoke"
+		}
+		t.Run(name, func(t *testing.T) {
+			if testing.Short() && as.Name == "sort" {
 				t.Skip("sort transcript is large; skipped in -short")
 			}
 			rec := expt.Record(expt.RunSpec{
-				Apps:    []expt.AppSpec{{Name: tc.app, Make: expt.Registry[tc.app], Mode: tc.mode}},
+				Apps:    []expt.AppSpec{as},
 				CacheMB: tc.cacheMB,
 				Alloc:   tc.alloc,
+				Revoke:  tc.revoke,
 				Opts:    expt.Options{ReadAheadOff: true},
 			})
 			if len(rec.Events) == 0 {
 				t.Fatal("recording captured no events")
+			}
+			if got, want := rec.Result.CacheStats.Revocations, map[bool]int64{true: 1}[tc.revoke]; got != want {
+				t.Fatalf("the simulation revoked %d times, want %d", got, want)
 			}
 
 			for _, wall := range []bool{false, true} {
@@ -70,6 +85,7 @@ func TestOracleWireReplayMatchesSimulation(t *testing.T) {
 						Kernel: core.LiveConfig{
 							CacheBytes: core.MB(tc.cacheMB),
 							Alloc:      tc.alloc,
+							Revoke:     tc.revoke,
 							WallClock:  wall,
 						},
 						Shards: 1,

@@ -105,6 +105,7 @@ func New(cfg Config) *Server {
 		store := remapStore{base: base, shard: int32(i), n: int32(n)}
 		kcfg.Store = store
 		_, sh.vectors = base.(disk.BatchStore)
+		sh.announce, _ = base.(announcer)
 		// Fills queue on the shard's fill queue (the hook runs on the
 		// kernel goroutine, which also tracks the queue's high-water
 		// mark); a bounded worker pool drains it, groups same-file
@@ -284,13 +285,12 @@ func flushShards(shards []*shard) error {
 
 // Close flushes every shard kernel's dirty blocks, closes the shared
 // block store, and lets go of both: the kernels (their cache arenas)
-// and every reference to the store, the copy in the configuration and
-// the hooks a cluster node hung on it included. A caller that keeps the
-// *Server afterwards keeps a husk. Call only after Shutdown has
-// returned: the shard loops have ended, and the drain barrier has
-// already waited out every asynchronous write-back — so these flush
-// writes can never be overtaken by a stale write-behind batch. A second
-// Close is a no-op.
+// and every reference to the store, the copy in the configuration
+// included. A caller that keeps the *Server afterwards keeps a husk.
+// Call only after Shutdown has returned: the shard loops have ended, and
+// the drain barrier has already waited out every asynchronous write-back
+// — so these flush writes can never be overtaken by a stale write-behind
+// batch. A second Close is a no-op.
 func (s *Server) Close() error {
 	shards, ok := s.stopped()
 	if !ok {
@@ -299,7 +299,7 @@ func (s *Server) Close() error {
 	s.mu.Lock()
 	store := s.store
 	s.shards, s.store = nil, nil
-	s.cfg.Kernel.Store, s.cfg.FileAnnounce, s.cfg.ExtraFill = nil, nil, nil
+	s.cfg.Kernel.Store = nil
 	s.mu.Unlock()
 	if store == nil {
 		return nil

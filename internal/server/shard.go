@@ -66,6 +66,9 @@ type shard struct {
 	// batch only when it can, so BatchedFills on a plain (or counting
 	// test) store honestly reads zero.
 	vectors bool
+	// announce is the base store when it addresses files by name
+	// (replyFile), else nil.
+	announce announcer
 }
 
 // post is the late sender's send: for a message that holds nothing open

@@ -17,7 +17,7 @@ func (s *Server) Metrics() (Metrics, bool) { return s.metrics(nil) }
 // false) as it refuses the session's other requests.
 func (s *Server) metrics(only *session) (Metrics, bool) {
 	s.mu.Lock()
-	shards, extraFill, alloc := s.shards, s.cfg.ExtraFill, s.cfg.Kernel.Alloc
+	shards, store, alloc := s.shards, s.store, s.cfg.Kernel.Alloc
 	s.mu.Unlock()
 	if shards == nil {
 		return Metrics{}, false
@@ -42,8 +42,8 @@ func (s *Server) metrics(only *session) (Metrics, bool) {
 			return Metrics{}, false // retired, or refusing the session
 		}
 	}
-	if extraFill != nil {
-		stats.Fold(&m.Kernel.Fill, extraFill())
+	if fc, ok := store.(fillCounter); ok {
+		stats.Fold(&m.Kernel.Fill, fc.FillStats())
 	}
 	m.SessionsActive = len(m.Sessions)
 	return m, true

@@ -74,9 +74,6 @@ type Manager interface {
 type Config struct {
 	// Frames is the number of physical frames.
 	Frames int
-	// HandGap is the distance between the clearing and examining hands;
-	// 0 means Frames/4 (a common setting).
-	HandGap int
 	// Swapping and Placeholders enable the LRU-SP-style extensions.
 	Swapping     bool
 	Placeholders bool
@@ -97,7 +94,7 @@ type Stats struct {
 type Clock struct {
 	cfg      Config
 	frames   []*Page
-	back     int // examining hand; the clearing hand is back+gap
+	back     int // examining hand; the clearing hand runs handGap ahead
 	table    map[PageID]*Page
 	managers map[int]Manager
 	ph       map[PageID]*placeholder
@@ -110,15 +107,6 @@ func New(cfg Config) *Clock {
 	if cfg.Frames <= 0 {
 		panic("vmclock: non-positive frame count")
 	}
-	if cfg.HandGap <= 0 {
-		cfg.HandGap = cfg.Frames / 4
-	}
-	if cfg.HandGap >= cfg.Frames {
-		cfg.HandGap = cfg.Frames - 1
-	}
-	if cfg.HandGap < 1 {
-		cfg.HandGap = 1
-	}
 	return &Clock{
 		cfg:      cfg,
 		frames:   make([]*Page, cfg.Frames),
@@ -127,6 +115,10 @@ func New(cfg Config) *Clock {
 		ph:       make(map[PageID]*placeholder),
 	}
 }
+
+// handGap is the distance between the examining and clearing hands: a
+// quarter of the circle (a common setting), at least one frame.
+func (c *Clock) handGap() int { return max(1, len(c.frames)/4) }
 
 // SetManager installs (or, with nil, removes) a process's pageout manager.
 func (c *Clock) SetManager(proc int, m Manager) {
@@ -237,9 +229,9 @@ func (c *Clock) pickCandidate(missing PageID) *Page {
 			return pointed
 		}
 	}
-	n := len(c.frames)
+	n, gap := len(c.frames), c.handGap()
 	for sweep := 0; sweep < 2*n+1; sweep++ {
-		front := (c.back + c.cfg.HandGap) % n
+		front := (c.back + gap) % n
 		if pg := c.frames[front]; pg != nil {
 			pg.ref = false // clearing hand
 		}

@@ -60,7 +60,7 @@ func TestBasicFaultAndResidency(t *testing.T) {
 }
 
 func TestClockEvictsUnreferenced(t *testing.T) {
-	c := New(Config{Frames: 4, HandGap: 1})
+	c := New(Config{Frames: 4})
 	for v := int32(0); v < 4; v++ {
 		c.Access(id(1, v))
 	}
@@ -140,7 +140,7 @@ func TestObliviousEqualsPlainClock(t *testing.T) {
 			refs[i] = id(1+rng.Intn(2), int32(rng.Intn(25)))
 		}
 		run := func(managed bool) int64 {
-			c := New(Config{Frames: 16, HandGap: 4, Swapping: true, Placeholders: true})
+			c := New(Config{Frames: 16, Swapping: true, Placeholders: true})
 			if managed {
 				c.SetManager(1, &acceptAll{})
 				c.SetManager(2, &acceptAll{})
@@ -164,7 +164,7 @@ func TestObliviousEqualsPlainClock(t *testing.T) {
 func TestSmartManagerBeatsClockOnCycle(t *testing.T) {
 	const frames, loop, passes = 32, 48, 6
 	run := func(smart bool) int64 {
-		c := New(Config{Frames: frames, HandGap: 8, Swapping: true, Placeholders: true})
+		c := New(Config{Frames: frames, Swapping: true, Placeholders: true})
 		if smart {
 			c.SetManager(1, &mruOfFaults{})
 		}
@@ -195,7 +195,7 @@ func TestSmartManagerBeatsClockOnCycle(t *testing.T) {
 // way (measured: swapping costs a few extra faults, never helps much).
 func TestSwappingNearNeutralInClock(t *testing.T) {
 	run := func(swapping bool) int64 {
-		c := New(Config{Frames: 32, HandGap: 8, Swapping: swapping, Placeholders: true})
+		c := New(Config{Frames: 32, Swapping: swapping, Placeholders: true})
 		c.SetManager(1, &mruOfFaults{}) // smart for a loop
 		var f1 int64
 		stream := int32(0)
@@ -229,7 +229,7 @@ func TestSwappingNearNeutralInClock(t *testing.T) {
 func TestPlaceholdersProtectInVM(t *testing.T) {
 	const frames, w1, w2 = 24, 10, 10
 	run := func(placeholders bool) (foolFaults, victimFaults int64) {
-		c := New(Config{Frames: frames, HandGap: 6, Swapping: true, Placeholders: placeholders})
+		c := New(Config{Frames: frames, Swapping: true, Placeholders: placeholders})
 		c.SetManager(1, &mruOfFaults{})
 		var f1, f2 int64
 		for group := 0; group < 8; group++ {
@@ -268,7 +268,7 @@ func TestPlaceholdersProtectInVM(t *testing.T) {
 func TestQuickClockInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRand(seed)
-		c := New(Config{Frames: 12, HandGap: 3, Swapping: true, Placeholders: true})
+		c := New(Config{Frames: 12, Swapping: true, Placeholders: true})
 		c.SetManager(1, &mruOfFaults{})
 		c.SetManager(2, &acceptAll{})
 		for i := 0; i < 4000; i++ {
@@ -325,15 +325,24 @@ func TestPageAccessorsAndPlaceholders(t *testing.T) {
 }
 
 func TestHandGapClamped(t *testing.T) {
-	// HandGap larger than the circle is clamped.
-	c := New(Config{Frames: 2, HandGap: 99})
-	for v := int32(0); v < 6; v++ {
-		c.Access(id(1, v))
+	// On circles too small for a quarter (Frames/4 is 0) the gap is one
+	// frame, and the clock still cycles through every page.
+	for _, frames := range []int{1, 2, 3} {
+		c := New(Config{Frames: frames})
+		if got := c.handGap(); got != 1 {
+			t.Errorf("%d frames: hand gap %d, want 1", frames, got)
+		}
+		for v := int32(0); v < 6; v++ {
+			c.Access(id(1, v))
+		}
+		if c.Stats().Faults != 6 {
+			t.Errorf("%d frames: faults = %d", frames, c.Stats().Faults)
+		}
+		c.CheckInvariants()
 	}
-	if c.Stats().Faults != 6 {
-		t.Errorf("faults = %d", c.Stats().Faults)
+	if got := New(Config{Frames: 32}).handGap(); got != 8 {
+		t.Errorf("32 frames: hand gap %d, want 8", got)
 	}
-	c.CheckInvariants()
 }
 
 func TestPlaceholderSuperseded(t *testing.T) {
@@ -356,7 +365,7 @@ func TestPlaceholderSuperseded(t *testing.T) {
 func TestAllReferencedFallback(t *testing.T) {
 	// When every page's bit is set faster than the hands clear them, the
 	// sweep's fallback still finds a victim instead of spinning forever.
-	c := New(Config{Frames: 2, HandGap: 1})
+	c := New(Config{Frames: 2})
 	c.Access(id(1, 0))
 	c.Access(id(1, 1))
 	c.Access(id(1, 0)) // set bits
