@@ -3,7 +3,11 @@
 // to client processes over a unix or TCP socket, split into -shards
 // independent replacement domains (files hash to shards at open time).
 // Each connection is one owner/manager session; disconnecting releases
-// the owner's blocks.
+// the owner's blocks. A manager whose decisions placeholders keep proving
+// wrong (more than 30 % of at least 200) loses control, as in the paper's
+// footnote 7; there is no flag to turn this off. Revocation is judged per
+// shard, and each session's decisions, mistakes and revocation show in
+// its stats reply and on /metrics.
 //
 // Usage:
 //

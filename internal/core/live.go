@@ -57,10 +57,9 @@ var (
 type LiveConfig struct {
 	// CacheBytes sizes the buffer cache (default 6.4 MB, as in the DES).
 	CacheBytes int64
-	// Alloc is the global allocation policy.
+	// Alloc is the global allocation policy. A foolish manager is always
+	// revoked (footnote 7): only the DES can turn revocation off.
 	Alloc cache.Alloc
-	// Revoke enables foolish-manager revocation.
-	Revoke bool
 
 	// Store holds block contents (default: an in-memory MemStore).
 	Store disk.Store
@@ -240,7 +239,7 @@ func NewLive(cfg LiveConfig) *Live {
 	l.bc = cache.New(cache.Config{
 		Capacity:  cfg.cacheBlocks(),
 		Alloc:     cfg.Alloc,
-		Revoke:    cfg.Revoke,
+		Revoke:    true,
 		SlotBytes: BlockSize,
 	}, l.ctl)
 	return l

@@ -3,6 +3,7 @@ package server
 import (
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/stats"
 )
@@ -74,8 +75,10 @@ func (c *Config) fillDefaults() {
 // carries the breakdown; a 1-shard server omits PerShard so its wire
 // responses are identical to the unsharded server's. Alloc names the
 // allocation policy every shard runs, fixed when the server was built.
+// Control is the session's SessionInfo.Control.
 type StatsReply struct {
 	Session  core.ProcStats   `json:"session"`
+	Control  cache.OwnerStats `json:"control"`
 	Kernel   stats.Snapshot   `json:"kernel"`
 	PerShard []stats.Snapshot `json:"per_shard,omitempty"`
 	Alloc    string           `json:"alloc"`
@@ -85,11 +88,14 @@ type StatsReply struct {
 // the session's owner id in shard 0 (owner ids are per-shard), or
 // cache.NoOwner while shard 0 does not list the session — its open is
 // still queued there, or its close has already run; Stats aggregates the
-// session's counters across all shards.
+// session's counters across all shards. Control is its manager's decision
+// quality: decisions and mistakes summed over the shards, Revoked if any
+// shard revoked it (each shard's cache judges its own share alone).
 type SessionInfo struct {
-	Owner int
-	Name  string
-	Stats core.ProcStats
+	Owner   int
+	Name    string
+	Stats   core.ProcStats
+	Control cache.OwnerStats
 }
 
 // ShardMetrics is one shard's slice of a Metrics snapshot.

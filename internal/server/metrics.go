@@ -47,6 +47,13 @@ func (s *Server) MetricsHandler() http.Handler {
 			fmt.Fprintf(w, "acfcd_session_hits%s %d\n", l, se.Stats.Hits)
 			fmt.Fprintf(w, "acfcd_session_misses%s %d\n", l, se.Stats.Misses)
 			fmt.Fprintf(w, "acfcd_session_block_ios%s %d\n", l, se.Stats.BlockIOs())
+			fmt.Fprintf(w, "acfcd_session_decisions%s %d\n", l, se.Control.Decisions)
+			fmt.Fprintf(w, "acfcd_session_mistakes%s %d\n", l, se.Control.Mistakes)
+			revoked := 0
+			if se.Control.Revoked {
+				revoked = 1
+			}
+			fmt.Fprintf(w, "acfcd_session_revoked%s %d\n", l, revoked)
 		}
 	})
 }

@@ -1,29 +1,39 @@
 package server_test
 
 import (
+	"fmt"
+	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/expt"
+	"repro/internal/fs"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/workload"
 )
 
 // TestOracleWireReplayMatchesSimulation is the correctness oracle of the
 // server subsystem: record a deterministic workload in the DES (every
 // block access and every control call, in issue order), replay the
-// transcript through acfcd over a real socket, and require the hit/miss
-// and I/O accounting to come out byte-identical.
+// transcript through acfcd over real sockets, one session per simulated
+// process, and require the hit/miss and I/O accounting to come out as
+// the simulation's. A single application is a mix of one.
 //
-// The parity argument: with read-ahead off, a single app and a serial
-// replay, replacement is a pure function of the request sequence — the
-// wire adds latency but the kernel loop sees the exact same order of
-// operations the simulated kernel saw. The kernel's clock plays no part:
-// recency is the global list's order, a buffer's ValidAt is only ever 0
-// or IOPending, and every flush outside tests passes MaxTime, so each
-// replay runs under the logical tick and under wall time alike. Counters
-// the comparison must exclude, and why:
+// The parity argument: with read-ahead off and a serial replay,
+// replacement is a pure function of the request sequence — the wire adds
+// latency but the kernel loop sees the exact same order of operations the
+// simulated kernel saw. The kernel's clock plays no part: recency is the
+// global list's order, a buffer's ValidAt is only ever 0 or IOPending,
+// and every flush outside tests passes MaxTime, so each replay runs under
+// the logical tick and under wall time alike. acfcd always revokes a
+// foolish manager (the paper's footnote 7), so every case records with
+// revocation on and first asserts the DES's revocation count: a case
+// cannot silently change meaning. Counters the comparison must exclude,
+// and why:
 //
 //   - WriteBacks: the DES flushes dirty blocks on the 30-second update
 //     daemon; the live kernel flushes synchronously at eviction. Same
@@ -33,47 +43,46 @@ import (
 //   - FbehaviorCalls: Get* calls are untraced (they change nothing), so
 //     the replayed call count differs from the workload's.
 //
-// The revoking case is the same parity with revocation on in both
-// kernels: a foolish read300's manager loses control once, mid-run.
+// Two processes add one source of drift, and only to a managed owner's
+// own misses: the DES's acm.victim skips busy blocks — a fill still in
+// flight for one process while another misses — and a serial replay never
+// has a fill in flight when a manager is consulted, so the manager may
+// name a different block. The innocent (oblivious) process, whose blocks
+// no manager picks, must match exactly, as must the revocation count and
+// which session is revoked: the foolish read300, never the probe or gli.
+// A managed owner's misses must come within 0.5 % of the DES's. Where no
+// manager is consulted at all (the oblivious pair) the whole cache.Stats
+// must match.
 func TestOracleWireReplayMatchesSimulation(t *testing.T) {
 	cases := []struct {
-		app     string // an expt.ParseApp spec
-		cacheMB float64
-		alloc   cache.Alloc
-		revoke  bool
+		name        string
+		apps        []string // expt.ParseApp specs, process 0 first
+		cacheMB     float64
+		alloc       cache.Alloc
+		revocations int64 // the DES's, and so the server's
+		// exact: the whole cache.Stats and every process's counters
+		// match; otherwise only the oblivious processes' do.
+		exact bool
 	}{
-		{"cs1:smart", 2, cache.LRUSP, false}, // read-only scans, fbehavior-heavy
-		{"cs1:oblivious", 2, cache.GlobalLRU, false},
-		{"sort:smart", 2, cache.LRUSP, false}, // writes, grows and removes files
-		{"read300:foolish", 6.4, cache.LRUSP, true},
+		{"cs1/smart", []string{"cs1:smart"}, 2, cache.LRUSP, 0, true}, // read-only scans, fbehavior-heavy
+		{"cs1/oblivious", []string{"cs1:oblivious"}, 2, cache.GlobalLRU, 0, true},
+		{"sort/smart", []string{"sort:smart"}, 2, cache.LRUSP, 0, true}, // writes, grows and removes files
+		{"read300/foolish+revoke", []string{"read300:foolish"}, 6.4, cache.LRUSP, 1, true},
+		// Table 1: an oblivious probe beside read300, in the paper's three
+		// settings (oblivious, unprotected, protected).
+		{"table1/oblivious", []string{"read300:oblivious", "read490:oblivious"}, 6.4, cache.LRUSP, 0, true},
+		{"table1/unprotected", []string{"read300:foolish", "read490:oblivious"}, 6.4, cache.LRUS, 0, false},
+		{"table1/protected+revoke", []string{"read300:foolish", "read490:oblivious"}, 6.4, cache.LRUSP, 1, false},
+		// Table 2: a smart application beside a foolish read300.
+		{"table2/gli+revoke", []string{"gli:smart", "read300:foolish"}, 6.4, cache.LRUSP, 1, false},
 	}
 	for _, tc := range cases {
-		tc := tc
-		as, err := expt.ParseApp(tc.app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := as.Name + "/" + as.Mode.String()
-		if tc.revoke {
-			name += "+revoke"
-		}
-		t.Run(name, func(t *testing.T) {
-			if testing.Short() && as.Name == "sort" {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.name == "sort/smart" {
 				t.Skip("sort transcript is large; skipped in -short")
 			}
-			rec := expt.Record(expt.RunSpec{
-				Apps:    []expt.AppSpec{as},
-				CacheMB: tc.cacheMB,
-				Alloc:   tc.alloc,
-				Revoke:  tc.revoke,
-				Opts:    expt.Options{ReadAheadOff: true},
-			})
-			if len(rec.Events) == 0 {
-				t.Fatal("recording captured no events")
-			}
-			if got, want := rec.Result.CacheStats.Revocations, map[bool]int64{true: 1}[tc.revoke]; got != want {
-				t.Fatalf("the simulation revoked %d times, want %d", got, want)
-			}
+			rec := recordMix(t, tc.apps, tc.cacheMB, tc.alloc, tc.revocations)
+			apps := rec.Spec.Apps
 
 			for _, wall := range []bool{false, true} {
 				t.Run(map[bool]string{false: "tick", true: "wall"}[wall], func(t *testing.T) {
@@ -85,49 +94,232 @@ func TestOracleWireReplayMatchesSimulation(t *testing.T) {
 						Kernel: core.LiveConfig{
 							CacheBytes: core.MB(tc.cacheMB),
 							Alloc:      tc.alloc,
-							Revoke:     tc.revoke,
 							WallClock:  wall,
 						},
 						Shards: 1,
 					})
-					c := dial()
-					defer c.Close()
-
-					// Serially through one session, any wire or status
-					// error fatal: the translation is client.Replay's, as
-					// in acload.
-					rp := client.Replay{S: c, NoData: true}
-					for i, ev := range rec.Events {
-						var err error
-						if ev.IsCtl {
-							err = rp.Ctl(*ev.Ctl.CtlEvent)
-						} else {
-							_, err = rp.Access(ev.Access)
-						}
-						if err != nil {
-							t.Fatalf("event %d (%+v): %v", i, ev, err)
-						}
-					}
-
-					sr, err := c.Stats()
-					if err != nil {
+					conns := dialAll(t, dial, len(apps))
+					if err := replayMix(conns, rec, ""); err != nil {
 						t.Fatal(err)
 					}
-					want := rec.Result.PerApp[0].Stats
-					got := sr.Session
+
 					type subset struct {
 						ReadCalls, WriteCalls, Hits, Misses, DemandReads, Prefetches int64
 					}
-					wantSub := subset{want.ReadCalls, want.WriteCalls, want.Hits, want.Misses, want.DemandReads, want.Prefetches}
-					gotSub := subset{got.ReadCalls, got.WriteCalls, got.Hits, got.Misses, got.DemandReads, got.Prefetches}
-					if gotSub != wantSub {
-						t.Errorf("session stats diverge from simulation:\n got %+v\nwant %+v", gotSub, wantSub)
+					var kernel cache.Stats // every reply's: the replay is over
+					for p, c := range conns {
+						sr, err := c.Stats()
+						if err != nil {
+							t.Fatal(err)
+						}
+						kernel = sr.Kernel.Cache
+						want, got := rec.Result.PerApp[p].Stats, sr.Session
+						wantSub := subset{want.ReadCalls, want.WriteCalls, want.Hits, want.Misses, want.DemandReads, want.Prefetches}
+						gotSub := subset{got.ReadCalls, got.WriteCalls, got.Hits, got.Misses, got.DemandReads, got.Prefetches}
+						switch {
+						case tc.exact || apps[p].Mode == workload.Oblivious:
+							if gotSub != wantSub {
+								t.Errorf("process %d (%s) diverges from simulation:\n got %+v\nwant %+v", p, tc.apps[p], gotSub, wantSub)
+							}
+						case got.ReadCalls != want.ReadCalls || got.WriteCalls != want.WriteCalls ||
+							math.Abs(float64(got.Misses-want.Misses)) > 0.005*float64(want.Misses):
+							t.Errorf("managed process %d (%s): %d reads, %d writes, %d misses; simulation %d, %d, %d (misses within 0.5%%)",
+								p, tc.apps[p], got.ReadCalls, got.WriteCalls, got.Misses, want.ReadCalls, want.WriteCalls, want.Misses)
+						default:
+							t.Logf("managed process %d (%s): %d misses, simulation %d; %+v", p, tc.apps[p], got.Misses, want.Misses, sr.Control)
+						}
+						if wantRevoked := tc.revocations > 0 && apps[p].Mode == workload.Foolish; sr.Control.Revoked != wantRevoked {
+							t.Errorf("process %d (%s): revoked %v, want %v (%+v)", p, tc.apps[p], sr.Control.Revoked, wantRevoked, sr.Control)
+						}
 					}
-					if sr.Kernel.Cache != rec.Result.CacheStats {
-						t.Errorf("cache stats diverge from simulation:\n got %+v\nwant %+v", sr.Kernel.Cache, rec.Result.CacheStats)
+					if kernel.Revocations != tc.revocations {
+						t.Errorf("the server revoked %d times, the simulation %d", kernel.Revocations, tc.revocations)
+					}
+					if tc.exact && kernel != rec.Result.CacheStats {
+						t.Errorf("cache stats diverge from simulation:\n got %+v\nwant %+v", kernel, rec.Result.CacheStats)
 					}
 				})
 			}
 		})
 	}
+}
+
+// TestRevocationPerShard pins that revocation is a shard's own judgement:
+// each shard's cache keeps its own OwnerStats, so a session may lose
+// control in one shard and keep it in another, and no shard revokes a
+// session more than once. Table 1's protected pair replayed over two
+// shards revokes at most once per shard: the foolish read300, never the
+// innocent probe.
+func TestRevocationPerShard(t *testing.T) {
+	const shards = 2
+	specs := []string{"read300:foolish", "read490:oblivious"}
+	rec := recordMix(t, specs, 6.4, cache.LRUSP, 1)
+	srv, _, dial := startServer(t, server.Config{
+		Kernel: core.LiveConfig{CacheBytes: core.MB(6.4), Alloc: cache.LRUSP},
+		Shards: shards,
+	})
+	conns := dialAll(t, dial, len(specs))
+	if err := replayMix(conns, rec, ""); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := srv.Metrics()
+	if !ok {
+		t.Fatal("Metrics() not ok on a live server")
+	}
+	if n := m.Kernel.Cache.Revocations; n > shards {
+		t.Errorf("%d revocations over %d shards", n, shards)
+	}
+	for i, sm := range m.Shards {
+		if n := sm.Kernel.Cache.Revocations; n > 1 {
+			t.Errorf("shard %d revoked %d times: one foolish session, at most once", i, n)
+		}
+	}
+	// A session's wire stats reply carries its SessionInfo.Control.
+	for p, c := range conns {
+		sr, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("process %d (%s): %+v", p, specs[p], sr.Control)
+		if want := rec.Spec.Apps[p].Mode == workload.Foolish; sr.Control.Revoked != want {
+			t.Errorf("process %d (%s): revoked %v, want %v", p, specs[p], sr.Control.Revoked, want)
+		}
+	}
+}
+
+// TestRevocationNoFalsePositiveAppMix runs the benchmark's app_mix shape
+// — the smart transcripts of cs2, ldk, gli and pjn, each over its own
+// session, concurrently, on 2 shards at 6.4 MB with read-ahead 4 and
+// write-behind 64 — and requires that acfcd, which always revokes, revokes
+// no one: honest managers must keep control. (In the DES, revocation on,
+// none of the four is revoked alone at 1, 2, 3.2 or 6.4 MB, nor in their
+// mix; the highest share of decisions placeholders catch is gli's at
+// 6.4 MB, 16 %, against the 30 % threshold.)
+func TestRevocationNoFalsePositiveAppMix(t *testing.T) {
+	names := []string{"cs2", "ldk", "gli", "pjn"}
+	srv, _, dial := startServer(t, server.Config{
+		Kernel: core.LiveConfig{
+			CacheBytes:     core.MB(6.4),
+			Alloc:          cache.LRUSP,
+			ReadAhead:      true,
+			ReadAheadDepth: 4,
+		},
+		Shards:         2,
+		WritebackDepth: 64,
+	})
+	recs := make([]*expt.Recording, len(names))
+	for i, name := range names {
+		recs[i] = recordMix(t, []string{name + ":smart"}, 6.4, cache.LRUSP, 0)
+	}
+	conns := dialAll(t, dial, len(names))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = replayMix(conns[i:i+1], recs[i], names[i]+"/")
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+	}
+	m, ok := srv.Metrics()
+	if !ok {
+		t.Fatal("Metrics() not ok on a live server")
+	}
+	if k := m.Kernel.Cache; k.Overrules == 0 || k.Revocations != 0 {
+		t.Errorf("kernel: %d overrules, %d revocations; want some overrules and no revocation", k.Overrules, k.Revocations)
+	}
+	if len(m.Sessions) != len(names) {
+		t.Fatalf("Metrics lists %d sessions, want %d", len(m.Sessions), len(names))
+	}
+	for _, si := range m.Sessions {
+		if si.Control.Revoked {
+			t.Errorf("session %s revoked: %+v", si.Name, si.Control)
+		}
+	}
+	for i, c := range conns {
+		sr, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %+v", names[i], sr.Control)
+	}
+}
+
+// recordMix records the apps (expt.ParseApp specs, process 0 first) in
+// the DES with read-ahead off and revocation on, as acfcd runs, and fails
+// unless the simulation revoked revocations times.
+func recordMix(t *testing.T, specs []string, cacheMB float64, alloc cache.Alloc, revocations int64) *expt.Recording {
+	t.Helper()
+	spec := expt.RunSpec{CacheMB: cacheMB, Alloc: alloc, Revoke: true, Opts: expt.Options{ReadAheadOff: true}}
+	for _, s := range specs {
+		as, err := expt.ParseApp(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Apps = append(spec.Apps, as)
+	}
+	rec := expt.Record(spec)
+	if len(rec.Events) == 0 {
+		t.Fatal("recording captured no events")
+	}
+	if got := rec.Result.CacheStats.Revocations; got != revocations {
+		t.Fatalf("the simulation of %s revoked %d times, want %d", strings.Join(specs, " + "), got, revocations)
+	}
+	return rec
+}
+
+// dialAll opens n sessions, closed when the test ends (before the
+// server's shutdown, which startServer registered first).
+func dialAll(t *testing.T, dial func() *client.Conn, n int) []*client.Conn {
+	conns := make([]*client.Conn, n)
+	for i := range conns {
+		c := dial()
+		t.Cleanup(func() { c.Close() })
+		conns[i] = c
+	}
+	return conns
+}
+
+// replayMix replays rec through acfcd as the DES ran it: process p's
+// events over conns[p], through its own client.Replay (the translation
+// acload uses), one loop stepping every event in transcript order and
+// waiting for each reply. The DES records its pre-run file population as
+// System creates by process -1; each goes to the first process that
+// touches the file, or to process 0 if none does. Any wire or status
+// error ends the replay.
+func replayMix(conns []*client.Conn, rec *expt.Recording, prefix string) error {
+	first := make(map[fs.FileID]int)
+	for _, ev := range rec.Events {
+		f, p := ev.Access.File, int(ev.Access.Proc)
+		if ev.IsCtl {
+			f, p = ev.Ctl.File, ev.Ctl.Proc
+		}
+		if _, seen := first[f]; !seen && p >= 0 {
+			first[f] = p
+		}
+	}
+	rps := make([]client.Replay, len(conns))
+	for p, c := range conns {
+		rps[p] = client.Replay{S: c, Prefix: prefix, NoData: true}
+	}
+	for i, ev := range rec.Events {
+		var err error
+		if !ev.IsCtl {
+			_, err = rps[ev.Access.Proc].Access(ev.Access)
+		} else if p := ev.Ctl.Proc; p >= 0 {
+			err = rps[p].Ctl(*ev.Ctl.CtlEvent)
+		} else {
+			err = rps[first[ev.Ctl.File]].Ctl(*ev.Ctl.CtlEvent)
+		}
+		if err != nil {
+			return fmt.Errorf("event %d (%+v): %w", i, ev, err)
+		}
+	}
+	return nil
 }

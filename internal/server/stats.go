@@ -81,7 +81,12 @@ func (sh *shard) snapshot(m *Metrics, at map[*session]int, only *session) {
 		}
 		// OwnerStats fails only on an id AddOwner never returned.
 		st, _ := sh.kern.OwnerStats(se.owners[sh.idx])
-		m.Sessions[j].Stats.Add(st)
+		si := &m.Sessions[j]
+		si.Stats.Add(st)
+		ctl := sh.kern.Cache().Owner(se.owners[sh.idx])
+		si.Control.Decisions += ctl.Decisions
+		si.Control.Mistakes += ctl.Mistakes
+		si.Control.Revoked = si.Control.Revoked || ctl.Revoked
 	}
 	if only != nil {
 		add(only)
@@ -102,7 +107,7 @@ func (s *Server) serveStats(se *session, r *request) {
 		se.send(r.id, StatusRefused, []byte("server shutting down"))
 		return
 	}
-	sr := StatsReply{Session: m.Sessions[0].Stats, Kernel: m.Kernel, Alloc: m.Alloc}
+	sr := StatsReply{Session: m.Sessions[0].Stats, Control: m.Sessions[0].Control, Kernel: m.Kernel, Alloc: m.Alloc}
 	if len(m.Shards) > 1 {
 		for _, sm := range m.Shards {
 			sr.PerShard = append(sr.PerShard, sm.Kernel)

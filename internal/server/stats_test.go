@@ -10,6 +10,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/server"
 )
@@ -26,8 +27,9 @@ const statsGolden = "testdata/opstats.golden.json"
 // wire reply, Metrics() and the /metrics plaintext — to one another on a
 // 2-shard server after a scripted mix with evictions, manager overrules
 // and write-backs: every counter stats.Snapshot has (walked by
-// reflection, totals and per shard) and every session's totals carry the
-// same value on all three. One session's raw OpStats body is also
+// reflection, totals and per shard) and every session's totals, its
+// manager's decisions, mistakes and revocation included, carry the same
+// value on all three. One session's raw OpStats body is also
 // compared with statsGolden.
 func TestStatsSurfacesAgree(t *testing.T) {
 	const shards = 2
@@ -159,18 +161,26 @@ func TestStatsSurfacesAgree(t *testing.T) {
 	if m.SessionsActive != 2 || len(m.Sessions) != 2 {
 		t.Fatalf("Metrics lists %d sessions (%d active), want 2", len(m.Sessions), m.SessionsActive)
 	}
+	if srA.Control.Decisions == 0 || srA.Control.Decisions != k.Cache.Overrules || srB.Control != (cache.OwnerStats{}) {
+		t.Errorf("decisions: A %+v, B %+v; want A's the kernel's %d overrules, B none", srA.Control, srB.Control, k.Cache.Overrules)
+	}
 	for _, si := range m.Sessions {
-		want, owner := srA.Session, 0 // A registered first, in every shard
+		want, ctl, owner := srA.Session, srA.Control, 0 // A registered first, in every shard
 		if si.Name == raw.LocalAddr().String() {
-			want, owner = srB.Session, 1
+			want, ctl, owner = srB.Session, srB.Control, 1
 		}
-		if si.Stats != want || si.Owner != owner {
-			t.Errorf("session %s: Metrics owner %d %+v, want shard 0's id %d and the wire's %+v", si.Name, si.Owner, si.Stats, owner, want)
+		if si.Stats != want || si.Control != ctl || si.Owner != owner {
+			t.Errorf("session %s: Metrics owner %d %+v %+v, want shard 0's id %d and the wire's %+v %+v", si.Name, si.Owner, si.Stats, si.Control, owner, want, ctl)
+		}
+		revoked := int64(0)
+		if ctl.Revoked {
+			revoked = 1
 		}
 		l := fmt.Sprintf(`{owner="%d",addr=%q}`, si.Owner, si.Name)
 		for name, v := range map[string]int64{
 			"reads": want.ReadCalls, "writes": want.WriteCalls, "hits": want.Hits,
 			"misses": want.Misses, "block_ios": want.BlockIOs(),
+			"decisions": ctl.Decisions, "mistakes": ctl.Mistakes, "revoked": revoked,
 		} {
 			if got, present := lines["acfcd_session_"+name+l]; !present || got != v {
 				t.Errorf("acfcd_session_%s%s = %d (present %v), wire %d", name, l, got, present, v)

@@ -24,7 +24,7 @@ func TestConfigKnobCeilings(t *testing.T) {
 		ceiling int
 	}{
 		{server.Config{}, 6},
-		{core.LiveConfig{}, 9},
+		{core.LiveConfig{}, 8},
 		{core.Config{}, 13},
 		{cache.Config{}, 5},
 		{expt.RunSpec{}, 11},
