@@ -31,9 +31,9 @@
 // With -cluster, the daemon joins a static multi-node tier: the member
 // list (which must include this node's -listen spec) is hashed into a
 // consistent-hash ring, files route to their owning node, and local
-// misses pull through a warm peer or the shared -origin — a directory
-// every node writes back to, so a block one node evicted dirty is there
-// for the node that takes its files over. SIGINT/SIGTERM then run the
+// misses read the shared -origin — a directory every node fills from
+// and writes back to, so a block one node evicted dirty is there for
+// the node that takes its files over. SIGINT/SIGTERM then run the
 // planned-leave protocol: drain, flush dirty blocks to the origin, stream
 // hot blocks to the new hash owners, exit.
 //
@@ -216,7 +216,7 @@ func run() int {
 	defer cancel()
 	if node != nil {
 		// Planned leave: drain, flush dirty to the origin, stream hot
-		// blocks to their new hash owners, release the peer connections.
+		// blocks to their new hash owners, close the store.
 		if err := node.Leave(ctx, true); err != nil {
 			fmt.Fprintf(os.Stderr, "acfcd: leave: %v\n", err)
 			return 1

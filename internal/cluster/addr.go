@@ -14,10 +14,10 @@ import (
 	"repro/internal/server/client"
 )
 
-// peerDialTimeout bounds how long a fill worker can stall dialing a
-// peer before the origin serves instead. Peer fills are a fast path;
-// a slow peer is worse than no peer.
-const peerDialTimeout = 2 * time.Second
+// dialTimeout bounds one dial of a member: how long a routing client
+// waits on a node before it fails over, and a leave's handoff on a new
+// owner before it skips that owner's blocks.
+const dialTimeout = 2 * time.Second
 
 // SplitAddr parses a member spec into (network, address) for net.Dial /
 // net.Listen.
@@ -33,9 +33,9 @@ func SplitAddr(spec string) (network, addr string, err error) {
 
 // redial builds the reconnecting session to member spec — the one way
 // the cluster tier reaches a node, whether as a routing client or as a
-// peer: one bounded dial, one retry, and onConnect run on every fresh
-// connection before it is handed out. Nothing is dialed until the first
-// Get.
+// leave's handoff: one bounded dial, one retry, and onConnect run on
+// every fresh connection before it is handed out. Nothing is dialed
+// until the first Get.
 func redial(spec string, onConnect func(*client.Conn) error) (*client.Redialer[*client.Conn], error) {
 	network, addr, err := SplitAddr(spec)
 	if err != nil {
@@ -43,7 +43,7 @@ func redial(spec string, onConnect func(*client.Conn) error) (*client.Redialer[*
 	}
 	return &client.Redialer[*client.Conn]{
 		Dial:        func() (*client.Conn, error) { return client.Dial(network, addr) },
-		DialTimeout: peerDialTimeout,
+		DialTimeout: dialTimeout,
 		Attempts:    2,
 		OnConnect:   onConnect,
 	}, nil

@@ -234,8 +234,8 @@ func (cl *Client) Open(name string) (client.File, error) {
 // created while owner was not yet in the ring, so owner's local fs has
 // never seen it. Probe the other live members; when one knows the file,
 // re-create it (same block count) on the owner and bind routing there —
-// the owner's first reads then pull the blocks through from its warm
-// peer or the origin, which is exactly the join warm-up path.
+// the owner's first reads then fill from the origin, which holds every
+// block any node has written back.
 func (cl *Client) openThrough(name, owner string) (client.File, bool) {
 	for _, m := range cl.alive().Members() {
 		if m == owner {

@@ -251,84 +251,218 @@ func scrapeMetric(t *testing.T, srv *server.Server, name string) int64 {
 	return 0
 }
 
-// TestClusterPeerFillThreeSurfaces: a node that joins after the working
-// set was written serves its newly-owned files by pulling blocks
-// through from the previous hash owners (the warm peers), and the
-// peer-fill counters agree across the wire stats reply, the in-process
-// Metrics snapshot, and the /metrics plaintext.
-func TestClusterPeerFillThreeSurfaces(t *testing.T) {
+// joinerFiles returns the names of names that the ring over members
+// hands to joiner, failing the test when there are none or when one of
+// them was already joiner's before it joined.
+func joinerFiles(t *testing.T, names, members []string, joiner string) []string {
+	t.Helper()
+	before, after := NewRing(members).Without(joiner), NewRing(members)
+	var moved []string
+	for _, name := range names {
+		if after.Owner(name) == joiner {
+			if before.Owner(name) == joiner {
+				t.Fatalf("%s owned by the joiner before the join", name)
+			}
+			moved = append(moved, name)
+		}
+	}
+	if len(moved) == 0 {
+		t.Fatalf("no file of %d remapped to the joiner; enlarge the file count", len(names))
+	}
+	return moved
+}
+
+// TestClusterJoinReadsOrigin: a node that joins after the working set
+// was written serves its newly owned files from the shared origin. The
+// names exist on the old nodes (the client opens through them) and the
+// blocks are on the origin; once the files are open on the joiner, its
+// reads return the right bytes and send no request to the old nodes.
+func TestClusterJoinReadsOrigin(t *testing.T) {
 	tc := startTestCluster(t, 2, NewMemOrigin())
 
 	const nfiles, blocks = 30, 2
 	cl := NewClient(tc.members)
-	names := writeFiles(t, cl, nfiles, blocks)
+	names := make([]string, nfiles)
+	for i := range names {
+		names[i] = fmt.Sprintf("join/file%d", i)
+		if _, err := cl.Create(names[i], 0, blocks); err != nil {
+			t.Fatalf("create %s: %v", names[i], err)
+		}
+		run := make([][]byte, blocks)
+		for b := range run {
+			run[b] = blockPattern(names[i], int32(b))
+		}
+		if err := tc.origin.WriteRun(names[i], 0, run); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cl.Close()
 
 	joiner := tc.join()
-	oldRing := NewRing(tc.members[:2])
-	newRing := NewRing(tc.members)
-	movedToJoiner := 0
-	for _, name := range names {
-		if newRing.Owner(name) == joiner.Self {
-			movedToJoiner++
-			if oldRing.Owner(name) == joiner.Self {
-				t.Fatalf("%s owned by joiner before the join", name)
-			}
-		}
-	}
-	if movedToJoiner == 0 {
-		t.Fatal("no file remapped to the joiner; enlarge nfiles")
-	}
+	old := tc.members[:2]
+	moved := joinerFiles(t, names, tc.members, joiner.Self)
 
 	cl2 := NewClient(tc.members)
 	defer cl2.Close()
-	dst := make([]byte, disk.BlockSize)
-	for _, name := range names {
+	files := make([]client.File, len(moved))
+	for i, name := range moved {
 		f, err := cl2.Open(name)
 		if err != nil {
 			t.Fatalf("open %s after join: %v", name, err)
 		}
+		files[i] = f
+	}
+	before := make([]int64, len(old))
+	for i, m := range old {
+		before[i] = scrapeMetric(t, tc.nodes[m].Srv, "acfcd_requests_total")
+	}
+	dst := make([]byte, disk.BlockSize)
+	for i, name := range moved {
 		for b := int32(0); b < blocks; b++ {
-			if _, err := cl2.ReadInto(f.ID, b, 0, disk.BlockSize, dst); err != nil {
+			if _, err := cl2.ReadInto(files[i].ID, b, 0, disk.BlockSize, dst); err != nil {
 				t.Fatalf("read %s/%d after join: %v", name, b, err)
 			}
 			if !bytes.Equal(dst, blockPattern(name, b)) {
-				t.Fatalf("read %s/%d after join: wrong bytes (peer fill corrupted data?)", name, b)
+				t.Fatalf("read %s/%d after join: wrong bytes", name, b)
+			}
+		}
+	}
+	for i, m := range old {
+		if got := scrapeMetric(t, tc.nodes[m].Srv, "acfcd_requests_total"); got != before[i] {
+			t.Errorf("old node %s took %d requests while the joiner read its files", m, got-before[i])
+		}
+	}
+}
+
+// TestClusterJoinRewriteNotResurrected: a block the joiner rewrote and
+// then evicted reads back as the rewrite, never as the copy the file's
+// previous owner still caches — the join-then-rewrite staleness window
+// a fill from that owner would open.
+func TestClusterJoinRewriteNotResurrected(t *testing.T) {
+	tc := startTestCluster(t, 2, NewMemOrigin())
+	cl := NewClient(tc.members)
+	names := writeFiles(t, cl, 12, 2) // v1, cached on the old owners
+	cl.Close()
+
+	joiner := tc.join()
+	name := joinerFiles(t, names, tc.members, joiner.Self)[0]
+
+	cl2 := NewClient(tc.members)
+	defer cl2.Close()
+	f, err := cl2.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := bytes.Repeat([]byte("v2|"), disk.BlockSize/3+1)[:disk.BlockSize]
+	if _, err := cl2.Write(f.ID, 0, 0, v2); err != nil {
+		t.Fatal(err)
+	}
+
+	// Overfill the joiner with full-block writes until every shard has
+	// evicted more blocks than the whole cache holds.
+	cacheBlocks := int64(core.MB(1) / disk.BlockSize)
+	ring := NewRing(tc.members)
+	for i := 0; ; i++ {
+		m, ok := joiner.Srv.Metrics()
+		if !ok {
+			t.Fatal("Metrics: joiner down")
+		}
+		full := true
+		for _, sh := range m.Shards {
+			full = full && sh.Kernel.Cache.Evictions > cacheBlocks
+		}
+		if full {
+			break
+		}
+		if i > 4096 {
+			t.Fatal("overfill never evicted a whole cache in every shard")
+		}
+		filler := fmt.Sprintf("filler%d", i)
+		if ring.Owner(filler) != joiner.Self {
+			continue
+		}
+		g, err := cl2.Create(filler, 0, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := int32(0); b < 16; b++ {
+			if _, err := cl2.Write(g.ID, b, 0, blockPattern(filler, b)); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 
-	// Surface 1: the store's own counters.
-	fills := joiner.Store().FillStats().PeerFills
-	if fills <= 0 {
-		t.Fatalf("joiner PeerFills = %d, want > 0", fills)
-	}
-	// Surface 2: the wire stats reply.
-	c := dialMember(t, joiner.Self)
-	reply, err := c.Stats()
-	c.Close()
+	dst := make([]byte, disk.BlockSize)
+	hit, err := cl2.ReadInto(f.ID, 0, 0, disk.BlockSize, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Kernel.Fill.PeerFills != fills {
-		t.Errorf("wire stats PeerFills = %d, store says %d", reply.Kernel.Fill.PeerFills, fills)
+	if hit {
+		t.Fatal("re-read of the rewritten block hit: the overfill did not evict it")
 	}
-	// Surface 3: Metrics and the /metrics plaintext.
-	m, ok := joiner.Srv.Metrics()
-	if !ok {
-		t.Fatal("Metrics: server down")
+	if !bytes.Equal(dst, v2) {
+		t.Errorf("re-read of %s/0 after eviction: got %q..., want the rewrite", name, dst[:12])
 	}
-	if m.Kernel.Fill.PeerFills != fills {
-		t.Errorf("Metrics PeerFills = %d, store says %d", m.Kernel.Fill.PeerFills, fills)
-	}
-	if got := scrapeMetric(t, joiner.Srv, "acfcd_fill_peer_fills"); got != fills {
-		t.Errorf("/metrics acfcd_fill_peer_fills = %d, store says %d", got, fills)
-	}
-	// The old nodes initiated no peer fills (they own what they serve).
-	for _, m := range tc.members[:2] {
-		if v := tc.nodes[m].Store().FillStats().PeerFills; v != 0 {
-			t.Errorf("old node %s PeerFills = %d, want 0", m, v)
+}
+
+// TestClusterLeaveWithinGrace: with every client gone, a planned leave
+// has no session to wait for, so it returns well inside its grace.
+func TestClusterLeaveWithinGrace(t *testing.T) {
+	tc := startTestCluster(t, 3, NewMemOrigin())
+	cl := NewClient(tc.members)
+	names := writeFiles(t, cl, 24, 2)
+	dst := make([]byte, disk.BlockSize)
+	for i, name := range names {
+		// A file of unwritten blocks: every read is a miss.
+		f, err := cl.Create(name+".cold", 0, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := cl.ReadInto(f.ID, int32(i%2), 0, disk.BlockSize, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Close()
+
+	start := time.Now()
+	if err := tc.leave(tc.members[0], true); err != nil {
+		t.Fatalf("planned leave: %v", err)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Errorf("planned leave took %v with no client connected, want < 500ms", took)
+	}
+}
+
+// TestOpenOrCreateConcurrent: sessions that open-or-create the same
+// names at once all get the file; the one whose create loses the race
+// opens the winner's.
+func TestOpenOrCreateConcurrent(t *testing.T) {
+	tc := startTestCluster(t, 1, NewMemOrigin())
+	const sessions, nfiles = 8, 100
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var failed []error
+	start := make(chan struct{})
+	for s := 0; s < sessions; s++ {
+		c := dialMember(t, tc.members[0])
+		defer c.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < nfiles; i++ {
+				if _, err := openOrCreate(c, fmt.Sprintf("race%d", i), 0, 4); err != nil {
+					mu.Lock()
+					failed = append(failed, err)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if len(failed) > 0 {
+		t.Errorf("%d of %d calls failed, first: %v", len(failed), sessions*nfiles, failed[0])
 	}
 }
 
@@ -347,7 +481,7 @@ func (f failingOrigin) ReadRun(name string, start int32, dsts [][]byte) error {
 
 // TestClusterFillErrorSurfacesAsIO: a fill the cluster tier cannot
 // satisfy comes back to the session as an io status — never a hang,
-// never a silent zero block — and increments PeerFillErrors.
+// never a silent zero block — and is counted in the kernel's ReadErrors.
 func TestClusterFillErrorSurfacesAsIO(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -386,8 +520,8 @@ func TestClusterFillErrorSurfacesAsIO(t *testing.T) {
 	if !errors.As(err, &se) || se.Status != server.StatusIO {
 		t.Fatalf("read error = %v, want status io", err)
 	}
-	if n := node.Store().FillStats().PeerFillErrors; n <= 0 {
-		t.Errorf("PeerFillErrors = %d, want > 0", n)
+	if m, ok := node.Srv.Metrics(); !ok || m.Kernel.Fill.ReadErrors <= 0 {
+		t.Errorf("Metrics ReadErrors = %d (ok %v), want > 0", m.Kernel.Fill.ReadErrors, ok)
 	}
 	// The session survives the failed fill: a fresh create+write works.
 	g, err := c.Create("alive", 0, 1)

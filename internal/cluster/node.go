@@ -1,15 +1,15 @@
 // node.go — Node ties one acfcd server to the cluster: it builds the
 // NodeStore, hangs it under the server as the base store (which the
-// server itself asks for file announcements and peer-fill counters), and
-// owns the leave protocol. Leave generalizes the paper's
-// transfer-or-evict revocation from block to node granularity: the
-// transfer arm drains sessions, flushes every dirty block to the origin
-// (so correctness never depends on what follows), then streams the
-// cache contents — hottest blocks first — to their new hash owners over
-// the same typed client the peer fills use; the evict arm flushes and
-// stops. Unplanned death needs no protocol at all: clients redial the
-// next ring owner, which pulls the working set back through cold from
-// the origin the dead node had already written behind to.
+// server itself tells every file announcement), and owns the leave
+// protocol. Leave generalizes the paper's transfer-or-evict revocation
+// from block to node granularity: the transfer arm drains sessions,
+// flushes every dirty block to the origin (so correctness never depends
+// on what follows), then streams the cache contents — hottest blocks
+// first — to their new hash owners over the same typed client the
+// routing client uses; the evict arm flushes and stops. Unplanned death
+// needs no protocol at all: clients redial the next ring owner, which
+// pulls the working set back through cold from the origin the dead
+// node had already written behind to.
 
 package cluster
 
@@ -26,7 +26,7 @@ import (
 // NodeConfig configures one cluster node.
 type NodeConfig struct {
 	// Self is this node's member spec ("unix:/path" or "tcp:host:port")
-	// — its name on the ring and the address peers dial.
+	// — its name on the ring and the address clients dial.
 	Self string
 	// Members is the static membership list. Self is added if absent.
 	Members []string
@@ -38,11 +38,11 @@ type NodeConfig struct {
 }
 
 // Node is one member of the cluster: an acfcd server whose base store
-// is the cluster's NodeStore.
+// is the cluster's NodeStore, and its view of the membership ring.
 type Node struct {
-	Self  string
-	Srv   *server.Server
-	store *NodeStore
+	Self string
+	Srv  *server.Server
+	ring *Ring
 }
 
 // NewNode builds the node and starts its server's shard loops.
@@ -64,18 +64,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if !found {
 		members = append(append([]string(nil), members...), cfg.Self)
 	}
-	ring := NewRing(members)
-	ns := NewNodeStore(cfg.Self, ring, cfg.Origin)
 	scfg := cfg.Server
-	scfg.Kernel.Store = ns
-	return &Node{Self: cfg.Self, Srv: server.New(scfg), store: ns}, nil
+	scfg.Kernel.Store = NewNodeStore(cfg.Origin)
+	return &Node{Self: cfg.Self, Srv: server.New(scfg), ring: NewRing(members)}, nil
 }
 
-// Store exposes the node's NodeStore (peer-fill counters, ring).
-func (n *Node) Store() *NodeStore { return n.store }
-
 // Ring returns the node's view of the membership ring.
-func (n *Node) Ring() *Ring { return n.store.Ring() }
+func (n *Node) Ring() *Ring { return n.ring }
 
 // Leave retires the node. Ordering, each step a barrier for the next:
 //
@@ -88,17 +83,18 @@ func (n *Node) Ring() *Ring { return n.store.Ring() }
 //     warmth, not correctness.
 //  3. With transfer set, the cache contents stream hottest-first to
 //     each file's new hash owner (the ring without this node) as
-//     ordinary create/write traffic over the peer connections. A
-//     streaming failure downgrades the handoff to the evict arm for
-//     the blocks it hadn't reached — their next reader pulls them
-//     through from the origin instead.
-//  4. Close releases the kernels' stores and every peer connection.
+//     ordinary create/write traffic, one connection per owner, closed
+//     when the stream ends. A streaming failure downgrades the handoff
+//     to the evict arm for the blocks it hadn't reached — their next
+//     reader pulls them through from the origin instead.
+//  4. Close releases the kernels' stores.
 //
 // Leave returns the first error, but always runs every step. A grace
-// expiry on the drain is not an error: sessions that outstay the grace
-// — idle clients that never disconnect, peers holding fill connections
-// — are severed by design, and the drain barrier has still waited out
-// every asynchronous fill and write-back before the flush runs.
+// expiry on the drain is not an error: idle clients that never
+// disconnect are severed by design, and the drain barrier has still
+// waited out every asynchronous fill and write-back before the flush
+// runs. No node holds a session on another, so with every client gone
+// the drain does not wait for the grace.
 func (n *Node) Leave(ctx context.Context, transfer bool) error {
 	var firstErr error
 	if err := n.Srv.Shutdown(ctx); err != nil &&
@@ -139,12 +135,22 @@ func (n *Node) handoff() error {
 	}
 	conns := make(map[string]*client.Conn) // owner -> session; nil: it would not dial
 	files := make(map[string]remoteFile)   // name -> the file on its owner
+	defer func() {
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}()
 	for _, cb := range n.Srv.CachedContents() {
 		owner := rest.Owner(cb.Name)
 		c, dialed := conns[owner]
 		if !dialed {
-			var err error
-			if c, _, err = n.store.Peer(owner); err != nil {
+			rd, err := redial(owner, nil)
+			if err == nil {
+				c, err = rd.Get()
+			}
+			if err != nil {
 				note(fmt.Errorf("handoff dial %s: %w", owner, err))
 			}
 			conns[owner] = c
@@ -172,18 +178,25 @@ func (n *Node) handoff() error {
 }
 
 // notFound reports whether err is the node saying it has no such file.
-func notFound(err error) bool {
+func notFound(err error) bool { return hasStatus(err, server.StatusNotFound) }
+
+// hasStatus reports whether err is the node answering with status st.
+func hasStatus(err error, st uint8) bool {
 	se := (*client.StatusError)(nil)
-	return errors.As(err, &se) && se.Status == server.StatusNotFound
+	return errors.As(err, &se) && se.Status == st
 }
 
 // openOrCreate resolves name on c, creating it with the given shape when
 // the node has never seen it: how a file arrives on the node a handoff
-// or a failover moves it to.
+// or a failover moves it to. A create that another session won between
+// the two calls (several clients failing over one file) opens the file
+// that session made.
 func openOrCreate(c *client.Conn, name string, disk, size int) (client.File, error) {
 	f, err := c.Open(name)
 	if notFound(err) {
-		f, err = c.Create(name, disk, size)
+		if f, err = c.Create(name, disk, size); hasStatus(err, server.StatusExists) {
+			f, err = c.Open(name)
+		}
 	}
 	return f, err
 }

@@ -3,10 +3,9 @@
 // membership list and consistent-hash file→node routing — the same
 // FNV-1a affinity idea the server uses for file→shard placement, one
 // level up (file → owning node → owning shard). On a local miss the
-// owning node pulls the block through from a warm peer or the backing
-// origin (the lancache pattern: fetch once, serve locally after), so a
-// peer is just another fill source behind the disk.Store interface the
-// fill pipeline already drives.
+// owning node reads the block from the shared origin (the lancache
+// pattern: fetch once, serve locally after), through the disk.Store
+// interface the fill pipeline already drives.
 package cluster
 
 import (

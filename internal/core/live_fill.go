@@ -127,7 +127,7 @@ func (l *Live) dispatchFills(fls []*Fill) {
 }
 
 // CompleteFill applies a finished block read: install the bytes (or
-// drop the buffer, on error), then run every waiter. Must be called on
+// drop the buffer and count a read error), then run every waiter. Must be called on
 // the kernel goroutine. A buffer evicted while its fill was in flight is
 // not re-installed — its waiters still get the bytes, and the buffer
 // stays IOPending, exactly the leak-to-GC discipline of the DES. The
@@ -136,6 +136,9 @@ func (l *Live) dispatchFills(fls []*Fill) {
 func (l *Live) CompleteFill(fl *Fill) {
 	if l.mshr[fl.ID] == fl {
 		delete(l.mshr, fl.ID)
+	}
+	if fl.Err != nil {
+		l.fill.ReadErrors++
 	}
 	if l.bc.Peek(fl.ID) == fl.buf {
 		if fl.Err != nil {

@@ -14,10 +14,17 @@ import (
 // failStore fails writes on demand, for the error-surfacing tests.
 type failStore struct {
 	disk.Store
-	failWrites bool
+	failWrites, failReads bool
 }
 
 var errBoom = errors.New("store on fire")
+
+func (s *failStore) ReadBlock(file, blk int32, dst []byte) error {
+	if s.failReads {
+		return errBoom
+	}
+	return s.Store.ReadBlock(file, blk, dst)
+}
 
 func (s *failStore) WriteBlock(file, blk int32, src []byte) error {
 	if s.failWrites {
@@ -192,6 +199,40 @@ func TestLiveWritebackForwarding(t *testing.T) {
 	}
 	if fill.WritebackQueueHighWater < 2 {
 		t.Errorf("WritebackQueueHighWater = %d, want >= 2", fill.WritebackQueueHighWater)
+	}
+	l.CheckInvariants()
+}
+
+// TestLiveReadErrorCounted: a failing store read comes back through the
+// request's callback, is counted in ReadErrors whatever the store, and
+// leaves no buffer behind — the next read of the block fills afresh.
+func TestLiveReadErrorCounted(t *testing.T) {
+	fs := &failStore{Store: disk.NewMemStore(), failReads: true}
+	l := core.NewLive(core.LiveConfig{
+		CacheBytes: 2 * core.BlockSize,
+		Alloc:      cache.LRUSP,
+		Store:      fs,
+	})
+	ow := l.AddOwner("t")
+	f, err := l.Create(ow, "f", 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got error
+	l.Read(ow, f.ID(), 0, 0, 8, func(data []byte, hit bool, err error) { got = err })
+	if !errors.Is(got, errBoom) {
+		t.Fatalf("read through a failing store: err = %v, want the store's", got)
+	}
+	if n := l.Snapshot().Fill.ReadErrors; n != 1 {
+		t.Errorf("ReadErrors = %d, want 1", n)
+	}
+	fs.failReads = false
+	l.Read(ow, f.ID(), 0, 0, 8, func(data []byte, hit bool, err error) { got = err })
+	if got != nil {
+		t.Fatalf("read after the store recovered: %v", got)
+	}
+	if n := l.Snapshot().Fill.ReadErrors; n != 1 {
+		t.Errorf("ReadErrors = %d after a good read, want still 1", n)
 	}
 	l.CheckInvariants()
 }

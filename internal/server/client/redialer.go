@@ -1,7 +1,7 @@
 // redialer.go — shared reconnect machinery for long-lived acfcd
 // sessions: the load generator's replayers and the cluster tier's
-// peer-fill connections both hold one logical session that must survive
-// server restarts, drains and transient dial failures. The policy —
+// routing client both hold one logical session per server that must
+// survive server restarts, drains and transient dial failures. The policy —
 // dial timeout, capped exponential backoff between attempts, and an
 // OnConnect hook that rebuilds session state (re-enable control,
 // re-open files) before the connection is handed out — lives here once

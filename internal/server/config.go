@@ -52,12 +52,6 @@ type Config struct {
 // be cheap and must not call back into the server.
 type announcer interface{ Announce(wire int32, name string) }
 
-// fillCounter is a base store with fill counters of its own (the cluster
-// tier's peer fills, which happen below the shard kernels). Every stats
-// surface — the wire stats reply, Metrics and /metrics — folds them into
-// the aggregated kernel snapshot; per-shard sections are unchanged.
-type fillCounter interface{ FillStats() stats.FillStats }
-
 func (c *Config) fillDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = 1

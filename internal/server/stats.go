@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 
 	"repro/internal/cache"
-	"repro/internal/stats"
 )
 
 // Metrics snapshots the server counters; ok is false once shutdown has
@@ -17,7 +16,7 @@ func (s *Server) Metrics() (Metrics, bool) { return s.metrics(nil) }
 // false) as it refuses the session's other requests.
 func (s *Server) metrics(only *session) (Metrics, bool) {
 	s.mu.Lock()
-	shards, store, alloc := s.shards, s.store, s.cfg.Kernel.Alloc
+	shards, alloc := s.shards, s.cfg.Kernel.Alloc
 	s.mu.Unlock()
 	if shards == nil {
 		return Metrics{}, false
@@ -41,9 +40,6 @@ func (s *Server) metrics(only *session) (Metrics, bool) {
 		if !answered {
 			return Metrics{}, false // retired, or refusing the session
 		}
-	}
-	if fc, ok := store.(fillCounter); ok {
-		stats.Fold(&m.Kernel.Fill, fc.FillStats())
 	}
 	m.SessionsActive = len(m.Sessions)
 	return m, true

@@ -58,11 +58,13 @@ type FillStats struct {
 	// outstanding at once; WritebackStalls counts enqueues that found
 	// the queue full and degraded to a synchronous inline write (the
 	// backpressure rule); WritebackErrors counts store write failures
-	// (surfaced, never fatal).
+	// and ReadErrors failed block fills, whatever the store (surfaced to
+	// the session as an io status, never fatal).
 	WritebacksQueued        int64 `json:"writebacks_queued"`
 	WritebackQueueHighWater int64 `json:"writeback_queue_high_water"`
 	WritebackStalls         int64 `json:"writeback_stalls"`
 	WritebackErrors         int64 `json:"writeback_errors"`
+	ReadErrors              int64 `json:"read_errors"`
 	// WireCopyFallbacks counts the times the zero-copy serve path had to
 	// copy after all: a write landed on a block whose slot was pinned by
 	// in-flight response frames (copy-on-write), or a response outlived
@@ -85,16 +87,6 @@ type FillStats struct {
 	// when the file is removed. A discard is not a write-back and moves
 	// none of the Writeback* counters above.
 	DiscardedBlocks int64 `json:"discarded_blocks"`
-	// PeerFills counts blocks a cluster node filled from a peer node's
-	// cache instead of the backing origin (the pull-through path);
-	// PeerFillMisses counts fills where the warm peer did not have the
-	// file and the read fell through to the origin; PeerFillErrors
-	// counts peer or origin failures on the cluster fill path — each one
-	// also surfaced to the requesting session as an io status, never
-	// swallowed. All zero outside cluster mode.
-	PeerFills      int64 `json:"peer_fills"`
-	PeerFillMisses int64 `json:"peer_fill_misses"`
-	PeerFillErrors int64 `json:"peer_fill_errors"`
 }
 
 // Fold folds src into *dst, for any flat all-integer counter struct
