@@ -54,7 +54,7 @@ race:
 # raises the ceiling in its own diff, where a reviewer sees it. longest
 # prints the ten longest of the same files, so the next 1 500-line file
 # shows on the push that creates it.
-LOC_MAX = 16285
+LOC_MAX = 16253
 LOC_FILES = find . \( -name '.?*' -o -name benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -type f -print0
 loc:
 	@n=$$($(LOC_FILES) | xargs -0 cat | wc -l); echo $$n; \
@@ -105,7 +105,7 @@ serve:
 # Run one node of a 3-node local cluster: `make serve-cluster NODE=1`
 # (and 2 and 3 in other terminals). The nodes share a directory origin;
 # files route to their hash owner, every miss reads the origin, and
-# ctrl-C runs the planned-leave handoff.
+# ctrl-C runs the planned leave: drain, flush, hand the names over.
 NODE ?= 1
 CLUSTER_MEMBERS = tcp:127.0.0.1:4501,tcp:127.0.0.1:4502,tcp:127.0.0.1:4503
 serve-cluster:

@@ -34,8 +34,8 @@
 // misses read the shared -origin — a directory every node fills from
 // and writes back to, so a block one node evicted dirty is there for
 // the node that takes its files over. SIGINT/SIGTERM then run the
-// planned-leave protocol: drain, flush dirty blocks to the origin, stream
-// hot blocks to the new hash owners, exit.
+// planned-leave protocol: drain, flush dirty blocks to the origin, open
+// every file on its new hash owner (see cluster.Node.Leave), exit.
 //
 // Without -cluster, SIGINT/SIGTERM drain gracefully: in-flight requests
 // finish, new ones are refused, and the kernel flushes dirty blocks
@@ -215,9 +215,9 @@ func run() int {
 	ctx, cancel := context.WithTimeout(context.Background(), o.grace)
 	defer cancel()
 	if node != nil {
-		// Planned leave: drain, flush dirty to the origin, stream hot
-		// blocks to their new hash owners, close the store.
-		if err := node.Leave(ctx, true); err != nil {
+		// Planned leave: drain, flush dirty to the origin, hand every
+		// file's name to its new hash owner, close the store.
+		if err := node.Leave(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "acfcd: leave: %v\n", err)
 			return 1
 		}

@@ -16,7 +16,7 @@ import (
 
 // dialTimeout bounds one dial of a member: how long a routing client
 // waits on a node before it fails over, and a leave's handoff on a new
-// owner before it skips that owner's blocks.
+// owner before it skips that owner's names.
 const dialTimeout = 2 * time.Second
 
 // SplitAddr parses a member spec into (network, address) for net.Dial /

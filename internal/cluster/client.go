@@ -174,7 +174,7 @@ func (cl *Client) do(f fs.FileID, op func(c *client.Conn, remote fs.FileID) erro
 			var moved client.File
 			var err error
 			if e.created {
-				moved, err = openOrCreate(c, e.name, e.disk, e.size)
+				moved, _, err = openOrCreate(c, e.name, e.disk, e.size)
 			} else {
 				moved, err = c.Open(e.name)
 			}

@@ -28,13 +28,13 @@ import (
 // member's address refuses dials until the test ends.
 type testCluster struct {
 	t       *testing.T
-	origin  *MemOrigin
+	origin  Origin
 	members []string
 	nodes   map[string]*Node
 	closed  map[string]bool
 }
 
-func startTestCluster(t *testing.T, n int, origin *MemOrigin) *testCluster {
+func startTestCluster(t *testing.T, n int, origin Origin) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		t:      t,
@@ -100,16 +100,16 @@ func (tc *testCluster) shutdownAll() {
 }
 
 // leave runs the planned-leave protocol on member m.
-func (tc *testCluster) leave(m string, transfer bool) error {
+func (tc *testCluster) leave(m string) error {
 	tc.t.Helper()
 	tc.closed[m] = true
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	return tc.nodes[m].Leave(ctx, transfer)
+	return tc.nodes[m].Leave(ctx)
 }
 
 // kill simulates an abrupt death: sessions severed, shard loops force-
-// drained, nothing flushed, nothing streamed.
+// drained, nothing flushed, nothing handed off.
 func (tc *testCluster) kill(m string) {
 	tc.t.Helper()
 	tc.closed[m] = true
@@ -425,7 +425,7 @@ func TestClusterLeaveWithinGrace(t *testing.T) {
 	cl.Close()
 
 	start := time.Now()
-	if err := tc.leave(tc.members[0], true); err != nil {
+	if err := tc.leave(tc.members[0]); err != nil {
 		t.Fatalf("planned leave: %v", err)
 	}
 	if took := time.Since(start); took > 500*time.Millisecond {
@@ -451,7 +451,7 @@ func TestOpenOrCreateConcurrent(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < nfiles; i++ {
-				if _, err := openOrCreate(c, fmt.Sprintf("race%d", i), 0, 4); err != nil {
+				if _, _, err := openOrCreate(c, fmt.Sprintf("race%d", i), 0, 4); err != nil {
 					mu.Lock()
 					failed = append(failed, err)
 					mu.Unlock()
@@ -533,7 +533,7 @@ func TestClusterFillErrorSurfacesAsIO(t *testing.T) {
 	}
 }
 
-// TestClusterLeaveDifferential: the acceptance bar for warm handoff —
+// TestClusterLeaveDifferential: the acceptance bar for a planned leave —
 // a 3-node cluster that suffers one planned leave ends with an origin
 // byte-for-byte identical to a single-node run of the same writes.
 func TestClusterLeaveDifferential(t *testing.T) {
@@ -547,15 +547,15 @@ func TestClusterLeaveDifferential(t *testing.T) {
 	cls.Close()
 	tcs.shutdownAll()
 
-	// Cluster: three nodes, same traffic, then one planned leave with
-	// transfer, then a clean shutdown of the survivors.
+	// Cluster: three nodes, same traffic, then one planned leave, then
+	// a clean shutdown of the survivors.
 	clustered := NewMemOrigin()
 	tc := startTestCluster(t, 3, clustered)
 	cl := NewClient(tc.members)
 	writeFiles(t, cl, nfiles, blocks)
 
 	leaver := tc.members[1]
-	if err := tc.leave(leaver, true); err != nil {
+	if err := tc.leave(leaver); err != nil {
 		t.Fatalf("planned leave: %v", err)
 	}
 	cl.Close()
@@ -603,7 +603,7 @@ func TestClusterFreshClientFailover(t *testing.T) {
 	if name == "" {
 		t.Fatalf("no file hashed to %s out of %d", victim, len(names))
 	}
-	if err := tc.leave(victim, true); err != nil {
+	if err := tc.leave(victim); err != nil {
 		t.Fatalf("planned leave: %v", err)
 	}
 
@@ -679,7 +679,7 @@ func TestClusterSoak(t *testing.T) {
 	}
 
 	time.Sleep(50 * time.Millisecond)
-	if err := tc.leave(tc.members[0], true); err != nil {
+	if err := tc.leave(tc.members[0]); err != nil {
 		t.Errorf("mid-run planned leave: %v", err)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -748,7 +748,7 @@ func TestClusterFailoverPastDeadSurvivor(t *testing.T) {
 	if twice == 0 {
 		t.Fatalf("no file of %d moves from %s to %s; enlarge nfiles", nfiles, first, second)
 	}
-	if err := tc.leave(first, true); err != nil {
+	if err := tc.leave(first); err != nil {
 		t.Fatalf("planned leave: %v", err)
 	}
 	tc.kill(second)

@@ -8,9 +8,9 @@ import (
 )
 
 // TestLifecycleNodeLeave: the planned leave still flushes and hands off
-// with the shard loops gone — FlushDirty and CachedContents read the
-// kernels between Shutdown and Close, from outside any loop — and what
-// Leave leaves behind is a husk: no kernels, no metrics, Close a no-op.
+// with the shard loops gone — FlushDirty and LiveFiles read the kernels
+// between Shutdown and Close, from outside any loop — and what Leave
+// leaves behind is a husk: no kernels, no metrics, Close a no-op.
 // Part of the lifecycle suite (internal/server/lifecycle_test.go).
 func TestLifecycleNodeLeave(t *testing.T) {
 	origin := NewMemOrigin()
@@ -31,7 +31,7 @@ func TestLifecycleNodeLeave(t *testing.T) {
 	if len(moved) == 0 {
 		t.Fatalf("no file of %d hashed to the leaver", nfiles)
 	}
-	if err := tc.leave(leaver, true); err != nil {
+	if err := tc.leave(leaver); err != nil {
 		t.Fatalf("planned leave: %v", err)
 	}
 
@@ -44,7 +44,8 @@ func TestLifecycleNodeLeave(t *testing.T) {
 			}
 		}
 	}
-	// Handed off: the survivor serves them from its cache.
+	// Handed off: each name opens on the survivor, which reads its
+	// bytes from the origin.
 	c := dialMember(t, stayer)
 	defer c.Close()
 	for _, name := range moved {
@@ -53,12 +54,11 @@ func TestLifecycleNodeLeave(t *testing.T) {
 			t.Fatalf("open %s on the survivor: %v", name, err)
 		}
 		for b := int32(0); b < blocks; b++ {
-			hit, err := c.ReadInto(f.ID, b, 0, disk.BlockSize, dst)
-			if err != nil {
+			if _, err := c.ReadInto(f.ID, b, 0, disk.BlockSize, dst); err != nil {
 				t.Fatalf("read %s/%d on the survivor: %v", name, b, err)
 			}
-			if !hit || !bytes.Equal(dst, blockPattern(name, b)) {
-				t.Errorf("%s/%d on the survivor: hit %v, bytes match %v — not handed off", name, b, hit, bytes.Equal(dst, blockPattern(name, b)))
+			if !bytes.Equal(dst, blockPattern(name, b)) {
+				t.Errorf("%s/%d on the survivor: wrong bytes", name, b)
 			}
 		}
 	}
@@ -67,8 +67,8 @@ func TestLifecycleNodeLeave(t *testing.T) {
 	if _, ok := srv.Metrics(); ok {
 		t.Error("Metrics on the departed node: ok")
 	}
-	if got := srv.CachedContents(); got != nil {
-		t.Errorf("the departed node still enumerates %d cached blocks", len(got))
+	if got := srv.LiveFiles(); got != nil {
+		t.Errorf("the departed node still enumerates %d files", len(got))
 	}
 	if err := srv.Close(); err != nil {
 		t.Errorf("a second Close on the departed node: %v", err)

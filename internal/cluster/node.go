@@ -1,15 +1,10 @@
 // node.go — Node ties one acfcd server to the cluster: it builds the
-// NodeStore, hangs it under the server as the base store (which the
-// server itself tells every file announcement), and owns the leave
-// protocol. Leave generalizes the paper's transfer-or-evict revocation
-// from block to node granularity: the transfer arm drains sessions,
-// flushes every dirty block to the origin (so correctness never depends
-// on what follows), then streams the cache contents — hottest blocks
-// first — to their new hash owners over the same typed client the
-// routing client uses; the evict arm flushes and stops. Unplanned death
-// needs no protocol at all: clients redial the next ring owner, which
-// pulls the working set back through cold from the origin the dead
-// node had already written behind to.
+// NodeStore, hangs it under the server as the base store, and owns the
+// leave protocol, the paper's transfer-or-evict revocation applied to a
+// whole cache: drain sessions, flush every dirty block to the origin,
+// then hand each live file's name to its new hash owner. Unplanned death
+// needs no protocol: clients redial the next ring owner, which fills
+// from the origin the dead node had written behind to.
 
 package cluster
 
@@ -17,8 +12,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
-	"repro/internal/fs"
+	"repro/internal/disk"
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
@@ -40,9 +36,10 @@ type NodeConfig struct {
 // Node is one member of the cluster: an acfcd server whose base store
 // is the cluster's NodeStore, and its view of the membership ring.
 type Node struct {
-	Self string
-	Srv  *server.Server
-	ring *Ring
+	Self   string
+	Srv    *server.Server
+	ring   *Ring
+	origin Origin
 }
 
 // NewNode builds the node and starts its server's shard loops.
@@ -54,19 +51,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, errors.New("cluster: NodeConfig.Origin required")
 	}
 	members := cfg.Members
-	found := false
-	for _, m := range members {
-		if m == cfg.Self {
-			found = true
-			break
-		}
-	}
-	if !found {
-		members = append(append([]string(nil), members...), cfg.Self)
+	if !slices.Contains(members, cfg.Self) {
+		members = append(slices.Clip(members), cfg.Self)
 	}
 	scfg := cfg.Server
 	scfg.Kernel.Store = NewNodeStore(cfg.Origin)
-	return &Node{Self: cfg.Self, Srv: server.New(scfg), ring: NewRing(members)}, nil
+	return &Node{Self: cfg.Self, Srv: server.New(scfg), ring: NewRing(members), origin: cfg.Origin}, nil
 }
 
 // Ring returns the node's view of the membership ring.
@@ -75,27 +65,19 @@ func (n *Node) Ring() *Ring { return n.ring }
 // Leave retires the node. Ordering, each step a barrier for the next:
 //
 //  1. Shutdown drains sessions and shard loops past the drain barrier,
-//     so no asynchronous fill or write-back is in flight (ctx bounds
-//     the wait; on expiry remaining sessions are severed and the drain
-//     completes force-mode).
-//  2. FlushDirty persists every dirty block to the origin. After this
-//     returns, zero data loss is already guaranteed — the rest is
-//     warmth, not correctness.
-//  3. With transfer set, the cache contents stream hottest-first to
-//     each file's new hash owner (the ring without this node) as
-//     ordinary create/write traffic, one connection per owner, closed
-//     when the stream ends. A streaming failure downgrades the handoff
-//     to the evict arm for the blocks it hadn't reached — their next
-//     reader pulls them through from the origin instead.
+//     so no asynchronous fill or write-back is in flight (ctx bounds the
+//     wait; on expiry the rest are severed and the drain forced).
+//  2. FlushDirty persists every dirty block to the origin, so no new
+//     owner can open a moved name before the origin holds its bytes.
+//  3. The handoff opens every live file on its new hash owner (the ring
+//     without this node); see handoff.
 //  4. Close releases the kernels' stores.
 //
 // Leave returns the first error, but always runs every step. A grace
-// expiry on the drain is not an error: idle clients that never
-// disconnect are severed by design, and the drain barrier has still
-// waited out every asynchronous fill and write-back before the flush
-// runs. No node holds a session on another, so with every client gone
-// the drain does not wait for the grace.
-func (n *Node) Leave(ctx context.Context, transfer bool) error {
+// expiry on the drain is not an error: idle clients are severed by
+// design, and the drain barrier has still waited out every asynchronous
+// fill and write-back before the flush runs.
+func (n *Node) Leave(ctx context.Context) error {
 	var firstErr error
 	if err := n.Srv.Shutdown(ctx); err != nil &&
 		!errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
@@ -104,10 +86,8 @@ func (n *Node) Leave(ctx context.Context, transfer bool) error {
 	if err := n.Srv.FlushDirty(); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	if transfer {
-		if err := n.handoff(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if err := n.handoff(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	if err := n.Srv.Close(); err != nil && firstErr == nil {
 		firstErr = err
@@ -115,26 +95,20 @@ func (n *Node) Leave(ctx context.Context, transfer bool) error {
 	return firstErr
 }
 
-// handoff streams the retired server's cached blocks to their new hash
-// owners, hottest first, so an interrupted handoff still moved the
-// blocks most worth moving.
+// handoff opens each of the retired server's live files on its new hash
+// owner, one connection per owner. A name new to the owner moves without
+// a block. An owner that already held the name (a join took it from that
+// owner) may still cache blocks this node has rewritten since: each block
+// this node wrote is sent to it again, with the origin's bytes, which
+// FlushDirty brought up to date. A name whose owner will not dial stays
+// behind.
 func (n *Node) handoff() error {
 	rest := n.Ring().Without(n.Self)
 	if rest.Len() == 0 {
 		return nil
 	}
 	var firstErr error
-	note := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	type remoteFile struct {
-		id   fs.FileID
-		skip bool // it would not open on its owner
-	}
 	conns := make(map[string]*client.Conn) // owner -> session; nil: it would not dial
-	files := make(map[string]remoteFile)   // name -> the file on its owner
 	defer func() {
 		for _, c := range conns {
 			if c != nil {
@@ -142,36 +116,32 @@ func (n *Node) handoff() error {
 			}
 		}
 	}()
-	for _, cb := range n.Srv.CachedContents() {
-		owner := rest.Owner(cb.Name)
+	buf := make([]byte, disk.BlockSize)
+	for _, lf := range n.Srv.LiveFiles() {
+		owner := rest.Owner(lf.Name())
 		c, dialed := conns[owner]
 		if !dialed {
 			rd, err := redial(owner, nil)
 			if err == nil {
 				c, err = rd.Get()
 			}
-			if err != nil {
-				note(fmt.Errorf("handoff dial %s: %w", owner, err))
+			if err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("handoff dial %s: %w", owner, err)
 			}
 			conns[owner] = c
 		}
 		if c == nil {
-			continue // dead owner: skip its blocks
+			continue // dead owner: its names stay behind
 		}
-		rf, ok := files[cb.Name]
-		if !ok {
-			f, err := openOrCreate(c, cb.Name, cb.Disk, cb.Size)
-			if err != nil {
-				note(fmt.Errorf("handoff open %s on %s: %w", cb.Name, owner, err))
+		f, held, err := openOrCreate(c, lf.Name(), lf.Disk(), lf.Size())
+		for i := 0; held && err == nil && i < len(lf.Written); i++ {
+			blk := lf.Written[i].Blk
+			if err = n.origin.ReadRun(lf.Name(), blk, [][]byte{buf}); err == nil {
+				_, err = c.Write(f.ID, blk, 0, buf)
 			}
-			rf = remoteFile{id: f.ID, skip: err != nil}
-			files[cb.Name] = rf
 		}
-		if rf.skip {
-			continue
-		}
-		if _, err := c.Write(rf.id, cb.Blk, 0, cb.Data); err != nil {
-			note(fmt.Errorf("handoff write %s/%d to %s: %w", cb.Name, cb.Blk, owner, err))
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("handoff %s to %s: %w", lf.Name(), owner, err)
 		}
 	}
 	return firstErr
@@ -188,15 +158,16 @@ func hasStatus(err error, st uint8) bool {
 
 // openOrCreate resolves name on c, creating it with the given shape when
 // the node has never seen it: how a file arrives on the node a handoff
-// or a failover moves it to. A create that another session won between
-// the two calls (several clients failing over one file) opens the file
-// that session made.
-func openOrCreate(c *client.Conn, name string, disk, size int) (client.File, error) {
-	f, err := c.Open(name)
-	if notFound(err) {
-		if f, err = c.Create(name, disk, size); hasStatus(err, server.StatusExists) {
-			f, err = c.Open(name)
-		}
+// or a failover moves it to. held reports that the node knew the name
+// already. A create that another session won between the two calls
+// (several clients failing over one file) opens the file that session
+// made.
+func openOrCreate(c *client.Conn, name string, disk, size int) (f client.File, held bool, err error) {
+	if f, err = c.Open(name); !notFound(err) {
+		return f, err == nil, err
 	}
-	return f, err
+	if f, err = c.Create(name, disk, size); hasStatus(err, server.StatusExists) {
+		f, err = c.Open(name)
+	}
+	return f, false, err
 }

@@ -264,6 +264,9 @@ func (l *Live) advance() sim.Time {
 // FS exposes the file system namespace.
 func (l *Live) FS() *fs.FileSystem { return l.fsys }
 
+// Persisted lists the blocks of f handed to the store, ascending.
+func (l *Live) Persisted(f fs.FileID) []disk.BlockSpan { return l.persisted[f].spans(f) }
+
 // Cache exposes the buffer cache (read-only introspection).
 func (l *Live) Cache() *cache.Cache { return l.bc }
 

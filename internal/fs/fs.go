@@ -11,6 +11,9 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -172,6 +175,19 @@ func (fsys *FileSystem) Lookup(name string) (*File, bool) {
 func (fsys *FileSystem) ByID(id FileID) (*File, bool) {
 	f, ok := fsys.byID[id]
 	return f, ok
+}
+
+// Files yields every live file in ascending id order, which is the
+// order they were created in. The file system must not change while
+// the sequence is being read.
+func (fsys *FileSystem) Files() iter.Seq[*File] {
+	return func(yield func(*File) bool) {
+		for _, id := range slices.Sorted(maps.Keys(fsys.byID)) {
+			if !yield(fsys.byID[id]) {
+				return
+			}
+		}
+	}
 }
 
 // Grow extends the file to newSize blocks. Shrinking is not supported;

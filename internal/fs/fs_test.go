@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -208,6 +209,42 @@ func TestIDsNeverReused(t *testing.T) {
 	b, _ := f.Create("a", 0, 10)
 	if b.ID() == id {
 		t.Error("FileID reused after remove")
+	}
+}
+
+// TestFilesLiveInIDOrder: Files yields the live files only, oldest
+// first, a re-created name at its new id; breaking out stops it.
+func TestFilesLiveInIDOrder(t *testing.T) {
+	f := newFS(t)
+	for _, name := range []string{"c", "a", "b", "d"} {
+		if _, err := f.Create(name, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Remove("a")
+	f.Remove("d")
+	f.Create("a", 0, 1)
+	var got []string
+	var ids []FileID
+	for g := range f.Files() {
+		got = append(got, g.Name())
+		ids = append(ids, g.ID())
+	}
+	if fmt.Sprint(got) != "[c b a]" {
+		t.Errorf("Files = %v, want [c b a]", got)
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			t.Errorf("ids not ascending: %v", ids)
+		}
+	}
+	n := 0
+	for range f.Files() {
+		n++
+		break
+	}
+	if n != 1 {
+		t.Errorf("break after the first file yielded %d", n)
 	}
 }
 

@@ -295,18 +295,26 @@ func TestLifecycleDialStorm(t *testing.T) {
 // TestLifecycleLateCallers: the callers that hold nothing open in a
 // shard — Metrics racing the drain and after it, a second Shutdown, a
 // second Close — all return promptly on a stopped server, and Metrics
-// says so.
+// says so; LiveFiles lists the namespace between Shutdown and Close
+// only, with the blocks FlushDirty handed to the store.
 func TestLifecycleLateCallers(t *testing.T) {
 	srv, addr, served := lifecycleServer(t, disk.NewMemStore(), core.MB(4))
 	c, err := client.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ping(); err != nil {
+	f, err := c.Create("late", 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(f.ID, 1, 0, make([]byte, disk.BlockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err == nil {
 		t.Error("Close on a running server succeeded")
+	}
+	if got := srv.LiveFiles(); got != nil {
+		t.Errorf("LiveFiles on a running server: %d files", len(got))
 	}
 	if err := srv.FlushDirty(); err == nil {
 		t.Error("FlushDirty on a running server succeeded")
@@ -360,6 +368,10 @@ func TestLifecycleLateCallers(t *testing.T) {
 	if err := srv.FlushDirty(); err != nil {
 		t.Errorf("FlushDirty after Shutdown: %v", err)
 	}
+	if got := srv.LiveFiles(); len(got) != 1 || got[0].Name() != "late" || got[0].Size() != 2 ||
+		len(got[0].Written) != 1 || got[0].Written[0].Blk != 1 {
+		t.Errorf("LiveFiles after Shutdown: %+v, want the one file late of 2 blocks, block 1 written", got)
+	}
 	for i := 0; i < 2; i++ {
 		within(t, 5*time.Second, "Close", func() {
 			if err := srv.Close(); err != nil {
@@ -371,8 +383,8 @@ func TestLifecycleLateCallers(t *testing.T) {
 	if err := srv.FlushDirty(); err != nil {
 		t.Errorf("FlushDirty after Close: %v", err)
 	}
-	if got := srv.CachedContents(); got != nil {
-		t.Errorf("CachedContents after Close: %d blocks", len(got))
+	if got := srv.LiveFiles(); got != nil {
+		t.Errorf("LiveFiles after Close: %d files", len(got))
 	}
 	if err := srv.Serve(nopListener{}); err == nil {
 		t.Error("Serve after Shutdown succeeded")

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/fs"
 )
 
 // Server is the acfcd daemon: N kernel shards, each a Live owned by one
@@ -312,8 +313,8 @@ func (s *Server) Close() error {
 }
 
 // FlushDirty writes every shard kernel's dirty blocks to the store
-// without closing it — the planned-leave handoff's first step, so no
-// dirty byte depends on the streaming that follows. Call only after
+// without closing it — the planned leave's step before the handoff,
+// so every name it hands over is current in the store. Call only after
 // Shutdown has returned (same contract as Close); nothing is left to
 // flush once closed.
 func (s *Server) FlushDirty() error {
@@ -324,47 +325,24 @@ func (s *Server) FlushDirty() error {
 	return flushShards(shards)
 }
 
-// CachedBlock is one cached block in a CachedContents enumeration,
-// addressed by file name (the coordinate that survives re-creation on
-// another node) with the file's shape alongside so the receiver can
-// re-create it.
-type CachedBlock struct {
-	Name string
-	Disk int
-	Size int // file size in blocks
-	Blk  int32
-	Data []byte // a copy; the caller owns it
+// LiveFile is a live file of a stopped server and the blocks its kernel
+// has handed to the store (as blocks of the shard-local file).
+type LiveFile struct {
+	*fs.File
+	Written []disk.BlockSpan
 }
 
-// CachedContents enumerates every data-carrying cached block across the
-// shards, hottest first (each shard's MRU end leads) — what the cluster
-// tier's warm handoff streams to the new hash owners before the node
-// retires. Call only after Shutdown has returned: the kernels are
-// quiescent, so the slots cannot change under the copy. Returns nil on
-// a live server and on a closed one.
-func (s *Server) CachedContents() []CachedBlock {
+// LiveFiles lists every live file of every shard, shard by shard and
+// in ascending id within a shard: the namespace the cluster tier's
+// planned leave hands to the files' new owners. Call only after Shutdown
+// has returned: the kernels are quiescent, so no file can come or go
+// under the walk. Returns nil on a running server and on a closed one.
+func (s *Server) LiveFiles() []LiveFile {
 	shards, _ := s.stopped()
-	var out []CachedBlock
+	var out []LiveFile
 	for _, sh := range shards {
-		order := sh.kern.Cache().GlobalOrder() // LRU to MRU
-		for i := len(order) - 1; i >= 0; i-- {
-			b := sh.kern.Cache().Peek(order[i])
-			if b == nil || b.Slot == nil {
-				continue
-			}
-			f, ok := sh.kern.FS().ByID(b.ID.File)
-			if !ok || f.Removed() {
-				continue
-			}
-			data := make([]byte, len(b.Slot.Data()))
-			copy(data, b.Slot.Data())
-			out = append(out, CachedBlock{
-				Name: f.Name(),
-				Disk: f.Disk(),
-				Size: f.Size(),
-				Blk:  b.ID.Num,
-				Data: data,
-			})
+		for f := range sh.kern.FS().Files() {
+			out = append(out, LiveFile{f, sh.kern.Persisted(f.ID())})
 		}
 	}
 	return out

@@ -165,7 +165,7 @@ func (sh *shard) loop() {
 // retire ends the shard once it is draining, no session can enqueue
 // more work, no fill is in flight and the write-behind FIFO is empty —
 // the drain barrier that makes the stopped server's direct kernel and
-// store access (FlushDirty, CachedContents, Close) safe. Closing the
+// store access (FlushDirty, LiveFiles, Close) safe. Closing the
 // fill queue ends the fill workers.
 func (sh *shard) retire() {
 	sh.fq.close()
