@@ -54,7 +54,7 @@ race:
 # raises the ceiling in its own diff, where a reviewer sees it. longest
 # prints the ten longest of the same files, so the next 1 500-line file
 # shows on the push that creates it.
-LOC_MAX = 16253
+LOC_MAX = 16150
 LOC_FILES = find . \( -name '.?*' -o -name benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -type f -print0
 loc:
 	@n=$$($(LOC_FILES) | xargs -0 cat | wc -l); echo $$n; \

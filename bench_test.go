@@ -20,7 +20,7 @@ func BenchmarkExperiment(b *testing.B) {
 	for _, id := range slices.Concat(expt.Order, []string{"tournament"}) {
 		b.Run(id, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if len(expt.Experiments[id](nil)) == 0 {
+				if len(expt.Experiments[id](expt.NewRunner(1))) == 0 {
 					b.Fatalf("%s rendered no table", id)
 				}
 			}

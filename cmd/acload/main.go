@@ -19,7 +19,7 @@
 // Usage:
 //
 //	acload [-addr unix:/tmp/acfcd.sock] [-app cs1] [-mode smart]
-//	       [-clients 4] [-cache-mb 6.4] [-alloc lru-sp] [-nodata]
+//	       [-clients 4] [-nodata]
 //
 // acload measures one replay against whatever server is at -addr; the
 // repository's performance numbers come from `go run ./benchmark`, which
@@ -38,8 +38,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/server/client"
 )
@@ -72,10 +70,9 @@ type sweepResult struct {
 
 // options holds the parsed flag values.
 type options struct {
-	addr, app, mode, alloc string
-	clients                int
-	cacheMB                float64
-	nodata                 bool
+	addr, app, mode string
+	clients         int
+	nodata          bool
 }
 
 // newFlags registers every acload flag; the flag/documentation test
@@ -87,8 +84,6 @@ func newFlags() (*flag.FlagSet, *options) {
 	fl.StringVar(&o.app, "app", "cs1", "workload to replay (an expt.Registry name)")
 	fl.StringVar(&o.mode, "mode", "smart", "oblivious, smart or foolish")
 	fl.IntVar(&o.clients, "clients", 4, "concurrent client sessions")
-	fl.Float64Var(&o.cacheMB, "cache-mb", 6.4, "cache size of the simulation that records the transcript")
-	fl.StringVar(&o.alloc, "alloc", "lru-sp", "allocation policy of the simulation that records the transcript")
 	fl.BoolVar(&o.nodata, "nodata", false, "suppress block bytes in read responses")
 	return fl, o
 }
@@ -96,7 +91,7 @@ func newFlags() (*flag.FlagSet, *options) {
 func run() int {
 	fl, o := newFlags()
 	fl.Parse(os.Args[1:])
-	alloc, app, err := o.check()
+	app, err := o.check()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acload: %v\n", err)
 		return 2
@@ -104,13 +99,9 @@ func run() int {
 	network, addr, _ := strings.Cut(o.addr, ":")
 
 	fmt.Fprintf(os.Stderr, "acload: recording %s (%s) in simulation...\n", o.app, app.Mode)
-	rec := expt.Record(expt.RunSpec{
-		Apps:    []expt.AppSpec{app},
-		CacheMB: o.cacheMB,
-		Alloc:   alloc,
-		// Read-ahead I/O is untraced, so the transcript must not depend on it.
-		Opts: expt.Options{ReadAheadOff: true},
-	})
+	// A workload's transcript is the same on every machine
+	// (expt.TestTranscriptIsTheWorkload), so the zero spec records it.
+	rec := expt.Record(expt.RunSpec{Apps: []expt.AppSpec{app}})
 	fmt.Fprintf(os.Stderr, "acload: %d events per client\n", len(rec.Events))
 
 	res, err := runSweep(network, addr, "", o.clients, rec.Events, o.nodata)
@@ -124,28 +115,21 @@ func run() int {
 	return 0
 }
 
-// check rejects every flag value acload would otherwise replace with a
-// default, measure nothing with, or fail on only after the recording, and
-// returns the parsed policy and application. It records and dials nothing.
-func (o *options) check() (cache.Alloc, expt.AppSpec, error) {
+// check rejects every flag value acload would otherwise measure nothing
+// with, or fail on only after the recording, and returns the parsed
+// application. It records and dials nothing.
+func (o *options) check() (expt.AppSpec, error) {
 	if o.clients <= 0 {
-		return "", expt.AppSpec{}, fmt.Errorf("-clients must be positive (got %d)", o.clients)
-	}
-	if err := core.CheckCacheMB(o.cacheMB); err != nil {
-		return "", expt.AppSpec{}, fmt.Errorf("-cache-mb: %w", err)
-	}
-	alloc, err := cache.ParseAlloc(o.alloc)
-	if err != nil {
-		return "", expt.AppSpec{}, err
+		return expt.AppSpec{}, fmt.Errorf("-clients must be positive (got %d)", o.clients)
 	}
 	app, err := expt.ParseApp(o.app + ":" + o.mode)
 	if err != nil {
-		return "", expt.AppSpec{}, err
+		return expt.AppSpec{}, err
 	}
 	if network, _, ok := strings.Cut(o.addr, ":"); !ok || (network != "unix" && network != "tcp") {
-		return "", expt.AppSpec{}, fmt.Errorf("bad -addr %q (want unix:/path or tcp:host:port)", o.addr)
+		return expt.AppSpec{}, fmt.Errorf("bad -addr %q (want unix:/path or tcp:host:port)", o.addr)
 	}
-	return alloc, app, nil
+	return app, nil
 }
 
 // runSweep replays the transcript through n concurrent sessions, each

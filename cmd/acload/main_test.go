@@ -430,8 +430,8 @@ func TestFlagCeiling(t *testing.T) {
 	fl, _ := newFlags()
 	n := 0
 	fl.VisitAll(func(*flag.Flag) { n++ })
-	if n != 7 {
-		t.Errorf("acload has %d flags, want 7", n)
+	if n != 5 {
+		t.Errorf("acload has %d flags, want 5", n)
 	}
 }
 
@@ -447,11 +447,6 @@ func TestBadFlagsExitBeforeRecording(t *testing.T) {
 	}{
 		{"negative clients", []string{"-clients", "-1"}, "-clients"},
 		{"zero clients", []string{"-clients", "0"}, "-clients"},
-		{"zero cache", []string{"-cache-mb", "0"}, "-cache-mb"},
-		{"NaN cache", []string{"-cache-mb", "NaN"}, "-cache-mb"},
-		{"cache past int64 bytes", []string{"-cache-mb", "1e13"}, "-cache-mb"},
-		{"cache under one block", []string{"-cache-mb", "0.001"}, "-cache-mb"},
-		{"unknown policy", []string{"-alloc", "nope"}, "nope"},
 		{"unknown app", []string{"-app", "nope"}, "nope"},
 		{"bad addr", nil, "-addr"},
 	} {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -78,9 +79,9 @@ func (tc *testCluster) addNode(self string, ln net.Listener) *Node {
 
 // join starts one more node whose member list is the whole cluster plus
 // itself — the static-membership join: existing nodes keep their rings.
-func (tc *testCluster) join() *Node {
+// join adds a member listening on ln, which listenHeld made.
+func (tc *testCluster) join(ln net.Listener) *Node {
 	tc.t.Helper()
-	ln := listenHeld(tc.t)
 	self := "tcp:" + ln.Addr().String()
 	tc.members = append(tc.members, self)
 	return tc.addNode(self, ln)
@@ -298,7 +299,7 @@ func TestClusterJoinReadsOrigin(t *testing.T) {
 	}
 	cl.Close()
 
-	joiner := tc.join()
+	joiner := tc.join(listenHeld(t))
 	old := tc.members[:2]
 	moved := joinerFiles(t, names, tc.members, joiner.Self)
 
@@ -340,17 +341,28 @@ func TestClusterJoinReadsOrigin(t *testing.T) {
 // a fill from that owner would open.
 func TestClusterJoinRewriteNotResurrected(t *testing.T) {
 	tc := startTestCluster(t, 2, NewMemOrigin())
+	// The joiner's address comes first, so the one file written before
+	// the join is a name the post-join ring gives to the joiner.
+	ln := listenHeld(t)
+	self := "tcp:" + ln.Addr().String()
+	name := ownedName(NewRing(append(slices.Clone(tc.members), self)), self, "rewrite")
 	cl := NewClient(tc.members)
-	names := writeFiles(t, cl, 12, 2) // v1, cached on the old owners
+	f, err := cl.Create(name, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := int32(0); b < 2; b++ { // v1, cached on the old owner
+		if _, err := cl.Write(f.ID, b, 0, blockPattern(name, b)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cl.Close()
 
-	joiner := tc.join()
-	name := joinerFiles(t, names, tc.members, joiner.Self)[0]
+	joiner := tc.join(ln)
 
 	cl2 := NewClient(tc.members)
 	defer cl2.Close()
-	f, err := cl2.Open(name)
-	if err != nil {
+	if f, err = cl2.Open(name); err != nil {
 		t.Fatal(err)
 	}
 	v2 := bytes.Repeat([]byte("v2|"), disk.BlockSize/3+1)[:disk.BlockSize]

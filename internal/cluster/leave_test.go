@@ -197,7 +197,7 @@ func TestClusterJoinLeaveNotStale(t *testing.T) {
 	names := writeFiles(t, cl, 24, 2) // v1, cached on the old owners
 	cl.Close()
 
-	joiner := tc.join()
+	joiner := tc.join(listenHeld(t))
 	moved := joinerFiles(t, names, tc.members, joiner.Self)
 	cl2 := NewClient(tc.members)
 	v2 := func(name string, b int32) []byte {

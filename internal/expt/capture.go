@@ -40,10 +40,14 @@ const chunkEvents = 4096
 // directly, no Runner involved). Events are gathered in chunks and
 // joined once after the run: memory written is ~2x the transcript.
 //
-// For the transcript to be exactly replayable the spec should have
-// ReadAheadOff set (read-ahead issues I/O the trace does not record)
-// and a single app (so replay order is total, not an artifact of the
-// simulated interleaving).
+// The transcript is the workload's, not the machine's: every spec that
+// differs only in cache size, policy, read-ahead, seed or revocation
+// records the same events, all but CtlEvent.Time
+// (TestTranscriptIsTheWorkload). ReadAheadOff matters only where a
+// replay's counters are compared with Result, as the oracle does:
+// read-ahead issues I/O the trace does not record, which Result counts
+// and a replay does not reproduce. A single app keeps the replay order
+// total, not an artifact of the simulated interleaving.
 func Record(spec RunSpec) *Recording {
 	rec := &Recording{Spec: spec}
 	var chunks [][]ReplayEvent

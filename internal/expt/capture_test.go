@@ -204,3 +204,44 @@ func BenchmarkRecord(b *testing.B) {
 	b.ReportMetric(events, "events/op")
 	b.ReportMetric(transcriptBytes(recordSink)/1e6, "transcript-MB/op")
 }
+
+// TestTranscriptIsTheWorkload: a workload's transcript does not depend on
+// the machine that records it. The zero spec and one that differs in
+// every machine field record the same events, but for the time of a
+// control event. acload records on the zero spec because of this.
+func TestTranscriptIsTheWorkload(t *testing.T) {
+	names := AppNames()
+	if testing.Short() {
+		names = names[:2]
+	}
+	for _, name := range names {
+		for _, mode := range []workload.Mode{workload.Oblivious, workload.Smart, workload.Foolish} {
+			apps := mixSpec([]string{name}, mode)
+			other := RunSpec{Apps: apps, CacheMB: 16, Alloc: cache.LRUS, Seed: 7, Revoke: true,
+				Opts: Options{ReadAheadOff: true}}
+			if mode == workload.Oblivious {
+				other.Alloc = cache.GlobalLRU
+			}
+			want, got := Record(RunSpec{Apps: apps}).Events, Record(other).Events
+			if len(want) == 0 || len(got) != len(want) {
+				t.Errorf("%s/%s: %d events, the zero spec records %d", name, mode, len(got), len(want))
+				continue
+			}
+			for i, g := range got {
+				w := want[i]
+				if g.IsCtl != w.IsCtl || g.Access != w.Access || g.IsCtl && untimed(g.Ctl) != untimed(w.Ctl) {
+					t.Errorf("%s/%s: event %d is %+v %+v, the zero spec records %+v %+v",
+						name, mode, i, g.Access, g.Ctl.CtlEvent, w.Access, w.Ctl.CtlEvent)
+					break
+				}
+			}
+		}
+	}
+}
+
+// untimed is a control event without its time.
+func untimed(c Ctl) core.CtlEvent {
+	ev := *c.CtlEvent
+	ev.Time = 0
+	return ev
+}

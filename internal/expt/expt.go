@@ -37,8 +37,8 @@ type AppSpec struct {
 // ReadAheadDepth wins. The merged value participates in the memo
 // fingerprint, so two option sets never conflate.
 type Options struct {
-	// ReadAheadOff disables sequential read-ahead (for ablations and
-	// replay capture, whose transcripts must not depend on untraced I/O);
+	// ReadAheadOff disables sequential read-ahead (for ablations, and
+	// for recordings whose Result a replay's counters are compared with);
 	// ReadAheadDepth overrides the depth when read-ahead is on (0 keeps
 	// the default).
 	ReadAheadOff   bool
@@ -93,6 +93,9 @@ type AppResult struct {
 	Elapsed  sim.Time
 	BlockIOs int64
 	Stats    core.ProcStats
+	// Control is the app's manager's decision record: overruling
+	// decisions, the mistakes placeholders caught, and revocation.
+	Control cache.OwnerStats
 }
 
 // RunResult is one machine execution's outcome.
@@ -120,9 +123,8 @@ type RunStats struct {
 // RunRepeated executes the spec n times with seeds 1..n and aggregates
 // elapsed-time statistics. The seed repeats are independent simulations,
 // so they are submitted to the Runner together and collected in seed
-// order (r may be nil for the inline serial path). It panics if the I/O
-// counts differ across seeds, which would mean the seed leaked into a
-// reference stream.
+// order. It panics if the I/O counts differ across seeds, which would
+// mean the seed leaked into a reference stream.
 func RunRepeated(r *Runner, spec RunSpec, n int) RunStats {
 	if n <= 0 {
 		n = 1
@@ -214,6 +216,7 @@ func Run(spec RunSpec) RunResult {
 			Elapsed:  p.Elapsed(),
 			BlockIOs: p.Stats().BlockIOs(),
 			Stats:    p.Stats(),
+			Control:  *sys.Cache().Owner(p.ID()),
 		}
 		res.PerApp = append(res.PerApp, ar)
 		res.TotalIOs += ar.BlockIOs

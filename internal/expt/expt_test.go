@@ -76,7 +76,7 @@ func TestMixSpecUnknownPanics(t *testing.T) {
 }
 
 func TestFig4SingleSize(t *testing.T) {
-	tables := Fig4(nil, []float64{6.4})
+	tables := Fig4(NewRunner(1), []float64{6.4})
 	if len(tables) != 2 {
 		t.Fatalf("Fig4 returned %d tables", len(tables))
 	}
@@ -98,7 +98,7 @@ func TestFig4SingleSize(t *testing.T) {
 }
 
 func TestFig5SingleMixShape(t *testing.T) {
-	tables := Fig5(nil, []float64{16})
+	tables := Fig5(NewRunner(1), []float64{16})
 	rows := tables[0].Rows
 	if len(rows) != len(Fig5Mixes) {
 		t.Fatalf("fig5 rows = %d, want %d", len(rows), len(Fig5Mixes))
@@ -112,7 +112,7 @@ func TestFig5SingleMixShape(t *testing.T) {
 }
 
 func TestFig6SwappingMatters(t *testing.T) {
-	tables := Fig6(nil, []float64{6.4})
+	tables := Fig6(NewRunner(1), []float64{6.4})
 	rows := tables[0].Rows
 	if len(rows) != len(Fig6Mixes) {
 		t.Fatalf("fig6 rows = %d", len(rows))
@@ -127,7 +127,7 @@ func TestFig6SwappingMatters(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	rows := Table1(nil)[0].Rows
+	rows := Table1(NewRunner(1))[0].Rows
 	if len(rows) != 12 {
 		t.Fatalf("table1 rows = %d", len(rows))
 	}
@@ -152,7 +152,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2FoolishHurts(t *testing.T) {
-	rows := Table2(nil)[0].Rows
+	rows := Table2(NewRunner(1))[0].Rows
 	if len(rows) != 8 {
 		t.Fatalf("table2 rows = %d", len(rows))
 	}
@@ -169,7 +169,7 @@ func TestTable2FoolishHurts(t *testing.T) {
 }
 
 func TestTable3SmartDoesNotHurt(t *testing.T) {
-	rows := Table3(nil)[0].Rows
+	rows := Table3(NewRunner(1))[0].Rows
 	for _, row := range rows {
 		obl, smart := parseF(t, row[1]), parseF(t, row[3])
 		// Smart partners must not slow Read300 by more than a sliver
@@ -181,7 +181,7 @@ func TestTable3SmartDoesNotHurt(t *testing.T) {
 }
 
 func TestTable4TwoDisksCalm(t *testing.T) {
-	rows := Table4(nil)[0].Rows
+	rows := Table4(NewRunner(1))[0].Rows
 	for _, row := range rows {
 		obl, smart := parseF(t, row[1]), parseF(t, row[3])
 		if smart > obl*1.1 {
@@ -200,7 +200,7 @@ var ablationOnce []Table
 func ablationTables(t *testing.T) []Table {
 	t.Helper()
 	if ablationOnce == nil {
-		ablationOnce = Ablation(nil)
+		ablationOnce = Ablation(NewRunner(1))
 	}
 	return ablationOnce
 }
@@ -304,7 +304,7 @@ func parseI(t *testing.T, s string) int64 {
 }
 
 func TestRunRepeatedVariance(t *testing.T) {
-	st := RunRepeated(nil, RunSpec{
+	st := RunRepeated(NewRunner(1), RunSpec{
 		Apps:    mixSpec([]string{"cs1"}, workload.Smart),
 		CacheMB: 6.4, Alloc: cache.LRUSP,
 	}, 5)
@@ -323,7 +323,7 @@ func TestRunRepeatedVariance(t *testing.T) {
 }
 
 func TestPoliciesTable(t *testing.T) {
-	tables := Policies(nil, []float64{6.4})
+	tables := Policies(NewRunner(1), []float64{6.4})
 	rows := tables[0].Rows
 	if len(rows) != len(singleApps) {
 		t.Fatalf("policies rows = %d", len(rows))
@@ -360,7 +360,7 @@ func TestPoliciesTable(t *testing.T) {
 }
 
 func TestVMTable(t *testing.T) {
-	tables := VM(nil)
+	tables := VM(NewRunner(1))
 	rows := tables[0].Rows
 	if len(rows) != 6 {
 		t.Fatalf("vm rows = %d", len(rows))
@@ -462,7 +462,7 @@ func TestChartFromTable(t *testing.T) {
 }
 
 func TestChartsShape(t *testing.T) {
-	charts := Charts(nil, []float64{6.4})
+	charts := Charts(NewRunner(1), []float64{6.4})
 	if len(charts) != 5 {
 		t.Fatalf("Charts returned %d charts", len(charts))
 	}
@@ -478,7 +478,7 @@ func TestChartsShape(t *testing.T) {
 	}
 }
 
-// TestParseApp covers the app-spec syntax acsim, actrace and acload share: a
+// TestParseApp covers the app-spec syntax acsim and acload share: a
 // Registry name or the readN family, an optional mode (smart when
 // absent).
 func TestParseApp(t *testing.T) {

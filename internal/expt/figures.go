@@ -1,6 +1,7 @@
 package expt
 
 import (
+	_ "embed"
 	"fmt"
 	"strings"
 
@@ -507,8 +508,7 @@ func Ablation(r *Runner) []Table {
 }
 
 // Experiments maps experiment ids to their drivers (full sizes). Every
-// driver takes the Runner its specs are submitted through; nil runs
-// serially without memoization.
+// driver takes the Runner its specs are submitted through.
 var Experiments = map[string]func(*Runner) []Table{
 	"fig4":     func(r *Runner) []Table { return Fig4(r, nil) },
 	"fig5":     func(r *Runner) []Table { return Fig5(r, nil) },
@@ -527,3 +527,19 @@ var Experiments = map[string]func(*Runner) []Table{
 
 // Order is the presentation order for "all".
 var Order = []string{"fig4", "fig5", "fig6", "table1", "table2", "table3", "table4", "ablation", "policies", "vm"}
+
+//go:embed golden/des_tables.sha256
+var goldenFile string
+
+// GoldenTables returns the SHA-256, in hex, of each experiment's
+// rendered tables, keyed by Experiments id: the reproduction's output,
+// pinned. A change meant to move a table byte updates
+// golden/des_tables.sha256 in its own diff.
+func GoldenTables() map[string]string {
+	golden := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(goldenFile), "\n") {
+		sum, id, _ := strings.Cut(line, "  ")
+		golden[id] = sum
+	}
+	return golden
+}

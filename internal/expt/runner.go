@@ -24,9 +24,6 @@ import (
 // Trace callback, whose results escape through a side channel, or an
 // AppSpec without a Name, whose constructor closure is opaque — bypass
 // the cache and always execute.
-//
-// A nil *Runner is valid everywhere a Runner is accepted: it runs every
-// spec inline, serially, with no cache — the legacy behavior.
 type Runner struct {
 	base Options // merged into every submitted spec
 	sem  chan struct{}
@@ -50,7 +47,7 @@ type RunnerStats struct {
 }
 
 // NewRunner returns a scheduler running up to parallelism simulations
-// concurrently. Parallelism <= 0 selects GOMAXPROCS; 1 selects the legacy
+// concurrently. Parallelism <= 0 selects GOMAXPROCS; 1 selects the
 // serial path (specs run inline on the consuming goroutine, still
 // memoized). An optional Options value applies to every spec submitted
 // to this Runner (merged per Options.merge, spec fields taking
@@ -71,9 +68,6 @@ func NewRunner(parallelism int, opts ...Options) *Runner {
 
 // Stats returns a snapshot of the scheduler counters.
 func (r *Runner) Stats() RunnerStats {
-	if r == nil {
-		return RunnerStats{}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
@@ -85,9 +79,6 @@ func (r *Runner) Stats() RunnerStats {
 // endpoint exposes, so the benchmark's des_paper workload and the server
 // report identically named counters.
 func (r *Runner) KernelSnapshot() stats.Snapshot {
-	if r == nil {
-		return stats.Snapshot{}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.kernel
@@ -104,12 +95,10 @@ type Future struct {
 func (f *Future) run(r *Runner) {
 	f.once.Do(func() {
 		f.res = Run(f.spec)
-		if r != nil {
-			r.mu.Lock()
-			r.stats.Executed++
-			r.kernel.Accumulate(stats.Snapshot{Cache: f.res.CacheStats, Sim: f.res.Sim})
-			r.mu.Unlock()
-		}
+		r.mu.Lock()
+		r.stats.Executed++
+		r.kernel.Accumulate(stats.Snapshot{Cache: f.res.CacheStats, Sim: f.res.Sim})
+		r.mu.Unlock()
 		close(f.done)
 	})
 }
@@ -126,15 +115,8 @@ func (f *Future) Wait() RunResult {
 // Runner's base Options merge into the spec first, so the memo key and
 // the execution both see the effective option set. Cacheable specs
 // already submitted to this Runner return the existing Future, so the
-// simulation runs at most once. On a nil Runner the spec executes
-// immediately, inline, with no base Options.
+// simulation runs at most once.
 func (r *Runner) Submit(spec RunSpec) *Future {
-	if r == nil {
-		f := &Future{spec: spec, done: make(chan struct{})}
-		f.res = Run(spec)
-		close(f.done)
-		return f
-	}
 	spec.Opts = spec.Opts.merge(r.base)
 	key, cacheable := fingerprint(spec)
 	r.mu.Lock()

@@ -153,7 +153,7 @@ func (noopApp) Run(*core.Proc, workload.Mode) {}
 // degenerate run whose elapsed time is zero must report 0 deviation, not
 // NaN.
 func TestRunRepeatedZeroElapsedNoNaN(t *testing.T) {
-	st := RunRepeated(nil, RunSpec{
+	st := RunRepeated(NewRunner(1), RunSpec{
 		Apps: []AppSpec{namedApp("noop", func() workload.App { return noopApp{} }, workload.Oblivious)},
 	}, 3)
 	if st.MeanElapsed != 0 {

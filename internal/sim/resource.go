@@ -55,37 +55,6 @@ func (r *Resource) Reserve(service Time) (start, end Time) {
 	return start, end
 }
 
-// ReserveAt books service that cannot start before time at (in addition to
-// the queue constraint). Used when an upstream stage feeds this resource.
-func (r *Resource) ReserveAt(at Time, service Time) (start, end Time) {
-	now := r.eng.now
-	if at < now {
-		at = now
-	}
-	start = r.busyUntil
-	if start < at {
-		start = at
-	}
-	end = start + service
-	r.busyUntil = end
-	r.busyTotal += service
-	r.waitTotal += start - at
-	r.requests++
-	return start, end
-}
-
-// BusyUntil returns the time at which the last queued request completes.
-func (r *Resource) BusyUntil() Time { return r.busyUntil }
-
-// ExtendBusy keeps the resource occupied through time t if t is later than
-// its current completion horizon. Used when a downstream stage (for example
-// a shared bus) delays the release of this resource.
-func (r *Resource) ExtendBusy(t Time) {
-	if t > r.busyUntil {
-		r.busyUntil = t
-	}
-}
-
 // Stats reports aggregate counters for the resource.
 func (r *Resource) Stats() ResourceStats {
 	return ResourceStats{

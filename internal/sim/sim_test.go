@@ -307,24 +307,6 @@ func TestResourceIdleGap(t *testing.T) {
 	e.Run()
 }
 
-func TestResourceReserveAt(t *testing.T) {
-	e := New()
-	r := e.NewResource("bus")
-	e.Spawn("a", func(p *Proc) {
-		// Reserve a slot that cannot begin before t=50ms.
-		start, end := r.ReserveAt(50*Millisecond, 10*Millisecond)
-		if start != 50*Millisecond || end != 60*Millisecond {
-			t.Errorf("ReserveAt gave [%v, %v], want [50ms, 60ms]", start, end)
-		}
-		// Next reservation queues behind it.
-		start2, _ := r.Reserve(10 * Millisecond)
-		if start2 != 60*Millisecond {
-			t.Errorf("queued reservation started at %v, want 60ms", start2)
-		}
-	})
-	e.Run()
-}
-
 func TestResourceNegativeServicePanics(t *testing.T) {
 	e := New()
 	r := e.NewResource("r")
@@ -477,24 +459,6 @@ func TestOnlyDaemonsRunEndsImmediately(t *testing.T) {
 	if e.Now() != 0 {
 		t.Errorf("engine with only daemons advanced to %v, want 0", e.Now())
 	}
-}
-
-func TestExtendBusy(t *testing.T) {
-	e := New()
-	r := e.NewResource("r")
-	e.Spawn("a", func(p *Proc) {
-		r.Reserve(10 * Millisecond)
-		r.ExtendBusy(25 * Millisecond)
-		start, _ := r.Reserve(5 * Millisecond)
-		if start != 25*Millisecond {
-			t.Errorf("post-extend reservation started at %v, want 25ms", start)
-		}
-		r.ExtendBusy(10 * Millisecond) // earlier than horizon: no-op
-		if r.BusyUntil() != 30*Millisecond {
-			t.Errorf("BusyUntil = %v, want 30ms", r.BusyUntil())
-		}
-	})
-	e.Run()
 }
 
 // Property: for any set of sleep durations, total elapsed equals the sum and
