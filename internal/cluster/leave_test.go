@@ -2,12 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/server"
+	"repro/internal/server/client"
 )
 
 // ownedName returns the first name prefix+i (i = 0, 1, ...) that ring
@@ -185,59 +189,202 @@ func TestClusterLeaveWritesEachBlockOnce(t *testing.T) {
 	}
 }
 
-// TestClusterJoinLeaveNotStale: a node that joins, takes files over,
-// rewrites their blocks and leaves again hands the files back to their
-// previous owners, which still cache the blocks as they were before the
+// TestClusterJoinLeaveNotStale: a node that joins, takes files over and
+// rewrites their blocks, then leaves or dies, hands the files back to
+// their previous owners, which cached the blocks as they were before the
 // join. A fresh client reads the rewrites there, never those older
-// copies: block 0, which the joiner rewrote and then evicted, and block
-// 1, which it still caches at the leave.
+// copies: block 0, which the joiner rewrote and then evicted, and, when
+// the joiner left, block 1, which it still caches at the leave. (Block 1
+// dies dirty with a killed joiner.)
 func TestClusterJoinLeaveNotStale(t *testing.T) {
-	tc := startTestCluster(t, 2, NewMemOrigin())
-	cl := NewClient(tc.members)
-	names := writeFiles(t, cl, 24, 2) // v1, cached on the old owners
-	cl.Close()
+	for _, arm := range []string{"leave", "kill"} {
+		t.Run(arm, func(t *testing.T) {
+			tc := startTestCluster(t, 2, NewMemOrigin())
+			// The joiner's address comes first, so that every file
+			// written before the join is one the joiner takes over.
+			ln, _, names := joinerNames(t, tc, "app/file", 8)
+			cl := NewClient(tc.members)
+			writeNamed(t, cl, names, 2) // v1, cached on the old owners
+			cl.Close()
 
-	joiner := tc.join(listenHeld(t))
-	moved := joinerFiles(t, names, tc.members, joiner.Self)
-	cl2 := NewClient(tc.members)
-	v2 := func(name string, b int32) []byte {
-		return bytes.Repeat([]byte(fmt.Sprintf("%s#%d|v2|", name, b)), disk.BlockSize)[:disk.BlockSize]
+			joiner := tc.join(ln)
+			moved := joinerFiles(t, names, tc.members, joiner.Self)
+			cl2 := NewClient(tc.members)
+			v2 := func(name string, b int32) []byte {
+				return bytes.Repeat([]byte(fmt.Sprintf("%s#%d|v2|", name, b)), disk.BlockSize)[:disk.BlockSize]
+			}
+			rewrite := func(b int32) {
+				t.Helper()
+				for _, name := range moved {
+					f, err := cl2.Open(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := cl2.Write(f.ID, b, 0, v2(name, b)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rewrite(0)
+			overfill(t, tc, cl2, NewRing(tc.members), joiner.Self)
+			rewrite(1)
+			cl2.Close()
+			if arm == "leave" {
+				if err := tc.leave(joiner.Self); err != nil {
+					t.Fatalf("planned leave: %v", err)
+				}
+			} else {
+				tc.kill(joiner.Self)
+			}
+
+			fresh := NewClient(tc.members)
+			defer fresh.Close()
+			dst := make([]byte, disk.BlockSize)
+			for _, name := range moved {
+				f, err := fresh.Open(name)
+				if err != nil {
+					t.Fatalf("open %s after the %s: %v", name, arm, err)
+				}
+				for b := int32(0); b < 2; b++ {
+					if _, err := fresh.ReadInto(f.ID, b, 0, disk.BlockSize, dst); err != nil {
+						t.Fatalf("read %s/%d: %v", name, b, err)
+					}
+					if arm == "kill" && b == 1 {
+						continue // died dirty with the joiner
+					}
+					if want := v2(name, b); !bytes.Equal(dst, want) {
+						t.Errorf("%s/%d after the %s: %.24q, want %.24q", name, b, arm, dst, want)
+					}
+				}
+			}
+		})
 	}
-	rewrite := func(b int32) {
-		t.Helper()
-		for _, name := range moved {
-			f, err := cl2.Open(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cl2.Write(f.ID, b, 0, v2(name, b)); err != nil {
-				t.Fatal(err)
-			}
+}
+
+// waitWriteBehindIdle waits until no write-back or discard of srv is in
+// flight.
+func waitWriteBehindIdle(t *testing.T, srv *server.Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		m, ok := srv.Metrics()
+		if !ok {
+			t.Fatal("Metrics: the server is down")
 		}
+		if m.WritebacksInflight == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the write-behind queue never emptied")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	rewrite(0)
-	overfill(t, tc, cl2, NewRing(tc.members), joiner.Self)
-	rewrite(1)
-	cl2.Close()
-	if err := tc.leave(joiner.Self); err != nil {
+}
+
+// TestClusterLeaveRecreatedReadsZeros: a node writes block 0 of a file
+// and leaves; the file's new owner removes it and creates it again. The
+// remove ends the name at the origin, whichever node wrote its blocks, so
+// the new file reads zeros, in the cache and at the origin.
+func TestClusterLeaveRecreatedReadsZeros(t *testing.T) {
+	tc := startTestCluster(t, 2, NewMemOrigin())
+	leaver, heir := tc.members[0], tc.members[1]
+	name := ownedName(NewRing(tc.members), leaver, "recreated")
+	cl := NewClient(tc.members)
+	f, err := cl.Create(name, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Write(f.ID, 0, 0, blockPattern(name, 0)); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	if err := tc.leave(leaver); err != nil {
 		t.Fatalf("planned leave: %v", err)
 	}
 
 	fresh := NewClient(tc.members)
 	defer fresh.Close()
-	dst := make([]byte, disk.BlockSize)
-	for _, name := range moved {
-		f, err := fresh.Open(name)
+	if err := fresh.Remove(name); err != nil {
+		t.Fatalf("remove %s on its new owner: %v", name, err)
+	}
+	g, err := fresh.Create(name, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros, dst := make([]byte, disk.BlockSize), make([]byte, disk.BlockSize)
+	if _, err := fresh.ReadInto(g.ID, 0, 0, disk.BlockSize, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, zeros) {
+		t.Errorf("the re-created %s reads %.16q.., want zeros", name, dst)
+	}
+	waitWriteBehindIdle(t, tc.nodes[heir].Srv)
+	if err := readOrigin(tc.origin, name, 0, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, zeros) {
+		t.Errorf("the origin holds %.16q.. of %s after its remove, want zeros", dst, name)
+	}
+}
+
+// TestClusterLeaveKeepsFailoverWrite: the draining leaver refuses a
+// client's write, so the client fails over to the name's new owner and
+// rewrites there a block the leaver also wrote. The leave's flush puts
+// the leaver's copy at the origin, and the handoff must not let it win:
+// a fresh client reads the failover write.
+func TestClusterLeaveKeepsFailoverWrite(t *testing.T) {
+	tc := startTestCluster(t, 2, NewMemOrigin())
+	leaver := tc.members[0]
+	name := ownedName(NewRing(tc.members), leaver, "failover")
+	cl := NewClient(tc.members)
+	defer cl.Close()
+	f, err := cl.Create(name, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Write(f.ID, 0, 0, blockPattern("leaver", 0)); err != nil {
+		t.Fatal(err)
+	}
+
+	probe := dialMember(t, leaver)
+	if err := probe.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	left := make(chan error, 1)
+	go func() { left <- tc.leave(leaver) }() // probe's session holds the drain open
+	deadline := time.Now().Add(5 * time.Second)
+	for { // the name's shard refuses once it drains
+		_, err := probe.Open(name)
+		if errors.Is(err, client.ErrRefused) {
+			break
+		}
 		if err != nil {
-			t.Fatalf("open %s after the leave: %v", name, err)
+			t.Fatalf("probe: %v", err)
 		}
-		for b := int32(0); b < 2; b++ {
-			if _, err := fresh.ReadInto(f.ID, b, 0, disk.BlockSize, dst); err != nil {
-				t.Fatalf("read %s/%d: %v", name, b, err)
-			}
-			if want := v2(name, b); !bytes.Equal(dst, want) {
-				t.Errorf("%s/%d after the leave: %.24q, want %.24q", name, b, dst, want)
-			}
+		if time.Now().After(deadline) {
+			t.Fatal("the leaver never started refusing")
 		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := cl.Write(f.ID, 0, 0, blockPattern("failover", 0)); err != nil {
+		t.Fatalf("write refused by the leaver: %v", err)
+	}
+	probe.Close() // the last session: the leave's drain ends, and its flush and handoff run
+	if err := <-left; err != nil {
+		t.Fatalf("planned leave: %v", err)
+	}
+
+	fresh := NewClient(tc.members)
+	defer fresh.Close()
+	g, err := fresh.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, disk.BlockSize)
+	if _, err := fresh.ReadInto(g.ID, 0, 0, disk.BlockSize, dst); err != nil {
+		t.Fatal(err)
+	}
+	if want := blockPattern("failover", 0); !bytes.Equal(dst, want) {
+		t.Errorf("%s/0 after the leave reads %.16q.., want the failover write %.16q..", name, dst, want)
 	}
 }

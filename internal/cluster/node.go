@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/disk"
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
@@ -36,10 +35,9 @@ type NodeConfig struct {
 // Node is one member of the cluster: an acfcd server whose base store
 // is the cluster's NodeStore, and its view of the membership ring.
 type Node struct {
-	Self   string
-	Srv    *server.Server
-	ring   *Ring
-	origin Origin
+	Self string
+	Srv  *server.Server
+	ring *Ring
 }
 
 // NewNode builds the node and starts its server's shard loops.
@@ -56,7 +54,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	scfg := cfg.Server
 	scfg.Kernel.Store = NewNodeStore(cfg.Origin)
-	return &Node{Self: cfg.Self, Srv: server.New(scfg), ring: NewRing(members), origin: cfg.Origin}, nil
+	return &Node{Self: cfg.Self, Srv: server.New(scfg), ring: NewRing(members)}, nil
 }
 
 // Ring returns the node's view of the membership ring.
@@ -70,7 +68,8 @@ func (n *Node) Ring() *Ring { return n.ring }
 //  2. FlushDirty persists every dirty block to the origin, so no new
 //     owner can open a moved name before the origin holds its bytes.
 //  3. The handoff opens every live file on its new hash owner (the ring
-//     without this node); see handoff.
+//     without this node), which first releases its own copy; see
+//     handoff.
 //  4. Close releases the kernels' stores.
 //
 // Leave returns the first error, but always runs every step. A grace
@@ -96,12 +95,10 @@ func (n *Node) Leave(ctx context.Context) error {
 }
 
 // handoff opens each of the retired server's live files on its new hash
-// owner, one connection per owner. A name new to the owner moves without
-// a block. An owner that already held the name (a join took it from that
-// owner) may still cache blocks this node has rewritten since: each block
-// this node wrote is sent to it again, with the origin's bytes, which
-// FlushDirty brought up to date. A name whose owner will not dial stays
-// behind.
+// owner, one connection per owner, after the owner has released any
+// copy it has (a join took the name from it, or a client failed over to
+// it in the drain), so it serves the name from the origin. A name whose
+// owner will not dial stays behind.
 func (n *Node) handoff() error {
 	rest := n.Ring().Without(n.Self)
 	if rest.Len() == 0 {
@@ -116,9 +113,8 @@ func (n *Node) handoff() error {
 			}
 		}
 	}()
-	buf := make([]byte, disk.BlockSize)
-	for _, lf := range n.Srv.LiveFiles() {
-		owner := rest.Owner(lf.Name())
+	for _, f := range n.Srv.LiveFiles() {
+		owner := rest.Owner(f.Name())
 		c, dialed := conns[owner]
 		if !dialed {
 			rd, err := redial(owner, nil)
@@ -133,15 +129,12 @@ func (n *Node) handoff() error {
 		if c == nil {
 			continue // dead owner: its names stay behind
 		}
-		f, held, err := openOrCreate(c, lf.Name(), lf.Disk(), lf.Size())
-		for i := 0; held && err == nil && i < len(lf.Written); i++ {
-			blk := lf.Written[i].Blk
-			if err = n.origin.ReadRun(lf.Name(), blk, [][]byte{buf}); err == nil {
-				_, err = c.Write(f.ID, blk, 0, buf)
-			}
+		err := c.Release(f.Name())
+		if err == nil || notFound(err) {
+			_, err = openOrCreate(c, f.Name(), f.Disk(), f.Size())
 		}
 		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("handoff %s to %s: %w", lf.Name(), owner, err)
+			firstErr = fmt.Errorf("handoff %s to %s: %w", f.Name(), owner, err)
 		}
 	}
 	return firstErr
@@ -157,17 +150,16 @@ func hasStatus(err error, st uint8) bool {
 }
 
 // openOrCreate resolves name on c, creating it with the given shape when
-// the node has never seen it: how a file arrives on the node a handoff
-// or a failover moves it to. held reports that the node knew the name
-// already. A create that another session won between the two calls
-// (several clients failing over one file) opens the file that session
-// made.
-func openOrCreate(c *client.Conn, name string, disk, size int) (f client.File, held bool, err error) {
+// the node has never seen it: how a file arrives on the node a handoff,
+// a failover or a join moves it to. A create that another session won
+// between the two calls (several clients moving one file) opens the file
+// that session made.
+func openOrCreate(c *client.Conn, name string, disk, size int) (f client.File, err error) {
 	if f, err = c.Open(name); !notFound(err) {
-		return f, err == nil, err
+		return f, err
 	}
 	if f, err = c.Create(name, disk, size); hasStatus(err, server.StatusExists) {
 		f, err = c.Open(name)
 	}
-	return f, false, err
+	return f, err
 }

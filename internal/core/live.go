@@ -200,11 +200,6 @@ type Live struct {
 	// the store — the queue holds fresher data than the store until its
 	// batch lands.
 	pendingWB map[cache.BlockID]*WriteBack
-	// persisted is, per file, the set of blocks handed to the store on
-	// any path (write-behind, the inline write-back, FlushDirty, a
-	// detached write-through): what Remove has to take back. One bit a
-	// block, dropped with the file.
-	persisted map[fs.FileID]blockSet
 	// discarding is the newest discard still in the executor's hands per
 	// file name, and shadowed the files created over such a name, each
 	// with the discard it waits for. File ids are never reused but names
@@ -231,7 +226,6 @@ func NewLive(cfg LiveConfig) *Live {
 		epoch:      time.Now(),
 		mshr:       make(map[cache.BlockID]*Fill),
 		pendingWB:  make(map[cache.BlockID]*WriteBack),
-		persisted:  make(map[fs.FileID]blockSet),
 		discarding: make(map[string]*WriteBack),
 		shadowed:   make(map[fs.FileID]*WriteBack),
 	}
@@ -263,9 +257,6 @@ func (l *Live) advance() sim.Time {
 
 // FS exposes the file system namespace.
 func (l *Live) FS() *fs.FileSystem { return l.fsys }
-
-// Persisted lists the blocks of f handed to the store, ascending.
-func (l *Live) Persisted(f fs.FileID) []disk.BlockSpan { return l.persisted[f].spans(f) }
 
 // Cache exposes the buffer cache (read-only introspection).
 func (l *Live) Cache() *cache.Cache { return l.bc }
@@ -334,11 +325,6 @@ func (l *Live) CheckInvariants() {
 		}
 		if wb.Data == nil {
 			panic(fmt.Sprintf("core: pending write-back for %v has no data", id))
-		}
-	}
-	for fid := range l.persisted {
-		if _, ok := l.fsys.ByID(fid); !ok {
-			panic(fmt.Sprintf("core: removed file %d still has persisted-block bits", fid))
 		}
 	}
 	for name, wb := range l.discarding {

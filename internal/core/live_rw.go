@@ -206,5 +206,5 @@ func (l *Live) applyWrite(b *cache.Buf, fl *Fill, off int, payload []byte, err e
 		return nil
 	}
 	copy(fl.Data[off:], payload)
-	return l.writeBack(fl.ID, nil, fl.Data, cache.NoOwner)
+	return l.writeBack(fl.ID, nil, fl.Data, cache.NoOwner, nil)
 }

@@ -195,6 +195,13 @@ func (c *Conn) Remove(name string) error {
 	return err
 }
 
+// Release has the server give up its copy of a file by name: its dirty
+// blocks reach the store before the call returns, and none stays cached.
+func (c *Conn) Release(name string) error {
+	_, err := c.roundTrip(server.OpRelease, []byte(name))
+	return err
+}
+
 // access issues a read or a write — the two ops that answer with the
 // flags byte, then, for a read with data, the payload — and lands the
 // payload, len(dst) bytes, in dst straight off the connection's buffer.

@@ -162,8 +162,8 @@ func (s *orderStore) arrivals() []string {
 // run inline on the shard loop (a full queue sends an ordinary
 // write-back that way) nor reach the store before the writes it follows:
 // it joins the FIFO past the bound, the remove is answered at
-// once, and when the gate opens the store sees four writes, then four
-// discards, and ends empty. The discard is in nobody's write-back
+// once, and when the gate opens the store sees four writes, then the
+// discards of the file's whole eight-block extent, and ends empty. The discard is in nobody's write-back
 // counters.
 func TestDiscardOrderedBehindWriteBack(t *testing.T) {
 	mem := disk.NewMemStore()
@@ -218,16 +218,16 @@ func TestDiscardOrderedBehindWriteBack(t *testing.T) {
 
 	openGate()
 	m = waitWriteBehindIdle(t, srv)
-	if got, want := store.arrivals(), []string{"w0", "w1", "w2", "w3", "d0", "d1", "d2", "d3"}; !slices.Equal(got, want) {
+	if got, want := store.arrivals(), []string{"w0", "w1", "w2", "w3", "d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"}; !slices.Equal(got, want) {
 		t.Errorf("store calls: %v, want %v", got, want)
 	}
 	if got := mem.Blocks(); got != 0 {
 		t.Errorf("store holds %d blocks of the removed file, want 0 (a write landed after its discard)", got)
 	}
 	fill := m.Kernel.Fill
-	if fill.DiscardedBlocks != 4 || fill.WritebacksQueued != 4 || fill.WritebackQueueHighWater != 4 ||
+	if fill.DiscardedBlocks != 8 || fill.WritebacksQueued != 4 || fill.WritebackQueueHighWater != 4 ||
 		fill.WritebackStalls != 0 || fill.WritebackBatches != 0 || fill.WritebackErrors != 0 {
-		t.Errorf("fill stats %+v: want 4 discarded, 4 queued, high water 4, no stall, batch or error", fill)
+		t.Errorf("fill stats %+v: want 8 discarded, 4 queued, high water 4, no stall, batch or error", fill)
 	}
 	sr, err := c.Stats()
 	if err != nil {

@@ -4,8 +4,8 @@
 // client processes over a socket, with N Live kernel shards, each behind
 // its own serialized loop, and files hashed to shards at open time.
 //
-// Shard routing. Most ops are shard-local: open, create and remove route
-// by a stable hash of the file name; read, write, close, set_priority,
+// Shard routing. Most ops are shard-local: open, create, remove and
+// release route by a stable hash of the file name; read, write, close, set_priority,
 // get_priority and set_temppri route by the file id (the wire id encodes
 // its shard: wire = local*shards + shard). ping and get_policy anchor at
 // shard 0. Two ops broadcast — control and set_policy target per-manager
@@ -37,6 +37,7 @@
 //	              len u16 | data
 //	close         file u32                              -
 //	remove        name                                  -
+//	release       name                                  -
 //	control       enable u8                             -
 //	set_priority  file u32 | prio i32                   -
 //	get_priority  file u32                              prio i32
@@ -86,6 +87,7 @@ const (
 	OpGetPolicy
 	OpSetTempPri
 	OpStats
+	OpRelease uint8 = 17 // drop a moved name's blocks, dirty ones written back first
 )
 
 // Statuses (response tag).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -325,25 +326,16 @@ func (s *Server) FlushDirty() error {
 	return flushShards(shards)
 }
 
-// LiveFile is a live file of a stopped server and the blocks its kernel
-// has handed to the store (as blocks of the shard-local file).
-type LiveFile struct {
-	*fs.File
-	Written []disk.BlockSpan
-}
-
 // LiveFiles lists every live file of every shard, shard by shard and
 // in ascending id within a shard: the namespace the cluster tier's
 // planned leave hands to the files' new owners. Call only after Shutdown
 // has returned: the kernels are quiescent, so no file can come or go
 // under the walk. Returns nil on a running server and on a closed one.
-func (s *Server) LiveFiles() []LiveFile {
+func (s *Server) LiveFiles() []*fs.File {
 	shards, _ := s.stopped()
-	var out []LiveFile
+	var out []*fs.File
 	for _, sh := range shards {
-		for f := range sh.kern.FS().Files() {
-			out = append(out, LiveFile{f, sh.kern.Persisted(f.ID())})
-		}
+		out = slices.AppendSeq(out, sh.kern.FS().Files())
 	}
 	return out
 }

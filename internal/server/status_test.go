@@ -3,10 +3,12 @@ package server_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"testing"
+	"time"
 
 	"repro/internal/acm"
 	"repro/internal/core"
@@ -186,5 +188,74 @@ func TestMalformedBodiesAreBadRequests(t *testing.T) {
 	}
 	if st := call(server.OpPing, nil); st != server.StatusOK {
 		t.Errorf("ping after the malformed requests: status %s", server.StatusName(st))
+	}
+}
+
+// TestReleaseStatuses: release (opcode 17, past the retired 15 and 16)
+// answers ok for a name the server knows and not_found for one it does
+// not, while 15 and 16 still answer bad_request; once the server drains,
+// release is refused like every other op.
+func TestReleaseStatuses(t *testing.T) {
+	srv := server.New(server.Config{Kernel: core.LiveConfig{CacheBytes: core.MB(1)}, Shards: 2, CheckInvariants: true})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(raw)
+	var reqID uint32
+	var resp []byte
+	call := func(op uint8, body []byte) uint8 {
+		t.Helper()
+		reqID++
+		if err := server.WriteFrame(raw, reqID, op, body); err != nil {
+			t.Fatal(err)
+		}
+		id, st, b, err := readFrame(br)
+		if err != nil || id != reqID {
+			t.Fatalf("op %d: id %d err %v", op, id, err)
+		}
+		resp = b
+		return st
+	}
+	expect := func(what string, got, want uint8) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: status %s, want %s", what, server.StatusName(got), server.StatusName(want))
+		}
+	}
+	expect("create", call(server.OpCreate, server.CreateReq{Size: 2, Name: "f"}.Append(nil)), server.StatusOK)
+	f, _ := server.ParseFileReply(resp)
+	expect("write", call(server.OpWrite, server.WriteReq{File: f.ID, Data: bytes.Repeat([]byte{7}, core.BlockSize)}.Append(nil)), server.StatusOK)
+	expect("release of a known name", call(server.OpRelease, []byte("f")), server.StatusOK)
+	expect("release of an unknown name", call(server.OpRelease, []byte("nope")), server.StatusNotFound)
+	for _, op := range []uint8{15, 16} {
+		expect(fmt.Sprintf("retired op %d", op), call(op, []byte("f")), server.StatusBadRequest)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		done <- srv.Shutdown(ctx)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for call(server.OpPing, nil) != server.StatusRefused {
+		if time.Now().After(deadline) {
+			t.Fatal("the server never started refusing")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	expect("release while draining", call(server.OpRelease, []byte("f")), server.StatusRefused)
+	raw.Close()
+	if err := <-done; err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Errorf("close: %v", err)
 	}
 }

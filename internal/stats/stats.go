@@ -83,9 +83,9 @@ type FillStats struct {
 	// been: how far the bounded worker pool fell behind the miss stream.
 	FillQueueHighWater int64 `json:"fill_queue_high_water"`
 	// DiscardedBlocks counts blocks of removed files given back to the
-	// store: every block a file ever had written back becomes one discard
-	// when the file is removed. A discard is not a write-back and moves
-	// none of the Writeback* counters above.
+	// store: a removed file's whole extent, blocks 0 to its size, whether
+	// or not this kernel wrote them. A discard is not a write-back and
+	// moves none of the Writeback* counters above.
 	DiscardedBlocks int64 `json:"discarded_blocks"`
 }
 
