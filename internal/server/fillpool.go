@@ -157,9 +157,10 @@ func (sh *shard) runFills(store disk.Store, batch []*core.Fill) {
 
 // writeBatch is one write-behind batch's trip to the store, on a
 // goroutine of its own that the loop starts once the batch may go
-// (shard.writeBehind): a discard goes through disk.Discard, a lone victim
-// keeps the plain WriteBlock path, and a group goes through WriteBatch so
-// adjacent-slot victims collapse into pwritev runs. The batch re-enters
+// (shard.writeBehind): a discard goes through disk.Discard, a release's
+// barrier makes no store call, a lone victim keeps the plain WriteBlock
+// path, and a group goes through WriteBatch so adjacent-slot victims
+// collapse into pwritev runs. The batch re-enters
 // the loop as one completion; the send is plain, as the loop counts the
 // batch in flight and cannot retire until it has received it.
 func (sh *shard) writeBatch(store disk.Store, batch []*core.WriteBack) {
@@ -167,6 +168,7 @@ func (sh *shard) writeBatch(store disk.Store, batch []*core.WriteBack) {
 	switch wb := batch[0]; {
 	case wb.Discard != nil:
 		wb.Err = disk.Discard(store, wb.Discard)
+	case wb.Barrier():
 	case len(batch) == 1:
 		wb.Err = store.WriteBlock(int32(wb.ID.File), wb.ID.Num, wb.Data)
 	default:

@@ -180,8 +180,9 @@ func (sh *shard) retire() {
 // which is the backpressure rule (a full queue slows the evicting request
 // down to the synchronous cost instead of growing without bound). A
 // Conflict write-back — one that must not overtake an older pending
-// write of its block; a removed file's discard is always one — joins
-// the FIFO past the bound, since only queue order is safe for it.
+// write of its block; a removed file's discard and a release's barrier
+// are always one — joins the FIFO past the bound, since only queue order
+// is safe for it.
 func (sh *shard) startWriteBack(wb *core.WriteBack) {
 	n := len(sh.wbq)
 	if !wb.Conflict && n > 0 && sh.wbInflight-len(sh.wbq[0]) >= sh.wbDepth {
@@ -201,26 +202,31 @@ func (sh *shard) startWriteBack(wb *core.WriteBack) {
 }
 
 // joins reports whether wb may join the FIFO's last batch: that batch is
-// short of a whole one, is neither a discard nor at the store, and does
-// not hold wb's block. A discard and a duplicate block each start a new
-// batch, so a batch is order-equivalent to its writes issued one by one,
-// whatever order the store applies it in. Only a Conflict write-back can
-// duplicate a pending block, so only it pays for the scan.
+// short of a whole one, is not alone and not at the store, and does not
+// hold wb's block. A duplicate block starts a new batch, so a batch is
+// order-equivalent to its writes issued one by one, whatever order the
+// store applies it in. Only a Conflict write-back can duplicate a
+// pending block, so only it pays for the scan.
 func (sh *shard) joins(wb *core.WriteBack) bool {
 	n := len(sh.wbq)
-	if n == 0 || n == 1 && sh.wbBusy || wb.Discard != nil {
+	if n == 0 || n == 1 && sh.wbBusy || alone(wb) {
 		return false
 	}
 	last := sh.wbq[n-1]
-	if len(last) == sh.wbFull || last[0].Discard != nil {
+	if len(last) == sh.wbFull || alone(last[0]) {
 		return false
 	}
 	return !wb.Conflict || !slices.ContainsFunc(last, func(o *core.WriteBack) bool { return o.ID == wb.ID })
 }
 
+// alone reports whether wb is a batch of its own: a discard, or a
+// release's barrier, which writes nothing and must follow every batch
+// queued before it.
+func alone(wb *core.WriteBack) bool { return wb.Discard != nil || wb.Barrier() }
+
 // writeBehind sends the FIFO's head batch to the store when it may go,
 // and the loop calls it after every message. The head is cut — it stops
-// gathering — once it is a whole batch, a discard, followed by another
+// gathering — once it is a whole batch, alone, followed by another
 // batch, or the shard is draining; an idle shard keeps a partial batch
 // until then, as a dirty block stays cached. Demand reads go first: a
 // cut batch waits until the fills issued before it was cut have landed,
@@ -231,7 +237,7 @@ func (sh *shard) writeBehind() {
 	}
 	if !sh.wbCut {
 		head := sh.wbq[0]
-		if len(sh.wbq) == 1 && len(head) < sh.wbFull && head[0].Discard == nil && !sh.draining {
+		if len(sh.wbq) == 1 && len(head) < sh.wbFull && !alone(head[0]) && !sh.draining {
 			return
 		}
 		sh.wbCut, sh.wbWait = true, sh.fillsIssued
