@@ -56,7 +56,7 @@ race:
 # raises the ceiling in its own diff, where a reviewer sees it. longest
 # prints the ten longest of the same files, so the next 1 500-line file
 # shows on the push that creates it.
-LOC_MAX = 16183
+LOC_MAX = 16193
 LOC_FILES = find . \( -name '.?*' -o -name benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -type f -print0
 loc:
 	@n=$$($(LOC_FILES) | xargs -0 cat | wc -l); echo $$n; \
@@ -117,7 +117,7 @@ serve-cluster:
 
 # Replay a workload against a running daemon (make serve, elsewhere).
 loadtest:
-	$(GO) run ./cmd/acload -addr unix:/tmp/acfcd.sock -app cs1 -clients 4
+	$(GO) run ./cmd/acload -addr unix:/tmp/acfcd.sock -apps cs1 -clients 4
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

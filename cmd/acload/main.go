@@ -3,28 +3,26 @@
 // hit ratios, and how many requests the server refused (drain) versus
 // failed.
 //
-// The replay transcript comes from the DES: acload records the workload
-// once in simulation (expt.Record) — every block access and every
-// fbehavior call, in issue order — then N concurrent clients each replay
-// that transcript through their own session and their own copy of the
-// files (names are prefixed per client).
-//
-// A refusal mid-pipeline does not kill a replayer: the event is counted
-// refused exactly once, the session reconnects (re-opening its files and
-// re-enabling control) and retries the event once. A retry that is
-// refused again means the server is draining for real; the replayer
-// stops without recounting, so refusal totals count refused events, not
-// refused wire frames.
+// acload records the mix once in simulation (expt.Record) on acfcd's
+// default profile: 6.4 MB, lru-sp, revocation on, read-ahead off. Each
+// of N concurrent copies then replays the transcript through one
+// session per recorded process (client.Replay), over its own copy of
+// the files (names are prefixed per copy). A refused event (the server
+// is draining) counts refused once and ends its copy. At the end acload
+// prints, per recorded process, the server's hits, misses and manager
+// record for its sessions, summed over the copies, beside the
+// simulation's; against a default, one-shard acfcd at -clients 1 they
+// agree.
 //
 // Usage:
 //
-//	acload [-addr unix:/tmp/acfcd.sock] [-app cs1] [-mode smart]
+//	acload [-addr unix:/tmp/acfcd.sock] [-apps gli:smart,read300:foolish]
 //	       [-clients 4] [-nodata]
 //
-// acload measures one replay against whatever server is at -addr; the
-// repository's performance numbers come from `go run ./benchmark`, which
-// pins the server profile and records the environment. A bad flag value
-// exits 2 before anything is recorded.
+// -apps takes acsim's name[:mode] list, each name at most once. The
+// repository's performance numbers come from `go run ./benchmark`,
+// which pins the server profile and records the environment. A bad flag
+// value exits 2 before anything is recorded.
 package main
 
 import (
@@ -38,7 +36,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/expt"
+	"repro/internal/server"
 	"repro/internal/server/client"
 )
 
@@ -66,13 +66,21 @@ type sweepResult struct {
 	P50us       float64
 	P90us       float64
 	P99us       float64
+	// Procs is each recorded process's sessions, summed over the copies
+	// that finished; Revoked if any copy's session was.
+	Procs []procResult
+}
+
+type procResult struct {
+	Hits, Misses int64
+	Control      cache.OwnerStats
 }
 
 // options holds the parsed flag values.
 type options struct {
-	addr, app, mode string
-	clients         int
-	nodata          bool
+	addr, apps string
+	clients    int
+	nodata     bool
 }
 
 // newFlags registers every acload flag; the flag/documentation test
@@ -81,9 +89,8 @@ func newFlags() (*flag.FlagSet, *options) {
 	o := new(options)
 	fl := flag.NewFlagSet("acload", flag.ExitOnError)
 	fl.StringVar(&o.addr, "addr", "unix:/tmp/acfcd.sock", "server address: unix:/path or tcp:host:port")
-	fl.StringVar(&o.app, "app", "cs1", "workload to replay (an expt.Registry name)")
-	fl.StringVar(&o.mode, "mode", "smart", "oblivious, smart or foolish")
-	fl.IntVar(&o.clients, "clients", 4, "concurrent client sessions")
+	fl.StringVar(&o.apps, "apps", "cs1", "comma-separated name[:mode] specs, as acsim's")
+	fl.IntVar(&o.clients, "clients", 4, "concurrent copies of the mix")
 	fl.BoolVar(&o.nodata, "nodata", false, "suppress block bytes in read responses")
 	return fl, o
 }
@@ -91,20 +98,18 @@ func newFlags() (*flag.FlagSet, *options) {
 func run() int {
 	fl, o := newFlags()
 	fl.Parse(os.Args[1:])
-	app, err := o.check()
+	apps, err := o.check()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acload: %v\n", err)
 		return 2
 	}
 	network, addr, _ := strings.Cut(o.addr, ":")
 
-	fmt.Fprintf(os.Stderr, "acload: recording %s (%s) in simulation...\n", o.app, app.Mode)
-	// A workload's transcript is the same on every machine
-	// (expt.TestTranscriptIsTheWorkload), so the zero spec records it.
-	rec := expt.Record(expt.RunSpec{Apps: []expt.AppSpec{app}})
-	fmt.Fprintf(os.Stderr, "acload: %d events per client\n", len(rec.Events))
+	fmt.Fprintf(os.Stderr, "acload: recording %s in simulation...\n", o.apps)
+	rec := expt.Record(recordSpec(apps))
+	fmt.Fprintf(os.Stderr, "acload: %d events per copy\n", len(rec.Events))
 
-	res, err := runSweep(network, addr, "", o.clients, rec.Events, o.nodata)
+	res, err := runSweep(network, addr, "", o.clients, rec, o.nodata)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acload: %v\n", err)
 		return 1
@@ -112,42 +117,45 @@ func run() int {
 	fmt.Fprintf(os.Stderr,
 		"acload: server %2d clients: %7d reqs in %6.2fs = %8.0f req/s, %6.1f MB/s, %5.1f allocs/op, hit %5.1f%%, p50 %5.0fµs p90 %5.0fµs p99 %6.0fµs, refused %d, errors %d\n",
 		res.Clients, res.Requests, res.Seconds, res.Throughput, res.BytesPerSec/1e6, res.AllocsPerOp, 100*res.HitRatio, res.P50us, res.P90us, res.P99us, res.Refused, res.Errors)
+	for p, pr := range res.Procs {
+		sim := rec.Result.PerApp[p]
+		fmt.Fprintf(os.Stderr,
+			"acload: %-8s %-9s server %7d hits %7d misses, %5d decisions %5d mistakes revoked %-5t | simulation %7d misses, %5d decisions %5d mistakes revoked %t\n",
+			sim.Name, apps[p].Mode, pr.Hits, pr.Misses, pr.Control.Decisions, pr.Control.Mistakes, pr.Control.Revoked,
+			sim.Stats.Misses, sim.Control.Decisions, sim.Control.Mistakes, sim.Control.Revoked)
+	}
 	return 0
+}
+
+// recordSpec records apps on acfcd's default profile: a mix's
+// interleaving, and so each manager's decisions, is the machine's.
+func recordSpec(apps []expt.AppSpec) expt.RunSpec {
+	return expt.RunSpec{Apps: apps, Alloc: cache.LRUSP, Revoke: true, Opts: expt.Options{ReadAheadOff: true}}
 }
 
 // check rejects every flag value acload would otherwise measure nothing
 // with, or fail on only after the recording, and returns the parsed
-// application. It records and dials nothing.
-func (o *options) check() (expt.AppSpec, error) {
+// applications. It records and dials nothing.
+func (o *options) check() ([]expt.AppSpec, error) {
 	if o.clients <= 0 {
-		return expt.AppSpec{}, fmt.Errorf("-clients must be positive (got %d)", o.clients)
+		return nil, fmt.Errorf("-clients must be positive (got %d)", o.clients)
 	}
-	app, err := expt.ParseApp(o.app + ":" + o.mode)
+	apps, err := expt.ParseApps(o.apps)
 	if err != nil {
-		return expt.AppSpec{}, err
+		return nil, fmt.Errorf("-apps: %v", err)
 	}
 	if network, _, ok := strings.Cut(o.addr, ":"); !ok || (network != "unix" && network != "tcp") {
-		return expt.AppSpec{}, fmt.Errorf("bad -addr %q (want unix:/path or tcp:host:port)", o.addr)
+		return nil, fmt.Errorf("bad -addr %q (want unix:/path or tcp:host:port)", o.addr)
 	}
-	return app, nil
+	return apps, nil
 }
 
-// runSweep replays the transcript through n concurrent sessions, each
-// against its own file namespace (tag distinguishes sweeps sharing one
-// server), and aggregates the measurements.
-func runSweep(network, addr, tag string, n int, events []expt.ReplayEvent, nodata bool) (sweepResult, error) {
-	type clientOut struct {
-		st  replayStats
-		err error
-	}
-	dial := func() (replayConn, error) {
-		c, err := client.Dial(network, addr)
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	outs := make([]clientOut, n)
+// runSweep replays the recording through n concurrent copies of its
+// mix, each against its own file namespace (tag distinguishes sweeps
+// sharing one server), and aggregates the measurements.
+func runSweep(network, addr, tag string, n int, rec *expt.Recording, nodata bool) (sweepResult, error) {
+	dial := func() (conn, error) { return client.Dial(network, addr) }
+	sts, errs := make([]replayStats, n), make([]error, n)
 	var wg sync.WaitGroup
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -157,7 +165,7 @@ func runSweep(network, addr, tag string, n int, events []expt.ReplayEvent, nodat
 		go func(i int) {
 			defer wg.Done()
 			prefix := fmt.Sprintf("%sc%d/", tag, i)
-			outs[i].st, outs[i].err = replayOne(dial, prefix, events, nodata)
+			sts[i], errs[i] = replayOne(dial, len(rec.Spec.Apps), prefix, rec.Events, nodata)
 		}(i)
 	}
 	wg.Wait()
@@ -165,14 +173,14 @@ func runSweep(network, addr, tag string, n int, events []expt.ReplayEvent, nodat
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
 
-	res := sweepResult{Clients: n, Seconds: elapsed.Seconds()}
+	res := sweepResult{Clients: n, Seconds: elapsed.Seconds(), Procs: make([]procResult, len(rec.Spec.Apps))}
 	var hits, accesses, bytes int64
 	var all []time.Duration
-	for i := range outs {
-		if outs[i].err != nil {
-			return res, fmt.Errorf("client %d: %w", i, outs[i].err)
+	for i, err := range errs {
+		if err != nil {
+			return res, fmt.Errorf("client %d: %w", i, err)
 		}
-		st := &outs[i].st
+		st := &sts[i]
 		res.Requests += st.requests
 		res.Refused += st.refused
 		res.Errors += st.errors
@@ -180,6 +188,14 @@ func runSweep(network, addr, tag string, n int, events []expt.ReplayEvent, nodat
 		accesses += st.hits + st.misses
 		bytes += st.bytes
 		all = append(all, st.latencies...)
+		for p, sr := range st.server {
+			pr := &res.Procs[p]
+			pr.Hits += sr.Session.Hits
+			pr.Misses += sr.Session.Misses
+			pr.Control.Decisions += sr.Control.Decisions
+			pr.Control.Mistakes += sr.Control.Mistakes
+			pr.Control.Revoked = pr.Control.Revoked || sr.Control.Revoked
+		}
 	}
 	if res.Seconds > 0 {
 		res.Throughput = float64(res.Requests) / res.Seconds
@@ -215,94 +231,62 @@ type replayStats struct {
 	errors    int64
 	bytes     int64 // payload bytes moved (read responses, write payloads)
 	latencies []time.Duration
+	server    []server.StatsReply // each process's, after the last event
 }
 
-// replayConn is what a replayer drives: the client's Session surface. A
-// stub implementation backs the refused-accounting tests.
-type replayConn = client.Session
-
-// replayer replays one transcript through one session — client.Replay
-// does the translation — counting and timing each event, and
-// reconnecting and retrying once when the server refuses an event
-// mid-pipeline. The reconnect policy (backoff, session-state restore) is
-// the shared client.Redialer; Replay.Restore is its OnConnect hook.
-type replayer struct {
-	rd *client.Redialer[replayConn]
-	rp client.Replay
-	st replayStats
+// conn is a Session that answers the stats request: a *client.Conn, or
+// the tests' stub.
+type conn interface {
+	client.Session
+	Stats() (server.StatsReply, error)
 }
 
-// errReplayDrained marks a replayer that stopped cleanly because the
-// server kept refusing (shutdown drain): what it measured stands, the
-// remaining events are simply not issued.
-var errReplayDrained = errors.New("acload: server draining; replay stopped")
-
-// replayOne replays the whole transcript through one fresh session.
-// Recorded file ids map to server files created under prefix; fbehavior
-// and access events reproduce the workload call for call.
-func replayOne(dial func() (replayConn, error), prefix string, events []expt.ReplayEvent, nodata bool) (replayStats, error) {
-	r := &replayer{rp: client.Replay{Prefix: prefix, NoData: nodata}}
-	r.rd = &client.Redialer[replayConn]{Dial: dial, OnConnect: r.rp.Restore}
-	if _, err := r.rd.Get(); err != nil {
-		return r.st, err
+// replayOne replays one copy of the mix through one session per
+// recorded process, every file named under prefix, counting and timing
+// each event as one request. A refusal ends the copy cleanly, any other
+// failure with its error.
+func replayOne(dial func() (conn, error), procs int, prefix string, events []expt.ReplayEvent, nodata bool) (replayStats, error) {
+	var st replayStats
+	conns := make([]conn, procs)
+	for p := range conns {
+		c, err := dial()
+		if err != nil {
+			return st, err
+		}
+		defer c.Close()
+		conns[p] = c
 	}
-	defer func() { r.rd.Close() }()
-	r.st.latencies = make([]time.Duration, 0, len(events))
-
+	rp := client.NewReplay(conns, events, prefix, nodata)
+	st.latencies = make([]time.Duration, 0, len(events))
 	for _, ev := range events {
-		if err := r.step(ev); err != nil {
-			if errors.Is(err, errReplayDrained) {
-				return r.st, nil
+		st.requests++
+		t0 := time.Now()
+		hit, err := rp.Step(ev)
+		if !ev.IsCtl {
+			st.latencies = append(st.latencies, time.Since(t0))
+			if ev.Access.Write || !nodata {
+				st.bytes += int64(ev.Access.Size)
 			}
-			return r.st, err
 		}
-	}
-	return r.st, nil
-}
-
-// step issues one event, counting it as exactly one request. A refusal
-// counts refused once, reconnects — the redialer's OnConnect hook
-// rebuilds the replay's server state on the fresh session — and retries
-// the same event once; the retry never recounts the event, whatever its
-// outcome. A second refusal, or nothing to reconnect to, means the server
-// is draining for real: the replay ends cleanly.
-func (r *replayer) step(ev expt.ReplayEvent) error {
-	r.st.requests++
-	for retry := false; ; retry = true {
-		hit, err := r.apply(ev)
 		switch {
-		case err == nil:
-			if hit {
-				r.st.hits++
-			} else if !ev.IsCtl {
-				r.st.misses++
-			}
-			return nil
-		case !errors.Is(err, client.ErrRefused) && !errors.Is(err, client.ErrRevoked):
-			r.st.errors++
-			return err
-		case retry:
-			return errReplayDrained
-		}
-		r.st.refused++
-		r.rd.Invalidate(r.rp.S)
-		if _, err := r.rd.Get(); err != nil {
-			return errReplayDrained
+		case errors.Is(err, client.ErrRefused) || errors.Is(err, client.ErrRevoked):
+			st.refused++
+			return st, nil
+		case err != nil:
+			st.errors++
+			return st, err
+		case hit:
+			st.hits++
+		case !ev.IsCtl:
+			st.misses++
 		}
 	}
-}
-
-// apply issues one event on the current session. For access events it
-// also records the wire latency and the payload bytes moved.
-func (r *replayer) apply(ev expt.ReplayEvent) (hit bool, err error) {
-	if ev.IsCtl {
-		return false, r.rp.Ctl(*ev.Ctl.CtlEvent)
+	for _, c := range conns {
+		sr, err := c.Stats()
+		if err != nil {
+			return st, err
+		}
+		st.server = append(st.server, sr)
 	}
-	t0 := time.Now()
-	hit, err = r.rp.Access(ev.Access)
-	r.st.latencies = append(r.st.latencies, time.Since(t0))
-	if ev.Access.Write || !r.rp.NoData {
-		r.st.bytes += int64(ev.Access.Size)
-	}
-	return hit, err
+	return st, nil
 }

@@ -72,15 +72,13 @@ func main() {
 		Revoke:  *revokeFlag,
 		Opts:    expt.Options{ReadAheadOff: *noRAFlag},
 	}
-	for _, s := range strings.Split(*appsFlag, ",") {
-		as, err := expt.ParseApp(s)
-		if err != nil {
-			fail("%v in %q", err, s)
-		}
+	if spec.Apps, err = expt.ParseApps(*appsFlag); err != nil {
+		fail("%v", err)
+	}
+	for _, as := range spec.Apps {
 		if alloc == cache.GlobalLRU && as.Mode != workload.Oblivious {
 			fail("the original kernel (global-lru) supports only oblivious mode")
 		}
-		spec.Apps = append(spec.Apps, as)
 	}
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()

@@ -206,9 +206,11 @@ func BenchmarkRecord(b *testing.B) {
 }
 
 // TestTranscriptIsTheWorkload: a workload's transcript does not depend on
-// the machine that records it. The zero spec and one that differs in
-// every machine field record the same events, but for the time of a
-// control event. acload records on the zero spec because of this.
+// the machine that records it. The zero spec, acload's (acfcd's default
+// profile: lru-sp, revocation on, read-ahead off) and one that differs
+// in every machine field record the same events, but for the time of a
+// control event. So acload's profile changes no single application's
+// transcript; only a mix's interleaving is the machine's.
 func TestTranscriptIsTheWorkload(t *testing.T) {
 	names := AppNames()
 	if testing.Short() {
@@ -217,22 +219,25 @@ func TestTranscriptIsTheWorkload(t *testing.T) {
 	for _, name := range names {
 		for _, mode := range []workload.Mode{workload.Oblivious, workload.Smart, workload.Foolish} {
 			apps := mixSpec([]string{name}, mode)
+			acload := RunSpec{Apps: apps, Alloc: cache.LRUSP, Revoke: true, Opts: Options{ReadAheadOff: true}}
 			other := RunSpec{Apps: apps, CacheMB: 16, Alloc: cache.LRUS, Seed: 7, Revoke: true,
 				Opts: Options{ReadAheadOff: true}}
 			if mode == workload.Oblivious {
 				other.Alloc = cache.GlobalLRU
 			}
-			want, got := Record(RunSpec{Apps: apps}).Events, Record(other).Events
-			if len(want) == 0 || len(got) != len(want) {
-				t.Errorf("%s/%s: %d events, the zero spec records %d", name, mode, len(got), len(want))
-				continue
-			}
-			for i, g := range got {
-				w := want[i]
-				if g.IsCtl != w.IsCtl || g.Access != w.Access || g.IsCtl && untimed(g.Ctl) != untimed(w.Ctl) {
-					t.Errorf("%s/%s: event %d is %+v %+v, the zero spec records %+v %+v",
-						name, mode, i, g.Access, g.Ctl.CtlEvent, w.Access, w.Ctl.CtlEvent)
-					break
+			want := Record(RunSpec{Apps: apps}).Events
+			for spec, got := range map[string][]ReplayEvent{"acload": Record(acload).Events, "other": Record(other).Events} {
+				if len(want) == 0 || len(got) != len(want) {
+					t.Errorf("%s/%s: the %s spec records %d events, the zero spec %d", name, mode, spec, len(got), len(want))
+					continue
+				}
+				for i, g := range got {
+					w := want[i]
+					if g.IsCtl != w.IsCtl || g.Access != w.Access || g.IsCtl && untimed(g.Ctl) != untimed(w.Ctl) {
+						t.Errorf("%s/%s: event %d of the %s spec is %+v %+v, the zero spec records %+v %+v",
+							name, mode, i, spec, g.Access, g.Ctl.CtlEvent, w.Access, w.Ctl.CtlEvent)
+						break
+					}
 				}
 			}
 		}

@@ -276,6 +276,24 @@ func ParseApp(spec string) (AppSpec, error) {
 	return AppSpec{Name: name, Make: mk, Mode: mode}, nil
 }
 
+// ParseApps turns a comma-separated list of app specs into AppSpecs,
+// process 0 first. A name may appear once: two copies of an app would
+// create the same files.
+func ParseApps(list string) ([]AppSpec, error) {
+	var apps []AppSpec
+	for _, s := range strings.Split(list, ",") {
+		as, err := ParseApp(s)
+		if err != nil {
+			return nil, fmt.Errorf("%v in %q", err, s)
+		}
+		if slices.ContainsFunc(apps, func(a AppSpec) bool { return a.Name == as.Name }) {
+			return nil, fmt.Errorf("app %q appears twice: its copies would share files", as.Name)
+		}
+		apps = append(apps, as)
+	}
+	return apps, nil
+}
+
 // mixSpec builds the AppSpecs for a named mix like "cs2+gli", every app in
 // the given mode. Registry names double as cache-fingerprint names.
 func mixSpec(names []string, mode workload.Mode) []AppSpec {

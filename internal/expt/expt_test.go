@@ -497,3 +497,22 @@ func TestParseApp(t *testing.T) {
 		}
 	}
 }
+
+// TestParseApps: a list parses in order; an unknown name and a repeated
+// one are refused, naming the app.
+func TestParseApps(t *testing.T) {
+	apps, err := ParseApps("gli:smart,read300:foolish,read490")
+	if err != nil || len(apps) != 3 || apps[0].Name != "gli" || apps[1].Mode != workload.Foolish || apps[2].Name != "read490" {
+		t.Errorf("ParseApps = %+v, %v", apps, err)
+	}
+	for list, name := range map[string]string{
+		"cs1,nope":                "nope",
+		"cs1,cs1":                 "cs1",
+		"read300,read300:foolish": "read300",
+		"sort:smart,gli,sort":     "sort",
+	} {
+		if _, err := ParseApps(list); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("ParseApps(%q) = %v, want an error naming %s", list, err, name)
+		}
+	}
+}

@@ -7,7 +7,7 @@
 //
 // Failures surface as typed sentinel errors where the caller's reaction
 // differs — errors.Is(err, ErrRefused) for drain refusals a load
-// generator retries elsewhere, ErrRevoked for a dead session, ErrBadFrame
+// generator counts apart, ErrRevoked for a dead session, ErrBadFrame
 // for protocol-level damage — with the full status available via
 // errors.As on *StatusError.
 package client
@@ -30,8 +30,7 @@ import (
 // errors.Is against any error this package returns.
 var (
 	// ErrRefused: the server is draining for shutdown and refused the
-	// request. Load generators count these apart from real errors and may
-	// retry on a reconnect.
+	// request; acload counts these apart from real errors.
 	ErrRefused = errors.New("acfcd: request refused: server draining")
 	// ErrRevoked: the session's owner is unknown or already released —
 	// the session is dead and must reconnect.

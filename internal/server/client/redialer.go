@@ -1,11 +1,9 @@
-// redialer.go — shared reconnect machinery for long-lived acfcd
-// sessions: the load generator's replayers and the cluster tier's
-// routing client both hold one logical session per server that must
-// survive server restarts, drains and transient dial failures. The policy —
+// redialer.go — reconnect machinery for a long-lived acfcd session that
+// must survive server restarts and transient dial failures, as the
+// cluster tier's routing client and a leave's handoff hold one per node:
 // dial timeout, capped exponential backoff between attempts, and an
-// OnConnect hook that rebuilds session state (re-enable control,
-// re-open files) before the connection is handed out — lives here once
-// instead of being reimplemented per caller.
+// OnConnect hook that rebuilds session state before the connection is
+// handed out.
 
 package client
 
@@ -29,9 +27,8 @@ type Redialer[C io.Closer] struct {
 	// Dial establishes one raw connection.
 	Dial func() (C, error)
 	// OnConnect, if set, rebuilds session state on a fresh connection
-	// (re-enable control, re-open files) before Get returns it. An
-	// OnConnect error closes the connection and counts as a failed
-	// attempt.
+	// before Get returns it. An OnConnect error closes the connection and
+	// counts as a failed attempt.
 	OnConnect func(C) error
 	// DialTimeout bounds one Dial call (0: no bound). A connection that
 	// arrives after the timeout is closed, not leaked.

@@ -1,7 +1,7 @@
 // replay.go — the one translation of a recorded transcript (the DES's
-// control and access events, expt.Record's output) into calls on a
-// Session. acload wraps it with counting, timing and its retry policy;
-// the server's oracle test drives it bare.
+// control and access events, expt.Record's output) into calls on
+// Sessions, one per recorded process. acload wraps it with counting and
+// timing; the server's oracle test drives it bare.
 
 package client
 
@@ -9,104 +9,118 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/expt"
 	"repro/internal/fs"
 )
 
-// Replay replays one process's events through S, event by event: Ctl for
-// a control event, Access for a block access. Recorded file ids resolve
-// to the server's at each create event. The zero value with S set is
-// ready to use.
+// Replay replays a recorded run as the DES ran it: process p's events
+// through the p-th session, one event at a time in transcript order.
+// Recorded file ids resolve to the server's at each create event. The
+// DES records its pre-run file population as System creates by process
+// -1; each goes to the first process that touches the file, or to
+// process 0 if none does.
 type Replay struct {
-	S      Session
-	Prefix string // prepended to every recorded file name
-	NoData bool   // reads bring no payload back
-
-	files      map[fs.FileID]fs.FileID // recorded id -> server id
-	names      map[fs.FileID]string    // recorded id -> server name, for Restore
-	controlled bool
-	buf        []byte // read destination, reused
-	payload    []byte // what every write writes: byte i is byte(i)
+	events   []expt.ReplayEvent
+	sessions []Session
+	prefix   string                  // prepended to every recorded file name
+	nodata   bool                    // reads bring no payload back
+	first    map[fs.FileID]int       // file -> the process that issues its System create
+	files    map[fs.FileID]fs.FileID // recorded id -> server id
+	buf      []byte                  // read destination, reused
+	payload  []byte                  // what every write writes: byte i is byte(i)
 }
 
-// Restore makes s the replay's session after rebuilding on it what the
-// events so far established: control re-enabled if it was on, every live
-// file re-opened so the recorded ids resolve again. (Priorities are
-// per-owner manager state; the replay reissues them only as the
-// transcript reaches them, like the restarted real application would.)
-// It is the OnConnect hook of a Redialer that reconnects a replay.
-func (r *Replay) Restore(s Session) error {
-	if r.controlled {
-		if err := s.Control(true); err != nil {
-			return err
+// NewReplay returns a Replay of events over sessions, one per recorded
+// process, every file name under prefix; nodata makes reads bring no
+// payload back.
+func NewReplay[S Session](sessions []S, events []expt.ReplayEvent, prefix string, nodata bool) *Replay {
+	r := &Replay{events: events, prefix: prefix, nodata: nodata, first: make(map[fs.FileID]int),
+		files: make(map[fs.FileID]fs.FileID), buf: make([]byte, core.BlockSize), payload: make([]byte, core.BlockSize)}
+	for _, s := range sessions {
+		r.sessions = append(r.sessions, s)
+	}
+	for i := range r.payload {
+		r.payload[i] = byte(i)
+	}
+	for _, ev := range events {
+		f, p := ev.Access.File, int(ev.Access.Proc)
+		if ev.IsCtl {
+			f, p = ev.Ctl.File, ev.Ctl.Proc
+		}
+		if _, seen := r.first[f]; !seen && p >= 0 {
+			r.first[f] = p
 		}
 	}
-	for rid, name := range r.names {
-		f, err := s.Open(name)
-		if err != nil {
-			return err
+	return r
+}
+
+// Run steps every event in order, waiting for each reply. Any wire or
+// status error ends the replay.
+func (r *Replay) Run() error {
+	for i, ev := range r.events {
+		if _, err := r.Step(ev); err != nil {
+			return fmt.Errorf("event %d (%+v): %w", i, ev, err)
 		}
-		r.files[rid] = f.ID
 	}
-	r.S = s
 	return nil
 }
 
-// Ctl issues one control event and, on success, records what it changed:
-// the file maps and the control flag.
-func (r *Replay) Ctl(ct core.CtlEvent) error {
+// Step issues one of the replay's events through its process's session
+// and, for an access, reports whether it hit.
+func (r *Replay) Step(ev expt.ReplayEvent) (hit bool, err error) {
+	if !ev.IsCtl {
+		return r.access(r.sessions[ev.Access.Proc], ev.Access)
+	}
+	p := ev.Ctl.Proc
+	if p < 0 {
+		p = r.first[ev.Ctl.File]
+	}
+	return false, r.ctl(r.sessions[p], *ev.Ctl.CtlEvent)
+}
+
+// ctl issues one control event on s and, on success, records the file
+// ids it created or removed.
+func (r *Replay) ctl(s Session, ct core.CtlEvent) error {
 	switch ct.Op {
 	case core.CtlCreateFile:
-		name := r.Prefix + ct.FileName
-		f, err := r.S.Create(name, ct.Disk, ct.Size)
+		f, err := s.Create(r.prefix+ct.FileName, ct.Disk, ct.Size)
 		if err != nil {
 			return err
 		}
-		if r.files == nil {
-			r.files, r.names = make(map[fs.FileID]fs.FileID), make(map[fs.FileID]string)
-		}
-		r.files[ct.File], r.names[ct.File] = f.ID, name
+		r.files[ct.File] = f.ID
 	case core.CtlRemoveFile:
-		if err := r.S.Remove(r.Prefix + ct.FileName); err != nil {
+		if err := s.Remove(r.prefix + ct.FileName); err != nil {
 			return err
 		}
 		delete(r.files, ct.File)
-		delete(r.names, ct.File)
 	case core.CtlControl:
-		if err := r.S.Control(ct.Enable); err != nil {
-			return err
-		}
-		r.controlled = ct.Enable
+		return s.Control(ct.Enable)
 	case core.CtlSetPriority:
-		_, err := r.S.Fbehavior(FbSetPriority, FbArgs{File: r.files[ct.File], Prio: ct.Prio})
+		_, err := s.Fbehavior(FbSetPriority, FbArgs{File: r.files[ct.File], Prio: ct.Prio})
 		return err
 	case core.CtlSetPolicy:
-		_, err := r.S.Fbehavior(FbSetPolicy, FbArgs{Prio: ct.Prio, Policy: ct.Policy})
+		_, err := s.Fbehavior(FbSetPolicy, FbArgs{Prio: ct.Prio, Policy: ct.Policy})
 		return err
 	case core.CtlSetTempPri:
-		_, err := r.S.Fbehavior(FbSetTempPri, FbArgs{File: r.files[ct.File], Start: ct.Start, End: ct.End, Prio: ct.Prio})
+		_, err := s.Fbehavior(FbSetTempPri, FbArgs{File: r.files[ct.File], Start: ct.Start, End: ct.End, Prio: ct.Prio})
 		return err
 	}
 	return nil
 }
 
-// Access issues one block access — a write of the replay's fixed pattern,
-// or a read (ReadNoData when r.NoData) — and reports whether it hit.
-func (r *Replay) Access(a core.Access) (hit bool, err error) {
+// access issues one block access on s — a write of the replay's fixed
+// pattern, or a read (ReadNoData when nodata) — and reports whether it
+// hit.
+func (r *Replay) access(s Session, a core.Access) (hit bool, err error) {
 	fid, ok := r.files[a.File]
 	if !ok {
 		return false, fmt.Errorf("access to file %d before its create event", a.File)
 	}
-	if r.buf == nil {
-		r.buf, r.payload = make([]byte, core.BlockSize), make([]byte, core.BlockSize)
-		for i := range r.payload {
-			r.payload[i] = byte(i)
-		}
-	}
 	switch {
 	case a.Write:
-		return r.S.Write(fid, a.Block, a.Off, r.payload[:a.Size])
-	case r.NoData:
-		return r.S.ReadNoData(fid, a.Block, a.Off, a.Size)
+		return s.Write(fid, a.Block, a.Off, r.payload[:a.Size])
+	case r.nodata:
+		return s.ReadNoData(fid, a.Block, a.Off, a.Size)
 	}
-	return r.S.ReadInto(fid, a.Block, a.Off, a.Size, r.buf)
+	return s.ReadInto(fid, a.Block, a.Off, a.Size, r.buf)
 }

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/expt"
-	"repro/internal/fs"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/workload"
@@ -99,7 +97,7 @@ func TestOracleWireReplayMatchesSimulation(t *testing.T) {
 						Shards: 1,
 					})
 					conns := dialAll(t, dial, len(apps))
-					if err := replayMix(conns, rec, ""); err != nil {
+					if err := client.NewReplay(conns, rec.Events, "", true).Run(); err != nil {
 						t.Fatal(err)
 					}
 
@@ -159,7 +157,7 @@ func TestRevocationPerShard(t *testing.T) {
 		Shards: shards,
 	})
 	conns := dialAll(t, dial, len(specs))
-	if err := replayMix(conns, rec, ""); err != nil {
+	if err := client.NewReplay(conns, rec.Events, "", true).Run(); err != nil {
 		t.Fatal(err)
 	}
 	m, ok := srv.Metrics()
@@ -218,7 +216,7 @@ func TestRevocationNoFalsePositiveAppMix(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = replayMix(conns[i:i+1], recs[i], names[i]+"/")
+			errs[i] = client.NewReplay(conns[i:i+1], recs[i].Events, names[i]+"/", true).Run()
 		}()
 	}
 	wg.Wait()
@@ -284,42 +282,4 @@ func dialAll(t *testing.T, dial func() *client.Conn, n int) []*client.Conn {
 		conns[i] = c
 	}
 	return conns
-}
-
-// replayMix replays rec through acfcd as the DES ran it: process p's
-// events over conns[p], through its own client.Replay (the translation
-// acload uses), one loop stepping every event in transcript order and
-// waiting for each reply. The DES records its pre-run file population as
-// System creates by process -1; each goes to the first process that
-// touches the file, or to process 0 if none does. Any wire or status
-// error ends the replay.
-func replayMix(conns []*client.Conn, rec *expt.Recording, prefix string) error {
-	first := make(map[fs.FileID]int)
-	for _, ev := range rec.Events {
-		f, p := ev.Access.File, int(ev.Access.Proc)
-		if ev.IsCtl {
-			f, p = ev.Ctl.File, ev.Ctl.Proc
-		}
-		if _, seen := first[f]; !seen && p >= 0 {
-			first[f] = p
-		}
-	}
-	rps := make([]client.Replay, len(conns))
-	for p, c := range conns {
-		rps[p] = client.Replay{S: c, Prefix: prefix, NoData: true}
-	}
-	for i, ev := range rec.Events {
-		var err error
-		if !ev.IsCtl {
-			_, err = rps[ev.Access.Proc].Access(ev.Access)
-		} else if p := ev.Ctl.Proc; p >= 0 {
-			err = rps[p].Ctl(*ev.Ctl.CtlEvent)
-		} else {
-			err = rps[first[ev.Ctl.File]].Ctl(*ev.Ctl.CtlEvent)
-		}
-		if err != nil {
-			return fmt.Errorf("event %d (%+v): %w", i, ev, err)
-		}
-	}
-	return nil
 }
