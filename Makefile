@@ -10,7 +10,7 @@ all: check
 # scheduler, the simulations it drives, the cache server — including
 # the multi-shard soak: 16 sessions plus hangup saboteurs across 4
 # kernel shards, invariant-checked per shard on every close — its typed
-# client and redialer, acload's replayers over them, and the cluster
+# client, acload's replayers over it, and the cluster
 # tier, whose soak drives a 3-node cluster through a mid-run planned
 # leave and an abrupt kill), then a short coverage-guided fuzz of the
 # wire codec, frames and message bodies, and the size ceiling (loc).
@@ -56,7 +56,7 @@ race:
 # raises the ceiling in its own diff, where a reviewer sees it. longest
 # prints the ten longest of the same files, so the next 1 500-line file
 # shows on the push that creates it.
-LOC_MAX = 16193
+LOC_MAX = 16018
 LOC_FILES = find . \( -name '.?*' -o -name benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -type f -print0
 loc:
 	@n=$$($(LOC_FILES) | xargs -0 cat | wc -l); echo $$n; \

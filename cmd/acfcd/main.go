@@ -60,6 +60,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/server"
+	"repro/internal/server/client"
 )
 
 func main() {
@@ -267,23 +268,16 @@ func (o *options) check() error {
 	if _, err := cache.ParseAlloc(o.alloc); err != nil {
 		return err
 	}
-	_, _, err := splitListen(o.listen)
-	return err
-}
-
-// splitListen parses "unix:/path" or "tcp:addr".
-func splitListen(spec string) (network, addr string, err error) {
-	network, addr, ok := strings.Cut(spec, ":")
-	if !ok || (network != "unix" && network != "tcp") {
-		return "", "", fmt.Errorf("bad -listen %q (want unix:/path or tcp:host:port)", spec)
+	if _, _, err := client.SplitAddr(o.listen); err != nil {
+		return fmt.Errorf("-listen: %w", err)
 	}
-	return network, addr, nil
+	return nil
 }
 
 // listen parses "unix:/path" or "tcp:addr" and listens. A stale unix
 // socket from an unclean previous exit is removed first.
 func listen(spec string) (net.Listener, error) {
-	network, addr, err := splitListen(spec)
+	network, addr, err := client.SplitAddr(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func TestFlagCeiling(t *testing.T) {
 
 // TestBadFlagsExitBeforeOpening: every rejected command line exits 2
 // with a message naming the flag at fault, before any store, origin or
-// listener exists. Each case also passes -listen bogus:x, so a command
+// listener exists. Each case first passes -listen bogus:x, so a command
 // line that slipped through returns at listen instead of serving.
 func TestBadFlagsExitBeforeOpening(t *testing.T) {
 	dir := t.TempDir()
@@ -66,10 +66,11 @@ func TestBadFlagsExitBeforeOpening(t *testing.T) {
 		{"negative read-ahead", []string{"-readahead", "-1"}, "-readahead"},
 		{"unknown policy", []string{"-alloc", "nope"}, "nope"},
 		{"bad listen", nil, "-listen"},
+		{"listen without network", []string{"-listen", "acfcd.sock"}, "-listen"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			code, stderr := runWith(t, append(c.args, "-listen", "bogus:x"))
+			code, stderr := runWith(t, append([]string{"-listen", "bogus:x"}, c.args...))
 			if code != 2 || !strings.Contains(stderr, c.msg) {
 				t.Errorf("exit %d, stderr %q; want exit 2 naming %s", code, stderr, c.msg)
 			}

@@ -7,10 +7,10 @@
 // default profile: 6.4 MB, lru-sp, revocation on, read-ahead off. Each
 // of N concurrent copies then replays the transcript through one
 // session per recorded process (client.Replay), over its own copy of
-// the files (names are prefixed per copy). A refused event (the server
-// is draining) counts refused once and ends its copy. At the end acload
-// prints, per recorded process, the server's hits, misses and manager
-// record for its sessions, summed over the copies, beside the
+// the files (names are prefixed per run and copy). A refused event (the
+// server is draining) counts refused once and ends its copy. At the end
+// acload prints, per recorded process, the server's hits, misses and
+// manager record for its sessions, summed over the copies, beside the
 // simulation's; against a default, one-shard acfcd at -clients 1 they
 // agree.
 //
@@ -32,7 +32,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -103,13 +102,16 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "acload: %v\n", err)
 		return 2
 	}
-	network, addr, _ := strings.Cut(o.addr, ":")
+	network, addr, _ := client.SplitAddr(o.addr)
 
 	fmt.Fprintf(os.Stderr, "acload: recording %s in simulation...\n", o.apps)
 	rec := expt.Record(recordSpec(apps))
 	fmt.Fprintf(os.Stderr, "acload: %d events per copy\n", len(rec.Events))
 
-	res, err := runSweep(network, addr, "", o.clients, rec, o.nodata)
+	// The run's own file namespace: the process id and the start time,
+	// so no earlier or concurrent run against the daemon holds its names.
+	tag := fmt.Sprintf("%d.%d/", os.Getpid(), time.Now().UnixNano())
+	res, err := runSweep(network, addr, tag, o.clients, rec, o.nodata)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acload: %v\n", err)
 		return 1
@@ -144,8 +146,8 @@ func (o *options) check() ([]expt.AppSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("-apps: %v", err)
 	}
-	if network, _, ok := strings.Cut(o.addr, ":"); !ok || (network != "unix" && network != "tcp") {
-		return nil, fmt.Errorf("bad -addr %q (want unix:/path or tcp:host:port)", o.addr)
+	if _, _, err := client.SplitAddr(o.addr); err != nil {
+		return nil, fmt.Errorf("-addr: %w", err)
 	}
 	return apps, nil
 }

@@ -269,6 +269,22 @@ func TestMixMatchesSimulation(t *testing.T) {
 	}
 }
 
+// TestSecondRunSameDaemon: run, acload's whole path, twice against one
+// daemon: each run replays under its own names, so the second one's
+// creates do not collide with the first one's files.
+func TestSecondRunSameDaemon(t *testing.T) {
+	sock := serve(t, server.New(server.Config{
+		Kernel: core.LiveConfig{CacheBytes: core.MB(6.4), Alloc: cache.LRUSP, WallClock: true},
+		Shards: 1,
+	}))
+	for i := 1; i <= 2; i++ {
+		code, stderr := runWith(t, []string{"-addr", "unix:" + sock, "-apps", "cs1", "-clients", "1"})
+		if code != 0 || !strings.Contains(stderr, "refused 0, errors 0") {
+			t.Fatalf("run %d: exit %d, stderr %q; want exit 0 with nothing refused or failed", i, code, stderr)
+		}
+	}
+}
+
 // serve serves srv on a unix socket in a temporary directory until the
 // test ends, then shuts it down and closes it, and returns the socket.
 func serve(t *testing.T, srv *server.Server) string {
@@ -429,7 +445,7 @@ func TestFlagCeiling(t *testing.T) {
 
 // TestBadFlagsExitBeforeRecording: every rejected command line exits 2
 // with a message naming the flag at fault, before the transcript is
-// recorded. Each case also passes -addr bogus:x, so a command line that
+// recorded. Each case first passes -addr bogus:x, so a command line that
 // slipped through is refused for its address instead of replaying.
 func TestBadFlagsExitBeforeRecording(t *testing.T) {
 	for _, c := range []struct {
@@ -442,9 +458,10 @@ func TestBadFlagsExitBeforeRecording(t *testing.T) {
 		{"unknown app", []string{"-apps", "nope"}, "nope"},
 		{"repeated app", []string{"-apps", "cs1,cs1"}, "cs1"},
 		{"bad addr", nil, "-addr"},
+		{"addr without network", []string{"-addr", "acfcd.sock"}, "-addr"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			code, stderr := runWith(t, append(c.args, "-addr", "bogus:x"))
+			code, stderr := runWith(t, append([]string{"-addr", "bogus:x"}, c.args...))
 			if code != 2 || !strings.Contains(stderr, c.msg) || strings.Contains(stderr, "recording") {
 				t.Errorf("exit %d, stderr %q; want exit 2 naming %s, before recording", code, stderr, c.msg)
 			}

@@ -1,7 +1,7 @@
 // client.go — the cluster-aware client: the same one-method-per-op
 // surface as client.Conn, with file→node routing in front. Every file
 // name hashes to its owning node on the shared ring; the client keeps
-// one redialed session per node and hands callers synthetic file ids,
+// one session per node and hands callers synthetic file ids,
 // because wire ids are a per-node encoding (two nodes give the same
 // name different ids) and only the name — and therefore the synthetic
 // id bound to it — is cluster-global.
@@ -10,12 +10,15 @@
 // and it is one loop (onOwner): every routed op runs on the name's owner
 // among the members not yet marked dead, and when that node stops
 // answering (transport error, or the drain refusal a retiring server
-// sends) it is marked dead and the op runs again on the next owner —
+// sends) its session is closed, it is marked dead for good, and the op
+// runs again on the next owner —
 // after re-resolving the file there (re-create with the remembered shape
 // when the survivor has never seen it) — until a node answers or none is
 // left. The survivor then pulls the blocks through cold from the origin
-// — no coordination, no recovery protocol, exactly the redial-next-owner
-// behavior the cluster design promises.
+// — no coordination, no recovery protocol: the client fails over to the
+// next owner, as the cluster design promises. A session is never
+// reconnected, so each node's session state (manager mode, the policy
+// table) is what this client's Control and set_policy calls set there.
 
 package cluster
 
@@ -24,7 +27,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/acm"
 	"repro/internal/fs"
 	"repro/internal/server/client"
 )
@@ -34,15 +36,10 @@ import (
 type Client struct {
 	mu     sync.Mutex // guards live/nodes/files/byName across the failover path
 	live   *Ring      // the members not yet marked dead
-	nodes  map[string]*client.Redialer[*client.Conn]
+	nodes  map[string]*client.Conn
 	files  map[fs.FileID]*centry
 	byName map[string]fs.FileID
 	nextID fs.FileID
-
-	// Session state replayed onto a reconnecting node: manager mode, and
-	// the last policy set per priority level.
-	controlled bool
-	policies   map[int]acm.Policy
 }
 
 // centry is one synthetic file id's binding: the name (the routing
@@ -61,12 +58,10 @@ type centry struct {
 func NewClient(members []string) *Client {
 	return &Client{
 		live:   NewRing(members),
-		nodes:  make(map[string]*client.Redialer[*client.Conn]),
+		nodes:  make(map[string]*client.Conn),
 		files:  make(map[fs.FileID]*centry),
 		byName: make(map[string]fs.FileID),
 		nextID: 1,
-
-		policies: make(map[int]acm.Policy),
 	}
 }
 
@@ -77,45 +72,32 @@ func (cl *Client) alive() *Ring {
 	return cl.live
 }
 
+// markDead closes addr's session, if it has one, and takes addr off the
+// live ring. Nothing dials a dead member again.
 func (cl *Client) markDead(addr string) {
 	cl.mu.Lock()
+	if c, ok := cl.nodes[addr]; ok {
+		c.Close()
+		delete(cl.nodes, addr)
+	}
 	if cl.live.Has(addr) {
 		cl.live = cl.live.Without(addr)
 	}
 	cl.mu.Unlock()
 }
 
-// conn returns (dialing if needed) the session to addr. A fresh
-// connection replays the client's session state: manager mode and any
-// policy table edits.
-func (cl *Client) conn(addr string) (*client.Conn, *client.Redialer[*client.Conn], error) {
+// conn returns the session to addr, dialing it on first use.
+func (cl *Client) conn(addr string) (*client.Conn, error) {
 	cl.mu.Lock()
-	rd, ok := cl.nodes[addr]
-	if !ok {
-		var err error
-		if rd, err = redial(addr, cl.restore); err != nil {
-			cl.mu.Unlock()
-			return nil, nil, err
-		}
-		cl.nodes[addr] = rd
+	defer cl.mu.Unlock()
+	if c, ok := cl.nodes[addr]; ok {
+		return c, nil
 	}
-	cl.mu.Unlock()
-	c, err := rd.Get()
-	return c, rd, err
-}
-
-func (cl *Client) restore(c *client.Conn) error {
-	if cl.controlled {
-		if err := c.Control(true); err != nil {
-			return err
-		}
+	c, err := dial(addr)
+	if err == nil {
+		cl.nodes[addr] = c
 	}
-	for prio, pol := range cl.policies {
-		if err := c.SetPolicy(prio, pol); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c, err
 }
 
 // retriable reports whether err means "this node is gone", not "this
@@ -144,12 +126,11 @@ func (cl *Client) onOwner(name string, op func(c *client.Conn, owner string) err
 		if owner == "" {
 			return fmt.Errorf("cluster: no live nodes: %w", cause)
 		}
-		c, rd, err := cl.conn(owner)
+		c, err := cl.conn(owner)
 		if err == nil {
 			if err = op(c, owner); err == nil || !retriable(err) {
 				return err
 			}
-			rd.Invalidate(c)
 		}
 		cl.markDead(owner)
 		cause = err
@@ -242,7 +223,7 @@ func (cl *Client) openThrough(oc *client.Conn, name, owner string, missing error
 		if m == owner {
 			continue
 		}
-		c, _, err := cl.conn(m)
+		c, err := cl.conn(m)
 		if err != nil {
 			continue
 		}
@@ -302,36 +283,36 @@ func (cl *Client) Remove(name string) error {
 }
 
 // Control toggles manager mode on every live node (sessions span all of
-// them), and remembers the flag for reconnects — after the broadcast, so
-// a node first dialed by it is not told twice.
+// them).
 func (cl *Client) Control(enable bool) error {
-	err := cl.broadcast(func(c *client.Conn) error { return c.Control(enable) })
-	cl.controlled = enable
-	return err
+	return cl.broadcast(func(c *client.Conn) error { return c.Control(enable) })
 }
 
+// broadcast runs op on every live member. A member that fails it
+// retriably is marked dead; that failure surfaces only when no member is
+// left, since the dead ones are failed over anyway. A refusal (a status
+// such as no_control) leaves the member live and is returned, the first
+// one if several refuse.
 func (cl *Client) broadcast(op func(c *client.Conn) error) error {
-	var firstErr error
+	var refused, gone error
 	for _, m := range cl.alive().Members() {
-		c, rd, err := cl.conn(m)
+		c, err := cl.conn(m)
 		if err == nil {
 			err = op(c)
-			if err != nil && retriable(err) {
-				rd.Invalidate(c)
-			}
 		}
-		if err != nil {
+		switch {
+		case err == nil:
+		case retriable(err):
 			cl.markDead(m)
-			if firstErr == nil {
-				firstErr = err
-			}
+			gone = err
+		case refused == nil:
+			refused = err
 		}
 	}
-	if firstErr != nil && cl.alive().Len() > 0 {
-		// Some node took it; the dead ones will be failed over anyway.
-		return nil
+	if refused == nil && cl.alive().Len() == 0 {
+		return gone
 	}
-	return firstErr
+	return refused
 }
 
 // Fbehavior routes per-file ops to the file's node and policy-table
@@ -339,7 +320,6 @@ func (cl *Client) broadcast(op func(c *client.Conn) error) error {
 func (cl *Client) Fbehavior(op client.FbOp, a client.FbArgs) (client.FbResult, error) {
 	switch op {
 	case client.FbSetPolicy:
-		cl.policies[a.Prio] = a.Policy
 		err := cl.broadcast(func(c *client.Conn) error {
 			_, e := c.Fbehavior(op, a)
 			return e
@@ -392,10 +372,10 @@ func (cl *Client) Write(f fs.FileID, blk int32, off int, payload []byte) (hit bo
 func (cl *Client) Close() error {
 	cl.mu.Lock()
 	nodes := cl.nodes
-	cl.nodes = make(map[string]*client.Redialer[*client.Conn])
+	cl.nodes = make(map[string]*client.Conn)
 	cl.mu.Unlock()
-	for _, rd := range nodes {
-		rd.Close()
+	for _, c := range nodes {
+		c.Close()
 	}
 	return nil
 }

@@ -237,11 +237,7 @@ func TestClusterExclusiveOwnership(t *testing.T) {
 
 func dialMember(t *testing.T, m string) *client.Conn {
 	t.Helper()
-	network, addr, err := SplitAddr(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := client.Dial(network, addr)
+	c, err := dial(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // leave protocol, the paper's transfer-or-evict revocation applied to a
 // whole cache: drain sessions, flush every dirty block to the origin,
 // then hand each live file's name to its new hash owner. Unplanned death
-// needs no protocol: clients redial the next ring owner, which fills
+// needs no protocol: clients fail over to the next ring owner, which fills
 // from the origin the dead node had written behind to.
 
 package cluster
@@ -117,11 +117,8 @@ func (n *Node) handoff() error {
 		owner := rest.Owner(f.Name())
 		c, dialed := conns[owner]
 		if !dialed {
-			rd, err := redial(owner, nil)
-			if err == nil {
-				c, err = rd.Get()
-			}
-			if err != nil && firstErr == nil {
+			var err error
+			if c, err = dial(owner); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("handoff dial %s: %w", owner, err)
 			}
 			conns[owner] = c

@@ -19,7 +19,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/acm"
 	"repro/internal/fs"
@@ -99,9 +101,23 @@ type Conn struct {
 	scratch []byte
 }
 
+// SplitAddr parses an address spec, "unix:/path" or "tcp:host:port", into
+// the network and address that Dial and net.Listen take.
+func SplitAddr(spec string) (network, addr string, err error) {
+	network, addr, ok := strings.Cut(spec, ":")
+	if !ok || (network != "unix" && network != "tcp") {
+		return "", "", fmt.Errorf("bad address %q (want unix:/path or tcp:host:port)", spec)
+	}
+	return network, addr, nil
+}
+
+// dialTimeout bounds one Dial: a server that has not accepted by then
+// counts as down.
+const dialTimeout = 2 * time.Second
+
 // Dial connects to an acfcd server ("unix", "/path" or "tcp", "addr").
 func Dial(network, addr string) (*Conn, error) {
-	c, err := net.Dial(network, addr)
+	c, err := net.DialTimeout(network, addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

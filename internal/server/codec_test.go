@@ -75,7 +75,7 @@ func BenchmarkFrameDecode(b *testing.B) {
 // request allocates nothing.
 func TestFrameDecodeAllocs(t *testing.T) {
 	d := newFrameDecoder(t, 64)
-	if n := testing.AllocsPerRun(1000, func() { d.next(t) }); n > 0 && !raceEnabled {
+	if n := testing.AllocsPerRun(1000, func() { d.next(t) }); n > 0 && !server.RaceEnabled {
 		t.Errorf("frame decode allocates %.2f times a frame, want 0", n)
 	}
 }

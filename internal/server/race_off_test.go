@@ -1,5 +1,5 @@
 //go:build !race
 
-package server_test
+package server
 
-const raceEnabled = false
+const RaceEnabled = false

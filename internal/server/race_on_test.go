@@ -1,8 +1,9 @@
 //go:build race
 
-package server_test
+package server
 
-// raceEnabled reports whether the race detector is instrumenting this
+// RaceEnabled reports whether the race detector is instrumenting this
 // build; its shadow-memory bookkeeping allocates on paths that are
 // alloc-free in a normal build, so allocation gates don't apply.
-const raceEnabled = true
+// Exported for the package's external tests.
+const RaceEnabled = true

@@ -118,7 +118,7 @@ func TestZeroCopyReadHitAllocs(t *testing.T) {
 	ops := float64(measured * blocks)
 	allocsPerOp := float64(m1.Mallocs-m0.Mallocs) / ops
 	t.Logf("allocs/op = %.3f over %d read hits", allocsPerOp, int(ops))
-	if allocsPerOp > 0.5 && !raceEnabled {
+	if allocsPerOp > 0.5 && !server.RaceEnabled {
 		t.Errorf("read-hit path allocates: %.3f allocs/op, want ~0", allocsPerOp)
 	}
 
