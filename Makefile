@@ -25,18 +25,20 @@ race-hot:
 race-lifecycle:
 	$(GO) test -race ./internal/server ./internal/cluster -run '^TestLifecycle' -count=5
 
-# The discard gates by name, repeated: what a store holds follows the
-# files that exist (create / write twice the cache / remove in rounds,
-# with and without write-behind), a remove gives back its file's whole
-# extent (a whole-file discard leaves nothing of the name at either
-# cluster origin), a discard never overtakes an older write of its block
+# The discard gates by name, repeated: a discard reads as never written
+# on every backend, the directory store included, and a whole-file
+# discard leaves no file of the name there; what a store holds follows
+# the files that exist (create / write twice the cache / remove in
+# rounds, with and without write-behind), a remove gives back its file's
+# whole extent, a discard never overtakes an older write of its block
 # nor runs inline on a full queue, a write that lands after its file's
-# remove persists nothing, a re-created name reads zeros on both cluster
-# origins and after a leave moved it, and acload's sort replay leaves no
+# remove persists nothing, a re-created name reads zeros on a cluster
+# node and after a leave moved it, removing "." or ".." leaves the
+# cluster's origin directory in place, and acload's sort replay leaves no
 # block of a removed temporary. CI runs it as its own step.
 race-discard:
 	$(GO) test -race ./internal/disk ./internal/core ./internal/server ./internal/cluster ./cmd/acload \
-		-run 'Discard|TestStoreFollowsLiveSet|TestLiveRemove|TestLiveWriteAfterRemove|TestLiveRecreatedName|TestClusterRecreatedName|TestClusterLeaveRecreated|TestClusterRemoveUnwritten|TestReplaySortLeavesNoRemovedBlocks' -count=5
+		-run 'Discard|TestStoreFollowsLiveSet|TestLiveRemove|TestLiveWriteAfterRemove|TestLiveRecreatedName|TestClusterRecreatedName|TestClusterLeaveRecreated|TestClusterRemoveUnwritten|TestClusterDotNames|TestReplaySortLeavesNoRemovedBlocks' -count=5
 
 vet:
 	$(GO) vet ./...
@@ -56,7 +58,7 @@ race:
 # raises the ceiling in its own diff, where a reviewer sees it. longest
 # prints the ten longest of the same files, so the next 1 500-line file
 # shows on the push that creates it.
-LOC_MAX = 16018
+LOC_MAX = 15892
 LOC_FILES = find . \( -name '.?*' -o -name benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -type f -print0
 loc:
 	@n=$$($(LOC_FILES) | xargs -0 cat | wc -l); echo $$n; \

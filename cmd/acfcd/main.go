@@ -25,13 +25,14 @@
 // name it.
 //
 // A bad flag value, -store or -origin without the mode it belongs to, or
-// -cluster without -origin, exits 2 before any store, origin or listener
-// is opened.
+// -cluster without an -origin dir: that names a path, exits 2 before any
+// store, origin or listener is opened.
 //
 // With -cluster, the daemon joins a static multi-node tier: the member
 // list (which must include this node's -listen spec) is hashed into a
 // consistent-hash ring, files route to their owning node, and local
-// misses read the shared -origin — a directory every node fills from
+// misses read the shared -origin — a directory with one file per file
+// name (disk.DirStore, the node's base store) that every node fills from
 // and writes back to, so a block one node evicted dirty is there for
 // the node that takes its files over. SIGINT/SIGTERM then run the
 // planned-leave protocol: drain, flush dirty blocks to the origin, open
@@ -135,21 +136,21 @@ func run() int {
 		IdleTimeout:    o.idle,
 	}
 
-	// Cluster mode swaps the base store for the cluster tier's NodeStore;
-	// the single-node path below is byte-for-byte the non-cluster daemon.
+	// Cluster mode's base store is a DirStore over the shared -origin
+	// directory; the single-node path below is byte-for-byte the
+	// non-cluster daemon.
 	var node *cluster.Node
 	srv := (*server.Server)(nil)
 	if o.cluster != "" {
-		origin, err := cluster.NewDirOrigin(strings.TrimPrefix(o.origin, "dir:"))
+		origin, err := disk.NewDirStore(strings.TrimPrefix(o.origin, "dir:"))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "acfcd: %v\n", err)
+			fmt.Fprintf(os.Stderr, "acfcd: origin: %v\n", err)
 			return 1
 		}
-		members := strings.Split(o.cluster, ",")
+		scfg.Kernel.Store = origin
 		n, err := cluster.NewNode(cluster.NodeConfig{
 			Self:    o.listen,
-			Members: members,
-			Origin:  origin,
+			Members: strings.Split(o.cluster, ","),
 			Server:  scfg,
 		})
 		if err != nil {
@@ -262,7 +263,7 @@ func (o *options) check() error {
 		return fmt.Errorf("-store does not combine with -cluster (the shared -origin is the backing tier)")
 	case o.cluster == "" && o.origin != "":
 		return fmt.Errorf("-origin needs -cluster")
-	case o.cluster != "" && !strings.HasPrefix(o.origin, "dir:"):
+	case o.cluster != "" && (!strings.HasPrefix(o.origin, "dir:") || o.origin == "dir:"):
 		return fmt.Errorf("-cluster needs -origin dir:/path, the directory every node writes back to (got %q)", o.origin)
 	}
 	if _, err := cache.ParseAlloc(o.alloc); err != nil {

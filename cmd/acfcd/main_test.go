@@ -53,6 +53,7 @@ func TestBadFlagsExitBeforeOpening(t *testing.T) {
 		{"bad origin", []string{"-cluster", cluster, "-origin", "nfs:x"}, "-origin"},
 		{"cluster without origin", []string{"-cluster", cluster}, "-origin"},
 		{"per-process origin", []string{"-cluster", cluster, "-origin", "mem"}, "-origin"},
+		{"origin without a path", []string{"-cluster", cluster, "-origin", "dir:"}, "-origin"},
 		{"zero cache", []string{"-cache-mb", "0"}, "-cache-mb"},
 		{"negative cache", []string{"-cache-mb", "-1"}, "-cache-mb"},
 		{"NaN cache", []string{"-cache-mb", "NaN"}, "-cache-mb"},

@@ -18,7 +18,7 @@ var _ client.Session = (*Client)(nil)
 // a loop (the paper's sort) leaves the client's maps where they started,
 // and the stale id is unknown afterwards.
 func TestClientRemoveForgetsBinding(t *testing.T) {
-	tc := startTestCluster(t, 2, NewMemOrigin())
+	tc := startTestCluster(t, 2, nil)
 	cl := NewClient(tc.members)
 	defer cl.Close()
 	keep, err := cl.Create("keep", 0, 1)
@@ -56,7 +56,7 @@ func TestClientRemoveForgetsBinding(t *testing.T) {
 // refusal, and every member stays live: the same client goes on to
 // create, write and read.
 func TestClientBroadcastRefusalKeepsMembers(t *testing.T) {
-	tc := startTestCluster(t, 2, NewMemOrigin())
+	tc := startTestCluster(t, 2, nil)
 	cl := NewClient(tc.members)
 	defer cl.Close()
 	if _, err := cl.Fbehavior(client.FbSetPolicy, client.FbArgs{Prio: 3, Policy: acm.MRU}); !hasStatus(err, server.StatusNoControl) {
@@ -100,7 +100,7 @@ func scriptDial(t *testing.T, fails int) *int {
 // TestClientOneSessionPerMember: a member keeps the session the client
 // first dialed to it across every op routed there.
 func TestClientOneSessionPerMember(t *testing.T) {
-	tc := startTestCluster(t, 2, NewMemOrigin())
+	tc := startTestCluster(t, 2, nil)
 	dials := scriptDial(t, 0)
 	cl := NewClient(tc.members)
 	defer cl.Close()
@@ -124,7 +124,7 @@ func TestClientOneSessionPerMember(t *testing.T) {
 // TestDialRetriesOnce: a failed dial is tried once more, and the retry
 // connects.
 func TestDialRetriesOnce(t *testing.T) {
-	tc := startTestCluster(t, 1, NewMemOrigin())
+	tc := startTestCluster(t, 1, nil)
 	attempts := scriptDial(t, 1)
 	c, err := dial(tc.members[0])
 	if err != nil {
@@ -139,7 +139,7 @@ func TestDialRetriesOnce(t *testing.T) {
 // TestDialGivesUpAfterRetry: a dial whose retry fails too returns the
 // error after its two attempts, with no third.
 func TestDialGivesUpAfterRetry(t *testing.T) {
-	tc := startTestCluster(t, 1, NewMemOrigin())
+	tc := startTestCluster(t, 1, nil)
 	attempts := scriptDial(t, 2)
 	if _, err := dial(tc.members[0]); err == nil {
 		t.Error("two failed attempts: dial succeeded")

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -23,24 +26,32 @@ import (
 	"repro/internal/server/client"
 )
 
-// testCluster is n in-process nodes over one shared origin, each
-// listening on its own loopback TCP port. The member specs are the
-// real listen addresses, so ring routing and dialing agree; a port
-// stays reserved after its node departs (listenHeld), so a dead
-// member's address refuses dials until the test ends.
+// testCluster is n in-process nodes over one shared origin directory,
+// each with its own DirStore over it and listening on its own loopback
+// TCP port. The member specs are the real listen addresses, so ring
+// routing and dialing agree; a port stays reserved after its node
+// departs (listenHeld), so a dead member's address refuses dials until
+// the test ends.
 type testCluster struct {
 	t       *testing.T
-	origin  Origin
+	dir     string                          // the origin
+	wrap    func(*disk.DirStore) disk.Store // each node's store, nil: the DirStore itself
 	members []string
 	nodes   map[string]*Node
 	closed  map[string]bool
 }
 
-func startTestCluster(t *testing.T, n int, origin Origin) *testCluster {
+// startTestCluster starts n nodes over a fresh origin directory. wrap,
+// when not nil, is each node's store around its DirStore: a wrapper
+// that counts or fails the origin's accesses must override both the
+// scalar and the batch method of each direction, as a fill of one block
+// reads it with ReadBlock.
+func startTestCluster(t *testing.T, n int, wrap func(*disk.DirStore) disk.Store) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		t:      t,
-		origin: origin,
+		dir:    t.TempDir(),
+		wrap:   wrap,
 		nodes:  make(map[string]*Node),
 		closed: make(map[string]bool),
 	}
@@ -59,12 +70,16 @@ func startTestCluster(t *testing.T, n int, origin Origin) *testCluster {
 
 func (tc *testCluster) addNode(self string, ln net.Listener) *Node {
 	tc.t.Helper()
+	dir := newDirStore(tc.t, tc.dir)
+	var store disk.Store = dir
+	if tc.wrap != nil {
+		store = tc.wrap(dir)
+	}
 	node, err := NewNode(NodeConfig{
 		Self:    self,
 		Members: tc.members,
-		Origin:  tc.origin,
 		Server: server.Config{
-			Kernel:          core.LiveConfig{CacheBytes: core.MB(1), Alloc: cache.LRUSP},
+			Kernel:          core.LiveConfig{CacheBytes: core.MB(1), Alloc: cache.LRUSP, Store: store},
 			Shards:          2,
 			WritebackDepth:  4,
 			CheckInvariants: true,
@@ -120,9 +135,28 @@ func (tc *testCluster) kill(m string) {
 	tc.nodes[m].Srv.Shutdown(ctx)
 }
 
-// readOrigin reads one block of the origin: a run of one.
-func readOrigin(o Origin, name string, blk int32, dst []byte) error {
-	return o.ReadRun(name, blk, [][]byte{dst})
+func newDirStore(t *testing.T, dir string) *disk.DirStore {
+	t.Helper()
+	s, err := disk.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// originFile is a store over the origin directory dir in which file 0
+// is name: how a test reads or writes a name's blocks at the origin.
+func originFile(t *testing.T, dir, name string) *disk.DirStore {
+	t.Helper()
+	s := newDirStore(t, dir)
+	s.Announce(0, name)
+	return s
+}
+
+// readOrigin reads one block of name at the origin directory dir.
+func readOrigin(t *testing.T, dir, name string, blk int32, dst []byte) error {
+	t.Helper()
+	return originFile(t, dir, name).ReadBlock(0, blk, dst)
 }
 
 func blockPattern(name string, blk int32) []byte {
@@ -183,7 +217,7 @@ func joinerNames(t *testing.T, tc *testCluster, prefix string, n int) (net.Liste
 // counts on the /metrics plaintext endpoint, and each file existing in
 // exactly one node's namespace.
 func TestClusterExclusiveOwnership(t *testing.T) {
-	tc := startTestCluster(t, 3, NewMemOrigin())
+	tc := startTestCluster(t, 3, nil)
 	cl := NewClient(tc.members)
 	defer cl.Close()
 
@@ -300,7 +334,7 @@ func joinerFiles(t *testing.T, names, members []string, joiner string) []string 
 // blocks are on the origin; once the files are open on the joiner, its
 // reads return the right bytes and send no request to the old nodes.
 func TestClusterJoinReadsOrigin(t *testing.T) {
-	tc := startTestCluster(t, 2, NewMemOrigin())
+	tc := startTestCluster(t, 2, nil)
 
 	const nfiles, blocks = 10, 2
 	// The joiner's address comes first, so that every name is one the
@@ -311,12 +345,11 @@ func TestClusterJoinReadsOrigin(t *testing.T) {
 		if _, err := cl.Create(names[i], 0, blocks); err != nil {
 			t.Fatalf("create %s: %v", names[i], err)
 		}
-		run := make([][]byte, blocks)
-		for b := range run {
-			run[b] = blockPattern(names[i], int32(b))
-		}
-		if err := tc.origin.WriteRun(names[i], 0, run); err != nil {
-			t.Fatal(err)
+		origin := originFile(t, tc.dir, names[i])
+		for b := int32(0); b < blocks; b++ {
+			if err := origin.WriteBlock(0, b, blockPattern(names[i], b)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	cl.Close()
@@ -362,7 +395,7 @@ func TestClusterJoinReadsOrigin(t *testing.T) {
 // previous owner still caches — the join-then-rewrite staleness window
 // a fill from that owner would open.
 func TestClusterJoinRewriteNotResurrected(t *testing.T) {
-	tc := startTestCluster(t, 2, NewMemOrigin())
+	tc := startTestCluster(t, 2, nil)
 	// The joiner's address comes first, so the one file written before
 	// the join is a name the post-join ring gives to the joiner.
 	ln := listenHeld(t)
@@ -442,7 +475,7 @@ func TestClusterJoinRewriteNotResurrected(t *testing.T) {
 // TestClusterLeaveWithinGrace: with every client gone, a planned leave
 // has no session to wait for, so it returns well inside its grace.
 func TestClusterLeaveWithinGrace(t *testing.T) {
-	tc := startTestCluster(t, 3, NewMemOrigin())
+	tc := startTestCluster(t, 3, nil)
 	cl := NewClient(tc.members)
 	names := writeFiles(t, cl, 24, 2)
 	dst := make([]byte, disk.BlockSize)
@@ -471,7 +504,7 @@ func TestClusterLeaveWithinGrace(t *testing.T) {
 // names at once all get the file; the one whose create loses the race
 // opens the winner's.
 func TestOpenOrCreateConcurrent(t *testing.T) {
-	tc := startTestCluster(t, 1, NewMemOrigin())
+	tc := startTestCluster(t, 1, nil)
 	const sessions, nfiles = 8, 100
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -506,7 +539,7 @@ func TestOpenOrCreateConcurrent(t *testing.T) {
 // old holder's release writes them to the origin before any client's
 // open binds the name on the joiner.
 func TestClusterOpenThroughConcurrent(t *testing.T) {
-	tc := startTestCluster(t, 2, NewMemOrigin())
+	tc := startTestCluster(t, 2, nil)
 	ln, _, names := joinerNames(t, tc, "concurrent", 1)
 	name := names[0]
 	cl := NewClient(tc.members)
@@ -520,7 +553,7 @@ func TestClusterOpenThroughConcurrent(t *testing.T) {
 	}
 	cl.Close()
 	dst := make([]byte, disk.BlockSize)
-	if err := readOrigin(tc.origin, name, 0, dst); err != nil {
+	if err := readOrigin(t, tc.dir, name, 0, dst); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(dst, want) {
@@ -569,7 +602,7 @@ func TestClusterOpenThroughConcurrent(t *testing.T) {
 // well as on A, so D reads C's rewrite, which the release put at the
 // origin, not A's older bytes.
 func TestClusterOpenThroughTwoJoins(t *testing.T) {
-	tc := startTestCluster(t, 1, NewMemOrigin())
+	tc := startTestCluster(t, 1, nil)
 	a := tc.members[0]
 	lnC, lnD := listenHeld(t), listenHeld(t)
 	c, d := "tcp:"+lnC.Addr().String(), "tcp:"+lnD.Addr().String()
@@ -602,7 +635,7 @@ func TestClusterOpenThroughTwoJoins(t *testing.T) {
 	}
 	cl2.Close()
 	dst := make([]byte, disk.BlockSize)
-	if err := readOrigin(tc.origin, name, 0, dst); err != nil {
+	if err := readOrigin(t, tc.dir, name, 0, dst); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(dst, v("on C")) {
@@ -621,7 +654,7 @@ func TestClusterOpenThroughTwoJoins(t *testing.T) {
 	if !bytes.Equal(dst, v("on C")) {
 		t.Errorf("D reads %.24q.., want C's rewrite", dst)
 	}
-	if err := readOrigin(tc.origin, name, 0, dst); err != nil {
+	if err := readOrigin(t, tc.dir, name, 0, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, v("on C")) {
@@ -629,17 +662,30 @@ func TestClusterOpenThroughTwoJoins(t *testing.T) {
 	}
 }
 
-// writeFailOrigin refuses every write while fail is set.
-type writeFailOrigin struct {
-	*MemOrigin
-	fail atomic.Bool
+// writeFailStore refuses every write while fail is set.
+type writeFailStore struct {
+	*disk.DirStore
+	fail *atomic.Bool
 }
 
-func (o *writeFailOrigin) WriteRun(name string, start int32, srcs [][]byte) error {
-	if o.fail.Load() {
-		return errOriginDown
+func (s writeFailStore) WriteBlock(file, blk int32, src []byte) error {
+	return s.WriteBlocks([]disk.BlockSpan{{File: file, Blk: blk}}, [][]byte{src})[0]
+}
+
+func (s writeFailStore) WriteBlocks(specs []disk.BlockSpan, srcs [][]byte) []error {
+	if s.fail.Load() {
+		return failAll(len(specs))
 	}
-	return o.MemOrigin.WriteRun(name, start, srcs)
+	return s.DirStore.WriteBlocks(specs, srcs)
+}
+
+// failAll is n spans' errors from an origin that is down.
+func failAll(n int) []error {
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = errOriginDown
+	}
+	return errs
 }
 
 // TestClusterOpenThroughReleaseFails: when the old holder of a moved name
@@ -647,8 +693,8 @@ func (o *writeFailOrigin) WriteRun(name string, start int32, srcs [][]byte) erro
 // with the holder's io status — not as a name nobody holds, and without
 // binding the name on the joiner.
 func TestClusterOpenThroughReleaseFails(t *testing.T) {
-	origin := &writeFailOrigin{MemOrigin: NewMemOrigin()}
-	tc := startTestCluster(t, 2, origin)
+	fail := new(atomic.Bool)
+	tc := startTestCluster(t, 2, func(s *disk.DirStore) disk.Store { return writeFailStore{s, fail} })
 	ln, self, names := joinerNames(t, tc, "unreleased", 1)
 	name := names[0]
 	cl := NewClient(tc.members)
@@ -662,8 +708,8 @@ func TestClusterOpenThroughReleaseFails(t *testing.T) {
 	cl.Close()
 	tc.join(ln)
 
-	origin.fail.Store(true)
-	defer origin.fail.Store(false)
+	fail.Store(true)
+	defer fail.Store(false)
 	cl2 := NewClient(tc.members)
 	defer cl2.Close()
 	if _, err := cl2.Open(name); !hasStatus(err, server.StatusIO) {
@@ -676,17 +722,17 @@ func TestClusterOpenThroughReleaseFails(t *testing.T) {
 	}
 }
 
-// failingOrigin errors every read — the backing tier is down.
-type failingOrigin struct {
-	*MemOrigin
+// failingStore errors every read — the origin is down.
+type failingStore struct {
+	*disk.DirStore
 }
 
-// The message deliberately avoids the substrings statusOf keys on
-// ("such file", "dirty"...): an origin outage must surface as io.
 var errOriginDown = errors.New("origin backend unreachable")
 
-func (f failingOrigin) ReadRun(name string, start int32, dsts [][]byte) error {
-	return errOriginDown
+func (s failingStore) ReadBlock(file, blk int32, dst []byte) error { return errOriginDown }
+
+func (s failingStore) ReadBlocks(specs []disk.BlockSpan, dsts [][]byte) []error {
+	return failAll(len(specs))
 }
 
 // TestClusterFillErrorSurfacesAsIO: a fill the cluster tier cannot
@@ -699,10 +745,10 @@ func TestClusterFillErrorSurfacesAsIO(t *testing.T) {
 	}
 	self := "tcp:" + ln.Addr().String()
 	node, err := NewNode(NodeConfig{
-		Self:   self,
-		Origin: failingOrigin{NewMemOrigin()},
+		Self: self,
 		Server: server.Config{
-			Kernel: core.LiveConfig{CacheBytes: core.MB(1), Alloc: cache.LRUSP},
+			Kernel: core.LiveConfig{CacheBytes: core.MB(1), Alloc: cache.LRUSP,
+				Store: failingStore{newDirStore(t, t.TempDir())}},
 		},
 	})
 	if err != nil {
@@ -745,13 +791,13 @@ func TestClusterFillErrorSurfacesAsIO(t *testing.T) {
 
 // TestClusterLeaveDifferential: the acceptance bar for a planned leave —
 // a 3-node cluster that suffers one planned leave ends with an origin
-// byte-for-byte identical to a single-node run of the same writes.
+// directory byte-for-byte identical to a single-node run of the same
+// writes.
 func TestClusterLeaveDifferential(t *testing.T) {
 	const nfiles, blocks = 20, 3
 
 	// Reference: one node, same traffic, clean shutdown.
-	single := NewMemOrigin()
-	tcs := startTestCluster(t, 1, single)
+	tcs := startTestCluster(t, 1, nil)
 	cls := NewClient(tcs.members)
 	writeFiles(t, cls, nfiles, blocks)
 	cls.Close()
@@ -759,8 +805,7 @@ func TestClusterLeaveDifferential(t *testing.T) {
 
 	// Cluster: three nodes, same traffic, then one planned leave, then
 	// a clean shutdown of the survivors.
-	clustered := NewMemOrigin()
-	tc := startTestCluster(t, 3, clustered)
+	tc := startTestCluster(t, 3, nil)
 	cl := NewClient(tc.members)
 	writeFiles(t, cl, nfiles, blocks)
 
@@ -771,22 +816,38 @@ func TestClusterLeaveDifferential(t *testing.T) {
 	cl.Close()
 	tc.shutdownAll()
 
-	want, got := single.Dump(), clustered.Dump()
+	want, got := dirContents(t, tcs.dir), dirContents(t, tc.dir)
 	if len(got) != len(want) {
-		t.Errorf("origin block count: single %d, clustered %d", len(want), len(got))
-		t.Logf("single keys: %v", single.Keys())
-		t.Logf("clustered keys: %v", clustered.Keys())
+		t.Errorf("origin files: single %d, clustered %d", len(want), len(got))
+		t.Logf("single: %v", slices.Sorted(maps.Keys(want)))
+		t.Logf("clustered: %v", slices.Sorted(maps.Keys(got)))
 	}
-	for k, wb := range want {
-		gb, ok := got[k]
+	for name, wb := range want {
+		gb, ok := got[name]
 		if !ok {
-			t.Errorf("clustered origin missing %q — dirty data lost in the leave", k)
+			t.Errorf("clustered origin missing %q — dirty data lost in the leave", name)
 			continue
 		}
 		if !bytes.Equal(wb, gb) {
-			t.Errorf("clustered origin differs at %q", k)
+			t.Errorf("clustered origin differs in %q", name)
 		}
 	}
+}
+
+// dirContents is every file in dir, by file name.
+func dirContents(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		if out[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // TestClusterFreshClientFailover: a client that has never connected
@@ -796,7 +857,7 @@ func TestClusterLeaveDifferential(t *testing.T) {
 // (Regression: Open/Create used to surface the dial error instead of
 // failing over; only the established-connection path re-routed.)
 func TestClusterFreshClientFailover(t *testing.T) {
-	tc := startTestCluster(t, 3, NewMemOrigin())
+	tc := startTestCluster(t, 3, nil)
 	cl := NewClient(tc.members)
 	names := writeFiles(t, cl, 12, 2)
 	cl.Close()
@@ -832,7 +893,7 @@ func TestClusterFreshClientFailover(t *testing.T) {
 // final sweep against the last node must succeed for every file that
 // still resolves. Run under -race by make race-hot.
 func TestClusterSoak(t *testing.T) {
-	tc := startTestCluster(t, 3, NewMemOrigin())
+	tc := startTestCluster(t, 3, nil)
 
 	const clients, nfiles, blocks = 4, 12, 2
 	var wg sync.WaitGroup
@@ -922,7 +983,7 @@ func TestClusterSoak(t *testing.T) {
 // (Regression: failover was tried once, so the dead second owner's
 // refused dial came back to the caller — the TestClusterSoak flake.)
 func TestClusterFailoverPastDeadSurvivor(t *testing.T) {
-	tc := startTestCluster(t, 3, NewMemOrigin())
+	tc := startTestCluster(t, 3, nil)
 	cl := NewClient(tc.members)
 	defer cl.Close()
 	// Enough files that some move first -> second on any ring: the ring

@@ -74,7 +74,7 @@ func overfill(t *testing.T, tc *testCluster, cl *Client, ring *Ring, m string) [
 // leave a fresh client opens each on its new owner at its original size
 // and reads every written block back and every other block as zeros.
 func TestClusterLeaveHandsOffEveryName(t *testing.T) {
-	tc := startTestCluster(t, 3, NewMemOrigin())
+	tc := startTestCluster(t, 3, nil)
 	leaver := tc.members[0]
 	ring := NewRing(tc.members)
 	cl := NewClient(tc.members)
@@ -145,15 +145,19 @@ func TestClusterLeaveHandsOffEveryName(t *testing.T) {
 	}
 }
 
-// countingOrigin counts the blocks the origin is asked to write.
-type countingOrigin struct {
-	*MemOrigin
-	blocks atomic.Int64
+// countingStore counts the blocks a node asks the origin to write.
+type countingStore struct {
+	*disk.DirStore
+	blocks *atomic.Int64
 }
 
-func (o *countingOrigin) WriteRun(name string, start int32, srcs [][]byte) error {
-	o.blocks.Add(int64(len(srcs)))
-	return o.MemOrigin.WriteRun(name, start, srcs)
+func (s countingStore) WriteBlock(file, blk int32, src []byte) error {
+	return s.WriteBlocks([]disk.BlockSpan{{File: file, Blk: blk}}, [][]byte{src})[0]
+}
+
+func (s countingStore) WriteBlocks(specs []disk.BlockSpan, srcs [][]byte) []error {
+	s.blocks.Add(int64(len(specs)))
+	return s.DirStore.WriteBlocks(specs, srcs)
 }
 
 // TestClusterLeaveWritesEachBlockOnce: blocks written once through the
@@ -161,8 +165,8 @@ func (o *countingOrigin) WriteRun(name string, start int32, srcs [][]byte) error
 // the survivors' clean shutdown. The leave flushes the leaver's dirty
 // blocks and moves no block, so no survivor holds a second dirty copy.
 func TestClusterLeaveWritesEachBlockOnce(t *testing.T) {
-	origin := &countingOrigin{MemOrigin: NewMemOrigin()}
-	tc := startTestCluster(t, 3, origin)
+	written := new(atomic.Int64)
+	tc := startTestCluster(t, 3, func(s *disk.DirStore) disk.Store { return countingStore{s, written} })
 	const nfiles, blocks = 24, 4
 	cl := NewClient(tc.members)
 	names := writeFiles(t, cl, nfiles, blocks)
@@ -183,7 +187,7 @@ func TestClusterLeaveWritesEachBlockOnce(t *testing.T) {
 		t.Fatalf("planned leave: %v", err)
 	}
 	tc.shutdownAll()
-	if got := origin.blocks.Load(); got != nfiles*blocks {
+	if got := written.Load(); got != nfiles*blocks {
 		t.Errorf("the origin took %d block writes for %d blocks written once (%d moved in the leave)",
 			got, nfiles*blocks, moved*blocks)
 	}
@@ -199,7 +203,7 @@ func TestClusterLeaveWritesEachBlockOnce(t *testing.T) {
 func TestClusterJoinLeaveNotStale(t *testing.T) {
 	for _, arm := range []string{"leave", "kill"} {
 		t.Run(arm, func(t *testing.T) {
-			tc := startTestCluster(t, 2, NewMemOrigin())
+			tc := startTestCluster(t, 2, nil)
 			// The joiner's address comes first, so that every file
 			// written before the join is one the joiner takes over.
 			ln, _, names := joinerNames(t, tc, "app/file", 8)
@@ -286,7 +290,7 @@ func waitWriteBehindIdle(t *testing.T, srv *server.Server) {
 // remove ends the name at the origin, whichever node wrote its blocks, so
 // the new file reads zeros, in the cache and at the origin.
 func TestClusterLeaveRecreatedReadsZeros(t *testing.T) {
-	tc := startTestCluster(t, 2, NewMemOrigin())
+	tc := startTestCluster(t, 2, nil)
 	leaver, heir := tc.members[0], tc.members[1]
 	name := ownedName(NewRing(tc.members), leaver, "recreated")
 	cl := NewClient(tc.members)
@@ -319,7 +323,7 @@ func TestClusterLeaveRecreatedReadsZeros(t *testing.T) {
 		t.Errorf("the re-created %s reads %.16q.., want zeros", name, dst)
 	}
 	waitWriteBehindIdle(t, tc.nodes[heir].Srv)
-	if err := readOrigin(tc.origin, name, 0, dst); err != nil {
+	if err := readOrigin(t, tc.dir, name, 0, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, zeros) {
@@ -333,7 +337,7 @@ func TestClusterLeaveRecreatedReadsZeros(t *testing.T) {
 // the leaver's copy at the origin, and the handoff must not let it win:
 // a fresh client reads the failover write.
 func TestClusterLeaveKeepsFailoverWrite(t *testing.T) {
-	tc := startTestCluster(t, 2, NewMemOrigin())
+	tc := startTestCluster(t, 2, nil)
 	leaver := tc.members[0]
 	name := ownedName(NewRing(tc.members), leaver, "failover")
 	cl := NewClient(tc.members)

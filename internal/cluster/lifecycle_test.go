@@ -13,8 +13,7 @@ import (
 // leaves behind is a husk: no kernels, no metrics, Close a no-op.
 // Part of the lifecycle suite (internal/server/lifecycle_test.go).
 func TestLifecycleNodeLeave(t *testing.T) {
-	origin := NewMemOrigin()
-	tc := startTestCluster(t, 2, origin)
+	tc := startTestCluster(t, 2, nil)
 	const nfiles, blocks = 16, 2
 	cl := NewClient(tc.members)
 	names := writeFiles(t, cl, nfiles, blocks)
@@ -39,7 +38,7 @@ func TestLifecycleNodeLeave(t *testing.T) {
 	dst := make([]byte, disk.BlockSize)
 	for _, name := range moved {
 		for b := int32(0); b < blocks; b++ {
-			if err := readOrigin(origin, name, b, dst); err != nil || !bytes.Equal(dst, blockPattern(name, b)) {
+			if err := readOrigin(t, tc.dir, name, b, dst); err != nil || !bytes.Equal(dst, blockPattern(name, b)) {
 				t.Errorf("%s/%d not on the origin after the leave (err %v)", name, b, err)
 			}
 		}

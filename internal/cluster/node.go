@@ -1,10 +1,11 @@
-// node.go — Node ties one acfcd server to the cluster: it builds the
-// NodeStore, hangs it under the server as the base store, and owns the
-// leave protocol, the paper's transfer-or-evict revocation applied to a
-// whole cache: drain sessions, flush every dirty block to the origin,
-// then hand each live file's name to its new hash owner. Unplanned death
-// needs no protocol: clients fail over to the next ring owner, which fills
-// from the origin the dead node had written behind to.
+// node.go — Node ties one acfcd server to the cluster: its base store
+// is a disk.DirStore over the directory every node shares (the origin),
+// and it owns the leave protocol, the paper's transfer-or-evict
+// revocation applied to a whole cache: drain sessions, flush every dirty
+// block to the origin, then hand each live file's name to its new hash
+// owner. Unplanned death needs no protocol: clients fail over to the
+// next ring owner, which fills from the origin the dead node had written
+// behind to.
 
 package cluster
 
@@ -25,15 +26,15 @@ type NodeConfig struct {
 	Self string
 	// Members is the static membership list. Self is added if absent.
 	Members []string
-	// Origin is the shared backing store. Required.
-	Origin Origin
-	// Server configures the embedded server. Kernel.Store is overwritten
-	// — the cluster tier owns it.
+	// Server configures the embedded server. Kernel.Store is the origin:
+	// a store addressed by file name, which is told every open's id and
+	// name (Announce) — a disk.DirStore over the shared directory.
+	// Required.
 	Server server.Config
 }
 
 // Node is one member of the cluster: an acfcd server whose base store
-// is the cluster's NodeStore, and its view of the membership ring.
+// is the origin, and its view of the membership ring.
 type Node struct {
 	Self string
 	Srv  *server.Server
@@ -45,16 +46,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: NodeConfig.Self required")
 	}
-	if cfg.Origin == nil {
-		return nil, errors.New("cluster: NodeConfig.Origin required")
+	if _, ok := cfg.Server.Kernel.Store.(interface{ Announce(int32, string) }); !ok {
+		return nil, errors.New("cluster: NodeConfig.Server.Kernel.Store must be addressed by name (Announce)")
 	}
 	members := cfg.Members
 	if !slices.Contains(members, cfg.Self) {
 		members = append(slices.Clip(members), cfg.Self)
 	}
-	scfg := cfg.Server
-	scfg.Kernel.Store = NewNodeStore(cfg.Origin)
-	return &Node{Self: cfg.Self, Srv: server.New(scfg), ring: NewRing(members)}, nil
+	return &Node{Self: cfg.Self, Srv: server.New(cfg.Server), ring: NewRing(members)}, nil
 }
 
 // Ring returns the node's view of the membership ring.

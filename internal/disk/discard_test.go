@@ -2,13 +2,15 @@ package disk
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// discardBackends are the four ways a discard can reach a backend: the
+// discardBackends are the five ways a discard can reach a backend: the
 // in-memory store, the file store on its vectored and its scalar path,
-// and a store without the batch methods, which WriteBatch drives a block
-// at a time.
+// the directory store with the test's file ids announced, and a store
+// without the batch methods, which WriteBatch drives a block at a time.
 func discardBackends(t *testing.T) []struct {
 	name string
 	s    Store
@@ -22,6 +24,7 @@ func discardBackends(t *testing.T) []struct {
 		{"mem", NewMemStore()},
 		{"file-vectored", vec},
 		{"file-scalar", scalar},
+		{"dir", newTestDirStore(t, 1, 2, 3, 4, 9)},
 		{"plain", plainStore{NewMemStore()}},
 	}
 }
@@ -164,5 +167,69 @@ func TestMemStoreDiscardReleases(t *testing.T) {
 	}
 	if m.Blocks() != 8 || m.BlocksOf(1) != 0 || m.BlocksOf(2) != 8 {
 		t.Errorf("after discarding file 1: %d blocks, %d of file 1, %d of file 2; want 8, 0, 8", m.Blocks(), m.BlocksOf(1), m.BlocksOf(2))
+	}
+}
+
+// TestDirStoreDiscardUnlinks: what a discard is for in a directory. A
+// discard alone or inside a run reads as never written and keeps the
+// file's length; one that covers a whole file's extent, as a remove
+// sends, leaves no file (or an empty one); and one of a name never
+// written makes no file.
+func TestDirStoreDiscardUnlinks(t *testing.T) {
+	const f, never, ghost, whole = 1, 2, 3, 4
+	d := newTestDirStore(t, f, never, ghost, whole)
+	zeros := make([]byte, BlockSize)
+	run := func(file, start int32, n int) []BlockSpan {
+		specs := make([]BlockSpan, n)
+		for i := range specs {
+			specs[i] = BlockSpan{file, start + int32(i)}
+		}
+		return specs
+	}
+	srcs := make([][]byte, 6)
+	for i := range srcs {
+		srcs[i] = bytes.Repeat([]byte{byte(0x10 + i)}, BlockSize)
+	}
+	mustBatch(t, d, run(f, 0, 6), srcs)
+	// Discard 0 alone and 2, 3 in a run that rewrites 1 and 4.
+	if err := d.WriteBlock(f, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	fresh := bytes.Repeat([]byte{0xf1}, BlockSize)
+	mustBatch(t, d, run(f, 1, 4), [][]byte{fresh, nil, nil, fresh})
+	if err := d.WriteBlock(never, 3, nil); err != nil {
+		t.Fatalf("discard in a file never written: %v", err)
+	}
+	if err := Discard(d, run(ghost, 0, 8)); err != nil {
+		t.Fatalf("whole-file discard of a name never written: %v", err)
+	}
+	for i, want := range [][]byte{zeros, fresh, zeros, zeros, fresh, srcs[5]} {
+		if got := mustRead(t, d, f, int32(i)); !bytes.Equal(got, want) {
+			t.Errorf("block %d reads %x.., want %x..", i, got[0], want[0])
+		}
+	}
+	if fi, err := os.Stat(filepath.Join(d.dir, "f1")); err != nil || fi.Size() != 6*BlockSize {
+		t.Errorf("the file with discarded blocks: %v, want its 6 blocks' length", err)
+	}
+
+	// The whole extent of an 8-block file with 6 blocks written.
+	mustBatch(t, d, run(whole, 0, 6), srcs)
+	if err := Discard(d, run(whole, 0, 8)); err != nil {
+		t.Fatal(err)
+	}
+	for blk := int32(0); blk < 8; blk++ {
+		if !bytes.Equal(mustRead(t, d, whole, blk), zeros) {
+			t.Errorf("block %d of the discarded whole file is not zeros", blk)
+		}
+	}
+	for _, name := range []string{"f2", "f3"} {
+		if _, err := os.Stat(filepath.Join(d.dir, name)); !os.IsNotExist(err) {
+			t.Errorf("a file for %s, which was only ever discarded (stat: %v)", name, err)
+		}
+	}
+	if fi, err := os.Stat(filepath.Join(d.dir, "f4")); err == nil && fi.Size() != 0 {
+		t.Errorf("%d bytes of the discarded whole file are left", fi.Size())
+	} else if err != nil && !os.IsNotExist(err) {
+		t.Error(err)
 	}
 }

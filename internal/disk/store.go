@@ -30,10 +30,10 @@ import (
 // reasons. A discard must not overtake an older queued write of its
 // block, and the write path — the kernel's pending table, the shard's
 // write-behind FIFO — is the machinery that already orders writes.
-// And a Store is wrapped (shard remaps, the cluster's name translation,
-// counting and gating test stores, the benchmark's timer): an optional
-// interface stops at the first wrapper that has not heard of it, a nil
-// source passes through all of them untouched.
+// And a Store is wrapped (shard remaps, counting and gating test stores,
+// the benchmark's timer): an optional interface stops at the first
+// wrapper that has not heard of it, a nil source passes through all of
+// them untouched.
 type Store interface {
 	// ReadBlock fills dst (len BlockSize) with the block's contents.
 	// dst is typically an arena-backed cache slot (the fill path reads

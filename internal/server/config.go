@@ -45,11 +45,11 @@ type Config struct {
 	CheckInvariants bool
 }
 
-// announcer is a base store that addresses files by name (the cluster
-// tier's NodeStore): it is told every successful open and create's wire
-// id and name, the mapping it needs to resolve the wire ids it is handed
-// on fills and write-backs. Announce runs on a shard goroutine; it must
-// be cheap and must not call back into the server.
+// announcer is a base store that addresses files by name (disk.DirStore,
+// a cluster node's origin): it is told every successful open and
+// create's wire id and name, the mapping it needs to resolve the wire
+// ids it is handed on fills and write-backs. Announce runs on a shard
+// goroutine; it must be cheap and must not call back into the server.
 type announcer interface{ Announce(wire int32, name string) }
 
 func (c *Config) fillDefaults() {

@@ -31,7 +31,7 @@ func TestConfigKnobCeilings(t *testing.T) {
 		{expt.Options{}, 3},
 		{vmclock.Config{}, 3},
 		{fs.Config{}, 2},
-		{cluster.NodeConfig{}, 4},
+		{cluster.NodeConfig{}, 3},
 	} {
 		typ := reflect.TypeOf(c.cfg)
 		n := 0
