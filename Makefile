@@ -34,11 +34,13 @@ race-lifecycle:
 # nor runs inline on a full queue, a write that lands after its file's
 # remove persists nothing, a re-created name reads zeros on a cluster
 # node and after a leave moved it, removing "." or ".." leaves the
-# cluster's origin directory in place, and acload's sort replay leaves no
-# block of a removed temporary. CI runs it as its own step.
+# cluster's origin directory in place, acload's sort replay leaves no
+# block of a removed temporary, and every backend agrees with a plain map
+# through random reads, writes and discards from several goroutines at
+# once. CI runs it as its own step.
 race-discard:
 	$(GO) test -race ./internal/disk ./internal/core ./internal/server ./internal/cluster ./cmd/acload \
-		-run 'Discard|TestStoreFollowsLiveSet|TestLiveRemove|TestLiveWriteAfterRemove|TestLiveRecreatedName|TestClusterRecreatedName|TestClusterLeaveRecreated|TestClusterRemoveUnwritten|TestClusterDotNames|TestReplaySortLeavesNoRemovedBlocks' -count=5
+		-run 'Discard|TestStoreFollowsLiveSet|TestLiveRemove|TestLiveWriteAfterRemove|TestLiveRecreatedName|TestClusterRecreatedName|TestClusterLeaveRecreated|TestClusterRemoveUnwritten|TestClusterDotNames|TestReplaySortLeavesNoRemovedBlocks|TestStoreModel' -count=5
 
 vet:
 	$(GO) vet ./...
@@ -58,7 +60,7 @@ race:
 # raises the ceiling in its own diff, where a reviewer sees it. longest
 # prints the ten longest of the same files, so the next 1 500-line file
 # shows on the push that creates it.
-LOC_MAX = 15892
+LOC_MAX = 15854
 LOC_FILES = find . \( -name '.?*' -o -name benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -type f -print0
 loc:
 	@n=$$($(LOC_FILES) | xargs -0 cat | wc -l); echo $$n; \

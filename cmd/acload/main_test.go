@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/acm"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -72,9 +73,11 @@ func (c *stubConn) Control(enable bool) error {
 	return nil
 }
 
-func (c *stubConn) Fbehavior(op client.FbOp, a client.FbArgs) (client.FbResult, error) {
-	return client.FbResult{}, nil
-}
+func (c *stubConn) SetPriority(f fs.FileID, prio int) error            { return nil }
+func (c *stubConn) GetPriority(f fs.FileID) (int, error)               { return 0, nil }
+func (c *stubConn) SetPolicy(prio int, pol acm.Policy) error           { return nil }
+func (c *stubConn) GetPolicy(prio int) (acm.Policy, error)             { return 0, nil }
+func (c *stubConn) SetTempPri(f fs.FileID, s, e int32, prio int) error { return nil }
 
 func (c *stubConn) access() error {
 	if c.s.refuseReads > 0 {

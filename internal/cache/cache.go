@@ -782,10 +782,14 @@ func (c *Cache) InvalidateFile(id fs.FileID) int {
 }
 
 // DisownOwner transfers every block owned by owner to NoOwner, leaving
-// the blocks cached under the kernel's global policy alone. This is how an
-// owner/manager session ends: a departed client's warm blocks stay useful
-// to whoever reads them next.
+// the blocks cached under the kernel's global policy alone, and drops the
+// owner's decision record. This is how an owner/manager session ends: a
+// departed client's warm blocks stay useful to whoever reads them next,
+// and its id, never reused by the caller, is not asked about again.
 func (c *Cache) DisownOwner(owner int) int {
+	if owner >= 0 && owner < len(c.owners) {
+		c.owners[owner] = nil
+	}
 	n := 0
 	for b := c.head.gnext; b != c.tail; b = b.gnext {
 		if b.Owner == owner {

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/acm"
 	"repro/internal/fs"
 	"repro/internal/server/client"
 )
@@ -315,30 +316,39 @@ func (cl *Client) broadcast(op func(c *client.Conn) error) error {
 	return refused
 }
 
-// Fbehavior routes per-file ops to the file's node and policy-table
-// ops to every node (set) or any node (get).
-func (cl *Client) Fbehavior(op client.FbOp, a client.FbArgs) (client.FbResult, error) {
-	switch op {
-	case client.FbSetPolicy:
-		err := cl.broadcast(func(c *client.Conn) error {
-			_, e := c.Fbehavior(op, a)
-			return e
-		})
-		return client.FbResult{}, err
-	}
-	var res client.FbResult
-	call := func(c *client.Conn, remote fs.FileID) (err error) {
-		a.File = remote
-		res, err = c.Fbehavior(op, a)
+// SetPriority sets a file's priority on the file's node.
+func (cl *Client) SetPriority(f fs.FileID, prio int) error {
+	return cl.do(f, func(c *client.Conn, remote fs.FileID) error { return c.SetPriority(remote, prio) })
+}
+
+// GetPriority reads a file's priority from the file's node.
+func (cl *Client) GetPriority(f fs.FileID) (prio int, err error) {
+	err = cl.do(f, func(c *client.Conn, remote fs.FileID) (err error) {
+		prio, err = c.GetPriority(remote)
 		return err
-	}
-	var err error
-	if op == client.FbGetPolicy { // any node: every one holds the session's table
-		err = cl.onOwner("", func(c *client.Conn, _ string) error { return call(c, 0) })
-	} else {
-		err = cl.do(a.File, call)
-	}
-	return res, err
+	})
+	return prio, err
+}
+
+// SetPolicy sets a priority level's policy on every node.
+func (cl *Client) SetPolicy(prio int, pol acm.Policy) error {
+	return cl.broadcast(func(c *client.Conn) error { return c.SetPolicy(prio, pol) })
+}
+
+// GetPolicy reads a priority level's policy from any node: every one
+// holds the session's table.
+func (cl *Client) GetPolicy(prio int) (pol acm.Policy, err error) {
+	err = cl.onOwner("", func(c *client.Conn, _ string) (err error) {
+		pol, err = c.GetPolicy(prio)
+		return err
+	})
+	return pol, err
+}
+
+// SetTempPri sets a temporary priority on a block range of a file, on
+// the file's node.
+func (cl *Client) SetTempPri(f fs.FileID, startBlk, endBlk int32, prio int) error {
+	return cl.do(f, func(c *client.Conn, remote fs.FileID) error { return c.SetTempPri(remote, startBlk, endBlk, prio) })
 }
 
 // ReadInto reads one block range from the file's node.

@@ -59,7 +59,7 @@ func TestClientBroadcastRefusalKeepsMembers(t *testing.T) {
 	tc := startTestCluster(t, 2, nil)
 	cl := NewClient(tc.members)
 	defer cl.Close()
-	if _, err := cl.Fbehavior(client.FbSetPolicy, client.FbArgs{Prio: 3, Policy: acm.MRU}); !hasStatus(err, server.StatusNoControl) {
+	if err := cl.SetPolicy(3, acm.MRU); !hasStatus(err, server.StatusNoControl) {
 		t.Errorf("set_policy before control: err = %v, want no_control", err)
 	}
 	if err := cl.Control(true); err != nil {
@@ -80,6 +80,59 @@ func TestClientBroadcastRefusalKeepsMembers(t *testing.T) {
 	}
 	if _, err := cl.ReadNoData(f.ID, 0, 0, 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientCacheControlCalls: the routing client's five cache-control
+// calls on a 2-node cluster. The per-file ones reach each file's owner —
+// two files that different members own — and set_policy reaches every
+// member, so each member's session and the client read the new policy.
+func TestClientCacheControlCalls(t *testing.T) {
+	tc := startTestCluster(t, 2, nil)
+	cl := NewClient(tc.members)
+	defer cl.Close()
+	if err := cl.Control(true); err != nil {
+		t.Fatal(err)
+	}
+	byOwner := make(map[string]client.File)
+	for i := 0; len(byOwner) < 2; i++ {
+		name := fmt.Sprintf("f%d", i)
+		if _, ok := byOwner[cl.alive().Owner(name)]; ok {
+			continue
+		}
+		f, err := cl.Create(name, 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byOwner[cl.alive().Owner(name)] = f
+	}
+	prio := 1
+	for owner, f := range byOwner {
+		prio++
+		if err := cl.SetPriority(f.ID, prio); err != nil {
+			t.Fatalf("set_priority on %s's file: %v", owner, err)
+		}
+		if got, err := cl.GetPriority(f.ID); err != nil || got != prio {
+			t.Errorf("get_priority on %s's file = %d, %v; want %d", owner, got, err, prio)
+		}
+		if err := cl.SetTempPri(f.ID, 0, 3, 0); err != nil {
+			t.Errorf("set_temppri on %s's file: %v", owner, err)
+		}
+	}
+	if err := cl.SetPolicy(2, acm.MRU); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range tc.members {
+		c, err := cl.conn(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pol, err := c.GetPolicy(2); err != nil || pol != acm.MRU {
+			t.Errorf("get_policy on %s = %v, %v; want MRU", m, pol, err)
+		}
+	}
+	if pol, err := cl.GetPolicy(2); err != nil || pol != acm.MRU {
+		t.Errorf("get_policy through the client = %v, %v; want MRU", pol, err)
 	}
 }
 

@@ -301,7 +301,7 @@ func (l *Live) CheckInvariants() {
 			panic(fmt.Sprintf("core: cached valid block %v has no data slot", id))
 		}
 		if b.Owner != cache.NoOwner {
-			if b.Owner < 0 || b.Owner >= len(l.owners) || !l.owners[b.Owner].live {
+			if b.Owner < 0 || b.Owner >= len(l.owners) || l.owners[b.Owner] == nil {
 				panic(fmt.Sprintf("core: cached block %v owned by released owner %d", id, b.Owner))
 			}
 		}

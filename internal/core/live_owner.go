@@ -12,7 +12,6 @@ import (
 // liveOwner is one registered owner (a client session, in the daemon).
 type liveOwner struct {
 	name  string
-	live  bool
 	mgr   *acm.Manager
 	stats ProcStats
 	// runs is the per-file sequential-run detector for read-ahead, per
@@ -31,31 +30,36 @@ type liveOwner struct {
 // leak from a dead session to a new one.
 func (l *Live) AddOwner(name string) int {
 	id := len(l.owners)
-	l.owners = append(l.owners, &liveOwner{name: name, live: true})
+	l.owners = append(l.owners, &liveOwner{name: name})
 	return id
 }
 
+// owner returns a registered owner; a released one is as unknown as an
+// id AddOwner never returned.
 func (l *Live) owner(id int) (*liveOwner, error) {
-	if id < 0 || id >= len(l.owners) || !l.owners[id].live {
+	if id < 0 || id >= len(l.owners) || l.owners[id] == nil {
 		return nil, ErrUnknownOwner
 	}
 	return l.owners[id], nil
 }
 
-// OwnerStats snapshots an owner's counters (also valid after release).
+// OwnerStats snapshots a registered owner's counters; ReleaseOwner
+// returns the final ones.
 func (l *Live) OwnerStats(id int) (ProcStats, error) {
-	if id < 0 || id >= len(l.owners) {
-		return ProcStats{}, ErrUnknownOwner
+	o, err := l.owner(id)
+	if err != nil {
+		return ProcStats{}, err
 	}
-	return l.owners[id].stats, nil
+	return o.stats, nil
 }
 
 // ReleaseOwner ends an owner's session: its manager (if any) is
 // destroyed, and its blocks are disowned in place — they stay cached,
 // dirty ones included, for the next reader, as a process's blocks do when
 // it exits. This is the revoked-owner path of the cache exercised as a
-// production operation — every client disconnect runs it. Returns the
-// owner's final counters.
+// production operation — every client disconnect runs it. Nothing of
+// the owner stays behind but its id's nil slot, here and in the cache
+// and the ACM. Returns the owner's final counters.
 func (l *Live) ReleaseOwner(id int) (ProcStats, error) {
 	o, err := l.owner(id)
 	if err != nil {
@@ -63,17 +67,15 @@ func (l *Live) ReleaseOwner(id int) (ProcStats, error) {
 	}
 	if o.mgr != nil {
 		l.ctl.DestroyManager(id)
-		o.mgr = nil
 	}
 	l.bc.DisownOwner(id)
-	o.live = false
-	o.runs = nil // ids are never reused: a dead session's run state is garbage
+	l.owners[id] = nil
 	return o.stats, nil
 }
 
 func (l *Live) charge(owner int, f func(*ProcStats)) {
-	if owner >= 0 && owner < len(l.owners) {
-		f(&l.owners[owner].stats)
+	if o, err := l.owner(owner); err == nil {
+		f(&o.stats)
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 
 // TestReleasedOwnersHoldNoReadAheadState runs a long-lived kernel through
 // many short sessions — add an owner, scan a file sequentially under
-// read-ahead, release — and checks that a released owner keeps neither of
-// its per-file run map (owner ids are never reused, so l.owners only
-// grows) and that every scan prefetches exactly as the first one did,
-// however many owners came before it.
+// read-ahead, release — and checks that nothing of a released owner is
+// held (owner ids are never reused, so only a nil slot stays behind, in
+// the kernel and in the cache) and that every scan prefetches exactly as
+// the first one did, however many owners came before it.
 func TestReleasedOwnersHoldNoReadAheadState(t *testing.T) {
 	const (
 		sessions = 1000
@@ -38,6 +38,7 @@ func TestReleasedOwnersHoldNoReadAheadState(t *testing.T) {
 				}
 			})
 		}
+		l.bc.Owner(ow).Decisions++ // what a stats snapshot's record would hold
 		st, err := l.ReleaseOwner(ow)
 		if err != nil {
 			t.Fatal(err)
@@ -52,8 +53,11 @@ func TestReleasedOwnersHoldNoReadAheadState(t *testing.T) {
 		prevHits = hits
 	}
 	for id, o := range l.owners {
-		if !o.live && o.runs != nil {
-			t.Fatalf("released owner %d still holds its read-ahead map (%d entries)", id, len(o.runs))
+		if id != setup && o != nil {
+			t.Fatalf("released owner %d is still held (%d read-ahead entries)", id, len(o.runs))
+		}
+		if id != setup && l.bc.Owner(id).Decisions != 0 { // a dropped record comes back new
+			t.Fatalf("released owner %d still has its cache decision record", id)
 		}
 	}
 	l.CheckInvariants()

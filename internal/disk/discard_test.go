@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// discardBackends are the five ways a discard can reach a backend: the
+// storeBackends are the five ways a request can reach a backend: the
 // in-memory store, the file store on its vectored and its scalar path,
-// the directory store with the test's file ids announced, and a store
-// without the batch methods, which WriteBatch drives a block at a time.
-func discardBackends(t *testing.T) []struct {
+// the directory store with dirFiles announced, and a store without the
+// batch methods, which ReadBatch and WriteBatch drive a block at a time.
+func storeBackends(t *testing.T, dirFiles ...int32) []struct {
 	name string
 	s    Store
 } {
@@ -24,7 +24,7 @@ func discardBackends(t *testing.T) []struct {
 		{"mem", NewMemStore()},
 		{"file-vectored", vec},
 		{"file-scalar", scalar},
-		{"dir", newTestDirStore(t, 1, 2, 3, 4, 9)},
+		{"dir", newTestDirStore(t, dirFiles...)},
 		{"plain", plainStore{NewMemStore()}},
 	}
 }
@@ -67,7 +67,7 @@ func TestDiscard(t *testing.T) {
 	zeros := make([]byte, BlockSize)
 	a := bytes.Repeat([]byte{0xa1}, BlockSize)
 	b := bytes.Repeat([]byte{0xb2}, BlockSize)
-	for _, be := range discardBackends(t) {
+	for _, be := range storeBackends(t, 1, 2, 3, 4, 9) {
 		t.Run(be.name, func(t *testing.T) {
 			s := be.s
 			// A discard of a block never written is a no-op.

@@ -1,6 +1,6 @@
 // Package client is the typed Go client for the acfcd wire protocol:
-// one method per operation of the paper's user/kernel interface, plus a
-// multiplexed Fbehavior entry point mirroring the paper's syscall. A Conn
+// one method per operation of the paper's user/kernel interface, the
+// five cache-control calls of its fbehavior syscall among them. A Conn
 // issues one request at a time (round-trip under a mutex); concurrency
 // comes from opening several Conns, one per simulated application, which
 // is exactly the server's session-per-owner model.
@@ -82,7 +82,11 @@ type Session interface {
 	Create(name string, d, sizeBlocks int) (File, error)
 	Remove(name string) error
 	Control(enable bool) error
-	Fbehavior(op FbOp, a FbArgs) (FbResult, error)
+	SetPriority(f fs.FileID, prio int) error
+	GetPriority(f fs.FileID) (int, error)
+	SetPolicy(prio int, pol acm.Policy) error
+	GetPolicy(prio int) (acm.Policy, error)
+	SetTempPri(f fs.FileID, startBlk, endBlk int32, prio int) error
 	ReadInto(f fs.FileID, blk int32, off, size int, dst []byte) (hit bool, err error)
 	ReadNoData(f fs.FileID, blk int32, off, size int) (hit bool, err error)
 	Write(f fs.FileID, blk int32, off int, payload []byte) (hit bool, err error)
@@ -295,103 +299,47 @@ func (c *Conn) Control(enable bool) error {
 	return err
 }
 
-// FbOp selects the operation of a multiplexed Fbehavior call — the five
-// cache-control calls of the paper's fbehavior syscall.
-type FbOp uint8
-
-const (
-	FbSetPriority FbOp = iota
-	FbGetPriority
-	FbSetPolicy
-	FbGetPolicy
-	FbSetTempPri
-)
-
-// FbArgs are the arguments of a multiplexed Fbehavior call; each op
-// reads the fields it needs (File for the per-file calls, Prio for all
-// priority-scoped calls, Policy for FbSetPolicy, Start/End for
-// FbSetTempPri).
-type FbArgs struct {
-	File   fs.FileID
-	Prio   int
-	Policy acm.Policy
-	Start  int32
-	End    int32
-}
-
-// FbResult is the result of a multiplexed Fbehavior call: Prio for
-// FbGetPriority, Policy for FbGetPolicy, zero otherwise.
-type FbResult struct {
-	Prio   int
-	Policy acm.Policy
-}
-
-// Fbehavior is the multiplexed form of the paper's fbehavior syscall:
-// one entry point, the op selecting the call. The typed wrappers
-// (SetPriority, GetPriority, SetPolicy, GetPolicy, SetTempPri) all route
-// through it.
-func (c *Conn) Fbehavior(op FbOp, a FbArgs) (FbResult, error) {
-	switch op {
-	case FbSetPriority:
-		_, err := c.roundTrip(server.OpSetPriority, server.SetPriorityReq{File: a.File, Prio: a.Prio}.Append(nil))
-		return FbResult{}, err
-	case FbGetPriority:
-		resp, err := c.roundTrip(server.OpGetPriority, server.Word(a.File).Append(nil))
-		if err != nil {
-			return FbResult{}, err
-		}
-		prio, ok := server.ParseWord(resp)
-		if !ok {
-			return FbResult{}, fmt.Errorf("%w: get_priority: %d-byte response", ErrBadFrame, len(resp))
-		}
-		return FbResult{Prio: int(prio)}, nil
-	case FbSetPolicy:
-		_, err := c.roundTrip(server.OpSetPolicy, server.SetPolicyReq{Prio: a.Prio, Policy: a.Policy}.Append(nil))
-		return FbResult{}, err
-	case FbGetPolicy:
-		resp, err := c.roundTrip(server.OpGetPolicy, server.Word(a.Prio).Append(nil))
-		if err != nil {
-			return FbResult{}, err
-		}
-		if len(resp) != 1 {
-			return FbResult{}, fmt.Errorf("%w: get_policy: %d-byte response", ErrBadFrame, len(resp))
-		}
-		return FbResult{Policy: acm.Policy(resp[0])}, nil
-	case FbSetTempPri:
-		_, err := c.roundTrip(server.OpSetTempPri, server.SetTempPriReq{File: a.File, Start: a.Start, End: a.End, Prio: a.Prio}.Append(nil))
-		return FbResult{}, err
-	}
-	return FbResult{}, fmt.Errorf("%w: unknown fbehavior op %d", ErrBadFrame, op)
-}
-
 // SetPriority sets the long-term cache priority of a file.
 func (c *Conn) SetPriority(f fs.FileID, prio int) error {
-	_, err := c.Fbehavior(FbSetPriority, FbArgs{File: f, Prio: prio})
+	_, err := c.roundTrip(server.OpSetPriority, server.SetPriorityReq{File: f, Prio: prio}.Append(nil))
 	return err
 }
 
 // GetPriority reads the long-term cache priority of a file.
 func (c *Conn) GetPriority(f fs.FileID) (int, error) {
-	res, err := c.Fbehavior(FbGetPriority, FbArgs{File: f})
-	return res.Prio, err
+	resp, err := c.roundTrip(server.OpGetPriority, server.Word(f).Append(nil))
+	if err != nil {
+		return 0, err
+	}
+	prio, ok := server.ParseWord(resp)
+	if !ok {
+		return 0, fmt.Errorf("%w: get_priority: %d-byte response", ErrBadFrame, len(resp))
+	}
+	return int(prio), nil
 }
 
 // SetPolicy sets the replacement policy of a priority level.
 func (c *Conn) SetPolicy(prio int, pol acm.Policy) error {
-	_, err := c.Fbehavior(FbSetPolicy, FbArgs{Prio: prio, Policy: pol})
+	_, err := c.roundTrip(server.OpSetPolicy, server.SetPolicyReq{Prio: prio, Policy: pol}.Append(nil))
 	return err
 }
 
 // GetPolicy reads the replacement policy of a priority level.
 func (c *Conn) GetPolicy(prio int) (acm.Policy, error) {
-	res, err := c.Fbehavior(FbGetPolicy, FbArgs{Prio: prio})
-	return res.Policy, err
+	resp, err := c.roundTrip(server.OpGetPolicy, server.Word(prio).Append(nil))
+	if err != nil {
+		return 0, err
+	}
+	if len(resp) != 1 {
+		return 0, fmt.Errorf("%w: get_policy: %d-byte response", ErrBadFrame, len(resp))
+	}
+	return acm.Policy(resp[0]), nil
 }
 
 // SetTempPri assigns a temporary priority to cached blocks of f in
 // [startBlk, endBlk].
 func (c *Conn) SetTempPri(f fs.FileID, startBlk, endBlk int32, prio int) error {
-	_, err := c.Fbehavior(FbSetTempPri, FbArgs{File: f, Start: startBlk, End: endBlk, Prio: prio})
+	_, err := c.roundTrip(server.OpSetTempPri, server.SetTempPriReq{File: f, Start: startBlk, End: endBlk, Prio: prio}.Append(nil))
 	return err
 }
 

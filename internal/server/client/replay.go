@@ -96,14 +96,11 @@ func (r *Replay) ctl(s Session, ct core.CtlEvent) error {
 	case core.CtlControl:
 		return s.Control(ct.Enable)
 	case core.CtlSetPriority:
-		_, err := s.Fbehavior(FbSetPriority, FbArgs{File: r.files[ct.File], Prio: ct.Prio})
-		return err
+		return s.SetPriority(r.files[ct.File], ct.Prio)
 	case core.CtlSetPolicy:
-		_, err := s.Fbehavior(FbSetPolicy, FbArgs{Prio: ct.Prio, Policy: ct.Policy})
-		return err
+		return s.SetPolicy(ct.Prio, ct.Policy)
 	case core.CtlSetTempPri:
-		_, err := s.Fbehavior(FbSetTempPri, FbArgs{File: r.files[ct.File], Start: ct.Start, End: ct.End, Prio: ct.Prio})
-		return err
+		return s.SetTempPri(r.files[ct.File], ct.Start, ct.End, ct.Prio)
 	}
 	return nil
 }

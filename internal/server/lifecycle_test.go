@@ -484,3 +484,56 @@ func TestLifecycleShutdownExpiresAfterOneShardRetired(t *testing.T) {
 		}
 	}
 }
+
+// TestClosedSessionsHoldNoMemory churns sessions through a 2-shard server
+// — connect, read the stats, close — and holds what stays on the heap to
+// the id-indexed slots a session leaves behind (the kernel's owners, the
+// cache's decision records), at most 100 B a closed session. A released
+// owner's record or a stats snapshot's decision record left in any shard
+// costs ~390 B.
+func TestClosedSessionsHoldNoMemory(t *testing.T) {
+	if server.RaceEnabled {
+		t.Skip("the race detector's shadow memory swamps the measure")
+	}
+	const sessions = 2000
+	srv, _, dial := startServer(t, server.Config{Shards: 2})
+	churn := func(n int) {
+		for i := 0; i < n; i++ {
+			c := dial()
+			if _, err := c.Stats(); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			m, ok := srv.Metrics()
+			if !ok {
+				t.Fatal("metrics refused")
+			}
+			if m.SessionsActive == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d sessions still open 10 s after their clients closed", m.SessionsActive)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	churn(200) // size the slices and pools past their first growth
+	before := heap()
+	churn(sessions)
+	after := heap()
+	per := (float64(after) - float64(before)) / sessions
+	t.Logf("%.0f B of heap per closed session", per)
+	if per > 100 {
+		t.Errorf("%.0f B of heap per closed session, want ≤ 100", per)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -157,8 +158,17 @@ func TestReadModifyWrite(t *testing.T) {
 	_ = srv
 }
 
+// TestFbehaviorSurface drives the five cache-control calls and their
+// control gate at 1 and 2 shards: at 2, set_policy takes the broadcast
+// path while the per-file calls stay on the file's shard.
 func TestFbehaviorSurface(t *testing.T) {
-	_, _, dial := startServer(t, server.Config{})
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testFbehaviorSurface(t, shards) })
+	}
+}
+
+func testFbehaviorSurface(t *testing.T, shards int) {
+	_, _, dial := startServer(t, server.Config{Shards: shards})
 	c := dial()
 	defer c.Close()
 

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/acm"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/server"
@@ -118,50 +117,6 @@ func TestSingleShardOmitsPerShard(t *testing.T) {
 	}
 	if sr.PerShard != nil {
 		t.Errorf("1-shard server emitted per_shard: %+v", sr.PerShard)
-	}
-}
-
-// TestClientFbehaviorMultiplexer exercises the multiplexed Fbehavior
-// entry point — all five cache-control calls through the one syscall-like
-// surface — against a 2-shard server, so set_policy takes the broadcast
-// path while the per-file calls stay shard-local.
-func TestClientFbehaviorMultiplexer(t *testing.T) {
-	_, _, dial := startServer(t, server.Config{Shards: 2})
-	c := dial()
-	defer c.Close()
-
-	f, err := c.Create("fb", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Control(true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Fbehavior(client.FbSetPriority, client.FbArgs{File: f.ID, Prio: 2}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Fbehavior(client.FbGetPriority, client.FbArgs{File: f.ID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Prio != 2 {
-		t.Errorf("get_priority = %d, want 2", res.Prio)
-	}
-	if _, err := c.Fbehavior(client.FbSetPolicy, client.FbArgs{Prio: 2, Policy: acm.MRU}); err != nil {
-		t.Fatal(err)
-	}
-	res, err = c.Fbehavior(client.FbGetPolicy, client.FbArgs{Prio: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Policy != acm.MRU {
-		t.Errorf("get_policy = %v, want MRU", res.Policy)
-	}
-	if _, err := c.Fbehavior(client.FbSetTempPri, client.FbArgs{File: f.ID, Start: 0, End: 3, Prio: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Fbehavior(client.FbOp(99), client.FbArgs{}); !errors.Is(err, client.ErrBadFrame) {
-		t.Errorf("unknown fbehavior op: err = %v, want ErrBadFrame", err)
 	}
 }
 

@@ -75,7 +75,8 @@ func (sh *shard) snapshot(m *Metrics, at map[*session]int, only *session) {
 		if sh.idx == 0 {
 			m.Sessions[j].Owner = se.owners[0]
 		}
-		// OwnerStats fails only on an id AddOwner never returned.
+		// OwnerStats fails only on an unregistered id, and every session
+		// in sh.sessions is registered.
 		st, _ := sh.kern.OwnerStats(se.owners[sh.idx])
 		si := &m.Sessions[j]
 		si.Stats.Add(st)
