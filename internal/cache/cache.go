@@ -228,10 +228,13 @@ type Cache struct {
 
 	// Data slots (SlotBytes > 0 only): one per buffer, carved from a
 	// slab; zombies are freed slots still pinned by in-flight response
-	// frames, swept back to the free list as their pins drain.
+	// frames, swept back to the free list as their pins drain;
+	// heapSlots counts the slots allocated past the slab and not yet
+	// given back (slot.go).
 	slotSize  int
 	freeSlots []*Slot
 	zombies   []*Slot
+	heapSlots int
 }
 
 // New builds a cache. The Replacer may be nil only for policies that

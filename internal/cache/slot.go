@@ -26,11 +26,16 @@
 //     zombies whose pins have drained back onto the free list.
 //
 // Slots are carved from one slab at construction (Capacity of them —
-// every cached block owns exactly one). Pins can transiently push demand
-// above Capacity (frames in flight while their blocks are rewritten or
-// evicted), in which case allocSlot falls back to the heap; the extra
-// slots recycle through the same free list, bounded by how many frames
-// the sessions can have in flight.
+// every cached block owns exactly one). The slab is the steady-state
+// pool: demand rises above Capacity only while slots are held outside
+// the cache — write-behind's detached dirty victims, which a shard holds
+// up to min(depth, 64) + depth of, and pinned or frozen zombies, bounded
+// by the frames the sessions have in flight. Then allocSlot takes a slot
+// from the heap, and that slot goes back to the garbage collector the
+// first time it is released while the free list has a slot to offer in
+// its place: only a release onto an empty free list keeps it, so at most
+// one heap slot ever waits there, and once the extra demand has passed
+// the cache holds its slab and at most that one slot.
 
 package cache
 
@@ -42,6 +47,7 @@ import "sync/atomic"
 // and Unpin.
 type Slot struct {
 	refs atomic.Int32
+	heap bool // allocated past the slab: given back, not recycled (putSlot)
 	data []byte
 }
 
@@ -89,7 +95,8 @@ func (c *Cache) initSlots() {
 }
 
 // allocSlot returns a free slot, sweeping drained zombies first and
-// falling back to the heap when pins hold the whole arena hostage.
+// falling back to the heap when every slab slot is cached, detached for
+// a write-back or pinned.
 func (c *Cache) allocSlot() *Slot {
 	if s := c.popFreeSlot(); s != nil {
 		return s
@@ -98,7 +105,8 @@ func (c *Cache) allocSlot() *Slot {
 	if s := c.popFreeSlot(); s != nil {
 		return s
 	}
-	return &Slot{data: make([]byte, c.slotSize)}
+	c.heapSlots++
+	return &Slot{heap: true, data: make([]byte, c.slotSize)}
 }
 
 func (c *Cache) popFreeSlot() *Slot {
@@ -112,13 +120,29 @@ func (c *Cache) popFreeSlot() *Slot {
 	return s
 }
 
+// putSlot returns an unpinned slot to the pool. A heap slot goes back
+// to the garbage collector instead whenever the free list can stand in
+// for it; kept, it would hold its bytes for the cache's life.
+func (c *Cache) putSlot(s *Slot) {
+	if s.heap && len(c.freeSlots) > 0 {
+		c.heapSlots--
+		return
+	}
+	c.freeSlots = append(c.freeSlots, s)
+}
+
+// HeapSlots reports how many slots allocated past the slab the cache
+// still holds, in use or free; a slot a mid-fill eviction took out of
+// circulation stays counted.
+func (c *Cache) HeapSlots() int { return c.heapSlots }
+
 // sweepZombies moves freed-while-pinned slots whose pins have drained
-// back onto the free list.
+// back into the pool.
 func (c *Cache) sweepZombies() {
 	kept := c.zombies[:0]
 	for _, s := range c.zombies {
 		if s.refs.Load() == 0 {
-			c.freeSlots = append(c.freeSlots, s)
+			c.putSlot(s)
 		} else {
 			kept = append(kept, s)
 		}
@@ -138,7 +162,7 @@ func (c *Cache) ReleaseSlot(s *Slot) {
 		c.zombies = append(c.zombies, s)
 		return
 	}
-	c.freeSlots = append(c.freeSlots, s)
+	c.putSlot(s)
 }
 
 // ExclusiveData returns b's bytes writable by the kernel goroutine. If

@@ -115,3 +115,39 @@ func TestSlotDirtyVictimDetaches(t *testing.T) {
 	c.ReleaseSlot(v.Slot)
 	c.CheckInvariants()
 }
+
+// TestSlotHeapGivenBack: a slot allocated past the slab, because a
+// dirty victim's slot was detached for its write-back, goes back to the
+// garbage collector once the slab has a free slot to take its place —
+// the slab, not a heap overflow, is the pool a cache settles on.
+func TestSlotHeapGivenBack(t *testing.T) {
+	c := slotCache(2)
+	for i := 0; i < 2; i++ {
+		b, _ := c.Insert(id(i), cache.NoOwner, 0)
+		c.MarkDirty(b, 0)
+	}
+	// Block 0's slot leaves with its victim; block 2 takes a heap slot.
+	_, v0 := c.Insert(id(2), cache.NoOwner, 0)
+	if v0 == nil || v0.Slot == nil {
+		t.Fatal("dirty victim did not detach its slot")
+	}
+	if got := c.HeapSlots(); got != 1 {
+		t.Fatalf("%d heap slots with a victim detached from a full slab, want 1", got)
+	}
+	c.ReleaseSlot(v0.Slot) // the write-back landed: a slab slot is free
+	// Block 1's dirty eviction takes that slab slot for block 3.
+	_, v1 := c.Insert(id(3), cache.NoOwner, 0)
+	c.ReleaseSlot(v1.Slot)
+	if got := c.HeapSlots(); got != 1 {
+		t.Fatalf("%d heap slots while block 2 still holds one, want 1", got)
+	}
+	// Block 2 is clean: its eviction gives the heap slot back and block 4
+	// takes the free slab slot.
+	if _, v := c.Insert(id(4), cache.NoOwner, 0); v == nil || v.Slot != nil {
+		t.Fatal("want a clean victim")
+	}
+	if got := c.HeapSlots(); got != 0 {
+		t.Errorf("%d heap slots once the slab had a free slot again, want 0", got)
+	}
+	c.CheckInvariants()
+}

@@ -69,9 +69,10 @@ type LiveConfig struct {
 	// whole run (same file, ascending blocks) the executor may retire as
 	// one vectored store read. For each fill it must arrange for fl.Data
 	// (or fl.Err) to be produced and for CompleteFill(fl) to then be
-	// called on the kernel goroutine. Nil means fills run synchronously
-	// inline — the mode the oracle test and any single-threaded embedding
-	// use.
+	// called on the kernel goroutine. The slice is the kernel's scratch,
+	// reused by the next dispatch: an executor copies the fills out. Nil
+	// means fills run synchronously inline — the mode the oracle test and
+	// any single-threaded embedding use.
 	StartFill func(fls []*Fill)
 
 	// StartWriteBack, when non-nil, executes dirty-victim write-backs
@@ -195,6 +196,13 @@ type Live struct {
 	// on that block starts a fresh fill, so a fill never outlives the
 	// write-back ordering of its bytes.
 	mshr map[cache.BlockID]*Fill
+	// freeFills holds the fill records not in flight, last returned first
+	// taken, as System.freeFills does for the DES's, and raRun is
+	// noteSequential's run scratch: a miss or a read-ahead window
+	// allocates nothing once as many records exist as fills are ever in
+	// flight together.
+	freeFills []*Fill
+	raRun     []*Fill
 	// pendingWB is the newest queued-but-unwritten write-back per block.
 	// A fill for a block found here copies the bytes instead of reading
 	// the store — the queue holds fresher data than the store until its

@@ -7,11 +7,13 @@ import (
 )
 
 // Fill is one in-flight block read — the kernel's miss-status-holding
-// register. The kernel allocates it, the I/O executor
+// register. The kernel takes it from its free list, the I/O executor
 // (LiveConfig.StartFill) fills Data or Err, and hands it back to the
 // kernel loop, which applies it via CompleteFill. Concurrent misses on
 // the same block coalesce into one Fill through the waiter list: one
-// store read regardless of fan-in.
+// store read regardless of fan-in. CompleteFill returns the record to
+// the free list, so the executor must not touch a fill once it has
+// handed it back: the record may already be another block's.
 type Fill struct {
 	ID cache.BlockID
 	// Data is the destination the executor reads the block into:
@@ -24,10 +26,20 @@ type Fill struct {
 
 	buf     *cache.Buf
 	done    bool
-	waiters []func(data []byte, err error)
+	waiters []waiter // kept, emptied, across the record's reuses
 	// self backs the run of one a demand miss dispatches (run), so the
 	// miss allocates no slice to hand StartFill.
 	self [1]*Fill
+}
+
+// waiter is one request parked on a fill: its reply, whether it found
+// the block cached (it coalesced onto the fill), and the error of the
+// eviction its own miss forced, reported if the fill itself succeeds.
+// A read's reply is the server's pooled one; a write's is a closure.
+type waiter struct {
+	reply ReadReply
+	hit   bool
+	werr  error
 }
 
 // run returns fl as a run of one.
@@ -48,19 +60,39 @@ type raRun struct{ last, until int32 }
 // sweeping for removed files (liveOwner.raSweepAt).
 const minReadAheadSweep = 64
 
+// newFill starts buf's fill on a record from the free list, or a new
+// one until as many exist as fills are ever in flight together.
 func (l *Live) newFill(buf *cache.Buf) *Fill {
 	buf.ValidAt = ioPending
-	fl := &Fill{ID: buf.ID, Data: buf.Slot.Data(), buf: buf}
+	var fl *Fill
+	if n := len(l.freeFills); n > 0 {
+		fl = l.freeFills[n-1]
+		l.freeFills = l.freeFills[:n-1]
+	} else {
+		fl = new(Fill)
+	}
+	fl.ID, fl.Data, fl.Err, fl.buf, fl.done = buf.ID, buf.Slot.Data(), nil, buf, false
 	l.mshr[buf.ID] = fl
 	return fl
 }
 
-func (l *Live) addWaiter(fl *Fill, fn func(data []byte, err error)) {
+// addWaiter parks reply on fl, or answers it at once if fl has landed.
+func (l *Live) addWaiter(fl *Fill, reply ReadReply, hit bool, werr error) {
+	w := waiter{reply, hit, werr}
 	if fl.done {
-		fn(l.fillData(fl), fl.Err)
+		w.answer(l.fillData(fl), fl.Err)
 		return
 	}
-	fl.waiters = append(fl.waiters, fn)
+	fl.waiters = append(fl.waiters, w)
+}
+
+// answer replies to w with a landed fill's bytes and error; the error of
+// w's own eviction shows only when the fill itself succeeded.
+func (w *waiter) answer(data []byte, err error) {
+	if err == nil {
+		err = w.werr
+	}
+	w.reply.ReadDone(data, w.hit, err)
 }
 
 // fillData returns the bytes a fill's waiter should see: the block's
@@ -148,11 +180,16 @@ func (l *Live) CompleteFill(fl *Fill) {
 		}
 	}
 	fl.done = true
-	ws := fl.waiters
-	fl.waiters = nil
-	for _, w := range ws {
-		w(l.fillData(fl), fl.Err)
+	// No waiter can join now (addWaiter answers a landed fill at once),
+	// and none is answered twice: the record goes back to the free list
+	// only after the last.
+	for i := range fl.waiters {
+		fl.waiters[i].answer(l.fillData(fl), fl.Err)
 	}
+	clear(fl.waiters)
+	fl.waiters = fl.waiters[:0]
+	fl.buf, fl.Data, fl.Err = nil, nil, nil
+	l.freeFills = append(l.freeFills, fl)
 }
 
 // CountFillBatch records one multi-block store read issued by the fill
@@ -235,7 +272,7 @@ func (l *Live) noteSequential(owner int, f *fs.File, blk int32, now sim.Time) {
 	if target == until {
 		return
 	}
-	run := make([]*Fill, 0, target-until)
+	run := l.raRun[:0]
 	for next := until + 1; next <= target; next++ {
 		id := cache.BlockID{File: f.ID(), Num: next}
 		if l.bc.Peek(id) != nil {
@@ -253,4 +290,5 @@ func (l *Live) noteSequential(owner int, f *fs.File, blk int32, now sim.Time) {
 		l.fill.PrefetchIssued++
 	}
 	l.dispatchFills(run)
+	l.raRun = run[:0]
 }

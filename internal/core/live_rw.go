@@ -6,10 +6,11 @@ import (
 )
 
 // ReadReply receives a completed Read. The server's hot path implements
-// it with pooled descriptors so that a cache hit allocates nothing (a
-// func-typed callback parameter would escape — and so heap-allocate a
-// closure — at every call site, because the miss path stores it in the
-// fill's waiter list). Read is the func-based convenience wrapper.
+// it with pooled descriptors so that a read allocates nothing, hit or
+// miss (a func-typed callback parameter would escape — and so
+// heap-allocate a closure — at every call site, because the miss path
+// stores it in the fill's waiter list). Read is the func-based
+// convenience wrapper.
 type ReadReply interface {
 	// ReadDone receives the whole block's bytes (the receiver slices
 	// [off, off+size)), whether the access hit, and any I/O error. It
@@ -61,7 +62,7 @@ func (l *Live) ReadTo(owner int, fid fs.FileID, blk int32, off, size int, reply 
 			// Fill still in flight: coalesce onto it, as waitValid would.
 			if fl := l.mshr[id]; fl != nil && fl.buf == b {
 				l.fill.CoalescedMisses++
-				l.addWaiter(fl, func(data []byte, err error) { reply.ReadDone(data, true, err) })
+				l.addWaiter(fl, reply, true, nil)
 				l.noteSequential(owner, f, blk, now)
 				return false
 			}
@@ -76,15 +77,11 @@ func (l *Live) ReadTo(owner int, fid fs.FileID, blk int32, off, size int, reply 
 	buf.Referenced = true
 	o.stats.DemandReads++
 	fl := l.newFill(buf)
-	l.addWaiter(fl, func(data []byte, err error) {
-		if err == nil {
-			err = werr // the eviction this miss forced lost data
-		}
-		reply.ReadDone(data, false, err)
-	})
+	l.addWaiter(fl, reply, false, werr) // werr: the eviction this miss forced lost data
 	l.dispatchFills(fl.run())
+	done := fl.done // read before noteSequential can take the record again
 	l.noteSequential(owner, f, blk, now)
-	return fl.done
+	return done
 }
 
 // Write writes payload at offset off within block blk, growing the file
@@ -126,9 +123,9 @@ func (l *Live) Write(owner int, fid fs.FileID, blk int32, off int, payload []byt
 		if b.Busy(now) {
 			if fl := l.mshr[id]; fl != nil && fl.buf == b {
 				l.fill.CoalescedMisses++
-				l.addWaiter(fl, func(data []byte, err error) {
+				l.addWaiter(fl, funcReply(func(_ []byte, _ bool, err error) {
 					done(true, l.applyWrite(b, fl, off, payload, err))
-				})
+				}), true, nil)
 				return false
 			}
 		}
@@ -145,12 +142,9 @@ func (l *Live) Write(owner int, fid fs.FileID, blk int32, off int, payload []byt
 		// Read-modify-write: fetch the rest of the block first.
 		o.stats.DemandReads++
 		fl := l.newFill(b)
-		l.addWaiter(fl, func(data []byte, err error) {
-			if err == nil {
-				err = werr
-			}
+		l.addWaiter(fl, funcReply(func(_ []byte, _ bool, err error) {
 			done(false, l.applyWrite(b, fl, off, payload, err))
-		})
+		}), false, werr)
 		l.dispatchFills(fl.run())
 		return fl.done
 	}

@@ -11,9 +11,11 @@
 package disk
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -308,6 +310,9 @@ type runEnt struct {
 	i   int // index into the caller's specs/bufs
 }
 
+// byOff orders entries by slot offset.
+func byOff(a, b runEnt) int { return cmp.Compare(a.off, b.off) }
+
 // groupRuns walks offset-sorted entries and calls emit once per
 // contiguous-slot run. Equal offsets (the same block named twice in one
 // batch) break the run, so duplicate writes stay separate calls in
@@ -346,7 +351,7 @@ func (s *FileStore) ReadBlocks(specs []BlockSpan, dsts [][]byte) []error {
 		}
 	}
 	s.mu.Unlock()
-	sort.Slice(ents, func(a, b int) bool { return ents[a].off < ents[b].off })
+	slices.SortFunc(ents, byOff)
 	groupRuns(ents, func(run []runEnt) {
 		bufs := make([][]byte, len(run))
 		for k, e := range run {
@@ -409,7 +414,7 @@ func (s *FileStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
 		}
 	}
 	s.mu.Unlock()
-	sort.SliceStable(ents, func(a, b int) bool { return ents[a].off < ents[b].off })
+	slices.SortStableFunc(ents, byOff)
 	groupRuns(ents, func(run []runEnt) {
 		bufs := make([][]byte, len(run))
 		for k, e := range run {

@@ -14,8 +14,10 @@
 package server
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -63,30 +65,21 @@ func (q *fillQueue) push(fls []*core.Fill) int {
 	return depth
 }
 
-// pop removes up to max queued fills, blocking while the queue is empty
-// and open. It returns nil when the queue is closed and drained — the
-// workers' exit signal.
-func (q *fillQueue) pop(max int) []*core.Fill {
+// pop moves up to max queued fills onto dst[:0], blocking while the
+// queue is empty and open. It returns an empty slice when the queue is
+// closed and drained — the workers' exit signal.
+func (q *fillQueue) pop(dst []*core.Fill, max int) []*core.Fill {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.fills) == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.fills) == 0 {
-		return nil
-	}
-	n := len(q.fills)
-	if n > max {
-		n = max
-	}
-	batch := make([]*core.Fill, n)
-	copy(batch, q.fills)
+	n := min(len(q.fills), max)
+	dst = append(dst[:0], q.fills[:n]...)
 	rest := copy(q.fills, q.fills[n:])
-	for i := rest; i < len(q.fills); i++ {
-		q.fills[i] = nil
-	}
+	clear(q.fills[rest:])
 	q.fills = q.fills[:rest]
-	return batch
+	return dst
 }
 
 // close wakes every worker to exit once the queue drains. Called at
@@ -98,17 +91,54 @@ func (q *fillQueue) close() {
 	q.cond.Broadcast()
 }
 
+// fillBatch is a batch of fills a worker drained, sorted and split into
+// runs, each sent to the loop as a subslice. A run in a kmsg is the
+// loop's until it has completed the run, so the worker reuses the batch
+// only once open, the runs sent and not yet completed, is back to zero.
+type fillBatch struct {
+	fills []*core.Fill
+	open  atomic.Int32
+}
+
+// fillScratch is one fill worker's reusable memory: its batches, and the
+// spans and destinations of the vectored read it is building.
+type fillScratch struct {
+	batches []*fillBatch
+	specs   []disk.BlockSpan
+	dsts    [][]byte
+}
+
+// batch returns a batch none of whose runs the loop still holds, making
+// one when the loop holds a run of every batch there is.
+func (w *fillScratch) batch() *fillBatch {
+	for _, b := range w.batches {
+		if b.open.Load() == 0 {
+			return b
+		}
+	}
+	b := &fillBatch{fills: make([]*core.Fill, 0, maxFillBatch)}
+	w.batches = append(w.batches, b)
+	return b
+}
+
 // fillWorker is one pool goroutine: drain a batch, retire it run by
 // run, repeat until the queue closes.
-func (sh *shard) fillWorker(store disk.Store) {
+func (sh *shard) fillWorker() {
 	defer sh.srv.running.Done()
+	var w fillScratch
 	for {
-		batch := sh.fq.pop(maxFillBatch)
-		if batch == nil {
+		b := w.batch()
+		b.fills = sh.fq.pop(b.fills, maxFillBatch)
+		if len(b.fills) == 0 {
 			return
 		}
-		sh.runFills(store, batch)
+		sh.runFills(b, &w)
 	}
+}
+
+// byBlock orders fills by (file, block).
+func byBlock(a, b *core.Fill) int {
+	return cmp.Or(cmp.Compare(a.ID.File, b.ID.File), cmp.Compare(a.ID.Num, b.ID.Num))
 }
 
 // runFills sorts a drained batch by (file, block), splits it into
@@ -123,13 +153,9 @@ func (sh *shard) fillWorker(store disk.Store) {
 // A block can appear twice (an orphaned mid-fill-eviction read and its
 // successor fill); equal block numbers never extend a run, so both
 // issue separately and each reads the same authoritative store bytes.
-func (sh *shard) runFills(store disk.Store, batch []*core.Fill) {
-	sort.Slice(batch, func(a, b int) bool {
-		if batch[a].ID.File != batch[b].ID.File {
-			return batch[a].ID.File < batch[b].ID.File
-		}
-		return batch[a].ID.Num < batch[b].ID.Num
-	})
+func (sh *shard) runFills(b *fillBatch, w *fillScratch) {
+	batch := b.fills
+	slices.SortFunc(batch, byBlock)
 	for i := 0; i < len(batch); {
 		j := i + 1
 		for j < len(batch) && batch[j].ID.File == batch[i].ID.File && batch[j].ID.Num == batch[j-1].ID.Num+1 {
@@ -139,19 +165,20 @@ func (sh *shard) runFills(store disk.Store, batch []*core.Fill) {
 		i = j
 		if len(run) == 1 {
 			fl := run[0]
-			fl.Err = store.ReadBlock(int32(fl.ID.File), fl.ID.Num, fl.Data)
+			fl.Err = sh.store.ReadBlock(int32(fl.ID.File), fl.ID.Num, fl.Data)
 		} else {
-			specs := make([]disk.BlockSpan, len(run))
-			dsts := make([][]byte, len(run))
-			for k, fl := range run {
-				specs[k] = disk.BlockSpan{File: int32(fl.ID.File), Blk: fl.ID.Num}
-				dsts[k] = fl.Data
+			w.specs, w.dsts = w.specs[:0], w.dsts[:0]
+			for _, fl := range run {
+				w.specs = append(w.specs, sh.store.span(fl.ID))
+				w.dsts = append(w.dsts, fl.Data)
 			}
-			for k, err := range disk.ReadBatch(store, specs, dsts) {
+			for k, err := range disk.ReadBatch(sh.store.base, w.specs, w.dsts) {
 				run[k].Err = err
 			}
+			clear(w.dsts)
 		}
-		sh.kch <- kmsg{fills: run}
+		b.open.Add(1)
+		sh.kch <- kmsg{fills: run, batch: b}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/fs"
@@ -62,6 +63,13 @@ func (r remapStore) WriteBlock(file, blk int32, src []byte) error {
 }
 func (r remapStore) Close() error { return nil }
 
+// span is the shard-local block id as the base store knows it. A fill
+// worker builds a vectored read's spans with it and calls the base
+// store directly, so a run allocates no remapped copy.
+func (r remapStore) span(id cache.BlockID) disk.BlockSpan {
+	return disk.BlockSpan{File: int32(id.File)*r.n + r.shard, Blk: id.Num}
+}
+
 // remapSpans translates a batch's shard-local file ids to their wire
 // encoding. The remap is affine in the file id only, so adjacency in
 // (file, block) — what the run grouping keys on — is preserved.
@@ -95,41 +103,11 @@ func New(cfg Config) *Server {
 	n := cfg.Shards
 	kerns := make([]*core.Live, 0, n)
 	for i := 0; i < n; i++ {
-		sh := &shard{
-			idx:      i,
-			srv:      srv,
-			kch:      make(chan kmsg, 256),
-			done:     make(chan struct{}),
-			sessions: make(map[*session]bool),
-			fq:       newFillQueue(),
-		}
-		kcfg := cfg.Kernel.ShardConfig(i, n)
-		store := remapStore{base: base, shard: int32(i), n: int32(n)}
-		kcfg.Store = store
-		_, sh.vectors = base.(disk.BatchStore)
-		sh.announce, _ = base.(announcer)
-		// Fills queue on the shard's fill queue (the hook runs on the
-		// kernel goroutine, which also tracks the queue's high-water
-		// mark); a bounded worker pool drains it, groups same-file
-		// adjacent blocks, and re-enters the loop one run at a time. The
-		// loop counts fills in flight so shutdown can wait for the last,
-		// and write-behind so it can let them go first.
-		kcfg.StartFill = func(fls []*core.Fill) {
-			sh.fillsIssued += int64(len(fls))
-			sh.kern.NoteFillQueueDepth(sh.fq.push(fls))
-		}
+		sh := srv.newShard(i)
 		srv.running.Add(fillWorkers)
 		for w := 0; w < fillWorkers; w++ {
-			go sh.fillWorker(store)
+			go sh.fillWorker()
 		}
-		if cfg.WritebackDepth > 0 {
-			// Write-behind: the loop queues victims in one FIFO and cuts it
-			// into batches of one queue's worth, each written behind the
-			// fills then in flight (shard.writeBehind).
-			sh.wbDepth, sh.wbFull = cfg.WritebackDepth, min(cfg.WritebackDepth, maxWritebackBatch)
-			kcfg.StartWriteBack = sh.startWriteBack
-		}
-		sh.kern = core.NewLive(kcfg)
 		kerns = append(kerns, sh.kern)
 		srv.shards = append(srv.shards, sh)
 	}
@@ -139,6 +117,45 @@ func New(cfg Config) *Server {
 		go sh.loop()
 	}
 	return srv
+}
+
+// newShard builds shard i of the server's cfg.Shards over its base
+// store, kernel included, and starts nothing: New starts its fill
+// workers and its loop.
+func (srv *Server) newShard(i int) *shard {
+	cfg, n := srv.cfg, srv.cfg.Shards
+	sh := &shard{
+		idx:      i,
+		srv:      srv,
+		kch:      make(chan kmsg, 256),
+		done:     make(chan struct{}),
+		sessions: make(map[*session]bool),
+		fq:       newFillQueue(),
+		store:    remapStore{base: srv.store, shard: int32(i), n: int32(n)},
+	}
+	kcfg := cfg.Kernel.ShardConfig(i, n)
+	kcfg.Store = sh.store
+	_, sh.vectors = srv.store.(disk.BatchStore)
+	sh.announce, _ = srv.store.(announcer)
+	// Fills queue on the shard's fill queue (the hook runs on the
+	// kernel goroutine, which also tracks the queue's high-water
+	// mark); a bounded worker pool drains it, groups same-file
+	// adjacent blocks, and re-enters the loop one run at a time. The
+	// loop counts fills in flight so shutdown can wait for the last,
+	// and write-behind so it can let them go first.
+	kcfg.StartFill = func(fls []*core.Fill) {
+		sh.fillsIssued += int64(len(fls))
+		sh.kern.NoteFillQueueDepth(sh.fq.push(fls))
+	}
+	if cfg.WritebackDepth > 0 {
+		// Write-behind: the loop queues victims in one FIFO and cuts it
+		// into batches of one queue's worth, each written behind the
+		// fills then in flight (shard.writeBehind).
+		sh.wbDepth, sh.wbFull = cfg.WritebackDepth, min(cfg.WritebackDepth, maxWritebackBatch)
+		kcfg.StartWriteBack = sh.startWriteBack
+	}
+	sh.kern = core.NewLive(kcfg)
+	return sh
 }
 
 // Serve accepts connections on ln until the listener is closed. One

@@ -16,6 +16,7 @@ type kmsg struct {
 	open  bool              // with sess: session arrived
 	close bool              // with sess: session is gone
 	fills []*core.Fill      // a completed fill run (one store call)
+	batch *fillBatch        // with fills: the worker's batch the run is part of
 	wbs   []*core.WriteBack // a completed write-back batch, or one discard
 	call  func(*shard)      // run on the shard goroutine (ask)
 	drain bool              // begin refusing requests
@@ -61,6 +62,8 @@ type shard struct {
 	// fq is the shard's fill queue; the worker pool drains it. Closed at
 	// retire.
 	fq *fillQueue
+	// store is the shard's slice of the base store, its kernel's Store.
+	store remapStore
 	// vectors reports whether the base store can retire a run as one
 	// vectored call. A completed run of more than one block counts as a
 	// batch only when it can, so BatchedFills on a plain (or counting
@@ -118,48 +121,58 @@ func (sh *shard) ask(fn func(*shard)) bool {
 func (sh *shard) loop() {
 	defer sh.srv.running.Done()
 	for m := range sh.kch {
-		switch {
-		case m.fills != nil:
-			sh.fillsDone += int64(len(m.fills))
-			if len(m.fills) > 1 && sh.vectors {
-				sh.kern.CountFillBatch(len(m.fills))
-			}
-			for _, fl := range m.fills {
-				sh.kern.CompleteFill(fl)
-			}
-		case m.wbs != nil:
-			sh.wbInflight -= len(m.wbs)
-			sh.wbq[0] = nil
-			sh.wbq, sh.wbBusy = sh.wbq[1:], false
-			if len(m.wbs) > 1 && sh.vectors {
-				sh.kern.CountWritebackBatches(1)
-			}
-			for _, wb := range m.wbs {
-				sh.kern.CompleteWriteBack(wb)
-			}
-		case m.call != nil:
-			m.call(sh)
-		case m.drain:
-			sh.draining = true
-		case m.force:
-			for se := range sh.sessions {
-				se.kill()
-			}
-		case m.sess != nil && m.open:
-			sh.openSession(m.sess)
-		case m.sess != nil && m.close:
-			sh.closeSession(m.sess)
-		case m.sess != nil && m.req != nil:
-			if !sh.handle(m.sess, m.req) {
-				releaseRequest(m.req)
-			}
-		}
-		sh.writeBehind()
-		if sh.draining && len(sh.sessions) == 0 && sh.fillsDone == sh.fillsIssued && sh.wbInflight == 0 {
-			sh.retire()
+		if sh.receive(m) {
 			return
 		}
 	}
+}
+
+// receive handles one message on the shard goroutine, then lets the
+// write-behind FIFO move, and reports whether the shard has retired.
+func (sh *shard) receive(m kmsg) (retired bool) {
+	switch {
+	case m.fills != nil:
+		sh.fillsDone += int64(len(m.fills))
+		if len(m.fills) > 1 && sh.vectors {
+			sh.kern.CountFillBatch(len(m.fills))
+		}
+		for _, fl := range m.fills {
+			sh.kern.CompleteFill(fl)
+		}
+		m.batch.open.Add(-1) // the worker may reuse the run now
+	case m.wbs != nil:
+		sh.wbInflight -= len(m.wbs)
+		sh.wbq[0] = nil
+		sh.wbq, sh.wbBusy = sh.wbq[1:], false
+		if len(m.wbs) > 1 && sh.vectors {
+			sh.kern.CountWritebackBatches(1)
+		}
+		for _, wb := range m.wbs {
+			sh.kern.CompleteWriteBack(wb)
+		}
+	case m.call != nil:
+		m.call(sh)
+	case m.drain:
+		sh.draining = true
+	case m.force:
+		for se := range sh.sessions {
+			se.kill()
+		}
+	case m.sess != nil && m.open:
+		sh.openSession(m.sess)
+	case m.sess != nil && m.close:
+		sh.closeSession(m.sess)
+	case m.sess != nil && m.req != nil:
+		if !sh.handle(m.sess, m.req) {
+			releaseRequest(m.req)
+		}
+	}
+	sh.writeBehind()
+	if sh.draining && len(sh.sessions) == 0 && sh.fillsDone == sh.fillsIssued && sh.wbInflight == 0 {
+		sh.retire()
+		return true
+	}
+	return false
 }
 
 // retire ends the shard once it is draining, no session can enqueue

@@ -39,6 +39,7 @@ const maxBatchFrames = 64
 type frameWriter struct {
 	conn  net.Conn
 	vecs  net.Buffers
+	out   net.Buffers   // the copy of vecs a flush's WriteTo consumes
 	hdrs  []byte        // header scratch; fixed capacity, vecs slice into it
 	slots []*cache.Slot // pinned slots, unpinned by the next reset
 }
@@ -83,8 +84,10 @@ func (w *frameWriter) flush() error {
 		return nil
 	}
 	w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	v := w.vecs
-	_, err := v.WriteTo(w.conn) // consumes v, a copy; entries are reset below
+	// WriteTo consumes its receiver: give it a field, not a local, which
+	// would escape to the heap on every flush. Entries are reset below.
+	w.out = w.vecs
+	_, err := w.out.WriteTo(w.conn)
 	w.reset()
 	return err
 }

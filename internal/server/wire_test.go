@@ -54,11 +54,20 @@ func BenchmarkFrameWrite(b *testing.B) {
 }
 
 // TestFrameWriteAllocs is BenchmarkFrameWrite's gate: a frame allocates
-// nothing, and a flush gives back every pin its frames took.
+// nothing, its flush included, and a flush gives back every pin its
+// frames took. One run is a whole cycle of maxBatchFrames frames and
+// the flush that ends it, so AllocsPerRun's truncation to a whole number
+// per run cannot average one flush's allocation away.
 func TestFrameWriteAllocs(t *testing.T) {
 	l := newFrameWriteLoop()
-	if n := testing.AllocsPerRun(1000, func() { l.next(t) }); n > 0 && !RaceEnabled {
-		t.Errorf("a zero-copy frame write allocates %.2f times a frame, want 0", n)
+	cycle := func() {
+		for i := 0; i < maxBatchFrames; i++ {
+			l.next(t)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n > 0 && !RaceEnabled {
+		t.Errorf("%d zero-copy frame writes and their flush allocate %.0f times, want 0", maxBatchFrames, n)
 	}
 	if err := l.w.flush(); err != nil {
 		t.Fatal(err)
