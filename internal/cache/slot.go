@@ -11,7 +11,7 @@
 //
 // The answer is a pin count plus copy-on-write:
 //
-//   - The kernel goroutine pins a slot (refcount) when it enqueues a
+//   - The kernel's holder pins a slot (refcount) when it enqueues a
 //     response descriptor; the session writer unpins after the vectored
 //     write returns. Pin/Unpin are the only cross-goroutine edges and are
 //     atomic, so the unpin that drops the count to zero happens-before
@@ -43,7 +43,7 @@ import "sync/atomic"
 
 // Slot is one block's worth of cached bytes, refcounted so response
 // frames can reference it after the kernel operation that served them
-// returns. The kernel goroutine owns the data; writers only Pin, read,
+// returns. The kernel's holder owns the data; writers only Pin, read,
 // and Unpin.
 type Slot struct {
 	refs atomic.Int32
@@ -51,12 +51,12 @@ type Slot struct {
 	data []byte
 }
 
-// Data returns the slot's bytes. The caller must hold a pin (or be the
-// kernel goroutine) for the bytes to be stable.
+// Data returns the slot's bytes. The caller must hold a pin (or hold the
+// kernel) for the bytes to be stable.
 func (s *Slot) Data() []byte { return s.data }
 
 // Pin takes a reference: the bytes will not be mutated or recycled until
-// the matching Unpin. Called by the kernel goroutine before handing the
+// the matching Unpin. Called by the kernel's holder before handing the
 // slot to a session writer.
 func (s *Slot) Pin() { s.refs.Add(1) }
 
@@ -70,7 +70,7 @@ func (s *Slot) Unpin() {
 }
 
 // Pinned reports whether any reader still holds the slot (racy by
-// nature; exact only on the kernel goroutine).
+// nature; exact only while holding the kernel).
 func (s *Slot) Pinned() bool { return s.refs.Load() != 0 }
 
 // Backs reports whether data is this slot's storage — the serve path's
@@ -165,7 +165,7 @@ func (c *Cache) ReleaseSlot(s *Slot) {
 	c.putSlot(s)
 }
 
-// ExclusiveData returns b's bytes writable by the kernel goroutine. If
+// ExclusiveData returns b's bytes writable by the kernel's holder. If
 // the current slot is pinned by in-flight response frames, the block
 // moves to a fresh copy (copy-on-write) and the pinned slot stays frozen
 // for its readers; cowed reports that the copy happened so the caller

@@ -125,7 +125,7 @@ func (tc *testCluster) leave(m string) error {
 	return tc.nodes[m].Leave(ctx)
 }
 
-// kill simulates an abrupt death: sessions severed, shard loops force-
+// kill simulates an abrupt death: sessions severed, shards force-
 // drained, nothing flushed, nothing handed off.
 func (tc *testCluster) kill(m string) {
 	tc.t.Helper()

@@ -8,8 +8,8 @@ import (
 )
 
 // TestLifecycleNodeLeave: the planned leave still flushes and hands off
-// with the shard loops gone — FlushDirty and LiveFiles read the kernels
-// between Shutdown and Close, from outside any loop — and what Leave
+// with the shards retired — FlushDirty and LiveFiles read the kernels
+// between Shutdown and Close, without any shard lock — and what Leave
 // leaves behind is a husk: no kernels, no metrics, Close a no-op.
 // Part of the lifecycle suite (internal/server/lifecycle_test.go).
 func TestLifecycleNodeLeave(t *testing.T) {

@@ -41,7 +41,7 @@ type Node struct {
 	ring *Ring
 }
 
-// NewNode builds the node and starts its server's shard loops.
+// NewNode builds the node and starts its server.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: NodeConfig.Self required")
@@ -61,7 +61,7 @@ func (n *Node) Ring() *Ring { return n.ring }
 
 // Leave retires the node. Ordering, each step a barrier for the next:
 //
-//  1. Shutdown drains sessions and shard loops past the drain barrier,
+//  1. Shutdown drains sessions and shards past the drain barrier,
 //     so no asynchronous fill or write-back is in flight (ctx bounds the
 //     wait; on expiry the rest are severed and the drain forced).
 //  2. FlushDirty persists every dirty block to the origin, so no new

@@ -6,13 +6,17 @@
 // accounting — but driven by real requests against a real block store
 // (disk.Store), with no simulated costs. Live is that kernel.
 //
-// Concurrency contract: Live is single-threaded by design. Exactly one
-// goroutine (the server's kernel loop) may call its methods; block fills
-// and write-backs are the only concurrent work, and they re-enter through
-// CompleteFill and CompleteWriteBack on that same goroutine. This mirrors
-// the paper's kernel, where the buffer cache is protected by the
-// monolithic-kernel lock, and it is why the cache and ACM structures —
-// written for the one-runnable-process DES — can be reused unchanged.
+// Concurrency contract: Live is single-threaded by design. Its methods
+// never run concurrently: one goroutine at a time holds the kernel — in
+// the server, whichever goroutine holds the shard's lock, a session's
+// reader, a fill worker or a write-behind batch — and calls them. Block
+// fills and write-backs are the only concurrent work, and they re-enter
+// through CompleteFill and CompleteWriteBack under that same exclusion.
+// This mirrors the paper's kernel, where the buffer cache runs inside the
+// caller's system call under the monolithic-kernel lock and a disk
+// completion runs its handler in place, and it is why the cache and ACM
+// structures — written for the one-runnable-process DES — can be reused
+// unchanged.
 //
 // Accounting parity: Read and Write mirror Proc.Access / Proc.WriteAccess
 // counter for counter (ReadCalls, Hits, Misses, DemandReads, WriteBacks,
@@ -69,7 +73,7 @@ type LiveConfig struct {
 	// whole run (same file, ascending blocks) the executor may retire as
 	// one vectored store read. For each fill it must arrange for fl.Data
 	// (or fl.Err) to be produced and for CompleteFill(fl) to then be
-	// called on the kernel goroutine. The slice is the kernel's scratch,
+	// called by the kernel's holder. The slice is the kernel's scratch,
 	// reused by the next dispatch: an executor copies the fills out. Nil
 	// means fills run synchronously inline — the mode the oracle test and
 	// any single-threaded embedding use.
@@ -77,7 +81,7 @@ type LiveConfig struct {
 
 	// StartWriteBack, when non-nil, executes dirty-victim write-backs
 	// asynchronously: it must arrange for the store write and for
-	// CompleteWriteBack(wb) to then be called on the kernel goroutine.
+	// CompleteWriteBack(wb) to then be called by the kernel's holder.
 	// Nil means write-backs run synchronously inline at eviction — with
 	// a nil hook the kernel's request/IO ordering is byte-identical to
 	// the pre-write-behind kernel, which is what the oracle test pins.

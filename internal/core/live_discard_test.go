@@ -200,7 +200,7 @@ func TestLiveRemoveQueuesDiscardBehindWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := store.calls.Load() - calls; got != 0 {
-		t.Errorf("the remove made %d store calls on the kernel goroutine, want 0", got)
+		t.Errorf("the remove made %d store calls inline, want 0", got)
 	}
 	if len(ex.q) != 5 {
 		t.Fatalf("%d records queued after the remove, want the 4 write-backs and 1 discard", len(ex.q))

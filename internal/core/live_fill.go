@@ -9,7 +9,7 @@ import (
 // Fill is one in-flight block read — the kernel's miss-status-holding
 // register. The kernel takes it from its free list, the I/O executor
 // (LiveConfig.StartFill) fills Data or Err, and hands it back to the
-// kernel loop, which applies it via CompleteFill. Concurrent misses on
+// kernel, applying it via CompleteFill while it holds the kernel. Concurrent misses on
 // the same block coalesce into one Fill through the waiter list: one
 // store read regardless of fan-in. CompleteFill returns the record to
 // the free list, so the executor must not touch a fill once it has
@@ -159,8 +159,8 @@ func (l *Live) dispatchFills(fls []*Fill) {
 }
 
 // CompleteFill applies a finished block read: install the bytes (or
-// drop the buffer and count a read error), then run every waiter. Must be called on
-// the kernel goroutine. A buffer evicted while its fill was in flight is
+// drop the buffer and count a read error), then run every waiter. Must be
+// called by the kernel's holder. A buffer evicted while its fill was in flight is
 // not re-installed — its waiters still get the bytes, and the buffer
 // stays IOPending, exactly the leak-to-GC discipline of the DES. The
 // MSHR entry is removed only if it is still this fill's: a fresh miss
@@ -201,8 +201,8 @@ func (l *Live) CountFillBatch(blocks int) {
 }
 
 // NoteFillQueueDepth tracks the fill queue's high-water mark: how far
-// the bounded worker pool fell behind the miss stream. Kernel goroutine
-// only.
+// the bounded worker pool fell behind the miss stream. The kernel's
+// holder only.
 func (l *Live) NoteFillQueueDepth(depth int) {
 	if int64(depth) > l.fill.FillQueueHighWater {
 		l.fill.FillQueueHighWater = int64(depth)

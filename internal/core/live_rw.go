@@ -14,8 +14,8 @@ import (
 type ReadReply interface {
 	// ReadDone receives the whole block's bytes (the receiver slices
 	// [off, off+size)), whether the access hit, and any I/O error. It
-	// runs on the kernel goroutine — inline for hits and synchronous
-	// fills, later for asynchronous ones.
+	// runs while the kernel is held — inline for hits and synchronous
+	// fills, later, inside CompleteFill, for asynchronous ones.
 	ReadDone(data []byte, hit bool, err error)
 }
 
@@ -32,8 +32,8 @@ func (l *Live) Read(owner int, fid fs.FileID, blk int32, off, size int, done fun
 
 // ReadTo reads size bytes at offset off within block blk, delivering the
 // result through reply. The returned bool reports whether ReadDone
-// already ran (false: an asynchronous fill will run it later, on the
-// kernel goroutine).
+// already ran (false: an asynchronous fill will run it later, inside
+// CompleteFill).
 //
 // The counter updates replicate Proc.Access exactly (with read-ahead
 // off): ReadCalls, then Hits, or Misses + DemandReads with the insert
@@ -160,7 +160,7 @@ func (l *Live) Write(owner int, fid fs.FileID, blk int32, off int, payload []byt
 	return true
 }
 
-// exclusiveData returns b's bytes writable on the kernel goroutine: if
+// exclusiveData returns b's bytes writable by the kernel's holder: if
 // the block's slot is pinned by in-flight response frames the block
 // moves to a fresh copy first (the frames keep reading the bytes they
 // were served), counted as the zero-copy path's fallback.
@@ -174,7 +174,7 @@ func (l *Live) exclusiveData(b *cache.Buf) []byte {
 
 // CountWireFallback records a serve-path copy the server had to take (a
 // response whose buffer was evicted mid-fill is served from the detached
-// bytes). Kernel goroutine only.
+// bytes). The kernel's holder only.
 func (l *Live) CountWireFallback() { l.fill.WireCopyFallbacks++ }
 
 // applyWrite lands a write that was waiting on a fill. When the buffer

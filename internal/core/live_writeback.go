@@ -111,7 +111,7 @@ func (l *Live) writeBack(id cache.BlockID, sl *cache.Slot, data []byte, owner in
 }
 
 // CompleteWriteBack applies a finished asynchronous write-back. Must be
-// called on the kernel goroutine. The pending entry is removed only if
+// called by the kernel's holder. The pending entry is removed only if
 // it is still this write-back's: a newer eviction of the same block owns
 // the forwarding slot (and the executor's queue order guarantees its
 // bytes reach the store last).
@@ -161,7 +161,7 @@ func (l *Live) CompleteWriteBack(wb *WriteBack) {
 }
 
 // CountWritebackBatches records n multi-block write-behind batches
-// retired with vectored store writes. Kernel goroutine only.
+// retired with vectored store writes. The kernel's holder only.
 func (l *Live) CountWritebackBatches(n int) {
 	l.fill.WritebackBatches += int64(n)
 }
@@ -181,7 +181,7 @@ func (l *Live) FlushDirty(cutoff sim.Time) (int, error) {
 			continue
 		}
 		// Reading the slot for the store write is safe against pinned
-		// in-flight frames (reads both); the kernel goroutine is the only
+		// in-flight frames (reads both); the kernel's holder is the only
 		// writer.
 		if err := l.store.WriteBlock(int32(b.ID.File), b.ID.Num, b.Slot.Data()); err != nil {
 			l.fill.WritebackErrors++

@@ -1,0 +1,5 @@
+//go:build !race
+
+package disk
+
+const raceEnabled = false

@@ -6,7 +6,7 @@
 // cache.BlockID — and is safe for concurrent use, because the daemon's
 // fill workers and write-behind batches call it from goroutines of their
 // own, concurrently with each other and with the synchronous write-backs
-// a shard loop performs inline.
+// a shard performs inline under its lock.
 
 package disk
 
@@ -186,8 +186,8 @@ func (m *MemStore) BlocksOf(file int32) int {
 // slots as they are first written, and a slot map translates (file,
 // block) to the slot offset. Reads of unwritten blocks return zeros
 // without touching the file. Concurrent reads use pread on disjoint
-// offsets; writes serialize on the slot map's mutex (the kernel loop is
-// the only writer, so this costs nothing in practice).
+// offsets; writes resolve their slots under the slot map's mutex and
+// write unlocked.
 //
 // A discard forgets the block's slot and touches nothing else: the slot
 // is not handed to another block and the file does not shrink. A fill
@@ -205,6 +205,8 @@ type FileStore struct {
 	// without the syscalls, and flipped off by tests to exercise the
 	// portable fallback.
 	vectored atomic.Bool
+	// scratch pools the batch calls' runScratch.
+	scratch sync.Pool
 
 	// I/O call counters, by shape. A "scalar" call is one ReadAt/WriteAt
 	// moving one block; a "vector" call is one preadv/pwritev moving a
@@ -223,7 +225,13 @@ func NewFileStore(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, err
 	}
+	rc, err := f.SyscallConn()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
 	s := &FileStore{f: f, slots: make(map[uint64]int64)}
+	s.scratch.New = func() any { return &runScratch{vec: newVecOp(rc)} }
 	s.vectored.Store(vectoredIO)
 	return s, nil
 }
@@ -310,6 +318,26 @@ type runEnt struct {
 	i   int // index into the caller's specs/bufs
 }
 
+// runScratch is one batch call's reusable memory: the entries resolved
+// to slots, one run's buffers, and the vectored call's state with its
+// iovecs. A batch takes one from the store's pool and gives it back with
+// no buffer left in it.
+type runScratch struct {
+	ents []runEnt
+	bufs [][]byte
+	vec  *vecOp
+}
+
+// gather collects the buffers of run's entries out of bufs into the
+// scratch; the caller clears them once the run is done.
+func (sc *runScratch) gather(run []runEnt, bufs [][]byte) [][]byte {
+	sc.bufs = sc.bufs[:0]
+	for _, e := range run {
+		sc.bufs = append(sc.bufs, bufs[e.i])
+	}
+	return sc.bufs
+}
+
 // byOff orders entries by slot offset.
 func byOff(a, b runEnt) int { return cmp.Compare(a.off, b.off) }
 
@@ -334,10 +362,13 @@ func groupRuns(ents []runEnt, emit func(run []runEnt)) {
 // block). Unwritten spans zero-fill without touching the file. A run
 // that fails mid-call marks every span in the run with the error —
 // the caller can't tell which block the kernel choked on, and fill
-// errors are per-block terminal anyway.
+// errors are per-block terminal anyway. Beyond the []error it returns,
+// a batch allocates nothing: the rest is pooled scratch.
 func (s *FileStore) ReadBlocks(specs []BlockSpan, dsts [][]byte) []error {
 	errs := make([]error, len(specs))
-	ents := make([]runEnt, 0, len(specs))
+	sc := s.scratch.Get().(*runScratch)
+	defer s.scratch.Put(sc)
+	ents := sc.ents[:0]
 	s.mu.Lock()
 	for i, sp := range specs {
 		if len(dsts[i]) != BlockSize {
@@ -351,13 +382,12 @@ func (s *FileStore) ReadBlocks(specs []BlockSpan, dsts [][]byte) []error {
 		}
 	}
 	s.mu.Unlock()
+	sc.ents = ents
 	slices.SortFunc(ents, byOff)
 	groupRuns(ents, func(run []runEnt) {
-		bufs := make([][]byte, len(run))
-		for k, e := range run {
-			bufs[k] = dsts[e.i]
-		}
-		if err := s.readRun(bufs, run[0].off); err != nil {
+		err := s.readRun(sc.vec, sc.gather(run, dsts), run[0].off)
+		clear(sc.bufs)
+		if err != nil {
 			for _, e := range run {
 				errs[e.i] = err
 			}
@@ -366,9 +396,9 @@ func (s *FileStore) ReadBlocks(specs []BlockSpan, dsts [][]byte) []error {
 	return errs
 }
 
-func (s *FileStore) readRun(bufs [][]byte, off int64) error {
+func (s *FileStore) readRun(vec *vecOp, bufs [][]byte, off int64) error {
 	if len(bufs) > 1 && s.vectored.Load() {
-		calls, err := preadvFull(s.f, bufs, off)
+		calls, err := vec.full(sysPreadv, bufs, off)
 		s.vectorReads.Add(int64(calls))
 		return err
 	}
@@ -392,6 +422,8 @@ func (s *FileStore) readRun(bufs [][]byte, off int64) error {
 // span of the same block takes a fresh one.
 func (s *FileStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
 	errs := make([]error, len(specs))
+	sc := s.scratch.Get().(*runScratch)
+	defer s.scratch.Put(sc)
 	idx := make([]int, 0, len(specs))
 	for i := range specs {
 		if errs[i] = checkSrc(srcs[i]); errs[i] != nil {
@@ -406,7 +438,7 @@ func (s *FileStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
 		}
 		return sa.Blk < sb.Blk
 	})
-	ents := make([]runEnt, 0, len(idx))
+	ents := sc.ents[:0]
 	s.mu.Lock()
 	for _, i := range idx {
 		if off, write := s.slotLocked(storeKey(specs[i].File, specs[i].Blk), srcs[i] == nil); write {
@@ -414,13 +446,12 @@ func (s *FileStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
 		}
 	}
 	s.mu.Unlock()
+	sc.ents = ents
 	slices.SortStableFunc(ents, byOff)
 	groupRuns(ents, func(run []runEnt) {
-		bufs := make([][]byte, len(run))
-		for k, e := range run {
-			bufs[k] = srcs[e.i]
-		}
-		if err := s.writeRun(bufs, run[0].off); err != nil {
+		err := s.writeRun(sc.vec, sc.gather(run, srcs), run[0].off)
+		clear(sc.bufs)
+		if err != nil {
 			for _, e := range run {
 				errs[e.i] = err
 			}
@@ -429,9 +460,9 @@ func (s *FileStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
 	return errs
 }
 
-func (s *FileStore) writeRun(bufs [][]byte, off int64) error {
+func (s *FileStore) writeRun(vec *vecOp, bufs [][]byte, off int64) error {
 	if len(bufs) > 1 && s.vectored.Load() {
-		calls, err := pwritevFull(s.f, bufs, off)
+		calls, err := vec.full(sysPwritev, bufs, off)
 		s.vectorWrites.Add(int64(calls))
 		return err
 	}

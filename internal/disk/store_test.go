@@ -92,3 +92,51 @@ func BenchmarkStoreFill(b *testing.B) {
 		}
 	}
 }
+
+// TestFileStoreReadBlocksAllocs: a vectored 16-block read allocates
+// only the []error it returns — the resolved entries, the run's buffers,
+// the iovecs and the call into the descriptor are pooled scratch — and
+// reads the bytes written.
+func TestFileStoreReadBlocksAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates, and drops pooled scratch")
+	}
+	const run = 16
+	s := newTestFileStore(t)
+	specs := make([]BlockSpan, run)
+	bufs := make([][]byte, run)
+	for i := range specs {
+		specs[i] = BlockSpan{File: 1, Blk: int32(i)}
+		bufs[i] = make([]byte, BlockSize)
+		fillPattern(bufs[i], 1, int32(i))
+	}
+	for i, err := range s.WriteBlocks(specs, bufs) {
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	for _, b := range bufs {
+		clear(b)
+	}
+	_, v0, _, _ := s.IOCounts()
+	read := func() {
+		for i, err := range s.ReadBlocks(specs, bufs) {
+			if err != nil {
+				t.Fatalf("read %d: %v", i, err)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, read); n > 1 {
+		t.Errorf("a %d-block ReadBlocks allocated %.0f times, want at most 1 (its []error)", run, n)
+	}
+	if _, v, _, _ := s.IOCounts(); v == v0 {
+		t.Error("no vectored read issued: the gate measured the scalar path")
+	}
+	want := make([]byte, BlockSize)
+	for i, b := range bufs {
+		fillPattern(want, 1, int32(i))
+		if !bytes.Equal(b, want) {
+			t.Fatalf("block %d read back wrong bytes", i)
+		}
+	}
+}

@@ -12,7 +12,6 @@ package disk
 import (
 	"io"
 	"math/bits"
-	"os"
 	"runtime"
 	"syscall"
 	"unsafe"
@@ -21,6 +20,9 @@ import (
 // vectoredIO reports whether this platform has preadv/pwritev; the
 // FileStore constructor uses it to pick the run path.
 const vectoredIO = true
+
+// sysPreadv and sysPwritev are the traps vecOp.full issues.
+const sysPreadv, sysPwritev = syscall.SYS_PREADV, syscall.SYS_PWRITEV
 
 // maxIovecs bounds one vectored call (Linux IOV_MAX is 1024); longer
 // runs issue multiple calls.
@@ -34,93 +36,100 @@ func offLoHi(off int64) (lo, hi uintptr) {
 	return uintptr(off), uintptr(uint64(off) >> (bits.UintSize - 1) >> 1)
 }
 
-// vecCall issues one preadv/pwritev over bufs at off, retrying EINTR.
-// It returns the bytes transferred and the number of syscalls issued
-// (EINTR retries count: they hit the disk scheduler even when they
-// move no data).
-func vecCall(trap uintptr, fd uintptr, bufs [][]byte, off int64) (n int, calls int, err error) {
-	iovs := make([]syscall.Iovec, len(bufs))
-	for i, b := range bufs {
-		iovs[i].Base = &b[0]
-		iovs[i].SetLen(len(b))
+// vecOp is one vectored run's state and its reusable iovec scratch. ctl
+// is run bound once, at newVecOp, so a run through RawConn.Control
+// allocates nothing: no closure, no iovec array, no RawConn.
+type vecOp struct {
+	rc    syscall.RawConn
+	ctl   func(fd uintptr)
+	iovs  []syscall.Iovec
+	trap  uintptr
+	bufs  [][]byte
+	off   int64
+	calls int
+	err   error
+}
+
+func newVecOp(rc syscall.RawConn) *vecOp {
+	op := &vecOp{rc: rc}
+	op.ctl = op.run
+	return op
+}
+
+// full issues preadv or pwritev (trap) over bufs at contiguous file
+// offsets from off until every byte has transferred — whatever lies past
+// the end of the file reads as zeros — chunking at maxIovecs and
+// resuming after short transfers, and returns the syscalls issued
+// (EINTR retries count: they hit the disk scheduler even when they move
+// no data). bufs is consumed: the slice and its entries are re-sliced as
+// data moves, so callers pass a scratch header slice (the underlying
+// block buffers are never modified beyond the transfer itself).
+func (op *vecOp) full(trap uintptr, bufs [][]byte, off int64) (calls int, err error) {
+	op.trap, op.bufs, op.off, op.calls, op.err = trap, bufs, off, 0, nil
+	if cerr := op.rc.Control(op.ctl); cerr != nil {
+		op.err = cerr
 	}
-	lo, hi := offLoHi(off)
+	op.bufs = nil
+	return op.calls, op.err
+}
+
+// run is full's body, on the file's descriptor.
+func (op *vecOp) run(fd uintptr) {
+	for len(op.bufs) > 0 {
+		chunk := op.bufs[:min(len(op.bufs), maxIovecs)]
+		n, err := op.call(fd, chunk)
+		if err != nil {
+			op.err = err
+			return
+		}
+		if n == 0 {
+			if op.trap == syscall.SYS_PWRITEV {
+				op.err = io.ErrShortWrite
+				return
+			}
+			// End of file inside an allocated run: the rest is not
+			// written yet and reads as zeros (FileStore.readSlot).
+			for _, b := range op.bufs {
+				clear(b)
+			}
+			return
+		}
+		op.off += int64(n)
+		for n > 0 {
+			if n >= len(op.bufs[0]) {
+				n -= len(op.bufs[0])
+				op.bufs = op.bufs[1:]
+			} else {
+				op.bufs[0] = op.bufs[0][n:]
+				n = 0
+			}
+		}
+	}
+}
+
+// call issues one preadv/pwritev over bufs at op.off, retrying EINTR, and
+// returns the bytes transferred. The iovecs are cleared afterwards, so
+// the scratch pins no buffer between runs.
+func (op *vecOp) call(fd uintptr, bufs [][]byte) (n int, err error) {
+	iovs := op.iovs[:0]
+	for _, b := range bufs {
+		iov := syscall.Iovec{Base: &b[0]}
+		iov.SetLen(len(b))
+		iovs = append(iovs, iov)
+	}
+	op.iovs = iovs
+	defer clear(iovs)
+	lo, hi := offLoHi(op.off)
 	for {
-		calls++
-		r, _, e := syscall.Syscall6(trap, fd, uintptr(unsafe.Pointer(&iovs[0])), uintptr(len(iovs)), lo, hi, 0)
+		op.calls++
+		r, _, e := syscall.Syscall6(op.trap, fd, uintptr(unsafe.Pointer(&iovs[0])), uintptr(len(iovs)), lo, hi, 0)
 		runtime.KeepAlive(bufs)
 		if e == syscall.EINTR {
 			continue
 		}
 		if e != 0 {
-			return 0, calls, e
+			return 0, e
 		}
-		return int(r), calls, nil
+		return int(r), nil
 	}
-}
-
-// vecFull drives vecCall until every byte of bufs has transferred,
-// chunking at maxIovecs and resuming after short transfers. bufs is
-// consumed: the slice and its entries are re-sliced as data moves, so
-// callers pass a scratch header slice (the underlying block buffers
-// are never modified beyond the transfer itself).
-func vecFull(trap uintptr, f *os.File, bufs [][]byte, off int64) (calls int, err error) {
-	sc, err := f.SyscallConn()
-	if err != nil {
-		return 0, err
-	}
-	var inner error
-	cerr := sc.Control(func(fd uintptr) {
-		for len(bufs) > 0 {
-			chunk := bufs
-			if len(chunk) > maxIovecs {
-				chunk = chunk[:maxIovecs]
-			}
-			n, c, err := vecCall(trap, fd, chunk, off)
-			calls += c
-			if err != nil {
-				inner = err
-				return
-			}
-			if n == 0 {
-				if trap == syscall.SYS_PWRITEV {
-					inner = io.ErrShortWrite
-					return
-				}
-				// End of file inside an allocated run: the rest is not
-				// written yet and reads as zeros (FileStore.readSlot).
-				for _, b := range bufs {
-					clear(b)
-				}
-				return
-			}
-			off += int64(n)
-			for n > 0 {
-				if n >= len(bufs[0]) {
-					n -= len(bufs[0])
-					bufs = bufs[1:]
-				} else {
-					bufs[0] = bufs[0][n:]
-					n = 0
-				}
-			}
-		}
-	})
-	if cerr != nil {
-		return calls, cerr
-	}
-	return calls, inner
-}
-
-// preadvFull reads len(bufs) buffers from contiguous file offsets
-// starting at off in as few preadv calls as short reads allow; whatever
-// lies past the end of the file reads as zeros.
-func preadvFull(f *os.File, bufs [][]byte, off int64) (calls int, err error) {
-	return vecFull(syscall.SYS_PREADV, f, bufs, off)
-}
-
-// pwritevFull writes len(bufs) buffers to contiguous file offsets
-// starting at off.
-func pwritevFull(f *os.File, bufs [][]byte, off int64) (calls int, err error) {
-	return vecFull(syscall.SYS_PWRITEV, f, bufs, off)
 }

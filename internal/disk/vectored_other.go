@@ -9,17 +9,20 @@ package disk
 
 import (
 	"errors"
-	"os"
+	"syscall"
 )
 
 const vectoredIO = false
 
 var errNoVectoredIO = errors.New("disk: vectored I/O unsupported on this platform")
 
-func preadvFull(f *os.File, bufs [][]byte, off int64) (calls int, err error) {
-	return 0, errNoVectoredIO
-}
+const sysPreadv, sysPwritev = 0, 0
 
-func pwritevFull(f *os.File, bufs [][]byte, off int64) (calls int, err error) {
+// vecOp stands in for the preadv/pwritev runner; see vectored_linux.go.
+type vecOp struct{}
+
+func newVecOp(syscall.RawConn) *vecOp { return &vecOp{} }
+
+func (*vecOp) full(trap uintptr, bufs [][]byte, off int64) (calls int, err error) {
 	return 0, errNoVectoredIO
 }

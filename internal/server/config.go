@@ -17,24 +17,24 @@ type Config struct {
 	Kernel core.LiveConfig
 	// WritebackDepth bounds the asynchronous write-behind queue per
 	// shard. 0 (the default) disables write-behind: dirty victims write
-	// back synchronously inside the kernel loop, reproducing the
+	// back synchronously inside the evicting request, reproducing the
 	// pre-write-behind request/IO ordering exactly — the mode the oracle
-	// test pins. With depth N, a shard's loop queues dirty victims and
-	// cuts the queue into batches written N at a time (at most 64), a
+	// test pins. With depth N, a shard queues dirty victims and cuts the
+	// queue into batches written N at a time (at most 64), a
 	// partial batch at shutdown; when N victims already wait behind the
 	// batch at the store, a victim with no same-block ordering constraint
 	// degrades to a synchronous inline write (backpressure) rather than
-	// blocking the loop.
+	// growing the queue.
 	WritebackDepth int
 	// Shards is the number of independent kernel shards (default 1).
 	// Each shard owns its own Live — its own cache arena, ACM, and fill
-	// accounting — and its own message loop; files hash to a shard at
+	// accounting — and its own lock; files hash to a shard at
 	// open time, so every block of a file lives in exactly one
 	// replacement domain. Shards=1 is the unsharded server, bit for bit.
 	Shards int
 	// MaxInflight bounds pipelined requests per session (default 32).
-	// The bound is what lets the kernel loops respond without ever
-	// blocking on a slow client: a session holds one token per
+	// The bound is what lets a shard respond without ever blocking on a
+	// slow client: a session holds one token per
 	// unanswered request, so the response channel never fills.
 	MaxInflight int
 	// IdleTimeout disconnects a session with no traffic for this long
@@ -48,8 +48,8 @@ type Config struct {
 // announcer is a base store that addresses files by name (disk.DirStore,
 // a cluster node's origin): it is told every successful open and
 // create's wire id and name, the mapping it needs to resolve the wire
-// ids it is handed on fills and write-backs. Announce runs on a shard
-// goroutine; it must be cheap and must not call back into the server.
+// ids it is handed on fills and write-backs. Announce runs under a shard
+// lock; it must be cheap and must not call back into the server.
 type announcer interface{ Announce(wire int32, name string) }
 
 func (c *Config) fillDefaults() {
@@ -80,8 +80,8 @@ type StatsReply struct {
 
 // SessionInfo describes one live session in a Metrics snapshot. Owner is
 // the session's owner id in shard 0 (owner ids are per-shard), or
-// cache.NoOwner while shard 0 does not list the session — its open is
-// still queued there, or its close has already run; Stats aggregates the
+// cache.NoOwner while shard 0 does not list the session — it has not
+// opened there yet, or its close has already run; Stats aggregates the
 // session's counters across all shards. Control is its manager's decision
 // quality: decisions and mistakes summed over the shards, Revoked if any
 // shard revoked it (each shard's cache judges its own share alone).

@@ -159,7 +159,7 @@ func (s *orderStore) arrivals() []string {
 // TestDiscardOrderedBehindWriteBack: the first full batch (blocks 0 and
 // 1; the queue holds 2) is held at the store's gate, blocks 2 and 3 fill
 // the queue behind it, and the file is removed. The discard must neither
-// run inline on the shard loop (a full queue sends an ordinary
+// run inline in the shard (a full queue sends an ordinary
 // write-back that way) nor reach the store before the writes it follows:
 // it joins the FIFO past the bound, the remove is answered at
 // once, and when the gate opens the store sees four writes, then the

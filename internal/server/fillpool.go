@@ -5,11 +5,12 @@
 // decides the call shape (mechanism). Misses and read-ahead runs queue
 // on a per-shard fillQueue, a small worker pool drains it, groups
 // same-file adjacent blocks, and retires each run with one vectored
-// store read; a write-behind batch, which the shard loop cuts from its
-// FIFO (shard.go), goes to the store with one vectored call. MSHR
-// join/detach, orphan rules and Conflict ordering all live above this
-// layer and see the same per-fill/per-write-back completions they
-// always did.
+// store read; a write-behind batch, which the shard cuts from its FIFO
+// (shard.go), goes to the store with one vectored call. Each run and
+// each batch completes in its shard through ask, on the goroutine that
+// did the store call. MSHR join/detach, orphan rules and Conflict
+// ordering all live above this layer and see the same
+// per-fill/per-write-back completions they always did.
 
 package server
 
@@ -17,7 +18,6 @@ import (
 	"cmp"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -29,7 +29,7 @@ const (
 	// overlap a few independent misses without unbounded goroutine spawn.
 	fillWorkers = 4
 	// maxFillBatch bounds how many queued fills one worker drains at a
-	// time; maxWritebackBatch bounds a write-behind batch, which the loop
+	// time; maxWritebackBatch bounds a write-behind batch, which the shard
 	// cuts whole once it holds min(WritebackDepth, maxWritebackBatch)
 	// victims.
 	maxFillBatch      = 128
@@ -38,9 +38,10 @@ const (
 	writeTimeout = 30 * time.Second
 )
 
-// fillQueue is the per-shard miss queue between the kernel loop and the
-// fill workers. Push happens on the kernel goroutine and never blocks;
-// pop blocks a worker until work or close.
+// fillQueue is the per-shard miss queue between the kernel and the fill
+// workers. Push happens under the shard lock and never blocks; pop
+// blocks a worker, holding no shard lock, until work or close. mu is
+// never held while a shard lock is taken.
 type fillQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -91,48 +92,26 @@ func (q *fillQueue) close() {
 	q.cond.Broadcast()
 }
 
-// fillBatch is a batch of fills a worker drained, sorted and split into
-// runs, each sent to the loop as a subslice. A run in a kmsg is the
-// loop's until it has completed the run, so the worker reuses the batch
-// only once open, the runs sent and not yet completed, is back to zero.
-type fillBatch struct {
-	fills []*core.Fill
-	open  atomic.Int32
-}
-
-// fillScratch is one fill worker's reusable memory: its batches, and the
-// spans and destinations of the vectored read it is building.
+// fillScratch is one fill worker's reusable memory: the batch it
+// drained, and the spans and destinations of the vectored read it is
+// building.
 type fillScratch struct {
-	batches []*fillBatch
-	specs   []disk.BlockSpan
-	dsts    [][]byte
-}
-
-// batch returns a batch none of whose runs the loop still holds, making
-// one when the loop holds a run of every batch there is.
-func (w *fillScratch) batch() *fillBatch {
-	for _, b := range w.batches {
-		if b.open.Load() == 0 {
-			return b
-		}
-	}
-	b := &fillBatch{fills: make([]*core.Fill, 0, maxFillBatch)}
-	w.batches = append(w.batches, b)
-	return b
+	fills []*core.Fill
+	specs []disk.BlockSpan
+	dsts  [][]byte
 }
 
 // fillWorker is one pool goroutine: drain a batch, retire it run by
 // run, repeat until the queue closes.
 func (sh *shard) fillWorker() {
 	defer sh.srv.running.Done()
-	var w fillScratch
+	w := fillScratch{fills: make([]*core.Fill, 0, maxFillBatch)}
 	for {
-		b := w.batch()
-		b.fills = sh.fq.pop(b.fills, maxFillBatch)
-		if len(b.fills) == 0 {
+		w.fills = sh.fq.pop(w.fills, maxFillBatch)
+		if len(w.fills) == 0 {
 			return
 		}
-		sh.runFills(b, &w)
+		sh.runFills(&w)
 	}
 }
 
@@ -144,17 +123,18 @@ func byBlock(a, b *core.Fill) int {
 // runFills sorts a drained batch by (file, block), splits it into
 // same-file adjacent runs, and issues one store read per run — the run
 // coalescing rule: only blocks that can plausibly share a vectored call
-// are grouped; everything else stays a single-block read. Each run
-// re-enters the kernel loop as one completion message, preserving
-// per-fill CompleteFill semantics exactly. The send is plain: the loop
-// counts these fills in flight and cannot retire until it has received
-// their completion.
+// are grouped; everything else stays a single-block read. The worker
+// completes each run itself, in the shard through ask, preserving
+// per-fill CompleteFill semantics exactly; the shard counts these fills
+// in flight and cannot retire before they complete. A run is complete
+// when ask returns, so the batch is the worker's again once runFills
+// returns.
 //
 // A block can appear twice (an orphaned mid-fill-eviction read and its
 // successor fill); equal block numbers never extend a run, so both
 // issue separately and each reads the same authoritative store bytes.
-func (sh *shard) runFills(b *fillBatch, w *fillScratch) {
-	batch := b.fills
+func (sh *shard) runFills(w *fillScratch) {
+	batch := w.fills
 	slices.SortFunc(batch, byBlock)
 	for i := 0; i < len(batch); {
 		j := i + 1
@@ -177,37 +157,39 @@ func (sh *shard) runFills(b *fillBatch, w *fillScratch) {
 			}
 			clear(w.dsts)
 		}
-		b.open.Add(1)
-		sh.kch <- kmsg{fills: run, batch: b}
+		sh.ask(func(sh *shard) { sh.completeFills(run) })
 	}
 }
 
 // writeBatch is one write-behind batch's trip to the store, on a
-// goroutine of its own that the loop starts once the batch may go
+// goroutine of its own that the shard starts once the batch may go
 // (shard.writeBehind): a discard goes through disk.Discard, a release's
 // barrier makes no store call, a lone victim keeps the plain WriteBlock
 // path, and a group goes through WriteBatch so adjacent-slot victims
-// collapse into pwritev runs. The batch re-enters
-// the loop as one completion; the send is plain, as the loop counts the
-// batch in flight and cannot retire until it has received it.
-func (sh *shard) writeBatch(store disk.Store, batch []*core.WriteBack) {
+// collapse into pwritev runs. The group's spans are addressed to the
+// base store directly (remapStore.span) and built in the shard's
+// scratch. The batch then completes in the shard through ask, which the
+// shard cannot refuse: it counts the batch in flight and cannot retire
+// before it completes.
+func (sh *shard) writeBatch(batch []*core.WriteBack) {
 	defer sh.srv.running.Done()
 	switch wb := batch[0]; {
 	case wb.Discard != nil:
-		wb.Err = disk.Discard(store, wb.Discard)
+		wb.Err = disk.Discard(sh.kern.Store(), wb.Discard)
 	case wb.Barrier():
 	case len(batch) == 1:
-		wb.Err = store.WriteBlock(int32(wb.ID.File), wb.ID.Num, wb.Data)
+		wb.Err = sh.kern.Store().WriteBlock(int32(wb.ID.File), wb.ID.Num, wb.Data)
 	default:
-		specs := make([]disk.BlockSpan, len(batch))
-		srcs := make([][]byte, len(batch))
-		for i, wb := range batch {
-			specs[i] = disk.BlockSpan{File: int32(wb.ID.File), Blk: wb.ID.Num}
-			srcs[i] = wb.Data
+		specs, srcs := sh.wbSpecs[:0], sh.wbSrcs[:0]
+		for _, wb := range batch {
+			specs = append(specs, sh.store.span(wb.ID))
+			srcs = append(srcs, wb.Data)
 		}
-		for i, err := range disk.WriteBatch(store, specs, srcs) {
+		for i, err := range disk.WriteBatch(sh.store.base, specs, srcs) {
 			batch[i].Err = err
 		}
+		clear(srcs)
+		sh.wbSpecs, sh.wbSrcs = specs, srcs
 	}
-	sh.kch <- kmsg{wbs: batch}
+	sh.ask(func(sh *shard) { sh.completeWriteBacks(batch) })
 }

@@ -42,11 +42,11 @@ func (sh *shard) local(wire fs.FileID) fs.FileID {
 	return wire / fs.FileID(len(sh.srv.shards))
 }
 
-// handle runs one request on the shard goroutine. It reports whether
-// the handler retained r past its return (handleWrite, whose payload
-// aliases r.body until the kernel's completion callback); when false,
-// the shard loop recycles r immediately — so handlers that complete
-// asynchronously (handleRead) must copy what they need out of r first.
+// handle runs one request under the shard lock. It reports whether the
+// handler retained r past its return (handleWrite, whose payload aliases
+// r.body until the kernel's completion callback); when false, dispatch
+// recycles r immediately — so handlers that complete asynchronously
+// (handleRead) must copy what they need out of r first.
 func (sh *shard) handle(se *session, r *request) (retained bool) {
 	sh.requests++
 	if sh.draining {
@@ -132,7 +132,7 @@ func (sh *shard) replyFile(se *session, id uint32, f *fs.File) {
 // readCtx is one in-flight read's reply state, pooled so the hot path
 // allocates nothing. It copies every field it needs out of the request
 // (which recycles when the handler returns) and implements
-// core.ReadReply; the kernel invokes ReadDone on the shard goroutine,
+// core.ReadReply; the kernel invokes ReadDone under the shard lock,
 // either inline (hit) or when the fill completes.
 type readCtx struct {
 	sh    *shard
@@ -166,7 +166,7 @@ func (rc *readCtx) ReadDone(data []byte, hit bool, err error) {
 		fl = FlagHit
 	}
 	// Zero-copy when the bytes still live in the cached buffer's slot:
-	// running on the kernel goroutine, nothing can evict or mutate the
+	// running under the shard lock, nothing can evict or mutate the
 	// block between this check and the pin inside sendZC. A fill whose
 	// buffer was stolen mid-flight hands us a detached copy instead
 	// (data no longer backs the cached slot) — serve that by value.
@@ -265,9 +265,8 @@ func (sh *shard) handleFbehavior(se *session, r *request) {
 // shard, in shard order, and replies once: these ops target the
 // session's manager state, which exists per shard. First error wins; a
 // refusal from any shard refuses the whole op. Runs on the session's
-// reader goroutine; each shard's closure is complete before the next is
-// posted, and a live registered session keeps its shard loops
-// consuming, so the round-trips cannot deadlock.
+// reader, one shard at a time: it never holds two shard locks, and a
+// shard cannot retire while the session is registered there.
 func (s *Server) broadcastCtl(se *session, r *request) {
 	s.xRequests.Add(1)
 	// Validate and decode before touching any shard, so a bad body can

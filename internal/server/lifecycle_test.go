@@ -182,8 +182,9 @@ func heapInuse() uint64 {
 
 // TestLifecycleCyclesLeaveNothing: sixteen servers started, used and
 // stopped one after the other leave no goroutine and less than one
-// cache arena of heap behind. (With shard loops that never return, each
-// stopped server kept its two loops, its 4 MB of arenas and its store.)
+// cache arena of heap behind. (When a shard was a goroutine that never
+// returned, each stopped server kept its two loops, its 4 MB of arenas
+// and its store.)
 func TestLifecycleCyclesLeaveNothing(t *testing.T) {
 	lifecycleCycle(t) // warm the package-level pools
 	noServerGoroutines(t)

@@ -7,7 +7,7 @@ import (
 )
 
 // serverFrames matches every goroutine the server package runs or
-// started: shard loops, fill workers, write-behind batches at the store,
+// started: fill workers, write-behind batches at the store,
 // session readers and writers, and a test's own `go srv.Serve(ln)`.
 const serverFrames = "repro/internal/server."
 

@@ -23,7 +23,7 @@ import (
 //
 // The parity argument: with read-ahead off and a serial replay,
 // replacement is a pure function of the request sequence — the wire adds
-// latency but the kernel loop sees the exact same order of operations the
+// latency but the shard's kernel sees the exact same order of operations the
 // simulated kernel saw. The kernel's clock plays no part: recency is the
 // global list's order, a buffer's ValidAt is only ever 0 or IOPending,
 // and every flush outside tests passes MaxTime, so each replay runs under

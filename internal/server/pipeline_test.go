@@ -73,7 +73,7 @@ func (s *flakyStore) WriteBlock(file, blk int32, src []byte) error {
 
 // waitSessionsGone polls until the server has processed every session
 // close, so a test can observe post-release state without racing the
-// shard loops.
+// shards.
 func waitSessionsGone(t *testing.T, srv *server.Server) server.Metrics {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -95,8 +95,8 @@ func waitSessionsGone(t *testing.T, srv *server.Server) server.Metrics {
 // TestServerMissCoalescing is the tentpole regression: K concurrent
 // sessions missing on the same cold block must trigger exactly one store
 // read, and every session must get the correct bytes. The store sleeps
-// long enough that all K requests are in the shard loop's hands before
-// the fill lands.
+// long enough that all K requests have run in the shard before the fill
+// lands.
 func TestServerMissCoalescing(t *testing.T) {
 	const K = 8
 	mem := disk.NewMemStore()

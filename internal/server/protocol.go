@@ -1,8 +1,8 @@
 // Package server implements acfcd, a concurrent application-controlled
 // cache server: the paper's user/kernel interface — open, read, write,
 // close, plus the five fbehavior cache-control calls — exposed to real
-// client processes over a socket, with N Live kernel shards, each behind
-// its own serialized loop, and files hashed to shards at open time.
+// client processes over a socket, with N Live kernel shards, each owned
+// by whoever holds its lock, and files hashed to shards at open time.
 //
 // Shard routing. Most ops are shard-local: open, create, remove and
 // release route by a stable hash of the file name; read, write, close, set_priority,
@@ -13,7 +13,7 @@
 // each shard before the next frame — and stats aggregates: the reply
 // folds every shard's counters (plus a per-shard breakdown when
 // shards > 1). Shutdown drain and the /metrics snapshot are likewise
-// all-shard operations, orchestrated outside any one loop.
+// all-shard operations, taking each shard's lock in turn.
 //
 // Wire protocol. Every message is a length-prefixed binary frame,
 // big-endian throughout:

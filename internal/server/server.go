@@ -14,9 +14,9 @@ import (
 	"repro/internal/fs"
 )
 
-// Server is the acfcd daemon: N kernel shards, each a Live owned by one
-// loop goroutine, and any number of client sessions feeding them
-// requests over per-shard channels.
+// Server is the acfcd daemon: N kernel shards, each a Live owned by
+// whoever holds its lock, and any number of client sessions whose
+// readers run their requests in the shards themselves.
 type Server struct {
 	cfg    Config
 	shards []*shard   // nil once closed
@@ -29,17 +29,17 @@ type Server struct {
 	listeners []net.Listener
 	down      bool
 	// admitting counts startSession calls between their admission (under
-	// mu, while !down) and their last open send: Shutdown waits for it
-	// before posting drain, so an admitted session's open precedes drain
-	// in every shard's FIFO.
+	// mu, while !down) and their last open: Shutdown waits for it before
+	// it drains the shards, so an admitted session is registered in every
+	// shard before any shard drains.
 	admitting sync.WaitGroup
-	// running counts the server's goroutines: shard loops, fill workers,
-	// write-behind batches at the store, session readers and writers.
+	// running counts the server's goroutines: fill workers, write-behind
+	// batches at the store, session readers and writers.
 	running sync.WaitGroup
 
 	sessionsTotal atomic.Int64
 	// Broadcast and aggregated ops (control, set_policy, stats) are
-	// orchestrated by session readers, not any one shard loop, so their
+	// orchestrated by session readers, not in any one shard, so their
 	// request accounting lives here.
 	xRequests atomic.Int64
 	xRefused  atomic.Int64
@@ -92,7 +92,7 @@ func (r remapStore) WriteBlocks(specs []disk.BlockSpan, srcs [][]byte) []error {
 	return disk.WriteBatch(r.base, r.remapSpans(specs), srcs)
 }
 
-// New builds a Server and starts its shard loops.
+// New builds a Server and starts its shards' fill workers.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	base := cfg.Kernel.Store
@@ -112,22 +112,17 @@ func New(cfg Config) *Server {
 		srv.shards = append(srv.shards, sh)
 	}
 	core.CheckShardInvariants(kerns, cfg.Kernel)
-	srv.running.Add(n)
-	for _, sh := range srv.shards {
-		go sh.loop()
-	}
 	return srv
 }
 
 // newShard builds shard i of the server's cfg.Shards over its base
 // store, kernel included, and starts nothing: New starts its fill
-// workers and its loop.
+// workers.
 func (srv *Server) newShard(i int) *shard {
 	cfg, n := srv.cfg, srv.cfg.Shards
 	sh := &shard{
 		idx:      i,
 		srv:      srv,
-		kch:      make(chan kmsg, 256),
 		done:     make(chan struct{}),
 		sessions: make(map[*session]bool),
 		fq:       newFillQueue(),
@@ -137,18 +132,18 @@ func (srv *Server) newShard(i int) *shard {
 	kcfg.Store = sh.store
 	_, sh.vectors = srv.store.(disk.BatchStore)
 	sh.announce, _ = srv.store.(announcer)
-	// Fills queue on the shard's fill queue (the hook runs on the
-	// kernel goroutine, which also tracks the queue's high-water
-	// mark); a bounded worker pool drains it, groups same-file
-	// adjacent blocks, and re-enters the loop one run at a time. The
-	// loop counts fills in flight so shutdown can wait for the last,
-	// and write-behind so it can let them go first.
+	// Fills queue on the shard's fill queue (the hook runs under the
+	// shard lock, which also covers the queue's high-water mark); a
+	// bounded worker pool drains it, groups same-file adjacent blocks,
+	// and completes them in the shard one run at a time. The shard
+	// counts fills in flight so shutdown can wait for the last, and
+	// write-behind so it can let them go first.
 	kcfg.StartFill = func(fls []*core.Fill) {
 		sh.fillsIssued += int64(len(fls))
 		sh.kern.NoteFillQueueDepth(sh.fq.push(fls))
 	}
 	if cfg.WritebackDepth > 0 {
-		// Write-behind: the loop queues victims in one FIFO and cuts it
+		// Write-behind: the shard queues victims in one FIFO and cuts it
 		// into batches of one queue's worth, each written behind the
 		// fills then in flight (shard.writeBehind).
 		sh.wbDepth, sh.wbFull = cfg.WritebackDepth, min(cfg.WritebackDepth, maxWritebackBatch)
@@ -182,13 +177,13 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // startSession registers conn as a new owner session in every shard and
-// starts its reader and writer. The registration messages are enqueued
-// before the reader exists, so each shard sees the open before any of
-// that session's requests. Admission is decided under mu: a connection
-// that arrives once Shutdown has begun is closed unserved, and one
-// admitted before has its opens queued ahead of every shard's drain
-// (Shutdown waits for admitting) — so a retiring shard has seen every
-// session it will ever be sent.
+// starts its reader and writer. The session is registered in every
+// shard before the reader exists, so each shard sees the open before
+// any of that session's requests. Admission is decided under mu: a
+// connection that arrives once Shutdown has begun is closed unserved,
+// and one admitted before is registered everywhere before any shard
+// drains (Shutdown waits for admitting) — so a retiring shard has seen
+// every session it will ever serve.
 func (s *Server) startSession(conn net.Conn) {
 	s.mu.Lock()
 	if s.down {
@@ -214,7 +209,7 @@ func (s *Server) startSession(conn net.Conn) {
 	}
 	s.sessionsTotal.Add(1)
 	for _, sh := range s.shards {
-		sh.kch <- kmsg{sess: se, open: true}
+		sh.ask(func(sh *shard) { sh.openSession(se) })
 	}
 	s.running.Add(2)
 	go se.readLoop()
@@ -224,8 +219,8 @@ func (s *Server) startSession(conn net.Conn) {
 // Shutdown drains the server: listeners close, connections that arrive
 // from here on are closed unserved, every queued and in-flight request
 // completes or is refused (StatusRefused), and each shard retires — its
-// loop and fill workers end — once its last session
-// disconnects and its last fill and write-back land. If ctx expires
+// fill workers end — once its last session disconnects and its last
+// fill and write-back land. If ctx expires
 // first, remaining sessions are disconnected forcibly; Shutdown still
 // waits for the drain (fills are local I/O and always complete). When
 // it returns, every goroutine the server started has exited. A second
@@ -244,11 +239,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, ln := range lns {
 		ln.Close()
 	}
-	// Every admitted session has queued its opens; none can follow. A
-	// shard cannot retire before it sees drain, so these sends are plain.
+	// Every admitted session is registered in every shard; none can
+	// follow. A shard cannot retire before it drains, so these asks run.
 	s.admitting.Wait()
 	for _, sh := range s.shards {
-		sh.kch <- kmsg{drain: true}
+		sh.ask(func(sh *shard) { sh.draining = true })
 	}
 	var err error
 	for _, sh := range s.shards {
@@ -260,7 +255,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if err == nil {
 			err = ctx.Err()
 			for _, sh := range s.shards {
-				sh.post(kmsg{force: true})
+				sh.ask(func(sh *shard) {
+					for se := range sh.sessions {
+						se.kill()
+					}
+				})
 			}
 		}
 		<-sh.done
@@ -274,12 +273,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Shards() int { return s.cfg.Shards }
 
 // errRunning is what the stopped-server calls return on a server whose
-// Shutdown has not returned: its loops still own the kernels.
+// Shutdown has not returned: its shards still own the kernels.
 var errRunning = errors.New("server: Shutdown has not returned")
 
 // stopped returns the shards of a server between the end of Shutdown
 // and Close — the span in which the kernels are quiescent and readable
-// from outside their (now ended) loops. ok is false while the server
+// without their (now retired) shard locks. ok is false while the server
 // runs; the slice is nil once closed.
 func (s *Server) stopped() (shards []*shard, ok bool) {
 	select {
@@ -306,7 +305,7 @@ func flushShards(shards []*shard) error {
 // block store, and lets go of both: the kernels (their cache arenas)
 // and every reference to the store, the copy in the configuration
 // included. A caller that keeps the *Server afterwards keeps a husk.
-// Call only after Shutdown has returned: the shard loops have ended, and
+// Call only after Shutdown has returned: the shards have retired, and
 // the drain barrier has already waited out every asynchronous write-back
 // — so these flush writes can never be overtaken by a stale write-behind
 // batch. A second Close is a no-op.

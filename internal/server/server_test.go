@@ -22,7 +22,7 @@ import (
 
 // startServer brings up a server on a loopback TCP listener and returns
 // a dialer plus a shutdown func.
-func startServer(t *testing.T, cfg server.Config) (*server.Server, string, func() *client.Conn) {
+func startServer(t testing.TB, cfg server.Config) (*server.Server, string, func() *client.Conn) {
 	t.Helper()
 	if cfg.Kernel.CacheBytes == 0 {
 		cfg.Kernel.CacheBytes = core.MB(1)

@@ -24,7 +24,7 @@ type request struct {
 var requestPool = sync.Pool{New: func() any { return new(request) }}
 
 // releaseRequest returns a request and its body buffer to their pools.
-// Called exactly once per request: by the shard loop after a handler
+// Called exactly once per request: by the dispatcher after a handler
 // that did not retain it, by the retaining handler's completion
 // callback (handleWrite, whose payload aliases body until the kernel
 // consumes it), by the dispatcher for reader-orchestrated ops, or by
@@ -65,7 +65,7 @@ func flagBody(hit bool) []byte {
 
 // session is one client connection = one cache owner (one owner id per
 // shard). The reader and writer goroutines own conn's two directions;
-// owners[i] belongs to shard i's loop alone.
+// owners[i] belongs to shard i and is read and written under its lock.
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -74,22 +74,21 @@ type session struct {
 	// tokens implements per-session backpressure: the reader takes a
 	// token per request and the writer returns it after dequeuing the
 	// response, so at most MaxInflight responses can ever be queued —
-	// which is why the kernel loops' sends to out can never block, and a
-	// dead client can never wedge a kernel.
+	// which is why a send to out under a shard lock can never block, and
+	// a dead client can never wedge a kernel.
 	tokens chan struct{}
 	out    chan outFrame
 	die    chan struct{}
 	once   sync.Once
 
-	// owners[i] is this session's owner id in shard i, written by shard
-	// i's loop when it processes the open message and read only by that
-	// shard afterwards.
+	// owners[i] is this session's owner id in shard i, written when the
+	// session opens there and read only under shard i's lock afterwards.
 	owners []int
 
-	// closeLeft counts shards that have not yet processed this session's
-	// close message; the last one closes out. outMu orders late sends
-	// (a fill completing after some shard closed the session) against
-	// that close.
+	// closeLeft counts shards that have not yet closed this session; the
+	// last one closes out. outMu orders late sends (a fill completing
+	// after some shard closed the session) against that close. It is
+	// never held while a shard lock is taken.
 	closeLeft atomic.Int32
 	outMu     sync.RWMutex
 	outClosed bool
@@ -104,9 +103,9 @@ func (s *session) kill() {
 }
 
 // send queues a response. Never blocks (see session.tokens); drops the
-// frame once every shard has closed the session. Unlike the unsharded
-// server, sends arrive from several shard loops, so the closed check and
-// the channel close are ordered by outMu instead of loop ownership.
+// frame once every shard has closed the session. Sends arrive under
+// several shards' locks, so the closed check and the channel close are
+// ordered by outMu instead of by any one shard's.
 func (s *session) send(id uint32, tag uint8, body []byte) {
 	s.outMu.RLock()
 	if !s.outClosed {
@@ -116,8 +115,8 @@ func (s *session) send(id uint32, tag uint8, body []byte) {
 }
 
 // sendZC queues a zero-copy read response: the payload slice aliases
-// sl's bytes, pinned here (on the kernel goroutine, so the pin is
-// ordered before any later mutation of the block) and unpinned by the
+// sl's bytes, pinned here (under the shard lock, so the pin is ordered
+// before any later mutation of the block) and unpinned by the
 // writer after the vectored write — or right here when every shard has
 // already closed the session and the frame is dropped.
 func (s *session) sendZC(id uint32, flags uint8, sl *cache.Slot, payload []byte) {
@@ -181,8 +180,8 @@ func (se *session) readLoop() {
 		}
 		select {
 		case <-se.die:
-			// Don't enqueue after kill: the close messages must be the
-			// session's last in every shard.
+			// Run nothing after kill: the closes must be the session's
+			// last step in every shard.
 			releaseRequest(r)
 		default:
 			se.srv.dispatch(se, r)
@@ -192,15 +191,17 @@ func (se *session) readLoop() {
 	}
 	se.kill()
 	for _, sh := range se.srv.shards {
-		sh.kch <- kmsg{sess: se, close: true}
+		sh.ask(func(sh *shard) { sh.closeSession(se) })
 	}
 }
 
-// dispatch routes one frame. Shard-local ops go to their file's (or
-// name's) shard; broadcast ops (control, set_policy) and the stats
-// aggregation are orchestrated here, on the reader goroutine, which
-// keeps each shard's FIFO ordered: a broadcast completes in every shard
-// before the reader can enqueue the session's next frame.
+// dispatch runs one frame, on the session's reader. Shard-local ops run
+// in their file's (or name's) shard, under its lock, where the request
+// is recycled unless its handler retained it; broadcast ops (control,
+// set_policy) and the stats aggregation are orchestrated here, a shard
+// at a time. Either way the frame has run everywhere it goes before the
+// reader takes the session's next one, so each shard sees a session's
+// frames in the order they arrived.
 func (s *Server) dispatch(se *session, r *request) {
 	switch r.op {
 	case OpControl, OpSetPolicy:
@@ -212,7 +213,11 @@ func (s *Server) dispatch(se *session, r *request) {
 		s.serveStats(se, r)
 		releaseRequest(r)
 	default:
-		s.shardFor(r.op, r.body).kch <- kmsg{sess: se, req: r}
+		s.shardFor(r.op, r.body).ask(func(sh *shard) {
+			if !sh.handle(se, r) {
+				releaseRequest(r)
+			}
+		})
 	}
 }
 
@@ -255,7 +260,7 @@ func hashName[S string | []byte](b S) uint32 {
 func (se *session) writeLoop() {
 	defer se.srv.running.Done()
 	// Keep draining out even after a write error: the shards' sends and
-	// the reader's tokens both depend on this loop consuming (a dead
+	// the reader's tokens both depend on this writer consuming (a dead
 	// connection just surrenders each frame's slot pin). Frames batch in
 	// the frameWriter while more responses are already queued and flush
 	// when the queue goes idle — a pipelined burst of reads becomes one

@@ -2,40 +2,46 @@ package server
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/core"
+	"repro/internal/disk"
 )
 
-// kmsg is one message into a shard loop. Exactly one field group is set:
-// a session event (sess + req/open/close), a completed fill or
-// write-back run, a closure to run on the shard goroutine, or a shutdown
-// phase.
-type kmsg struct {
-	sess  *session
-	req   *request          // with sess: one request frame
-	open  bool              // with sess: session arrived
-	close bool              // with sess: session is gone
-	fills []*core.Fill      // a completed fill run (one store call)
-	batch *fillBatch        // with fills: the worker's batch the run is part of
-	wbs   []*core.WriteBack // a completed write-back batch, or one discard
-	call  func(*shard)      // run on the shard goroutine (ask)
-	drain bool              // begin refusing requests
-	force bool              // kill every remaining session
-}
-
-// shard is one kernel shard: a Live of its own plus the one goroutine
-// that owns it. All fields below kch are that goroutine's alone.
+// shard is one kernel shard: a Live of its own and the lock that owns
+// it. Whoever holds mu owns the shard, and every field from mu down is
+// read and written only under it — the serialization rule that lets the
+// DES-era cache and ACM structures run a concurrent server unchanged,
+// applied per replacement domain. ask is the one way to take it.
 type shard struct {
 	idx  int
 	srv  *Server
 	kern *core.Live
-	kch  chan kmsg
-	// done closes when the shard retires (shutdown): its loop returns
-	// and nothing receives from kch again. Senders that hold a session,
-	// a fill or a write-back open are counted by the retire condition
-	// and send plainly; anyone else goes through post.
+	// fq is the shard's fill queue; the worker pool drains it. Closed at
+	// retire.
+	fq *fillQueue
+	// store is the shard's slice of the base store, its kernel's Store.
+	store remapStore
+	// vectors reports whether the base store can retire a run as one
+	// vectored call. A completed run of more than one block counts as a
+	// batch only when it can, so BatchedFills on a plain (or counting
+	// test) store honestly reads zero.
+	vectors bool
+	// announce is the base store when it addresses files by name
+	// (replyFile), else nil.
+	announce announcer
+	// done closes when the shard retires, for Shutdown to wait on.
 	done chan struct{}
+	// wbSpecs and wbSrcs are writeBatch's scratch, used outside mu: only
+	// one batch is ever at the store (wbBusy), and the next starts under
+	// mu after the last one's completion.
+	wbSpecs []disk.BlockSpan
+	wbSrcs  [][]byte
 
+	mu sync.Mutex
+	// retired is set once, when the shard retires (shutdown): from then
+	// on ask refuses and nothing runs on the shard again.
+	retired  bool
 	sessions map[*session]bool
 	draining bool
 	requests int64
@@ -58,135 +64,78 @@ type shard struct {
 	wbCut, wbBusy   bool
 	wbWait          int64
 	wbInflight      int
-
-	// fq is the shard's fill queue; the worker pool drains it. Closed at
-	// retire.
-	fq *fillQueue
-	// store is the shard's slice of the base store, its kernel's Store.
-	store remapStore
-	// vectors reports whether the base store can retire a run as one
-	// vectored call. A completed run of more than one block counts as a
-	// batch only when it can, so BatchedFills on a plain (or counting
-	// test) store honestly reads zero.
-	vectors bool
-	// announce is the base store when it addresses files by name
-	// (replyFile), else nil.
-	announce announcer
 }
 
-// post is the late sender's send: for a message that holds nothing open
-// in the shard — no session, fill or write-back the retire condition
-// counts — and so may find the loop gone. It reports whether the
-// message was queued; a queued message can still go unread if the shard
-// retires first, so ask, which awaits a reply, selects on done as well.
-func (sh *shard) post(m kmsg) bool {
-	select {
-	case sh.kch <- m:
-		return true
-	case <-sh.done:
-		return false
-	}
-}
-
-// ask runs fn on the shard goroutine and returns once it has run — the
-// one way to read or change a shard's state from outside its loop (the
-// stats snapshot, the control-plane broadcasts). fn leaves what it finds
-// in variables its caller captured. false means the shard has retired:
-// its loop is gone, and fn will not run.
-func (sh *shard) ask(fn func(*shard)) bool {
-	ran := make(chan struct{})
-	if !sh.post(kmsg{call: func(sh *shard) { fn(sh); close(ran) }}) {
-		return false
-	}
-	select {
-	case <-ran:
-		return true
-	case <-sh.done:
-		return false
-	}
-}
-
-// loop is the one goroutine that owns this shard's Live kernel. Every
-// cache operation in the shard happens here, in arrival order — the
-// serialization rule that lets the DES-era cache and ACM structures run
-// a concurrent server unchanged, now applied per replacement domain.
+// ask runs fn as the shard's owner and reports whether it ran: it takes
+// mu, refuses (false) once the shard has retired, runs fn, lets the
+// write-behind FIFO move, retires the shard when the retire condition
+// holds, and lets go. It is the one way into a shard: a session's reader
+// runs its open, its requests and its close through it, a fill worker
+// each completed run, a write-behind batch its completion, and Shutdown,
+// the stats snapshot and the broadcasts what they read or change.
 //
-// The loop returns when the shard retires. Until then it receives
-// everything sent: a session's messages (open first, close last) are
-// sent while the session is registered or about to be, a completion
-// while its fill or write-back is counted in flight, and the retire
-// condition is that none of those is left — so request dispatch and
-// completions send to kch unconditionally. Only senders that hold
-// nothing open in the shard can find it gone; they use post.
-func (sh *shard) loop() {
-	defer sh.srv.running.Done()
-	for m := range sh.kch {
-		if sh.receive(m) {
-			return
-		}
+// fn runs under the shard lock, so it must not block — a send to a
+// session's out cannot, by the token rule; a stalled write-back's inline
+// store write is the one exception — and must not ask any shard: no
+// goroutine holds two shard locks.
+//
+// Nothing that holds a shard open can find it retired, as the retire
+// condition waits for it: a registered session (its reader's requests,
+// broadcasts and close), a fill or write-back in flight (its
+// completion). Only callers that hold nothing there — Metrics, Shutdown's
+// force after the grace — can be refused.
+func (sh *shard) ask(fn func(*shard)) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.retired {
+		return false
 	}
-}
-
-// receive handles one message on the shard goroutine, then lets the
-// write-behind FIFO move, and reports whether the shard has retired.
-func (sh *shard) receive(m kmsg) (retired bool) {
-	switch {
-	case m.fills != nil:
-		sh.fillsDone += int64(len(m.fills))
-		if len(m.fills) > 1 && sh.vectors {
-			sh.kern.CountFillBatch(len(m.fills))
-		}
-		for _, fl := range m.fills {
-			sh.kern.CompleteFill(fl)
-		}
-		m.batch.open.Add(-1) // the worker may reuse the run now
-	case m.wbs != nil:
-		sh.wbInflight -= len(m.wbs)
-		sh.wbq[0] = nil
-		sh.wbq, sh.wbBusy = sh.wbq[1:], false
-		if len(m.wbs) > 1 && sh.vectors {
-			sh.kern.CountWritebackBatches(1)
-		}
-		for _, wb := range m.wbs {
-			sh.kern.CompleteWriteBack(wb)
-		}
-	case m.call != nil:
-		m.call(sh)
-	case m.drain:
-		sh.draining = true
-	case m.force:
-		for se := range sh.sessions {
-			se.kill()
-		}
-	case m.sess != nil && m.open:
-		sh.openSession(m.sess)
-	case m.sess != nil && m.close:
-		sh.closeSession(m.sess)
-	case m.sess != nil && m.req != nil:
-		if !sh.handle(m.sess, m.req) {
-			releaseRequest(m.req)
-		}
-	}
+	fn(sh)
 	sh.writeBehind()
 	if sh.draining && len(sh.sessions) == 0 && sh.fillsDone == sh.fillsIssued && sh.wbInflight == 0 {
 		sh.retire()
-		return true
 	}
-	return false
+	return true
 }
 
-// retire ends the shard once it is draining, no session can enqueue
-// more work, no fill is in flight and the write-behind FIFO is empty —
-// the drain barrier that makes the stopped server's direct kernel and
-// store access (FlushDirty, LiveFiles, Close) safe. Closing the
-// fill queue ends the fill workers.
+// completeFills applies a fill worker's completed run: the fills leave
+// the in-flight count and complete one by one, in run order.
+func (sh *shard) completeFills(run []*core.Fill) {
+	sh.fillsDone += int64(len(run))
+	if len(run) > 1 && sh.vectors {
+		sh.kern.CountFillBatch(len(run))
+	}
+	for _, fl := range run {
+		sh.kern.CompleteFill(fl)
+	}
+}
+
+// completeWriteBacks applies the head batch's return from the store: it
+// leaves the FIFO, and its write-backs complete in batch order.
+func (sh *shard) completeWriteBacks(batch []*core.WriteBack) {
+	sh.wbInflight -= len(batch)
+	sh.wbq, sh.wbBusy = slices.Delete(sh.wbq, 0, 1), false
+	if len(batch) > 1 && sh.vectors {
+		sh.kern.CountWritebackBatches(1)
+	}
+	for _, wb := range batch {
+		sh.kern.CompleteWriteBack(wb)
+	}
+}
+
+// retire ends the shard once it is draining, no session can send more
+// work, no fill is in flight and the write-behind FIFO is empty — the
+// drain barrier that makes the stopped server's direct kernel and store
+// access (FlushDirty, LiveFiles, Close) safe. Closing the fill queue
+// ends the fill workers.
 func (sh *shard) retire() {
+	sh.retired = true
 	sh.fq.close()
 	close(sh.done)
 }
 
 // startWriteBack is the shard's LiveConfig.StartWriteBack hook; it runs
-// on the shard loop goroutine and never blocks it. A write-back joins the
+// under the shard lock and blocks only in its inline write. A write-back joins the
 // FIFO — the last batch while that one is gathering, else a batch of its
 // own — unless wbDepth write-backs already wait behind the head batch and
 // it is not Conflict: then it degrades to a synchronous inline write,
@@ -238,7 +187,7 @@ func (sh *shard) joins(wb *core.WriteBack) bool {
 func alone(wb *core.WriteBack) bool { return wb.Discard != nil || wb.Barrier() }
 
 // writeBehind sends the FIFO's head batch to the store when it may go,
-// and the loop calls it after every message. The head is cut — it stops
+// and ask calls it after every step. The head is cut — it stops
 // gathering — once it is a whole batch, alone, followed by another
 // batch, or the shard is draining; an idle shard keeps a partial batch
 // until then, as a dirty block stays cached. Demand reads go first: a
@@ -260,7 +209,7 @@ func (sh *shard) writeBehind() {
 	}
 	sh.wbCut, sh.wbBusy = false, true
 	sh.srv.running.Add(1)
-	go sh.writeBatch(sh.kern.Store(), sh.wbq[0])
+	go sh.writeBatch(sh.wbq[0])
 }
 
 func (sh *shard) openSession(se *session) {

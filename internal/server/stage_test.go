@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -11,14 +12,14 @@ import (
 )
 
 // The layer benchmarks of the shard and the store side, with no socket
-// and no goroutine in front of them: one shard built as New builds it
-// (newShard) but driven on the benchmark's goroutine — requests straight
-// into shard.handle, the fill workers' body (runFills) called in place
-// of a worker, completions straight into shard.receive — so each stage
-// is timed, and its allocations counted, alone.
+// in front of them: one shard built as New builds it (newShard) but
+// driven on the benchmark's goroutine through its one entry point, ask —
+// requests as a session's reader runs them, the fill workers' body
+// (runFills, whose runs complete through ask) called in place of a
+// worker — so each stage is timed, and its allocations counted, alone.
 
 // stageShard is one such shard over store, with one session whose
-// responses queue on a channel the caller drains.
+// responses queue on a channel the caller drains (it holds 64).
 type stageShard struct {
 	sh *shard
 	se *session
@@ -31,16 +32,18 @@ func newStageShard(tb testing.TB, cfg Config, store disk.Store) *stageShard {
 	srv := &Server{cfg: cfg, store: store}
 	sh := srv.newShard(0)
 	srv.shards = []*shard{sh}
-	se := &session{srv: srv, name: "stage", out: make(chan outFrame, 4), owners: make([]int, 1)}
-	sh.openSession(se)
+	se := &session{srv: srv, name: "stage", out: make(chan outFrame, 64), owners: make([]int, 1)}
+	sh.ask(func(sh *shard) { sh.openSession(se) })
 	return &stageShard{sh: sh, se: se}
 }
 
 // create makes a file of blocks blocks and returns read requests, one a
 // block, each for the whole block.
-func (s *stageShard) create(tb testing.TB, blocks int) []*request {
+func (s *stageShard) create(tb testing.TB, name string, blocks int) []*request {
 	tb.Helper()
-	f, err := s.sh.kern.Create(s.se.owners[0], "f", 0, blocks)
+	var f *fs.File
+	var err error
+	s.sh.ask(func(sh *shard) { f, err = sh.kern.Create(s.se.owners[0], name, 0, blocks) })
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -52,20 +55,18 @@ func (s *stageShard) create(tb testing.TB, blocks int) []*request {
 	return reqs
 }
 
-// handle runs r on the shard as the loop would, minus the recycling of
-// r, which the caller reuses.
-func (s *stageShard) handle(r *request) { s.sh.handle(s.se, r) }
+// handle runs r on the shard as a session's reader would, minus the
+// recycling of r, which the caller reuses.
+func (s *stageShard) handle(r *request) {
+	s.sh.ask(func(sh *shard) { sh.handle(s.se, r) })
+}
 
-// fill runs the fill worker over everything queued and hands each run's
-// completion to the shard, as a worker and the loop would.
+// fill runs the fill worker over everything queued, each run completing
+// in the shard, as a worker would.
 func (s *stageShard) fill() {
 	for len(s.sh.fq.fills) > 0 {
-		b := s.w.batch()
-		b.fills = s.sh.fq.pop(b.fills, maxFillBatch)
-		s.sh.runFills(b, &s.w)
-		for b.open.Load() > 0 {
-			s.sh.receive(<-s.sh.kch)
-		}
+		s.w.fills = s.sh.fq.pop(s.w.fills, maxFillBatch)
+		s.sh.runFills(&s.w)
 	}
 }
 
@@ -92,7 +93,7 @@ var shardArms = []struct {
 }{
 	{"hit", func(tb testing.TB) func(int) {
 		s := newStageShard(tb, Config{}, disk.NewMemStore())
-		r := s.create(tb, 1)[0]
+		r := s.create(tb, "f", 1)[0]
 		s.handle(r)
 		s.fill()
 		s.reply(tb)
@@ -104,7 +105,7 @@ var shardArms = []struct {
 	{"coalesced", func(tb testing.TB) func(int) {
 		const cacheBlocks = 64
 		s := newStageShard(tb, Config{Kernel: core.LiveConfig{CacheBytes: cacheBlocks * core.BlockSize}}, disk.NewMemStore())
-		reqs := s.create(tb, 4*cacheBlocks)
+		reqs := s.create(tb, "f", 4*cacheBlocks)
 		op := func(i int) {
 			r := reqs[i%len(reqs)]
 			s.handle(r)
@@ -179,38 +180,46 @@ func (s *nopStore) batch(n int) []error {
 	return s.errs[:n]
 }
 
-// runFillsOp returns one op of the fill worker's own part: a batch of
-// 64 queued fills, four files' 16-block runs in shuffled order, sorted,
-// split and read as four vectored calls over a nopStore, each run
-// handed back to the worker as the loop hands it once complete. The
-// fills are the executor's view of a Fill (ID and Data), made here, not
-// by a kernel, so nothing completes them.
+// runFillsOp returns one op of the fill worker's part: 64 reads that
+// miss — four files' 16-block runs, asked in shuffled order — leave 64
+// fills queued, which the worker drains as one batch, sorts, splits and
+// reads as four vectored calls over a nopStore, completing each run in
+// the shard, where its reads are answered. Two halves of the files
+// alternate over a 64-block cache, so every read of an op misses.
 func runFillsOp(tb testing.TB) func() {
-	s := newStageShard(tb, Config{}, &nopStore{})
-	fills := make([]*core.Fill, 0, 64)
-	for f := 0; f < 4; f++ {
-		for blk := 0; blk < 16; blk++ {
-			id := cache.BlockID{File: fs.FileID(f), Num: int32(blk)}
-			fills = append(fills, &core.Fill{ID: id, Data: make([]byte, core.BlockSize)})
-		}
+	const files, run = 4, 16
+	s := newStageShard(tb, Config{Kernel: core.LiveConfig{CacheBytes: files * run * core.BlockSize}}, &nopStore{})
+	var halves [2][]*request
+	for f := 0; f < files; f++ {
+		reqs := s.create(tb, fmt.Sprint("f", f), 2*run)
+		halves[0] = append(halves[0], reqs[:run]...)
+		halves[1] = append(halves[1], reqs[run:]...)
 	}
-	rand.New(rand.NewPCG(1, 2)).Shuffle(len(fills), func(i, j int) { fills[i], fills[j] = fills[j], fills[i] })
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, h := range halves {
+		rng.Shuffle(len(h), func(i, j int) { h[i], h[j] = h[j], h[i] })
+	}
+	half := 0
 	return func() {
-		b := s.w.batch()
-		b.fills = append(b.fills[:0], fills...)
-		s.sh.runFills(b, &s.w)
-		for b.open.Load() > 0 {
-			m := <-s.sh.kch
-			if len(m.fills) != 16 {
-				tb.Fatalf("a run of %d fills, want 16", len(m.fills))
-			}
-			m.batch.open.Add(-1)
+		reqs := halves[half]
+		half ^= 1
+		for _, r := range reqs {
+			s.handle(r)
+		}
+		s.w.fills = s.sh.fq.pop(s.w.fills, maxFillBatch)
+		if len(s.w.fills) != len(reqs) {
+			tb.Fatalf("%d fills queued, want %d", len(s.w.fills), len(reqs))
+		}
+		s.sh.runFills(&s.w)
+		for range reqs {
+			s.reply(tb)
 		}
 	}
 }
 
-// BenchmarkRunFills times the fill worker's sort and split ahead of the
-// store call; one op is a 64-fill batch (runFillsOp).
+// BenchmarkRunFills times the fill worker's sort, split and completion of
+// a batch, with the misses that queue it; one op is a 64-fill batch
+// (runFillsOp).
 func BenchmarkRunFills(b *testing.B) {
 	op := runFillsOp(b)
 	b.ReportAllocs()
@@ -221,7 +230,8 @@ func BenchmarkRunFills(b *testing.B) {
 }
 
 // TestRunFillsAllocs is BenchmarkRunFills's gate: once a worker has its
-// batch and scratch, a batch allocates nothing (ten batches a run).
+// batch and scratch and the kernel its records, a batch allocates
+// nothing (ten batches a run).
 func TestRunFillsAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("the race detector allocates")
@@ -240,9 +250,9 @@ func TestRunFillsAllocs(t *testing.T) {
 // writeBatchOp returns one op of write-behind's own part: 64 victims
 // join the shard's FIFO (startWriteBack), which cuts them as one whole
 // batch (writeBehind) and writes it on a goroutine of its own
-// (writeBatch) over a nopStore; the batch's completion is received as
-// the loop receives it. The write-backs are made here, not by the
-// kernel, so it finds none of them pending.
+// (writeBatch) over a nopStore, which completes the batch in the shard.
+// The write-backs are made here, not by the kernel, so it finds none of
+// them pending.
 func writeBatchOp(tb testing.TB) func() {
 	s := newStageShard(tb, Config{WritebackDepth: 64}, &nopStore{})
 	wbs := make([]*core.WriteBack, 64)
@@ -251,15 +261,18 @@ func writeBatchOp(tb testing.TB) func() {
 		wbs[i] = &core.WriteBack{ID: id, Data: make([]byte, core.BlockSize), Owner: cache.NoOwner}
 	}
 	return func() {
-		for _, wb := range wbs {
-			s.sh.startWriteBack(wb)
-		}
-		s.sh.writeBehind()
-		if !s.sh.wbBusy {
+		cut := false
+		s.sh.ask(func(sh *shard) {
+			for _, wb := range wbs {
+				sh.startWriteBack(wb)
+			}
+			sh.writeBehind()
+			cut = sh.wbBusy
+		})
+		if !cut {
 			tb.Fatal("a whole batch was not cut")
 		}
-		s.sh.receive(<-s.sh.kch)
-		s.sh.srv.running.Wait() // the batch's goroutine has returned
+		s.sh.srv.running.Wait() // the batch's goroutine has completed it
 		if len(s.sh.wbq) != 0 {
 			tb.Fatalf("%d batches left in the FIFO", len(s.sh.wbq))
 		}

@@ -48,8 +48,8 @@ func (s *Server) metrics(only *session) (Metrics, bool) {
 // snapshot adds the shard's counters to m, and those of its registered
 // sessions — of only alone when that is non-nil: a stats request pays for
 // its own session, not for every other. A counter added here shows on
-// all three surfaces. It runs on the shard goroutine while the asker
-// waits in ask, which is what makes writing to the asker's m safe.
+// all three surfaces. It runs under the shard lock, on the asker's own
+// goroutine, which is what makes writing to the asker's m safe.
 func (sh *shard) snapshot(m *Metrics, at map[*session]int, only *session) {
 	sm := ShardMetrics{
 		Kernel:             sh.kern.Snapshot(),

@@ -2,7 +2,7 @@
 //
 // A read hit's bytes live in an arena-backed cache slot (cache/slot.go).
 // Instead of copying them into a response buffer and again into a bufio
-// writer, the kernel loop enqueues a frame descriptor that references the
+// writer, the shard enqueues a frame descriptor that references the
 // slot (pinned), and the session writer assembles header + flags byte +
 // block slice as scatter/gather vectors: a pipelined burst of hits
 // becomes one vectored write (net.Buffers → writev) that the kernel
