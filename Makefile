@@ -70,7 +70,7 @@ race:
 # raises the ceiling in its own diff, where a reviewer sees it. longest
 # prints the ten longest of the same files, so the next 1 500-line file
 # shows on the push that creates it.
-LOC_MAX = 15967
+LOC_MAX = 15965
 LOC_FILES = find . \( -name '.?*' -o -name benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -type f -print0
 loc:
 	@n=$$($(LOC_FILES) | xargs -0 cat | wc -l); echo $$n; \

@@ -226,14 +226,14 @@ type Cache struct {
 	freePh   *placeholder
 	victim   Victim // scratch for Insert's victim result; valid until the next Insert
 
-	// Data slots (SlotBytes > 0 only): one per buffer, carved from a
-	// slab; zombies are freed slots still pinned by in-flight response
-	// frames, swept back to the free list as their pins drain;
-	// heapSlots counts the slots allocated past the slab and not yet
-	// given back (slot.go).
-	slotSize  int
+	// Data slots (SlotBytes > 0 only): one per buffer, made on first
+	// need; pooled counts the pool slots made so far (at most Capacity),
+	// heapSlots those made past the pool and not yet given back; zombies
+	// are freed slots still pinned by in-flight response frames, swept
+	// back to the free list as their pins drain (slot.go).
 	freeSlots []*Slot
 	zombies   []*Slot
+	pooled    int
 	heapSlots int
 }
 
@@ -274,8 +274,6 @@ func New(cfg Config, repl Replacer) *Cache {
 		c.arena[i].gnext = c.freeBufs
 		c.freeBufs = &c.arena[i]
 	}
-	c.slotSize = cfg.SlotBytes
-	c.initSlots()
 	return c
 }
 
@@ -291,7 +289,7 @@ func (c *Cache) allocBuf(id BlockID, owner int) *Buf {
 	}
 	b.ID = id
 	b.Owner = owner
-	if c.slotSize > 0 {
+	if c.cfg.SlotBytes > 0 {
 		b.Slot = c.allocSlot()
 	}
 	return b
@@ -821,7 +819,7 @@ func (c *Cache) CheckInvariants() {
 		if c.table.get(b.ID.pack()) != b {
 			panic(fmt.Sprintf("cache: listed block %v not in table", b.ID))
 		}
-		if c.slotSize > 0 {
+		if c.cfg.SlotBytes > 0 {
 			if b.Slot == nil {
 				panic(fmt.Sprintf("cache: cached block %v has no data slot", b.ID))
 			}
@@ -860,6 +858,9 @@ func (c *Cache) CheckInvariants() {
 		if s.Pinned() {
 			panic("cache: pinned slot on the free list")
 		}
+	}
+	if c.pooled > c.cfg.Capacity || c.heapSlots > 0 && c.pooled < c.cfg.Capacity {
+		panic(fmt.Sprintf("cache: %d pool and %d heap slots at capacity %d", c.pooled, c.heapSlots, c.cfg.Capacity))
 	}
 	// Policies with internal structure audit themselves too (ARC walks
 	// its T1/T2 lists and the ghost directory).

@@ -25,17 +25,16 @@
 //     teardown) parks it on a zombie list; the next allocation sweeps
 //     zombies whose pins have drained back onto the free list.
 //
-// Slots are carved from one slab at construction (Capacity of them —
-// every cached block owns exactly one). The slab is the steady-state
-// pool: demand rises above Capacity only while slots are held outside
+// A cache makes a slot the first time it needs one. The first Capacity
+// it makes are its pool, recycled for its life (every cached block owns
+// one). Demand rises above the pool only while slots are held outside
 // the cache — write-behind's detached dirty victims, which a shard holds
 // up to min(depth, 64) + depth of, and pinned or frozen zombies, bounded
-// by the frames the sessions have in flight. Then allocSlot takes a slot
-// from the heap, and that slot goes back to the garbage collector the
-// first time it is released while the free list has a slot to offer in
-// its place: only a release onto an empty free list keeps it, so at most
-// one heap slot ever waits there, and once the extra demand has passed
-// the cache holds its slab and at most that one slot.
+// by the frames the sessions have in flight. Then allocSlot makes a heap
+// slot, which goes back to the garbage collector the first time it is
+// released while the free list has a slot to offer in its place: at
+// most one heap slot ever waits there, and once the extra demand has
+// passed the cache holds its pool and at most that one slot.
 
 package cache
 
@@ -47,7 +46,7 @@ import "sync/atomic"
 // and Unpin.
 type Slot struct {
 	refs atomic.Int32
-	heap bool // allocated past the slab: given back, not recycled (putSlot)
+	heap bool // made past the pool: given back, not recycled (putSlot)
 	data []byte
 }
 
@@ -80,44 +79,27 @@ func (s *Slot) Backs(data []byte) bool {
 	return len(data) > 0 && len(s.data) > 0 && &s.data[0] == &data[0]
 }
 
-// initSlots carves Capacity slots out of one slab.
-func (c *Cache) initSlots() {
-	if c.slotSize <= 0 {
-		return
-	}
-	slab := make([]byte, c.cfg.Capacity*c.slotSize)
-	slots := make([]Slot, c.cfg.Capacity)
-	c.freeSlots = make([]*Slot, 0, c.cfg.Capacity)
-	for i := range slots {
-		slots[i].data = slab[i*c.slotSize : (i+1)*c.slotSize]
-		c.freeSlots = append(c.freeSlots, &slots[i])
-	}
-}
-
-// allocSlot returns a free slot, sweeping drained zombies first and
-// falling back to the heap when every slab slot is cached, detached for
-// a write-back or pinned.
+// allocSlot returns a free slot, sweeping drained zombies first. With
+// none free it makes one: a pool slot while the cache has made fewer
+// than Capacity, a heap slot once every pool slot is cached, detached
+// for a write-back or pinned.
 func (c *Cache) allocSlot() *Slot {
-	if s := c.popFreeSlot(); s != nil {
+	if len(c.freeSlots) == 0 {
+		c.sweepZombies()
+	}
+	if n := len(c.freeSlots); n > 0 {
+		s := c.freeSlots[n-1]
+		c.freeSlots[n-1] = nil
+		c.freeSlots = c.freeSlots[:n-1]
 		return s
 	}
-	c.sweepZombies()
-	if s := c.popFreeSlot(); s != nil {
-		return s
+	heap := c.pooled == c.cfg.Capacity
+	if heap {
+		c.heapSlots++
+	} else {
+		c.pooled++
 	}
-	c.heapSlots++
-	return &Slot{heap: true, data: make([]byte, c.slotSize)}
-}
-
-func (c *Cache) popFreeSlot() *Slot {
-	n := len(c.freeSlots)
-	if n == 0 {
-		return nil
-	}
-	s := c.freeSlots[n-1]
-	c.freeSlots[n-1] = nil
-	c.freeSlots = c.freeSlots[:n-1]
-	return s
+	return &Slot{heap: heap, data: make([]byte, c.cfg.SlotBytes)}
 }
 
 // putSlot returns an unpinned slot to the pool. A heap slot goes back
@@ -131,10 +113,10 @@ func (c *Cache) putSlot(s *Slot) {
 	c.freeSlots = append(c.freeSlots, s)
 }
 
-// HeapSlots reports how many slots allocated past the slab the cache
-// still holds, in use or free; a slot a mid-fill eviction took out of
-// circulation stays counted.
-func (c *Cache) HeapSlots() int { return c.heapSlots }
+// Slots reports how many data slots the cache holds, in use or free:
+// the pool slots it has made plus its heap slots. A slot a mid-fill
+// eviction took out of circulation stays counted.
+func (c *Cache) Slots() int { return c.pooled + c.heapSlots }
 
 // sweepZombies moves freed-while-pinned slots whose pins have drained
 // back into the pool.
@@ -147,9 +129,7 @@ func (c *Cache) sweepZombies() {
 			kept = append(kept, s)
 		}
 	}
-	for i := len(kept); i < len(c.zombies); i++ {
-		c.zombies[i] = nil
-	}
+	clear(c.zombies[len(kept):])
 	c.zombies = kept
 }
 

@@ -2,6 +2,7 @@ package cache_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
@@ -116,38 +117,67 @@ func TestSlotDirtyVictimDetaches(t *testing.T) {
 	c.CheckInvariants()
 }
 
-// TestSlotHeapGivenBack: a slot allocated past the slab, because a
-// dirty victim's slot was detached for its write-back, goes back to the
-// garbage collector once the slab has a free slot to take its place —
-// the slab, not a heap overflow, is the pool a cache settles on.
+// TestSlotHeapGivenBack: a slot made past the pool, because a dirty
+// victim's slot was detached for its write-back, goes back to the
+// garbage collector once the pool has a free slot to take its place —
+// the pool, not a heap overflow, is what a cache settles on.
 func TestSlotHeapGivenBack(t *testing.T) {
 	c := slotCache(2)
 	for i := 0; i < 2; i++ {
 		b, _ := c.Insert(id(i), cache.NoOwner, 0)
 		c.MarkDirty(b, 0)
 	}
+	heapSlots := func() int { return c.Slots() - 2 } // the pool is made
 	// Block 0's slot leaves with its victim; block 2 takes a heap slot.
 	_, v0 := c.Insert(id(2), cache.NoOwner, 0)
 	if v0 == nil || v0.Slot == nil {
 		t.Fatal("dirty victim did not detach its slot")
 	}
-	if got := c.HeapSlots(); got != 1 {
-		t.Fatalf("%d heap slots with a victim detached from a full slab, want 1", got)
+	if got := heapSlots(); got != 1 {
+		t.Fatalf("%d heap slots with a victim detached from a full pool, want 1", got)
 	}
-	c.ReleaseSlot(v0.Slot) // the write-back landed: a slab slot is free
-	// Block 1's dirty eviction takes that slab slot for block 3.
+	c.ReleaseSlot(v0.Slot) // the write-back landed: a pool slot is free
+	// Block 1's dirty eviction takes that pool slot for block 3.
 	_, v1 := c.Insert(id(3), cache.NoOwner, 0)
 	c.ReleaseSlot(v1.Slot)
-	if got := c.HeapSlots(); got != 1 {
+	if got := heapSlots(); got != 1 {
 		t.Fatalf("%d heap slots while block 2 still holds one, want 1", got)
 	}
 	// Block 2 is clean: its eviction gives the heap slot back and block 4
-	// takes the free slab slot.
+	// takes the free pool slot.
 	if _, v := c.Insert(id(4), cache.NoOwner, 0); v == nil || v.Slot != nil {
 		t.Fatal("want a clean victim")
 	}
-	if got := c.HeapSlots(); got != 0 {
-		t.Errorf("%d heap slots once the slab had a free slot again, want 0", got)
+	if got := heapSlots(); got != 0 {
+		t.Errorf("%d heap slots once the pool had a free slot again, want 0", got)
+	}
+	c.CheckInvariants()
+}
+
+// TestSlotPoolMadeOnDemand: a cache makes no slot ahead of need. New
+// over a large capacity with 8 KiB slots allocates a small fraction of
+// the pool's bytes — what it does allocate is the buffer arena and the
+// index — and after caching k blocks the cache holds exactly k slots,
+// all of them pool slots.
+func TestSlotPoolMadeOnDemand(t *testing.T) {
+	const capacity, slotBytes = 4096, 8 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := cache.New(cache.Config{Capacity: capacity, Alloc: cache.GlobalLRU, SlotBytes: slotBytes}, nil)
+	runtime.ReadMemStats(&after)
+	pool := uint64(capacity * slotBytes)
+	if got := after.TotalAlloc - before.TotalAlloc; got > pool/10 {
+		t.Errorf("New allocated %d bytes, want at most a tenth of the %d-byte pool", got, pool)
+	}
+	if got := c.Slots(); got != 0 {
+		t.Fatalf("a new cache holds %d slots, want 0", got)
+	}
+	const k = 100
+	for i := 0; i < k; i++ {
+		c.Insert(id(i), cache.NoOwner, 0)
+	}
+	if got := c.Slots(); got != k {
+		t.Errorf("after caching %d blocks the cache holds %d slots, want %d", k, got, k)
 	}
 	c.CheckInvariants()
 }

@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -318,11 +317,12 @@ type runEnt struct {
 	i   int // index into the caller's specs/bufs
 }
 
-// runScratch is one batch call's reusable memory: the entries resolved
-// to slots, one run's buffers, and the vectored call's state with its
-// iovecs. A batch takes one from the store's pool and gives it back with
-// no buffer left in it.
+// runScratch is one batch call's reusable memory: a write's span order,
+// the entries resolved to slots, one run's buffers, and the vectored
+// call's state with its iovecs. A batch takes one from the store's pool
+// and gives it back with no buffer left in it.
 type runScratch struct {
+	idx  []int
 	ents []runEnt
 	bufs [][]byte
 	vec  *vecOp
@@ -424,19 +424,16 @@ func (s *FileStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
 	errs := make([]error, len(specs))
 	sc := s.scratch.Get().(*runScratch)
 	defer s.scratch.Put(sc)
-	idx := make([]int, 0, len(specs))
+	idx := sc.idx[:0]
 	for i := range specs {
 		if errs[i] = checkSrc(srcs[i]); errs[i] != nil {
 			continue
 		}
 		idx = append(idx, i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		sa, sb := specs[idx[a]], specs[idx[b]]
-		if sa.File != sb.File {
-			return sa.File < sb.File
-		}
-		return sa.Blk < sb.Blk
+	slices.SortStableFunc(idx, func(a, b int) int {
+		sa, sb := specs[a], specs[b]
+		return cmp.Or(cmp.Compare(sa.File, sb.File), cmp.Compare(sa.Blk, sb.Blk))
 	})
 	ents := sc.ents[:0]
 	s.mu.Lock()
@@ -446,7 +443,7 @@ func (s *FileStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
 		}
 	}
 	s.mu.Unlock()
-	sc.ents = ents
+	sc.idx, sc.ents = idx, ents
 	slices.SortStableFunc(ents, byOff)
 	groupRuns(ents, func(run []runEnt) {
 		err := s.writeRun(sc.vec, sc.gather(run, srcs), run[0].off)

@@ -140,3 +140,48 @@ func TestFileStoreReadBlocksAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestFileStoreWriteBlocksAllocs: the write twin of the read gate. A
+// 64-block batch allocates only the []error it returns — its span order
+// and resolved entries are pooled scratch, and the stable sort of the
+// spans takes no closure or swapper off the heap.
+func TestFileStoreWriteBlocksAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates, and drops pooled scratch")
+	}
+	const run = 64
+	s := newTestFileStore(t)
+	specs := make([]BlockSpan, run)
+	srcs := make([][]byte, run)
+	for i := range specs {
+		// Named in reverse, so the sort has work to do.
+		specs[i] = BlockSpan{File: 1, Blk: int32(run - 1 - i)}
+		srcs[i] = make([]byte, BlockSize)
+		fillPattern(srcs[i], 1, specs[i].Blk)
+	}
+	write := func() {
+		for i, err := range s.WriteBlocks(specs, srcs) {
+			if err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+		}
+	}
+	write() // the first batch maps the slots
+	_, _, _, v0 := s.IOCounts()
+	if n := testing.AllocsPerRun(100, write); n > 1 {
+		t.Errorf("a %d-block WriteBlocks allocated %.0f times, want at most 1 (its []error)", run, n)
+	}
+	if _, _, _, v := s.IOCounts(); v == v0 {
+		t.Error("no vectored write issued: the gate measured the scalar path")
+	}
+	got, want := make([]byte, BlockSize), make([]byte, BlockSize)
+	for _, sp := range specs {
+		if err := s.ReadBlock(sp.File, sp.Blk, got); err != nil {
+			t.Fatal(err)
+		}
+		fillPattern(want, 1, sp.Blk)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("block %d read back wrong bytes", sp.Blk)
+		}
+	}
+}

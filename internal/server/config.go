@@ -100,6 +100,7 @@ type ShardMetrics struct {
 	FillsInflight      int
 	WritebacksInflight int
 	CachedBlocks       int
+	DataSlots          int // pool plus heap slots (cache.Cache.Slots)
 }
 
 // Metrics is a point-in-time server snapshot. The top-level fields
@@ -115,6 +116,7 @@ type Metrics struct {
 	FillsInflight      int
 	WritebacksInflight int
 	CachedBlocks       int
+	DataSlots          int
 	Shards             []ShardMetrics
 	Sessions           []SessionInfo
 }

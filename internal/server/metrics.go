@@ -29,6 +29,7 @@ func (s *Server) MetricsHandler() http.Handler {
 		fmt.Fprintf(w, "acfcd_fills_inflight %d\n", m.FillsInflight)
 		fmt.Fprintf(w, "acfcd_writebacks_inflight %d\n", m.WritebacksInflight)
 		fmt.Fprintf(w, "acfcd_cached_blocks %d\n", m.CachedBlocks)
+		fmt.Fprintf(w, "acfcd_data_slots %d\n", m.DataSlots)
 		fmt.Fprintf(w, "acfcd_alloc_policy{policy=%q} 1\n", m.Alloc)
 		for i, sm := range m.Shards {
 			l := fmt.Sprintf(`{shard="%d"}`, i)
@@ -38,6 +39,7 @@ func (s *Server) MetricsHandler() http.Handler {
 			fmt.Fprintf(w, "acfcd_shard_fills_inflight%s %d\n", l, sm.FillsInflight)
 			fmt.Fprintf(w, "acfcd_shard_writebacks_inflight%s %d\n", l, sm.WritebacksInflight)
 			fmt.Fprintf(w, "acfcd_shard_cached_blocks%s %d\n", l, sm.CachedBlocks)
+			fmt.Fprintf(w, "acfcd_shard_data_slots%s %d\n", l, sm.DataSlots)
 		}
 		sort.Slice(m.Sessions, func(i, j int) bool { return m.Sessions[i].Owner < m.Sessions[j].Owner })
 		for _, se := range m.Sessions {

@@ -59,8 +59,11 @@ type shard struct {
 	// head batch cut and waiting for the fills issued before it was cut
 	// (wbWait). wbInflight counts every write-back in wbq; the drain
 	// barrier waits for it, so no batch races Server.Close's store writes.
+	// wbFree keeps completed batches' slices for new ones (at most 1 +
+	// wbDepth/wbFull, so a storm of one-remove batches leaves no more).
 	wbDepth, wbFull int
 	wbq             [][]*core.WriteBack
+	wbFree          [][]*core.WriteBack
 	wbCut, wbBusy   bool
 	wbWait          int64
 	wbInflight      int
@@ -111,7 +114,8 @@ func (sh *shard) completeFills(run []*core.Fill) {
 }
 
 // completeWriteBacks applies the head batch's return from the store: it
-// leaves the FIFO, and its write-backs complete in batch order.
+// leaves the FIFO, its write-backs complete in batch order, and its
+// slice goes to wbFree while that has room.
 func (sh *shard) completeWriteBacks(batch []*core.WriteBack) {
 	sh.wbInflight -= len(batch)
 	sh.wbq, sh.wbBusy = slices.Delete(sh.wbq, 0, 1), false
@@ -120,6 +124,10 @@ func (sh *shard) completeWriteBacks(batch []*core.WriteBack) {
 	}
 	for _, wb := range batch {
 		sh.kern.CompleteWriteBack(wb)
+	}
+	if len(sh.wbFree) <= sh.wbDepth/sh.wbFull {
+		clear(batch)
+		sh.wbFree = append(sh.wbFree, batch[:0])
 	}
 }
 
@@ -160,7 +168,13 @@ func (sh *shard) startWriteBack(wb *core.WriteBack) {
 		sh.wbq[n-1] = append(sh.wbq[n-1], wb)
 		return
 	}
-	sh.wbq = append(sh.wbq, append(make([]*core.WriteBack, 0, sh.wbFull), wb))
+	var batch []*core.WriteBack
+	if n := len(sh.wbFree); n > 0 {
+		batch, sh.wbFree = sh.wbFree[n-1], sh.wbFree[:n-1]
+	} else {
+		batch = make([]*core.WriteBack, 0, sh.wbFull)
+	}
+	sh.wbq = append(sh.wbq, append(batch, wb))
 }
 
 // joins reports whether wb may join the FIFO's last batch: that batch is

@@ -260,6 +260,12 @@ func TestMetricsDrift(t *testing.T) {
 		if got := lines["acfcd_shard_writebacks_inflight"+l]; got != int64(sm.WritebacksInflight) {
 			t.Errorf("shard %d writebacks_inflight: plaintext %d, struct %d", i, got, sm.WritebacksInflight)
 		}
+		if got := lines["acfcd_shard_data_slots"+l]; got != int64(sm.DataSlots) || sm.DataSlots < sm.CachedBlocks {
+			t.Errorf("shard %d data_slots: plaintext %d, struct %d, want equal and at least its %d cached blocks", i, got, sm.DataSlots, sm.CachedBlocks)
+		}
+	}
+	if got := lines["acfcd_data_slots"]; got != int64(m.DataSlots) || m.DataSlots == 0 {
+		t.Errorf("data_slots: plaintext %d, struct %d, want equal and non-zero", got, m.DataSlots)
 	}
 	if got := lines["acfcd_writebacks_inflight"]; got != int64(m.WritebacksInflight) {
 		t.Errorf("writebacks_inflight: plaintext %d, struct %d", got, m.WritebacksInflight)

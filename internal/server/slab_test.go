@@ -3,13 +3,15 @@ package server
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fs"
 )
 
-// TestWriteBurstLeavesTheSlab: a shard's slab is its steady-state pool.
+// TestWriteBurstLeavesTheSlab: a shard's pool, the first slots its cache
+// makes, is what it settles on.
 // A burst of whole-block writes over four times the cache, through
 // write-behind at depth 64, detaches dirty victims' slots by the batch,
 // and the blocks that replace them take slots from the heap; so does a
@@ -17,7 +19,7 @@ import (
 // write-backs have landed (a release of another file answers behind
 // them) and a second read over the cache has replaced every block read
 // during the burst's write-backs, the shard holds at most one slot
-// beyond its slab — with the heap slots recycled for good, it held every
+// beyond its pool — with the heap slots recycled for good, it held every
 // one the burst took.
 func TestWriteBurstLeavesTheSlab(t *testing.T) {
 	const cacheBlocks = 128
@@ -38,7 +40,7 @@ func TestWriteBurstLeavesTheSlab(t *testing.T) {
 		fid = f.ID()
 	})
 	block := bytes.Repeat([]byte{0x5a}, core.BlockSize)
-	burst := 0 // the most heap slots the shard held during the burst
+	burst := 0 // the most slots past its pool the shard held during the burst
 	for blk := int32(0); blk < 4*cacheBlocks; blk++ {
 		sh.ask(func(sh *shard) {
 			sh.kern.Write(owner, fid, blk, 0, block, func(_ bool, err error) {
@@ -46,7 +48,7 @@ func TestWriteBurstLeavesTheSlab(t *testing.T) {
 					t.Errorf("write %d: %v", blk, err)
 				}
 			})
-			burst = max(burst, sh.kern.Cache().HeapSlots())
+			burst = max(burst, sh.kern.Cache().Slots()-cacheBlocks)
 		})
 	}
 	if burst < 64 {
@@ -76,9 +78,31 @@ func TestWriteBurstLeavesTheSlab(t *testing.T) {
 	}
 	readBack(cacheBlocks)
 	var n int
-	sh.ask(func(sh *shard) { n = sh.kern.Cache().HeapSlots() })
+	sh.ask(func(sh *shard) { n = sh.kern.Cache().Slots() - cacheBlocks })
 	if n > 1 {
-		t.Errorf("the shard holds %d slots beyond its %d-slot slab (%d during the burst), want at most 1", n, cacheBlocks, burst)
+		t.Errorf("the shard holds %d slots beyond its %d-slot pool (%d during the burst), want at most 1", n, cacheBlocks, burst)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNewMakesNoPool: a server's caches make their slots as blocks
+// arrive, so building one over a 256 MB cache allocates a few megabytes
+// — the buffer arenas and indexes — not the cache's size.
+func TestNewMakesNoPool(t *testing.T) {
+	const cacheBytes, limit = 256 << 20, 8 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv := New(Config{Shards: 2, Kernel: core.LiveConfig{CacheBytes: cacheBytes}})
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New over a %d MB cache allocated %.1f MB", cacheBytes>>20, float64(got)/(1<<20))
+	if got > limit {
+		t.Errorf("New over a %d MB cache allocated %d bytes, want under %d", cacheBytes>>20, got, limit)
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

@@ -58,6 +58,7 @@ func (sh *shard) snapshot(m *Metrics, at map[*session]int, only *session) {
 		FillsInflight:      int(sh.fillsIssued - sh.fillsDone),
 		WritebacksInflight: sh.wbInflight,
 		CachedBlocks:       sh.kern.Cache().Len(),
+		DataSlots:          sh.kern.Cache().Slots(),
 	}
 	m.Shards = append(m.Shards, sm)
 	m.Kernel.Accumulate(sm.Kernel)
@@ -66,6 +67,7 @@ func (sh *shard) snapshot(m *Metrics, at map[*session]int, only *session) {
 	m.FillsInflight += sm.FillsInflight
 	m.WritebacksInflight += sm.WritebacksInflight
 	m.CachedBlocks += sm.CachedBlocks
+	m.DataSlots += sm.DataSlots
 	add := func(se *session) {
 		j, seen := at[se]
 		if !seen {
