@@ -97,6 +97,68 @@ func TestLiveMissCoalescing(t *testing.T) {
 	l.CheckInvariants()
 }
 
+// TestLiveWriteBorrowsPayload pins Write's buffer contract: the payload
+// is borrowed for the call only, as in write(2). Both writes that wait on
+// a fill — a read-modify-write miss, and a write joining a read's fill in
+// flight — return before their bytes land, and the caller then reuses its
+// buffer; each block must still hold the bytes as they were written.
+func TestLiveWriteBorrowsPayload(t *testing.T) {
+	l, held := holdFills(core.LiveConfig{
+		CacheBytes: 8 * core.BlockSize,
+		Alloc:      cache.LRUSP,
+	})
+	ow := l.AddOwner("t")
+	f, err := l.Create(ow, "f", 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const off = 100
+	written := []byte("written bytes")
+	buf := make([]byte, len(written))
+	completed := 0
+	write := func(blk int32) {
+		t.Helper()
+		copy(buf, written)
+		if done := l.Write(ow, f.ID(), blk, off, buf, func(_ bool, err error) {
+			completed++
+			if err != nil {
+				t.Errorf("write to block %d: %v", blk, err)
+			}
+		}); done {
+			t.Fatalf("write to block %d completed before its fill", blk)
+		}
+		copy(buf, bytes.Repeat([]byte{'X'}, len(buf)))
+	}
+
+	write(1) // partial write to an uncached block: read-modify-write
+	if done := l.Read(ow, f.ID(), 2, 0, 8, func([]byte, bool, error) {}); done {
+		t.Fatal("read miss completed before its fill")
+	}
+	write(2) // joins the read's fill in flight
+	if len(*held) != 2 {
+		t.Fatalf("%d fills held, want 2", len(*held))
+	}
+	for _, fl := range *held {
+		l.CompleteFill(fl)
+	}
+	if completed != 2 {
+		t.Fatalf("%d writes completed, want 2", completed)
+	}
+	for _, blk := range []int32{1, 2} {
+		var got []byte
+		l.Read(ow, f.ID(), blk, off, len(written), func(data []byte, hit bool, err error) {
+			if err != nil {
+				t.Fatalf("read back block %d: %v", blk, err)
+			}
+			got = bytes.Clone(data[off : off+len(written)])
+		})
+		if !bytes.Equal(got, written) {
+			t.Errorf("block %d holds %q, want %q", blk, got, written)
+		}
+	}
+	l.CheckInvariants()
+}
+
 // TestLiveWritebackForwarding drives the write-behind protocol with a
 // manual executor: a dirty victim's bytes sit in the pending table, a
 // fill for that block copies them instead of reading the (stale) store,

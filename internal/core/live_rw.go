@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"repro/internal/cache"
 	"repro/internal/fs"
 )
@@ -89,6 +91,11 @@ func (l *Live) ReadTo(owner int, fid fs.FileID, blk int32, off, size int, reply 
 // partial write to an uncached, pre-existing block is a read-modify-
 // write. done reports hit and error as for Read.
 //
+// payload is borrowed for the call only, as the caller's buffer is in
+// write(2): a write that must wait on a fill (a read-modify-write miss,
+// or a write joining a fill in flight) keeps a copy, so the caller may
+// reuse the buffer as soon as Write returns, whatever it returned.
+//
 // Counter updates replicate Proc.WriteAccess / Proc.Write exactly.
 func (l *Live) Write(owner int, fid fs.FileID, blk int32, off int, payload []byte, done func(hit bool, err error)) bool {
 	o, err := l.owner(owner)
@@ -123,6 +130,7 @@ func (l *Live) Write(owner int, fid fs.FileID, blk int32, off int, payload []byt
 		if b.Busy(now) {
 			if fl := l.mshr[id]; fl != nil && fl.buf == b {
 				l.fill.CoalescedMisses++
+				payload := bytes.Clone(payload)
 				l.addWaiter(fl, funcReply(func(_ []byte, _ bool, err error) {
 					done(true, l.applyWrite(b, fl, off, payload, err))
 				}), true, nil)
@@ -142,6 +150,7 @@ func (l *Live) Write(owner int, fid fs.FileID, blk int32, off int, payload []byt
 		// Read-modify-write: fetch the rest of the block first.
 		o.stats.DemandReads++
 		fl := l.newFill(b)
+		payload := bytes.Clone(payload)
 		l.addWaiter(fl, funcReply(func(_ []byte, _ bool, err error) {
 			done(false, l.applyWrite(b, fl, off, payload, err))
 		}), false, werr)

@@ -18,25 +18,59 @@ func frame(id uint32, tag uint8, body []byte) []byte {
 	return buf.Bytes()
 }
 
-// decodeFrame reads one whole frame from data the way the server, the
-// client and the benchmark do: ReadFrameHeader, then the body by ReadFull.
-// It returns how many bytes the frame took.
-func decodeFrame(data []byte) (id uint32, tag uint8, body []byte, used int, err error) {
-	br := bufio.NewReader(bytes.NewReader(data))
+// decodeFrame reads one whole frame from data through ReadFrameHeader and
+// a reader of the server's size, its body both ways the repository does:
+// in place by Peek and Discard, as the server does, and by ReadFull into
+// a slice of its own, as the client and the benchmark do. The two must
+// agree; decodeFrame returns what they read and how many bytes the frame
+// took.
+func decodeFrame(t *testing.T, data []byte) (id uint32, tag uint8, body []byte, used int, err error) {
+	t.Helper()
+	peeked := decodeFrameBy(data, func(br *bufio.Reader, n int) ([]byte, error) {
+		body, err := br.Peek(n)
+		br.Discard(len(body))
+		return body, err
+	})
+	read := decodeFrameBy(data, func(br *bufio.Reader, n int) ([]byte, error) {
+		body := make([]byte, n)
+		_, err := io.ReadFull(br, body)
+		return body, err
+	})
+	if (peeked.err == nil) != (read.err == nil) {
+		t.Fatalf("%x: Peek decode err %v, ReadFull decode err %v", data, peeked.err, read.err)
+	}
+	if read.err == nil && (peeked.id != read.id || peeked.tag != read.tag || !bytes.Equal(peeked.body, read.body) || peeked.used != read.used) {
+		t.Fatalf("%x: Peek decodes %+v, ReadFull %+v", data, peeked, read)
+	}
+	return read.id, read.tag, read.body, read.used, read.err
+}
+
+type decoded struct {
+	id   uint32
+	tag  uint8
+	body []byte
+	used int
+	err  error
+}
+
+func decodeFrameBy(data []byte, readBody func(br *bufio.Reader, n int) ([]byte, error)) decoded {
+	br := bufio.NewReaderSize(bytes.NewReader(data), MaxFrame)
 	id, tag, n, err := ReadFrameHeader(br)
 	if err != nil {
-		return 0, 0, nil, 0, err
+		return decoded{err: err}
 	}
-	body = make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return 0, 0, nil, 0, err
+	body, err := readBody(br, n)
+	if err != nil {
+		return decoded{err: err}
 	}
-	return id, tag, body, frameHeaderLen + n, nil
+	return decoded{id, tag, body, frameHeaderLen + n, nil}
 }
 
 // FuzzReadFrame feeds arbitrary bytes to the frame decoder. It may not
-// panic, and a frame it accepts is canonical: no body above MaxFrame, and
-// WriteFrame of what it decoded gives back exactly the bytes it consumed.
+// panic, the server's in-place body read must agree with a copying one
+// (decodeFrame), and a frame it accepts is canonical: no body above
+// MaxFrame, and WriteFrame of what it decoded gives back exactly the
+// bytes it consumed.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frame(1, OpPing, nil))
@@ -48,7 +82,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frame(3, OpOpen, []byte("a/name"))[:10])                          // truncated body
 	f.Add(frame(3, OpOpen, []byte("a/name"))[:4])                           // truncated header
 	f.Fuzz(func(t *testing.T, data []byte) {
-		id, tag, body, used, err := decodeFrame(data)
+		id, tag, body, used, err := decodeFrame(t, data)
 		if err != nil {
 			return
 		}
@@ -73,7 +107,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			body = body[:MaxFrame-FrameOverhead]
 		}
 		wire := frame(id, tag, body)
-		gid, gtag, gbody, used, err := decodeFrame(wire)
+		gid, gtag, gbody, used, err := decodeFrame(t, wire)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

@@ -42,17 +42,15 @@ func (sh *shard) local(wire fs.FileID) fs.FileID {
 	return wire / fs.FileID(len(sh.srv.shards))
 }
 
-// handle runs one request under the shard lock. It reports whether the
-// handler retained r past its return (handleWrite, whose payload aliases
-// r.body until the kernel's completion callback); when false, dispatch
-// recycles r immediately — so handlers that complete asynchronously
-// (handleRead) must copy what they need out of r first.
-func (sh *shard) handle(se *session, r *request) (retained bool) {
+// handle runs one request under the shard lock. r and its body are
+// valid only until handle returns, so a handler that completes
+// asynchronously (handleRead) copies what it needs out of r first.
+func (sh *shard) handle(se *session, r *request) {
 	sh.requests++
 	if sh.draining {
 		sh.refused++
 		se.send(r.id, StatusRefused, []byte("server shutting down"))
-		return false
+		return
 	}
 	switch r.op {
 	case OpPing:
@@ -64,11 +62,11 @@ func (sh *shard) handle(se *session, r *request) (retained bool) {
 	case OpRead:
 		sh.handleRead(se, r)
 	case OpWrite:
-		return sh.handleWrite(se, r)
+		sh.handleWrite(se, r)
 	case OpClose:
 		if _, ok := ParseWord(r.body); !ok {
 			se.send(r.id, StatusBadRequest, []byte("close: want 4-byte body"))
-			return false
+			return
 		}
 		// Close is advisory in this kernel (blocks stay cached, as in
 		// the paper, until evicted or the owner disconnects).
@@ -76,7 +74,7 @@ func (sh *shard) handle(se *session, r *request) (retained bool) {
 	case OpRemove:
 		if err := sh.kern.Remove(se.owners[sh.idx], string(r.body)); err != nil {
 			se.sendErr(r.id, err)
-			return false
+			return
 		}
 		se.send(r.id, StatusOK, nil)
 	case OpRelease:
@@ -93,7 +91,6 @@ func (sh *shard) handle(se *session, r *request) (retained bool) {
 	default:
 		se.send(r.id, StatusBadRequest, []byte(fmt.Sprintf("unknown op %d", r.op)))
 	}
-	return false
 }
 
 func (sh *shard) handleOpen(se *session, r *request) {
@@ -131,7 +128,7 @@ func (sh *shard) replyFile(se *session, id uint32, f *fs.File) {
 
 // readCtx is one in-flight read's reply state, pooled so the hot path
 // allocates nothing. It copies every field it needs out of the request
-// (which recycles when the handler returns) and implements
+// (which is gone when the handler returns) and implements
 // core.ReadReply; the kernel invokes ReadDone under the shard lock,
 // either inline (hit) or when the fill completes.
 type readCtx struct {
@@ -201,26 +198,22 @@ func (sh *shard) handleRead(se *session, r *request) {
 	sh.kern.ReadTo(se.owners[sh.idx], fid, m.Blk, m.Off, m.Size, rc)
 }
 
-func (sh *shard) handleWrite(se *session, r *request) bool {
+func (sh *shard) handleWrite(se *session, r *request) {
 	m, ok := ParseWriteReq(r.body)
 	if !ok {
 		se.send(r.id, StatusBadRequest, []byte("write: length mismatch"))
-		return false
+		return
 	}
 	id := r.id
-	// The request is retained until the kernel has consumed m.Data
-	// (which aliases r.body): on every completion path — hit, filled
-	// miss, error — the copy into the cache happens before this
-	// callback runs, so releasing here is safe.
+	// m.Data aliases the session's read buffer; the kernel borrows it for
+	// this call only and copies what it must keep.
 	sh.kern.Write(se.owners[sh.idx], sh.local(m.File), m.Blk, m.Off, m.Data, func(hit bool, err error) {
-		releaseRequest(r)
 		if err != nil {
 			se.sendErr(id, err)
 			return
 		}
 		se.send(id, StatusOK, flagBody(hit))
 	})
-	return true
 }
 
 // errMalformed is a fixed-length fbehavior body of the wrong length.

@@ -62,7 +62,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/acm"
 	"repro/internal/fs"
@@ -187,8 +186,8 @@ func WriteFrame(w io.Writer, id uint32, tag uint8, body []byte) error {
 // ReadFrameHeader reads and validates one frame's 9-byte header from br,
 // leaving the body (bodyLen bytes) unconsumed on the stream: the one frame
 // decoder. It allocates nothing — Peek/Discard keep the header inside the
-// bufio buffer — so the caller can read the body into recycled storage
-// (the server's frame-buffer pool, a client's caller-owned slice).
+// bufio buffer — so the caller chooses where the body goes: the server
+// peeks it in place in br, a client reads it into a caller-owned slice.
 func ReadFrameHeader(br *bufio.Reader) (id uint32, tag uint8, bodyLen int, err error) {
 	hdr, err := br.Peek(frameHeaderLen)
 	if err != nil {
@@ -205,48 +204,6 @@ func ReadFrameHeader(br *bufio.Reader) (id uint32, tag uint8, bodyLen int, err e
 	tag = hdr[8]
 	br.Discard(frameHeaderLen)
 	return id, tag, int(n) - FrameOverhead, nil
-}
-
-// frameBuf is one pooled request-body buffer. Pooling is by size class
-// so a stream of 13-byte reads never rents 16 KB buffers, and the
-// pointer (not the slice) round-trips through the pool so a put does not
-// allocate a fresh header.
-type frameBuf struct{ b []byte }
-
-// bodyClasses are the pooled body capacities: small control ops, names,
-// a block-read body plus change, and the whole-block write ceiling.
-var bodyClasses = [...]int{64, 1024, 8704, MaxFrame - FrameOverhead}
-
-var bodyPools [len(bodyClasses)]sync.Pool
-
-func init() {
-	for i, size := range bodyClasses {
-		size := size
-		bodyPools[i].New = func() any { return &frameBuf{b: make([]byte, size)} }
-	}
-}
-
-// getFrameBuf rents a buffer with capacity for n body bytes.
-func getFrameBuf(n int) *frameBuf {
-	for i, size := range bodyClasses {
-		if n <= size {
-			return bodyPools[i].Get().(*frameBuf)
-		}
-	}
-	// Unreachable while MaxFrame-FrameOverhead is the top class; kept so
-	// a larger future frame degrades to an allocation, not a panic.
-	return &frameBuf{b: make([]byte, n)}
-}
-
-// putFrameBuf returns a rented buffer to its size-class pool.
-func putFrameBuf(fb *frameBuf) {
-	fb.b = fb.b[:cap(fb.b)]
-	for i, size := range bodyClasses {
-		if cap(fb.b) == size {
-			bodyPools[i].Put(fb)
-			return
-		}
-	}
 }
 
 // be32 / be16 / app32 / app16 are the big-endian helpers of the parsers

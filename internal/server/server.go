@@ -203,7 +203,6 @@ func (s *Server) startSession(conn net.Conn) {
 		die:    make(chan struct{}),
 		owners: make([]int, len(s.shards)),
 	}
-	se.closeLeft.Store(int32(len(s.shards)))
 	for i := 0; i < s.cfg.MaxInflight; i++ {
 		se.tokens <- struct{}{}
 	}

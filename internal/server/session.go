@@ -2,40 +2,22 @@ package server
 
 import (
 	"bufio"
-	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
 )
 
-// request is one decoded frame from a session. Requests are pooled:
-// body is backed by fb (a size-classed pooled buffer) and both recycle
-// through releaseRequest once the handler is done with the bytes.
+// request is one decoded frame from a session. It lives on the reader's
+// stack for as long as its handler runs, and body is borrowed from the
+// session's read buffer for that long: a handler that needs a field
+// later copies it out (handleRead's readCtx), and core.Live.Write copies
+// a payload it must keep.
 type request struct {
 	id   uint32
 	op   uint8
 	body []byte
-	fb   *frameBuf // pooled storage behind body; nil for empty bodies
-}
-
-var requestPool = sync.Pool{New: func() any { return new(request) }}
-
-// releaseRequest returns a request and its body buffer to their pools.
-// Called exactly once per request: by the dispatcher after a handler
-// that did not retain it, by the retaining handler's completion
-// callback (handleWrite, whose payload aliases body until the kernel
-// consumes it), by the dispatcher for reader-orchestrated ops, or by
-// the reader itself when the request dies before dispatch.
-func releaseRequest(r *request) {
-	if r.fb != nil {
-		putFrameBuf(r.fb)
-		r.fb = nil
-	}
-	r.body = nil
-	requestPool.Put(r)
 }
 
 // outFrame is one response queued to a session's writer. Two shapes:
@@ -85,11 +67,10 @@ type session struct {
 	// session opens there and read only under shard i's lock afterwards.
 	owners []int
 
-	// closeLeft counts shards that have not yet closed this session; the
-	// last one closes out. outMu orders late sends (a fill completing
-	// after some shard closed the session) against that close. It is
-	// never held while a shard lock is taken.
-	closeLeft atomic.Int32
+	// outMu orders late sends (a fill completing after the session
+	// closed in its shard) against the reader's close of out once every
+	// shard has closed the session. It is never held while a shard lock
+	// is taken.
 	outMu     sync.RWMutex
 	outClosed bool
 }
@@ -135,17 +116,6 @@ func (s *session) sendErr(id uint32, err error) {
 	s.send(id, statusOf(err), []byte(err.Error()))
 }
 
-// shardClosed records that one shard has finished closing this session;
-// the last shard closes the response channel, ending the writer.
-func (s *session) shardClosed() {
-	if s.closeLeft.Add(-1) == 0 {
-		s.outMu.Lock()
-		s.outClosed = true
-		close(s.out)
-		s.outMu.Unlock()
-	}
-}
-
 func (se *session) readLoop() {
 	defer se.srv.running.Done()
 	br := bufio.NewReaderSize(se.conn, MaxFrame)
@@ -161,18 +131,14 @@ func (se *session) readLoop() {
 		if err != nil {
 			break
 		}
-		r := requestPool.Get().(*request)
-		r.id, r.op = id, op
-		if n > 0 {
-			r.fb = getFrameBuf(n)
-			r.body = r.fb.b[:n]
-			if br.Buffered() < n {
-				se.conn.SetReadDeadline(time.Now().Add(idle))
-			}
-			if _, err := io.ReadFull(br, r.body); err != nil {
-				releaseRequest(r)
-				break
-			}
+		if br.Buffered() < n {
+			se.conn.SetReadDeadline(time.Now().Add(idle))
+		}
+		// The body stays in br, valid until the next read of it: dispatch
+		// returns only once the frame's handler has.
+		body, err := br.Peek(n)
+		if err != nil {
+			break
 		}
 		select {
 		case <-se.tokens:
@@ -182,9 +148,9 @@ func (se *session) readLoop() {
 		case <-se.die:
 			// Run nothing after kill: the closes must be the session's
 			// last step in every shard.
-			releaseRequest(r)
 		default:
-			se.srv.dispatch(se, r)
+			se.srv.dispatch(se, &request{id: id, op: op, body: body})
+			br.Discard(n)
 			continue
 		}
 		break
@@ -193,31 +159,29 @@ func (se *session) readLoop() {
 	for _, sh := range se.srv.shards {
 		sh.ask(func(sh *shard) { sh.closeSession(se) })
 	}
+	// Every shard has closed the session, so only a fill completing late
+	// can still send; outMu orders it against this close, which ends the
+	// writer.
+	se.outMu.Lock()
+	se.outClosed = true
+	close(se.out)
+	se.outMu.Unlock()
 }
 
 // dispatch runs one frame, on the session's reader. Shard-local ops run
-// in their file's (or name's) shard, under its lock, where the request
-// is recycled unless its handler retained it; broadcast ops (control,
-// set_policy) and the stats aggregation are orchestrated here, a shard
-// at a time. Either way the frame has run everywhere it goes before the
-// reader takes the session's next one, so each shard sees a session's
-// frames in the order they arrived.
+// in their file's (or name's) shard, under its lock; broadcast ops
+// (control, set_policy) and the stats aggregation are orchestrated here,
+// a shard at a time. Either way the frame has run everywhere it goes
+// before dispatch returns and the reader takes the session's next one,
+// so each shard sees a session's frames in the order they arrived.
 func (s *Server) dispatch(se *session, r *request) {
 	switch r.op {
 	case OpControl, OpSetPolicy:
-		// All complete (every shard round-trip included) before
-		// returning, so the request recycles here.
 		s.broadcastCtl(se, r)
-		releaseRequest(r)
 	case OpStats:
 		s.serveStats(se, r)
-		releaseRequest(r)
 	default:
-		s.shardFor(r.op, r.body).ask(func(sh *shard) {
-			if !sh.handle(se, r) {
-				releaseRequest(r)
-			}
-		})
+		s.shardFor(r.op, r.body).ask(func(sh *shard) { sh.handle(se, r) })
 	}
 }
 

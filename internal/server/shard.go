@@ -241,5 +241,4 @@ func (sh *shard) closeSession(se *session) {
 	if sh.srv.cfg.CheckInvariants {
 		sh.kern.CheckInvariants()
 	}
-	se.shardClosed()
 }

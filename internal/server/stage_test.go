@@ -55,8 +55,8 @@ func (s *stageShard) create(tb testing.TB, name string, blocks int) []*request {
 	return reqs
 }
 
-// handle runs r on the shard as a session's reader would, minus the
-// recycling of r, which the caller reuses.
+// handle runs r on the shard as a session's reader would. The handler
+// keeps nothing of r past its return, so the caller may run r again.
 func (s *stageShard) handle(r *request) {
 	s.sh.ask(func(sh *shard) { sh.handle(s.se, r) })
 }
