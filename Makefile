@@ -37,10 +37,12 @@ race-lifecycle:
 # cluster's origin directory in place, acload's sort replay leaves no
 # block of a removed temporary, and every backend agrees with a plain map
 # through random reads, writes and discards from several goroutines at
-# once. CI runs it as its own step.
+# once; the store keeps a file's blocks under the id its create returned
+# (shard i of n numbers its files i+n, i+2n, …). CI runs it as its own
+# step.
 race-discard:
 	$(GO) test -race ./internal/disk ./internal/core ./internal/server ./internal/cluster ./cmd/acload \
-		-run 'Discard|TestStoreFollowsLiveSet|TestLiveRemove|TestLiveWriteAfterRemove|TestLiveRecreatedName|TestClusterRecreatedName|TestClusterLeaveRecreated|TestClusterRemoveUnwritten|TestClusterDotNames|TestReplaySortLeavesNoRemovedBlocks|TestStoreModel' -count=5
+		-run 'Discard|TestStoreFollowsLiveSet|TestLiveRemove|TestLiveWriteAfterRemove|TestLiveRecreatedName|TestClusterRecreatedName|TestClusterLeaveRecreated|TestClusterRemoveUnwritten|TestClusterDotNames|TestReplaySortLeavesNoRemovedBlocks|TestStoreModel|TestLiveFilesUnderClientIDs|TestShardConfigFileIDs' -count=5
 
 # The shard-lock gates by name, repeated: the soak (16 sessions plus
 # hangup saboteurs over 4 shards), a fill's waiters surviving their
@@ -72,7 +74,7 @@ race:
 # raises the ceiling in its own diff, where a reviewer sees it. longest
 # prints the ten longest of the same files, so the next 1 500-line file
 # shows on the push that creates it.
-LOC_MAX = 15886
+LOC_MAX = 15847
 LOC_FILES = find . \( -name '.?*' -o -name benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -type f -print0
 loc:
 	@n=$$($(LOC_FILES) | xargs -0 cat | wc -l); echo $$n; \

@@ -202,6 +202,9 @@ type System struct {
 	ctl   *acm.ACM
 	inode *meta.Cache
 	procs []*Proc
+	// lastID is the id of the newest file: the machine numbers its
+	// files 1, 2, 3, … in creation order.
+	lastID fs.FileID
 
 	// pendingIO maps buffers being filled to the record of the read in
 	// flight; freeFills holds the records not in flight, last returned
@@ -282,11 +285,19 @@ func (s *System) Config() Config { return s.cfg }
 // CreateFile pre-populates a file before the run (no simulated I/O), as
 // when a benchmark's input data already exists on disk.
 func (s *System) CreateFile(name string, diskIdx, sizeBlocks int) *fs.File {
-	f, err := s.fsys.Create(name, diskIdx, sizeBlocks)
+	f := s.create(name, diskIdx, sizeBlocks)
+	s.ctlTraceSys(CtlEvent{Op: CtlCreateFile, File: f.ID(), FileName: name, Disk: diskIdx, Size: sizeBlocks})
+	return f
+}
+
+// create makes a file under the machine's next id. A simulated workload
+// that cannot create its file is a bug in the experiment.
+func (s *System) create(name string, d, sizeBlocks int) *fs.File {
+	s.lastID++
+	f, err := s.fsys.Create(s.lastID, name, d, sizeBlocks)
 	if err != nil {
 		panic(err)
 	}
-	s.ctlTraceSys(CtlEvent{Op: CtlCreateFile, File: f.ID(), FileName: name, Disk: diskIdx, Size: sizeBlocks})
 	return f
 }
 
@@ -538,10 +549,7 @@ func (s *System) useCPU(sp *sim.Proc, d sim.Time) {
 // CreateFile creates a file on disk d, initially empty unless sizeBlocks
 // is positive. The fresh inode is in core by construction.
 func (p *Proc) CreateFile(name string, d, sizeBlocks int) *fs.File {
-	f, err := p.sys.fsys.Create(name, d, sizeBlocks)
-	if err != nil {
-		panic(err)
-	}
+	f := p.sys.create(name, d, sizeBlocks)
 	p.sys.inode.Prime(f.ID())
 	p.ctlTrace(CtlEvent{Op: CtlCreateFile, File: f.ID(), FileName: name, Disk: d, Size: sizeBlocks})
 	p.sys.useCPU(p.sp, syscallCPU)

@@ -103,6 +103,12 @@ type LiveConfig struct {
 	// ValidAt is only ever 0 or IOPending, and every flush outside tests
 	// passes MaxTime (the oracle test replays under both).
 	WallClock bool
+
+	// shard and shards place the kernel in an n-way sharded set
+	// (ShardConfig): shard i of n numbers its files i+n, i+2n, …, so a
+	// file id names its shard (id mod n) and one id serves the client,
+	// the namespace, the cache and the store. Unsharded: 1, 2, 3, ….
+	shard, shards int
 }
 
 func (c LiveConfig) cacheBlocks() int {
@@ -120,15 +126,17 @@ func (c LiveConfig) cacheBlocks() int {
 // ShardConfig returns the configuration for shard i of an n-way sharded
 // kernel: the total block budget is partitioned evenly across the shards
 // (the remainder going to the low-numbered ones, so any two shards differ
-// by at most one block) and everything else is copied unchanged. Each
-// shard is a complete, independent Live — its own cache arena, ACM, and
-// fill accounting — which is what makes sharding safe: LRU-SP runs
-// whole within each shard's replacement domain. ShardConfig(0, 1) is the
+// by at most one block), the shard numbers its files i+n, i+2n, …, and
+// everything else is copied unchanged. Each shard is a complete,
+// independent Live — its own cache arena, ACM, namespace and fill
+// accounting — which is what makes sharding safe: LRU-SP runs whole
+// within each shard's replacement domain. ShardConfig(0, 1) is the
 // identity, so a 1-shard kernel is bit-for-bit the unsharded one.
 func (c LiveConfig) ShardConfig(i, n int) LiveConfig {
 	if n <= 1 {
 		return c
 	}
+	c.shard, c.shards = i, n
 	total := c.cacheBlocks()
 	mine := total / n
 	if i < total%n {
@@ -186,6 +194,8 @@ type Live struct {
 	epoch time.Time
 
 	owners []*liveOwner
+	// lastID is the id of the newest file (LiveConfig.shard).
+	lastID fs.FileID
 	// Block contents live in the cache's refcounted data slots
 	// (cache.Config.SlotBytes = BlockSize): every cached buffer owns a
 	// slot, dirty victims detach theirs for the write-back, and the
@@ -235,6 +245,7 @@ func NewLive(cfg LiveConfig) *Live {
 		cfg:        cfg,
 		store:      cfg.Store,
 		fsys:       fs.New(fs.Config{DiskBlocks: diskBlocks()}),
+		lastID:     fs.FileID(cfg.shard),
 		epoch:      time.Now(),
 		mshr:       make(map[cache.BlockID]*Fill),
 		pendingWB:  make(map[cache.BlockID]*WriteBack),
@@ -272,9 +283,6 @@ func (l *Live) FS() *fs.FileSystem { return l.fsys }
 
 // Cache exposes the buffer cache (read-only introspection).
 func (l *Live) Cache() *cache.Cache { return l.bc }
-
-// Store exposes the block store, for the fill executor.
-func (l *Live) Store() disk.Store { return l.store }
 
 // PendingFills reports the number of in-flight block reads (demand and
 // prefetch).

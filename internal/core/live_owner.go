@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/acm"
@@ -89,7 +90,11 @@ func (l *Live) Create(owner int, name string, d, sizeBlocks int) (*fs.File, erro
 	if d < 0 || d >= l.fsys.Disks() {
 		return nil, fmt.Errorf("core: no disk %d", d)
 	}
-	f, err := l.fsys.Create(name, d, sizeBlocks)
+	id := l.lastID + fs.FileID(max(l.cfg.shards, 1))
+	f, err := l.fsys.Create(id, name, d, sizeBlocks)
+	if err == nil || errors.Is(err, fs.ErrNoSpace) {
+		l.lastID = id // a create the disk had no room for spends its id too
+	}
 	if err != nil {
 		return nil, err
 	}

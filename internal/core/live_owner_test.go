@@ -123,3 +123,41 @@ func TestReadAheadDetectorForgetsRemovedFiles(t *testing.T) {
 	}
 	l.CheckInvariants()
 }
+
+// TestShardConfigFileIDs: a kernel built from ShardConfig(i, n) numbers
+// its files i+n, i+2n, …, so each id names its shard (id mod n), and an
+// unsharded kernel numbers them 1, 2, 3, …. A create refused for a taken
+// name spends no id; one the disk has no room for spends its id.
+func TestShardConfigFileIDs(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3} {
+		for i := range max(n, 1) {
+			l := NewLive(LiveConfig{CacheBytes: 8 * BlockSize}.ShardConfig(i, n))
+			ow := l.AddOwner("t")
+			var got []fs.FileID
+			for k := range 3 {
+				f, err := l.Create(ow, fmt.Sprint("f", k), 0, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, f.ID())
+				if _, err := l.Create(ow, "f0", 0, 1); err == nil {
+					t.Fatal("create over a taken name succeeded")
+				}
+			}
+			if _, err := l.Create(ow, "huge", 0, 1<<30); err == nil {
+				t.Fatal("a create past the disk succeeded")
+			}
+			f, err := l.Create(ow, "last", 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, f.ID())
+			step := max(n, 1)
+			first := i + step
+			want := fmt.Sprint([]int{first, first + step, first + 2*step, first + 4*step})
+			if fmt.Sprint(got) != want {
+				t.Errorf("ShardConfig(%d, %d): ids %v, want %s", i, n, got, want)
+			}
+		}
+	}
+}

@@ -31,8 +31,8 @@ import (
 // reasons. A discard must not overtake an older queued write of its
 // block, and the write path — the kernel's pending table, the shard's
 // write-behind FIFO — is the machinery that already orders writes.
-// And a Store is wrapped (shard remaps, counting and gating test stores,
-// the benchmark's timer): an optional interface stops at the first
+// And a Store is wrapped (counting and gating test stores, the
+// benchmark's timer): an optional interface stops at the first
 // wrapper that has not heard of it, a nil source passes through all of
 // them untouched.
 type Store interface {

@@ -96,7 +96,7 @@ type FileSystem struct {
 	disks   []*diskState
 	byName  map[string]*File
 	byID    map[FileID]*File
-	nextID  FileID
+	lastID  FileID // the highest id made: ids ascend, so none is reused
 	fileGap int
 }
 
@@ -120,7 +120,6 @@ func New(cfg Config) *FileSystem {
 	f := &FileSystem{
 		byName:  make(map[string]*File),
 		byID:    make(map[FileID]*File),
-		nextID:  1,
 		fileGap: cfg.FileGapBlocks,
 	}
 	for _, c := range cfg.DiskBlocks {
@@ -138,9 +137,14 @@ func (fsys *FileSystem) Disks() int { return len(fsys.disks) }
 // Used returns the number of allocated blocks on disk d.
 func (fsys *FileSystem) Used(d int) int { return fsys.disks[d].used }
 
-// Create makes a new file of the given size (in blocks) on disk d. Size 0
+// Create makes a new file of the given size (in blocks) on disk d under
+// id, which the caller hands out: it must be above every id made before,
+// so an id is never reused and id order is creation order. Size 0
 // creates an empty file that can Grow later.
-func (fsys *FileSystem) Create(name string, d int, sizeBlocks int) (*File, error) {
+func (fsys *FileSystem) Create(id FileID, name string, d int, sizeBlocks int) (*File, error) {
+	if id <= fsys.lastID {
+		return nil, fmt.Errorf("fs: create %q: id %d not above %d", name, id, fsys.lastID)
+	}
 	if d < 0 || d >= len(fsys.disks) {
 		return nil, fmt.Errorf("fs: create %q: no disk %d", name, d)
 	}
@@ -150,8 +154,7 @@ func (fsys *FileSystem) Create(name string, d int, sizeBlocks int) (*File, error
 	if sizeBlocks < 0 {
 		return nil, fmt.Errorf("fs: create %q: negative size", name)
 	}
-	f := &File{id: fsys.nextID, name: name, disk: d}
-	fsys.nextID++
+	f := &File{id: id, name: name, disk: d}
 	// Leave the inter-file gap (inode and friends) ahead of the file.
 	ds := fsys.disks[d]
 	if fsys.fileGap > 0 && ds.cursor+fsys.fileGap <= ds.capacity {
@@ -161,7 +164,8 @@ func (fsys *FileSystem) Create(name string, d int, sizeBlocks int) (*File, error
 		return nil, err
 	}
 	fsys.byName[name] = f
-	fsys.byID[f.id] = f
+	fsys.byID[id] = f
+	fsys.lastID = id
 	return f, nil
 }
 

@@ -16,11 +16,11 @@ func newFS(t *testing.T, caps ...int) *FileSystem {
 
 func TestCreateAndLookup(t *testing.T) {
 	f := newFS(t)
-	a, err := f.Create("a", 0, 100)
+	a, err := f.Create(7, "a", 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Name() != "a" || a.Size() != 100 || a.Disk() != 0 || a.ID() == NoFile {
+	if a.Name() != "a" || a.Size() != 100 || a.Disk() != 0 || a.ID() != 7 {
 		t.Errorf("bad file: %+v", a)
 	}
 	got, ok := f.Lookup("a")
@@ -38,19 +38,25 @@ func TestCreateAndLookup(t *testing.T) {
 
 func TestCreateErrors(t *testing.T) {
 	f := newFS(t)
-	if _, err := f.Create("a", 0, 10); err != nil {
+	if _, err := f.Create(1, "a", 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Create("a", 0, 10); err == nil {
+	if _, err := f.Create(2, "a", 0, 10); err == nil {
 		t.Error("duplicate create succeeded")
 	}
-	if _, err := f.Create("b", 5, 10); err == nil {
+	if _, err := f.Create(3, "b", 5, 10); err == nil {
 		t.Error("create on missing disk succeeded")
 	}
-	if _, err := f.Create("c", 0, -1); err == nil {
+	if _, err := f.Create(4, "c", 0, -1); err == nil {
 		t.Error("negative size create succeeded")
 	}
-	if _, err := f.Create("huge", 0, 1<<30); err == nil {
+	if _, err := f.Create(1, "d", 0, 10); err == nil {
+		t.Error("create under a taken id succeeded")
+	}
+	if _, err := f.Create(NoFile, "e", 0, 10); err == nil {
+		t.Error("create under NoFile succeeded")
+	}
+	if _, err := f.Create(5, "huge", 0, 1<<30); err == nil {
 		t.Error("over-capacity create succeeded")
 	}
 }
@@ -59,7 +65,7 @@ func TestSequentialPlacement(t *testing.T) {
 	// A file created alone should be fully contiguous: block addresses
 	// increase by one.
 	f := newFS(t)
-	a, _ := f.Create("a", 0, 200)
+	a, _ := f.Create(1, "a", 0, 200)
 	for i := 1; i < 200; i++ {
 		if a.BlockAddr(i) != a.BlockAddr(i-1)+1 {
 			t.Fatalf("file not contiguous at block %d", i)
@@ -69,7 +75,7 @@ func TestSequentialPlacement(t *testing.T) {
 
 func TestBlockAddrOutOfRangePanics(t *testing.T) {
 	f := newFS(t)
-	a, _ := f.Create("a", 0, 10)
+	a, _ := f.Create(1, "a", 0, 10)
 	for _, blk := range []int{-1, 10, 100} {
 		func() {
 			defer func() {
@@ -87,8 +93,8 @@ func TestInterleavedGrowth(t *testing.T) {
 	// allocators do for concurrently written files.
 	const eb = extentBlocks
 	f := New(Config{DiskBlocks: []int{100000}})
-	a, _ := f.Create("a", 0, 0)
-	b, _ := f.Create("b", 0, 0)
+	a, _ := f.Create(1, "a", 0, 0)
+	b, _ := f.Create(2, "b", 0, 0)
 	for i := 1; i <= 5; i++ {
 		if err := f.Grow(a, i*eb); err != nil {
 			t.Fatal(err)
@@ -120,7 +126,7 @@ func TestInterleavedGrowth(t *testing.T) {
 
 func TestGrowNoShrink(t *testing.T) {
 	f := newFS(t)
-	a, _ := f.Create("a", 0, 50)
+	a, _ := f.Create(1, "a", 0, 50)
 	if err := f.Grow(a, 20); err != nil {
 		t.Errorf("no-op grow errored: %v", err)
 	}
@@ -131,8 +137,8 @@ func TestGrowNoShrink(t *testing.T) {
 
 func TestRemoveAndReuse(t *testing.T) {
 	f := New(Config{DiskBlocks: []int{100}})
-	a, _ := f.Create("a", 0, 60)
-	if _, err := f.Create("big", 0, 60); err == nil {
+	a, _ := f.Create(1, "a", 0, 60)
+	if _, err := f.Create(2, "big", 0, 60); err == nil {
 		t.Fatal("expected disk-full error")
 	}
 	if err := f.Remove("a"); err != nil {
@@ -148,7 +154,7 @@ func TestRemoveAndReuse(t *testing.T) {
 		t.Error("removed file still visible by ID")
 	}
 	// The freed space is reusable.
-	if _, err := f.Create("b", 0, 90); err != nil {
+	if _, err := f.Create(3, "b", 0, 90); err != nil {
 		t.Errorf("space not reclaimed: %v", err)
 	}
 	if err := f.Remove("a"); err == nil {
@@ -163,7 +169,7 @@ func TestFreeListCoalesces(t *testing.T) {
 	f := New(Config{DiskBlocks: []int{1000}})
 	var files []*File
 	for i := 0; i < 5; i++ {
-		fl, _ := f.Create(string(rune('a'+i)), 0, 10)
+		fl, _ := f.Create(FileID(i+1), string(rune('a'+i)), 0, 10)
 		files = append(files, fl)
 	}
 	_ = files
@@ -176,7 +182,7 @@ func TestFreeListCoalesces(t *testing.T) {
 		t.Errorf("free list has %d extents after coalescing, want 1", got)
 	}
 	// The coalesced 30-block hole is usable as a single file region.
-	g, err := f.Create("g", 0, 30)
+	g, err := f.Create(6, "g", 0, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +193,8 @@ func TestFreeListCoalesces(t *testing.T) {
 
 func TestUsedAccounting(t *testing.T) {
 	f := newFS(t, 500, 500)
-	f.Create("a", 0, 100)
-	f.Create("b", 1, 200)
+	f.Create(1, "a", 0, 100)
+	f.Create(2, "b", 1, 200)
 	if f.Used(0) != 100 || f.Used(1) != 200 {
 		t.Errorf("Used = %d, %d; want 100, 200", f.Used(0), f.Used(1))
 	}
@@ -203,12 +209,13 @@ func TestUsedAccounting(t *testing.T) {
 
 func TestIDsNeverReused(t *testing.T) {
 	f := newFS(t)
-	a, _ := f.Create("a", 0, 10)
-	id := a.ID()
+	a, _ := f.Create(1, "a", 0, 10)
 	f.Remove("a")
-	b, _ := f.Create("a", 0, 10)
-	if b.ID() == id {
+	if _, err := f.Create(a.ID(), "a", 0, 10); err == nil {
 		t.Error("FileID reused after remove")
+	}
+	if b, err := f.Create(a.ID()+1, "a", 0, 10); err != nil || b.ID() != a.ID()+1 {
+		t.Errorf("create under the next id: %v, %v", b, err)
 	}
 }
 
@@ -216,14 +223,14 @@ func TestIDsNeverReused(t *testing.T) {
 // first, a re-created name at its new id; breaking out stops it.
 func TestFilesLiveInIDOrder(t *testing.T) {
 	f := newFS(t)
-	for _, name := range []string{"c", "a", "b", "d"} {
-		if _, err := f.Create(name, 0, 1); err != nil {
+	for i, name := range []string{"c", "a", "b", "d"} {
+		if _, err := f.Create(FileID(i+1), name, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	f.Remove("a")
 	f.Remove("d")
-	f.Create("a", 0, 1)
+	f.Create(5, "a", 0, 1)
 	var got []string
 	var ids []FileID
 	for g := range f.Files() {
@@ -280,7 +287,7 @@ func TestQuickNoOverlap(t *testing.T) {
 			case 0: // create
 				name := string(rune('A' + n%64))
 				n++
-				if fl, err := f.Create(name, 0, int(o.Arg)%64*q); err == nil {
+				if fl, err := f.Create(FileID(n), name, 0, int(o.Arg)%64*q); err == nil {
 					live = append(live, fl)
 				}
 			case 1: // grow

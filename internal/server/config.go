@@ -47,10 +47,10 @@ type Config struct {
 
 // announcer is a base store that addresses files by name (disk.DirStore,
 // a cluster node's origin): it is told every successful open and
-// create's wire id and name, the mapping it needs to resolve the wire
-// ids it is handed on fills and write-backs. Announce runs under a shard
-// lock; it must be cheap and must not call back into the server.
-type announcer interface{ Announce(wire int32, name string) }
+// create's file id and name, the mapping it needs to resolve the ids it
+// is handed on fills and write-backs. Announce runs under a shard lock;
+// it must be cheap and must not call back into the server.
+type announcer interface{ Announce(file int32, name string) }
 
 func (c *Config) fillDefaults() {
 	if c.Shards <= 0 {

@@ -145,14 +145,14 @@ func (sh *shard) runFills(w *fillScratch) {
 		i = j
 		if len(run) == 1 {
 			fl := run[0]
-			fl.Err = sh.store.ReadBlock(int32(fl.ID.File), fl.ID.Num, fl.Data)
+			fl.Err = sh.srv.store.ReadBlock(int32(fl.ID.File), fl.ID.Num, fl.Data)
 		} else {
 			w.specs, w.dsts = w.specs[:0], w.dsts[:0]
 			for _, fl := range run {
-				w.specs = append(w.specs, sh.store.span(fl.ID))
+				w.specs = append(w.specs, disk.BlockSpan{File: int32(fl.ID.File), Blk: fl.ID.Num})
 				w.dsts = append(w.dsts, fl.Data)
 			}
-			for k, err := range disk.ReadBatch(sh.store.base, w.specs, w.dsts) {
+			for k, err := range disk.ReadBatch(sh.srv.store, w.specs, w.dsts) {
 				run[k].Err = err
 			}
 			clear(w.dsts)
@@ -166,26 +166,25 @@ func (sh *shard) runFills(w *fillScratch) {
 // (shard.writeBehind): a discard goes through disk.Discard, a release's
 // barrier makes no store call, a lone victim keeps the plain WriteBlock
 // path, and a group goes through WriteBatch so adjacent-slot victims
-// collapse into pwritev runs. The group's spans are addressed to the
-// base store directly (remapStore.span) and built in the shard's
-// scratch. The batch then completes in the shard through ask, which the
+// collapse into pwritev runs, its spans built in the shard's scratch.
+// The batch then completes in the shard through ask, which the
 // shard cannot refuse: it counts the batch in flight and cannot retire
 // before it completes.
 func (sh *shard) writeBatch(batch []*core.WriteBack) {
 	defer sh.srv.running.Done()
 	switch wb := batch[0]; {
 	case wb.Discard != nil:
-		wb.Err = disk.Discard(sh.kern.Store(), wb.Discard)
+		wb.Err = disk.Discard(sh.srv.store, wb.Discard)
 	case wb.Barrier():
 	case len(batch) == 1:
-		wb.Err = sh.kern.Store().WriteBlock(int32(wb.ID.File), wb.ID.Num, wb.Data)
+		wb.Err = sh.srv.store.WriteBlock(int32(wb.ID.File), wb.ID.Num, wb.Data)
 	default:
 		specs, srcs := sh.wbSpecs[:0], sh.wbSrcs[:0]
 		for _, wb := range batch {
-			specs = append(specs, sh.store.span(wb.ID))
+			specs = append(specs, disk.BlockSpan{File: int32(wb.ID.File), Blk: wb.ID.Num})
 			srcs = append(srcs, wb.Data)
 		}
-		for i, err := range disk.WriteBatch(sh.store.base, specs, srcs) {
+		for i, err := range disk.WriteBatch(sh.srv.store, specs, srcs) {
 			batch[i].Err = err
 		}
 		clear(srcs)

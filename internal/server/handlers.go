@@ -31,17 +31,6 @@ func statusOf(err error) uint8 {
 	return StatusIO
 }
 
-// wire translates a shard-local file id to its wire encoding and local
-// inverts it: wire = local*N + shard. With one shard both are the
-// identity, keeping the unsharded server's ids bit-for-bit.
-func (sh *shard) wire(local fs.FileID) fs.FileID {
-	return local*fs.FileID(len(sh.srv.shards)) + fs.FileID(sh.idx)
-}
-
-func (sh *shard) local(wire fs.FileID) fs.FileID {
-	return wire / fs.FileID(len(sh.srv.shards))
-}
-
 // handle runs one request under the shard lock. r and its body are
 // valid only until handle returns, so a handler that completes
 // asynchronously (handleRead) copies what it needs out of r first.
@@ -117,13 +106,13 @@ func (sh *shard) handleCreate(se *session, r *request) {
 }
 
 // replyFile answers a successful open or create: the file is announced
-// to a name-addressed base store (announcer) and the reply carries its
-// wire id and size.
+// to a name-addressed store (announcer) and the reply carries its id
+// and size.
 func (sh *shard) replyFile(se *session, id uint32, f *fs.File) {
 	if sh.announce != nil {
-		sh.announce.Announce(int32(sh.wire(f.ID())), f.Name())
+		sh.announce.Announce(int32(f.ID()), f.Name())
 	}
-	se.send(id, StatusOK, FileReply{ID: sh.wire(f.ID()), Size: f.Size()}.Append(nil))
+	se.send(id, StatusOK, FileReply{ID: f.ID(), Size: f.Size()}.Append(nil))
 }
 
 // readCtx is one in-flight read's reply state, pooled so the hot path
@@ -184,7 +173,6 @@ func (sh *shard) handleRead(se *session, r *request) {
 		se.send(r.id, StatusBadRequest, []byte("read: want 13-byte body"))
 		return
 	}
-	fid := sh.local(m.File)
 	rc := readCtxPool.Get().(*readCtx)
 	*rc = readCtx{
 		sh:    sh,
@@ -193,9 +181,9 @@ func (sh *shard) handleRead(se *session, r *request) {
 		off:   m.Off,
 		size:  m.Size,
 		flags: m.Flags,
-		bid:   cache.BlockID{File: fid, Num: m.Blk},
+		bid:   cache.BlockID{File: m.File, Num: m.Blk},
 	}
-	sh.kern.ReadTo(se.owners[sh.idx], fid, m.Blk, m.Off, m.Size, rc)
+	sh.kern.ReadTo(se.owners[sh.idx], m.File, m.Blk, m.Off, m.Size, rc)
 }
 
 func (sh *shard) handleWrite(se *session, r *request) {
@@ -207,7 +195,7 @@ func (sh *shard) handleWrite(se *session, r *request) {
 	id := r.id
 	// m.Data aliases the session's read buffer; the kernel borrows it for
 	// this call only and copies what it must keep.
-	sh.kern.Write(se.owners[sh.idx], sh.local(m.File), m.Blk, m.Off, m.Data, func(hit bool, err error) {
+	sh.kern.Write(se.owners[sh.idx], m.File, m.Blk, m.Off, m.Data, func(hit bool, err error) {
 		if err != nil {
 			se.sendErr(id, err)
 			return
@@ -228,12 +216,12 @@ func (sh *shard) handleFbehavior(se *session, r *request) {
 	switch r.op {
 	case OpSetPriority:
 		if m, ok := ParseSetPriorityReq(b); ok {
-			err = sh.kern.SetPriority(owner, sh.local(m.File), m.Prio)
+			err = sh.kern.SetPriority(owner, m.File, m.Prio)
 		}
 	case OpGetPriority:
 		if f, ok := ParseWord(b); ok {
 			var prio int
-			prio, err = sh.kern.GetPriority(owner, sh.local(fs.FileID(f)))
+			prio, err = sh.kern.GetPriority(owner, fs.FileID(f))
 			resp = Word(prio).Append(nil)
 		}
 	case OpGetPolicy:
@@ -244,7 +232,7 @@ func (sh *shard) handleFbehavior(se *session, r *request) {
 		}
 	case OpSetTempPri:
 		if m, ok := ParseSetTempPriReq(b); ok {
-			err = sh.kern.SetTempPri(owner, sh.local(m.File), m.Start, m.End, m.Prio)
+			err = sh.kern.SetTempPri(owner, m.File, m.Start, m.End, m.Prio)
 		}
 	}
 	if err != nil {

@@ -6,8 +6,8 @@
 //
 // Shard routing. Most ops are shard-local: open, create, remove and
 // release route by a stable hash of the file name; read, write, close, set_priority,
-// get_priority and set_temppri route by the file id (the wire id encodes
-// its shard: wire = local*shards + shard). ping and get_policy anchor at
+// get_priority and set_temppri route by the file id (shard i of n numbers
+// its files i+n, i+2n, …, so id mod n is the shard). ping and get_policy anchor at
 // shard 0. Two ops broadcast — control and set_policy target per-manager
 // state that exists in every shard, so the session's reader runs them in
 // each shard before the next frame — and stats aggregates: the reply

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/fs"
@@ -20,7 +19,7 @@ import (
 type Server struct {
 	cfg    Config
 	shards []*shard   // nil once closed
-	store  disk.Store // the shared base store behind the shard remaps; nil once closed
+	store  disk.Store // the block store every shard's kernel reads and writes; nil once closed
 	// kdone closes when Shutdown has completed: every shard has retired
 	// and every goroutine the server started has exited.
 	kdone chan struct{}
@@ -43,53 +42,6 @@ type Server struct {
 	// request accounting lives here.
 	xRequests atomic.Int64
 	xRefused  atomic.Int64
-}
-
-// remapStore gives each shard a disjoint keyspace in the shared block
-// store by translating shard-local file ids to their wire encoding
-// (local*shards + shard) — the same bijection the protocol uses, so a
-// block's bytes live under the id the client knows. Close is a no-op:
-// the server closes the shared base store exactly once.
-type remapStore struct {
-	base     disk.Store
-	shard, n int32
-}
-
-func (r remapStore) ReadBlock(file, blk int32, dst []byte) error {
-	return r.base.ReadBlock(file*r.n+r.shard, blk, dst)
-}
-func (r remapStore) WriteBlock(file, blk int32, src []byte) error {
-	return r.base.WriteBlock(file*r.n+r.shard, blk, src)
-}
-func (r remapStore) Close() error { return nil }
-
-// span is the shard-local block id as the base store knows it. A fill
-// worker builds a vectored read's spans with it and calls the base
-// store directly, so a run allocates no remapped copy.
-func (r remapStore) span(id cache.BlockID) disk.BlockSpan {
-	return disk.BlockSpan{File: int32(id.File)*r.n + r.shard, Blk: id.Num}
-}
-
-// remapSpans translates a batch's shard-local file ids to their wire
-// encoding. The remap is affine in the file id only, so adjacency in
-// (file, block) — what the run grouping keys on — is preserved.
-func (r remapStore) remapSpans(specs []disk.BlockSpan) []disk.BlockSpan {
-	out := make([]disk.BlockSpan, len(specs))
-	for i, sp := range specs {
-		out[i] = disk.BlockSpan{File: sp.File*r.n + r.shard, Blk: sp.Blk}
-	}
-	return out
-}
-
-// ReadBlocks/WriteBlocks forward batches to the base store, which may
-// or may not vector them — ReadBatch/WriteBatch fall back to per-block
-// calls on a plain Store, so a remap over a counting test wrapper keeps
-// per-block counting intact.
-func (r remapStore) ReadBlocks(specs []disk.BlockSpan, dsts [][]byte) []error {
-	return disk.ReadBatch(r.base, r.remapSpans(specs), dsts)
-}
-func (r remapStore) WriteBlocks(specs []disk.BlockSpan, srcs [][]byte) []error {
-	return disk.WriteBatch(r.base, r.remapSpans(specs), srcs)
 }
 
 // New builds a Server and starts its shards' fill workers.
@@ -126,10 +78,9 @@ func (srv *Server) newShard(i int) *shard {
 		done:     make(chan struct{}),
 		sessions: make(map[*session]bool),
 		fq:       newFillQueue(),
-		store:    remapStore{base: srv.store, shard: int32(i), n: int32(n)},
 	}
 	kcfg := cfg.Kernel.ShardConfig(i, n)
-	kcfg.Store = sh.store
+	kcfg.Store = srv.store
 	_, sh.vectors = srv.store.(disk.BatchStore)
 	sh.announce, _ = srv.store.(announcer)
 	// Fills queue on the shard's fill queue (the hook runs under the

@@ -20,9 +20,7 @@ type shard struct {
 	// fq is the shard's fill queue; the worker pool drains it. Closed at
 	// retire.
 	fq *fillQueue
-	// store is the shard's slice of the base store, its kernel's Store.
-	store remapStore
-	// vectors reports whether the base store can retire a run as one
+	// vectors reports whether the server's store can retire a run as one
 	// vectored call. A completed run of more than one block counts as a
 	// batch only when it can, so BatchedFills on a plain (or counting
 	// test) store honestly reads zero.
@@ -159,7 +157,7 @@ func (sh *shard) startWriteBack(wb *core.WriteBack) {
 		// Inline is safe exactly because !Conflict: no older write of this
 		// block is queued anywhere, so writing now cannot reorder anything.
 		wb.Stalled = true
-		wb.Err = sh.kern.Store().WriteBlock(int32(wb.ID.File), wb.ID.Num, wb.Data)
+		wb.Err = sh.srv.store.WriteBlock(int32(wb.ID.File), wb.ID.Num, wb.Data)
 		sh.kern.CompleteWriteBack(wb)
 		return
 	}

@@ -2,15 +2,19 @@ package server_test
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/stats"
@@ -98,6 +102,68 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 	if sr.Kernel.Cache.Hits == 0 || sr.Kernel.Cache.Misses == 0 {
 		t.Errorf("aggregated kernel saw no traffic: %+v", sr.Kernel.Cache)
+	}
+}
+
+// TestLiveFilesUnderClientIDs: a file has one id from the wire to the
+// store. A 2-shard server's namespace, read after Shutdown, lists every
+// file under the id its create returned; that id mod 2 is the shard its
+// name hashes to (FNV-1a), and the store keeps its blocks under it.
+func TestLiveFilesUnderClientIDs(t *testing.T) {
+	mem := disk.NewMemStore()
+	srv, addr, served := lifecycleServer(t, mem, core.MB(1))
+	c, err := client.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]int32{}
+	for i := range 12 {
+		name := fmt.Sprint("file", i)
+		f, err := c.Create(name, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write(f.ID, 1, 0, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		ids[name] = int32(f.ID)
+	}
+	c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("serve: %v", err)
+	}
+	if err := srv.FlushDirty(); err != nil {
+		t.Fatal(err)
+	}
+	files := srv.LiveFiles()
+	if len(files) != len(ids) {
+		t.Errorf("LiveFiles lists %d files, want %d", len(files), len(ids))
+	}
+	shards := map[uint32]bool{}
+	for _, f := range files {
+		h := fnv.New32a()
+		h.Write([]byte(f.Name()))
+		shard := h.Sum32() % 2
+		shards[shard] = true
+		switch id := int32(f.ID()); {
+		case id != ids[f.Name()]:
+			t.Errorf("%s: listed under %d, created as %d", f.Name(), id, ids[f.Name()])
+		case uint32(id)%2 != shard:
+			t.Errorf("%s: id %d, but its name hashes to shard %d", f.Name(), id, shard)
+		case mem.BlocksOf(id) != 1:
+			t.Errorf("%s: the store holds %d blocks under id %d, want 1", f.Name(), mem.BlocksOf(id), id)
+		}
+	}
+	if len(shards) != 2 {
+		t.Errorf("every name hashed to one shard: %v", shards)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -49,7 +49,7 @@ func (s *stageShard) create(tb testing.TB, name string, blocks int) []*request {
 	}
 	reqs := make([]*request, blocks)
 	for blk := range reqs {
-		body := ReadReq{File: s.sh.wire(f.ID()), Blk: int32(blk), Size: core.BlockSize}.Append(nil)
+		body := ReadReq{File: f.ID(), Blk: int32(blk), Size: core.BlockSize}.Append(nil)
 		reqs[blk] = &request{id: uint32(blk), op: OpRead, body: body}
 	}
 	return reqs
