@@ -38,11 +38,15 @@ race-lifecycle:
 # block of a removed temporary, and every backend agrees with a plain map
 # through random reads, writes and discards from several goroutines at
 # once; the store keeps a file's blocks under the id its create returned
-# (shard i of n numbers its files i+n, i+2n, …). CI runs it as its own
+# (shard i of n numbers its files i+n, i+2n, …); a FileStore keeps each
+# file in block order however its writes interleave, gives a discarded
+# file's bytes back on disk, holds no more descriptors than its bound
+# from four goroutines over three times as many files, and takes only a
+# new or empty directory, which Close removes. CI runs it as its own
 # step.
 race-discard:
 	$(GO) test -race ./internal/disk ./internal/core ./internal/server ./internal/cluster ./cmd/acload \
-		-run 'Discard|TestStoreFollowsLiveSet|TestLiveRemove|TestLiveWriteAfterRemove|TestLiveRecreatedName|TestClusterRecreatedName|TestClusterLeaveRecreated|TestClusterRemoveUnwritten|TestClusterDotNames|TestReplaySortLeavesNoRemovedBlocks|TestStoreModel|TestLiveFilesUnderClientIDs|TestShardConfigFileIDs' -count=5
+		-run 'Discard|TestStoreFollowsLiveSet|TestLiveRemove|TestLiveWriteAfterRemove|TestLiveRecreatedName|TestClusterRecreatedName|TestClusterLeaveRecreated|TestClusterRemoveUnwritten|TestClusterDotNames|TestReplaySortLeavesNoRemovedBlocks|TestStoreModel|TestLiveFilesUnderClientIDs|TestShardConfigFileIDs|TestFileStoreInterleavedWritesReadAsRuns|TestFileStoreDescriptorBound|TestFileStoreScratchDir' -count=5
 
 # The shard-lock gates by name, repeated: the soak (16 sessions plus
 # hangup saboteurs over 4 shards), a fill's waiters surviving their
@@ -74,7 +78,7 @@ race:
 # raises the ceiling in its own diff, where a reviewer sees it. longest
 # prints the ten longest of the same files, so the next 1 500-line file
 # shows on the push that creates it.
-LOC_MAX = 15847
+LOC_MAX = 15844
 LOC_FILES = find . \( -name '.?*' -o -name benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -type f -print0
 loc:
 	@n=$$($(LOC_FILES) | xargs -0 cat | wc -l); echo $$n; \

@@ -14,10 +14,15 @@
 //	acfcd -listen unix:/tmp/acfcd.sock [-metrics 127.0.0.1:9090]
 //	      [-pprof 127.0.0.1:6060]
 //	      [-cache-mb 6.4] [-alloc lru-sp]
-//	      [-store mem|/path/to/file]
+//	      [-store mem|/path/to/dir]
 //	      [-shards 1] [-idle 2m] [-inflight 32]
 //	      [-writeback-depth 0] [-readahead 0] [-grace 10s]
 //	      [-cluster tcp:h1:p1,tcp:h2:p2,... -origin dir:/path]
+//
+// -store mem keeps blocks in memory; a path keeps each file's blocks in
+// a file of its own (disk.FileStore) in a scratch directory made at
+// start and removed at exit. A path that exists and is not an empty
+// directory is refused, so a mistyped -store loses nothing.
 //
 // -alloc names any policy in the kernel's registry (cache.AllocNames:
 // global-lru, lru-sp, lru-s, alloc-lru, arc, awrp). It is fixed for the
@@ -91,7 +96,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fl.StringVar(&o.pprof, "pprof", "", "HTTP net/http/pprof listen address (empty: disabled)")
 	fl.Float64Var(&o.cacheMB, "cache-mb", 6.4, "cache size in MB")
 	fl.StringVar(&o.alloc, "alloc", "lru-sp", fmt.Sprintf("allocation policy: %v", cache.AllocNames()))
-	fl.StringVar(&o.store, "store", "mem", "block store: mem, or a scratch file path (truncated at start)")
+	fl.StringVar(&o.store, "store", "mem", "block store: mem, or a scratch directory made at start and removed at exit")
 	fl.DurationVar(&o.idle, "idle", 2*time.Minute, "session idle timeout")
 	fl.IntVar(&o.inflight, "inflight", 32, "max pipelined requests per session")
 	fl.IntVar(&o.shards, "shards", 1, "independent kernel shards (files hash to shards at open)")

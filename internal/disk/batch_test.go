@@ -3,6 +3,7 @@ package disk
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ func fillPattern(buf []byte, file, blk int32) {
 
 func newTestFileStore(t *testing.T) *FileStore {
 	t.Helper()
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "store.dat"))
+	fs, err := NewFileStore(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +83,10 @@ func TestFileStoreBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFileStoreRunAwareSlots pins the slot-layout policy: a batched
-// write of sequential file blocks against a fresh store must land them
-// in sequential slots, so the cold read of the same range needs exactly
-// one vectored call each way.
-func TestFileStoreRunAwareSlots(t *testing.T) {
+// TestFileStoreShuffledRunIsOneCall: a batched write of a file's
+// sequential blocks, named out of order, is one vectored call, and so is
+// the read of the same range.
+func TestFileStoreShuffledRunIsOneCall(t *testing.T) {
 	if !vectoredIO {
 		t.Skip("no vectored I/O on this platform")
 	}
@@ -95,8 +95,7 @@ func TestFileStoreRunAwareSlots(t *testing.T) {
 	const n = 16
 	specs := make([]BlockSpan, n)
 	srcs := make([][]byte, n)
-	// Present the run out of order: run-aware allocation must sort
-	// before assigning slots.
+	// Present the run out of order: the batch must sort it into one run.
 	for i := 0; i < n; i++ {
 		specs[i] = BlockSpan{File: 7, Blk: int32((i*5 + 3) % n)}
 		srcs[i] = make([]byte, BlockSize)
@@ -229,7 +228,7 @@ func TestMemStoreWriteReuse(t *testing.T) {
 // TestBatchConcurrentRace hammers batched and scalar reads, writes and
 // discards from concurrent goroutines over both backends; it asserts nothing
 // beyond error-freedom — its job is to give the race detector traffic
-// over the slot map, the IO counters and the block map.
+// over the descriptor cache, the IO counters and the block map.
 func TestBatchConcurrentRace(t *testing.T) {
 	stores := []struct {
 		name string
@@ -298,12 +297,9 @@ func TestBatchConcurrentRace(t *testing.T) {
 	}
 }
 
-// TestFileStoreReadPastEOF pins what a read finds when it resolves a slot
-// whose write has not landed yet, which is the state a concurrent writer
-// leaves between publishing the slot and extending the file: the file is
-// cut back to two and a half of four allocated slots, and every read path
-// must return the bytes that are there and zeros for the rest, with no
-// error.
+// TestFileStoreReadPastEOF: a file cut back to two and a half of its
+// four blocks reads, on every read path, the bytes that are there and
+// zeros for the rest, with no error.
 func TestFileStoreReadPastEOF(t *testing.T) {
 	const n = 4
 	specs := make([]BlockSpan, n)
@@ -331,7 +327,7 @@ func TestFileStoreReadPastEOF(t *testing.T) {
 					t.Fatalf("WriteBlocks[%d]: %v", i, err)
 				}
 			}
-			if err := fs.f.Truncate(2*BlockSize + BlockSize/2); err != nil {
+			if err := os.Truncate(fs.path(1), 2*BlockSize+BlockSize/2); err != nil {
 				t.Fatal(err)
 			}
 			dsts := make([][]byte, n)
@@ -371,7 +367,7 @@ func TestFileStoreScalarCounters(t *testing.T) {
 	if err := fs.ReadBlock(1, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.ReadBlock(1, 99, buf); err != nil { // unwritten: no I/O
+	if err := fs.ReadBlock(2, 0, buf); err != nil { // a file never made: no I/O
 		t.Fatal(err)
 	}
 	sr, vr, sw, vw := fs.IOCounts()

@@ -30,11 +30,13 @@ func storeBackends(t *testing.T, dirFiles ...int32) []struct {
 }
 
 // ioCalls is the number of file reads and writes s has made so far (a
-// store in memory makes none): the figure a discard and a read of a
-// discarded block must not move.
+// store in memory makes none): the figure a whole file's discard and a
+// read of the discarded file must not move.
 func ioCalls(s Store) int64 {
 	switch s := s.(type) {
-	case *FileStore:
+	case interface {
+		IOCounts() (int64, int64, int64, int64)
+	}:
 		sr, vr, sw, vw := s.IOCounts()
 		return sr + vr + sw + vw
 	case plainStore:
@@ -81,29 +83,39 @@ func TestDiscard(t *testing.T) {
 				t.Error("never-written block does not read as zeros after a discard")
 			}
 
-			// Discard, then read: zeros, and neither touches the medium.
+			// Discard, then read: zeros. A whole file's discard, and reads
+			// of the file after it, touch no medium.
 			specs := []BlockSpan{{1, 0}, {1, 1}, {1, 2}, {2, 0}}
 			mustBatch(t, s, specs, [][]byte{a, a, a, a})
-			before := ioCalls(s)
 			if err := Discard(s, specs[:2]); err != nil {
 				t.Fatalf("Discard: %v", err)
 			}
+			before := ioCalls(s)
 			if err := s.WriteBlock(2, 0, nil); err != nil {
 				t.Fatalf("scalar discard: %v", err)
 			}
-			for _, sp := range []BlockSpan{{1, 0}, {1, 1}, {2, 0}} {
+			if !bytes.Equal(mustRead(t, s, 2, 0), zeros) {
+				t.Errorf("%v does not read as zeros after its discard", specs[3])
+			}
+			dsts := [][]byte{bytes.Repeat([]byte{0xff}, BlockSize), bytes.Repeat([]byte{0xff}, BlockSize)}
+			for i, err := range ReadBatch(s, []BlockSpan{{2, 0}, {2, 1}}, dsts) {
+				if err != nil || !bytes.Equal(dsts[i], zeros) {
+					t.Errorf("batched read of discarded file 2, block %d: err %v, zeros %v", i, err, bytes.Equal(dsts[i], zeros))
+				}
+			}
+			if after := ioCalls(s); after != before {
+				t.Errorf("discarding a whole file and reading it made %d I/O calls, want 0", after-before)
+			}
+			for _, sp := range specs[:2] {
 				if !bytes.Equal(mustRead(t, s, sp.File, sp.Blk), zeros) {
 					t.Errorf("%v does not read as zeros after its discard", sp)
 				}
 			}
-			dsts := [][]byte{bytes.Repeat([]byte{0xff}, BlockSize), bytes.Repeat([]byte{0xff}, BlockSize)}
+			dsts = [][]byte{bytes.Repeat([]byte{0xff}, BlockSize), bytes.Repeat([]byte{0xff}, BlockSize)}
 			for i, err := range ReadBatch(s, specs[:2], dsts) {
 				if err != nil || !bytes.Equal(dsts[i], zeros) {
 					t.Errorf("batched read of discarded %v: err %v, zeros %v", specs[i], err, bytes.Equal(dsts[i], zeros))
 				}
-			}
-			if after := ioCalls(s); after != before {
-				t.Errorf("discarding and reading the discarded blocks made %d I/O calls, want 0", after-before)
 			}
 			if !bytes.Equal(mustRead(t, s, 1, 2), a) {
 				t.Error("a discard took a neighbouring block with it")

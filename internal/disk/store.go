@@ -11,13 +11,11 @@
 package disk
 
 import (
-	"cmp"
 	"fmt"
-	"io"
 	"os"
-	"slices"
+	"path/filepath"
+	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // Store is a live block backend: it durably (or at least authoritatively)
@@ -80,8 +78,8 @@ func NewMemStore() *MemStore {
 
 // ReadBlock implements Store.
 func (m *MemStore) ReadBlock(file, blk int32, dst []byte) error {
-	if len(dst) != BlockSize {
-		return fmt.Errorf("disk: read buffer is %d bytes, want %d", len(dst), BlockSize)
+	if err := checkDst(dst); err != nil {
+		return err
 	}
 	m.mu.RLock()
 	m.readLocked(file, blk, dst)
@@ -133,8 +131,7 @@ func (m *MemStore) ReadBlocks(specs []BlockSpan, dsts [][]byte) []error {
 	errs := make([]error, len(specs))
 	m.mu.RLock()
 	for i, sp := range specs {
-		if len(dsts[i]) != BlockSize {
-			errs[i] = fmt.Errorf("disk: read buffer is %d bytes, want %d", len(dsts[i]), BlockSize)
+		if errs[i] = checkDst(dsts[i]); errs[i] != nil {
 			continue
 		}
 		m.readLocked(sp.File, sp.Blk, dsts[i])
@@ -181,297 +178,135 @@ func (m *MemStore) BlocksOf(file int32) int {
 	return n
 }
 
-// FileStore is a Store backed by one flat file: blocks are appended to
-// slots as they are first written, and a slot map translates (file,
-// block) to the slot offset. Reads of unwritten blocks return zeros
-// without touching the file. Concurrent reads use pread on disjoint
-// offsets; writes resolve their slots under the slot map's mutex and
-// write unlocked.
+// maxOpenFiles bounds the descriptors a FileStore keeps open.
+const maxOpenFiles = 64
+
+// FileStore is a Store over a scratch directory it makes and removes:
+// each file id's blocks in a file named by the id, block blk at offset
+// blk*BlockSize. That is DirStore's layout keyed by id, as a FileStore
+// is never told names, and the two share one run path (runs.go): a
+// discard that covers a whole file unlinks it, giving its bytes back.
 //
-// A discard forgets the block's slot and touches nothing else: the slot
-// is not handed to another block and the file does not shrink. A fill
-// resolves a slot's offset under the mutex and reads it after letting go,
-// so a slot reused in between would hand it another file's bytes; an
-// unmapped slot can only ever show the removed block's own. Reuse waits
-// for a fixed file×block layout, where a slot has one owner for ever.
+// It keeps at most maxOpenFiles descriptors open. When it needs another,
+// it closes the idle one a run took least recently, or waits while all
+// are in use: a descriptor in use is never closed, and one whose file is
+// unlinked under it closes when the last run using it is done.
 type FileStore struct {
+	fileRuns
+	dir string
+
 	mu    sync.Mutex
-	f     *os.File
-	slots map[uint64]int64
-	next  int64
-
-	// vectored gates the preadv/pwritev run path; false on platforms
-	// without the syscalls, and flipped off by tests to exercise the
-	// portable fallback.
-	vectored atomic.Bool
-	// scratch pools the batch calls' runScratch.
-	scratch sync.Pool
-
-	// I/O call counters, by shape. A "scalar" call is one ReadAt/WriteAt
-	// moving one block; a "vector" call is one preadv/pwritev moving a
-	// run. The syscall-count regression gate and the profiling workflow
-	// in DESIGN.md read these through IOCounts.
-	scalarReads  atomic.Int64
-	vectorReads  atomic.Int64
-	scalarWrites atomic.Int64
-	vectorWrites atomic.Int64
+	freed sync.Cond // a descriptor went idle or was closed
+	files map[int32]*storeFile
+	open  int    // descriptors open: files' and gone ones still in use
+	takes uint64 // acquires so far, stamped into storeFile.used
 }
 
-// NewFileStore opens (creating or truncating) a file-backed store at
-// path.
-func NewFileStore(path string) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+// NewFileStore makes the directory dir for a store; Close removes it. A
+// path that exists and is not an empty directory is refused, so a
+// mistyped path loses nothing.
+func NewFileStore(dir string) (*FileStore, error) {
+	if err := os.Mkdir(dir, 0o755); os.IsExist(err) {
+		if ents, rerr := os.ReadDir(dir); rerr != nil || len(ents) > 0 {
+			return nil, fmt.Errorf("disk: store %s exists and is not an empty directory", dir)
+		}
+	} else if err != nil {
 		return nil, err
 	}
-	rc, err := f.SyscallConn()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	s := &FileStore{f: f, slots: make(map[uint64]int64)}
-	s.scratch.New = func() any { return &runScratch{vec: newVecOp(rc)} }
-	s.vectored.Store(vectoredIO)
+	s := &FileStore{dir: dir, files: make(map[int32]*storeFile)}
+	s.freed.L = &s.mu
+	s.init(s)
 	return s, nil
 }
 
-// SetVectored forces the run path on or off (tests: the portable
-// fallback must behave identically to preadv/pwritev).
-func (s *FileStore) SetVectored(on bool) { s.vectored.Store(on && vectoredIO) }
-
-// IOCounts reports cumulative store calls by shape: single-block
-// ReadAt/WriteAt versus vectored preadv/pwritev runs.
-func (s *FileStore) IOCounts() (scalarReads, vectorReads, scalarWrites, vectorWrites int64) {
-	return s.scalarReads.Load(), s.vectorReads.Load(), s.scalarWrites.Load(), s.vectorWrites.Load()
+func (s *FileStore) path(file int32) string {
+	return filepath.Join(s.dir, strconv.Itoa(int(file)))
 }
 
-// ReadBlock implements Store.
-func (s *FileStore) ReadBlock(file, blk int32, dst []byte) error {
-	if len(dst) != BlockSize {
-		return fmt.Errorf("disk: read buffer is %d bytes, want %d", len(dst), BlockSize)
-	}
+// acquire implements fileSet: the cached descriptor, or a new one once
+// the cache has room.
+func (s *FileStore) acquire(file int32, create bool) (*storeFile, error) {
 	s.mu.Lock()
-	off, ok := s.slots[storeKey(file, blk)]
-	s.mu.Unlock()
-	if !ok {
-		clear(dst)
-		return nil
+	defer s.mu.Unlock()
+	for s.files[file] == nil && s.open >= maxOpenFiles && !s.evictLocked() {
+		s.freed.Wait()
 	}
-	return s.readSlot(dst, off)
+	sf := s.files[file]
+	if sf == nil {
+		var err error
+		if sf, err = openStoreFile(s.path(file), create); sf == nil {
+			return nil, err
+		}
+		s.files[file] = sf
+		s.open++
+	}
+	s.takes++
+	sf.refs, sf.used = sf.refs+1, s.takes
+	return sf, nil
 }
 
-// readSlot reads one allocated slot with one ReadAt. A writer publishes
-// a new slot's offset before the pwrite that extends the file to it
-// lands (see WriteBlock), so a concurrent reader can resolve a slot that
-// lies partly or wholly past the end of the file. What is missing has
-// not been written yet, and unwritten blocks read as zeros.
-func (s *FileStore) readSlot(dst []byte, off int64) error {
-	s.scalarReads.Add(1)
-	n, err := s.f.ReadAt(dst, off)
-	if err == io.EOF {
-		clear(dst[n:])
-		return nil
-	}
-	return err
-}
-
-// WriteBlock implements Store. The mutex covers only the slot map;
-// once a block's slot offset is assigned it never changes, so the
-// pwrite itself runs unlocked — concurrent write-behind flushes and
-// fill preads overlap instead of serializing on the map lock.
-func (s *FileStore) WriteBlock(file, blk int32, src []byte) error {
-	if err := checkSrc(src); err != nil {
-		return err
-	}
+// release implements fileSet.
+func (s *FileStore) release(sf *storeFile) error {
 	s.mu.Lock()
-	off, write := s.slotLocked(storeKey(file, blk), src == nil)
-	s.mu.Unlock()
-	if !write {
-		return nil
-	}
-	s.scalarWrites.Add(1)
-	_, err := s.f.WriteAt(src, off)
-	return err
-}
-
-// slotLocked resolves the slot a write of block k lands in, allocating
-// the next one for a block that has none; for a discard it forgets the
-// block's slot instead and reports that there is nothing to write.
-func (s *FileStore) slotLocked(k uint64, discard bool) (off int64, write bool) {
-	if discard {
-		delete(s.slots, k)
-		return 0, false
-	}
-	off, ok := s.slots[k]
-	if !ok {
-		off = s.next
-		s.next += BlockSize
-		s.slots[k] = off
-	}
-	return off, true
-}
-
-// runEnt pins one batch entry to its resolved slot offset.
-type runEnt struct {
-	off int64
-	i   int // index into the caller's specs/bufs
-}
-
-// runScratch is one batch call's reusable memory: a write's span order,
-// the entries resolved to slots, one run's buffers, and the vectored
-// call's state with its iovecs. A batch takes one from the store's pool
-// and gives it back with no buffer left in it.
-type runScratch struct {
-	idx  []int
-	ents []runEnt
-	bufs [][]byte
-	vec  *vecOp
-}
-
-// gather collects the buffers of run's entries out of bufs into the
-// scratch; the caller clears them once the run is done.
-func (sc *runScratch) gather(run []runEnt, bufs [][]byte) [][]byte {
-	sc.bufs = sc.bufs[:0]
-	for _, e := range run {
-		sc.bufs = append(sc.bufs, bufs[e.i])
-	}
-	return sc.bufs
-}
-
-// byOff orders entries by slot offset.
-func byOff(a, b runEnt) int { return cmp.Compare(a.off, b.off) }
-
-// groupRuns walks offset-sorted entries and calls emit once per
-// contiguous-slot run. Equal offsets (the same block named twice in one
-// batch) break the run, so duplicate writes stay separate calls in
-// batch order.
-func groupRuns(ents []runEnt, emit func(run []runEnt)) {
-	for i := 0; i < len(ents); {
-		j := i + 1
-		for j < len(ents) && ents[j].off == ents[j-1].off+BlockSize {
-			j++
-		}
-		emit(ents[i:j])
-		i = j
-	}
-}
-
-// ReadBlocks implements BatchStore: resolve every span's slot under one
-// lock hold, sort by slot offset, and issue one preadv per contiguous
-// run (ReadAt per block when vectoring is off or the run is a single
-// block). Unwritten spans zero-fill without touching the file. A run
-// that fails mid-call marks every span in the run with the error —
-// the caller can't tell which block the kernel choked on, and fill
-// errors are per-block terminal anyway. Beyond the []error it returns,
-// a batch allocates nothing: the rest is pooled scratch.
-func (s *FileStore) ReadBlocks(specs []BlockSpan, dsts [][]byte) []error {
-	errs := make([]error, len(specs))
-	sc := s.scratch.Get().(*runScratch)
-	defer s.scratch.Put(sc)
-	ents := sc.ents[:0]
-	s.mu.Lock()
-	for i, sp := range specs {
-		if len(dsts[i]) != BlockSize {
-			errs[i] = fmt.Errorf("disk: read buffer is %d bytes, want %d", len(dsts[i]), BlockSize)
-			continue
-		}
-		if off, ok := s.slots[storeKey(sp.File, sp.Blk)]; ok {
-			ents = append(ents, runEnt{off, i})
-		} else {
-			clear(dsts[i])
-		}
-	}
-	s.mu.Unlock()
-	sc.ents = ents
-	slices.SortFunc(ents, byOff)
-	groupRuns(ents, func(run []runEnt) {
-		err := s.readRun(sc.vec, sc.gather(run, dsts), run[0].off)
-		clear(sc.bufs)
-		if err != nil {
-			for _, e := range run {
-				errs[e.i] = err
-			}
-		}
-	})
-	return errs
-}
-
-func (s *FileStore) readRun(vec *vecOp, bufs [][]byte, off int64) error {
-	if len(bufs) > 1 && s.vectored.Load() {
-		calls, err := vec.full(sysPreadv, bufs, off)
-		s.vectorReads.Add(int64(calls))
-		return err
-	}
-	for _, b := range bufs {
-		if err := s.readSlot(b, off); err != nil {
-			return err
-		}
-		off += BlockSize
+	defer s.mu.Unlock()
+	if sf.refs--; sf.refs == 0 && sf.gone {
+		s.closeLocked(sf)
+	} else if sf.refs == 0 {
+		s.freed.Broadcast()
 	}
 	return nil
 }
 
-// WriteBlocks implements BatchStore. Slot allocation is run-aware: the
-// valid spans are ordered by (file, block) before slots are assigned
-// under one lock hold, so a batch of sequential file blocks hitting an
-// empty store lands in sequential slots — which is exactly what lets
-// the next cold read of that range collapse into one preadv. The sort
-// is stable so a block named twice keeps batch order (last write wins),
-// a discard included: it unmaps the slot an earlier span of the batch
-// resolved — that span then writes to a slot nobody reads — and a later
-// span of the same block takes a fresh one.
-func (s *FileStore) WriteBlocks(specs []BlockSpan, srcs [][]byte) []error {
-	errs := make([]error, len(specs))
-	sc := s.scratch.Get().(*runScratch)
-	defer s.scratch.Put(sc)
-	idx := sc.idx[:0]
-	for i := range specs {
-		if errs[i] = checkSrc(srcs[i]); errs[i] != nil {
-			continue
-		}
-		idx = append(idx, i)
-	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		sa, sb := specs[a], specs[b]
-		return cmp.Or(cmp.Compare(sa.File, sb.File), cmp.Compare(sa.Blk, sb.Blk))
-	})
-	ents := sc.ents[:0]
+// drop implements fileSet. It holds the mutex across the unlink, so no
+// run opens the file between the check and the unlink and keeps the
+// removed one open.
+func (s *FileStore) drop(file, start int32, n int) (bool, error) {
 	s.mu.Lock()
-	for _, i := range idx {
-		if off, write := s.slotLocked(storeKey(specs[i].File, specs[i].Blk), srcs[i] == nil); write {
-			ents = append(ents, runEnt{off, i})
+	defer s.mu.Unlock()
+	done, err := dropCovered(s.path(file), start, n)
+	if sf := s.files[file]; done && err == nil && sf != nil {
+		delete(s.files, file)
+		sf.gone = true
+		if sf.refs == 0 {
+			s.closeLocked(sf)
 		}
 	}
-	s.mu.Unlock()
-	sc.idx, sc.ents = idx, ents
-	slices.SortStableFunc(ents, byOff)
-	groupRuns(ents, func(run []runEnt) {
-		err := s.writeRun(sc.vec, sc.gather(run, srcs), run[0].off)
-		clear(sc.bufs)
-		if err != nil {
-			for _, e := range run {
-				errs[e.i] = err
-			}
-		}
-	})
-	return errs
+	return done, err
 }
 
-func (s *FileStore) writeRun(vec *vecOp, bufs [][]byte, off int64) error {
-	if len(bufs) > 1 && s.vectored.Load() {
-		calls, err := vec.full(sysPwritev, bufs, off)
-		s.vectorWrites.Add(int64(calls))
-		return err
-	}
-	for _, b := range bufs {
-		s.scalarWrites.Add(1)
-		if _, err := s.f.WriteAt(b, off); err != nil {
-			return err
+// evictLocked closes the idle descriptor a run took least recently, and
+// reports false if every one is in use.
+func (s *FileStore) evictLocked() bool {
+	var lru *storeFile
+	var id int32
+	for f, sf := range s.files {
+		if sf.refs == 0 && (lru == nil || sf.used < lru.used) {
+			lru, id = sf, f
 		}
-		off += BlockSize
 	}
-	return nil
+	if lru == nil {
+		return false
+	}
+	delete(s.files, id)
+	s.closeLocked(lru)
+	return true
 }
 
-// Close implements Store.
-func (s *FileStore) Close() error { return s.f.Close() }
+// closeLocked drops Close's error: what a pwrite returned for is written.
+func (s *FileStore) closeLocked(sf *storeFile) {
+	sf.f.Close()
+	s.open--
+	s.freed.Broadcast()
+}
+
+// Close implements Store: it removes the directory with every block in
+// it, after closing the descriptors.
+func (s *FileStore) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for f, sf := range s.files {
+		delete(s.files, f)
+		s.closeLocked(sf)
+	}
+	return os.RemoveAll(s.dir)
+}

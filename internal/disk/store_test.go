@@ -3,7 +3,10 @@ package disk
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -39,12 +42,12 @@ func TestMemStoreRoundTrip(t *testing.T) {
 // store, not a cold disk.
 func BenchmarkStoreFill(b *testing.B) {
 	const fileBlocks = 256
-	vec, err := NewFileStore(filepath.Join(b.TempDir(), "store.dat"))
+	vec, err := NewFileStore(filepath.Join(b.TempDir(), "store"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer vec.Close()
-	scalar, err := NewFileStore(filepath.Join(b.TempDir(), "store.dat"))
+	scalar, err := NewFileStore(filepath.Join(b.TempDir(), "store"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,8 +97,8 @@ func BenchmarkStoreFill(b *testing.B) {
 }
 
 // TestFileStoreReadBlocksAllocs: a vectored 16-block read allocates
-// only the []error it returns — the resolved entries, the run's buffers,
-// the iovecs and the call into the descriptor are pooled scratch — and
+// only the []error it returns — the span order, the run's buffers, the
+// iovecs and the call into the descriptor are pooled scratch — and
 // reads the bytes written.
 func TestFileStoreReadBlocksAllocs(t *testing.T) {
 	if raceEnabled {
@@ -166,7 +169,7 @@ func TestFileStoreWriteBlocksAllocs(t *testing.T) {
 			}
 		}
 	}
-	write() // the first batch maps the slots
+	write() // the first batch makes the file
 	_, _, _, v0 := s.IOCounts()
 	if n := testing.AllocsPerRun(100, write); n > 1 {
 		t.Errorf("a %d-block WriteBlocks allocated %.0f times, want at most 1 (its []error)", run, n)
@@ -183,5 +186,250 @@ func TestFileStoreWriteBlocksAllocs(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("block %d read back wrong bytes", sp.Blk)
 		}
+	}
+}
+
+// TestFileStoreInterleavedWritesReadAsRuns: two files written a block at
+// a time, in turn, as two writers with synchronous write-backs leave
+// them, still lie in block order: a 16-block read of either is one
+// vectored call.
+func TestFileStoreInterleavedWritesReadAsRuns(t *testing.T) {
+	if !vectoredIO {
+		t.Skip("no vectored I/O on this platform")
+	}
+	const n = 16
+	s := newTestFileStore(t)
+	buf := make([]byte, BlockSize)
+	for b := int32(0); b < n; b++ {
+		for f := int32(1); f <= 2; f++ {
+			fillPattern(buf, f, b)
+			if err := s.WriteBlock(f, b, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	specs, dsts := make([]BlockSpan, n), make([][]byte, n)
+	for i := range dsts {
+		dsts[i] = make([]byte, BlockSize)
+	}
+	for f := int32(1); f <= 2; f++ {
+		for i := range specs {
+			specs[i] = BlockSpan{f, int32(i)}
+		}
+		sr0, vr0, _, _ := s.IOCounts()
+		for i, err := range s.ReadBlocks(specs, dsts) {
+			if err != nil {
+				t.Fatalf("file %d, ReadBlocks[%d]: %v", f, i, err)
+			}
+		}
+		if sr, vr, _, _ := s.IOCounts(); sr != sr0 || vr != vr0+1 {
+			t.Errorf("file %d: a %d-block read made %d scalar and %d vectored reads, want 0 and 1", f, n, sr-sr0, vr-vr0)
+		}
+		for i, sp := range specs {
+			fillPattern(buf, sp.File, sp.Blk)
+			if !bytes.Equal(dsts[i], buf) {
+				t.Errorf("%v read wrong bytes", sp)
+			}
+		}
+	}
+}
+
+// storeBytes is the size of the regular files at path: the file, or
+// those under the directory.
+func storeBytes(t *testing.T, path string) int64 {
+	t.Helper()
+	var n int64
+	err := filepath.WalkDir(path, func(_ string, d fs.DirEntry, err error) error {
+		if err != nil || !d.Type().IsRegular() {
+			return err
+		}
+		fi, err := d.Info()
+		n += fi.Size()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestFileStoreDiscardGivesBytesBack: discarding a whole stored file,
+// as a remove does, gives its bytes back on disk.
+func TestFileStoreDiscardGivesBytesBack(t *testing.T) {
+	const n = 16
+	path := filepath.Join(t.TempDir(), "store")
+	s, err := NewFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var specs []BlockSpan
+	var srcs [][]byte
+	for f := int32(1); f <= 2; f++ {
+		for b := int32(0); b < n; b++ {
+			specs = append(specs, BlockSpan{f, b})
+			srcs = append(srcs, bytes.Repeat([]byte{byte(f)}, BlockSize))
+		}
+	}
+	mustBatch(t, s, specs, srcs)
+	if got := storeBytes(t, path); got != 2*n*BlockSize {
+		t.Fatalf("the store holds %d bytes for %d blocks", got, 2*n)
+	}
+	if err := Discard(s, specs[:n]); err != nil {
+		t.Fatal(err)
+	}
+	if got := storeBytes(t, path); got != n*BlockSize {
+		t.Errorf("the store holds %d bytes after discarding %d of its %d blocks, want %d", got, n, 2*n, n*BlockSize)
+	}
+	zeros := make([]byte, BlockSize)
+	for b := int32(0); b < n; b++ {
+		if !bytes.Equal(mustRead(t, s, 1, b), zeros) || !bytes.Equal(mustRead(t, s, 2, b), srcs[n]) {
+			t.Fatalf("block %d of the discarded file is not zeros, or of the kept one not its bytes", b)
+		}
+	}
+}
+
+// TestFileStoreScratchDir: the store makes its directory, or takes an
+// empty one, and Close removes it; a path that exists and is anything
+// else is refused and left as it was.
+func TestFileStoreScratchDir(t *testing.T) {
+	dir := t.TempDir()
+	held, full, empty := filepath.Join(dir, "held"), filepath.Join(dir, "full"), filepath.Join(dir, "empty")
+	want := []byte("bytes a refused store must not touch")
+	if err := os.WriteFile(held, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(full, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(full, "1"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{held, full} {
+		if s, err := NewFileStore(path); err == nil {
+			s.Close()
+			t.Errorf("NewFileStore(%s) took a path that is not an empty directory", filepath.Base(path))
+		}
+	}
+	for _, path := range []string{held, filepath.Join(full, "1")} {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s after the refusal: %q, %v", path, got, err)
+		}
+	}
+	if err := os.Mkdir(empty, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{empty, filepath.Join(dir, "new")} {
+		s, err := NewFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustBatch(t, s, []BlockSpan{{1, 3}}, [][]byte{make([]byte, BlockSize)})
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s is still there after Close (stat: %v)", filepath.Base(path), err)
+		}
+	}
+}
+
+// TestFileStoreDescriptorBound: four goroutines write, read back and
+// discard files three times the descriptor cache's bound, so the cache
+// closes descriptors all the while. Every byte reads back right, the
+// process never holds more descriptors than it started with plus the
+// bound, and Close leaves none of the store's open.
+func TestFileStoreDescriptorBound(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	const workers, files, run, rounds = 4, 3 * maxOpenFiles, 4, 3
+	s := newTestFileStore(t)
+	mustBatch(t, s, []BlockSpan{{0, 0}}, [][]byte{make([]byte, BlockSize)}) // the runtime's poller, once
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Error(err)
+		}
+		return len(ents)
+	}
+	start := openFDs()
+	limit := start + maxOpenFiles
+	done := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		most := 0
+		for {
+			most = max(most, openFDs())
+			select {
+			case <-done:
+				peak <- most
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			specs, bufs := make([]BlockSpan, run), make([][]byte, run)
+			want := make([]byte, BlockSize)
+			for i := range bufs {
+				bufs[i] = make([]byte, BlockSize)
+			}
+			for r := 0; r < rounds; r++ {
+				for f := int32(1 + w); f <= files; f += workers {
+					for i := range specs {
+						specs[i] = BlockSpan{f, int32(r*run + i)}
+						fillPattern(bufs[i], f, specs[i].Blk)
+					}
+					for i, err := range s.WriteBlocks(specs, bufs) {
+						if err != nil {
+							t.Errorf("write %v: %v", specs[i], err)
+						}
+					}
+				}
+				for f := int32(1 + w); f <= files; f += workers {
+					for b := int32(0); b < int32((r+1)*run); b += run {
+						for i := range specs {
+							specs[i] = BlockSpan{f, b + int32(i)}
+						}
+						for i, err := range s.ReadBlocks(specs, bufs) {
+							if fillPattern(want, f, specs[i].Blk); err != nil || !bytes.Equal(bufs[i], want) {
+								t.Errorf("read %v: err %v, right bytes %v", specs[i], err, bytes.Equal(bufs[i], want))
+							}
+						}
+					}
+				}
+			}
+			for f := int32(1 + w); f <= files; f += workers {
+				whole := make([]BlockSpan, rounds*run)
+				for i := range whole {
+					whole[i] = BlockSpan{f, int32(i)}
+				}
+				if err := Discard(s, whole); err != nil {
+					t.Error(err)
+				}
+				if err := s.ReadBlock(f, 0, want); err != nil || !bytes.Equal(want, zeroBlock[:]) {
+					t.Errorf("file %d after its discard: err %v, zeros %v", f, err, bytes.Equal(want, zeroBlock[:]))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	if most := <-peak; most > limit {
+		t.Errorf("%d descriptors open at the peak, want at most %d (the start plus %d)", most, limit, maxOpenFiles)
+	}
+	if ents, err := os.ReadDir(s.dir); err != nil || len(ents) != 1 {
+		t.Errorf("%d files left after every worker's discards, want the first write's one (%v)", len(ents), err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := openFDs(); n >= start {
+		t.Errorf("%d descriptors open after Close, want fewer than the %d at the start, which counted one of the store's", n, start)
 	}
 }

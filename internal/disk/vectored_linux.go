@@ -1,6 +1,6 @@
 //go:build linux
 
-// vectored_linux.go — preadv/pwritev wrappers for the FileStore run
+// vectored_linux.go — preadv/pwritev wrappers for the file stores' run
 // path. The stdlib exposes the syscall numbers and Iovec but not the
 // calls themselves, and the no-new-dependencies rule keeps x/sys out,
 // so the two thin wrappers live here: build the iovec array, split the
@@ -17,8 +17,8 @@ import (
 	"unsafe"
 )
 
-// vectoredIO reports whether this platform has preadv/pwritev; the
-// FileStore constructor uses it to pick the run path.
+// vectoredIO reports whether this platform has preadv/pwritev; the file
+// stores' constructors use it to pick the run path.
 const vectoredIO = true
 
 // sysPreadv and sysPwritev are the traps vecOp.full issues.
@@ -37,10 +37,10 @@ func offLoHi(off int64) (lo, hi uintptr) {
 }
 
 // vecOp is one vectored run's state and its reusable iovec scratch. ctl
-// is run bound once, at newVecOp, so a run through RawConn.Control
-// allocates nothing: no closure, no iovec array, no RawConn.
+// is run bound once, at newVecOp, and the file's RawConn is the caller's,
+// so a run through RawConn.Control allocates nothing: no closure, no
+// iovec array, no RawConn.
 type vecOp struct {
-	rc    syscall.RawConn
 	ctl   func(fd uintptr)
 	iovs  []syscall.Iovec
 	trap  uintptr
@@ -50,23 +50,23 @@ type vecOp struct {
 	err   error
 }
 
-func newVecOp(rc syscall.RawConn) *vecOp {
-	op := &vecOp{rc: rc}
+func newVecOp() *vecOp {
+	op := &vecOp{}
 	op.ctl = op.run
 	return op
 }
 
-// full issues preadv or pwritev (trap) over bufs at contiguous file
-// offsets from off until every byte has transferred — whatever lies past
+// full issues preadv or pwritev (trap) on rc's file over bufs at
+// contiguous file offsets from off until every byte has transferred — whatever lies past
 // the end of the file reads as zeros — chunking at maxIovecs and
 // resuming after short transfers, and returns the syscalls issued
 // (EINTR retries count: they hit the disk scheduler even when they move
 // no data). bufs is consumed: the slice and its entries are re-sliced as
 // data moves, so callers pass a scratch header slice (the underlying
 // block buffers are never modified beyond the transfer itself).
-func (op *vecOp) full(trap uintptr, bufs [][]byte, off int64) (calls int, err error) {
+func (op *vecOp) full(rc syscall.RawConn, trap uintptr, bufs [][]byte, off int64) (calls int, err error) {
 	op.trap, op.bufs, op.off, op.calls, op.err = trap, bufs, off, 0, nil
-	if cerr := op.rc.Control(op.ctl); cerr != nil {
+	if cerr := rc.Control(op.ctl); cerr != nil {
 		op.err = cerr
 	}
 	op.bufs = nil
@@ -87,8 +87,8 @@ func (op *vecOp) run(fd uintptr) {
 				op.err = io.ErrShortWrite
 				return
 			}
-			// End of file inside an allocated run: the rest is not
-			// written yet and reads as zeros (FileStore.readSlot).
+			// End of file inside the run: the rest was never written
+			// and reads as zeros.
 			for _, b := range op.bufs {
 				clear(b)
 			}

@@ -1,7 +1,7 @@
 //go:build !linux
 
 // vectored_other.go — stubs for platforms without preadv/pwritev. The
-// FileStore constructor sees vectoredIO == false and keeps the run path
+// file stores' constructors see vectoredIO == false and keep the run path
 // on the portable ReadAt/WriteAt loop, so these are never reached; they
 // exist only to keep the package compiling everywhere.
 
@@ -21,8 +21,8 @@ const sysPreadv, sysPwritev = 0, 0
 // vecOp stands in for the preadv/pwritev runner; see vectored_linux.go.
 type vecOp struct{}
 
-func newVecOp(syscall.RawConn) *vecOp { return &vecOp{} }
+func newVecOp() *vecOp { return &vecOp{} }
 
-func (*vecOp) full(trap uintptr, bufs [][]byte, off int64) (calls int, err error) {
+func (*vecOp) full(rc syscall.RawConn, trap uintptr, bufs [][]byte, off int64) (calls int, err error) {
 	return 0, errNoVectoredIO
 }

@@ -54,7 +54,7 @@ type decoded struct {
 }
 
 func decodeFrameBy(data []byte, readBody func(br *bufio.Reader, n int) ([]byte, error)) decoded {
-	br := bufio.NewReaderSize(bytes.NewReader(data), MaxFrame)
+	br := bufio.NewReaderSize(bytes.NewReader(data), readerSize)
 	id, tag, n, err := ReadFrameHeader(br)
 	if err != nil {
 		return decoded{err: err}
@@ -190,4 +190,44 @@ func FuzzBodyRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// countingReader counts the reads made of it.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReaderSizeReads: a stream of 1 000 whole-block write frames,
+// decoded as readLoop decodes it (the header, the body peeked in place,
+// then discarded) through a reader of the session's size, takes one read
+// of the stream per three frames. A reader of one frame takes one read
+// per frame.
+func TestReaderSizeReads(t *testing.T) {
+	const frames = 1000
+	var stream bytes.Buffer
+	body := WriteReq{File: 1, Data: make([]byte, 8192)}.Append(nil)
+	for i := 0; i < frames; i++ {
+		WriteFrame(&stream, uint32(i), OpWrite, body)
+	}
+	cr := &countingReader{r: &stream}
+	br := bufio.NewReaderSize(cr, readerSize)
+	for i := 0; i < frames; i++ {
+		_, _, n, err := ReadFrameHeader(br)
+		if err == nil {
+			_, err = br.Peek(n)
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		br.Discard(n)
+	}
+	if cr.reads > frames/3+1 {
+		t.Errorf("%d whole-block write frames took %d reads, want at most %d", frames, cr.reads, frames/3+1)
+	}
 }

@@ -116,9 +116,13 @@ func (s *session) sendErr(id uint32, err error) {
 	s.send(id, statusOf(err), []byte(err.Error()))
 }
 
+// readerSize holds two whole frames: whole-block writes then take one
+// read per three frames, not one per frame (TestReaderSizeReads).
+const readerSize = 2 * MaxFrame
+
 func (se *session) readLoop() {
 	defer se.srv.running.Done()
-	br := bufio.NewReaderSize(se.conn, MaxFrame)
+	br := bufio.NewReaderSize(se.conn, readerSize)
 	idle := se.srv.cfg.IdleTimeout
 	for {
 		// The idle deadline is armed per blocking read, not per frame:
