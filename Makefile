@@ -46,7 +46,7 @@ race-lifecycle:
 # step.
 race-discard:
 	$(GO) test -race ./internal/disk ./internal/core ./internal/server ./internal/cluster ./cmd/acload \
-		-run 'Discard|TestStoreFollowsLiveSet|TestLiveRemove|TestLiveWriteAfterRemove|TestLiveRecreatedName|TestClusterRecreatedName|TestClusterLeaveRecreated|TestClusterRemoveUnwritten|TestClusterDotNames|TestReplaySortLeavesNoRemovedBlocks|TestStoreModel|TestLiveFilesUnderClientIDs|TestShardConfigFileIDs|TestFileStoreInterleavedWritesReadAsRuns|TestFileStoreDescriptorBound|TestFileStoreScratchDir' -count=5
+		-run 'Discard|TestStoreFollowsLiveSet|TestLiveRemove|TestLiveWriteAfterRemove|TestLiveRecreatedName|TestClusterRecreatedName|TestClusterLeaveRecreated|TestClusterRemoveUnwritten|TestClusterDotNames|TestReplaySortLeavesNoRemovedBlocks|TestStoreModel|TestLiveFilesUnderClientIDs|TestShardConfigFileIDs|TestFileStoreInterleavedWritesReadAsRuns|TestFileStoreDescriptorBound|TestFileStoreScratchDir|TestFileStoreRemembersNoFile' -count=5
 
 # The shard-lock gates by name, repeated: the soak (16 sessions plus
 # hangup saboteurs over 4 shards), a fill's waiters surviving their
@@ -78,7 +78,7 @@ race:
 # raises the ceiling in its own diff, where a reviewer sees it. longest
 # prints the ten longest of the same files, so the next 1 500-line file
 # shows on the push that creates it.
-LOC_MAX = 15844
+LOC_MAX = 15843
 LOC_FILES = find . \( -name '.?*' -o -name benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -type f -print0
 loc:
 	@n=$$($(LOC_FILES) | xargs -0 cat | wc -l); echo $$n; \

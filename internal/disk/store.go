@@ -190,16 +190,17 @@ const maxOpenFiles = 64
 // It keeps at most maxOpenFiles descriptors open. When it needs another,
 // it closes the idle one a run took least recently, or waits while all
 // are in use: a descriptor in use is never closed, and one whose file is
-// unlinked under it closes when the last run using it is done.
+// unlinked under it closes when the last run using it is done. An id a
+// read found no file for costs one failed open, not one a read run.
 type FileStore struct {
 	fileRuns
 	dir string
 
 	mu    sync.Mutex
-	freed sync.Cond // a descriptor went idle or was closed
-	files map[int32]*storeFile
-	open  int    // descriptors open: files' and gone ones still in use
-	takes uint64 // acquires so far, stamped into storeFile.used
+	freed sync.Cond            // a descriptor went idle or was closed
+	files map[int32]*storeFile // nil: no file yet, until a write makes one
+	open  int                  // descriptors open: files' and gone ones still in use
+	takes uint64               // acquires so far, stamped into storeFile.used
 }
 
 // NewFileStore makes the directory dir for a store; Close removes it. A
@@ -228,6 +229,9 @@ func (s *FileStore) path(file int32) string {
 func (s *FileStore) acquire(file int32, create bool) (*storeFile, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if sf, known := s.files[file]; known && sf == nil && !create {
+		return nil, nil
+	}
 	for s.files[file] == nil && s.open >= maxOpenFiles && !s.evictLocked() {
 		s.freed.Wait()
 	}
@@ -235,6 +239,9 @@ func (s *FileStore) acquire(file int32, create bool) (*storeFile, error) {
 	if sf == nil {
 		var err error
 		if sf, err = openStoreFile(s.path(file), create); sf == nil {
+			if err == nil {
+				s.files[file] = nil
+			}
 			return nil, err
 		}
 		s.files[file] = sf
@@ -264,11 +271,13 @@ func (s *FileStore) drop(file, start int32, n int) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	done, err := dropCovered(s.path(file), start, n)
-	if sf := s.files[file]; done && err == nil && sf != nil {
+	if sf, known := s.files[file]; done && err == nil && known {
 		delete(s.files, file)
-		sf.gone = true
-		if sf.refs == 0 {
-			s.closeLocked(sf)
+		if sf != nil {
+			sf.gone = true
+			if sf.refs == 0 {
+				s.closeLocked(sf)
+			}
 		}
 	}
 	return done, err
@@ -280,7 +289,7 @@ func (s *FileStore) evictLocked() bool {
 	var lru *storeFile
 	var id int32
 	for f, sf := range s.files {
-		if sf.refs == 0 && (lru == nil || sf.used < lru.used) {
+		if sf != nil && sf.refs == 0 && (lru == nil || sf.used < lru.used) {
 			lru, id = sf, f
 		}
 	}
@@ -306,7 +315,9 @@ func (s *FileStore) Close() error {
 	defer s.mu.Unlock()
 	for f, sf := range s.files {
 		delete(s.files, f)
-		s.closeLocked(sf)
+		if sf != nil {
+			s.closeLocked(sf)
+		}
 	}
 	return os.RemoveAll(s.dir)
 }

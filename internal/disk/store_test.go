@@ -289,6 +289,39 @@ func TestFileStoreDiscardGivesBytesBack(t *testing.T) {
 	}
 }
 
+// TestFileStoreRemembersNoFile: a read run of a file no write has made
+// finds no file, and the store remembers that, so a second read run of
+// it makes no open attempt: a file put in its place behind the store's
+// back stays unread. Such an entry holds no descriptor, so more of them
+// than the bound neither block a write nor are closed by one, and the
+// first write opens the file in their place.
+func TestFileStoreRemembersNoFile(t *testing.T) {
+	const f = 7
+	s := newTestFileStore(t)
+	zeros := make([]byte, BlockSize)
+	if !bytes.Equal(mustRead(t, s, f, 0), zeros) {
+		t.Fatal("a block of a file never written is not zeros")
+	}
+	planted := bytes.Repeat([]byte{0xee}, 2*BlockSize)
+	if err := os.WriteFile(s.path(f), planted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustRead(t, s, f, 1), zeros) {
+		t.Fatal("the second read run of a file never written opened it again")
+	}
+	for g := int32(100); g <= 100+maxOpenFiles; g++ {
+		mustRead(t, s, g, 0)
+	}
+	for g := int32(200); g <= 200+maxOpenFiles; g++ {
+		mustBatch(t, s, []BlockSpan{{g, 0}}, [][]byte{planted[:BlockSize]})
+	}
+	block := bytes.Repeat([]byte{0x5a}, BlockSize)
+	mustBatch(t, s, []BlockSpan{{f, 0}}, [][]byte{block})
+	if !bytes.Equal(mustRead(t, s, f, 0), block) || !bytes.Equal(mustRead(t, s, f, 1), planted[BlockSize:]) {
+		t.Fatal("the first write did not open the file in place of the entry")
+	}
+}
+
 // TestFileStoreScratchDir: the store makes its directory, or takes an
 // empty one, and Close removes it; a path that exists and is anything
 // else is refused and left as it was.

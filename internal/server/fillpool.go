@@ -166,10 +166,9 @@ func (sh *shard) runFills(w *fillScratch) {
 // (shard.writeBehind): a discard goes through disk.Discard, a release's
 // barrier makes no store call, a lone victim keeps the plain WriteBlock
 // path, and a group goes through WriteBatch so adjacent-slot victims
-// collapse into pwritev runs, its spans built in the shard's scratch.
-// The batch then completes in the shard through ask, which the
-// shard cannot refuse: it counts the batch in flight and cannot retire
-// before it completes.
+// collapse into pwritev runs. The batch then completes in the shard
+// through ask, which the shard cannot refuse: the batch is in its FIFO
+// until then, and it cannot retire before the FIFO is empty.
 func (sh *shard) writeBatch(batch []*core.WriteBack) {
 	defer sh.srv.running.Done()
 	switch wb := batch[0]; {
@@ -179,16 +178,14 @@ func (sh *shard) writeBatch(batch []*core.WriteBack) {
 	case len(batch) == 1:
 		wb.Err = sh.srv.store.WriteBlock(int32(wb.ID.File), wb.ID.Num, wb.Data)
 	default:
-		specs, srcs := sh.wbSpecs[:0], sh.wbSrcs[:0]
-		for _, wb := range batch {
-			specs = append(specs, disk.BlockSpan{File: int32(wb.ID.File), Blk: wb.ID.Num})
-			srcs = append(srcs, wb.Data)
+		specs, srcs := make([]disk.BlockSpan, len(batch)), make([][]byte, len(batch))
+		for i, wb := range batch {
+			specs[i] = disk.BlockSpan{File: int32(wb.ID.File), Blk: wb.ID.Num}
+			srcs[i] = wb.Data
 		}
 		for i, err := range disk.WriteBatch(sh.srv.store, specs, srcs) {
 			batch[i].Err = err
 		}
-		clear(srcs)
-		sh.wbSpecs, sh.wbSrcs = specs, srcs
 	}
 	sh.ask(func(sh *shard) { sh.completeWriteBacks(batch) })
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/disk"
 )
 
 // shard is one kernel shard: a Live of its own and the lock that owns
@@ -30,11 +29,6 @@ type shard struct {
 	announce announcer
 	// done closes when the shard retires, for Shutdown to wait on.
 	done chan struct{}
-	// wbSpecs and wbSrcs are writeBatch's scratch, used outside mu: only
-	// one batch is ever at the store (wbBusy), and the next starts under
-	// mu after the last one's completion.
-	wbSpecs []disk.BlockSpan
-	wbSrcs  [][]byte
 
 	mu sync.Mutex
 	// retired is set once, when the shard retires (shutdown): from then
@@ -55,16 +49,13 @@ type shard struct {
 	// (wbBusy), one batch at a time — so queue order is execution order,
 	// which honors every same-block Conflict constraint. wbCut marks the
 	// head batch cut and waiting for the fills issued before it was cut
-	// (wbWait). wbInflight counts every write-back in wbq; the drain
-	// barrier waits for it, so no batch races Server.Close's store writes.
-	// wbFree keeps completed batches' slices for new ones (at most 1 +
-	// wbDepth/wbFull, so a storm of one-remove batches leaves no more).
+	// (wbWait). A write-back is in flight exactly while it is in wbq; the
+	// drain barrier waits for wbq to empty, so no batch races
+	// Server.Close's store writes.
 	wbDepth, wbFull int
 	wbq             [][]*core.WriteBack
-	wbFree          [][]*core.WriteBack
 	wbCut, wbBusy   bool
 	wbWait          int64
-	wbInflight      int
 }
 
 // ask runs fn as the shard's owner and reports whether it ran: it takes
@@ -93,7 +84,7 @@ func (sh *shard) ask(fn func(*shard)) bool {
 	}
 	fn(sh)
 	sh.writeBehind()
-	if sh.draining && len(sh.sessions) == 0 && sh.fillsDone == sh.fillsIssued && sh.wbInflight == 0 {
+	if sh.draining && len(sh.sessions) == 0 && sh.fillsDone == sh.fillsIssued && len(sh.wbq) == 0 {
 		sh.retire()
 	}
 	return true
@@ -112,10 +103,8 @@ func (sh *shard) completeFills(run []*core.Fill) {
 }
 
 // completeWriteBacks applies the head batch's return from the store: it
-// leaves the FIFO, its write-backs complete in batch order, and its
-// slice goes to wbFree while that has room.
+// leaves the FIFO and its write-backs complete in batch order.
 func (sh *shard) completeWriteBacks(batch []*core.WriteBack) {
-	sh.wbInflight -= len(batch)
 	sh.wbq, sh.wbBusy = slices.Delete(sh.wbq, 0, 1), false
 	if len(batch) > 1 && sh.vectors {
 		sh.kern.CountWritebackBatches(1)
@@ -123,10 +112,15 @@ func (sh *shard) completeWriteBacks(batch []*core.WriteBack) {
 	for _, wb := range batch {
 		sh.kern.CompleteWriteBack(wb)
 	}
-	if len(sh.wbFree) <= sh.wbDepth/sh.wbFull {
-		clear(batch)
-		sh.wbFree = append(sh.wbFree, batch[:0])
+}
+
+// writeBacks counts the write-backs in batches.
+func writeBacks(batches [][]*core.WriteBack) int {
+	n := 0
+	for _, batch := range batches {
+		n += len(batch)
 	}
+	return n
 }
 
 // retire ends the shard once it is draining, no session can send more
@@ -153,7 +147,7 @@ func (sh *shard) retire() {
 // is safe for it.
 func (sh *shard) startWriteBack(wb *core.WriteBack) {
 	n := len(sh.wbq)
-	if !wb.Conflict && n > 0 && sh.wbInflight-len(sh.wbq[0]) >= sh.wbDepth {
+	if !wb.Conflict && n > 0 && writeBacks(sh.wbq[1:]) >= sh.wbDepth {
 		// Inline is safe exactly because !Conflict: no older write of this
 		// block is queued anywhere, so writing now cannot reorder anything.
 		wb.Stalled = true
@@ -161,18 +155,15 @@ func (sh *shard) startWriteBack(wb *core.WriteBack) {
 		sh.kern.CompleteWriteBack(wb)
 		return
 	}
-	sh.wbInflight++
 	if sh.joins(wb) {
 		sh.wbq[n-1] = append(sh.wbq[n-1], wb)
 		return
 	}
-	var batch []*core.WriteBack
-	if n := len(sh.wbFree); n > 0 {
-		batch, sh.wbFree = sh.wbFree[n-1], sh.wbFree[:n-1]
-	} else {
-		batch = make([]*core.WriteBack, 0, sh.wbFull)
+	size := sh.wbFull
+	if alone(wb) {
+		size = 1
 	}
-	sh.wbq = append(sh.wbq, append(batch, wb))
+	sh.wbq = append(sh.wbq, append(make([]*core.WriteBack, 0, size), wb))
 }
 
 // joins reports whether wb may join the FIFO's last batch: that batch is

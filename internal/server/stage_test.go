@@ -279,10 +279,10 @@ func writeBatchOp(tb testing.TB) func() {
 	}
 }
 
-// TestWriteBatchSlicesBounded: a completed batch's slice is kept for the
-// next batch, but no more of them than the FIFO holds within its depth
-// — a burst of discards, a batch each, leaves two behind at depth 64.
-func TestWriteBatchSlicesBounded(t *testing.T) {
+// TestDiscardBatchesDrain: a burst of discards, a batch each, leaves the
+// FIFO empty with no ask from outside: each batch's completion starts the
+// next.
+func TestDiscardBatchesDrain(t *testing.T) {
 	s := newStageShard(t, Config{WritebackDepth: 64}, &nopStore{})
 	s.sh.ask(func(sh *shard) {
 		for i := 0; i < 20; i++ {
@@ -292,8 +292,8 @@ func TestWriteBatchSlicesBounded(t *testing.T) {
 	})
 	s.sh.srv.running.Wait() // each batch starts the next as it completes
 	s.sh.ask(func(sh *shard) {
-		if len(sh.wbq) != 0 || len(sh.wbFree) != 2 {
-			t.Errorf("%d batches queued and %d slices kept after 20 discards, want 0 and 2", len(sh.wbq), len(sh.wbFree))
+		if len(sh.wbq) != 0 {
+			t.Errorf("%d batches queued after 20 discards, want 0", len(sh.wbq))
 		}
 	})
 }

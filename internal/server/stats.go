@@ -56,7 +56,7 @@ func (sh *shard) snapshot(m *Metrics, at map[*session]int, only *session) {
 		Requests:           sh.requests,
 		Refused:            sh.refused,
 		FillsInflight:      int(sh.fillsIssued - sh.fillsDone),
-		WritebacksInflight: sh.wbInflight,
+		WritebacksInflight: writeBacks(sh.wbq),
 		CachedBlocks:       sh.kern.Cache().Len(),
 		DataSlots:          sh.kern.Cache().Slots(),
 	}
